@@ -66,6 +66,7 @@ from repro.config import (
     SCHEDULER_POLICIES,
     TRACING_MODES,
 )
+from repro.errors import ReproError
 from repro.faas.obs import render_decomposition
 from repro.workloads import all_benchmarks, benchmarks_by_suite, find_benchmark
 
@@ -1091,10 +1092,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A library error (any :class:`~repro.errors.ReproError`, e.g. an
+    unknown or ambiguous benchmark name) prints one ``error: ...`` line on
+    stderr and returns exit code 2, like the argparse usage errors,
+    instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -265,7 +265,8 @@ class ClusterIndex:
 
         Test hook: raises ``AssertionError`` on the first divergence
         between the incrementally maintained state and the ground truth
-        recomputed from the invokers.
+        recomputed from the invokers.  Each invoker's queued-pool record
+        (the pools its dispatch walk visits) is checked the same way.
         """
         for position, invoker in enumerate(self.invokers):
             assert self._loads[position] == invoker.load, (
@@ -278,6 +279,7 @@ class ClusterIndex:
         snapshots: Dict[str, Set[int]] = {}
         depths: Dict[str, Dict[int, int]] = {}
         for position, invoker in enumerate(self.invokers):
+            queued = {}
             for pool in invoker._pools.values():
                 action = pool.spec.name
                 if len(pool.containers) + pool.cold_starting + pool.restoring > 0:
@@ -286,6 +288,11 @@ class ClusterIndex:
                     snapshots.setdefault(action, set()).add(position)
                 if len(pool.queue) > 0:
                     depths.setdefault(action, {})[position] = len(pool.queue)
+                    queued[pool.seq] = pool
+            assert invoker._queued_pools == queued, (
+                f"queued-pool record stale at {position}: "
+                f"{sorted(invoker._queued_pools)} != {sorted(queued)}"
+            )
         assert warm == self._warm, f"warm sets diverged: {warm} != {self._warm}"
         assert snapshots == self._snapshots, (
             f"snapshot sets diverged: {snapshots} != {self._snapshots}"

@@ -146,8 +146,9 @@ class _ActionPool:
     uncovered: int = 0
     #: Creation sequence number (== the pool's position in the invoker's
     #: insertion-ordered pool dict).  Index-driven steal scans sort
-    #: candidate actions by this to reproduce the pool-order iteration of
-    #: the full scan bit for bit.
+    #: candidate actions by this, and the invoker's queued-pool record is
+    #: keyed by it, to reproduce the pool-order iteration of the full scan
+    #: bit for bit.
     seq: int = 0
 
 
@@ -308,6 +309,12 @@ class Invoker:
         #: per-action container ceilings.
         self.autoscaler: Optional[ReactiveAutoscaler] = None
         self._pools: Dict[str, _ActionPool] = {}
+        #: The pools with queued work, keyed by ``_ActionPool.seq`` and kept
+        #: exact by :meth:`_touch_pool` (every queue push and pop passes
+        #: through it).  Dispatch and the all-action queue totals visit these
+        #: in ascending ``seq`` — the pool-order walk — instead of every
+        #: deployed pool.
+        self._queued_pools: Dict[int, _ActionPool] = {}
         self._cores_in_use = 0
         #: Boots currently occupying a core.
         self._booting = 0
@@ -451,11 +458,16 @@ class Invoker:
 
         Called after any mutation that may have changed the pool's queue
         depth, cold-starts in flight, container set, or counters.  Keeps
-        ``_queued_uncovered`` exact by applying the pool's delta, then
-        feeds the per-action queue depth and warmth to the attached index
-        and bumps the snapshot version via :meth:`_touch`.
+        ``_queued_uncovered`` and the queued-pool record exact, then feeds
+        the per-action queue depth and warmth to the attached index and
+        bumps the snapshot version via :meth:`_touch`.
         """
-        uncovered = len(pool.queue) - pool.cold_starting - pool.restoring
+        depth = len(pool.queue)
+        if depth:
+            self._queued_pools[pool.seq] = pool
+        else:
+            self._queued_pools.pop(pool.seq, None)
+        uncovered = depth - pool.cold_starting - pool.restoring
         if uncovered < 0:
             uncovered = 0
         if uncovered != pool.uncovered:
@@ -463,9 +475,7 @@ class Invoker:
             pool.uncovered = uncovered
         listener = self.index_listener
         if listener is not None:
-            listener.depth_changed(
-                self.index_position, pool.spec.name, len(pool.queue)
-            )
+            listener.depth_changed(self.index_position, pool.spec.name, depth)
             listener.warmth_changed(
                 self.index_position,
                 pool.spec.name,
@@ -750,11 +760,15 @@ class Invoker:
         occupies its core for the whole initialisation.  If cores remain
         free after both, the spare-capacity hook fires so a cluster
         scheduler can steal work from saturated peers.
+
+        Each pass visits the pools with queued work in creation order, one
+        dispatch per pool per pass; pools with empty queues are skipped
+        without being looked at (a pass changes no other pool's queue).
         """
         progressed = True
-        while progressed and self._cores_in_use < self.cores:
+        while progressed and self._cores_in_use < self.cores and self._queued_pools:
             progressed = False
-            for pool in self._pools.values():
+            for _seq, pool in sorted(self._queued_pools.items()):
                 if self.restorable_snapshots and pool.queue and not pool.idle:
                     self._promote_free_snapshot(pool)
                 if pool.queue and pool.idle and self._cores_in_use < self.cores:
@@ -1414,21 +1428,28 @@ class Invoker:
         return self.warm_hits / self.invocations_dispatched
 
     def queued_invocations(self, action: Optional[str] = None) -> int:
-        """Number of invocations waiting for a container."""
+        """Number of invocations waiting for a container.
+
+        The all-action total sums only the pools with queued work.
+        """
         if action is not None:
             return len(self._require_pool(action).queue)
-        return sum(len(pool.queue) for pool in self._pools.values())
+        return sum(len(pool.queue) for pool in self._queued_pools.values())
 
     def queued_order(self, action: str) -> List[Invocation]:
         """The waiting invocations of one action in arrival order."""
         return self._require_pool(action).queue.invocations()
 
     def queued_by_tenant(self, action: Optional[str] = None) -> Dict[str, int]:
-        """Waiting invocations per tenant (for one action or all of them)."""
+        """Waiting invocations per tenant (for one action or all of them).
+
+        The all-action totals visit only the pools with queued work, in
+        creation order, so tenants keep their first-seen key order.
+        """
         if action is not None:
             return self._require_pool(action).queue.tenants()
         totals: Counter = Counter()
-        for pool in self._pools.values():
+        for _seq, pool in sorted(self._queued_pools.items()):
             totals.update(pool.queue.tenants())
         return dict(totals)
 

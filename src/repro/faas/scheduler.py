@@ -71,6 +71,11 @@ from repro.faas.invoker import CompletionCallback, Invoker, InvokerSnapshot
 from repro.faas.request import Invocation
 from repro.runtime.profiles import FunctionProfile
 
+#: One entry of the indexed steal search's per-pass candidate list: a
+#: queued action, its ``(position, depth)`` queues in ascending position,
+#: and whether any depth reaches ``boot_steal_min_queue``.
+StealCandidate = Tuple[str, List[Tuple[int, int]], bool]
+
 
 def estimated_service_seconds(profile: FunctionProfile) -> float:
     """Rough per-request container occupancy of one function profile.
@@ -481,6 +486,10 @@ class Scheduler:
         by index, the thief's actions in pool order, victims by deepest
         queue with ties to the lowest index) is fixed, so two identical
         runs steal identically — determinism is preserved.
+
+        A thief without a free core is skipped before any per-action work.
+        On the indexed path the steal candidates are built once per pass
+        and shared by every thief until a steal moves queued work.
         """
         if not self.work_stealing or len(self.invokers) < 2 or self._rebalancing:
             return
@@ -491,14 +500,21 @@ class Scheduler:
             # nothing.  This is the common case after most submits — the
             # O(invokers² × actions) sweep only runs on real pressure.
             return
-        find_steal = self._find_steal if index is None else self._find_steal_indexed
         self._rebalancing = True
         try:
             progressed = True
             while progressed:
                 progressed = False
+                candidates: Optional[List[StealCandidate]] = None
                 for thief in self.invokers:
-                    steal = find_steal(thief)
+                    if thief.cores_in_use >= thief.cores:
+                        continue
+                    if index is None:
+                        steal = self._find_steal(thief)
+                    else:
+                        if candidates is None:
+                            candidates = self._steal_candidates()
+                        steal = self._find_steal_indexed(thief, candidates)
                     if steal is None:
                         continue
                     victim, action, newest = steal
@@ -506,6 +522,7 @@ class Scheduler:
                     thief.adopt(*entry)
                     self.steals += 1
                     progressed = True
+                    candidates = None  # the steal moved queued work
         finally:
             self._rebalancing = False
 
@@ -586,8 +603,29 @@ class Scheduler:
             best_depth = depth
         return best
 
+    def _steal_candidates(self) -> List[StealCandidate]:
+        """The indexed steal search's per-pass view of queued work.
+
+        One entry per action with queued work somewhere: the action, its
+        non-empty queues as ``(position, depth)`` pairs in ascending
+        position (the victim search's walk order), and whether any depth
+        reaches ``boot_steal_min_queue`` (without one, no boot steal of
+        the action is possible).  Valid until a steal changes queue state.
+        """
+        index = self.index
+        assert index is not None
+        deep = self.boot_steal_min_queue
+        candidates: List[StealCandidate] = []
+        for action in index.queued_actions():
+            depths = sorted(index.depths_for(action).items())
+            boot = deep is not None and max(depth for _pos, depth in depths) >= deep
+            candidates.append((action, depths, boot))
+        return candidates
+
     def _find_steal_indexed(
-        self, thief: Invoker
+        self,
+        thief: Invoker,
+        candidates: Optional[Sequence[StealCandidate]] = None,
     ) -> Optional[Tuple[Invoker, str, bool]]:
         """Index-driven :meth:`_find_steal`: same decision, no full scans.
 
@@ -596,33 +634,43 @@ class Scheduler:
         intersected with the thief's warmth state, and are visited in
         the thief's pool creation order — exactly the order the scan
         walks ``idle_warm_actions()`` / ``_growable_actions()`` — so the
-        first hit is the same steal the scan would have made.
+        first hit is the same steal the scan would have made.  Boot-steal
+        headroom checks run only for actions with a queue deep enough to
+        boot-steal from.  ``candidates`` is a :meth:`_steal_candidates`
+        result shared across thieves; it is built here when omitted.
         """
         if thief.cores_in_use >= thief.cores:
             return None
-        index = self.index
-        assert index is not None
-        instant: List[Tuple[int, str]] = []
-        for action in index.queued_actions():
+        if candidates is None:
+            candidates = self._steal_candidates()
+        thief_position = thief.index_position
+        instant: List[Tuple[int, str, List[Tuple[int, int]]]] = []
+        for action, depths, _boot in candidates:
             if thief.has_idle(action):
-                instant.append((thief.pool_order(action), action))
+                instant.append((thief.pool_order(action), action, depths))
         instant.sort()
-        for _seq, action in instant:
-            victim = self._steal_victim_indexed(action, thief, min_queue=1)
+        for _seq, action, depths in instant:
+            victim = self._steal_victim_indexed(
+                action, depths, thief_position, min_queue=1
+            )
             if victim is not None:
                 return victim, action, False
         if self.boot_steal_min_queue is None:
             return None
-        growable: List[Tuple[int, str]] = []
-        for action in index.queued_actions():
-            if not thief.has_idle(action) and thief.growth_headroom(action) > 0:
-                growable.append((thief.pool_order(action), action))
+        growable: List[Tuple[int, str, List[Tuple[int, int]]]] = []
+        for action, depths, boot in candidates:
+            if (
+                boot
+                and not thief.has_idle(action)
+                and thief.growth_headroom(action) > 0
+            ):
+                growable.append((thief.pool_order(action), action, depths))
         growable.sort()
-        for _seq, action in growable:
+        for _seq, action, depths in growable:
             if not thief.queue_capacity(action):
                 continue
             victim = self._steal_victim_indexed(
-                action, thief,
+                action, depths, thief_position,
                 min_queue=self.boot_steal_min_queue,
                 require_exhausted=True,
             )
@@ -633,30 +681,25 @@ class Scheduler:
     def _steal_victim_indexed(
         self,
         action: str,
-        thief: Invoker,
+        depths: Sequence[Tuple[int, int]],
+        thief_position: int,
         *,
         min_queue: int,
         require_exhausted: bool = False,
     ) -> Optional[Invoker]:
         """Index-driven :meth:`_steal_victim`: same victim, same tie-breaks.
 
-        Visits only invokers with a non-empty queue for the action, in
-        ascending position order (the scan's iteration order over all
-        invokers, minus the zero-depth ones it would skip anyway), with
-        the exact same condition sequence — deepest queue wins, ties go
-        to the lowest position, growth-exhaustion checked after depth.
+        Walks the action's non-empty queues (``depths``, ascending
+        position: the scan's iteration order over all invokers, minus the
+        zero-depth ones it would skip anyway) with the exact same
+        condition sequence — deepest queue wins, ties go to the lowest
+        position, growth-exhaustion checked after depth.
         """
-        assert self.index is not None
-        depths = self.index.depths_for(action)
-        if not depths:
-            return None
         best: Optional[Invoker] = None
         best_depth = 0
-        thief_position = thief.index_position
-        for position in sorted(depths):
+        for position, depth in depths:
             if position == thief_position:
                 continue
-            depth = depths[position]
             if depth < min_queue or depth <= best_depth:
                 continue
             invoker = self.invokers[position]

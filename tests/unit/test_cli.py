@@ -165,11 +165,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_ambiguous_benchmark_needs_language(self):
-        from repro.errors import WorkloadError
+    def test_ambiguous_benchmark_needs_language(self, capsys):
+        assert main(["demo-leak", "--benchmark", "get-time"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: benchmark name 'get-time' is ambiguous "
+            "(get-time (p), get-time (n)); pass a language"
+        ]
+        assert captured.out == ""
 
-        with pytest.raises(WorkloadError):
-            main(["demo-leak", "--benchmark", "get-time"])
+    def test_unknown_benchmark_is_a_clean_error(self, capsys):
+        assert main(["cluster-scaling", "--benchmark", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: no benchmark named 'nope'"]
+        assert captured.out == ""
 
 
 class TestPerfTraceCli:

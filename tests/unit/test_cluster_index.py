@@ -191,37 +191,84 @@ class TestSchedulerIndexWiring:
         loop2, solo = _cluster(1)
         assert Scheduler(solo, WarmAwarePolicy()).index is None
 
-    def test_indexed_find_steal_matches_scan(self):
-        # One saturated growth-exhausted victim, one idle warm thief: the
-        # indexed and scan steal searches must agree at every point of
-        # the drain, including "no steal possible".
+    @staticmethod
+    def _instant_steal_input():
+        # One saturated growth-exhausted victim, one idle warm thief.
         loop, invokers = _cluster(2)
         scheduler = Scheduler(
             invokers, RoundRobinPolicy(), work_stealing=True,
             boot_steal_min_queue=2,
         )
-        assert scheduler.index is not None
         spec = _spec("act-a")
         invokers[0].deploy(spec, containers=1, max_containers=1)
         invokers[1].deploy(spec, containers=1, max_containers=1)
-        for _ in range(6):
-            invokers[0].submit(
-                Invocation(action="act-a", payload=b"x"), lambda inv: None
-            )
-            # The scheduler's own rebalance is what normally runs; here
-            # the two search implementations are compared directly.
-            for thief in invokers:
-                assert (
-                    scheduler._find_steal_indexed(thief)
-                    == scheduler._find_steal(thief)
+        return loop, invokers, scheduler, [(0, "act-a")] * 6, {False}
+
+    @staticmethod
+    def _boot_steal_input():
+        # Three invokers, two actions, every pool growth-exhausted where it
+        # is deployed.  Invoker 2 is the victim: its act-b queue, and then
+        # its act-a queue, pass boot_steal_min_queue on its single core.
+        # Invoker 0 runs one act-a and queues one more below that depth,
+        # so act-a's shallowest queue comes first in position order, and
+        # its second core with an idle warm act-b makes it an instant-steal
+        # thief.  Invoker 1 holds neither action warm but has headroom for
+        # both: a boot-steal thief.
+        loop = EventLoop()
+        invokers = [
+            Invoker(loop, cores=cores, invoker_id=f"invoker-{i}")
+            for i, cores in enumerate((2, 1, 1))
+        ]
+        scheduler = Scheduler(
+            invokers, RoundRobinPolicy(), work_stealing=True,
+            boot_steal_min_queue=3,
+        )
+        spec_a, spec_b = _spec("act-a"), _spec("act-b")
+        for position in (0, 2):
+            invokers[position].deploy(spec_a, containers=1, max_containers=1)
+            invokers[position].deploy(spec_b, containers=1, max_containers=1)
+        invokers[1].register(spec_a, max_containers=1)
+        invokers[1].register(spec_b, max_containers=1)
+        submissions = (
+            [(0, "act-a")] * 2 + [(2, "act-a")] + [(2, "act-b")] * 4
+            + [(2, "act-a")] * 3
+        )
+        return loop, invokers, scheduler, submissions, {False, True}
+
+    def test_indexed_find_steal_matches_scan(self):
+        # The indexed and scan steal searches must agree at every point of
+        # the drain, including "no steal possible" — with the per-pass
+        # candidates built per call and shared across all thieves alike.
+        for build in (self._instant_steal_input, self._boot_steal_input):
+            loop, invokers, scheduler, submissions, kinds = build()
+            assert scheduler.index is not None
+            seen = set()
+
+            def agree() -> None:
+                candidates = scheduler._steal_candidates()
+                for thief in invokers:
+                    expected = scheduler._find_steal(thief)
+                    assert scheduler._find_steal_indexed(thief) == expected
+                    assert (
+                        scheduler._find_steal_indexed(thief, candidates)
+                        == expected
+                    )
+                    if expected is not None:
+                        seen.add(expected[2])
+
+            for position, action in submissions:
+                # The scheduler's own rebalance is what normally runs;
+                # here the two search implementations are compared
+                # directly while the victim's queues build up.
+                invokers[position].submit(
+                    Invocation(action=action, payload=b"x"), lambda inv: None
                 )
-        while loop.step():
-            for thief in invokers:
-                assert (
-                    scheduler._find_steal_indexed(thief)
-                    == scheduler._find_steal(thief)
-                )
-        scheduler.index.verify()
+                agree()
+            while loop.step():
+                agree()
+            scheduler.index.verify()
+            # Each input reaches the steal kinds it was built for.
+            assert seen == kinds
 
 
 class TestInvokerSurfaces:

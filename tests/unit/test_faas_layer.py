@@ -183,6 +183,38 @@ class TestInvoker:
         assert finished[0].queue_seconds == pytest.approx(0.0)
         assert finished[1].queue_seconds == pytest.approx(0.0)
 
+    def test_queued_pools_dispatch_in_creation_order(self, small_python_profile):
+        # Everything after the first request queues behind the one busy
+        # core.  Freed cores then serve the queued pools in creation order
+        # (a, b, c), one dispatch per pool per pass, not in the order their
+        # queues first filled (c before a before b).
+        invoker = self._invoker(cores=1)
+        for name in ("act-a", "act-b", "act-c"):
+            invoker.deploy(
+                ActionSpec.for_profile(small_python_profile, "base", name=name),
+                containers=1,
+            )
+        dispatched = []
+        for number, name in enumerate(("act-a", "act-c", "act-a", "act-c", "act-b")):
+            label = f"{name[-1]}#{number}"
+            invoker.submit(
+                Invocation(action=name, payload=b"x"),
+                lambda inv, label=label: dispatched.append((inv.dispatched_at, label)),
+            )
+
+        def record_is_exact() -> bool:
+            return invoker._queued_pools == {
+                pool.seq: pool for pool in invoker._pools.values() if pool.queue
+            }
+
+        assert record_is_exact()
+        while invoker.loop.step():
+            assert record_is_exact()
+        assert sorted(dispatched) == dispatched
+        assert [label for _at, label in dispatched] == [
+            "a#0", "a#2", "b#4", "c#1", "c#3",
+        ]
+
 
 class TestPlatformAndLoadgen:
     def test_invoke_sync_round_trip(self, small_python_profile):
