@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.errors import ConfigError
+
 #: Size of a simulated page in bytes.  Matches the x86-64 base page size the
 #: paper's soft-dirty tracking operates on.
 PAGE_SIZE = 4096
@@ -258,106 +260,106 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         if self.cores < 1:
-            raise ValueError("cores must be >= 1")
+            raise ConfigError("cores must be >= 1")
         if self.containers_per_action < 1:
-            raise ValueError("containers_per_action must be >= 1")
+            raise ConfigError("containers_per_action must be >= 1")
         if self.memory_limit_bytes < PAGE_SIZE:
-            raise ValueError("memory_limit_bytes must hold at least one page")
+            raise ConfigError("memory_limit_bytes must hold at least one page")
         if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
+            raise ConfigError("timeout_seconds must be positive")
         if self.platform_overhead_seconds < 0:
-            raise ValueError("platform_overhead_seconds must be >= 0")
+            raise ConfigError("platform_overhead_seconds must be >= 0")
         if self.platform_jitter_seconds < 0:
-            raise ValueError("platform_jitter_seconds must be >= 0")
+            raise ConfigError("platform_jitter_seconds must be >= 0")
         if self.invokers < 1:
-            raise ValueError("invokers must be >= 1")
+            raise ConfigError("invokers must be >= 1")
         if self.scheduler_policy not in SCHEDULER_POLICIES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown scheduler_policy {self.scheduler_policy!r}; "
                 f"choose one of {SCHEDULER_POLICIES}"
             )
         if self.keep_alive_seconds <= 0:
-            raise ValueError("keep_alive_seconds must be positive")
+            raise ConfigError("keep_alive_seconds must be positive")
         if self.max_containers_per_action is not None and (
             self.max_containers_per_action < self.containers_per_action
         ):
-            raise ValueError(
+            raise ConfigError(
                 "max_containers_per_action must be >= containers_per_action"
             )
         if self.max_queue_per_action is not None and self.max_queue_per_action < 1:
-            raise ValueError("max_queue_per_action must be >= 1 (or None for unbounded)")
+            raise ConfigError("max_queue_per_action must be >= 1 (or None for unbounded)")
         if self.admission_policy not in ADMISSION_POLICIES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown admission_policy {self.admission_policy!r}; "
                 f"choose one of {ADMISSION_POLICIES}"
             )
         if self.tenant_quota_rps is not None and self.tenant_quota_rps <= 0:
-            raise ValueError("tenant_quota_rps must be positive (or None to disable)")
+            raise ConfigError("tenant_quota_rps must be positive (or None to disable)")
         if self.tenant_quota_burst is not None:
             if self.tenant_quota_rps is None:
-                raise ValueError("tenant_quota_burst requires tenant_quota_rps")
+                raise ConfigError("tenant_quota_burst requires tenant_quota_rps")
             if self.tenant_quota_burst < 1:
-                raise ValueError("tenant_quota_burst must allow at least one token")
+                raise ConfigError("tenant_quota_burst must allow at least one token")
         if self.snapshot_budget is not None:
             if not self.restorable_snapshots:
-                raise ValueError("snapshot_budget requires restorable_snapshots")
+                raise ConfigError("snapshot_budget requires restorable_snapshots")
             if self.snapshot_budget < 0:
-                raise ValueError("snapshot_budget must be >= 0 (or None for unbounded)")
+                raise ConfigError("snapshot_budget must be >= 0 (or None for unbounded)")
         if self.isolation_mechanism not in ISOLATION_MECHANISMS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown isolation_mechanism {self.isolation_mechanism!r}; "
                 f"choose one of {ISOLATION_MECHANISMS}"
             )
         if self.autoscale_queue_high < 1:
-            raise ValueError("autoscale_queue_high must be >= 1")
+            raise ConfigError("autoscale_queue_high must be >= 1")
         if self.autoscale_cooldown_seconds <= 0:
-            raise ValueError("autoscale_cooldown_seconds must be positive")
+            raise ConfigError("autoscale_cooldown_seconds must be positive")
         if self.control_interval_seconds <= 0:
-            raise ValueError("control_interval_seconds must be positive")
+            raise ConfigError("control_interval_seconds must be positive")
         if self.slo_window_seconds <= 0:
-            raise ValueError("slo_window_seconds must be positive")
+            raise ConfigError("slo_window_seconds must be positive")
         if self.global_container_budget is not None:
             if not self.control_plane:
-                raise ValueError("global_container_budget requires control_plane")
+                raise ConfigError("global_container_budget requires control_plane")
             if self.global_container_budget < 1:
-                raise ValueError("global_container_budget must be >= 1")
+                raise ConfigError("global_container_budget must be >= 1")
         if self.planner not in PLANNER_KINDS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown planner {self.planner!r}; choose one of {PLANNER_KINDS}"
             )
         if self.planner == "predictive" and not self.control_plane:
-            raise ValueError("planner='predictive' requires control_plane")
+            raise ConfigError("planner='predictive' requires control_plane")
         if self.forecast_period_seconds is not None:
             if self.planner != "predictive":
                 # Only the predictive planner builds a forecaster; on any
                 # other configuration the knob would be silently dead.
-                raise ValueError(
+                raise ConfigError(
                     "forecast_period_seconds requires planner='predictive'"
                 )
             if self.forecast_period_seconds <= 0:
-                raise ValueError("forecast_period_seconds must be positive (or None)")
+                raise ConfigError("forecast_period_seconds must be positive (or None)")
         if self.metrics_mode not in METRICS_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown metrics_mode {self.metrics_mode!r}; "
                 f"choose one of {METRICS_MODES}"
             )
         if self.metrics_bucket_seconds <= 0:
-            raise ValueError("metrics_bucket_seconds must be positive")
+            raise ConfigError("metrics_bucket_seconds must be positive")
         if self.metrics_max_buckets < 1:
-            raise ValueError("metrics_max_buckets must be >= 1")
+            raise ConfigError("metrics_max_buckets must be >= 1")
         if self.forecast_min_history_seconds < 0:
-            raise ValueError("forecast_min_history_seconds must be >= 0")
+            raise ConfigError("forecast_min_history_seconds must be >= 0")
         if self.forecast_horizon_margin_seconds < 0:
-            raise ValueError("forecast_horizon_margin_seconds must be >= 0")
+            raise ConfigError("forecast_horizon_margin_seconds must be >= 0")
         if self.tracing not in TRACING_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown tracing mode {self.tracing!r}; "
                 f"choose one of {TRACING_MODES}"
             )
         if self.trace_sample_period < 1:
-            raise ValueError("trace_sample_period must be >= 1")
+            raise ConfigError("trace_sample_period must be >= 1")
         if self.trace_buffer_size < 1:
-            raise ValueError("trace_buffer_size must be >= 1")
+            raise ConfigError("trace_buffer_size must be >= 1")
 
     def with_cores(self, cores: int) -> "SimulationConfig":
         """Return a copy of this config with a different core count."""

@@ -183,8 +183,7 @@ class Restorer:
         pages_to_restore = self._pages_to_restore(
             snapshot, dirty_pages, plan, brk_before_restore
         )
-        for page_number in pages_to_restore:
-            space.kernel_write_page(page_number, snapshot.pages[page_number])
+        space.kernel_write_pages(pages_to_restore, snapshot.pages)
         restoring_memory = self._memory_restore_cost(
             cm, len(pages_to_restore), snapshot.num_pages
         )
@@ -294,11 +293,8 @@ class Restorer:
         Pages already unmapped by the layout-reversal plan are skipped.
         """
         space = self._procfs.process.address_space
-        return [
-            p
-            for p in dirty_pages
-            if p not in snapshot.pages and space.page(p) is not None
-        ]
+        new_pages = set(dirty_pages).difference(snapshot.pages)
+        return sorted(p for p in new_pages if space.page(p) is not None)
 
     def _pages_to_restore(
         self,
@@ -315,7 +311,8 @@ class Restorer:
         re-extended, heap ranges re-grown by ``brk``) — their frames were
         lost, so their contents must come back from the snapshot.
         """
-        to_restore: Set[int] = {p for p in dirty_pages if p in snapshot.pages}
+        snapshot_pages = snapshot.pages.keys()
+        to_restore: Set[int] = snapshot_pages & dirty_pages
 
         recreated_ranges: List[Tuple[int, int]] = []
         for call in plan:
@@ -332,7 +329,5 @@ class Restorer:
                         (brk_before_restore // PAGE_SIZE, new_brk // PAGE_SIZE)
                     )
         for first, end in recreated_ranges:
-            for page_number in range(first, end):
-                if page_number in snapshot.pages:
-                    to_restore.add(page_number)
+            to_restore |= snapshot_pages & range(first, end)
         return sorted(to_restore)

@@ -14,6 +14,19 @@ class ReproError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Configuration
+# ---------------------------------------------------------------------------
+
+
+class ConfigError(ReproError, ValueError):
+    """Raised for an invalid :class:`~repro.config.SimulationConfig` value.
+
+    It is also a :class:`ValueError`, so code that validated configurations
+    with ``except ValueError`` keeps working.
+    """
+
+
+# ---------------------------------------------------------------------------
 # Simulation substrate
 # ---------------------------------------------------------------------------
 

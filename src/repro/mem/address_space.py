@@ -23,8 +23,8 @@ bytes are where) are always real so tests can check isolation on content.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError, SegmentationFault
@@ -82,20 +82,47 @@ class MeterSnapshot:
 
 
 class MemoryMeter:
-    """Accumulates fault counts and critical-path memory costs."""
+    """Accumulates fault counts and critical-path memory costs.
+
+    The counters are mutable slots the fault paths add to in place, one
+    fault at a time; :attr:`counters`, :meth:`checkpoint` and :meth:`since`
+    hand out :class:`MeterSnapshot` copies.
+    """
+
+    __slots__ = (
+        "cost_seconds",
+        "minor_faults",
+        "soft_dirty_faults",
+        "cow_faults",
+        "uffd_faults",
+        "first_touch_faults",
+        "pages_written",
+        "pages_read",
+    )
 
     def __init__(self) -> None:
-        self._state = MeterSnapshot()
-
-    @property
-    def cost_seconds(self) -> float:
-        """Total critical-path cost charged so far."""
-        return self._state.cost_seconds
+        self.cost_seconds = 0.0
+        self.minor_faults = 0
+        self.soft_dirty_faults = 0
+        self.cow_faults = 0
+        self.uffd_faults = 0
+        self.first_touch_faults = 0
+        self.pages_written = 0
+        self.pages_read = 0
 
     @property
     def counters(self) -> MeterSnapshot:
         """Current cumulative counters."""
-        return self._state
+        return MeterSnapshot(
+            self.cost_seconds,
+            self.minor_faults,
+            self.soft_dirty_faults,
+            self.cow_faults,
+            self.uffd_faults,
+            self.first_touch_faults,
+            self.pages_written,
+            self.pages_read,
+        )
 
     def charge(
         self,
@@ -110,25 +137,35 @@ class MemoryMeter:
         pages_read: int = 0,
     ) -> None:
         """Add cost and counters to the meter."""
-        s = self._state
-        self._state = MeterSnapshot(
-            cost_seconds=s.cost_seconds + cost_seconds,
-            minor_faults=s.minor_faults + minor_faults,
-            soft_dirty_faults=s.soft_dirty_faults + soft_dirty_faults,
-            cow_faults=s.cow_faults + cow_faults,
-            uffd_faults=s.uffd_faults + uffd_faults,
-            first_touch_faults=s.first_touch_faults + first_touch_faults,
-            pages_written=s.pages_written + pages_written,
-            pages_read=s.pages_read + pages_read,
-        )
+        self.cost_seconds += cost_seconds
+        self.minor_faults += minor_faults
+        self.soft_dirty_faults += soft_dirty_faults
+        self.cow_faults += cow_faults
+        self.uffd_faults += uffd_faults
+        self.first_touch_faults += first_touch_faults
+        self.pages_written += pages_written
+        self.pages_read += pages_read
 
     def checkpoint(self) -> MeterSnapshot:
         """Return a snapshot to later compute deltas against."""
-        return self._state
+        return self.counters
 
     def since(self, checkpoint: MeterSnapshot) -> MeterSnapshot:
-        """Return counters accumulated since ``checkpoint``."""
-        return self._state.minus(checkpoint)
+        """Return counters accumulated since ``checkpoint``.
+
+        Equal to ``self.counters.minus(checkpoint)``, without building the
+        intermediate snapshot (every request takes one delta).
+        """
+        return MeterSnapshot(
+            self.cost_seconds - checkpoint.cost_seconds,
+            self.minor_faults - checkpoint.minor_faults,
+            self.soft_dirty_faults - checkpoint.soft_dirty_faults,
+            self.cow_faults - checkpoint.cow_faults,
+            self.uffd_faults - checkpoint.uffd_faults,
+            self.first_touch_faults - checkpoint.first_touch_faults,
+            self.pages_written - checkpoint.pages_written,
+            self.pages_read - checkpoint.pages_read,
+        )
 
 
 class AddressSpace:
@@ -379,27 +416,82 @@ class AddressSpace:
         Groundhog's tracking and restore operate on whole pages, so
         byte-offsets within a page are not modelled.
         """
-        page_number = address // PAGE_SIZE
-        self._fault_on_write(page_number)
-        self._pages[page_number].frame.content = data
-        self.meter.charge(pages_written=1)
+        self.write_range(address // PAGE_SIZE, 1, data)
 
     def write_page(self, page_number: int, data: bytes) -> None:
         """Write ``data`` as the payload of ``page_number`` (with fault costs)."""
-        self._fault_on_write(page_number)
-        self._pages[page_number].frame.content = data
-        self.meter.charge(pages_written=1)
+        self.write_range(page_number, 1, data)
 
     def write_range(self, start_page: int, count: int, data: bytes) -> None:
-        """Dirty ``count`` consecutive pages starting at ``start_page``.
+        """Write ``data`` as the payload of ``count`` pages from ``start_page``.
 
-        Every page receives the same payload; fault costs are charged per
-        page exactly as :meth:`write_page` would.
+        This is the write-fault path.  The VMA and its ``WRITE`` permission
+        are resolved once per VMA the range touches; then each page, in
+        order, takes the faults of a write:
+
+        * an allocating minor fault if it is not resident; otherwise a
+          first-touch fault if its TLB is cold (a freshly forked child) and
+          a data-copying fault if it is shared copy-on-write;
+        * a userfaultfd fault if it is write-protected, which calls the
+          armed handler;
+        * a soft-dirty fault on the first write after ``clear_refs``, unless
+          the write already took an allocating fault.
+
+        Fault costs are added to the meter one fault at a time in that
+        order, so the float total does not depend on how writes are
+        batched.  A page outside any writable mapping raises
+        :class:`SegmentationFault`; the pages before it keep their writes,
+        and none of the range counts towards ``pages_written``.
         """
-        for page_number in range(start_page, start_page + count):
-            self._fault_on_write(page_number)
-            self._pages[page_number].frame.content = data
-        self.meter.charge(pages_written=count)
+        meter = self.meter
+        cm = self.cost_model
+        pages = self._pages
+        soft_dirty = self._soft_dirty
+        cow = self._cow
+        wp = self._wp
+        tlb_cold = self._tlb_cold
+        armed = self._sd_tracking_armed
+        end_page = start_page + count
+        run_start = start_page
+        while run_start < end_page:
+            vma = self.vma_for_page(run_start)
+            if vma is None or Protection.WRITE not in vma.prot:
+                raise SegmentationFault(run_start * PAGE_SIZE, access="write")
+            run_end = min(end_page, vma.end // PAGE_SIZE)
+            for page_number in range(run_start, run_end):
+                page = pages.get(page_number)
+                allocated = page is None
+                if page is None:
+                    page = pages[page_number] = Page(Frame(ZERO_CONTENT))
+                    meter.cost_seconds += cm.minor_fault_seconds
+                    meter.minor_faults += 1
+                else:
+                    if page_number in tlb_cold:
+                        meter.cost_seconds += cm.fork_first_touch_seconds
+                        meter.first_touch_faults += 1
+                        tlb_cold.discard(page_number)
+                    if page_number in cow:
+                        old_frame = page.frame
+                        old_frame.release()
+                        page.frame = old_frame.copy()
+                        cow.discard(page_number)
+                        meter.cost_seconds += cm.cow_fault_seconds
+                        meter.cow_faults += 1
+                        allocated = True
+                if page_number in wp:
+                    meter.cost_seconds += cm.uffd_fault_seconds
+                    meter.uffd_faults += 1
+                    wp.discard(page_number)
+                    if self._wp_handler is not None:
+                        self._wp_handler(page_number)
+                if page_number not in soft_dirty:
+                    if armed and not allocated:
+                        meter.cost_seconds += cm.soft_dirty_fault_seconds
+                        meter.soft_dirty_faults += 1
+                    soft_dirty.add(page_number)
+                page.frame.content = data
+            run_start = run_end
+        meter.pages_written += count
 
     def read(self, address: int) -> bytes:
         """Read the payload of the page containing ``address``."""
@@ -451,8 +543,10 @@ class AddressSpace:
     def arm_write_protection(self, handler: Optional[Callable[[int], None]] = None) -> int:
         """Write-protect every resident page (userfaultfd-WP style).
 
-        ``handler`` is invoked with the page number on each write fault.
-        Returns the number of pages protected.
+        ``handler`` is invoked with the page number on each write fault.  It
+        runs in the middle of a write, so it may record the page but must
+        not change mappings or tracking state.  Returns the number of pages
+        protected.
         """
         self._wp = set(self._pages)
         self._wp_handler = handler
@@ -474,27 +568,47 @@ class AddressSpace:
         return page.content if page is not None else ZERO_CONTENT
 
     def kernel_write_page(self, page_number: int, data: bytes) -> None:
-        """Write a page from the manager without charging function faults.
+        """Write one page from the manager; see :meth:`kernel_write_pages`."""
+        self.kernel_write_pages((page_number,), {page_number: data})
 
-        Restoring a page that was never resident materialises it (the kernel
-        allocates on the write through ``/proc/<pid>/mem``).
+    def kernel_write_pages(
+        self, ascending_pages: Iterable[int], source: Mapping[int, bytes]
+    ) -> None:
+        """Write ``source[p]`` into each page without charging function faults.
+
+        This is how the manager writes memory through ``/proc/<pid>/mem``:
+        a page that was never resident is materialised (the kernel
+        allocates on the write), a copy-on-write page gets a private frame,
+        and every written page becomes soft-dirty like any other write
+        (Groundhog resets the bits afterwards).  The VMA is looked up once
+        per run of pages inside one mapping, so ascending pages keep the
+        lookups per VMA rather than per page.  A page outside every mapping
+        raises :class:`SegmentationFault` after the pages before it.
         """
-        vma = self.vma_for_page(page_number)
-        if vma is None:
-            raise SegmentationFault(page_number * PAGE_SIZE, access="kernel-write")
-        page = self._pages.get(page_number)
-        if page is None:
-            page = Page(Frame(data))
-            self._pages[page_number] = page
-        else:
-            if page_number in self._cow:
+        pages = self._pages
+        cow = self._cow
+        mark_soft_dirty = self._soft_dirty.add
+        run_first = run_end = 0
+        for page_number in ascending_pages:
+            data = source[page_number]
+            if not run_first <= page_number < run_end:
+                vma = self.vma_for_page(page_number)
+                if vma is None:
+                    raise SegmentationFault(
+                        page_number * PAGE_SIZE, access="kernel-write"
+                    )
+                run_first = vma.start // PAGE_SIZE
+                run_end = vma.end // PAGE_SIZE
+            page = pages.get(page_number)
+            if page is None:
+                pages[page_number] = Page(Frame(data))
+            elif page_number in cow:
                 page.frame.release()
                 page.frame = Frame(data)
-                self._cow.discard(page_number)
-            page.frame.content = data
-        # Writes through /proc/<pid>/mem mark the page soft-dirty like any
-        # other write; Groundhog resets the bits afterwards anyway.
-        self._soft_dirty.add(page_number)
+                cow.discard(page_number)
+            else:
+                page.frame.content = data
+            mark_soft_dirty(page_number)
 
     def kernel_drop_page(self, page_number: int) -> None:
         """Drop a resident page from the kernel side (restore of never-mapped data)."""
@@ -531,41 +645,6 @@ class AddressSpace:
     # ------------------------------------------------------------------
     # Fault handling internals
     # ------------------------------------------------------------------
-
-    def _fault_on_write(self, page_number: int) -> None:
-        vma = self.vma_for_page(page_number)
-        if vma is None:
-            raise SegmentationFault(page_number * PAGE_SIZE, access="write")
-        if Protection.WRITE not in vma.prot:
-            raise SegmentationFault(page_number * PAGE_SIZE, access="write")
-        cm = self.cost_model
-        page = self._pages.get(page_number)
-        took_allocating_fault = False
-        if page is None:
-            page = Page(Frame(ZERO_CONTENT))
-            self._pages[page_number] = page
-            self.meter.charge(cm.minor_fault_seconds, minor_faults=1)
-            took_allocating_fault = True
-        else:
-            if page_number in self._tlb_cold:
-                self.meter.charge(cm.fork_first_touch_seconds, first_touch_faults=1)
-                self._tlb_cold.discard(page_number)
-            if page_number in self._cow:
-                old_frame = page.frame
-                old_frame.release()
-                page.frame = old_frame.copy()
-                self._cow.discard(page_number)
-                self.meter.charge(cm.cow_fault_seconds, cow_faults=1)
-                took_allocating_fault = True
-        if page_number in self._wp:
-            self.meter.charge(cm.uffd_fault_seconds, uffd_faults=1)
-            self._wp.discard(page_number)
-            if self._wp_handler is not None:
-                self._wp_handler(page_number)
-        if page_number not in self._soft_dirty:
-            if self._sd_tracking_armed and not took_allocating_fault:
-                self.meter.charge(cm.soft_dirty_fault_seconds, soft_dirty_faults=1)
-            self._soft_dirty.add(page_number)
 
     def _fault_on_read(self, page_number: int) -> None:
         if page_number in self._tlb_cold:

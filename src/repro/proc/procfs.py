@@ -79,10 +79,8 @@ class ProcFs:
         the number of pages whose PTEs must be rewritten.
         """
         self._check_alive()
-        space = self._process.address_space
-        dirty_before = len(space.soft_dirty_page_numbers())
-        cleared = space.clear_soft_dirty()
-        cost = dirty_before * self._process.cost_model.soft_dirty_clear_seconds
+        cleared = self._process.address_space.clear_soft_dirty()
+        cost = cleared * self._process.cost_model.soft_dirty_clear_seconds
         return cleared, cost
 
     # ------------------------------------------------------------------

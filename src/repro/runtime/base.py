@@ -178,8 +178,8 @@ class FunctionRuntime(abc.ABC):
         space.set_brk(space.brk_base + heap * PAGE_SIZE)
         heap_vma = space.find_vma(space.brk_base)
         if heap_vma is not None:
-            for page_number in heap_vma.pages():
-                space.kernel_write_page(page_number, b"")
+            heap_pages = heap_vma.pages()
+            space.kernel_write_pages(heap_pages, dict.fromkeys(heap_pages, b""))
         for index in range(arena_count):
             space.mmap(16 * PAGE_SIZE, Protection.rw(), kind=VmaKind.RUNTIME,
                        name=f"{self.runtime_name}.arena{index}", populate=True)

@@ -180,6 +180,20 @@ class TestCli:
         assert captured.err.splitlines() == ["error: no benchmark named 'nope'"]
         assert captured.out == ""
 
+    def test_invalid_core_count_is_a_clean_error(self, capsys):
+        assert main(["latency-under-load", "--cores", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: cores must be >= 1"]
+        assert captured.out == ""
+
+    def test_snapshot_budget_without_snapshots_is_a_clean_error(self, capsys):
+        assert main(["latency-under-load", "--snapshot-budget", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: snapshot_budget requires restorable_snapshots"
+        ]
+        assert captured.out == ""
+
 
 class TestPerfTraceCli:
     def test_shape_choices_and_defaults(self):

@@ -39,6 +39,13 @@ class TestErrorHierarchy:
     def test_isolation_violation_is_isolation_error(self):
         assert issubclass(errors.IsolationViolation, errors.IsolationError)
 
+    def test_config_error_is_also_a_value_error(self):
+        from repro.config import SimulationConfig
+
+        with pytest.raises(errors.ConfigError, match="cores must be >= 1") as info:
+            SimulationConfig(cores=0)
+        assert isinstance(info.value, ValueError)
+
 
 class TestPackageSurface:
     def test_version_exposed(self):
