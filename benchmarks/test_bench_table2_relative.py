@@ -3,7 +3,7 @@
 Regenerates the per-benchmark relative end-to-end latency, invoker latency
 and throughput overheads of GH-NOP, GH, FORK and FAASM for the
 representative subset, together with the paper-vs-measured comparison
-columns recorded in EXPERIMENTS.md.
+columns.
 """
 
 from __future__ import annotations

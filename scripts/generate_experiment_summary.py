@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Generate the paper-vs-measured summary used in EXPERIMENTS.md.
+"""Print the paper-vs-measured summary of every experiment.
 
 Runs every experiment driver at the same reduced scale the benchmark harness
-uses and prints a compact summary of the values EXPERIMENTS.md records.
+uses and prints a compact summary of the headline values.
 """
 
 from __future__ import annotations

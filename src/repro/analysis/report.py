@@ -1,9 +1,8 @@
 """Report rendering: paper-vs-measured comparison text.
 
 These helpers turn experiment results into the text blocks the benchmark
-harness prints and EXPERIMENTS.md records: per-benchmark tables in the style
-of the paper's Appendix A and compact paper-vs-measured comparisons for the
-headline numbers.
+harness prints: per-benchmark tables in the style of the paper's Appendix A
+and compact paper-vs-measured comparisons for the headline numbers.
 """
 
 from __future__ import annotations

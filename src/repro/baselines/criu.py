@@ -11,10 +11,11 @@ that design point so the comparison can be regenerated.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.policy import IsolationMechanism
 from repro.core.restore import RestoreBreakdown, RestoreResult
+from repro.mem.image import PageImage, count_pages, revert
 from repro.mem.layout import MemoryLayout
 from repro.runtime.base import InvocationResult
 
@@ -28,7 +29,7 @@ class CriuIsolation(IsolationMechanism):
 
     def __init__(self, profile, **kwargs) -> None:
         super().__init__(profile, **kwargs)
-        self._image: Dict[int, bytes] = {}
+        self._image = PageImage()
         self._layout: Optional[MemoryLayout] = None
         self._brk: int = 0
 
@@ -36,8 +37,7 @@ class CriuIsolation(IsolationMechanism):
         """Serialise the warm process image (the one-time checkpoint)."""
         assert self.process is not None and self.runtime is not None
         space = self.process.address_space
-        for page_number in space.resident_page_numbers():
-            self._image[page_number] = space.kernel_read_page(page_number)
+        self._image = space.capture()
         self._layout = space.layout()
         self._brk = space.brk
         self.runtime.mark_clean_state()
@@ -47,7 +47,7 @@ class CriuIsolation(IsolationMechanism):
             cm.criu_checkpoint_base_seconds
             + self.profile.total_kpages * cm.criu_checkpoint_per_kpage_seconds
         )
-        return checkpoint_seconds, len(self._image)
+        return checkpoint_seconds, self._image.num_pages
 
     def _post_invoke(
         self, result: InvocationResult, *, caller, verify: bool
@@ -55,16 +55,8 @@ class CriuIsolation(IsolationMechanism):
         """Re-instantiate the process from the serialised image."""
         assert self.process is not None and self.runtime is not None
         space = self.process.address_space
-        dirty = sorted(space.soft_dirty_page_numbers())
-        restored = 0
-        dropped = 0
-        for page_number in dirty:
-            if page_number in self._image:
-                space.kernel_write_page(page_number, self._image[page_number])
-                restored += 1
-            elif space.page(page_number) is not None:
-                space.kernel_drop_page(page_number)
-                dropped += 1
+        dirty = space.soft_dirty_runs()
+        restored, dropped = revert(space, self._image, dirty)
         if space.brk != self._brk:
             space.set_brk(self._brk)
         space.clear_soft_dirty()
@@ -77,8 +69,8 @@ class CriuIsolation(IsolationMechanism):
         )
         restore = RestoreResult(
             breakdown=RestoreBreakdown(restoring_memory=restore_seconds),
-            pages_scanned=len(self._image),
-            dirty_pages=len(dirty),
+            pages_scanned=self._image.num_pages,
+            dirty_pages=count_pages(dirty),
             pages_restored=restored,
             pages_dropped=dropped,
             syscalls={"criu-restore": 1},

@@ -15,10 +15,11 @@ are not supported — FAASM is not a general solution to request isolation.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.policy import IsolationMechanism
 from repro.core.restore import RestoreBreakdown, RestoreResult
+from repro.mem.image import PageImage, count_pages, revert
 from repro.mem.layout import MemoryLayout
 from repro.proc.process import SimProcess
 from repro.proc.procfs import ProcFs
@@ -36,7 +37,7 @@ class FaasmIsolation(IsolationMechanism):
 
     def __init__(self, profile: FunctionProfile, **kwargs) -> None:
         super().__init__(profile, **kwargs)
-        self._heap_snapshot: Dict[int, bytes] = {}
+        self._heap_snapshot = PageImage()
         self._layout_snapshot: Optional[MemoryLayout] = None
         self._brk_snapshot: int = 0
         self._procfs: Optional[ProcFs] = None
@@ -54,8 +55,7 @@ class FaasmIsolation(IsolationMechanism):
         assert self.process is not None and self.runtime is not None
         space = self.process.address_space
         self._procfs = ProcFs(self.process)
-        for page_number in space.resident_page_numbers():
-            self._heap_snapshot[page_number] = space.kernel_read_page(page_number)
+        self._heap_snapshot = space.capture()
         self._layout_snapshot = space.layout()
         self._brk_snapshot = space.brk
         self.runtime.mark_clean_state()
@@ -63,9 +63,9 @@ class FaasmIsolation(IsolationMechanism):
         # *cost* is modelled as a remap and does not depend on this.
         space.clear_soft_dirty()
         prepare_seconds = (
-            len(self._heap_snapshot) * self.cost_model.snapshot_page_seconds * 0.5
+            self._heap_snapshot.num_pages * self.cost_model.snapshot_page_seconds * 0.5
         )
-        return prepare_seconds, len(self._heap_snapshot)
+        return prepare_seconds, self._heap_snapshot.num_pages
 
     def _post_invoke(
         self, result: InvocationResult, *, caller, verify: bool
@@ -73,17 +73,8 @@ class FaasmIsolation(IsolationMechanism):
         """Reset the Faaslet: revert its memory to the pre-warmed snapshot."""
         assert self.process is not None and self.runtime is not None
         space = self.process.address_space
-        dirty = sorted(space.soft_dirty_page_numbers())
-
-        restored = 0
-        dropped = 0
-        for page_number in dirty:
-            if page_number in self._heap_snapshot:
-                space.kernel_write_page(page_number, self._heap_snapshot[page_number])
-                restored += 1
-            elif space.page(page_number) is not None:
-                space.kernel_drop_page(page_number)
-                dropped += 1
+        dirty = space.soft_dirty_runs()
+        restored, dropped = revert(space, self._heap_snapshot, dirty)
         if self._layout_snapshot is not None and space.brk != self._brk_snapshot:
             space.set_brk(self._brk_snapshot)
         space.clear_soft_dirty()
@@ -97,7 +88,7 @@ class FaasmIsolation(IsolationMechanism):
         reset = RestoreResult(
             breakdown=RestoreBreakdown(restoring_memory=reset_seconds),
             pages_scanned=0,
-            dirty_pages=len(dirty),
+            dirty_pages=count_pages(dirty),
             pages_restored=restored,
             pages_dropped=dropped,
             syscalls={"mremap": 1},

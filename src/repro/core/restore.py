@@ -19,19 +19,23 @@ components of the restoration-time breakdown in Fig. 8 — are:
 10. **detaching** and letting the process run again.
 
 The restorer works exclusively through the ptrace/procfs interfaces, so all
-reported durations are derived from the work it actually performed.
+reported durations are derived from the work it actually performed.  Write
+sets, stray pages and write-back sets are page run lists, intersected with
+the snapshot's run image (:mod:`repro.mem.image`), so the bookkeeping costs
+O(runs) rather than one step per page.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.config import PAGE_SIZE
 from repro.errors import RestoreError
 from repro.core.snapshot import ProcessSnapshot
-from repro.core.syscalls import build_restore_plan, madvise_calls_for_pages, summarize_plan
+from repro.core.syscalls import build_restore_plan, madvise_calls_for_runs, summarize_plan
 from repro.core.tracking import SoftDirtyTracker, WriteSetTracker
+from repro.mem.image import Run, Runs, count_pages, subtract_runs, union_runs
 from repro.mem.layout import diff_layouts
 from repro.proc.procfs import ProcFs
 from repro.proc.ptrace import InjectedSyscall, Ptrace
@@ -154,7 +158,7 @@ class Restorer:
         # (3) Write set of the finished invocation.
         collection = self._tracker.collect()
         scanning = collection.collect_seconds
-        dirty_pages = collection.dirty_pages
+        dirty_runs = collection.dirty_runs
 
         # (4) Layout differences to reverse.
         diff = diff_layouts(snapshot.layout, current_layout)
@@ -170,22 +174,26 @@ class Restorer:
             syscall_costs[call.name] = syscall_costs.get(call.name, 0.0) + cost
 
         # (6) Drop stray resident pages (newly paged during the invocation)
-        # so the resident set matches the snapshot.
-        stray_pages = self._stray_pages(snapshot, dirty_pages)
-        madvise_plan = madvise_calls_for_pages(stray_pages)
+        # so the resident set matches the snapshot.  Any page that gained a
+        # frame during the invocation was written to (reads of unmapped
+        # pages serve the shared zero page), so strays are the written pages
+        # the snapshot lacks that are still resident after the plan.
+        stray_runs = space.resident_within(snapshot.image.missing(dirty_runs))
+        madvise_plan = madvise_calls_for_runs(stray_runs)
         for call in madvise_plan:
             cost = self._ptrace.inject_syscall(call)
             syscall_costs["madvise_dontneed"] += cost
-        pages_dropped = len(stray_pages)
+        pages_dropped = count_pages(stray_runs)
 
         # (7) Write back the snapshot contents of the write set and of any
         # pages living in regions the plan had to re-create.
-        pages_to_restore = self._pages_to_restore(
-            snapshot, dirty_pages, plan, brk_before_restore
+        restore_runs = snapshot.image.covered(
+            union_runs(dirty_runs, self._recreated_runs(plan, brk_before_restore))
         )
-        space.kernel_write_pages(pages_to_restore, snapshot.pages)
+        space.kernel_write_image(snapshot.image, restore_runs)
+        pages_restored = count_pages(restore_runs)
         restoring_memory = self._memory_restore_cost(
-            cm, len(pages_to_restore), snapshot.num_pages
+            cm, pages_restored, snapshot.num_pages
         )
 
         # (8) Registers of every thread.
@@ -221,8 +229,8 @@ class Restorer:
         return RestoreResult(
             breakdown=breakdown,
             pages_scanned=collection.scanned_pages,
-            dirty_pages=len(dirty_pages),
-            pages_restored=len(pages_to_restore),
+            dirty_pages=count_pages(dirty_runs),
+            pages_restored=pages_restored,
             pages_dropped=pages_dropped,
             syscalls=summarize_plan(plan + madvise_plan),
             verified=verified,
@@ -244,18 +252,17 @@ class Restorer:
             raise RestoreError(
                 f"program break {space.brk:#x} differs from snapshot {snapshot.brk:#x}"
             )
-        resident = space.resident_page_numbers()
-        snapshot_pages = set(snapshot.pages)
-        extra = resident - snapshot_pages
+        current = space.capture()
+        extra = subtract_runs(current.coverage, snapshot.image.coverage)
         if extra:
             raise RestoreError(
-                f"{len(extra)} resident pages not present in the snapshot remain"
+                f"{count_pages(extra)} resident pages not present in the snapshot remain"
             )
-        for page_number, content in snapshot.pages.items():
-            if space.kernel_read_page(page_number) != content:
-                raise RestoreError(
-                    f"content of page {page_number} differs from the snapshot"
-                )
+        page_number = snapshot.image.first_difference(current)
+        if page_number is not None:
+            raise RestoreError(
+                f"content of page {page_number} differs from the snapshot"
+            )
         for thread in process.threads:
             expected = snapshot.registers.get(thread.tid)
             if expected is not None and thread.get_registers() != expected:
@@ -283,51 +290,26 @@ class Restorer:
         )
         return pages_restored * per_page
 
-    def _stray_pages(self, snapshot: ProcessSnapshot, dirty_pages: Sequence[int]) -> List[int]:
-        """Pages that became resident during the invocation but are not in the snapshot.
+    @staticmethod
+    def _recreated_runs(plan: Sequence[InjectedSyscall], brk_before_restore: int) -> Runs:
+        """Pages in ranges the plan had to re-create, whose frames were lost.
 
-        Any page that gained a frame during the invocation was written to
-        (reads of unmapped pages serve the shared zero page), so strays are
-        always a subset of the write set — which keeps this check
-        proportional to the dirty set rather than the address-space size.
-        Pages already unmapped by the layout-reversal plan are skipped.
+        These are regions the invocation unmapped, shrunk regions that were
+        re-extended, and heap ranges re-grown by ``brk``: their snapshot
+        contents must come back along with the write set.
         """
-        space = self._procfs.process.address_space
-        new_pages = set(dirty_pages).difference(snapshot.pages)
-        return sorted(p for p in new_pages if space.page(p) is not None)
-
-    def _pages_to_restore(
-        self,
-        snapshot: ProcessSnapshot,
-        dirty_pages: Sequence[int],
-        plan: Sequence[InjectedSyscall],
-        brk_before_restore: int,
-    ) -> List[int]:
-        """Snapshot pages whose contents must be written back.
-
-        These are (a) pages the invocation dirtied that exist in the
-        snapshot and (b) snapshot pages living in ranges the plan had to
-        re-create (regions the invocation unmapped, shrunk regions that were
-        re-extended, heap ranges re-grown by ``brk``) — their frames were
-        lost, so their contents must come back from the snapshot.
-        """
-        snapshot_pages = snapshot.pages.keys()
-        to_restore: Set[int] = snapshot_pages & dirty_pages
-
-        recreated_ranges: List[Tuple[int, int]] = []
+        recreated: List[Run] = []
         for call in plan:
             if call.name == "mmap":
                 address, length = call.args[0], call.args[1]
-                recreated_ranges.append((address // PAGE_SIZE, (address + length) // PAGE_SIZE))
+                recreated.append((address // PAGE_SIZE, (address + length) // PAGE_SIZE))
             elif call.name == "brk":
                 (new_brk,) = call.args
                 # If the invocation shrank the heap, re-growing it back to
                 # the snapshot break re-creates pages whose contents were
                 # dropped; restore everything between the two breaks.
                 if new_brk > brk_before_restore:
-                    recreated_ranges.append(
+                    recreated.append(
                         (brk_before_restore // PAGE_SIZE, new_brk // PAGE_SIZE)
                     )
-        for first, end in recreated_ranges:
-            to_restore |= snapshot_pages & range(first, end)
-        return sorted(to_restore)
+        return union_runs(recreated, ())

@@ -7,7 +7,9 @@ process and records everything needed to put it back into exactly this state:
 * the CPU registers of every thread (via ptrace),
 * the memory layout (from ``/proc/<pid>/maps``) and the program break,
 * the contents of every resident page (via ``/proc/<pid>/mem``), stored in
-  the manager's own memory,
+  the manager's own memory as a run-length :class:`~repro.mem.image.PageImage`
+  (runs of pages sharing one payload, so a long stretch of identical pages
+  costs one entry),
 
 and finally resets the soft-dirty bits so that tracking starts from a clean
 slate, then resumes the process.  The snapshot is taken **before** any
@@ -17,10 +19,11 @@ client secrets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Mapping, Tuple
 
 from repro.errors import SnapshotError
+from repro.mem.image import PageImage
 from repro.mem.layout import MemoryLayout
 from repro.proc.procfs import ProcFs
 from repro.proc.ptrace import Ptrace
@@ -35,8 +38,8 @@ class ProcessSnapshot:
     registers: Mapping[int, RegisterSet]
     #: The memory layout at snapshot time.
     layout: MemoryLayout
-    #: Page payloads of every resident page, keyed by absolute page number.
-    pages: Mapping[int, bytes]
+    #: Every resident page and its payload.
+    image: PageImage
     #: Program break at snapshot time.
     brk: int
 
@@ -48,7 +51,7 @@ class ProcessSnapshot:
     @property
     def num_pages(self) -> int:
         """Resident pages captured in the snapshot."""
-        return len(self.pages)
+        return self.image.num_pages
 
     @property
     def num_vmas(self) -> int:
@@ -57,7 +60,7 @@ class ProcessSnapshot:
 
     def page_content(self, page_number: int) -> bytes:
         """Return the snapshotted payload of a page (empty if absent)."""
-        return self.pages.get(page_number, b"")
+        return self.image.content(page_number)
 
 
 @dataclass(frozen=True)
@@ -110,11 +113,8 @@ class Snapshotter:
         layout, read_maps_seconds = self._procfs.read_maps()
 
         space = process.address_space
-        resident = sorted(space.resident_page_numbers())
-        pages: Dict[int, bytes] = {}
-        for page_number in resident:
-            pages[page_number] = space.kernel_read_page(page_number)
-        capture_pages_seconds = len(resident) * cm.snapshot_page_seconds
+        image = space.capture()
+        capture_pages_seconds = image.num_pages * cm.snapshot_page_seconds
 
         _, clear_soft_dirty_seconds = self._procfs.clear_soft_dirty()
 
@@ -123,7 +123,7 @@ class Snapshotter:
         snapshot = ProcessSnapshot(
             registers=dict(registers),
             layout=layout,
-            pages=pages,
+            image=image,
             brk=space.brk,
         )
         stats = SnapshotStats(
@@ -133,7 +133,7 @@ class Snapshotter:
             capture_pages_seconds=capture_pages_seconds,
             clear_soft_dirty_seconds=clear_soft_dirty_seconds,
             resume_seconds=resume_seconds,
-            pages_captured=len(pages),
+            pages_captured=image.num_pages,
             vmas_captured=layout.num_vmas,
             threads_captured=len(registers),
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.config import PAGE_SIZE
+from repro.mem.image import Run
 from repro.mem.layout import LayoutDiff, VmaRecord
 from repro.mem.vma import VmaKind
 from repro.proc.ptrace import InjectedSyscall
@@ -86,39 +87,18 @@ def build_restore_plan(diff: LayoutDiff) -> List[InjectedSyscall]:
     return plan
 
 
-def madvise_calls_for_pages(page_numbers: Sequence[int]) -> List[InjectedSyscall]:
-    """Group stray resident pages into contiguous ``madvise`` calls.
+def madvise_calls_for_runs(runs: Sequence[Run]) -> List[InjectedSyscall]:
+    """One ``madvise`` call per run of stray resident pages.
 
     Pages that became resident during the invocation but are not part of the
     snapshot (and live in regions that still exist) are discarded so the
-    process's resident set matches the snapshot exactly.  Contiguous runs are
-    coalesced into a single ``madvise`` each.
+    process's resident set matches the snapshot exactly.  Each maximal run
+    of contiguous pages is one ``madvise``.
     """
-    calls: List[InjectedSyscall] = []
-    if not page_numbers:
-        return calls
-    ordered = sorted(page_numbers)
-    run_start = ordered[0]
-    previous = ordered[0]
-    for page_number in ordered[1:]:
-        if page_number == previous + 1:
-            previous = page_number
-            continue
-        calls.append(
-            InjectedSyscall(
-                "madvise_dontneed",
-                (run_start * PAGE_SIZE, (previous - run_start + 1) * PAGE_SIZE),
-            )
-        )
-        run_start = page_number
-        previous = page_number
-    calls.append(
-        InjectedSyscall(
-            "madvise_dontneed",
-            (run_start * PAGE_SIZE, (previous - run_start + 1) * PAGE_SIZE),
-        )
-    )
-    return calls
+    return [
+        InjectedSyscall("madvise_dontneed", (first * PAGE_SIZE, (end - first) * PAGE_SIZE))
+        for first, end in runs
+    ]
 
 
 def summarize_plan(plan: Iterable[InjectedSyscall]) -> Dict[str, int]:

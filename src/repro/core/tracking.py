@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Set, Tuple
+from typing import Tuple
 
 from repro.kernel.uffd import UffdTracker
+from repro.mem.image import Runs, page_numbers
 from repro.proc.procfs import ProcFs
 
 
@@ -26,9 +27,15 @@ from repro.proc.procfs import ProcFs
 class TrackingCollection:
     """Result of collecting a write set."""
 
-    dirty_pages: Tuple[int, ...]
+    #: The written pages, as a page run list.
+    dirty_runs: Runs
     scanned_pages: int
     collect_seconds: float
+
+    @property
+    def dirty_pages(self) -> Tuple[int, ...]:
+        """Every written page number, ascending."""
+        return page_numbers(self.dirty_runs)
 
 
 class WriteSetTracker(abc.ABC):
@@ -65,7 +72,7 @@ class SoftDirtyTracker(WriteSetTracker):
     def collect(self) -> TrackingCollection:
         scan = self.procfs.scan_pagemap()
         return TrackingCollection(
-            dirty_pages=scan.dirty_pages,
+            dirty_runs=scan.dirty_runs,
             scanned_pages=scan.scanned_pages,
             collect_seconds=scan.cost_seconds,
         )
@@ -95,9 +102,8 @@ class UffdWriteTracker(WriteSetTracker):
         return protected * self.ARM_COST_PER_PAGE_SECONDS
 
     def collect(self) -> TrackingCollection:
-        written = sorted(self._uffd.collect())
         return TrackingCollection(
-            dirty_pages=tuple(written),
+            dirty_runs=self._uffd.collect(),
             scanned_pages=0,
             collect_seconds=self.COLLECT_FIXED_SECONDS,
         )

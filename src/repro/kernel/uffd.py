@@ -12,9 +12,10 @@ critical path by the address space.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List
 
 from repro.mem.address_space import AddressSpace
+from repro.mem.image import Runs, runs_of_pages
 
 
 class UffdTracker:
@@ -52,14 +53,14 @@ class UffdTracker:
         self._space.disarm_write_protection()
         self._armed = False
 
-    def collect(self) -> Set[int]:
-        """Return the set of pages written since :meth:`arm` was called.
+    def collect(self) -> Runs:
+        """Return the pages written since :meth:`arm` was called, as a run list.
 
         No scan is needed (the handler already collected the pages): this is
         the one advantage UFFD has over soft-dirty bits, and why the paper
         found it marginally faster only when the write set was nearly empty.
         """
-        return set(self._written)
+        return runs_of_pages(self._written)
 
     def _on_write_fault(self, page_number: int) -> None:
         self._written.append(page_number)

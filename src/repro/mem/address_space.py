@@ -16,6 +16,13 @@ behaviours the paper's mechanism relies on:
   critical-path overhead of each isolation mechanism is *derived from what
   the function actually did to memory*, not assumed.
 
+Page state is kept per VMA and run-length: each page's resident,
+soft-dirty, copy-on-write, write-protect and TLB-cold bits live in five
+Python-int bitmaps (bit ``i`` is the VMA's page ``i``), and its payload in
+sorted ``(first, end, payload)`` content runs (see :mod:`repro.mem.image`).
+Writes, write-back, ``clear_refs``, ``fork``, unmapping and the pagemap scan
+therefore cost O(runs) plus mask algebra rather than one step per page.
+
 Durations come from :class:`repro.sim.costs.CostModel`; semantics (which
 bytes are where) are always real so tests can check isolation on content.
 """
@@ -24,11 +31,21 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError, SegmentationFault
-from repro.mem.page import Frame, Page, Protection, ZERO_CONTENT
+from repro.mem.image import (
+    ContentRun,
+    PageImage,
+    Run,
+    Runs,
+    content_at,
+    mask_runs,
+    page_numbers,
+    put_content,
+)
+from repro.mem.page import Protection, ZERO_CONTENT
 from repro.mem.vma import Vma, VmaKind
 from repro.mem.layout import MemoryLayout, VmaRecord
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
@@ -168,6 +185,138 @@ class MemoryMeter:
         )
 
 
+class PageState(NamedTuple):
+    """Everything the address space records about one page."""
+
+    content: bytes
+    resident: bool
+    soft_dirty: bool
+    cow: bool
+    write_protected: bool
+    tlb_cold: bool
+    #: Address spaces mapping the page's frame, itself included (0 if absent).
+    shares: int
+
+
+def _repeat_add(total: float, steps: Sequence[float], times: int) -> float:
+    """Add ``steps`` to ``total`` in order, ``times`` over, one add at a time.
+
+    Float addition is not associative, so a run of identical faults is
+    charged as the same sequence of adds a page-by-page loop would make.
+    """
+    if len(steps) == 1:
+        step = steps[0]
+        for _ in range(times):
+            total += step
+    elif steps:
+        for _ in range(times):
+            for step in steps:
+                total += step
+    return total
+
+
+class _ShareGroup:
+    """Frames one ``fork`` left shared copy-on-write between address spaces.
+
+    A frame is identified by its group and page number.  ``counts`` holds,
+    as sorted ``(first, end, count)`` runs, how many address spaces map each
+    frame; a space that stops sharing a page (a CoW write, a write-back, an
+    unmap) takes one off its count.  The runs follow the distinct write
+    ranges, not the number of forks that share the group.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self) -> None:
+        self.counts: List[Tuple[int, int, int]] = []
+
+    def count(self, page: int) -> int:
+        """Address spaces mapping this group's frame for ``page``."""
+        counts = self.counts
+        index = bisect.bisect_left(counts, (page + 1,))
+        if index and counts[index - 1][1] > page:
+            return counts[index - 1][2]
+        return 0
+
+    def add(self, first: int, end: int, delta: int) -> None:
+        """Add ``delta`` to the counts of pages ``[first, end)``."""
+        bounds = sorted({first, end}.union(*((a, b) for a, b, _ in self.counts)))
+        counts: List[Tuple[int, int, int]] = []
+        for a, b in zip(bounds, bounds[1:]):
+            count = self.count(a) + (delta if first <= a < end else 0)
+            if count < 0:
+                raise ValueError("share count underflow")
+            if not count:
+                continue
+            if counts and counts[-1][1] == a and counts[-1][2] == count:
+                counts[-1] = (counts[-1][0], b, count)
+            else:
+                counts.append((a, b, count))
+        self.counts = counts
+
+
+class _Area:
+    """One VMA and the state of its pages.
+
+    Bit ``i`` of each mask is page ``first + i``.  Every page with a state
+    bit is resident.  ``runs`` holds the non-zero payloads as sorted content
+    runs of absolute page numbers.  ``shared`` pairs each share group the
+    VMA's copy-on-write pages map with the mask of those pages; the masks
+    are disjoint and together equal ``cow``, and every other resident page
+    has a private frame.
+    """
+
+    __slots__ = (
+        "vma",
+        "first",
+        "end",
+        "readable",
+        "writable",
+        "resident",
+        "soft_dirty",
+        "cow",
+        "wp",
+        "tlb_cold",
+        "runs",
+        "shared",
+    )
+
+    def __init__(self, vma: Vma) -> None:
+        self.vma = vma
+        self.first = vma.start // PAGE_SIZE
+        self.end = vma.end // PAGE_SIZE
+        self.readable = Protection.READ in vma.prot
+        self.writable = Protection.WRITE in vma.prot
+        self.resident = 0
+        self.soft_dirty = 0
+        self.cow = 0
+        self.wp = 0
+        self.tlb_cold = 0
+        self.runs: List[ContentRun] = []
+        self.shared: List[Tuple[_ShareGroup, int]] = []
+
+    def piece(self, vma: Vma) -> "_Area":
+        """The state of the pages ``vma`` covers (it lies inside this area)."""
+        area = _Area(vma)
+        shift = area.first - self.first
+        keep = (1 << (area.end - area.first)) - 1
+        area.resident = (self.resident >> shift) & keep
+        area.soft_dirty = (self.soft_dirty >> shift) & keep
+        area.cow = (self.cow >> shift) & keep
+        area.wp = (self.wp >> shift) & keep
+        area.tlb_cold = (self.tlb_cold >> shift) & keep
+        area.runs = [
+            (max(a, area.first), min(b, area.end), payload)
+            for a, b, payload in self.runs
+            if a < area.end and b > area.first
+        ]
+        for group, mask in self.shared:
+            mask = (mask >> shift) & keep
+            if mask:
+                area.shared.append((group, mask))
+        return area
+
+
 class AddressSpace:
     """A simulated process address space."""
 
@@ -181,13 +330,8 @@ class AddressSpace:
     ) -> None:
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.meter = MemoryMeter()
-        self._vmas: List[Vma] = []
+        self._areas: List[_Area] = []
         self._starts: List[int] = []
-        self._pages: Dict[int, Page] = {}
-        self._soft_dirty: Set[int] = set()
-        self._cow: Set[int] = set()
-        self._wp: Set[int] = set()
-        self._tlb_cold: Set[int] = set()
         self._sd_tracking_armed = False
         self._mmap_next = mmap_base
         self._brk_base = brk_base
@@ -202,7 +346,7 @@ class AddressSpace:
     @property
     def vmas(self) -> Tuple[Vma, ...]:
         """The current mappings, sorted by start address."""
-        return tuple(self._vmas)
+        return tuple(area.vma for area in self._areas)
 
     @property
     def brk(self) -> int:
@@ -217,12 +361,12 @@ class AddressSpace:
     @property
     def total_mapped_pages(self) -> int:
         """Number of pages covered by all VMAs (mapped, not necessarily resident)."""
-        return sum(v.num_pages for v in self._vmas)
+        return sum(area.end - area.first for area in self._areas)
 
     @property
     def resident_pages(self) -> int:
         """Number of pages with an allocated frame."""
-        return len(self._pages)
+        return sum(area.resident.bit_count() for area in self._areas)
 
     @property
     def soft_dirty_tracking_armed(self) -> bool:
@@ -231,43 +375,109 @@ class AddressSpace:
 
     def soft_dirty_page_numbers(self) -> Set[int]:
         """The set of pages whose soft-dirty bit is currently set."""
-        return set(self._soft_dirty)
+        return set(page_numbers(self.soft_dirty_runs()))
 
-    def resident_page_numbers(self) -> Set[int]:
-        """The set of resident (frame-backed) page numbers."""
-        return set(self._pages)
+    def soft_dirty_runs(self) -> Runs:
+        """The soft-dirty pages as a maximal page run list."""
+        out: List[Run] = []
+        for area in self._areas:
+            if area.soft_dirty:
+                mask_runs(area.soft_dirty, area.first, out)
+        return tuple(out)
+
+    def resident_within(self, runs: Sequence[Run]) -> Runs:
+        """The resident pages of the ascending ``runs``, as a maximal run list."""
+        out: List[Run] = []
+        for first, end in runs:
+            for area, span in self._spans(first, end):
+                mask_runs(area.resident & span, area.first, out)
+        return tuple(out)
+
+    def capture(self) -> PageImage:
+        """Every resident page and its payload, as a :class:`PageImage`."""
+        out: List[ContentRun] = []
+        for area in self._areas:
+            if not area.resident:
+                continue
+            resident: List[Run] = []
+            mask_runs(area.resident, area.first, resident)
+            runs = area.runs
+            index = 0
+            for first, end in resident:
+                cursor = first
+                while index < len(runs) and runs[index][0] < end:
+                    a, b, payload = runs[index]
+                    if a > cursor:
+                        out.append((cursor, a, ZERO_CONTENT))
+                    out.append((a, b, payload))
+                    cursor = b
+                    index += 1
+                if cursor < end:
+                    out.append((cursor, end, ZERO_CONTENT))
+        return PageImage(out)
+
+    def content_runs_per_vma(self) -> Dict[int, int]:
+        """Number of non-zero content runs each VMA holds, keyed by VMA start."""
+        return {area.vma.start: len(area.runs) for area in self._areas}
 
     def find_vma(self, address: int) -> Optional[Vma]:
         """Return the VMA containing ``address``, if any."""
-        idx = bisect.bisect_right(self._starts, address) - 1
-        if idx >= 0 and self._vmas[idx].contains(address):
-            return self._vmas[idx]
-        return None
+        area = self._area_at(address // PAGE_SIZE)
+        return area.vma if area is not None else None
 
     def vma_for_page(self, page_number: int) -> Optional[Vma]:
         """Return the VMA containing ``page_number``, if any."""
-        return self.find_vma(page_number * PAGE_SIZE)
+        area = self._area_at(page_number)
+        return area.vma if area is not None else None
 
-    def page(self, page_number: int) -> Optional[Page]:
-        """Return the resident page entry for ``page_number``, if any."""
-        return self._pages.get(page_number)
+    def is_resident(self, page_number: int) -> bool:
+        """True if ``page_number`` has an allocated frame."""
+        area = self._area_at(page_number)
+        return area is not None and bool(area.resident >> (page_number - area.first) & 1)
+
+    def is_soft_dirty(self, page_number: int) -> bool:
+        """True if ``page_number``'s soft-dirty bit is set."""
+        area = self._area_at(page_number)
+        return area is not None and bool(area.soft_dirty >> (page_number - area.first) & 1)
+
+    def page_state(self, page_number: int) -> PageState:
+        """Contents, tracking bits and sharing of one page."""
+        area = self._area_at(page_number)
+        if area is None:
+            return PageState(ZERO_CONTENT, False, False, False, False, False, 0)
+        rel = page_number - area.first
+        resident = bool(area.resident >> rel & 1)
+        shares = int(resident)
+        for group, mask in area.shared:
+            if mask >> rel & 1:
+                shares = group.count(page_number)
+        return PageState(
+            content=self.page_content(page_number),
+            resident=resident,
+            soft_dirty=bool(area.soft_dirty >> rel & 1),
+            cow=bool(area.cow >> rel & 1),
+            write_protected=bool(area.wp >> rel & 1),
+            tlb_cold=bool(area.tlb_cold >> rel & 1),
+            shares=shares,
+        )
 
     def page_content(self, page_number: int) -> bytes:
         """Return the payload of a page (zero content if not resident)."""
-        page = self._pages.get(page_number)
-        return page.content if page is not None else ZERO_CONTENT
+        area = self._area_at(page_number)
+        payload = content_at(area.runs, page_number) if area is not None else None
+        return ZERO_CONTENT if payload is None else payload
 
     def layout(self) -> MemoryLayout:
         """Return an immutable record of the current memory layout."""
         records = tuple(
             VmaRecord(start=v.start, end=v.end, prot=v.prot, kind=v.kind, name=v.name)
-            for v in self._vmas
+            for v in self.vmas
         )
         return MemoryLayout(records=records, brk=self._brk)
 
     def describe_maps(self) -> str:
         """Render the layout like ``/proc/<pid>/maps``."""
-        return "\n".join(v.describe() for v in self._vmas)
+        return "\n".join(v.describe() for v in self.vmas)
 
     # ------------------------------------------------------------------
     # Mapping operations
@@ -308,11 +518,10 @@ class AddressSpace:
                 f"mmap range [{start:#x}, {end:#x}) overlaps an existing mapping"
             )
         vma = Vma(start=start, end=end, prot=prot, kind=kind, name=name)
-        self._insert_vma(vma)
+        area = _Area(vma)
         if populate:
-            for page_number in vma.pages():
-                self._pages[page_number] = Page(Frame(ZERO_CONTENT))
-                self._soft_dirty.add(page_number)
+            area.resident = area.soft_dirty = (1 << num_pages) - 1
+        self._insert_area(area)
         return vma
 
     def map_stack(self, length: int, name: str = "stack") -> Vma:
@@ -335,7 +544,7 @@ class AddressSpace:
         if length <= 0:
             raise MappingError("munmap length must be positive")
         end = start + ((length + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
-        dropped = self._drop_pages(start // PAGE_SIZE, end // PAGE_SIZE)
+        dropped = self._drop(start // PAGE_SIZE, end // PAGE_SIZE)
         self._carve_range(start, end, replacement=None)
         return dropped
 
@@ -363,10 +572,14 @@ class AddressSpace:
         if length <= 0:
             raise MappingError("madvise length must be positive")
         end = start + ((length + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
-        return self._drop_pages(start // PAGE_SIZE, end // PAGE_SIZE)
+        return self._drop(start // PAGE_SIZE, end // PAGE_SIZE)
 
     def set_brk(self, new_brk: int) -> int:
-        """Set the program break, growing or shrinking the heap mapping."""
+        """Set the program break, growing or shrinking the heap mapping.
+
+        Growing the heap into another mapping raises :class:`MappingError`,
+        as Linux's ``brk`` refuses to.
+        """
         if new_brk < self._brk_base:
             raise MappingError(
                 f"brk {new_brk:#x} below heap base {self._brk_base:#x}"
@@ -375,29 +588,34 @@ class AddressSpace:
         old_brk = self._brk
         if new_brk == old_brk:
             return self._brk
-        heap_vma = self._heap_vma()
+        heap = self._heap_area()
         if new_brk > old_brk:
-            if heap_vma is None:
-                self._insert_vma(
-                    Vma(
-                        start=self._brk_base,
-                        end=new_brk,
-                        prot=Protection.rw(),
-                        kind=VmaKind.HEAP,
-                        name="[heap]",
+            grow_from = heap.vma.end if heap is not None else self._brk_base
+            if new_brk > grow_from and self._overlaps_existing(grow_from, new_brk):
+                raise MappingError(
+                    f"brk {new_brk:#x} would grow the heap into an existing mapping"
+                )
+            if heap is None:
+                self._insert_area(
+                    _Area(
+                        Vma(
+                            start=self._brk_base,
+                            end=new_brk,
+                            prot=Protection.rw(),
+                            kind=VmaKind.HEAP,
+                            name="[heap]",
+                        )
                     )
                 )
             else:
-                self._replace_vma(heap_vma, heap_vma.with_bounds(heap_vma.start, new_brk))
+                self._resize_area(heap, new_brk)
         else:
-            self._drop_pages(new_brk // PAGE_SIZE, old_brk // PAGE_SIZE)
-            if heap_vma is not None:
-                if new_brk <= heap_vma.start:
-                    self._remove_vma(heap_vma)
+            self._drop(new_brk // PAGE_SIZE, old_brk // PAGE_SIZE)
+            if heap is not None:
+                if new_brk <= heap.vma.start:
+                    self._remove_area(heap)
                 else:
-                    self._replace_vma(
-                        heap_vma, heap_vma.with_bounds(heap_vma.start, new_brk)
-                    )
+                    self._resize_area(heap, new_brk)
         self._brk = new_brk
         return self._brk
 
@@ -437,92 +655,81 @@ class AddressSpace:
         * a soft-dirty fault on the first write after ``clear_refs``, unless
           the write already took an allocating fault.
 
-        Fault costs are added to the meter one fault at a time in that
-        order, so the float total does not depend on how writes are
-        batched.  A page outside any writable mapping raises
-        :class:`SegmentationFault`; the pages before it keep their writes,
-        and none of the range counts towards ``pages_written``.
+        Pages whose five state bits agree take the same faults, so each
+        stretch of them is charged in one loop; fault costs are still added
+        to the meter one fault at a time in that order, so the float total
+        does not depend on how writes are batched.  A page outside any
+        writable mapping raises :class:`SegmentationFault`; the pages before
+        it keep their writes, and none of the range counts towards
+        ``pages_written``.  A negative ``count`` raises
+        :class:`MappingError`.
         """
-        meter = self.meter
-        cm = self.cost_model
-        pages = self._pages
-        soft_dirty = self._soft_dirty
-        cow = self._cow
-        wp = self._wp
-        tlb_cold = self._tlb_cold
-        armed = self._sd_tracking_armed
+        if count < 0:
+            raise MappingError(f"cannot write a negative number of pages ({count})")
         end_page = start_page + count
-        run_start = start_page
-        while run_start < end_page:
-            vma = self.vma_for_page(run_start)
-            if vma is None or Protection.WRITE not in vma.prot:
-                raise SegmentationFault(run_start * PAGE_SIZE, access="write")
-            run_end = min(end_page, vma.end // PAGE_SIZE)
-            for page_number in range(run_start, run_end):
-                page = pages.get(page_number)
-                allocated = page is None
-                if page is None:
-                    page = pages[page_number] = Page(Frame(ZERO_CONTENT))
-                    meter.cost_seconds += cm.minor_fault_seconds
-                    meter.minor_faults += 1
-                else:
-                    if page_number in tlb_cold:
-                        meter.cost_seconds += cm.fork_first_touch_seconds
-                        meter.first_touch_faults += 1
-                        tlb_cold.discard(page_number)
-                    if page_number in cow:
-                        old_frame = page.frame
-                        old_frame.release()
-                        page.frame = old_frame.copy()
-                        cow.discard(page_number)
-                        meter.cost_seconds += cm.cow_fault_seconds
-                        meter.cow_faults += 1
-                        allocated = True
-                if page_number in wp:
-                    meter.cost_seconds += cm.uffd_fault_seconds
-                    meter.uffd_faults += 1
-                    wp.discard(page_number)
-                    if self._wp_handler is not None:
-                        self._wp_handler(page_number)
-                if page_number not in soft_dirty:
-                    if armed and not allocated:
-                        meter.cost_seconds += cm.soft_dirty_fault_seconds
-                        meter.soft_dirty_faults += 1
-                    soft_dirty.add(page_number)
-                page.frame.content = data
-            run_start = run_end
-        meter.pages_written += count
+        page = start_page
+        while page < end_page:
+            area = self._area_at(page)
+            if area is None or not area.writable:
+                raise SegmentationFault(page * PAGE_SIZE, access="write")
+            stop = area.end if area.end < end_page else end_page
+            self._write_faults(area, page, stop)
+            put_content(area.runs, page, stop, data)
+            page = stop
+        self.meter.pages_written += count
 
     def read(self, address: int) -> bytes:
         """Read the payload of the page containing ``address``."""
-        page_number = address // PAGE_SIZE
-        return self.read_page(page_number)
+        return self.read_page(address // PAGE_SIZE)
 
     def read_page(self, page_number: int) -> bytes:
         """Read the payload of ``page_number`` (zeroes if not resident)."""
-        vma = self.vma_for_page(page_number)
-        if vma is None or Protection.READ not in vma.prot:
+        area = self._area_at(page_number)
+        if area is None or not area.readable:
             raise SegmentationFault(page_number * PAGE_SIZE, access="read")
-        self._fault_on_read(page_number)
-        self.meter.charge(pages_read=1)
-        page = self._pages.get(page_number)
-        return page.content if page is not None else ZERO_CONTENT
+        bit = 1 << (page_number - area.first)
+        meter = self.meter
+        if area.tlb_cold & bit:
+            meter.cost_seconds += self.cost_model.fork_first_touch_seconds
+            meter.first_touch_faults += 1
+            area.tlb_cold &= ~bit
+        meter.pages_read += 1
+        payload = content_at(area.runs, page_number)
+        return ZERO_CONTENT if payload is None else payload
 
     def touch_read_range(self, start_page: int, count: int) -> None:
         """Read-touch ``count`` pages starting at ``start_page``.
 
         This is how the §5.2 microbenchmark's "read one word from every
         mapped page" step is modelled.  For warm pages it is free; pages that
-        are TLB-cold (freshly forked child) or write-protected pay their
-        respective first-access costs.
+        are TLB-cold (freshly forked child) pay their first-access cost.
         """
         if count <= 0:
             return
         end_page = start_page + count
-        cold = sorted(p for p in self._tlb_cold if start_page <= p < end_page)
-        for page_number in cold:
-            self._fault_on_read(page_number)
-        self.meter.charge(pages_read=count)
+        meter = self.meter
+        areas = self._areas
+        index = max(bisect.bisect_right(self._starts, start_page * PAGE_SIZE) - 1, 0)
+        # Inline rather than through ``_spans``: this runs on every request,
+        # and only a forked child has TLB-cold pages to charge.
+        while index < len(areas) and areas[index].first < end_page:
+            area = areas[index]
+            index += 1
+            if not area.tlb_cold:
+                continue
+            a = start_page if start_page > area.first else area.first
+            b = end_page if end_page < area.end else area.end
+            if a >= b:
+                continue
+            span = ((1 << (b - a)) - 1) << (a - area.first)
+            cold = (area.tlb_cold & span).bit_count()
+            if cold:
+                meter.cost_seconds = _repeat_add(
+                    meter.cost_seconds, (self.cost_model.fork_first_touch_seconds,), cold
+                )
+                meter.first_touch_faults += cold
+                area.tlb_cold &= ~span
+        meter.pages_read += count
 
     # ------------------------------------------------------------------
     # Tracking control (used by Groundhog via procfs)
@@ -535,26 +742,33 @@ class AddressSpace:
         call the first write to each page pays a small write-protect fault
         (the paper's in-function overhead) and re-sets its bit.
         """
-        cleared = len(self._soft_dirty)
-        self._soft_dirty.clear()
+        cleared = 0
+        for area in self._areas:
+            if area.soft_dirty:
+                cleared += area.soft_dirty.bit_count()
+                area.soft_dirty = 0
         self._sd_tracking_armed = True
         return cleared
 
     def arm_write_protection(self, handler: Optional[Callable[[int], None]] = None) -> int:
         """Write-protect every resident page (userfaultfd-WP style).
 
-        ``handler`` is invoked with the page number on each write fault.  It
-        runs in the middle of a write, so it may record the page but must
-        not change mappings or tracking state.  Returns the number of pages
-        protected.
+        ``handler`` is invoked with the page number on each write fault, in
+        page order.  It runs in the middle of a write, so it may record the
+        page but must not change mappings or tracking state.  Returns the
+        number of pages protected.
         """
-        self._wp = set(self._pages)
+        protected = 0
+        for area in self._areas:
+            area.wp = area.resident
+            protected += area.resident.bit_count()
         self._wp_handler = handler
-        return len(self._wp)
+        return protected
 
     def disarm_write_protection(self) -> None:
         """Remove all userfaultfd-style write protection."""
-        self._wp.clear()
+        for area in self._areas:
+            area.wp = 0
         self._wp_handler = None
 
     # ------------------------------------------------------------------
@@ -564,55 +778,53 @@ class AddressSpace:
 
     def kernel_read_page(self, page_number: int) -> bytes:
         """Read a page the way the manager does via ``/proc/<pid>/mem``."""
-        page = self._pages.get(page_number)
-        return page.content if page is not None else ZERO_CONTENT
+        return self.page_content(page_number)
 
     def kernel_write_page(self, page_number: int, data: bytes) -> None:
-        """Write one page from the manager; see :meth:`kernel_write_pages`."""
-        self.kernel_write_pages((page_number,), {page_number: data})
+        """Write one page from the manager; see :meth:`kernel_write_range`."""
+        self.kernel_write_range(page_number, 1, data)
 
-    def kernel_write_pages(
-        self, ascending_pages: Iterable[int], source: Mapping[int, bytes]
-    ) -> None:
-        """Write ``source[p]`` into each page without charging function faults.
+    def kernel_write_range(self, start_page: int, count: int, data: bytes) -> None:
+        """Write ``data`` into ``count`` pages without charging function faults.
 
         This is how the manager writes memory through ``/proc/<pid>/mem``:
         a page that was never resident is materialised (the kernel
         allocates on the write), a copy-on-write page gets a private frame,
         and every written page becomes soft-dirty like any other write
-        (Groundhog resets the bits afterwards).  The VMA is looked up once
-        per run of pages inside one mapping, so ascending pages keep the
-        lookups per VMA rather than per page.  A page outside every mapping
-        raises :class:`SegmentationFault` after the pages before it.
+        (Groundhog resets the bits afterwards).  A page outside every
+        mapping raises :class:`SegmentationFault` after the pages before it.
         """
-        pages = self._pages
-        cow = self._cow
-        mark_soft_dirty = self._soft_dirty.add
-        run_first = run_end = 0
-        for page_number in ascending_pages:
-            data = source[page_number]
-            if not run_first <= page_number < run_end:
-                vma = self.vma_for_page(page_number)
-                if vma is None:
-                    raise SegmentationFault(
-                        page_number * PAGE_SIZE, access="kernel-write"
-                    )
-                run_first = vma.start // PAGE_SIZE
-                run_end = vma.end // PAGE_SIZE
-            page = pages.get(page_number)
-            if page is None:
-                pages[page_number] = Page(Frame(data))
-            elif page_number in cow:
-                page.frame.release()
-                page.frame = Frame(data)
-                cow.discard(page_number)
-            else:
-                page.frame.content = data
-            mark_soft_dirty(page_number)
+        if count < 0:
+            raise MappingError(f"cannot write a negative number of pages ({count})")
+        end_page = start_page + count
+        page = start_page
+        while page < end_page:
+            area = self._kernel_area(page)
+            stop = area.end if area.end < end_page else end_page
+            self._kernel_write_bits(area, page, stop)
+            put_content(area.runs, page, stop, data)
+            page = stop
 
-    def kernel_drop_page(self, page_number: int) -> None:
-        """Drop a resident page from the kernel side (restore of never-mapped data)."""
-        self._forget_page(page_number)
+    def kernel_write_image(self, image: PageImage, runs: Sequence[Run]) -> None:
+        """Write ``image``'s payloads back into the pages of ``runs``.
+
+        Each page is written as by :meth:`kernel_write_range`; pages the
+        image lacks are written as zero pages.  Runs are written in the
+        order given.
+        """
+        for first, end in runs:
+            page = first
+            while page < end:
+                area = self._kernel_area(page)
+                stop = area.end if area.end < end else end
+                self._kernel_write_bits(area, page, stop)
+                for a, b, payload in image.pieces(page, stop):
+                    put_content(area.runs, a, b, payload)
+                page = stop
+
+    def kernel_drop_runs(self, runs: Sequence[Run]) -> int:
+        """Drop the resident pages of ``runs`` from the kernel side; returns how many."""
+        return sum(self._drop(first, end) for first, end in runs)
 
     # ------------------------------------------------------------------
     # fork()
@@ -627,67 +839,214 @@ class AddressSpace:
         access to every page pays a small first-touch cost (§5.2.3).
         """
         child = AddressSpace(self.cost_model)
-        child._vmas = list(self._vmas)
         child._starts = list(self._starts)
         child._brk_base = self._brk_base
         child._brk = self._brk
         child._mmap_next = self._mmap_next
         child._stack_next = self._stack_next
         child._sd_tracking_armed = self._sd_tracking_armed
-        child._soft_dirty = set(self._soft_dirty)
-        for page_number, page in self._pages.items():
-            child._pages[page_number] = Page(page.frame.share())
-        child._cow = set(child._pages)
-        child._tlb_cold = set(child._pages)
-        self._cow.update(self._pages.keys())
+        for area in self._areas:
+            if area.resident:
+                private = area.resident
+                for group, mask in area.shared:
+                    for first, end in _runs_of_mask(mask, area.first):
+                        group.add(first, end, 1)
+                    private &= ~mask
+                if private:
+                    group = _ShareGroup()
+                    for first, end in _runs_of_mask(private, area.first):
+                        group.add(first, end, 2)
+                    area.shared = area.shared + [(group, private)]
+                area.cow = area.resident
+            copy = area.piece(area.vma)
+            copy.tlb_cold = area.resident
+            copy.wp = 0
+            child._areas.append(copy)
         return child
 
     # ------------------------------------------------------------------
-    # Fault handling internals
+    # Fault and page-state internals
     # ------------------------------------------------------------------
 
-    def _fault_on_read(self, page_number: int) -> None:
-        if page_number in self._tlb_cold:
-            self.meter.charge(
-                self.cost_model.fork_first_touch_seconds, first_touch_faults=1
-            )
-            self._tlb_cold.discard(page_number)
+    def _area_at(self, page_number: int) -> Optional[_Area]:
+        index = bisect.bisect_right(self._starts, page_number * PAGE_SIZE) - 1
+        if index >= 0:
+            area = self._areas[index]
+            if page_number < area.end:
+                return area
+        return None
+
+    def _spans(self, first_page: int, end_page: int) -> Iterator[Tuple[_Area, int]]:
+        """Each VMA overlapping ``[first_page, end_page)`` with the mask of the overlap."""
+        areas = self._areas
+        index = max(bisect.bisect_right(self._starts, first_page * PAGE_SIZE) - 1, 0)
+        while index < len(areas) and areas[index].first < end_page:
+            area = areas[index]
+            index += 1
+            a = first_page if first_page > area.first else area.first
+            b = end_page if end_page < area.end else area.end
+            if a < b:
+                yield area, ((1 << (b - a)) - 1) << (a - area.first)
+
+    def _kernel_area(self, page_number: int) -> _Area:
+        area = self._area_at(page_number)
+        if area is None:
+            raise SegmentationFault(page_number * PAGE_SIZE, access="kernel-write")
+        return area
+
+    def _write_faults(self, area: _Area, first: int, stop: int) -> None:
+        """Charge the write faults of pages ``[first, stop)`` of ``area`` and set their bits."""
+        rel = first - area.first
+        span = ((1 << (stop - first)) - 1) << rel
+        resident = area.resident & span
+        meter = self.meter
+        cm = self.cost_model
+        if not (area.cow | area.tlb_cold | area.wp) & span:
+            if resident == span:
+                if self._sd_tracking_armed:
+                    faults = stop - first - (area.soft_dirty & span).bit_count()
+                    if faults:
+                        meter.cost_seconds = _repeat_add(
+                            meter.cost_seconds, (cm.soft_dirty_fault_seconds,), faults
+                        )
+                        meter.soft_dirty_faults += faults
+                area.soft_dirty |= span
+                return
+            if not resident:
+                meter.cost_seconds = _repeat_add(
+                    meter.cost_seconds, (cm.minor_fault_seconds,), stop - first
+                )
+                meter.minor_faults += stop - first
+                area.resident |= span
+                area.soft_dirty |= span
+                return
+        # Mixed state: split the range where any of the five bits changes
+        # and charge each stretch of identical pages in one loop.
+        cold = area.tlb_cold & span
+        cow = area.cow & span
+        protected = area.wp & span
+        dirty = area.soft_dirty & span
+        edges = 1 << rel
+        for mask in (resident, cold, cow, protected, dirty):
+            edges |= (mask ^ (mask << 1)) & span
+        armed = self._sd_tracking_armed
+        handler = self._wp_handler
+        end = stop - area.first
+        cost = meter.cost_seconds
+        while edges:
+            bit = edges & -edges
+            edges ^= bit
+            pos = bit.bit_length() - 1
+            nxt = (edges & -edges).bit_length() - 1 if edges else end
+            times = nxt - pos
+            steps = []
+            if not resident & bit:
+                steps.append(cm.minor_fault_seconds)
+                meter.minor_faults += times
+                allocating = True
+            else:
+                allocating = False
+                if cold & bit:
+                    steps.append(cm.fork_first_touch_seconds)
+                    meter.first_touch_faults += times
+                if cow & bit:
+                    steps.append(cm.cow_fault_seconds)
+                    meter.cow_faults += times
+                    allocating = True
+            if protected & bit:
+                steps.append(cm.uffd_fault_seconds)
+                meter.uffd_faults += times
+            if armed and not allocating and not dirty & bit:
+                steps.append(cm.soft_dirty_fault_seconds)
+                meter.soft_dirty_faults += times
+            cost = _repeat_add(cost, steps, times)
+            if protected & bit and handler is not None:
+                for page in range(area.first + pos, area.first + nxt):
+                    handler(page)
+        meter.cost_seconds = cost
+        if cow:
+            self._release(area, cow)
+        area.resident |= span
+        area.soft_dirty |= span
+        area.tlb_cold &= ~span
+        area.wp &= ~span
+
+    def _kernel_write_bits(self, area: _Area, first: int, stop: int) -> None:
+        """Materialise pages ``[first, stop)``, break their CoW sharing, mark them dirty."""
+        span = ((1 << (stop - first)) - 1) << (first - area.first)
+        if area.cow & span:
+            self._release(area, span)
+        area.resident |= span
+        area.soft_dirty |= span
+
+    def _release(self, area: _Area, mask: int) -> None:
+        """Stop sharing the CoW frames of ``area``'s pages in ``mask``."""
+        if not area.cow & mask:
+            return
+        kept = []
+        for group, pages in area.shared:
+            hit = pages & mask
+            if hit:
+                for first, end in _runs_of_mask(hit, area.first):
+                    group.add(first, end, -1)
+                pages &= ~mask
+            if pages:
+                kept.append((group, pages))
+        area.shared = kept
+        area.cow &= ~mask
+
+    def _drop(self, first_page: int, end_page: int) -> int:
+        """Forget the pages of ``[first_page, end_page)``; returns how many were resident."""
+        dropped = 0
+        for area, span in self._spans(first_page, end_page):
+            resident = area.resident & span
+            if not resident:
+                continue
+            dropped += resident.bit_count()
+            self._release(area, span)
+            keep = ~span
+            area.resident &= keep
+            area.soft_dirty &= keep
+            area.wp &= keep
+            area.tlb_cold &= keep
+            put_content(area.runs, first_page, end_page, ZERO_CONTENT)
+        return dropped
 
     # ------------------------------------------------------------------
     # VMA bookkeeping internals
     # ------------------------------------------------------------------
 
-    def _heap_vma(self) -> Optional[Vma]:
-        for vma in self._vmas:
-            if vma.kind is VmaKind.HEAP:
-                return vma
+    def _heap_area(self) -> Optional[_Area]:
+        for area in self._areas:
+            if area.vma.kind is VmaKind.HEAP:
+                return area
         return None
 
     def _overlaps_existing(self, start: int, end: int) -> bool:
-        idx = bisect.bisect_left(self._starts, end)
-        for vma in self._vmas[max(0, idx - 1) : idx + 1]:
-            if vma.overlaps(start, end):
-                return True
-        return any(v.overlaps(start, end) for v in self._vmas)
+        # Mappings are disjoint and sorted, so only the last one starting
+        # before ``end`` can reach past ``start``.
+        index = bisect.bisect_left(self._starts, end)
+        return index > 0 and self._areas[index - 1].vma.end > start
 
-    def _insert_vma(self, vma: Vma) -> None:
-        idx = bisect.bisect_left(self._starts, vma.start)
-        self._vmas.insert(idx, vma)
-        self._starts.insert(idx, vma.start)
+    def _insert_area(self, area: _Area) -> None:
+        index = bisect.bisect_left(self._starts, area.vma.start)
+        self._areas.insert(index, area)
+        self._starts.insert(index, area.vma.start)
 
-    def _remove_vma(self, vma: Vma) -> None:
-        idx = self._vmas.index(vma)
-        del self._vmas[idx]
-        del self._starts[idx]
+    def _remove_area(self, area: _Area) -> None:
+        index = self._areas.index(area)
+        del self._areas[index]
+        del self._starts[index]
 
-    def _replace_vma(self, old: Vma, new: Vma) -> None:
-        idx = self._vmas.index(old)
-        self._vmas[idx] = new
-        self._starts[idx] = new.start
+    def _resize_area(self, area: _Area, new_end: int) -> None:
+        """Move ``area``'s end to ``new_end`` (its pages past the end are already dropped)."""
+        area.vma = area.vma.with_bounds(area.vma.start, new_end)
+        area.end = new_end // PAGE_SIZE
 
     def _range_fully_mapped(self, start: int, end: int) -> bool:
         cursor = start
-        for vma in self._vmas:
+        for area in self._areas:
+            vma = area.vma
             if vma.end <= cursor:
                 continue
             if vma.start > cursor:
@@ -701,43 +1060,24 @@ class AddressSpace:
         self, start: int, end: int, replacement: Optional[Protection]
     ) -> None:
         """Remove (``replacement is None``) or re-protect a range, splitting VMAs."""
-        new_vmas: List[Vma] = []
-        for vma in self._vmas:
+        new_areas: List[_Area] = []
+        for area in self._areas:
+            vma = area.vma
             if not vma.overlaps(start, end):
-                new_vmas.append(vma)
+                new_areas.append(area)
                 continue
             if vma.start < start:
-                new_vmas.append(vma.with_bounds(vma.start, start))
-            overlap_start = max(vma.start, start)
-            overlap_end = min(vma.end, end)
+                new_areas.append(area.piece(vma.with_bounds(vma.start, start)))
             if replacement is not None:
-                new_vmas.append(
-                    vma.with_bounds(overlap_start, overlap_end).with_prot(replacement)
-                )
+                overlap = vma.with_bounds(max(vma.start, start), min(vma.end, end))
+                new_areas.append(area.piece(overlap.with_prot(replacement)))
             if vma.end > end:
-                new_vmas.append(vma.with_bounds(end, vma.end))
-        new_vmas.sort(key=lambda v: v.start)
-        self._vmas = new_vmas
-        self._starts = [v.start for v in new_vmas]
+                new_areas.append(area.piece(vma.with_bounds(end, vma.end)))
+        self._areas = new_areas
+        self._starts = [area.vma.start for area in new_areas]
 
-    def _drop_pages(self, first_page: int, end_page: int) -> int:
-        dropped = 0
-        if end_page - first_page < len(self._pages):
-            candidates = [
-                p for p in range(first_page, end_page) if p in self._pages
-            ]
-        else:
-            candidates = [p for p in self._pages if first_page <= p < end_page]
-        for page_number in candidates:
-            self._forget_page(page_number)
-            dropped += 1
-        return dropped
 
-    def _forget_page(self, page_number: int) -> None:
-        page = self._pages.pop(page_number, None)
-        if page is not None:
-            page.frame.release()
-        self._soft_dirty.discard(page_number)
-        self._cow.discard(page_number)
-        self._wp.discard(page_number)
-        self._tlb_cold.discard(page_number)
+def _runs_of_mask(mask: int, base: int) -> List[Run]:
+    out: List[Run] = []
+    mask_runs(mask, base, out)
+    return out

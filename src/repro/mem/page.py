@@ -1,24 +1,18 @@
-"""Pages, frames and protections for the simulated address space.
+"""Page protections and payloads for the simulated address space.
 
-A :class:`Frame` is the physical backing store of a page: it holds the page's
-logical payload and a reference count (so copy-on-write sharing after
-``fork`` works the same way it does in the kernel).  A :class:`Page` is one
-process's view of a frame: it carries the per-PTE state Groundhog cares about
-— the soft-dirty bit, copy-on-write status, and the "cold TLB" marker used to
-model a forked child's first-touch cost.
-
-Payloads are logical: a frame stores whatever ``bytes`` the writer supplied
-rather than a full 4 KiB buffer.  Isolation properties are still checked on
-real bytes (a secret written during a request is physically present in some
-frame until it is restored), but the simulator does not pay for 4 KiB of
-storage per page.
+Payloads are logical: a page holds whatever ``bytes`` the writer supplied
+rather than a full 4 KiB buffer, and an untouched page reads as
+:data:`ZERO_CONTENT`.  Isolation properties are still checked on real bytes
+(a secret written during a request is physically present in the address
+space until it is restored), but the simulator does not pay for 4 KiB of
+storage per page.  The per-page state itself (residency, soft-dirty,
+copy-on-write, write-protect and TLB-cold bits, payload runs) is kept per
+VMA by :class:`~repro.mem.address_space.AddressSpace`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
 
 
 class Protection(enum.Flag):
@@ -57,80 +51,3 @@ class Protection(enum.Flag):
 
 #: Payload representing an untouched, zero-filled page.
 ZERO_CONTENT = b""
-
-
-class Frame:
-    """Physical backing of a page: payload bytes plus a reference count."""
-
-    __slots__ = ("content", "refcount")
-
-    def __init__(self, content: bytes = ZERO_CONTENT) -> None:
-        self.content = content
-        self.refcount = 1
-
-    def share(self) -> "Frame":
-        """Add a reference (used by copy-on-write fork)."""
-        self.refcount += 1
-        return self
-
-    def release(self) -> None:
-        """Drop a reference."""
-        if self.refcount <= 0:
-            raise ValueError("frame refcount underflow")
-        self.refcount -= 1
-
-    def copy(self) -> "Frame":
-        """Return a private copy of this frame (CoW break)."""
-        return Frame(self.content)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Frame(len={len(self.content)}, refcount={self.refcount})"
-
-
-@dataclass(slots=True)
-class Page:
-    """One process's mapping of a frame, with per-PTE tracking state.
-
-    Attributes
-    ----------
-    frame:
-        Backing frame holding the payload.
-    soft_dirty:
-        The Linux soft-dirty bit: set on the first write after the bit was
-        cleared via ``/proc/<pid>/clear_refs``.
-    cow:
-        True when the frame is shared copy-on-write (after ``fork``): the
-        next write must copy the frame and pays a data-copy fault.
-    write_protected:
-        True when a userfaultfd-style write-protection is armed on the page
-        (used for the UFFD tracking ablation).
-    tlb_cold:
-        True in a freshly forked child until the page is first touched; the
-        first access pays the dTLB-miss / lazy-PTE cost the paper observes
-        for the fork baseline (§5.2.3).
-    """
-
-    frame: Frame
-    soft_dirty: bool = True
-    cow: bool = False
-    write_protected: bool = False
-    tlb_cold: bool = False
-
-    @property
-    def content(self) -> bytes:
-        """The page payload."""
-        return self.frame.content
-
-    def snapshot_content(self) -> bytes:
-        """Return the payload for storage in a snapshot (bytes are immutable)."""
-        return self.frame.content
-
-    def clone_for_fork(self) -> "Page":
-        """Return the child's page entry sharing this page's frame CoW."""
-        return Page(
-            frame=self.frame.share(),
-            soft_dirty=self.soft_dirty,
-            cow=True,
-            write_protected=self.write_protected,
-            tlb_cold=True,
-        )

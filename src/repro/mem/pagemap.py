@@ -8,17 +8,18 @@ with address-space size even when the write set is tiny (§5.2.2, Fig. 3
 right).
 
 :class:`PagemapView` exposes that interface over a simulated address space
-and reports the scan cost; the actual set of dirty pages comes from the
-address space's bookkeeping so the result is exact.
+and reports the scan cost; the dirty pages themselves come from the address
+space's soft-dirty bitmaps as a page run list, so the result is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Tuple
 
 from repro.errors import PagemapError
 from repro.mem.address_space import AddressSpace
+from repro.mem.image import Runs, count_pages, intersect_runs, page_numbers
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,17 @@ class PagemapEntry:
 
 @dataclass(frozen=True)
 class PagemapScanResult:
-    """Result of scanning a set of pages: dirty set plus accounting."""
+    """Result of scanning a set of pages: dirty runs plus accounting."""
 
-    dirty_pages: Tuple[int, ...]
+    dirty_runs: Runs
     present_pages: int
     scanned_pages: int
     cost_seconds: float
+
+    @property
+    def dirty_pages(self) -> Tuple[int, ...]:
+        """Every dirty page number, ascending."""
+        return page_numbers(self.dirty_runs)
 
 
 class PagemapView:
@@ -62,39 +68,24 @@ class PagemapView:
         """Return the pagemap entry for a single page."""
         if page_number < 0:
             raise PagemapError(f"invalid page number {page_number}")
-        resident = page_number in self._space.resident_page_numbers()
-        dirty = page_number in self._space.soft_dirty_page_numbers()
-        return PagemapEntry(page_number=page_number, present=resident, soft_dirty=dirty)
-
-    def entries(self, page_numbers: Iterable[int]) -> List[PagemapEntry]:
-        """Return entries for an explicit list of pages."""
-        resident = self._space.resident_page_numbers()
-        dirty = self._space.soft_dirty_page_numbers()
-        result = []
-        for page_number in page_numbers:
-            if page_number < 0:
-                raise PagemapError(f"invalid page number {page_number}")
-            result.append(
-                PagemapEntry(
-                    page_number=page_number,
-                    present=page_number in resident,
-                    soft_dirty=page_number in dirty,
-                )
-            )
-        return result
+        return PagemapEntry(
+            page_number=page_number,
+            present=self._space.is_resident(page_number),
+            soft_dirty=self._space.is_soft_dirty(page_number),
+        )
 
     def scan_mapped(self) -> PagemapScanResult:
         """Scan the pagemap entries of every mapped page.
 
         This is the operation Groundhog performs after each invocation: the
         cost is ``pagemap_scan_seconds`` per mapped page; the result is the
-        exact set of soft-dirty pages (restricted to mapped ranges).
+        exact set of soft-dirty pages.  The address space drops tracking
+        state when pages are unmapped, so the set lies in mapped ranges.
         """
         mapped_pages = self._space.total_mapped_pages
-        dirty = sorted(self._dirty_in_mapped_ranges())
         cost = mapped_pages * self._space.cost_model.pagemap_scan_seconds
         return PagemapScanResult(
-            dirty_pages=tuple(dirty),
+            dirty_runs=self._space.soft_dirty_runs(),
             present_pages=self._space.resident_pages,
             scanned_pages=mapped_pages,
             cost_seconds=cost,
@@ -104,30 +95,11 @@ class PagemapView:
         """Scan a specific page range (cost proportional to the range size)."""
         if num_pages < 0:
             raise PagemapError("num_pages must be non-negative")
-        end_page = start_page + num_pages
-        dirty = sorted(
-            p
-            for p in self._space.soft_dirty_page_numbers()
-            if start_page <= p < end_page
-        )
-        present = sum(
-            1
-            for p in self._space.resident_page_numbers()
-            if start_page <= p < end_page
-        )
+        window = ((start_page, start_page + num_pages),) if num_pages else ()
         cost = num_pages * self._space.cost_model.pagemap_scan_seconds
         return PagemapScanResult(
-            dirty_pages=tuple(dirty),
-            present_pages=present,
+            dirty_runs=intersect_runs(self._space.soft_dirty_runs(), window),
+            present_pages=count_pages(self._space.resident_within(window)),
             scanned_pages=num_pages,
             cost_seconds=cost,
         )
-
-    def _dirty_in_mapped_ranges(self) -> Set[int]:
-        """Dirty pages restricted to currently mapped VMAs.
-
-        The address space discards tracking state when pages are unmapped,
-        so the soft-dirty set is already confined to mapped ranges; this
-        helper exists to make that invariant explicit at the read site.
-        """
-        return self._space.soft_dirty_page_numbers()

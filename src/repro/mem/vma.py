@@ -2,9 +2,10 @@
 
 A :class:`Vma` is a contiguous, page-aligned range of the simulated address
 space with uniform protection, equivalent to one line of
-``/proc/<pid>/maps``.  The pages backing a VMA live in the owning
-:class:`~repro.mem.address_space.AddressSpace`, keyed by absolute page
-number, so splitting and merging VMAs never has to move page state around.
+``/proc/<pid>/maps``.  A :class:`Vma` is an immutable record; the owning
+:class:`~repro.mem.address_space.AddressSpace` keeps the state of its pages
+beside it (bitmaps indexed from the VMA's first page, payload runs in
+absolute page numbers) and splits that state when it splits the VMA.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class Vma:
 
     def with_bounds(self, start: int, end: int) -> "Vma":
         """Return a copy of this VMA with new bounds (same prot/kind/name)."""
-        return replace(self, start=start, end=end)
+        return Vma(start, end, self.prot, self.kind, self.name)
 
     def with_prot(self, prot: Protection) -> "Vma":
         """Return a copy of this VMA with different protection."""

@@ -15,21 +15,12 @@ restoration-time accounting in the reproduction flows through these methods
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import NoSuchProcessError
 from repro.mem.layout import MemoryLayout
 from repro.mem.pagemap import PagemapScanResult, PagemapView
 from repro.proc.process import SimProcess
-
-
-@dataclass(frozen=True)
-class TimedResult:
-    """A result value paired with the simulated time the operation took."""
-
-    value: object
-    cost_seconds: float
 
 
 class ProcFs:
@@ -98,14 +89,6 @@ class ProcFs:
         self._check_alive()
         self._process.address_space.kernel_write_page(page_number, data)
         return self._process.cost_model.page_copy_seconds
-
-    def read_mem_pages(self, page_numbers: Sequence[int]) -> Tuple[List[bytes], float]:
-        """Read several pages; cost is per page."""
-        self._check_alive()
-        space = self._process.address_space
-        contents = [space.kernel_read_page(p) for p in page_numbers]
-        cost = len(page_numbers) * self._process.cost_model.page_copy_seconds
-        return contents, cost
 
     # ------------------------------------------------------------------
     # status

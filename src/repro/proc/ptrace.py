@@ -17,7 +17,7 @@ actually did.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import PtraceError, SyscallInjectionError
 from repro.mem.page import Protection
@@ -180,10 +180,6 @@ class Ptrace:
         except Exception as exc:  # surface substrate errors with context
             raise SyscallInjectionError(f"injected {call} failed: {exc}") from exc
         return self._process.cost_model.syscall_injection_seconds
-
-    def inject_syscalls(self, calls: List[InjectedSyscall]) -> float:
-        """Execute a sequence of syscalls; returns the total cost."""
-        return sum(self.inject_syscall(call) for call in calls)
 
     # ------------------------------------------------------------------
     # Internals

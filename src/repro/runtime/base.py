@@ -178,8 +178,7 @@ class FunctionRuntime(abc.ABC):
         space.set_brk(space.brk_base + heap * PAGE_SIZE)
         heap_vma = space.find_vma(space.brk_base)
         if heap_vma is not None:
-            heap_pages = heap_vma.pages()
-            space.kernel_write_pages(heap_pages, dict.fromkeys(heap_pages, b""))
+            space.kernel_write_range(heap_vma.first_page, heap_vma.num_pages, b"")
         for index in range(arena_count):
             space.mmap(16 * PAGE_SIZE, Protection.rw(), kind=VmaKind.RUNTIME,
                        name=f"{self.runtime_name}.arena{index}", populate=True)

@@ -2,8 +2,8 @@
 
 A :class:`BenchmarkSpec` pairs a function's workload profile (the simulator's
 *input*) with the paper's published reference measurements (used only for
-reporting paper-vs-measured comparisons in EXPERIMENTS.md — never fed back
-into the simulation).
+paper-vs-measured comparisons in reports — never fed back into the
+simulation).
 """
 
 from __future__ import annotations

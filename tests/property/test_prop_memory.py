@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) for the memory substrate invariants.
 
-The write-fault path (:meth:`AddressSpace.write_range`) and the kernel-side
-write-back (:meth:`AddressSpace.kernel_write_pages`) work per VMA run.  The
-per-page functions below are the reference oracle they must equal: twin
-address spaces driven through each must agree on every page, every
-tracking bit, every handler call and every meter counter, bit for bit.
+The address space keeps page state run-length: per-VMA bitmaps and payload
+runs.  :class:`reference_space.ReferenceAddressSpace`, the per-page model it
+replaced, is the reference it must equal: twin address spaces driven through
+the same writes, kernel write-backs, ``clear_refs``, forks, unmaps, ``brk``
+moves and scans must agree on every page's contents, tracking bits and share
+count, every handler call and every meter counter, bit for bit.  The same
+holds one level up, for whole isolation mechanisms serving requests.
 """
 
 from __future__ import annotations
@@ -12,16 +14,20 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.registry import create_mechanism
 from repro.config import PAGE_SIZE
-from repro.errors import SegmentationFault
+from repro.errors import MappingError, SegmentationFault
 from repro.mem.address_space import AddressSpace
+from repro.mem.image import PageImage
 from repro.mem.layout import diff_layouts
 from repro.mem.pagemap import PagemapView
-from repro.mem.page import Frame, Page, Protection, ZERO_CONTENT
+from repro.mem.page import Protection
+from repro.proc import process as sim_process
 from repro.workloads import find_benchmark
+
+from reference_space import ReferenceAddressSpace
 
 #: A handful of mapping sizes (in pages) exercised by the strategies.
 sizes = st.integers(min_value=1, max_value=32)
@@ -142,85 +148,15 @@ class TestLayoutDiffProperties:
 
 
 # ---------------------------------------------------------------------------
-# Per-page reference oracle for the write paths
-# ---------------------------------------------------------------------------
-
-
-def _fault_on_write(space, page_number):
-    """One page's write fault, looked up and charged on its own."""
-    vma = space.vma_for_page(page_number)
-    if vma is None:
-        raise SegmentationFault(page_number * PAGE_SIZE, access="write")
-    if Protection.WRITE not in vma.prot:
-        raise SegmentationFault(page_number * PAGE_SIZE, access="write")
-    cm = space.cost_model
-    page = space._pages.get(page_number)
-    took_allocating_fault = False
-    if page is None:
-        page = Page(Frame(ZERO_CONTENT))
-        space._pages[page_number] = page
-        space.meter.charge(cm.minor_fault_seconds, minor_faults=1)
-        took_allocating_fault = True
-    else:
-        if page_number in space._tlb_cold:
-            space.meter.charge(cm.fork_first_touch_seconds, first_touch_faults=1)
-            space._tlb_cold.discard(page_number)
-        if page_number in space._cow:
-            old_frame = page.frame
-            old_frame.release()
-            page.frame = old_frame.copy()
-            space._cow.discard(page_number)
-            space.meter.charge(cm.cow_fault_seconds, cow_faults=1)
-            took_allocating_fault = True
-    if page_number in space._wp:
-        space.meter.charge(cm.uffd_fault_seconds, uffd_faults=1)
-        space._wp.discard(page_number)
-        if space._wp_handler is not None:
-            space._wp_handler(page_number)
-    if page_number not in space._soft_dirty:
-        if space._sd_tracking_armed and not took_allocating_fault:
-            space.meter.charge(cm.soft_dirty_fault_seconds, soft_dirty_faults=1)
-        space._soft_dirty.add(page_number)
-
-
-def oracle_write_range(space, start_page, count, data):
-    """``write_range`` as one fault call per page."""
-    for page_number in range(start_page, start_page + count):
-        _fault_on_write(space, page_number)
-        space._pages[page_number].frame.content = data
-    space.meter.charge(pages_written=count)
-
-
-def _kernel_write_page(space, page_number, data):
-    """One page's kernel-side write, with its own VMA lookup."""
-    vma = space.vma_for_page(page_number)
-    if vma is None:
-        raise SegmentationFault(page_number * PAGE_SIZE, access="kernel-write")
-    page = space._pages.get(page_number)
-    if page is None:
-        page = Page(Frame(data))
-        space._pages[page_number] = page
-    else:
-        if page_number in space._cow:
-            page.frame.release()
-            page.frame = Frame(data)
-            space._cow.discard(page_number)
-        page.frame.content = data
-    space._soft_dirty.add(page_number)
-
-
-def oracle_kernel_write_pages(space, ascending_pages, source):
-    """``kernel_write_pages`` as one kernel write per page."""
-    for page_number in ascending_pages:
-        _kernel_write_page(space, page_number, source[page_number])
-
-
-# ---------------------------------------------------------------------------
-# Twin address spaces
+# Twin address spaces: run-length against the per-page reference
 # ---------------------------------------------------------------------------
 
 #: First page of the first mapping the twin scenarios lay out.
 BASE_PAGE = 0x100
+#: The heap starts inside the mapping area, so ``brk`` can run into a mapping.
+BRK_BASE_PAGE = BASE_PAGE + 48
+#: Every page the twin scenarios can touch.
+TWIN_PAGES = range(BASE_PAGE - 2, BASE_PAGE + 80)
 
 
 @st.composite
@@ -230,7 +166,8 @@ def twin_scenarios(draw):
     read_only = draw(st.integers(min_value=0, max_value=count - 1))
     regions = [
         (
-            draw(st.integers(min_value=1, max_value=6)),  # pages
+            # Up to 16 pages, so one write can take a long run of faults.
+            draw(st.integers(min_value=1, max_value=16)),  # pages
             draw(st.integers(min_value=0, max_value=2)),  # gap before, in pages
             index == read_only,
             draw(st.booleans()),  # populated
@@ -246,9 +183,9 @@ def twin_scenarios(draw):
     }
 
 
-def _build_twin(scenario):
+def _build_twin(space_class, scenario):
     """Build one side of a twin: the spaces and the handler-call log."""
-    space = AddressSpace()
+    space = space_class(brk_base=BRK_BASE_PAGE * PAGE_SIZE)
     page = BASE_PAGE
     for pages, gap, read_only, populate in scenario["regions"]:
         page += gap
@@ -267,18 +204,19 @@ def _build_twin(scenario):
     return spaces, calls
 
 
+def _twins(scenario):
+    return _build_twin(AddressSpace, scenario), _build_twin(ReferenceAddressSpace, scenario)
+
+
 def _state(spaces, calls):
-    """Everything a write can change, per space."""
+    """Everything an operation can change, per space, through public accessors."""
     return [
         {
-            "pages": {
-                number: (page.frame.content, page.frame.refcount)
-                for number, page in sorted(space._pages.items())
-            },
-            "soft_dirty": set(space._soft_dirty),
-            "cow": set(space._cow),
-            "wp": set(space._wp),
-            "tlb_cold": set(space._tlb_cold),
+            "pages": [space.page_state(number) for number in TWIN_PAGES],
+            "layout": space.layout(),
+            "image": space.capture(),
+            "soft_dirty": space.soft_dirty_runs(),
+            "resident": space.resident_pages,
             "meter": space.meter.counters,
         }
         for space in spaces
@@ -286,55 +224,107 @@ def _state(spaces, calls):
 
 
 def _apply(action):
-    """Run ``action``; return the fault it raised as comparable data."""
+    """Run ``action``; return its result or the error it raised, as comparable data."""
     try:
-        action()
+        return ("ok", action())
     except SegmentationFault as fault:
-        return (fault.address, fault.access)
-    return None
+        return ("segv", fault.address, fault.access)
+    except MappingError as error:
+        return ("mapping", str(error))
+
+
+def _operate(space, kind, first, count, data):
+    """One operation on one space; kinds mirror what runtimes and restores do."""
+    if kind == "range":
+        return space.write_range(first, count, data)
+    if kind == "page":
+        return space.write_page(first, data)
+    if kind == "write":
+        return space.write(first * PAGE_SIZE + abs(count), data)
+    if kind == "clear":
+        return space.clear_soft_dirty()
+    if kind == "read":
+        return space.read_page(first)
+    if kind == "touch":
+        return space.touch_read_range(first, count)
+    if kind == "kernel":
+        return space.kernel_write_range(first, count, data)
+    if kind == "munmap":
+        return space.munmap(first * PAGE_SIZE, max(count, 1) * PAGE_SIZE)
+    if kind == "madvise":
+        return space.madvise_dontneed(first * PAGE_SIZE, max(count, 1) * PAGE_SIZE)
+    if kind == "mprotect":
+        prot = Protection.r() if count % 2 else Protection.rw()
+        return space.mprotect(first * PAGE_SIZE, max(count, 1) * PAGE_SIZE, prot)
+    if kind == "brk":
+        return space.set_brk((BRK_BASE_PAGE + abs(count)) * PAGE_SIZE)
+    if kind == "scan":
+        return PagemapView(space).scan_mapped()
+    raise AssertionError(kind)
 
 
 write_ops = st.tuples(
-    st.integers(min_value=0, max_value=1),  # side (parent / child)
-    st.sampled_from(["range", "page", "write", "clear"]),
-    st.integers(min_value=-2, max_value=30),  # start, pages past BASE_PAGE
-    st.integers(min_value=0, max_value=12),  # count
+    st.integers(min_value=0, max_value=3),  # side (parent / children)
+    st.sampled_from(
+        ["range", "range", "page", "write", "clear", "read", "touch", "kernel",
+         "munmap", "madvise", "mprotect", "brk", "scan", "fork"]
+    ),
+    st.integers(min_value=-2, max_value=60),  # start, pages past BASE_PAGE
+    st.integers(min_value=-3, max_value=24),  # count
 )
 
 
+#: Always-run twin scenarios: a 12-page run of allocating faults (long
+#: enough for repeated float adds to differ from one multiplication), an
+#: unmap that splits a populated VMA, and a forked child breaking CoW.
+PINNED_SCENARIO = {
+    "regions": [(12, 0, False, True), (12, 1, False, False)],
+    "armed": True,
+    "forked": True,
+    "protect": None,
+}
+PINNED_OPS = [
+    (0, "range", 13, 12),
+    (0, "munmap", 6, 3),
+    (1, "range", 0, 8),
+    (0, "range", 2, 6),
+]
+
+
 class TestRangePathsMatchPerPageOracle:
-    @given(twin_scenarios(), st.lists(write_ops, min_size=1, max_size=12))
-    @settings(max_examples=120, deadline=None)
+    @given(twin_scenarios(), st.lists(write_ops, min_size=1, max_size=14))
+    @example(PINNED_SCENARIO, PINNED_OPS)
+    @settings(max_examples=150, deadline=None)
     def test_write_range_equals_per_page_faults(self, scenario, ops):
-        shipped, shipped_calls = _build_twin(scenario)
-        oracle, oracle_calls = _build_twin(scenario)
+        (shipped, shipped_calls), (reference, reference_calls) = _twins(scenario)
         for index, (side, kind, offset, count) in enumerate(ops):
             side = min(side, len(shipped) - 1)
-            first = BASE_PAGE + offset
-            data = f"op{index}".encode()
-            a, b = shipped[side], oracle[side]
-            if kind == "range":
-                got = _apply(lambda: a.write_range(first, count, data))
-                want = _apply(lambda: oracle_write_range(b, first, count, data))
-            elif kind == "page":
-                got = _apply(lambda: a.write_page(first, data))
-                want = _apply(lambda: oracle_write_range(b, first, 1, data))
-            elif kind == "write":
-                address = first * PAGE_SIZE + count
-                got = _apply(lambda: a.write(address, data))
-                want = _apply(lambda: oracle_write_range(b, address // PAGE_SIZE, 1, data))
+            if kind == "fork":
+                if len(shipped) < 4:
+                    shipped.append(shipped[side].fork())
+                    reference.append(reference[side].fork())
             else:
-                got, want = a.clear_soft_dirty(), b.clear_soft_dirty()
-            assert got == want
-            assert _state(shipped, shipped_calls) == _state(oracle, oracle_calls)
+                first = BASE_PAGE + offset
+                data = f"op{index}".encode() if index % 5 else b""
+                got = _apply(lambda: _operate(shipped[side], kind, first, count, data))
+                want = _apply(lambda: _operate(reference[side], kind, first, count, data))
+                assert got == want
+            assert _state(shipped, shipped_calls) == _state(reference, reference_calls)
 
     @given(
         twin_scenarios(),
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=1),
-                st.lists(st.integers(min_value=-2, max_value=30), max_size=10, unique=True),
-                st.booleans(),  # ascending
+                # (start past BASE_PAGE, pages) runs, in any order.
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=-2, max_value=60),
+                        st.integers(min_value=0, max_value=12),
+                    ),
+                    max_size=4,
+                ),
+                st.booleans(),  # write the image back (or drop the pages)
             ),
             min_size=1,
             max_size=8,
@@ -342,59 +332,103 @@ class TestRangePathsMatchPerPageOracle:
     )
     @settings(max_examples=120, deadline=None)
     def test_kernel_write_pages_equals_per_page_writes(self, scenario, ops):
-        shipped, shipped_calls = _build_twin(scenario)
-        oracle, oracle_calls = _build_twin(scenario)
-        for index, (side, offsets, ascending) in enumerate(ops):
+        (shipped, shipped_calls), (reference, reference_calls) = _twins(scenario)
+        for index, (side, spans, write_back) in enumerate(ops):
             side = min(side, len(shipped) - 1)
-            numbers = [BASE_PAGE + offset for offset in offsets]
-            if ascending:
-                numbers.sort()
-            source = {number: f"k{index}:{number}".encode() for number in numbers}
-            got = _apply(lambda: shipped[side].kernel_write_pages(numbers, source))
-            want = _apply(lambda: oracle_kernel_write_pages(oracle[side], numbers, source))
+            runs = [(BASE_PAGE + start, BASE_PAGE + start + length) for start, length in spans]
+            # An image whose payloads change every few pages, with holes.
+            image = PageImage(
+                [
+                    (page, page + 1, f"k{index}:{page // 3}".encode() if page % 4 else b"")
+                    for page in range(BASE_PAGE - 2, BASE_PAGE + 66)
+                    if page % 7
+                ]
+            )
+            if write_back:
+                got = _apply(lambda: shipped[side].kernel_write_image(image, runs))
+                want = _apply(lambda: reference[side].kernel_write_image(image, runs))
+            else:
+                got = _apply(lambda: shipped[side].kernel_drop_runs(sorted(runs)))
+                want = _apply(lambda: reference[side].kernel_drop_runs(sorted(runs)))
             assert got == want
-            assert _state(shipped, shipped_calls) == _state(oracle, oracle_calls)
+            assert _state(shipped, shipped_calls) == _state(reference, reference_calls)
 
 
 # ---------------------------------------------------------------------------
-# Mechanism level: the paper's functions under Groundhog
+# Mechanism level: the paper's functions under each isolation mechanism
 # ---------------------------------------------------------------------------
 
 #: The Python functions the ``gh-tenants`` benchmark workload deploys.
 GH_TENANTS_FUNCTIONS = ("md2html", "json", "get-time", "version", "deltablue", "float")
 
 
-def _serve(name, requests=3):
-    """Boot ``name`` under ``gh`` with verified restores; serve a few requests."""
+def _serve(name, mechanism_name="gh", requests=3, **options):
+    """Boot ``name`` under a mechanism; serve a few requests; report everything."""
     profile = find_benchmark(name, "p").profile
-    mechanism = create_mechanism("gh", profile, rng=random.Random(7), verify_restores=True)
-    mechanism.initialize()
-    reports = []
+    mechanism = create_mechanism(mechanism_name, profile, rng=random.Random(7), **options)
+    served = {"init": mechanism.initialize(), "requests": [], "restores": []}
     for index in range(requests):
         report = mechanism.invoke(f"payload-{index}".encode() * 4, f"req-{index}")
         result, restore = report.result, report.restore
-        reports.append(
+        served["requests"].append(
             (
                 result.fault_seconds,
                 result.faults,
                 result.pages_written,
-                restore.total_seconds,
-                restore.breakdown,
-                restore.pages_restored,
-                restore.dirty_pages,
-                restore.pages_dropped,
-                restore.verified,
+                result.residual,
+                report.critical_seconds,
+                report.post_seconds,
+                report.post_skipped,
             )
         )
-    return reports
+        if restore is not None:
+            served["restores"].append(
+                (
+                    restore.total_seconds,
+                    restore.breakdown,
+                    restore.pages_scanned,
+                    restore.pages_restored,
+                    restore.dirty_pages,
+                    restore.pages_dropped,
+                    restore.syscalls,
+                    restore.verified,
+                )
+            )
+    space = mechanism.process.address_space
+    served["pages"] = [space.page_state(page) for vma in space.vmas for page in vma.pages()]
+    served["meter"] = space.meter.counters
+    return served
+
+
+def _serve_twins(monkeypatch, *args, **options):
+    shipped = _serve(*args, **options)
+    monkeypatch.setattr(sim_process, "AddressSpace", ReferenceAddressSpace)
+    reference = _serve(*args, **options)
+    return shipped, reference
 
 
 class TestMechanismTwin:
     @pytest.mark.parametrize("name", GH_TENANTS_FUNCTIONS)
     def test_gh_requests_match_per_page_oracle(self, name, monkeypatch):
-        shipped = _serve(name)
-        monkeypatch.setattr(AddressSpace, "write_range", oracle_write_range)
-        monkeypatch.setattr(AddressSpace, "kernel_write_pages", oracle_kernel_write_pages)
-        oracle = _serve(name)
-        assert shipped == oracle
-        assert all(report[-1] for report in shipped)
+        shipped, reference = _serve_twins(monkeypatch, name, verify_restores=True)
+        assert shipped == reference
+        assert len(shipped["restores"]) == 3
+        assert all(restore[-1] for restore in shipped["restores"])
+
+    @pytest.mark.parametrize(
+        "mechanism, options",
+        [
+            # Not verified: the userfaultfd tracker is first armed by the
+            # first restore, so that restore misses the first request's writes.
+            ("gh", {"tracker": "uffd"}),
+            ("gh-nop", {}),
+            ("fork", {}),
+            ("criu", {}),
+            ("faasm", {}),
+        ],
+    )
+    def test_mechanism_matches_per_page_reference(self, mechanism, options, monkeypatch):
+        shipped, reference = _serve_twins(
+            monkeypatch, "version", mechanism, requests=4, **options
+        )
+        assert shipped == reference

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError, SegmentationFault
-from repro.mem.address_space import AddressSpace
+from repro.mem.address_space import AddressSpace, MeterSnapshot
 from repro.mem.page import Protection
 from repro.mem.vma import VmaKind
 from repro.sim.costs import CostModel
@@ -44,7 +44,7 @@ class TestMapping:
     def test_mmap_populate_makes_pages_resident(self, space):
         vma = space.mmap(4 * PAGE_SIZE, populate=True)
         assert space.resident_pages == 4
-        assert all(space.page(p) is not None for p in vma.pages())
+        assert all(space.is_resident(p) for p in vma.pages())
 
     def test_munmap_removes_pages_and_mapping(self, space):
         vma = space.mmap(4 * PAGE_SIZE, populate=True)
@@ -95,7 +95,7 @@ class TestBrk:
         space.set_brk(space.brk_base + 4 * PAGE_SIZE)
         space.write_page(space.brk_base // PAGE_SIZE + 3, b"top")
         space.set_brk(space.brk_base + PAGE_SIZE)
-        assert space.page(space.brk_base // PAGE_SIZE + 3) is None
+        assert not space.is_resident(space.brk_base // PAGE_SIZE + 3)
 
     def test_brk_below_base_rejected(self, space):
         with pytest.raises(MappingError):
@@ -109,6 +109,17 @@ class TestBrk:
         space.set_brk(space.brk_base + 2 * PAGE_SIZE)
         space.set_brk(space.brk_base)
         assert space.find_vma(space.brk_base) is None
+
+    def test_brk_into_a_mapping_rejected(self, space):
+        anon = space.mmap(4 * PAGE_SIZE, address=space.brk_base + 8 * PAGE_SIZE)
+        with pytest.raises(MappingError):
+            space.set_brk(space.brk_base + 16 * PAGE_SIZE)
+        assert space.brk == space.brk_base
+        assert space.vmas == (anon,)
+        space.set_brk(space.brk_base + 8 * PAGE_SIZE)
+        with pytest.raises(MappingError):
+            space.sbrk(PAGE_SIZE)
+        assert space.total_mapped_pages == 12
 
 
 class TestAccessAndFaults:
@@ -154,6 +165,14 @@ class TestAccessAndFaults:
         space.write_page(vma.first_page + 2, b"y")
         assert space.soft_dirty_page_numbers() == {vma.first_page, vma.first_page + 2}
 
+    def test_write_range_rejects_negative_count(self, space):
+        vma = space.mmap(4 * PAGE_SIZE)
+        with pytest.raises(MappingError):
+            space.write_range(vma.first_page, -3, b"x")
+        space.write_range(vma.first_page, 0, b"x")
+        assert space.meter.counters == MeterSnapshot()
+        assert space.resident_pages == 0
+
     def test_write_range_dirties_every_page(self, space):
         vma = space.mmap(10 * PAGE_SIZE)
         space.write_range(vma.first_page, 10, b"bulk")
@@ -168,6 +187,14 @@ class TestAccessAndFaults:
         vma = space.mmap(8 * PAGE_SIZE, populate=True)
         space.touch_read_range(vma.first_page, 8)
         assert space.meter.counters.pages_read == 8
+
+    def test_fault_costs_are_added_one_fault_at_a_time(self, space):
+        vma = space.mmap(64 * PAGE_SIZE)
+        space.write_range(vma.first_page, 64, b"x")
+        expected = 0.0
+        for _ in range(64):
+            expected += space.cost_model.minor_fault_seconds
+        assert space.meter.counters.cost_seconds == expected
 
     def test_meter_checkpoint_delta(self, space):
         vma = space.mmap(4 * PAGE_SIZE)
@@ -196,8 +223,8 @@ class TestKernelSideAccess:
 
     def test_kernel_drop_page_removes_residency(self, space):
         vma = space.mmap(PAGE_SIZE, populate=True)
-        space.kernel_drop_page(vma.first_page)
-        assert space.page(vma.first_page) is None
+        assert space.kernel_drop_runs(((vma.first_page, vma.first_page + 1),)) == 1
+        assert not space.is_resident(vma.first_page)
 
 
 class TestFork:
@@ -229,6 +256,21 @@ class TestFork:
         child = space.fork()
         child.touch_read_range(vma.first_page, 4)
         assert child.meter.counters.first_touch_faults == 4
+
+    def test_fork_share_counts_follow_copy_on_write(self, space):
+        vma = space.mmap(2 * PAGE_SIZE, populate=True)
+        page = vma.first_page
+        assert space.page_state(page).shares == 1
+        first = space.fork()
+        second = space.fork()
+        assert [s.page_state(page).shares for s in (space, first, second)] == [3, 3, 3]
+        first.write_page(page, b"private")
+        assert first.page_state(page).shares == 1
+        assert space.page_state(page).shares == second.page_state(page).shares == 2
+        assert space.page_state(page + 1).shares == 3
+        space.munmap(vma.start, vma.length)
+        assert second.page_state(page).shares == 1
+        assert second.page_state(page).cow
 
     def test_fork_preserves_layout(self, space):
         space.mmap(2 * PAGE_SIZE)

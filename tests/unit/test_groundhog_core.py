@@ -11,8 +11,9 @@ from repro.errors import IsolationError, RestoreError, SnapshotError
 from repro.core.manager import GroundhogManager, ManagerState
 from repro.core.restore import RestoreBreakdown, Restorer
 from repro.core.snapshot import Snapshotter
-from repro.core.syscalls import build_restore_plan, madvise_calls_for_pages, summarize_plan
+from repro.core.syscalls import build_restore_plan, madvise_calls_for_runs, summarize_plan
 from repro.core.tracking import SoftDirtyTracker, UffdWriteTracker
+from repro.mem.image import runs_of_pages
 from repro.mem.layout import MemoryLayout, VmaRecord, diff_layouts
 from repro.mem.page import Protection
 from repro.mem.vma import VmaKind
@@ -182,13 +183,13 @@ class TestSyscallPlans:
         assert build_restore_plan(diff_layouts(layout, layout)) == []
 
     def test_madvise_calls_coalesce_contiguous_runs(self):
-        calls = madvise_calls_for_pages([10, 11, 12, 20, 30, 31])
+        calls = madvise_calls_for_runs(runs_of_pages([31, 10, 11, 12, 20, 30]))
         assert len(calls) == 3
         first = calls[0]
         assert first.args == (10 * PAGE_SIZE, 3 * PAGE_SIZE)
 
     def test_madvise_calls_empty_input(self):
-        assert madvise_calls_for_pages([]) == []
+        assert madvise_calls_for_runs(runs_of_pages([])) == []
 
 
 class TestRestorer:

@@ -10,6 +10,7 @@ from repro.baselines.registry import MECHANISMS, create_mechanism, mechanism_cla
 from repro.core.policy import GroundhogMechanism, GroundhogNopMechanism
 from repro.errors import IsolationError
 from repro.runtime.profiles import Language
+from repro.workloads import find_benchmark, microbenchmark_profile
 
 
 ISOLATING = ("gh", "fork", "faasm", "cold", "criu")
@@ -237,3 +238,26 @@ class TestCostShape:
             base_report = base.invoke(b"x", f"b{index}", caller=f"c{index}")
             gh_report = gh.invoke(b"x", f"g{index}", caller=f"c{index}")
         assert base_report.result.compute_seconds > gh_report.result.compute_seconds
+
+
+class TestPageStateStaysFlat:
+    """Run-length page state must not fragment as a container serves requests."""
+
+    @pytest.mark.parametrize(
+        "name, profile",
+        [
+            ("gh", lambda: find_benchmark("md2html", "p").profile),
+            ("base", lambda: microbenchmark_profile(16, 2)),
+        ],
+    )
+    def test_content_runs_do_not_grow_with_requests(self, name, profile):
+        mechanism = _mechanism(name, profile())
+        mechanism.initialize()
+        space = mechanism.process.address_space
+        for index in range(200):
+            mechanism.invoke(f"payload-{index}".encode(), f"req-{index}")
+            if index == 1:
+                after_two = space.content_runs_per_vma()
+        after_many = space.content_runs_per_vma()
+        assert after_many.keys() == after_two.keys()
+        assert all(after_many[start] <= after_two[start] for start in after_two)

@@ -1,4 +1,4 @@
-"""Tests for pages, VMAs, the pagemap view and layout diffing."""
+"""Tests for protections, VMAs, the pagemap view and layout diffing."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from repro.config import PAGE_SIZE
 from repro.errors import MappingError, PagemapError
 from repro.mem.address_space import AddressSpace
 from repro.mem.layout import MemoryLayout, VmaRecord, diff_layouts
-from repro.mem.page import Frame, Page, Protection
+from repro.mem.page import Protection
 from repro.mem.pagemap import PagemapView
 from repro.mem.vma import Vma, VmaKind
 
@@ -19,35 +19,6 @@ class TestProtection:
         assert Protection.rx().describe() == "r-x"
         assert Protection.r().describe() == "r--"
         assert Protection.NONE.describe() == "---"
-
-
-class TestFrameAndPage:
-    def test_frame_refcounting(self):
-        frame = Frame(b"x")
-        frame.share()
-        assert frame.refcount == 2
-        frame.release()
-        assert frame.refcount == 1
-
-    def test_frame_release_underflow(self):
-        frame = Frame()
-        frame.release()
-        with pytest.raises(ValueError):
-            frame.release()
-
-    def test_frame_copy_is_independent(self):
-        frame = Frame(b"orig")
-        copy = frame.copy()
-        copy.content = b"new"
-        assert frame.content == b"orig"
-
-    def test_page_clone_for_fork_shares_frame(self):
-        page = Page(Frame(b"data"))
-        clone = page.clone_for_fork()
-        assert clone.frame is page.frame
-        assert clone.cow is True
-        assert clone.tlb_cold is True
-        assert page.frame.refcount == 2
 
 
 class TestVma:
