@@ -2558,25 +2558,19 @@ def run_tracing_overhead(
 
 
 # ---------------------------------------------------------------------------
-# Cluster-scale routing baseline: indexed vs scan
+# Cluster-scale routing baseline
 # ---------------------------------------------------------------------------
 
 #: The tracked cluster-scale sweep: (invokers, actions) points.  The
-#: first point doubles as the CI quick shape; the 32×256 point is the
-#: acceptance gate for the indexed-routing speedup.
+#: first point doubles as the CI quick shape.
 CLUSTER_SCALE_POINTS: Tuple[Tuple[int, int], ...] = (
     (16, 128),
     (32, 256),
     (64, 256),
 )
 
-#: The two routing implementations the baseline compares.  They make
-#: bit-identical decisions; only the per-request cost differs.
-CLUSTER_SCALE_ROUTINGS: Tuple[str, ...] = ("scan", "indexed")
-
 
 def cluster_scale_config(
-    routing: str,
     *,
     cores: int = 4,
     invokers: int = 32,
@@ -2586,26 +2580,16 @@ def cluster_scale_config(
 
     Unlike :func:`perf_trace_config` (which isolates metrics bookkeeping
     under behaviour-free hash routing), this shape exercises the routing
-    hot path itself: the warm-aware policy scores every invoker per
-    request and work stealing rebalances after every submit — the code
-    whose per-request cost the :class:`~repro.faas.index.ClusterIndex`
-    turns from O(invokers × actions) scans into O(log N) index queries.
-    ``routing="scan"`` disables the index (the pre-index implementations,
-    kept as the comparator and correctness oracle); ``routing="indexed"``
-    enables it.  Both run bit-identical simulations: same routing
-    choices, same steals, same cold starts, same timestamps.
+    hot path itself: the warm-aware policy picks an invoker per request
+    and work stealing rebalances after every submit, both through the
+    :class:`~repro.faas.index.ClusterIndex`.
     """
-    if routing not in CLUSTER_SCALE_ROUTINGS:
-        raise PlatformError(
-            f"unknown routing {routing!r}; choose one of {CLUSTER_SCALE_ROUTINGS}"
-        )
     return SimulationConfig(
         cores=cores,
         invokers=invokers,
         containers_per_action=1,
         scheduler_policy="warm-aware",
         work_stealing=True,
-        cluster_index=(routing == "indexed"),
         max_containers_per_action=cores,
         keep_alive_seconds=600.0,
         control_plane=False,
@@ -2616,7 +2600,6 @@ def cluster_scale_config(
 
 
 def _cluster_scale_run(
-    routing: str,
     *,
     invokers: int,
     actions: int,
@@ -2626,13 +2609,12 @@ def _cluster_scale_run(
     load_factor: float = 0.85,
     cycles: int = 3,
 ) -> Dict[str, object]:
-    """Replay one cluster-scale diurnal trace under one routing mode.
+    """Replay one cluster-scale diurnal trace.
 
     The trace runs the cluster at ``load_factor`` of estimated capacity
     with diurnal swings and correlated bursts, so peaks genuinely
-    saturate invokers and the work-stealing paths fire (steal counts are
-    part of the cross-checked behaviour).  Wall-clock covers the replay
-    only, as in :func:`_perf_trace_run`.
+    saturate invokers and the work-stealing paths fire.  Wall-clock
+    covers the replay only, as in :func:`_perf_trace_run`.
     """
     profile = microbenchmark_profile(16, 2)
     offered = (
@@ -2641,7 +2623,7 @@ def _cluster_scale_run(
     )
     duration = 1.1 * invocations / offered
     platform = FaaSCluster(
-        cluster_scale_config(routing, cores=cores, invokers=invokers, seed=seed)
+        cluster_scale_config(cores=cores, invokers=invokers, seed=seed)
     )
     deployed = _deploy_action_copies(
         platform,
@@ -2680,7 +2662,6 @@ def _cluster_scale_run(
         # from-scratch recompute at the end of every tracked run.
         scheduler.index.verify()
     return {
-        "routing": routing,
         "invokers": invokers,
         "actions": actions,
         "seed": seed,
@@ -2698,13 +2679,10 @@ def _cluster_scale_run(
     }
 
 
-def _cluster_scale_worker(
-    job: Tuple[str, int, int, int, int]
-) -> Dict[str, object]:
-    """Child-process entry: one routing mode of one sweep point."""
-    routing, invokers, actions, invocations, seed = job
+def _cluster_scale_worker(job: Tuple[int, int, int, int]) -> Dict[str, object]:
+    """Child-process entry: one sweep point."""
+    invokers, actions, invocations, seed = job
     summary = _cluster_scale_run(
-        routing,
         invokers=invokers,
         actions=actions,
         invocations=invocations,
@@ -2721,20 +2699,17 @@ def run_cluster_scale(
     processes: int = 1,
     points: Sequence[Tuple[int, int]] = CLUSTER_SCALE_POINTS,
 ) -> Dict[str, object]:
-    """The tracked cluster-scale routing baseline: indexed vs scan.
+    """The tracked cluster-scale routing baseline.
 
-    For each ``(invokers, actions)`` sweep point, replays the identical
-    warm-aware + work-stealing diurnal trace once per routing
-    implementation, each in its own spawn-started child process (as in
-    :func:`run_perf_trace`).  Cross-checks that the two implementations
-    simulated the *same cluster doing the same work* — equal goodput,
-    cold starts, steal counts, and per-invoker routing — and reports the
-    indexed-over-scan throughput speedup per point.
+    For each ``(invokers, actions)`` sweep point, replays the same
+    warm-aware + work-stealing diurnal trace in its own spawn-started
+    child process (as in :func:`run_perf_trace`) and reports its
+    throughput, steals, cold starts and goodput, keyed
+    ``"<invokers>x<actions>"``.
     """
     jobs = [
-        (routing, int(invokers), int(actions), int(invocations), int(seed))
+        (int(invokers), int(actions), int(invocations), int(seed))
         for invokers, actions in points
-        for routing in CLUSTER_SCALE_ROUTINGS
     ]
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:
@@ -2742,39 +2717,14 @@ def run_cluster_scale(
             summaries = pool.map(_cluster_scale_worker, jobs)
         else:
             summaries = [pool.apply(_cluster_scale_worker, (job,)) for job in jobs]
-    by_point: Dict[str, Dict[str, object]] = {}
-    for summary in summaries:
-        key = f"{summary['invokers']}x{summary['actions']}"
-        by_point.setdefault(key, {
-            "invokers": summary["invokers"],
-            "actions": summary["actions"],
-            "routing": {},
-        })["routing"][summary["routing"]] = summary
-    for key, point in by_point.items():
-        modes = point["routing"]
-        if set(modes) >= {"scan", "indexed"}:
-            scan, indexed = modes["scan"], modes["indexed"]
-            point["speedup_indexed_vs_scan"] = (
-                scan["wall_seconds"] / indexed["wall_seconds"]
-                if indexed["wall_seconds"] > 0
-                else None
-            )
-            point["equal_goodput"] = (
-                scan["goodput_fraction"] == indexed["goodput_fraction"]
-            )
-            point["equal_cold_starts"] = (
-                scan["cold_starts"] == indexed["cold_starts"]
-            )
-            point["equal_steals"] = scan["steals"] == indexed["steals"]
-            point["equal_routing"] = (
-                scan["routed_per_invoker"] == indexed["routed_per_invoker"]
-            )
-            point["equal_p99"] = scan["p99_ms"] == indexed["p99_ms"]
     return {
         "benchmark": "cluster-scale",
         "invocations_requested": int(invocations),
         "seed": int(seed),
-        "points": by_point,
+        "points": {
+            f"{summary['invokers']}x{summary['actions']}": summary
+            for summary in summaries
+        },
     }
 
 

@@ -23,11 +23,6 @@ def relative_overhead_percent(value: float, baseline: float) -> float:
     return (value / baseline - 1.0) * 100.0
 
 
-def relative_change_percent(value: float, baseline: float) -> float:
-    """Signed change of ``value`` vs ``baseline`` in percent (alias helper)."""
-    return relative_overhead_percent(value, baseline)
-
-
 @dataclass(frozen=True)
 class OverheadSummary:
     """Distribution of relative overheads across a benchmark population."""

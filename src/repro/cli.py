@@ -507,7 +507,7 @@ def _run_perf_trace_metrics(args: argparse.Namespace) -> dict:
 
 
 def _run_perf_trace_cluster_scale(args: argparse.Namespace) -> dict:
-    """The cluster-scale shape of ``perf-trace``: indexed vs scan routing."""
+    """The cluster-scale shape of ``perf-trace``: one row per sweep point."""
     invocations = (
         CLUSTER_SCALE_QUICK_INVOCATIONS if args.quick else args.cluster_invocations
     )
@@ -519,40 +519,28 @@ def _run_perf_trace_cluster_scale(args: argparse.Namespace) -> dict:
         points=points,
     )
     report["quick"] = bool(args.quick)
-    rows = []
-    for key, point in report["points"].items():
-        for summary in point["routing"].values():
-            rows.append([
-                key,
-                summary["routing"],
-                str(summary["arrivals"]),
-                f"{summary['wall_seconds']:.1f}",
-                f"{summary['invocations_per_second']:.0f}",
-                f"{summary['max_rss_mb']:.0f}",
-                str(summary["steals"]),
-                str(summary["cold_starts"]),
-                f"{summary['goodput_fraction'] * 100:.2f}%",
-            ])
+    rows = [
+        [
+            key,
+            str(summary["arrivals"]),
+            f"{summary['wall_seconds']:.1f}",
+            f"{summary['invocations_per_second']:.0f}",
+            f"{summary['max_rss_mb']:.0f}",
+            str(summary["steals"]),
+            str(summary["cold_starts"]),
+            f"{summary['goodput_fraction'] * 100:.2f}%",
+        ]
+        for key, summary in report["points"].items()
+    ]
     print(render_table(
-        ["invokers x actions", "routing", "arrivals", "wall (s)", "arrivals/s",
+        ["invokers x actions", "arrivals", "wall (s)", "arrivals/s",
          "peak RSS (MB)", "steals", "cold starts", "goodput"],
         rows,
         title=(
             f"cluster-scale — {invocations:,} requested arrivals per point, "
-            "warm-aware routing + work stealing (each run in its own process)"
+            "warm-aware routing + work stealing (each point in its own process)"
         ),
     ))
-    for key, point in report["points"].items():
-        if "speedup_indexed_vs_scan" in point:
-            identical = all(
-                point[flag]
-                for flag in ("equal_goodput", "equal_cold_starts",
-                             "equal_steals", "equal_routing", "equal_p99")
-            )
-            print(
-                f"{key}: indexed routing {point['speedup_indexed_vs_scan']:.2f}x "
-                f"faster than scan (behaviour identical={identical})"
-            )
     return report
 
 
@@ -984,8 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf_parser = subparsers.add_parser(
         "perf-trace",
         help="replay the tracked perf traces (exact-vs-sketch metrics, "
-             "indexed-vs-scan cluster-scale routing) and persist the "
-             "perf baseline",
+             "cluster-scale routing) and persist the perf baseline",
     )
     perf_parser.add_argument("--shape", choices=PERF_TRACE_SHAPES,
                              default="metrics",
@@ -999,8 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: 1,000,000)")
     perf_parser.add_argument("--cluster-invocations", type=int, default=30_000,
                              help="arrivals per cluster-scale sweep point "
-                                  "(default: 30,000; the scan comparator "
-                                  "replays every point too)")
+                                  "(default: 30,000)")
     perf_parser.add_argument("--warmth-invocations", type=int, default=150_000,
                              help="arrivals in the warmth-spectrum trace "
                                   "(default: 150,000; the spectrum-off "

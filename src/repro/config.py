@@ -140,15 +140,6 @@ class SimulationConfig:
     #: instead of letting them back up (see
     #: :class:`~repro.faas.scheduler.Scheduler`).
     work_stealing: bool = False
-    #: Incrementally-maintained cluster-state indices (see
-    #: :class:`~repro.faas.index.ClusterIndex`): invokers push O(1)
-    #: load/warmth/queue-depth deltas at state-transition points and the
-    #: load-based policies and work-stealing rebalance query the index
-    #: instead of scanning every invoker per request.  Routing and steal
-    #: decisions are bit-identical either way — disabling only restores
-    #: the O(invokers × actions) per-request scans (the pre-index
-    #: behaviour, kept as the perf comparator and correctness oracle).
-    cluster_index: bool = True
     #: How each invoker orders its per-action waiting queues: ``"fifo"``
     #: (arrival order, the seed behaviour) or ``"wfq"`` (deficit-round-robin
     #: fairness across tenants; see :mod:`repro.faas.admission`).
@@ -380,10 +371,6 @@ class SimulationConfig:
     def with_policy(self, scheduler_policy: str) -> "SimulationConfig":
         """Return a copy with a different scheduling policy."""
         return replace(self, scheduler_policy=scheduler_policy)
-
-    def with_tracing(self, tracing: str) -> "SimulationConfig":
-        """Return a copy with a different flight-recorder mode."""
-        return replace(self, tracing=tracing)
 
 
 #: Configuration matching the paper's latency experiments: a 4-core VM with a

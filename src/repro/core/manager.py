@@ -73,7 +73,7 @@ class GroundhogManager:
         self._procfs = ProcFs(self.process)
         self._ptrace = Ptrace(self.process)
         self._tracker = tracker if tracker is not None else SoftDirtyTracker(self._procfs)
-        self._snapshotter = Snapshotter(self._ptrace, self._procfs)
+        self._snapshotter = Snapshotter(self._ptrace, self._procfs, self._tracker)
         self._restorer = Restorer(self._ptrace, self._procfs, self._tracker)
         self._snapshot: Optional[ProcessSnapshot] = None
         self._snapshot_stats: Optional[SnapshotStats] = None

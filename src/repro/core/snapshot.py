@@ -11,17 +11,19 @@ process and records everything needed to put it back into exactly this state:
   (runs of pages sharing one payload, so a long stretch of identical pages
   costs one entry),
 
-and finally resets the soft-dirty bits so that tracking starts from a clean
-slate, then resumes the process.  The snapshot is taken **before** any
-client request reaches the function, so it is guaranteed to be free of
-client secrets.
+and finally arms the write-set tracker (for soft-dirty bits, a
+``clear_refs`` write) so that tracking starts from a clean slate and the
+first request's writes are restored like every later request's, then
+resumes the process.  The snapshot is taken **before** any client request
+reaches the function, so it is guaranteed to be free of client secrets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping, Optional, Tuple
 
+from repro.core.tracking import SoftDirtyTracker, WriteSetTracker
 from repro.errors import SnapshotError
 from repro.mem.image import PageImage
 from repro.mem.layout import MemoryLayout
@@ -71,6 +73,7 @@ class SnapshotStats:
     read_maps_seconds: float
     capture_registers_seconds: float
     capture_pages_seconds: float
+    #: Arming the write-set tracker (``clear_refs`` for soft-dirty bits).
     clear_soft_dirty_seconds: float
     resume_seconds: float
     pages_captured: int
@@ -93,9 +96,15 @@ class SnapshotStats:
 class Snapshotter:
     """Takes clean-state snapshots of a function process."""
 
-    def __init__(self, ptrace: Ptrace, procfs: ProcFs) -> None:
+    def __init__(
+        self,
+        ptrace: Ptrace,
+        procfs: ProcFs,
+        tracker: Optional[WriteSetTracker] = None,
+    ) -> None:
         self._ptrace = ptrace
         self._procfs = procfs
+        self._tracker = tracker if tracker is not None else SoftDirtyTracker(procfs)
 
     def take(self) -> Tuple[ProcessSnapshot, SnapshotStats]:
         """Snapshot the process and return the snapshot plus timing stats."""
@@ -116,7 +125,7 @@ class Snapshotter:
         image = space.capture()
         capture_pages_seconds = image.num_pages * cm.snapshot_page_seconds
 
-        _, clear_soft_dirty_seconds = self._procfs.clear_soft_dirty()
+        clear_soft_dirty_seconds = self._tracker.arm()
 
         resume_seconds = self._ptrace.resume_all()
 

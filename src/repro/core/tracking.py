@@ -54,11 +54,6 @@ class WriteSetTracker(abc.ABC):
     def collect(self) -> TrackingCollection:
         """Return the pages written since the last :meth:`arm`."""
 
-    @property
-    def critical_path_note(self) -> str:
-        """Human-readable summary of where this tracker's overhead lands."""
-        return "per-write fault on the function's critical path"
-
 
 class SoftDirtyTracker(WriteSetTracker):
     """Track writes with the kernel's soft-dirty bit (Groundhog's default)."""

@@ -139,10 +139,6 @@ class ContainerError(PlatformError):
     """Raised when a container is driven through an invalid transition."""
 
 
-class InvocationError(PlatformError):
-    """Raised when a function invocation fails inside the container."""
-
-
 # ---------------------------------------------------------------------------
 # Groundhog core
 # ---------------------------------------------------------------------------

@@ -130,7 +130,6 @@ class FaaSCluster:
             self.invokers,
             create_policy(self.config.scheduler_policy),
             work_stealing=self.config.work_stealing,
-            cluster_index=self.config.cluster_index,
         )
         self.controller = Controller(
             self.loop,

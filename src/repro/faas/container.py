@@ -217,11 +217,6 @@ class Container:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def is_available(self) -> bool:
-        """True when the invoker may dispatch a request to this container."""
-        return self.state is ContainerState.IDLE
-
     def read_request_buffer(self) -> bytes:
         """Probe the function's leak channel (used by tests and examples)."""
         return self.mechanism.read_request_buffer()

@@ -1,15 +1,14 @@
 """Incrementally-maintained cluster-state indices for O(log N) routing.
 
-The scan implementations of :class:`~repro.faas.scheduler.LeastLoadedPolicy`,
-:class:`~repro.faas.scheduler.WarmAwarePolicy` and the work-stealing
-rebalance recompute per-invoker state from scratch on every submitted
-invocation, so per-request routing cost grows with invokers × deployed
-actions.  :class:`ClusterIndex` inverts that: each
+Routing by :class:`~repro.faas.scheduler.LeastLoadedPolicy` or
+:class:`~repro.faas.scheduler.WarmAwarePolicy`, and the work-stealing
+rebalance, need per-invoker state on every submitted invocation.
+Recomputing it from scratch would cost invokers × deployed actions per
+request.  :class:`ClusterIndex` inverts that: each
 :class:`~repro.faas.invoker.Invoker` pushes O(1) deltas at its
 state-transition points (container busy/idle, boot start/finish,
 enqueue/dequeue, eviction — see ``Invoker._touch_pool``), and the index
-maintains three structures the policies and the scheduler query instead
-of scanning:
+maintains the structures the policies and the scheduler query:
 
 * **A load-ordered lazy min-heap** over ``(load, position)`` pairs.  A
   load change pushes a fresh entry in O(log N) and leaves the old one
@@ -32,12 +31,12 @@ of scanning:
   via plain emptiness — the O(1) "is any steal possible at all?" guard
   that makes the post-submit rebalance event-driven.
 
-Every query reproduces the corresponding scan's result **bit for bit**,
+Every query returns exactly what a full scan over the invokers would,
 including tie-break order (load ties go to the lowest invoker index;
-the warm-aware comparison key is the exact ``(load + penalty, load,
-index)`` tuple of the scan).  The equivalence is pinned by the unit and
-Hypothesis suites in ``tests/unit/test_cluster_index.py`` and
-``tests/property/test_prop_index.py``.
+the warm-aware comparison key is the ``(load + penalty, load, index)``
+tuple).  The scans live on only as the test oracle in
+``tests/property/reference_routing.py``, which the index's unit tests
+and the twin-cluster Hypothesis suites compare against.
 
 The index is a pure observer: it never mutates invokers, consumes RNG,
 or schedules events, so attaching it cannot perturb simulated behaviour.
@@ -145,7 +144,7 @@ class ClusterIndex:
     # ------------------------------------------------------------------
 
     def least_loaded(self) -> int:
-        """The position minimising ``(load, position)`` — the scan's argmin.
+        """The position minimising ``(load, position)``.
 
         Pops stale heap entries until a live one surfaces; the heap
         always holds at least one live entry per position, so this
@@ -162,16 +161,16 @@ class ClusterIndex:
     def warm_aware_choose(
         self, action: str, cold_penalty: float, restore_penalty: float = 0.0
     ) -> int:
-        """The scan-identical warm-aware argmin, without building snapshots.
+        """The warm-aware argmin, without visiting every invoker.
 
-        Reproduces ``min(range(n), key=lambda i: (load_i + penalty_i,
+        Returns ``min(range(n), key=lambda i: (load_i + penalty_i,
         load_i, i))`` where ``penalty_i`` is 0.0 for invokers warm for
         ``action``, ``restore_penalty`` for invokers holding only a
         restorable snapshot of it, and ``cold_penalty`` otherwise: the
         best candidate of each tier comes from its (small) set — warm
         set, snapshot set minus warm, and the load heap skipping both —
-        and the final comparison uses the exact scan key tuples so float
-        semantics and tie-breaks match bit for bit.
+        and the final comparison uses those exact key tuples so float
+        semantics and tie-breaks match a full scan bit for bit.
         """
         loads = self._loads
         warm = self._warm.get(action)
@@ -240,7 +239,7 @@ class ClusterIndex:
 
         False means no steal victim can exist (every steal needs queue
         depth >= 1 on some invoker), so the post-submit rebalance may
-        return immediately instead of scanning.
+        return immediately instead of searching.
         """
         return bool(self._depths)
 

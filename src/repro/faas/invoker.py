@@ -54,8 +54,10 @@ substrate built on top of it:
   when keep-alive eviction reclaims idle containers.
 * **Warmth surface** — :meth:`Invoker.snapshot` exports a structured view
   (idle-warm containers per action, queue depth — total and per tenant —
-  boots in flight, cores in use) that scheduling policies consume instead
-  of a single scalar load, and :meth:`Invoker.release_queued` /
+  boots in flight, cores in use) that the control plane consumes instead
+  of a single scalar load, the same state is pushed as O(1) deltas to an
+  attached :class:`~repro.faas.index.ClusterIndex` for routing, and
+  :meth:`Invoker.release_queued` /
   :meth:`Invoker.adopt` let a cluster scheduler move queued invocations
   between invokers (work stealing) *through the admission queue*, so
   steals dequeue in the same fair order as local dispatch.
@@ -145,10 +147,9 @@ class _ActionPool:
     #: cold_starting - restoring)`` as of the last state transition.
     uncovered: int = 0
     #: Creation sequence number (== the pool's position in the invoker's
-    #: insertion-ordered pool dict).  Index-driven steal scans sort
-    #: candidate actions by this, and the invoker's queued-pool record is
-    #: keyed by it, to reproduce the pool-order iteration of the full scan
-    #: bit for bit.
+    #: insertion-ordered pool dict).  The steal search sorts candidate
+    #: actions by this, and the invoker's queued-pool record is keyed by
+    #: it, so both visit pools in creation order.
     seq: int = 0
 
 
@@ -156,10 +157,10 @@ class _ActionPool:
 class InvokerSnapshot:
     """A structured view of one invoker's instantaneous state.
 
-    This is the signal surface scheduling policies consume: instead of a
-    single scalar load they see *where* the warm containers are, how much
+    This is the signal surface the control plane consumes: instead of a
+    single scalar load it sees *where* the warm containers are, how much
     work is already waiting, and how many boots are in flight — the
-    ingredients a warmth-aware routing decision needs.
+    ingredients a warmth-aware placement decision needs.
     """
 
     invoker_id: str
@@ -1177,9 +1178,8 @@ class Invoker:
     def snapshots_held(self, action: Optional[str] = None) -> int:
         """Held restorable snapshots (for one action or all of them).
 
-        O(1) for the all-actions total (the budget LRU's length); used by
-        warmth-aware consumers to score the middle spectrum tier without
-        building snapshots.  Returns 0 for actions not hosted here.
+        O(1) for the all-actions total (the budget LRU's length).  Returns
+        0 for actions not hosted here.
         """
         if action is None:
             return len(self._snapshot_lru)
@@ -1395,18 +1395,6 @@ class Invoker:
         """
         return self._queued_uncovered
 
-    def warmth(self, action: str) -> int:
-        """Containers (existing, booting, or restoring) for ``action``.
-
-        O(1), allocation-free — the live-invoker counterpart of
-        :meth:`InvokerSnapshot.warmth` for scan policies that want to skip
-        building snapshots.  Returns 0 for actions not hosted here.
-        """
-        pool = self._pools.get(action)
-        if pool is None:
-            return 0
-        return len(pool.containers) + pool.cold_starting + pool.restoring
-
     def has_idle(self, action: str) -> bool:
         """True when ``action`` has at least one idle warm container here."""
         pool = self._pools.get(action)
@@ -1415,8 +1403,7 @@ class Invoker:
     def pool_order(self, action: str) -> int:
         """The action's pool creation sequence number (insertion order).
 
-        Index-driven steal scans sort candidate actions by this so their
-        first-match iteration reproduces the full scan's pool-order walk.
+        The steal search tries candidate actions in this order.
         """
         return self._require_pool(action).seq
 
@@ -1469,12 +1456,8 @@ class Invoker:
         pool = self._require_pool(action)
         return [at for at in pool.arrival_times if at >= since]
 
-    def idle_warm_actions(self) -> List[str]:
-        """Actions with at least one idle warm container, in pool order."""
-        return [name for name, pool in self._pools.items() if pool.idle]
-
     def snapshot(self) -> InvokerSnapshot:
-        """Export the structured warmth/load view policies consume.
+        """Export the structured warmth/load view the control plane consumes.
 
         Dirty-flag cached: every state mutation bumps ``_state_version``,
         and while it is unchanged the previously built snapshot is

@@ -6,10 +6,10 @@ the classic FaaS scheduling problem: which invoker should serve an
 invocation, given that warm containers — the thing Groundhog's economics
 depend on — live on specific invokers?
 
-Policies decide from each invoker's structured
-:class:`~repro.faas.invoker.InvokerSnapshot` (idle-warm containers per
-action, queue depth, boots in flight, cores in use) rather than a single
-scalar load.  Four are provided:
+Four policies are provided.  The two load-based ones route from the
+:class:`~repro.faas.index.ClusterIndex` the scheduler builds for them
+(per-invoker load, warm and snapshot-holding invokers per action), so a
+routing decision costs O(log N) rather than a scan over every invoker:
 
 * ``round-robin`` — spread invocations evenly, ignoring warmth and load.
 * ``least-loaded`` — send each invocation to the invoker with the fewest
@@ -51,8 +51,8 @@ invocations from saturated peers onto it.  Two kinds of steal exist:
   per-action FIFO dispatch order is therefore a guarantee of the
   instant-steal regime (set ``boot_steal_min_queue=None`` for it).
 
-All steals happen inside event callbacks in a fixed scan order, so runs
-remain deterministic.
+All steals happen inside event callbacks in a fixed search order, so
+runs remain deterministic.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ from repro.errors import PlatformError
 from repro.faas.action import ActionSpec
 from repro.faas.container import Container
 from repro.faas.index import ClusterIndex
-from repro.faas.invoker import CompletionCallback, Invoker, InvokerSnapshot
+from repro.faas.invoker import CompletionCallback, Invoker
 from repro.faas.request import Invocation
 from repro.runtime.profiles import FunctionProfile
 
-#: One entry of the indexed steal search's per-pass candidate list: a
+#: One entry of the steal search's per-pass candidate list: a
 #: queued action, its ``(position, depth)`` queues in ascending position,
 #: and whether any depth reaches ``boot_steal_min_queue``.
 StealCandidate = Tuple[str, List[Tuple[int, int]], bool]
@@ -105,12 +105,7 @@ def home_index(action: str, num_invokers: int) -> int:
 
 
 class SchedulingPolicy:
-    """Base class: picks the invoker index that should serve an invocation.
-
-    Concrete policies implement :meth:`choose` over the invokers'
-    structured snapshots; :meth:`select` adapts the live invokers to that
-    surface so callers can keep handing in :class:`Invoker` objects.
-    """
+    """Base class: picks the invoker index that should serve an invocation."""
 
     name = "abstract"
     #: True for policies whose :meth:`select` consults a bound
@@ -119,26 +114,15 @@ class SchedulingPolicy:
     uses_index = False
 
     def __init__(self) -> None:
-        #: Bound by the scheduler when an incrementally-maintained index
-        #: exists; ``None`` keeps the scan implementations.
+        #: Bound by the scheduler whenever it routes this policy over more
+        #: than one invoker and the policy ``uses_index``.
         self._index: Optional[ClusterIndex] = None
 
     def bind_index(self, index: ClusterIndex) -> None:
-        """Give the policy a live cluster index to route from.
-
-        The indexed paths are bit-identical to the scans (same choice,
-        same tie-breaks) — binding an index changes cost, not behaviour.
-        """
+        """Give the policy the live cluster index to route from."""
         self._index = index
 
     def select(self, invokers: Sequence[Invoker], invocation: Invocation) -> int:
-        if len(invokers) == 1:
-            return 0  # no decision to make — skip the snapshot cost
-        return self.choose([invoker.snapshot() for invoker in invokers], invocation)
-
-    def choose(
-        self, snapshots: Sequence[InvokerSnapshot], invocation: Invocation
-    ) -> int:
         raise NotImplementedError
 
 
@@ -152,16 +136,7 @@ class RoundRobinPolicy(SchedulingPolicy):
         self._next = 0
 
     def select(self, invokers: Sequence[Invoker], invocation: Invocation) -> int:
-        # Needs only the invoker count — skip building snapshots.
-        return self._cycle(len(invokers))
-
-    def choose(
-        self, snapshots: Sequence[InvokerSnapshot], invocation: Invocation
-    ) -> int:
-        return self._cycle(len(snapshots))
-
-    def _cycle(self, count: int) -> int:
-        index = self._next % count
+        index = self._next % len(invokers)
         self._next += 1
         return index
 
@@ -173,17 +148,11 @@ class LeastLoadedPolicy(SchedulingPolicy):
     uses_index = True
 
     def select(self, invokers: Sequence[Invoker], invocation: Invocation) -> int:
-        if self._index is not None and len(invokers) > 1:
-            # O(log N) amortised from the load-ordered index; identical
-            # argmin and (load, index) tie-break as the scan below.
-            return self._index.least_loaded()
-        # Needs only the scalar load — skip building full snapshots.
-        return min(range(len(invokers)), key=lambda i: (invokers[i].load, i))
-
-    def choose(
-        self, snapshots: Sequence[InvokerSnapshot], invocation: Invocation
-    ) -> int:
-        return min(range(len(snapshots)), key=lambda i: (snapshots[i].load, i))
+        if len(invokers) == 1:
+            return 0  # no routing decision to make
+        # O(log N) amortised from the load-ordered index.
+        assert self._index is not None, "least-loaded routes through a ClusterIndex"
+        return self._index.least_loaded()
 
 
 class HashAffinityPolicy(SchedulingPolicy):
@@ -192,13 +161,7 @@ class HashAffinityPolicy(SchedulingPolicy):
     name = "hash-affinity"
 
     def select(self, invokers: Sequence[Invoker], invocation: Invocation) -> int:
-        # Needs only the action name and invoker count — skip snapshots.
         return home_index(invocation.action, len(invokers))
-
-    def choose(
-        self, snapshots: Sequence[InvokerSnapshot], invocation: Invocation
-    ) -> int:
-        return home_index(invocation.action, len(snapshots))
 
 
 class WarmAwarePolicy(SchedulingPolicy):
@@ -290,59 +253,14 @@ class WarmAwarePolicy(SchedulingPolicy):
 
     def select(self, invokers: Sequence[Invoker], invocation: Invocation) -> int:
         if len(invokers) == 1:
-            return 0
+            return 0  # no routing decision to make
+        # Warm/snapshot sets plus the load heap: the argmin of
+        # (load + penalty, load, index) without visiting every invoker.
+        assert self._index is not None, "warm-aware routes through a ClusterIndex"
         action = invocation.action
-        if self._index is not None:
-            # Indexed path: warm/snapshot sets + load heap, no snapshots,
-            # no per-invoker tuple allocation — same key, same tie-breaks.
-            return self._index.warm_aware_choose(
-                action, self.penalty_for(action), self.restore_penalty_for(action)
-            )
-        # Scan fallback: the same (load + penalty, load, index) argmin as
-        # :meth:`choose`, but over the live invokers' O(1) load/warmth/
-        # snapshot accessors, without materialising snapshots or key
-        # tuples — strict ``<`` comparisons keep ties on the lowest index.
-        cold_penalty = self.penalty_for(action)
-        restore_penalty = self.restore_penalty_for(action)
-
-        def _penalty(invoker: Invoker) -> float:
-            if invoker.warmth(action) > 0:
-                return 0.0
-            if invoker.snapshots_held(action) > 0:
-                return restore_penalty
-            return cold_penalty
-
-        best = 0
-        best_load = invokers[0].load
-        best_total = best_load + _penalty(invokers[0])
-        for index in range(1, len(invokers)):
-            invoker = invokers[index]
-            load = invoker.load
-            total = load + _penalty(invoker)
-            if total < best_total or (total == best_total and load < best_load):
-                best = index
-                best_load = load
-                best_total = total
-        return best
-
-    def choose(
-        self, snapshots: Sequence[InvokerSnapshot], invocation: Invocation
-    ) -> int:
-        action = invocation.action
-        cold_penalty = self.penalty_for(action)
-        restore_penalty = self.restore_penalty_for(action)
-
-        def score(index: int) -> Tuple[float, int, int]:
-            snap = snapshots[index]
-            if snap.warmth(action) > 0:
-                penalty = 0.0
-            elif snap.restorable(action) > 0:
-                penalty = restore_penalty
-            else:
-                penalty = cold_penalty
-            return (snap.load + penalty, snap.load, index)
-
-        return min(range(len(snapshots)), key=score)
+        return self._index.warm_aware_choose(
+            action, self.penalty_for(action), self.restore_penalty_for(action)
+        )
 
 
 _POLICY_CLASSES: Mapping[str, Type[SchedulingPolicy]] = MappingProxyType({
@@ -394,7 +312,6 @@ class Scheduler:
         *,
         work_stealing: bool = False,
         boot_steal_min_queue: Optional[int] = 8,
-        cluster_index: bool = True,
     ) -> None:
         if not invokers:
             raise PlatformError("a scheduler needs at least one invoker")
@@ -408,14 +325,11 @@ class Scheduler:
         #: Invocations moved between invokers by work stealing.
         self.steals = 0
         self._rebalancing = False
-        #: The incrementally-maintained cluster index (``None`` when
-        #: disabled, the cluster has one invoker, or nothing consumes it).
-        #: Routing and steal decisions are bit-identical with and without
-        #: it — the flag trades per-request scans for O(log N) deltas.
+        #: The incrementally-maintained cluster index (``None`` when the
+        #: cluster has one invoker or nothing consumes it: a policy that
+        #: ``uses_index`` or work stealing).
         self.index: Optional[ClusterIndex] = None
-        if cluster_index and len(self.invokers) > 1 and (
-            work_stealing or policy.uses_index
-        ):
+        if len(self.invokers) > 1 and (work_stealing or policy.uses_index):
             self.index = ClusterIndex(self.invokers)
             policy.bind_index(self.index)
         if self.work_stealing and len(self.invokers) > 1:
@@ -482,23 +396,23 @@ class Scheduler:
     def _rebalance(self) -> None:
         """Steal queued work onto invokers with spare capacity.
 
-        Runs until no further steal is possible.  The scan order (thieves
-        by index, the thief's actions in pool order, victims by deepest
-        queue with ties to the lowest index) is fixed, so two identical
-        runs steal identically — determinism is preserved.
+        Runs until no further steal is possible.  The search order
+        (thieves by index, the thief's actions in pool order, victims by
+        deepest queue with ties to the lowest index) is fixed, so two
+        identical runs steal identically — determinism is preserved.
 
         A thief without a free core is skipped before any per-action work.
-        On the indexed path the steal candidates are built once per pass
-        and shared by every thief until a steal moves queued work.
+        The steal candidates are built once per pass and shared by every
+        thief until a steal moves queued work.
         """
         if not self.work_stealing or len(self.invokers) < 2 or self._rebalancing:
             return
         index = self.index
-        if index is not None and not index.any_queued():
+        assert index is not None  # work stealing over >1 invoker builds one
+        if not index.any_queued():
             # Event-driven fast path: no queued work anywhere means no
-            # steal victim can exist, so the scan below would find
-            # nothing.  This is the common case after most submits — the
-            # O(invokers² × actions) sweep only runs on real pressure.
+            # steal victim can exist.  This is the common case after most
+            # submits — the search only runs on real pressure.
             return
         self._rebalancing = True
         try:
@@ -509,12 +423,9 @@ class Scheduler:
                 for thief in self.invokers:
                     if thief.cores_in_use >= thief.cores:
                         continue
-                    if index is None:
-                        steal = self._find_steal(thief)
-                    else:
-                        if candidates is None:
-                            candidates = self._steal_candidates()
-                        steal = self._find_steal_indexed(thief, candidates)
+                    if candidates is None:
+                        candidates = self._steal_candidates()
+                    steal = self._find_steal(thief, candidates)
                     if steal is None:
                         continue
                     victim, action, newest = steal
@@ -526,85 +437,8 @@ class Scheduler:
         finally:
             self._rebalancing = False
 
-    def _find_steal(
-        self, thief: Invoker
-    ) -> Optional[Tuple[Invoker, str, bool]]:
-        """The best (victim, action, steal-from-tail) for ``thief``, if any."""
-        if thief.cores_in_use >= thief.cores:
-            return None
-        # Instant steals first: an idle warm container plus a free core
-        # serves the victim's queue head right now, cold-start free.
-        for action in thief.idle_warm_actions():
-            victim = self._steal_victim(action, thief, min_queue=1)
-            if victim is not None:
-                return victim, action, False
-        # Boot steals: only for deep backlogs on victims that cannot add
-        # capacity themselves, and only tail entries — the stolen request
-        # pays the boot it would have effectively waited for anyway, and
-        # the new container makes the thief warm.
-        if self.boot_steal_min_queue is None:
-            return None
-        for action in self._growable_actions(thief):
-            if not thief.queue_capacity(action):
-                # A boot steal parks the stolen invocation in the thief's
-                # queue; never overfill a bounded queue to do so (adopted
-                # work is exempt from shedding, so the bound is enforced
-                # here, at the steal decision).
-                continue
-            victim = self._steal_victim(
-                action, thief,
-                min_queue=self.boot_steal_min_queue,
-                require_exhausted=True,
-            )
-            if victim is not None:
-                return victim, action, True
-        return None
-
-    def _growable_actions(self, thief: Invoker) -> List[str]:
-        """Actions the thief could boot a container for, in pool order.
-
-        Actions with an idle warm container are excluded — those were
-        already candidates for an instant steal, and booting another
-        container while one sits idle would be pure waste.
-        """
-        snapshot = thief.snapshot()
-        return [
-            action
-            for action, room in snapshot.growth_headroom.items()
-            if room > 0 and action not in snapshot.idle_warm
-        ]
-
-    def _steal_victim(
-        self,
-        action: str,
-        thief: Invoker,
-        *,
-        min_queue: int,
-        require_exhausted: bool = False,
-    ) -> Optional[Invoker]:
-        """The peer with the deepest queue for ``action`` (ties: lowest index).
-
-        ``require_exhausted`` additionally demands the victim has no growth
-        headroom left for the action: as long as it can still boot its own
-        container, a transient burst is its problem to absorb — spending a
-        peer's core on a boot is only justified once the victim is capped.
-        """
-        best: Optional[Invoker] = None
-        best_depth = 0
-        for invoker in self.invokers:
-            if invoker is thief:
-                continue
-            depth = invoker.queued_invocations(action)
-            if depth < min_queue or depth <= best_depth:
-                continue
-            if require_exhausted and invoker.growth_headroom(action) > 0:
-                continue
-            best = invoker
-            best_depth = depth
-        return best
-
     def _steal_candidates(self) -> List[StealCandidate]:
-        """The indexed steal search's per-pass view of queued work.
+        """The steal search's per-pass view of queued work.
 
         One entry per action with queued work somewhere: the action, its
         non-empty queues as ``(position, depth)`` pairs in ascending
@@ -622,27 +456,30 @@ class Scheduler:
             candidates.append((action, depths, boot))
         return candidates
 
-    def _find_steal_indexed(
+    def _find_steal(
         self,
         thief: Invoker,
-        candidates: Optional[Sequence[StealCandidate]] = None,
+        candidates: Sequence[StealCandidate],
     ) -> Optional[Tuple[Invoker, str, bool]]:
-        """Index-driven :meth:`_find_steal`: same decision, no full scans.
+        """The best (victim, action, steal-from-tail) for ``thief``, if any.
 
-        Candidate actions come from the index's queued-action set (an
-        action with no queued work anywhere can never yield a victim)
-        intersected with the thief's warmth state, and are visited in
-        the thief's pool creation order — exactly the order the scan
-        walks ``idle_warm_actions()`` / ``_growable_actions()`` — so the
-        first hit is the same steal the scan would have made.  Boot-steal
-        headroom checks run only for actions with a queue deep enough to
-        boot-steal from.  ``candidates`` is a :meth:`_steal_candidates`
-        result shared across thieves; it is built here when omitted.
+        Instant steals come first: an idle warm container plus a free core
+        serves a victim's queue head right now, cold-start free.  Boot
+        steals follow, only for deep backlogs on victims that cannot add
+        capacity themselves, and only tail entries — the stolen request
+        pays the boot it would have effectively waited for anyway, and the
+        new container makes the thief warm.  Actions with an idle warm
+        container here are never boot-stolen: booting another container
+        while one sits idle would be pure waste.
+
+        ``candidates`` is a :meth:`_steal_candidates` result (an action
+        with no queued work anywhere can never yield a victim).  Within
+        each kind, actions are tried in the thief's pool creation order
+        and the first one with a victim wins.  Boot-steal headroom checks
+        run only for actions with a queue deep enough to boot-steal from.
         """
         if thief.cores_in_use >= thief.cores:
             return None
-        if candidates is None:
-            candidates = self._steal_candidates()
         thief_position = thief.index_position
         instant: List[Tuple[int, str, List[Tuple[int, int]]]] = []
         for action, depths, _boot in candidates:
@@ -650,9 +487,7 @@ class Scheduler:
                 instant.append((thief.pool_order(action), action, depths))
         instant.sort()
         for _seq, action, depths in instant:
-            victim = self._steal_victim_indexed(
-                action, depths, thief_position, min_queue=1
-            )
+            victim = self._steal_victim(action, depths, thief_position, min_queue=1)
             if victim is not None:
                 return victim, action, False
         if self.boot_steal_min_queue is None:
@@ -668,8 +503,12 @@ class Scheduler:
         growable.sort()
         for _seq, action, depths in growable:
             if not thief.queue_capacity(action):
+                # A boot steal parks the stolen invocation in the thief's
+                # queue; never overfill a bounded queue to do so (adopted
+                # work is exempt from shedding, so the bound is enforced
+                # here, at the steal decision).
                 continue
-            victim = self._steal_victim_indexed(
+            victim = self._steal_victim(
                 action, depths, thief_position,
                 min_queue=self.boot_steal_min_queue,
                 require_exhausted=True,
@@ -678,7 +517,7 @@ class Scheduler:
                 return victim, action, True
         return None
 
-    def _steal_victim_indexed(
+    def _steal_victim(
         self,
         action: str,
         depths: Sequence[Tuple[int, int]],
@@ -687,13 +526,14 @@ class Scheduler:
         min_queue: int,
         require_exhausted: bool = False,
     ) -> Optional[Invoker]:
-        """Index-driven :meth:`_steal_victim`: same victim, same tie-breaks.
+        """The peer with the deepest queue for ``action`` (ties: lowest index).
 
         Walks the action's non-empty queues (``depths``, ascending
-        position: the scan's iteration order over all invokers, minus the
-        zero-depth ones it would skip anyway) with the exact same
-        condition sequence — deepest queue wins, ties go to the lowest
-        position, growth-exhaustion checked after depth.
+        position).  ``require_exhausted`` additionally demands the victim
+        has no growth headroom left for the action: as long as it can
+        still boot its own container, a transient burst is its problem to
+        absorb — spending a peer's core on a boot is only justified once
+        the victim is capped.
         """
         best: Optional[Invoker] = None
         best_depth = 0
@@ -712,10 +552,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def snapshots(self) -> List[InvokerSnapshot]:
-        """The structured state of every invoker, in index order."""
-        return [invoker.snapshot() for invoker in self.invokers]
 
     def queued_by_tenant(self) -> Dict[str, int]:
         """Cluster-wide waiting invocations per tenant, across all invokers."""

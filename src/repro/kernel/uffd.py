@@ -31,11 +31,6 @@ class UffdTracker:
         """True while write-protection is registered."""
         return self._armed
 
-    @property
-    def written_pages(self) -> List[int]:
-        """Pages written since the tracker was last armed (fault order)."""
-        return list(self._written)
-
     def arm(self) -> int:
         """Write-protect every resident page; returns how many were protected.
 
@@ -47,11 +42,6 @@ class UffdTracker:
         protected = self._space.arm_write_protection(self._on_write_fault)
         self._armed = True
         return protected
-
-    def disarm(self) -> None:
-        """Remove write protection and stop collecting faults."""
-        self._space.disarm_write_protection()
-        self._armed = False
 
     def collect(self) -> Runs:
         """Return the pages written since :meth:`arm` was called, as a run list.

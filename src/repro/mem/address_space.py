@@ -86,17 +86,6 @@ class MeterSnapshot:
             pages_read=self.pages_read - earlier.pages_read,
         )
 
-    @property
-    def total_faults(self) -> int:
-        """All faults of any kind."""
-        return (
-            self.minor_faults
-            + self.soft_dirty_faults
-            + self.cow_faults
-            + self.uffd_faults
-            + self.first_touch_faults
-        )
-
 
 class MemoryMeter:
     """Accumulates fault counts and critical-path memory costs.
@@ -577,8 +566,11 @@ class AddressSpace:
     def set_brk(self, new_brk: int) -> int:
         """Set the program break, growing or shrinking the heap mapping.
 
-        Growing the heap into another mapping raises :class:`MappingError`,
-        as Linux's ``brk`` refuses to.
+        As in Linux, growing extends the heap piece that ends at the break
+        when it is still read-write (an ``mprotect`` may have split the
+        heap) and maps a new read-write heap piece there otherwise;
+        growing into another mapping raises :class:`MappingError`.
+        Shrinking unmaps everything between the new and the old break.
         """
         if new_brk < self._brk_base:
             raise MappingError(
@@ -588,18 +580,19 @@ class AddressSpace:
         old_brk = self._brk
         if new_brk == old_brk:
             return self._brk
-        heap = self._heap_area()
+        top = self._heap_top()
         if new_brk > old_brk:
-            grow_from = heap.vma.end if heap is not None else self._brk_base
-            if new_brk > grow_from and self._overlaps_existing(grow_from, new_brk):
+            if self._overlaps_existing(old_brk, new_brk):
                 raise MappingError(
                     f"brk {new_brk:#x} would grow the heap into an existing mapping"
                 )
-            if heap is None:
+            if top is not None and top.vma.prot == Protection.rw():
+                self._resize_area(top, new_brk)
+            else:
                 self._insert_area(
                     _Area(
                         Vma(
-                            start=self._brk_base,
+                            start=old_brk,
                             end=new_brk,
                             prot=Protection.rw(),
                             kind=VmaKind.HEAP,
@@ -607,15 +600,12 @@ class AddressSpace:
                         )
                     )
                 )
-            else:
-                self._resize_area(heap, new_brk)
         else:
             self._drop(new_brk // PAGE_SIZE, old_brk // PAGE_SIZE)
-            if heap is not None:
-                if new_brk <= heap.vma.start:
-                    self._remove_area(heap)
-                else:
-                    self._resize_area(heap, new_brk)
+            if top is not None and top.vma.start < new_brk:
+                self._resize_area(top, new_brk)
+            else:
+                self._carve_range(new_brk, old_brk, replacement=None)
         self._brk = new_brk
         return self._brk
 
@@ -1016,9 +1006,12 @@ class AddressSpace:
     # VMA bookkeeping internals
     # ------------------------------------------------------------------
 
-    def _heap_area(self) -> Optional[_Area]:
-        for area in self._areas:
-            if area.vma.kind is VmaKind.HEAP:
+    def _heap_top(self) -> Optional[_Area]:
+        """The heap piece that ends at the program break, if any."""
+        index = bisect.bisect_left(self._starts, self._brk) - 1
+        if index >= 0:
+            area = self._areas[index]
+            if area.vma.kind is VmaKind.HEAP and area.vma.end == self._brk:
                 return area
         return None
 
@@ -1032,11 +1025,6 @@ class AddressSpace:
         index = bisect.bisect_left(self._starts, area.vma.start)
         self._areas.insert(index, area)
         self._starts.insert(index, area.vma.start)
-
-    def _remove_area(self, area: _Area) -> None:
-        index = self._areas.index(area)
-        del self._areas[index]
-        del self._starts[index]
 
     def _resize_area(self, area: _Area, new_end: int) -> None:
         """Move ``area``'s end to ``new_end`` (its pages past the end are already dropped)."""

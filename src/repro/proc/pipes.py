@@ -62,10 +62,6 @@ class Pipe:
             raise LookupError(f"pipe {self.name!r} is empty")
         return self._queue.popleft()
 
-    def peek(self) -> Optional[Message]:
-        """Return the oldest message without removing it."""
-        return self._queue[0] if self._queue else None
-
     def drain(self) -> int:
         """Discard all buffered messages; returns how many were dropped."""
         dropped = len(self._queue)

@@ -143,11 +143,6 @@ class FunctionProfile:
         """Mapped address-space size in bytes."""
         return self.total_pages * PAGE_SIZE
 
-    @property
-    def is_multithreaded(self) -> bool:
-        """True when the runtime hosts more than one thread."""
-        return self.threads > 1
-
     def scaled(self, factor: float) -> "FunctionProfile":
         """Return a copy with memory characteristics scaled by ``factor``.
 

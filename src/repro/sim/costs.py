@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict
 
-from repro.config import PAGE_SIZE
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -160,19 +158,6 @@ class CostModel:
     #: next request (per dirtied MiB of heap, capped at 1.0 by the runtime).
     node_gc_probability_per_mib: float = 0.015
 
-    def derived_page_copy_cost(self, restored_pages: int, total_dirty: int) -> float:
-        """Cost of restoring ``restored_pages`` with coalescing applied.
-
-        When the dirtied fraction of the snapshot is large, contiguous runs
-        dominate and Groundhog batches them into larger writes, which is the
-        slope change the paper observes at ~60% dirtied pages.
-        """
-        if restored_pages <= 0:
-            return 0.0
-        if total_dirty > 0 and restored_pages / max(total_dirty, 1) >= 1.0:
-            pass  # ratio computed by caller when needed
-        return restored_pages * self.page_copy_seconds
-
     def scaled(self, factor: float) -> "CostModel":
         """Return a copy with every time constant multiplied by ``factor``.
 
@@ -191,7 +176,3 @@ class CostModel:
 #: The default, paper-calibrated cost model.
 DEFAULT_COST_MODEL = CostModel()
 
-
-def pages_to_bytes(pages: int) -> int:
-    """Convenience converter used by cost consumers."""
-    return pages * PAGE_SIZE

@@ -3,11 +3,16 @@
 Most tests use deliberately small function profiles so that whole containers
 (including snapshots and restores) can be exercised in milliseconds of real
 time while still covering every code path the full-size benchmarks use.
+
+The reference models in ``tests/property/`` (``reference_space``,
+``reference_routing``) are importable by name from every suite.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 
 import pytest
 
@@ -15,6 +20,8 @@ from repro.kernel.kernel import SimKernel
 from repro.proc.process import SimProcess
 from repro.runtime.profiles import FunctionProfile, Language
 from repro.sim.costs import CostModel
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "property"))
 
 
 @pytest.fixture

@@ -16,18 +16,21 @@ pinned here:
   same measurement path from a real Azure Functions CSV instead of the
   synthetic diurnal generator, deterministically.
 * **Cluster-scale routing parity** — the ``--shape cluster-scale``
-  harness runs bit-identical simulations under indexed and scan
-  routing (the acceptance contract of the cluster index).
+  harness runs bit-identical simulations under the shipped,
+  index-driven scheduler and the scan oracle in ``reference_routing``
+  (the acceptance contract of the cluster index).
 
-All use reduced scales; the full-size numbers live in
-``benchmarks/test_bench_perf_trace.py``,
-``benchmarks/test_bench_cluster_index.py`` and ``BENCH_perf.json``.
+All use reduced scales; the full-size numbers live in the
+``benchmarks/`` perf-trace and cluster-scale benchmarks and in
+``BENCH_perf.json``.
 """
 
 from __future__ import annotations
 
 import pytest
+from reference_routing import ReferenceScheduler
 
+import repro.faas.cluster
 from repro.analysis.experiments import (
     _cluster_scale_run,
     _perf_trace_run,
@@ -197,23 +200,17 @@ class TestAzureTraceReplay:
 
 
 class TestClusterScaleParity:
-    def test_indexed_and_scan_runs_are_bit_identical(self):
+    def test_indexed_and_scan_runs_are_bit_identical(self, monkeypatch):
         # The acceptance contract at integration scale: the full harness
         # (diurnal trace, warm-aware routing, work stealing) behaves
-        # identically under both routing implementations.
+        # identically under the shipped scheduler and the scan oracle.
         kwargs = dict(invokers=8, actions=32, invocations=2_500, seed=13)
-        indexed = _cluster_scale_run("indexed", **kwargs)
-        scan = _cluster_scale_run("scan", **kwargs)
+        indexed = _cluster_scale_run(**kwargs)
+        monkeypatch.setattr(repro.faas.cluster, "Scheduler", ReferenceScheduler)
+        scan = _cluster_scale_run(**kwargs)
         assert indexed["arrivals"] == scan["arrivals"] > 0
         assert indexed["goodput_fraction"] == scan["goodput_fraction"]
         assert indexed["cold_starts"] == scan["cold_starts"]
         assert indexed["steals"] == scan["steals"] > 0
         assert indexed["routed_per_invoker"] == scan["routed_per_invoker"]
         assert indexed["p99_ms"] == scan["p99_ms"]
-
-    def test_unknown_routing_is_rejected(self):
-        from repro.errors import PlatformError
-        with pytest.raises(PlatformError):
-            _cluster_scale_run(
-                "magic", invokers=2, actions=4, invocations=100, seed=1
-            )

@@ -308,7 +308,12 @@ class ReferenceAddressSpace:
         return self._drop_pages(start // PAGE_SIZE, end // PAGE_SIZE)
 
     def set_brk(self, new_brk: int) -> int:
-        """Set the program break, growing or shrinking the heap mapping."""
+        """Set the program break, growing or shrinking the heap mapping.
+
+        Growing extends the read-write heap piece ending at the break, or
+        maps a new one there; shrinking unmaps everything above the new
+        break.
+        """
         if new_brk < self._brk_base:
             raise MappingError(
                 f"brk {new_brk:#x} below heap base {self._brk_base:#x}"
@@ -317,34 +322,32 @@ class ReferenceAddressSpace:
         old_brk = self._brk
         if new_brk == old_brk:
             return self._brk
-        heap_vma = self._heap_vma()
         if new_brk > old_brk:
-            grow_from = heap_vma.end if heap_vma is not None else self._brk_base
-            if new_brk > grow_from and self._overlaps_existing(grow_from, new_brk):
+            if self._overlaps_existing(old_brk, new_brk):
                 raise MappingError(
                     f"brk {new_brk:#x} would grow the heap into an existing mapping"
                 )
-            if heap_vma is None:
+            top = self.find_vma(old_brk - 1)
+            if (
+                top is not None
+                and top.kind is VmaKind.HEAP
+                and top.end == old_brk
+                and top.prot == Protection.rw()
+            ):
+                self._replace_vma(top, top.with_bounds(top.start, new_brk))
+            else:
                 self._insert_vma(
                     Vma(
-                        start=self._brk_base,
+                        start=old_brk,
                         end=new_brk,
                         prot=Protection.rw(),
                         kind=VmaKind.HEAP,
                         name="[heap]",
                     )
                 )
-            else:
-                self._replace_vma(heap_vma, heap_vma.with_bounds(heap_vma.start, new_brk))
         else:
             self._drop_pages(new_brk // PAGE_SIZE, old_brk // PAGE_SIZE)
-            if heap_vma is not None:
-                if new_brk <= heap_vma.start:
-                    self._remove_vma(heap_vma)
-                else:
-                    self._replace_vma(
-                        heap_vma, heap_vma.with_bounds(heap_vma.start, new_brk)
-                    )
+            self._carve_range(new_brk, old_brk, replacement=None)
         self._brk = new_brk
         return self._brk
 
@@ -574,12 +577,6 @@ class ReferenceAddressSpace:
     # VMA bookkeeping internals
     # ------------------------------------------------------------------
 
-    def _heap_vma(self) -> Optional[Vma]:
-        for vma in self._vmas:
-            if vma.kind is VmaKind.HEAP:
-                return vma
-        return None
-
     def _overlaps_existing(self, start: int, end: int) -> bool:
         idx = bisect.bisect_left(self._starts, end)
         for vma in self._vmas[max(0, idx - 1) : idx + 1]:
@@ -591,11 +588,6 @@ class ReferenceAddressSpace:
         idx = bisect.bisect_left(self._starts, vma.start)
         self._vmas.insert(idx, vma)
         self._starts.insert(idx, vma.start)
-
-    def _remove_vma(self, vma: Vma) -> None:
-        idx = self._vmas.index(vma)
-        del self._vmas[idx]
-        del self._starts[idx]
 
     def _replace_vma(self, old: Vma, new: Vma) -> None:
         idx = self._vmas.index(old)

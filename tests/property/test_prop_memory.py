@@ -289,11 +289,20 @@ PINNED_OPS = [
     (1, "range", 0, 8),
     (0, "range", 2, 6),
 ]
+#: A heap split by ``mprotect`` (read-only top), grown past it and shrunk
+#: back below the split.
+SPLIT_HEAP_OPS = [
+    (0, "brk", 0, 5),
+    (0, "mprotect", 50, 3),
+    (0, "brk", 0, 7),
+    (0, "brk", 0, 1),
+]
 
 
 class TestRangePathsMatchPerPageOracle:
     @given(twin_scenarios(), st.lists(write_ops, min_size=1, max_size=14))
     @example(PINNED_SCENARIO, PINNED_OPS)
+    @example(PINNED_SCENARIO, SPLIT_HEAP_OPS)
     @settings(max_examples=150, deadline=None)
     def test_write_range_equals_per_page_faults(self, scenario, ops):
         (shipped, shipped_calls), (reference, reference_calls) = _twins(scenario)
@@ -418,9 +427,7 @@ class TestMechanismTwin:
     @pytest.mark.parametrize(
         "mechanism, options",
         [
-            # Not verified: the userfaultfd tracker is first armed by the
-            # first restore, so that restore misses the first request's writes.
-            ("gh", {"tracker": "uffd"}),
+            ("gh", {"tracker": "uffd", "verify_restores": True}),
             ("gh-nop", {}),
             ("fork", {}),
             ("criu", {}),

@@ -14,9 +14,9 @@ the spectrum's contracts over arbitrary submission patterns:
   exceeded at any observation point, and every demotion is accounted
   for (held + restored + discarded);
 * **indexed ≡ scan with snapshots** — the cluster index's per-action
-  snapshot sets keep routing bit-identical to the scan oracle when the
-  middle warmth tier is live, and ``ClusterIndex.verify()`` holds at
-  every submission boundary;
+  snapshot sets keep routing bit-identical to the scan oracle in
+  ``reference_routing`` when the middle warmth tier is live, and
+  ``ClusterIndex.verify()`` holds at every submission boundary;
 * **determinism** — two identical spectrum-on runs make identical
   decisions (demotion LRU order and snapshot-set iteration leak no
   nondeterminism).
@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from hypothesis import given, settings, strategies as st
+from reference_routing import ReferenceScheduler
 
 from repro.faas.action import ActionSpec
 from repro.faas.invoker import Invoker
@@ -68,7 +69,7 @@ def _run_cluster(
     spectrum: bool,
     snapshot_budget: Optional[int] = None,
     zero_cost: bool = False,
-    cluster_index: bool = True,
+    reference: bool = False,
     gap_seconds: float = 0.5,
     verify: bool = False,
 ) -> Tuple[List[Invoker], Scheduler, List[Tuple[str, float, float]]]:
@@ -79,8 +80,9 @@ def _run_cluster(
     and boots a **dynamic** container — the only kind keep-alive
     eviction (and hence demotion) ever touches.  Bursts are spaced
     ``gap_seconds`` apart so short keep-alives actually fire between
-    them.  Returns the invokers, the scheduler, and the per-invocation
-    ``(action, dispatched_at, completed_at)`` trace.
+    them.  ``reference=True`` routes through the scan oracle instead of
+    the shipped scheduler.  Returns the invokers, the scheduler, and the
+    per-invocation ``(action, dispatched_at, completed_at)`` trace.
     """
     num_actions = max(pattern) + 1
     actions = [f"act-{i}" for i in range(num_actions)]
@@ -103,11 +105,8 @@ def _run_cluster(
         policy = HashAffinityPolicy()
     else:
         policy = LeastLoadedPolicy()
-    scheduler = Scheduler(
-        invokers,
-        policy,
-        work_stealing=False,
-        cluster_index=cluster_index,
+    scheduler = (ReferenceScheduler if reference else Scheduler)(
+        invokers, policy, work_stealing=False
     )
     for name in actions:
         spec = ActionSpec.for_profile(_profile(name), "base", name=name)
@@ -203,14 +202,12 @@ def test_indexed_spectrum_routing_is_bit_identical_to_scan(
     indexed = _run_cluster(
         num_invokers, pattern,
         policy_name=policy_name,
-        keep_alive_seconds=0.2, spectrum=True,
-        cluster_index=True, verify=True,
+        keep_alive_seconds=0.2, spectrum=True, verify=True,
     )
     scan = _run_cluster(
         num_invokers, pattern,
         policy_name=policy_name,
-        keep_alive_seconds=0.2, spectrum=True,
-        cluster_index=False,
+        keep_alive_seconds=0.2, spectrum=True, reference=True,
     )
     assert indexed[2] == scan[2]  # per-invocation dispatch/completion times
     assert list(indexed[1].routed_per_invoker) == list(scan[1].routed_per_invoker)

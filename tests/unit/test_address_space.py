@@ -110,6 +110,38 @@ class TestBrk:
         space.set_brk(space.brk_base)
         assert space.find_vma(space.brk_base) is None
 
+    @staticmethod
+    def _split_heap(space):
+        """A four-page heap whose top half ``mprotect`` made read-only."""
+        space.set_brk(space.brk_base + 4 * PAGE_SIZE)
+        space.mprotect(space.brk_base + 2 * PAGE_SIZE, 2 * PAGE_SIZE, Protection.r())
+
+    @staticmethod
+    def _heap_pieces(space):
+        """``(first, end, prot)`` of each mapping, in pages past the heap base."""
+        base = space.brk_base
+        return [
+            ((vma.start - base) // PAGE_SIZE, (vma.end - base) // PAGE_SIZE, vma.prot)
+            for vma in space.vmas
+        ]
+
+    def test_brk_grows_a_split_heap_at_the_break(self, space):
+        self._split_heap(space)
+        space.set_brk(space.brk_base + 6 * PAGE_SIZE)
+        # The read-only top piece keeps its protection; the new pages are
+        # a read-write heap piece of their own, which the next growth extends.
+        space.set_brk(space.brk_base + 8 * PAGE_SIZE)
+        rw, r = Protection.rw(), Protection.r()
+        assert self._heap_pieces(space) == [(0, 2, rw), (2, 4, r), (4, 8, rw)]
+        assert all(vma.kind is VmaKind.HEAP for vma in space.vmas)
+
+    def test_brk_shrink_unmaps_every_heap_piece_above_the_break(self, space):
+        self._split_heap(space)
+        space.kernel_write_page(space.brk_base // PAGE_SIZE + 3, b"top")
+        space.set_brk(space.brk_base + PAGE_SIZE)
+        assert self._heap_pieces(space) == [(0, 1, Protection.rw())]
+        assert not space.is_resident(space.brk_base // PAGE_SIZE + 3)
+
     def test_brk_into_a_mapping_rejected(self, space):
         anon = space.mmap(4 * PAGE_SIZE, address=space.brk_base + 8 * PAGE_SIZE)
         with pytest.raises(MappingError):

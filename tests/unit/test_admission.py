@@ -15,6 +15,7 @@ from repro.faas.admission import (
     create_admission_queue,
 )
 from repro.faas.cluster import FaaSCluster
+from repro.faas.index import ClusterIndex
 from repro.faas.invoker import Invoker
 from repro.faas.loadgen import TenantMix, azure_functions_arrivals
 from repro.faas.metrics import MetricsCollector
@@ -506,6 +507,7 @@ class TestCalibratedWarmPenalty:
         for _ in range(4):
             warm.submit(Invocation(action="spill", payload=b"x"), lambda inv: None)
         policy = WarmAwarePolicy()
+        policy.bind_index(ClusterIndex([warm, cold]))
         assert policy.select([warm, cold], Invocation(action="spill")) == 0
         policy.calibrate("spill", boot_seconds=0.02, service_seconds=0.01)
         assert policy.select([warm, cold], Invocation(action="spill")) == 1

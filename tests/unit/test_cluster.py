@@ -9,6 +9,7 @@ from repro.errors import ActionNotFoundError, PlatformError
 from repro.faas.action import ActionSpec
 from repro.faas.cluster import FaaSCluster
 from repro.faas.container import ContainerState
+from repro.faas.index import ClusterIndex
 from repro.faas.invoker import Invoker
 from repro.faas.loadgen import MultiActionSaturatingClient
 from repro.faas.platform import FaaSPlatform
@@ -50,6 +51,7 @@ class TestPolicies:
         # Load invoker 0 with queued work; 1 and 2 stay empty.
         invokers[0].submit(Invocation(action=spec.name), lambda inv: None)
         policy = LeastLoadedPolicy()
+        policy.bind_index(ClusterIndex(invokers))
         assert policy.select(invokers, Invocation(action=spec.name)) == 1
 
     def test_hash_affinity_is_stable_and_sticky(self):

@@ -3,13 +3,16 @@
 Covers the index structures directly (lazy heap, warm sets, queue-depth
 maps, compaction), the invoker surfaces that feed them (O(1) load,
 dirty-flag snapshot caching, Counter-based tenant aggregation), and the
-scheduler's indexed query paths against their scan references
-(least-loaded argmin, warm-aware scoring, steal-victim search).
+scheduler's index-driven decisions against the scan oracle in
+``reference_routing`` (least-loaded argmin, warm-aware scoring,
+steal search).
 """
 
 from __future__ import annotations
 
 from typing import List
+
+import reference_routing
 
 from repro.faas.action import ActionSpec
 from repro.faas.index import ClusterIndex, _HEAP_SLACK_FACTOR
@@ -129,7 +132,7 @@ class TestClusterIndexStructures:
     def test_warm_aware_choose_matches_reference_scan(self):
         # Drive the cluster into a mixed warm/cold, mixed-load state and
         # compare the indexed argmin against the snapshot-based reference
-        # (`WarmAwarePolicy.choose`) for every action and penalty.
+        # scan for every action and penalty.
         loop, invokers = _cluster(4)
         index = ClusterIndex(invokers)
         specs = [_spec(f"act-{i}") for i in range(3)]
@@ -149,20 +152,11 @@ class TestClusterIndexStructures:
             Invocation(action="act-2", payload=b"x"), lambda inv: None
         )
         index.verify()
-        policy = WarmAwarePolicy()
         snapshots = [invoker.snapshot() for invoker in invokers]
         for action in ("act-0", "act-1", "act-2"):
             for penalty in (0.0, 0.5, 2.0, 32.0):
-                expected = policy.choose(
-                    snapshots, Invocation(action=action, payload=b"")
-                ) if penalty == policy.penalty_for(action) else min(
-                    range(len(snapshots)),
-                    key=lambda i: (
-                        snapshots[i].load
-                        + (0.0 if snapshots[i].warmth(action) > 0 else penalty),
-                        snapshots[i].load,
-                        i,
-                    ),
+                expected = reference_routing.warm_aware_choose(
+                    snapshots, action, penalty
                 )
                 assert index.warm_aware_choose(action, penalty) == expected
 
@@ -183,10 +177,6 @@ class TestSchedulerIndexWiring:
         ).index is not None
         # No index consumer: round-robin without stealing.
         assert Scheduler(invokers, RoundRobinPolicy()).index is None
-        # Disabled by config flag.
-        assert Scheduler(
-            invokers, WarmAwarePolicy(), cluster_index=False
-        ).index is None
         # Single invoker: no routing decision to index.
         loop2, solo = _cluster(1)
         assert Scheduler(solo, WarmAwarePolicy()).index is None
@@ -203,6 +193,20 @@ class TestSchedulerIndexWiring:
         invokers[0].deploy(spec, containers=1, max_containers=1)
         invokers[1].deploy(spec, containers=1, max_containers=1)
         return loop, invokers, scheduler, [(0, "act-a")] * 6, {False}
+
+    @staticmethod
+    def _tied_victims_input():
+        # Two saturated victims whose queues grow to equal depths in turn,
+        # and an idle warm thief: ties must go to the lowest position.
+        loop, invokers = _cluster(3)
+        scheduler = Scheduler(
+            invokers, RoundRobinPolicy(), work_stealing=True,
+            boot_steal_min_queue=None,
+        )
+        spec = _spec("act-a")
+        for invoker in invokers:
+            invoker.deploy(spec, containers=1, max_containers=1)
+        return loop, invokers, scheduler, [(0, "act-a"), (1, "act-a")] * 3, {False}
 
     @staticmethod
     def _boot_steal_input():
@@ -236,10 +240,14 @@ class TestSchedulerIndexWiring:
         return loop, invokers, scheduler, submissions, {False, True}
 
     def test_indexed_find_steal_matches_scan(self):
-        # The indexed and scan steal searches must agree at every point of
-        # the drain, including "no steal possible" — with the per-pass
-        # candidates built per call and shared across all thieves alike.
-        for build in (self._instant_steal_input, self._boot_steal_input):
+        # The index-driven steal search must agree with the scan oracle at
+        # every point of the drain, including "no steal possible", with
+        # one per-pass candidate list shared across all thieves.
+        for build in (
+            self._instant_steal_input,
+            self._tied_victims_input,
+            self._boot_steal_input,
+        ):
             loop, invokers, scheduler, submissions, kinds = build()
             assert scheduler.index is not None
             seen = set()
@@ -247,19 +255,17 @@ class TestSchedulerIndexWiring:
             def agree() -> None:
                 candidates = scheduler._steal_candidates()
                 for thief in invokers:
-                    expected = scheduler._find_steal(thief)
-                    assert scheduler._find_steal_indexed(thief) == expected
-                    assert (
-                        scheduler._find_steal_indexed(thief, candidates)
-                        == expected
+                    expected = reference_routing.find_steal(
+                        invokers, thief, scheduler.boot_steal_min_queue
                     )
+                    assert scheduler._find_steal(thief, candidates) == expected
                     if expected is not None:
                         seen.add(expected[2])
 
             for position, action in submissions:
                 # The scheduler's own rebalance is what normally runs;
-                # here the two search implementations are compared
-                # directly while the victim's queues build up.
+                # here the search and its oracle are compared directly
+                # while the victim's queues build up.
                 invokers[position].submit(
                     Invocation(action=action, payload=b"x"), lambda inv: None
                 )

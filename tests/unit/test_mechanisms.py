@@ -122,6 +122,20 @@ class TestIsolationProperty:
             report = mech.invoke(f"secret-{index}".encode(), f"r{index}", caller=f"c{index}")
             assert report.restore is not None and report.restore.verified
 
+    @pytest.mark.parametrize("tracker", ["soft-dirty", "uffd"])
+    def test_gh_rolls_back_the_first_request(self, tracker, small_python_profile):
+        # The snapshot arms the write-set tracker, so the first request's
+        # writes are tracked and restored like every later request's.
+        mech = _mechanism("gh", small_python_profile, tracker=tracker, verify_restores=True)
+        mech.initialize()
+        clean = mech.runtime.read_request_buffer()
+        first = mech.invoke(b"alice-secret", "r0", caller="alice")
+        assert first.restore is not None and first.restore.verified
+        assert first.restore.dirty_pages > 0
+        assert mech.runtime.read_request_buffer() == clean
+        second = mech.invoke(b"bob-request", "r1", caller="bob")
+        assert b"alice-secret" not in second.result.residual
+
     def test_gh_skip_rollback_for_same_caller(self, small_python_profile):
         mech = _mechanism("gh", small_python_profile, skip_rollback_for_same_caller=True)
         mech.initialize()

@@ -7,6 +7,7 @@ import pytest
 from repro.config import SCHEDULER_POLICIES
 from repro.errors import PlatformError
 from repro.faas.action import ActionSpec
+from repro.faas.index import ClusterIndex
 from repro.faas.invoker import Invoker
 from repro.faas.request import Invocation, InvocationStatus
 from repro.faas.scheduler import (
@@ -218,6 +219,7 @@ class TestWarmAwarePolicy:
         cold.register(spec, max_containers=2)
         warm.deploy(spec, containers=1, max_containers=2)
         policy = WarmAwarePolicy()
+        policy.bind_index(ClusterIndex([cold, warm]))
         assert policy.select([cold, warm], Invocation(action="wa")) == 1
 
     def test_spills_once_backlog_outweighs_the_penalty(self, small_python_profile):
@@ -231,12 +233,13 @@ class TestWarmAwarePolicy:
         for _ in range(3):
             warm.submit(Invocation(action="spill", payload=b"x"), lambda inv: None)
         # Backlog below the penalty: stay warm.  Above it: pay the boot.
-        assert WarmAwarePolicy(cold_start_penalty=8.0).select(
-            [warm, cold], Invocation(action="spill")
-        ) == 0
-        assert WarmAwarePolicy(cold_start_penalty=2.0).select(
-            [warm, cold], Invocation(action="spill")
-        ) == 1
+        index = ClusterIndex([warm, cold])
+        patient = WarmAwarePolicy(cold_start_penalty=8.0)
+        eager = WarmAwarePolicy(cold_start_penalty=2.0)
+        for policy in (patient, eager):
+            policy.bind_index(index)
+        assert patient.select([warm, cold], Invocation(action="spill")) == 0
+        assert eager.select([warm, cold], Invocation(action="spill")) == 1
 
     def test_boot_in_flight_counts_as_warmth(self, small_python_profile):
         # An invoker already booting a container for the action does not
@@ -249,6 +252,7 @@ class TestWarmAwarePolicy:
         cold.register(spec, max_containers=4)
         booting.submit(Invocation(action="inflight", payload=b"x"), lambda inv: None)
         policy = WarmAwarePolicy(cold_start_penalty=32.0)
+        policy.bind_index(ClusterIndex([cold, booting]))
         # booting has load 1 (boot on core; the queued invocation it will
         # serve is covered) but warmth 1; cold has load 0 but would boot
         # fresh: 1 < 0 + 32.
