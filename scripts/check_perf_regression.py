@@ -7,13 +7,12 @@ Usage::
 
 ``BASELINE.json`` defaults to ``BENCH_perf.json`` at the repo root — the
 tracked full-scale numbers ``python -m repro.cli perf-trace`` wrote.  The
-candidate is typically CI's quick run (``perf-trace --quick``); the gate
-compares **per-mode throughput** (invocations simulated per wall-clock
-second).  Sketch-mode per-tick cost is bounded, so its throughput is
-effectively scale-free and the comparison is direct.  Exact-mode cost
-*grows* with run length (windows keep filling toward the five-minute
-horizon), so the full-scale baseline is a lower bound for any shorter
-run — the floor is conservative in the safe direction.
+candidate is typically CI's quick run (``perf-trace --quick``).  The
+top-level ``run`` section (``perf-trace --shape metrics``) is one replay
+of the diurnal metrics trace; the gate compares its **throughput**
+(invocations simulated per wall-clock second).  The metrics collector's
+per-tick cost is bounded (time-bucket sketches), so throughput is
+effectively scale-free and the comparison is direct.
 
 Reports may also (or only) carry a ``cluster_scale`` section — the
 warm-aware + work-stealing routing sweep ``perf-trace --shape
@@ -46,14 +45,13 @@ Every section present in the baseline must also be present in the
 candidate: a benchmark that silently stops running is the quietest
 regression of all, so a missing section fails with a message naming it.
 
-The check fails (exit 1) when any shared mode's throughput drops more
-than ``REPRO_PERF_TOLERANCE`` (default 0.25, i.e. 25 %) below baseline,
-or when the candidate's fidelity cross-checks (equal goodput and
-cold-start counts across modes, p99 relative error under 1 %) no longer
-hold.  CI machines are noisy and heterogeneous; the generous tolerance
-catches real structural regressions (an accidental per-sample copy, a
-heap that stops compacting, a routing decision that visits every
-invoker again) without flaking on scheduler jitter.
+The check fails (exit 1) when any shared throughput drops more than
+``REPRO_PERF_TOLERANCE`` (default 0.25, i.e. 25 %) below baseline, or
+when a section's identity flags no longer hold.  CI machines are noisy
+and heterogeneous; the generous tolerance catches real structural
+regressions (an accidental per-sample copy, a heap that stops
+compacting, a routing decision that visits every invoker again) without
+flaking on scheduler jitter.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ DEFAULT_TOLERANCE = 0.25
 def load(path: Path) -> dict:
     with path.open() as handle:
         report = json.load(handle)
-    has_metrics = report.get("benchmark") == "perf-trace" and "modes" in report
+    has_metrics = report.get("benchmark") == "perf-trace" and "run" in report
     has_cluster = "points" in report.get("cluster_scale", {})
     has_warmth = "regimes" in report.get("warmth_spectrum", {})
     has_tracing = "modes" in report.get("tracing_overhead", {})
@@ -84,7 +82,7 @@ def load(path: Path) -> dict:
 #: fail loudly when the baseline tracks a section the candidate never ran —
 #: a benchmark that silently disappears from CI must not pass the gate.
 _SECTIONS = {
-    "modes (exact-vs-sketch metrics)": lambda report: "modes" in report,
+    "metrics (run)": lambda report: "run" in report,
     "cluster_scale": lambda report: "points" in report.get("cluster_scale", {}),
     "warmth_spectrum": lambda report: "regimes" in report.get("warmth_spectrum", {}),
     "tracing_overhead": lambda report: "modes" in report.get("tracing_overhead", {}),
@@ -107,36 +105,22 @@ def check_sections_present(
 def check_metrics(
     candidate: dict, baseline: dict, tolerance: float, failures: list[str]
 ) -> None:
-    """Gate the exact-vs-sketch metrics section (when both reports have it)."""
-    if "modes" not in candidate or "modes" not in baseline:
+    """Gate the metrics replay's throughput (when both reports have it)."""
+    if "run" not in candidate or "run" not in baseline:
         return
-    shared_modes = sorted(set(candidate["modes"]) & set(baseline["modes"]))
-    if not shared_modes:
-        failures.append("candidate and baseline share no metrics modes")
-    for mode in shared_modes:
-        got = candidate["modes"][mode]["invocations_per_second"]
-        want = baseline["modes"][mode]["invocations_per_second"]
-        floor = want * (1.0 - tolerance)
-        verdict = "ok" if got >= floor else "REGRESSED"
-        print(
-            f"{mode:>7}: {got:10,.0f} inv/s vs baseline {want:10,.0f} "
-            f"(floor {floor:10,.0f}) {verdict}"
+    got = candidate["run"]["invocations_per_second"]
+    want = baseline["run"]["invocations_per_second"]
+    floor = want * (1.0 - tolerance)
+    verdict = "ok" if got >= floor else "REGRESSED"
+    print(
+        f"{'metrics':>7}: {got:10,.0f} inv/s vs baseline {want:10,.0f} "
+        f"(floor {floor:10,.0f}) {verdict}"
+    )
+    if got < floor:
+        failures.append(
+            f"metrics throughput {got:,.0f} inv/s is more than "
+            f"{tolerance:.0%} below the baseline {want:,.0f} inv/s"
         )
-        if got < floor:
-            failures.append(
-                f"{mode} throughput {got:,.0f} inv/s is more than "
-                f"{tolerance:.0%} below the baseline {want:,.0f} inv/s"
-            )
-
-    # Fidelity must hold at any scale — a fast-but-wrong sketch is a
-    # regression no tolerance excuses.
-    if candidate.get("equal_goodput") is False:
-        failures.append("exact and sketch goodput diverged")
-    if candidate.get("equal_cold_starts") is False:
-        failures.append("exact and sketch cold-start counts diverged")
-    p99_err = candidate.get("p99_relative_error")
-    if p99_err is not None and p99_err >= 0.01:
-        failures.append(f"sketch p99 relative error {p99_err:.4f} >= 1%")
 
 
 def check_cluster_scale(

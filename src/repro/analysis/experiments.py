@@ -37,7 +37,7 @@ import random
 import resource
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.series import Series, SweepResult
 from repro.analysis.stats import OverheadSummary, relative_overhead_percent, summarize_overheads
@@ -58,21 +58,20 @@ from repro.faas.loadgen import (
     azure_functions_arrivals,
     load_azure_trace_csv,
 )
-from repro.faas.metrics import LatencyStats
+from repro.faas.metrics import LatencyStats, summarize
 from repro.faas.obs import (
     export_chrome_trace,
     latency_decompose,
     write_chrome_trace,
 )
 from repro.faas.sketch import LatencySketch
-from repro.faas.request import Invocation, InvocationStatus
+from repro.faas.request import InvocationStatus
 from repro.faas.scheduler import estimated_service_seconds, home_index
 from repro.faas.platform import FaaSPlatform
 from repro.runtime.profiles import FunctionProfile, Language
 from repro.workloads.microbench import microbenchmark_profile
 from repro.workloads.registry import (
     all_benchmarks,
-    fork_compatible_benchmarks,
     representative_benchmarks,
     wasm_benchmarks,
 )
@@ -271,15 +270,11 @@ def measure_latency(
         num_requests=invocations,
         think_time_seconds=think_time_seconds,
     )
-    client.run()
-    metrics = platform.action_metrics(action.name)
-    skip = min(skip_warmup, max(0, invocations - 1))
-    container = platform.containers(action.name)[0]
-    restores = [
-        exe.report.restore
-        for exe in container.executions[skip:]
-        if exe.report.restore is not None
+    completed = [
+        inv for inv in client.run() if inv.status is InvocationStatus.COMPLETED
     ]
+    measured = completed[min(skip_warmup, max(0, invocations - 1)):]
+    restores = [inv.report.restore for inv in measured if inv.report.restore is not None]
     restore_ms = (
         sum(r.total_seconds for r in restores) / len(restores) * 1000 if restores else None
     )
@@ -289,17 +284,15 @@ def measure_latency(
     dirty_pages = (
         sum(r.dirty_pages for r in restores) / len(restores) if restores else None
     )
-    faults = [
-        exe.report.result.faults.total for exe in container.executions[skip:]
-    ]
-    init = container.init_report
+    faults = [inv.report.result.faults.total for inv in measured]
+    init = platform.containers(action.name)[0].init_report
     suite = spec_or_profile.suite if isinstance(spec_or_profile, BenchmarkSpec) else profile.suite
     return BenchmarkConfigResult(
         benchmark=profile.qualified_name,
         suite=suite,
         config=config,
-        e2e=metrics.e2e_stats(skip),
-        invoker=metrics.invoker_stats(skip),
+        e2e=summarize(inv.e2e_seconds for inv in measured),
+        invoker=summarize(inv.invoker_seconds for inv in measured),
         restore_ms_mean=restore_ms,
         snapshot_ms=(init.prepare_seconds * 1000 if init and init.prepare_seconds else None),
         init_seconds=init.total_seconds if init else None,
@@ -1501,7 +1494,6 @@ def run_slo_control(
     forecast_cycles: int = 3,
     forecast_amplitude: float = 0.9,
     forecast_burst_fraction: float = 0.0,
-    metrics_mode: str = "exact",
     restorable_snapshots: bool = False,
     snapshot_budget: Optional[int] = None,
     isolation_mechanism: str = "gh",
@@ -1745,7 +1737,6 @@ def run_slo_control(
             cycles=forecast_cycles,
             amplitude=forecast_amplitude,
             burst_fraction=forecast_burst_fraction,
-            metrics_mode=metrics_mode,
             restorable_snapshots=restorable_snapshots,
             snapshot_budget=snapshot_budget,
             isolation_mechanism=isolation_mechanism,
@@ -1824,7 +1815,6 @@ def _run_forecast_comparison(
     cycles: int,
     amplitude: float,
     burst_fraction: float,
-    metrics_mode: str = "exact",
     restorable_snapshots: bool = False,
     snapshot_budget: Optional[int] = None,
     isolation_mechanism: str = "gh",
@@ -1876,7 +1866,6 @@ def _run_forecast_comparison(
                 forecast_period_seconds=(
                     period if planner == "predictive" else None
                 ),
-                metrics_mode=metrics_mode,
                 restorable_snapshots=restorable_snapshots,
                 snapshot_budget=snapshot_budget,
                 isolation_mechanism=isolation_mechanism,
@@ -2077,9 +2066,8 @@ def run_coldstart_comparison(
 # Multi-seed fan-out and the million-request perf trace
 # ---------------------------------------------------------------------------
 
-#: Tenants cycled by the perf trace.  Two keeps the per-tick windowed
-#: percentile sorts *large* in exact mode (fewer, bigger per-tenant
-#: windows) — the honest worst case for per-sample storage.
+#: Tenants cycled by the perf trace: the SLO monitor splits every tick's
+#: window into one collector per tenant.
 PERF_TRACE_TENANTS = 2
 
 
@@ -2097,7 +2085,7 @@ def run_replicated(
     """Run a per-seed experiment over every seed, optionally in parallel.
 
     ``worker`` is a picklable (module-level) callable ``seed -> result``;
-    the default replays a reduced sketch-mode perf trace per seed (see
+    the default replays a reduced perf trace per seed (see
     :func:`replicated_trace_worker`).  Results come back **in seed order**
     and are bit-identical whether computed serially (``processes`` is
     ``None``/``<= 1``) or fanned out across ``processes`` spawn-started
@@ -2125,12 +2113,12 @@ def run_replicated(
 def replicated_trace_worker(seed: int) -> Dict[str, object]:
     """Default :func:`run_replicated` worker: one reduced perf-trace run.
 
-    Replays the perf-trace workload at 1/50 scale in sketch mode and
-    returns a plain picklable summary, including the run's end-to-end
+    Replays the perf-trace workload at 1/50 scale and returns a plain
+    picklable summary, including the run's end-to-end
     :class:`~repro.faas.sketch.LatencySketch` so replicas can be pooled
     by sketch-merge.
     """
-    return _perf_trace_run("sketch", invocations=20_000, seed=seed)
+    return _perf_trace_run(invocations=20_000, seed=seed)
 
 
 def pooled_sketch_stats(results: Sequence[Dict[str, object]]) -> LatencyStats:
@@ -2145,34 +2133,28 @@ def pooled_sketch_stats(results: Sequence[Dict[str, object]]) -> LatencyStats:
 
 
 def perf_trace_config(
-    mode: str,
     *,
     cores: int = 4,
     invokers: int = 4,
     seed: int = 20230501,
     tracing: str = "off",
 ) -> SimulationConfig:
-    """The perf trace's cluster configuration, identical across modes.
+    """The perf trace's cluster configuration.
 
     The knobs isolate the *harness* hot path — event loop, scheduler,
     control loop, metrics — rather than any isolation mechanism's
     restore arithmetic:
 
     * a five-minute SLO horizon (the window cloud monitors alert on)
-      sampled by the default control tick: the windowed per-tenant p99
-      the monitor scores every tick is then O(window x rate) per tick
-      under per-sample storage, which is precisely the cost the sketch
-      mode bounds;
+      sampled by the default control tick, so every tick reduces a
+      300 s window split per tenant;
     * one-second metric buckets (a 300 s window reduces over ~301
       bucket sketches, not ~1200);
-    * work stealing off and a long keep-alive, so both modes run the
-      same near-steady warm cluster and the comparison is pure
-      bookkeeping cost.
+    * work stealing off and a long keep-alive, so the cluster runs
+      near-steady and warm and the replay measures bookkeeping cost.
 
-    Nothing here changes simulated behaviour between modes: metrics are
-    observe-only when no SLOs are declared, so goodput, cold starts and
-    every event timestamp are bit-identical between ``exact`` and
-    ``sketch`` runs of the same seed.
+    No tenant SLOs are declared, so metrics are observe-only: they never
+    change what the simulation does.
     """
     return SimulationConfig(
         cores=cores,
@@ -2184,15 +2166,13 @@ def perf_trace_config(
         keep_alive_seconds=600.0,
         control_plane=True,
         slo_window_seconds=300.0,
-        metrics_mode=mode,
         metrics_bucket_seconds=1.0,
         seed=seed,
         tracing=tracing,
     )
 
 
-def _perf_trace_run(
-    mode: str,
+def _perf_trace_client(
     *,
     invocations: int,
     seed: int = 20230501,
@@ -2203,16 +2183,15 @@ def _perf_trace_run(
     cycles: int = 3,
     trace_file: Optional[str] = None,
     tracing: str = "off",
-    export_trace: bool = False,
-) -> Dict[str, object]:
-    """Replay the synthetic multi-day Azure-shaped trace once.
+) -> Tuple[OpenLoopClient, float]:
+    """Build the perf trace's cluster and the client that replays it.
 
-    Builds the cluster, synthesises a ``cycles``-day diurnal arrival
-    trace sized to at least ``invocations`` arrivals, replays it through
-    the platform with the control plane ticking, and returns a plain
-    summary.  The measured wall-clock covers the replay and the final
-    end-to-end reduction, not trace synthesis (which is identical across
-    modes and not the subject of the comparison).
+    Deploys ``actions`` base-mechanism copies of a small microbenchmark
+    and synthesises a ``cycles``-day diurnal arrival trace sized to at
+    least ``invocations`` arrivals.  The client is lean (it keeps no
+    finished invocation) and lazy (one pending arrival event at a time);
+    ``client.platform`` is the cluster.  Returns the client and the
+    offered rate.
 
     ``trace_file`` replaces the synthetic diurnal generator with a
     *published* Azure Functions invocations-per-function CSV (see
@@ -2236,9 +2215,7 @@ def _perf_trace_run(
     # actually replays >= 10^6 arrivals.
     duration = 1.1 * invocations / offered
     platform = FaaSCluster(
-        perf_trace_config(
-            mode, cores=cores, invokers=invokers, seed=seed, tracing=tracing
-        )
+        perf_trace_config(cores=cores, invokers=invokers, seed=seed, tracing=tracing)
     )
     deployed = _deploy_action_copies(
         platform,
@@ -2275,13 +2252,34 @@ def _perf_trace_run(
         keep_samples=False,
         lazy_trace=True,
     )
+    return client, offered
+
+
+def _perf_trace_run(
+    *,
+    invocations: int,
+    seed: int = 20230501,
+    trace_file: Optional[str] = None,
+    tracing: str = "off",
+    export_trace: bool = False,
+) -> Dict[str, object]:
+    """Replay the synthetic multi-day Azure-shaped trace once.
+
+    Builds the cluster and trace (:func:`_perf_trace_client`), replays
+    the trace through the platform with the control plane ticking, and
+    returns a plain summary.  The measured wall-clock covers the replay
+    and the final end-to-end reduction, not trace synthesis.
+    """
+    client, offered = _perf_trace_client(
+        invocations=invocations, seed=seed, trace_file=trace_file, tracing=tracing
+    )
+    platform = client.platform
     gc.collect()
     started = time.perf_counter()
     result = client.run()
     stats = platform.metrics.e2e_stats()
     wall = time.perf_counter() - started
     summary: Dict[str, object] = {
-        "mode": mode,
         "seed": seed,
         "arrivals": result.issued,
         "completed": result.completed,
@@ -2292,11 +2290,12 @@ def _perf_trace_run(
         "mean_ms": stats.mean * 1000.0,
         "wall_seconds": wall,
         "invocations_per_second": result.issued / wall if wall > 0 else 0.0,
-        "duration_seconds": duration,
+        "duration_seconds": client.duration_seconds,
         "offered_rps": offered,
         "trace_file": trace_file,
         "tracing": tracing,
-        "e2e_sketch": _e2e_as_sketch(platform),
+        # Picklable and mergeable: replicas pool by sketch-merge.
+        "e2e_sketch": platform.metrics._merged_sketch("e2e"),
     }
     recorder = platform.trace()
     if recorder is not None:
@@ -2307,16 +2306,6 @@ def _perf_trace_run(
     return summary
 
 
-def _e2e_as_sketch(platform: FaaSCluster) -> "LatencySketch":
-    """The run's end-to-end latencies as a (picklable, mergeable) sketch."""
-    metrics = platform.metrics
-    if metrics.mode == "sketch":
-        return metrics._merged_sketch("e2e")
-    sketch = LatencySketch()
-    sketch.extend(inv.e2e_seconds for inv in metrics.completed)
-    return sketch
-
-
 def _peak_rss_mb() -> float:
     """This process's peak resident set size, in MiB.
 
@@ -2324,7 +2313,7 @@ def _peak_rss_mb() -> float:
     post-``exec`` address space, so a spawn-started child reports its
     *own* peak.  ``ru_maxrss`` survives ``exec`` on Linux, so a child of
     a fat parent (e.g. a long pytest session) would inherit the parent's
-    peak and flatten the exact-vs-sketch comparison.
+    peak and hide this run's own footprint.
     """
     try:
         with open("/proc/self/status") as handle:
@@ -2337,19 +2326,10 @@ def _peak_rss_mb() -> float:
     return usage.ru_maxrss / 1024.0  # Linux reports KiB
 
 
-def _perf_trace_worker(
-    job: Tuple[str, int, int, Optional[str]]
-) -> Dict[str, object]:
-    """Child-process entry: run one mode and report its own peak RSS.
-
-    Spawned fresh per job (``maxtasksperchild=1``), so the peak reflects
-    exactly this run's footprint — in exact mode that is the
-    retained-invocation heap the sketch mode exists to eliminate.
-    """
-    mode, invocations, seed, trace_file = job
-    summary = _perf_trace_run(
-        mode, invocations=invocations, seed=seed, trace_file=trace_file
-    )
+def _perf_trace_worker(job: Tuple[int, int, Optional[str]]) -> Dict[str, object]:
+    """Child-process entry: one perf-trace replay and its own peak RSS."""
+    invocations, seed, trace_file = job
+    summary = _perf_trace_run(invocations=invocations, seed=seed, trace_file=trace_file)
     summary["max_rss_mb"] = _peak_rss_mb()
     summary.pop("e2e_sketch", None)
     return summary
@@ -2359,80 +2339,39 @@ def run_perf_trace(
     *,
     invocations: int = 1_000_000,
     seed: int = 20230501,
-    processes: int = 1,
-    modes: Sequence[str] = ("exact", "sketch"),
     trace_file: Optional[str] = None,
 ) -> Dict[str, object]:
-    """The tracked perf baseline: exact vs sketch over the same trace.
+    """The tracked metrics baseline: one replay of the diurnal perf trace.
 
-    Runs each metrics mode over the identical ``invocations``-arrival
-    diurnal trace in its **own spawn-started child process** (fresh
-    interpreter per mode, so peak-RSS numbers do not contaminate each
-    other), then cross-checks that simulated behaviour matched exactly —
-    equal goodput and cold-start counts — and reports the speedup, the
-    RSS ratio and the sketch's p99 relative error.  ``processes > 1``
-    runs the modes concurrently; the default measures them back to back
-    so wall-clocks are not perturbed by CPU contention.
-
-    ``trace_file`` swaps the synthetic diurnal trace for a published
-    Azure invocations-per-function CSV replayed at the same offered
-    load (see :func:`_perf_trace_run`); every cross-check applies
-    unchanged, since both modes replay the identical loaded trace.
+    Replays the ``invocations``-arrival trace (see :func:`_perf_trace_run`)
+    in a **spawn-started child process**, so the reported peak RSS is
+    this replay's own and not the caller's.  ``trace_file`` swaps the
+    synthetic diurnal trace for a published Azure invocations-per-function
+    CSV replayed at the same offered load.
     """
-    jobs = [(mode, int(invocations), int(seed), trace_file) for mode in modes]
     ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:
-        if processes > 1:
-            summaries = pool.map(_perf_trace_worker, jobs)
-        else:
-            summaries = [pool.apply(_perf_trace_worker, (job,)) for job in jobs]
-    by_mode = {summary["mode"]: summary for summary in summaries}
-    report: Dict[str, object] = {
+    with ctx.Pool(1, maxtasksperchild=1) as pool:
+        run = pool.apply(_perf_trace_worker, ((int(invocations), int(seed), trace_file),))
+    return {
         "benchmark": "perf-trace",
         "invocations_requested": int(invocations),
         "seed": int(seed),
         "trace_file": trace_file,
-        "modes": by_mode,
+        "run": run,
     }
-    if "exact" in by_mode and "sketch" in by_mode:
-        exact, sketch = by_mode["exact"], by_mode["sketch"]
-        report["speedup_sketch_vs_exact"] = (
-            exact["wall_seconds"] / sketch["wall_seconds"]
-            if sketch["wall_seconds"] > 0
-            else None
-        )
-        report["rss_ratio_exact_vs_sketch"] = (
-            exact["max_rss_mb"] / sketch["max_rss_mb"]
-            if sketch["max_rss_mb"] > 0
-            else None
-        )
-        report["p99_relative_error"] = (
-            abs(sketch["p99_ms"] - exact["p99_ms"]) / exact["p99_ms"]
-            if exact["p99_ms"] > 0
-            else None
-        )
-        report["equal_goodput"] = (
-            exact["goodput_fraction"] == sketch["goodput_fraction"]
-        )
-        report["equal_cold_starts"] = (
-            exact["cold_starts"] == sketch["cold_starts"]
-        )
-    return report
 
 
 def traced_replica_worker(seed: int) -> Dict[str, object]:
     """A :func:`run_replicated` worker that returns a sampled-trace digest.
 
-    Replays a small sketch-mode perf trace with ``tracing="sampled"`` and
+    Replays a small perf trace with ``tracing="sampled"`` and
     returns only plain picklable fields — most importantly the
     recorder's :meth:`~repro.faas.obs.TraceRecorder.trace_digest`, which
     must be identical whether the replica ran serially in the parent or
     inside a spawn-started worker process (the sampling key is the
     run-local arrival ordinal, never the process-global invocation id).
     """
-    summary = _perf_trace_run(
-        "sketch", invocations=3_000, seed=seed, tracing="sampled"
-    )
+    summary = _perf_trace_run(invocations=3_000, seed=seed, tracing="sampled")
     return {
         "seed": seed,
         "arrivals": summary["arrivals"],
@@ -2451,7 +2390,6 @@ def _tracing_overhead_worker(
     """Child-process entry: one tracing mode of the overhead comparison."""
     tracing, invocations, seed, export_trace = job
     summary = _perf_trace_run(
-        "sketch",
         invocations=invocations,
         seed=seed,
         tracing=tracing,
@@ -2473,7 +2411,7 @@ def run_tracing_overhead(
 ) -> Dict[str, object]:
     """The flight recorder's perf section: tracing off vs sampled.
 
-    Replays the identical sketch-mode diurnal perf trace once per
+    Replays the identical diurnal perf trace once per
     tracing mode, each in its own spawn-started child (fresh interpreter
     → uncontaminated wall-clock and RSS), then cross-checks that tracing
     changed *nothing simulated* — equal goodput, cold starts and p99 —
@@ -2593,7 +2531,6 @@ def cluster_scale_config(
         max_containers_per_action=cores,
         keep_alive_seconds=600.0,
         control_plane=False,
-        metrics_mode="sketch",
         metrics_bucket_seconds=1.0,
         seed=seed,
     )
@@ -2774,7 +2711,6 @@ def warmth_spectrum_config(
         max_containers_per_action=cores,
         keep_alive_seconds=keep_alive_seconds,
         control_plane=False,
-        metrics_mode="sketch",
         metrics_bucket_seconds=1.0,
         restorable_snapshots=(regime == "on"),
         snapshot_budget=(snapshot_budget if regime == "on" else None),

@@ -15,8 +15,8 @@ Usage (after installing the package)::
     python -m repro.cli tenant-fairness [--benchmark NAME] [--quota-factor 1.2]
     python -m repro.cli slo-control [--benchmark NAME]
                                     [--parts quota capacity forecast]
-    python -m repro.cli perf-trace [--invocations N] [--quick]
-                                   [--modes exact sketch]
+    python -m repro.cli perf-trace [--shape metrics|cluster-scale|...]
+                                   [--invocations N] [--quick]
                                    [--output BENCH_perf.json]
                                    [--trace-out trace.json]
     python -m repro.cli trace [--regime on|off] [--tracing sampled|full]
@@ -61,7 +61,6 @@ from repro.sim.rng import fallback_stream
 from repro.config import (
     ADMISSION_POLICIES,
     ISOLATION_MECHANISMS,
-    METRICS_MODES,
     PLANNER_KINDS,
     SCHEDULER_POLICIES,
     TRACING_MODES,
@@ -458,51 +457,37 @@ TRACING_OVERHEAD_QUICK_REPEATS = 3
 
 
 def _run_perf_trace_metrics(args: argparse.Namespace) -> dict:
-    """The metrics shape of ``perf-trace``: exact vs sketch bookkeeping."""
+    """The metrics shape of ``perf-trace``: bookkeeping cost of one replay."""
     invocations = 100_000 if args.quick else args.invocations
     report = run_perf_trace(
         invocations=invocations,
         seed=args.seed,
-        processes=args.processes,
-        modes=tuple(args.modes),
         trace_file=args.trace_file,
     )
     report["quick"] = bool(args.quick)
-    rows = [
-        [
-            summary["mode"],
-            str(summary["arrivals"]),
-            f"{summary['wall_seconds']:.1f}",
-            f"{summary['invocations_per_second']:.0f}",
-            f"{summary['max_rss_mb']:.0f}",
-            f"{summary['goodput_fraction'] * 100:.2f}%",
-            str(summary["cold_starts"]),
-            f"{summary['p99_ms']:.1f}",
-        ]
-        for summary in report["modes"].values()
-    ]
+    run = report["run"]
     source = (
         f"replayed from {args.trace_file}"
         if args.trace_file
         else "over a 3-cycle diurnal trace"
     )
     print(render_table(
-        ["metrics mode", "arrivals", "wall (s)", "arrivals/s",
-         "peak RSS (MB)", "goodput", "cold starts", "p99 (ms)"],
-        rows,
+        ["arrivals", "wall (s)", "arrivals/s", "peak RSS (MB)", "goodput",
+         "cold starts", "p99 (ms)"],
+        [[
+            str(run["arrivals"]),
+            f"{run['wall_seconds']:.1f}",
+            f"{run['invocations_per_second']:.0f}",
+            f"{run['max_rss_mb']:.0f}",
+            f"{run['goodput_fraction'] * 100:.2f}%",
+            str(run["cold_starts"]),
+            f"{run['p99_ms']:.1f}",
+        ]],
         title=(
             f"perf-trace — {invocations:,} requested arrivals {source} "
-            "(each mode in its own process)"
+            "(in its own process)"
         ),
     ))
-    if "speedup_sketch_vs_exact" in report:
-        print(
-            f"sketch vs exact: {report['speedup_sketch_vs_exact']:.2f}x faster, "
-            f"{report['rss_ratio_exact_vs_sketch']:.2f}x smaller peak RSS, "
-            f"p99 relative error {report['p99_relative_error'] * 100:.3f}% "
-            f"(behaviour identical: goodput equal={report['equal_goodput']}, "
-            f"cold starts equal={report['equal_cold_starts']})"
-        )
     return report
 
 
@@ -971,8 +956,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_parser = subparsers.add_parser(
         "perf-trace",
-        help="replay the tracked perf traces (exact-vs-sketch metrics, "
-             "cluster-scale routing) and persist the perf baseline",
+        help="replay the tracked perf traces (metrics bookkeeping, "
+             "cluster-scale routing, warmth spectrum, tracing overhead) "
+             "and persist the perf baseline",
     )
     perf_parser.add_argument("--shape", choices=PERF_TRACE_SHAPES,
                              default="metrics",
@@ -1015,13 +1001,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "diurnal generator")
     perf_parser.add_argument("--seed", type=int, default=20230501)
     perf_parser.add_argument("--processes", type=int, default=1,
-                             help="how many mode runs to execute "
-                                  "concurrently (each always gets its own "
-                                  "process; >1 trades timing fidelity for "
-                                  "wall-clock)")
-    perf_parser.add_argument("--modes", nargs="+", choices=METRICS_MODES,
-                             default=list(METRICS_MODES),
-                             help="metrics modes to measure")
+                             help="how many runs of a comparison shape to "
+                                  "execute concurrently (each always gets "
+                                  "its own process; >1 trades timing "
+                                  "fidelity for wall-clock)")
     perf_parser.add_argument("--output", default="BENCH_perf.json",
                              help="where to write the JSON baseline "
                                   "('' disables; default: BENCH_perf.json)")

@@ -9,7 +9,7 @@ platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -66,15 +66,6 @@ PLANNER_KINDS = ("reactive", "predictive")
 #: (kept as a literal here — config must not import the baselines
 #: package — and pinned equal by a unit test).
 ISOLATION_MECHANISMS = ("base", "gh", "gh-nop", "fork", "faasm", "cold", "criu")
-
-#: Metrics collection modes.  ``exact`` retains every finished invocation
-#: (memory O(run), every statistic exact — the seed behaviour and the
-#: right choice for paper-fidelity experiments).  ``sketch`` folds
-#: invocations into ring-buffered time-bucket sketches (memory
-#: O(buckets); counts and mean/std/min/max exact, percentiles within the
-#: sketch's documented relative error) so million-invocation traces run
-#: in bounded memory.  See :mod:`repro.faas.metrics`.
-METRICS_MODES = ("exact", "sketch")
 
 #: Flight-recorder modes (see :mod:`repro.faas.obs`).  ``off`` carries no
 #: recorder at all — the instrumentation sites reduce to one ``is None``
@@ -221,17 +212,12 @@ class SimulationConfig:
     #: action's calibrated boot time — a safety margin for workloads
     #: whose ramps outrun one boot time.
     forecast_horizon_margin_seconds: float = 0.0
-    #: How the cluster's metrics collectors store finished invocations:
-    #: ``"exact"`` (every invocation retained, the seed behaviour) or
-    #: ``"sketch"`` (ring-buffered time-bucket sketches — bounded memory
-    #: for million-invocation traces; see :mod:`repro.faas.metrics`).
-    metrics_mode: str = "exact"
-    #: Width (virtual seconds) of one sketch-mode time bucket.  Keep it
-    #: equal to (or an integer divisor of) ``control_interval_seconds``
-    #: so SLO-monitor windows align with bucket edges and sketch-mode
-    #: windowed counts match exact mode exactly.
+    #: Width (virtual seconds) of one metrics time bucket (see
+    #: :mod:`repro.faas.metrics`): windows are quantised to it.  Keep it
+    #: equal to (or an integer divisor of) ``control_interval_seconds`` so
+    #: an SLO-monitor window spans whole buckets.
     metrics_bucket_seconds: float = 0.25
-    #: Live sketch-mode buckets retained at full time resolution before
+    #: Live metrics buckets retained at full time resolution before
     #: the oldest fold into the run-lifetime archive.
     metrics_max_buckets: int = 4096
     #: Flight recorder (see :mod:`repro.faas.obs`): ``"off"`` (no
@@ -329,11 +315,6 @@ class SimulationConfig:
                 )
             if self.forecast_period_seconds <= 0:
                 raise ConfigError("forecast_period_seconds must be positive (or None)")
-        if self.metrics_mode not in METRICS_MODES:
-            raise ConfigError(
-                f"unknown metrics_mode {self.metrics_mode!r}; "
-                f"choose one of {METRICS_MODES}"
-            )
         if self.metrics_bucket_seconds <= 0:
             raise ConfigError("metrics_bucket_seconds must be positive")
         if self.metrics_max_buckets < 1:

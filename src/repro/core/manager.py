@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.errors import IsolationError, RestoreError, SnapshotError
 from repro.core.restore import RestoreResult, Restorer

@@ -138,8 +138,10 @@ class FaaSCluster:
             platform_jitter_seconds=self.config.platform_jitter_seconds,
             rng=self.rng_streams.stream("controller"),
         )
-        self.metrics = self._new_collector()
-        self.per_action_metrics: Dict[str, MetricsCollector] = {}
+        self.metrics = MetricsCollector(
+            bucket_seconds=self.config.metrics_bucket_seconds,
+            max_buckets=self.config.metrics_max_buckets,
+        )
         self._specs: Dict[str, ActionSpec] = {}
         #: The SLO-driven control loop (None unless ``config.control_plane``).
         self.control_plane: Optional[ControlPlane] = (
@@ -159,14 +161,6 @@ class FaaSCluster:
             )
             if self.config.control_plane
             else None
-        )
-
-    def _new_collector(self) -> MetricsCollector:
-        """A metrics collector shaped by the config's metrics knobs."""
-        return MetricsCollector(
-            self.config.metrics_mode,
-            bucket_seconds=self.config.metrics_bucket_seconds,
-            max_buckets=self.config.metrics_max_buckets,
         )
 
     # ------------------------------------------------------------------
@@ -198,7 +192,6 @@ class FaaSCluster:
             raise PlatformError("max_containers must be >= the pre-warmed count")
         deployed = self.scheduler.deploy(spec, containers=count, max_containers=ceiling)
         self._specs[spec.name] = spec
-        self.per_action_metrics[spec.name] = self._new_collector()
         # The home invoker just booted the pre-warmed containers, so the
         # measured init time is available; the service-time denominator
         # is the same estimate the load-sizing heuristics use.
@@ -286,7 +279,6 @@ class FaaSCluster:
             if finished.trace is not None:
                 self.tracer.finish_invocation(finished)
             self.metrics.record(finished)
-            self.per_action_metrics[action].record(finished)
             if on_complete is not None:
                 on_complete(finished)
 
@@ -327,12 +319,6 @@ class FaaSCluster:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-
-    def action_metrics(self, action: str) -> MetricsCollector:
-        """Per-action metrics collector."""
-        if action not in self.per_action_metrics:
-            raise PlatformError(f"action {action!r} was never deployed")
-        return self.per_action_metrics[action]
 
     def cluster_stats(self) -> List[Dict[str, object]]:
         """Per-invoker routing/dispatch/warmth counters.

@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ContainerError
 from repro.baselines.registry import create_mechanism
@@ -98,9 +98,6 @@ class Container:
         self.state = ContainerState.CREATED
         self.init_report: Optional[InitReport] = None
         self.requests_served = 0
-        self.executions: List[ContainerExecution] = []
-        #: Total time spent doing post-request work (restorations etc.).
-        self.post_work_seconds = 0.0
         #: How many times this container was restored from a held snapshot.
         self.restored_from_snapshot = 0
         #: ``requests_served`` as of the last snapshot restore.  Together
@@ -176,7 +173,6 @@ class Container:
         invocation: Invocation,
         *,
         verify: bool = False,
-        record: bool = True,
     ) -> ContainerExecution:
         """Serve one invocation synchronously.
 
@@ -202,16 +198,12 @@ class Container:
         proxy_overhead = self.proxy.request_overhead_seconds(
             len(invocation.payload), report.result.response_bytes
         )
-        execution = ContainerExecution(
+        self.requests_served += 1
+        return ContainerExecution(
             report=report,
             invoker_seconds=report.critical_seconds + proxy_overhead,
             unavailable_seconds=report.post_seconds,
         )
-        self.requests_served += 1
-        self.post_work_seconds += report.post_seconds
-        if record:
-            self.executions.append(execution)
-        return execution
 
     # ------------------------------------------------------------------
     # Introspection

@@ -738,6 +738,7 @@ class Invoker:
         available_time = completion_time + execution.unavailable_seconds
 
         def complete() -> None:
+            invocation.report = execution.report
             invocation.mark_completed(self.loop.now, execution.report.result.response)
             self.invocations_completed += 1
             callback(invocation)

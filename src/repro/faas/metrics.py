@@ -3,49 +3,43 @@
 The paper reports two latencies per benchmark — the end-to-end latency seen
 by the client and the invoker latency that excludes the rest of the platform
 — plus the peak sustained throughput of a saturated 4-container deployment.
-This module collects per-invocation samples and reduces them to the summary
-statistics the tables and figures need.
+This module reduces latency samples to the summary statistics the tables and
+figures need, and keeps the platform's run-time metrics.
 
-Two collection modes share one surface:
+:class:`MetricsCollector` keeps nothing per invocation.  Each finished
+:class:`~repro.faas.request.Invocation` is folded into ring-buffered
+*time-bucket sketches* (per status, per tenant) built on
+:mod:`repro.faas.sketch`: memory O(buckets), counts/mean/std/min/max
+exact, percentiles within the sketch's documented relative value-error
+bound.  ``window()``/``by_caller()``/``e2e_stats()`` reduce over bucket
+sketches in O(buckets), so the control plane
+(:class:`~repro.faas.controlplane.slo.SLOMonitor` and everything above it)
+runs on million-invocation traces in bounded memory.  Callers that need
+raw per-invocation samples (the paper's closed-loop latency figures) take
+them from the invocations their own client holds.
 
-* ``exact`` (the default) retains every finished
-  :class:`~repro.faas.request.Invocation` in per-status lists sorted by
-  completion time — memory O(run), every statistic exact.  This is the
-  right mode for paper-fidelity experiments and tests.
-* ``sketch`` folds each invocation into ring-buffered *time-bucket
-  sketches* (per status, per tenant) built on
-  :mod:`repro.faas.sketch` — memory O(buckets), counts/mean/std/min/max
-  exact, percentiles within the sketch's documented relative value-error
-  bound.  ``window()``/``by_caller()``/``e2e_stats()``/``throughput()``
-  reduce over bucket sketches in O(buckets), so the control plane
-  (:class:`~repro.faas.controlplane.slo.SLOMonitor` and everything above
-  it) runs unchanged on million-invocation traces.
-
-Sketch-mode windows are quantised to bucket boundaries: ``window(start,
-end)`` covers every bucket intersecting the closed interval, which is
-*identical* to the exact closed-interval semantics whenever ``start``
-falls on a bucket edge and no sample has finished after ``end`` —
-precisely the control-loop case (ticks align with ``bucket_seconds``,
-and nothing has completed after ``now``).  Raw per-invocation accessors
-(``completed``, ``e2e_latencies``, warm-up skipping) are unavailable in
-sketch mode and raise :class:`~repro.errors.PlatformError`.
+Windows are quantised to bucket boundaries: ``window(start, end)`` covers
+every bucket intersecting the closed interval, which is *identical* to the
+closed-interval membership of the raw samples whenever ``start`` falls on a
+bucket edge and no sample has finished after ``end``.  A control loop
+asking about ``[now - w, now]`` meets the second condition by construction;
+a ``start`` off a bucket edge widens the window by less than one bucket of
+older samples.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.config import METRICS_MODES
 from repro.errors import PlatformError
 from repro.faas.request import Invocation, InvocationStatus
 from repro.faas.sketch import DEFAULT_RELATIVE_ACCURACY, LatencySketch
 
-#: Default sketch-mode time-bucket width.  Matches the control plane's
-#: default tick interval so monitor windows align with bucket edges.
+#: Default time-bucket width.  Matches the control plane's default tick
+#: interval, so a monitor window spans a whole number of buckets.
 DEFAULT_BUCKET_SECONDS = 0.25
 
 #: Default cap on live time buckets before the oldest are folded into the
@@ -164,7 +158,7 @@ class _SketchSlice:
 
 
 class _TimeBucket:
-    """One sketch-mode time bucket: a total slice plus per-tenant slices."""
+    """One time bucket: a total slice plus per-tenant slices."""
 
     __slots__ = ("total", "tenants")
 
@@ -189,25 +183,21 @@ class _TimeBucket:
 
 
 class MetricsCollector:
-    """Collects finished invocations and derives latency/throughput.
+    """Folds finished invocations into time-bucket sketches.
 
-    ``mode`` selects the storage discipline (see the module docstring);
-    ``bucket_seconds``/``max_buckets``/``relative_accuracy`` shape the
-    sketch-mode ring buffer and are ignored in exact mode.
+    ``bucket_seconds`` is the time resolution of windows, ``max_buckets``
+    the number of live buckets kept before the oldest fold into the
+    run-lifetime archive, and ``relative_accuracy`` the percentile error
+    bound of every sketch (see the module docstring).
     """
 
     def __init__(
         self,
-        mode: str = "exact",
         *,
         bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
         max_buckets: int = DEFAULT_MAX_BUCKETS,
         relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
     ) -> None:
-        if mode not in METRICS_MODES:
-            raise PlatformError(
-                f"unknown metrics mode {mode!r}; choose one of {METRICS_MODES}"
-            )
         if bucket_seconds <= 0:
             raise PlatformError(
                 f"metrics bucket width must be positive (got {bucket_seconds})"
@@ -216,32 +206,25 @@ class MetricsCollector:
             raise PlatformError(
                 f"metrics bucket cap must be at least 1 (got {max_buckets})"
             )
-        self.mode = mode
         self.bucket_seconds = bucket_seconds
         self.max_buckets = max_buckets
         self.relative_accuracy = relative_accuracy
-        # Exact-mode storage: per-status lists sorted by completed_at.
-        self._completed: List[Invocation] = []
-        self._failed: List[Invocation] = []
-        self._rejected: List[Invocation] = []
-        self._throttled: List[Invocation] = []
-        # Sketch-mode storage: live time buckets keyed by
-        # floor(completed_at / bucket_seconds), an eviction heap of those
-        # keys, and an archive bucket absorbing everything evicted.
+        # Live time buckets keyed by floor(completed_at / bucket_seconds),
+        # an eviction heap of those keys, and an archive bucket absorbing
+        # everything evicted.
         self._buckets: Dict[int, _TimeBucket] = {}
         self._bucket_heap: List[int] = []
         self._archive = _TimeBucket(relative_accuracy)
         self._archived_through: Optional[int] = None
-        # Scalar totals keep num_* O(1) in sketch mode.
+        # Scalar totals keep num_* O(1).
         self._n_completed = 0
         self._n_failed = 0
         self._n_rejected = 0
         self._n_throttled = 0
 
     def _sibling(self) -> "MetricsCollector":
-        """A fresh empty collector with this one's mode and shape."""
+        """A fresh empty collector with this one's shape."""
         return MetricsCollector(
-            self.mode,
             bucket_seconds=self.bucket_seconds,
             max_buckets=self.max_buckets,
             relative_accuracy=self.relative_accuracy,
@@ -249,32 +232,6 @@ class MetricsCollector:
 
     def record(self, invocation: Invocation) -> None:
         """Record a finished invocation."""
-        if self.mode == "sketch":
-            self._record_sketch(invocation)
-            return
-        if invocation.status is InvocationStatus.COMPLETED:
-            bucket = self._completed
-        elif invocation.status is InvocationStatus.REJECTED:
-            bucket = self._rejected
-        elif invocation.status is InvocationStatus.THROTTLED:
-            bucket = self._throttled
-        else:
-            bucket = self._failed
-        if bucket and bucket[-1].completed_at > invocation.completed_at:
-            # Out-of-order recording (a caller replaying history, or an
-            # invocation finished across a bucket edge): insert in sorted
-            # position so :meth:`window`'s binary search stays correct.
-            # The event-loop path always records at the finish instant, so
-            # this branch never runs there and appends stay O(1).
-            bisect.insort(bucket, invocation, key=lambda inv: inv.completed_at)
-        else:
-            bucket.append(invocation)
-
-    # ------------------------------------------------------------------
-    # Sketch-mode internals
-    # ------------------------------------------------------------------
-
-    def _record_sketch(self, invocation: Invocation) -> None:
         index = math.floor(invocation.completed_at / self.bucket_seconds)
         if self._archived_through is not None and index <= self._archived_through:
             # The sample's bucket was already folded away: archive it
@@ -303,8 +260,12 @@ class MetricsCollector:
         else:
             self._n_failed += 1
 
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
     def _iter_buckets(self) -> Iterator[_TimeBucket]:
-        """Archive first, then live buckets in time order (sketch mode)."""
+        """Archive first, then live buckets in time order."""
         yield self._archive
         for index in sorted(self._buckets):
             yield self._buckets[index]
@@ -369,78 +330,38 @@ class MetricsCollector:
             merged.merge(getattr(bucket.total, which))
         return merged
 
-    def _require_exact(self, surface: str) -> None:
-        if self.mode != "exact":
-            raise PlatformError(
-                f"{surface} requires per-invocation samples, which sketch-mode "
-                "collectors do not retain; use the aggregate surfaces "
-                "(num_*, e2e_stats, window, by_caller) or exact mode"
-            )
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
 
     @property
-    def completed(self) -> List[Invocation]:
-        """All completed invocations in completion order (exact mode)."""
-        self._require_exact("MetricsCollector.completed")
-        return list(self._completed)
-
-    @property
-    def failed(self) -> List[Invocation]:
-        """All failed invocations (exact mode)."""
-        self._require_exact("MetricsCollector.failed")
-        return list(self._failed)
-
-    @property
-    def rejected(self) -> List[Invocation]:
-        """All invocations shed by backpressure (exact mode)."""
-        self._require_exact("MetricsCollector.rejected")
-        return list(self._rejected)
-
-    @property
-    def throttled(self) -> List[Invocation]:
-        """All invocations refused by quota enforcement (exact mode)."""
-        self._require_exact("MetricsCollector.throttled")
-        return list(self._throttled)
-
-    @property
     def num_completed(self) -> int:
         """Number of completed invocations."""
-        if self.mode == "sketch":
-            return self._n_completed
-        return len(self._completed)
+        return self._n_completed
 
     @property
     def num_failed(self) -> int:
         """Number of failed invocations."""
-        if self.mode == "sketch":
-            return self._n_failed
-        return len(self._failed)
+        return self._n_failed
 
     @property
     def num_rejected(self) -> int:
         """Number of invocations shed by backpressure."""
-        if self.mode == "sketch":
-            return self._n_rejected
-        return len(self._rejected)
+        return self._n_rejected
 
     @property
     def num_throttled(self) -> int:
         """Number of invocations refused by per-tenant quotas."""
-        if self.mode == "sketch":
-            return self._n_throttled
-        return len(self._throttled)
+        return self._n_throttled
 
     @property
     def num_recorded(self) -> int:
         """Total invocations recorded (completed/failed/rejected/throttled)."""
         return (
-            self.num_completed
-            + self.num_failed
-            + self.num_rejected
-            + self.num_throttled
+            self._n_completed
+            + self._n_failed
+            + self._n_rejected
+            + self._n_throttled
         )
 
     @property
@@ -478,46 +399,19 @@ class MetricsCollector:
         disjoint coverage must subtract the boundary themselves.  An
         inverted window (``end < start``) is empty, not an error.
 
-        Exact mode: buckets are kept sorted by ``completed_at``
-        (:meth:`record` appends in the common in-order case and
-        bisect-inserts otherwise), so the window boundaries are found by
-        binary search and the slices adopted wholesale — O(log run +
-        window) per call rather than O(run), with no per-sample
-        re-recording.
-
-        Sketch mode: the result merges every live time bucket
-        intersecting ``[start, end]`` — O(buckets in window) regardless
-        of sample count, quantised to ``bucket_seconds`` (identical to
-        the exact semantics when ``start`` sits on a bucket edge and no
-        sample finished after ``end``).  History already folded into the
-        retention archive is out of reach of windows; control loops only
-        ask about the recent past, which is always live.
+        The result merges every live time bucket intersecting
+        ``[start, end]`` — O(buckets in window) regardless of sample
+        count, quantised to ``bucket_seconds`` (exact membership when
+        ``start`` sits on a bucket edge and no sample finished after
+        ``end``).  History already folded into the retention archive is
+        out of reach of windows; control loops only ask about the recent
+        past, which is always live.
         """
         clipped = self._sibling()
         if end is not None and end < start:
             return clipped
-
-        if self.mode == "sketch":
-            for bucket in self._iter_buckets_in(start, end):
-                clipped._absorb_bucket(bucket)
-            return clipped
-
-        def finished_at(invocation: Invocation) -> float:
-            return invocation.completed_at
-
-        for name in ("_completed", "_failed", "_rejected", "_throttled"):
-            bucket = getattr(self, name)
-            low = bisect.bisect_left(bucket, start, key=finished_at)
-            high = (
-                # bisect_right: entries with completed_at == end fall
-                # *below* the cut, making the right boundary inclusive.
-                bisect.bisect_right(bucket, end, key=finished_at)
-                if end is not None
-                else len(bucket)
-            )
-            # The slice is already sorted; adopt it wholesale instead of
-            # re-running record()'s out-of-order check per sample.
-            setattr(clipped, name, bucket[low:high])
+        for bucket in self._iter_buckets_in(start, end):
+            clipped._absorb_bucket(bucket)
         return clipped
 
     def by_caller(
@@ -531,163 +425,44 @@ class MetricsCollector:
         ``since``/``until`` restrict the split to invocations that finished
         inside the window (see :meth:`window`), so windowed per-tenant
         percentiles come from recent samples rather than the whole run.
-
-        Exact mode appends each (already sorted) windowed sample to its
-        tenant's lists directly — order is preserved, so no per-sample
-        out-of-order checks are paid.  Sketch mode merges the per-tenant
-        slices of the covered time buckets: O(buckets × tenants), never
-        O(samples).
+        The split merges the per-tenant slices of the covered time
+        buckets: O(buckets × tenants), never O(samples).
         """
-        windowed = since is not None or until is not None
         per_tenant: Dict[str, MetricsCollector] = {}
-
-        if self.mode == "sketch":
-            if windowed:
-                # Single pass over the covered buckets, merging tenant
-                # slices straight into the result — no intermediate
-                # whole-window collector (whose total-slice merges the
-                # per-tenant split would just throw away).
-                if until is not None and until < (
-                    since if since is not None else float("-inf")
-                ):
-                    return per_tenant
-                buckets: Iterable[_TimeBucket] = self._iter_buckets_in(
-                    since if since is not None else float("-inf"), until
-                )
-            else:
-                buckets = self._iter_buckets()
-            for bucket in buckets:
-                for caller, slice_ in bucket.tenants.items():
-                    collector = per_tenant.get(caller)
-                    if collector is None:
-                        collector = per_tenant[caller] = self._sibling()
-                    collector._absorb_tenant_slice(caller, slice_)
-            # Each collector's total is built once from its merged tenant
-            # slices — O(tenants) closing merges instead of one extra
-            # merge per covered bucket.
-            for collector in per_tenant.values():
-                for slice_ in collector._archive.tenants.values():
-                    collector._archive.total.merge(slice_)
-            return per_tenant
-
-        source = (
-            self.window(since if since is not None else float("-inf"), until)
-            if windowed
-            else self
-        )
-
-        for name in ("_completed", "_failed", "_rejected", "_throttled"):
-            for invocation in getattr(source, name):
-                collector = per_tenant.get(invocation.caller)
+        buckets: Iterable[_TimeBucket]
+        if since is not None or until is not None:
+            # Single pass over the covered buckets, merging tenant slices
+            # straight into the result — no intermediate whole-window
+            # collector (whose total-slice merges the per-tenant split
+            # would just throw away).
+            start = since if since is not None else float("-inf")
+            if until is not None and until < start:
+                return per_tenant
+            buckets = self._iter_buckets_in(start, until)
+        else:
+            buckets = self._iter_buckets()
+        for bucket in buckets:
+            for caller, slice_ in bucket.tenants.items():
+                collector = per_tenant.get(caller)
                 if collector is None:
-                    collector = per_tenant[invocation.caller] = self._sibling()
-                # Source buckets are sorted by completed_at, so straight
-                # appends keep each tenant's buckets sorted too.
-                getattr(collector, name).append(invocation)
+                    collector = per_tenant[caller] = self._sibling()
+                collector._absorb_tenant_slice(caller, slice_)
+        # Each collector's total is built once from its merged tenant
+        # slices — O(tenants) closing merges instead of one extra merge
+        # per covered bucket.
+        for collector in per_tenant.values():
+            for slice_ in collector._archive.tenants.values():
+                collector._archive.total.merge(slice_)
         return per_tenant
 
-    def merge_from(self, other: "MetricsCollector") -> None:
-        """Fold another collector's samples into this one.
-
-        Both collectors must share a mode (and, in sketch mode, a bucket
-        shape).  Exact mode merge-sorts the per-status lists; sketch mode
-        merges bucket-wise — the lossless reduction multi-seed fan-out
-        uses to combine per-process results.
-        """
-        if other.mode != self.mode:
-            raise PlatformError(
-                f"cannot merge a {other.mode!r}-mode collector into a "
-                f"{self.mode!r}-mode one"
-            )
-        if self.mode == "sketch":
-            if other.bucket_seconds != self.bucket_seconds:
-                raise PlatformError(
-                    "cannot merge sketch collectors with different bucket "
-                    f"widths ({self.bucket_seconds} vs {other.bucket_seconds})"
-                )
-            self._archive.merge(other._archive, self.relative_accuracy)
-            for index, bucket in other._buckets.items():
-                mine = self._buckets.get(index)
-                if mine is None:
-                    mine = self._buckets[index] = _TimeBucket(self.relative_accuracy)
-                    heapq.heappush(self._bucket_heap, index)
-                mine.merge(bucket, self.relative_accuracy)
-            while len(self._buckets) > self.max_buckets:
-                oldest = heapq.heappop(self._bucket_heap)
-                self._archive.merge(self._buckets.pop(oldest), self.relative_accuracy)
-                if self._archived_through is None or oldest > self._archived_through:
-                    self._archived_through = oldest
-            if other._archived_through is not None and (
-                self._archived_through is None
-                or other._archived_through > self._archived_through
-            ):
-                self._archived_through = other._archived_through
-            self._n_completed += other._n_completed
-            self._n_failed += other._n_failed
-            self._n_rejected += other._n_rejected
-            self._n_throttled += other._n_throttled
-            return
-        for name in ("_completed", "_failed", "_rejected", "_throttled"):
-            mine = getattr(self, name)
-            theirs = getattr(other, name)
-            if not theirs:
-                continue
-            merged = list(
-                heapq.merge(mine, theirs, key=lambda inv: inv.completed_at)
-            )
-            setattr(self, name, merged)
-
-    def e2e_latencies(self, skip_warmup: int = 0) -> List[float]:
-        """End-to-end latencies, optionally skipping the first samples."""
-        self._require_exact("MetricsCollector.e2e_latencies")
-        return [inv.e2e_seconds for inv in self._completed[skip_warmup:]]
-
-    def invoker_latencies(self, skip_warmup: int = 0) -> List[float]:
-        """Invoker latencies, optionally skipping the first samples."""
-        self._require_exact("MetricsCollector.invoker_latencies")
-        return [inv.invoker_seconds for inv in self._completed[skip_warmup:]]
-
-    def e2e_stats(self, skip_warmup: int = 0) -> LatencyStats:
+    def e2e_stats(self) -> LatencyStats:
         """Summary of end-to-end latencies.
 
-        In sketch mode, count/mean/std/min/max are exact and percentiles
-        carry the sketch's relative value-error bound; ``skip_warmup`` is
-        unavailable (individual samples are not retained).
+        Count/mean/std/min/max are exact; percentiles carry the sketch's
+        relative value-error bound.
         """
-        if self.mode == "sketch":
-            if skip_warmup:
-                self._require_exact("e2e_stats(skip_warmup != 0)")
-            return self._merged_sketch("e2e").stats()
-        return LatencyStats.from_samples(self.e2e_latencies(skip_warmup))
+        return self._merged_sketch("e2e").stats()
 
-    def invoker_stats(self, skip_warmup: int = 0) -> LatencyStats:
+    def invoker_stats(self) -> LatencyStats:
         """Summary of invoker latencies (see :meth:`e2e_stats`)."""
-        if self.mode == "sketch":
-            if skip_warmup:
-                self._require_exact("invoker_stats(skip_warmup != 0)")
-            return self._merged_sketch("invoker").stats()
-        return LatencyStats.from_samples(self.invoker_latencies(skip_warmup))
-
-    def throughput(self, window_start: float, window_end: float) -> float:
-        """Sustained throughput (completions/second) over a time window.
-
-        The completed bucket is sorted by ``completed_at``, so the window
-        is bounded by binary search (O(log run)) rather than a scan of
-        the whole run; sketch mode sums bucket counts in O(buckets).
-        """
-        if window_end <= window_start:
-            raise ValueError("throughput window must have positive length")
-        duration = window_end - window_start
-        if self.mode == "sketch":
-            count = sum(
-                bucket.total.completed
-                for bucket in self._iter_buckets_in(window_start, window_end)
-            )
-            return count / duration
-        low = bisect.bisect_left(
-            self._completed, window_start, key=lambda inv: inv.completed_at
-        )
-        high = bisect.bisect_right(
-            self._completed, window_end, key=lambda inv: inv.completed_at
-        )
-        return (high - low) / duration
+        return self._merged_sketch("invoker").stats()

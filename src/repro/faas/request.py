@@ -12,7 +12,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.policy import InvokeReport
 
 _invocation_counter = itertools.count(1)  # detlint: ignore[D005] unique-id mint; ids are labels, never ordering inputs
 
@@ -60,6 +63,14 @@ class Invocation:
     #: work.  Excluded from comparison/repr: tracing is observability,
     #: not identity.
     trace: Optional[object] = field(default=None, repr=False, compare=False)
+    #: The isolation mechanism's report on serving this invocation
+    #: (restore, faults, result), left by the invoker that completed it;
+    #: ``None`` for an invocation that never ran.  Nothing on the platform
+    #: keeps it: it lives exactly as long as the caller keeps the
+    #: invocation.  Excluded from comparison/repr like ``trace``.
+    report: Optional["InvokeReport"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.invocation_id:

@@ -1,9 +1,9 @@
 """Streaming latency summaries with bounded memory.
 
-Million-invocation traces cannot afford the exact
-:class:`~repro.faas.metrics.MetricsCollector` discipline of retaining
-every :class:`~repro.faas.request.Invocation` and re-sorting windows on
-each control tick.  This module provides the bounded-memory alternative:
+Million-invocation traces cannot afford to retain every
+:class:`~repro.faas.request.Invocation` and re-sort windows on each
+control tick.  This module provides the bounded-memory summaries the
+:class:`~repro.faas.metrics.MetricsCollector` is built from:
 
 * :class:`StreamingMoments` — one-pass Welford mean/variance plus
   min/max, mergeable with Chan's parallel formula.  Mean, std, min and
@@ -20,8 +20,8 @@ each control tick.  This module provides the bounded-memory alternative:
   multi-process fan-out reductions exact reductions rather than
   re-approximations.
 * :class:`LatencySketch` — the pair of the above, reducing to the same
-  :class:`~repro.faas.metrics.LatencyStats` surface the exact collector
-  produces (exact count/mean/std/min/max, alpha-bounded percentiles).
+  :class:`~repro.faas.metrics.LatencyStats` surface raw samples reduce
+  to (exact count/mean/std/min/max, alpha-bounded percentiles).
 
 Everything here is deterministic (pure integer/float arithmetic over
 sorted bucket indices — no sampling, no randomised compression) and

@@ -12,7 +12,7 @@ overhead under Groundhog (§5.3.1).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional
 
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL

@@ -18,7 +18,7 @@ a result.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.config import PAGE_SIZE

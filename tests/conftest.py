@@ -5,7 +5,8 @@ Most tests use deliberately small function profiles so that whole containers
 time while still covering every code path the full-size benchmarks use.
 
 The reference models in ``tests/property/`` (``reference_space``,
-``reference_routing``) are importable by name from every suite.
+``reference_routing``, ``reference_metrics``) are importable by name from
+every suite.
 """
 
 from __future__ import annotations

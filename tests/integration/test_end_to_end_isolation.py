@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimulationConfig
-from repro.faas import ActionSpec, ClosedLoopClient, FaaSPlatform
+from repro.faas import ActionSpec, ClosedLoopClient, FaaSPlatform, summarize
 from repro.workloads import find_benchmark
 
 
@@ -91,10 +91,9 @@ class TestPlatformBehaviour:
         client = ClosedLoopClient(
             platform, small_python_profile.name, num_requests=6, think_time_seconds=0.05
         )
-        client.run()
-        metrics = platform.action_metrics(small_python_profile.name)
-        e2e = metrics.e2e_stats(skip_warmup=1)
-        invoker = metrics.invoker_stats(skip_warmup=1)
+        measured = client.run()[1:]
+        e2e = summarize(inv.e2e_seconds for inv in measured)
+        invoker = summarize(inv.invoker_seconds for inv in measured)
         assert e2e.median > invoker.median
         assert invoker.median > small_python_profile.exec_seconds
 
@@ -106,8 +105,8 @@ class TestPlatformBehaviour:
                 platform, small_python_profile.name, num_requests=8,
                 think_time_seconds=0.2,
             )
-            client.run()
-            return platform.action_metrics(small_python_profile.name).invoker_stats(2).median
+            measured = client.run()[2:]
+            return summarize(inv.invoker_seconds for inv in measured).median
 
         gh = median_latency("gh")
         gh_nop = median_latency("gh-nop")

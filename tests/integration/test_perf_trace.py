@@ -1,13 +1,14 @@
-"""Integration tests for the perf-trace stack (sketch mode + fan-out).
+"""Integration tests for the perf-trace stack (bounded metrics + fan-out).
 
 End-to-end claims from the bounded-metrics and indexed-routing work are
 pinned here:
 
-* **Control-plane parity** — swapping the metrics collector into sketch
-  mode must not change what the simulation *does*.  Metrics are
-  observe-only unless a tenant SLO is declared, so the PR 5 forecast
-  comparison (reactive vs predictive pre-warming) must reproduce the
-  same verdict with bit-identical cold-start counts under either mode.
+* **Control-plane parity** — the time-bucket metrics collector must not
+  change what the simulation *does*.  Metrics are observe-only unless a
+  tenant SLO is declared, so the forecast comparison (reactive vs
+  predictive pre-warming) must reach the same verdict with bit-identical
+  cold-start counts whether the cluster keeps its metrics in the
+  collector or in the per-sample oracle of ``reference_metrics``.
 * **Fan-out determinism** — ``run_replicated`` returns bit-identical
   results whether the per-seed runs execute serially in-process or
   fanned out across spawn-started worker processes, and the per-seed
@@ -28,6 +29,7 @@ All use reduced scales; the full-size numbers live in the
 from __future__ import annotations
 
 import pytest
+from reference_metrics import ReferenceMetrics
 from reference_routing import ReferenceScheduler
 
 import repro.faas.cluster
@@ -44,7 +46,7 @@ from repro.workloads import find_benchmark
 
 def _small_trace_worker(seed: int):
     """Module-level (picklable) reduced perf-trace run for fan-out tests."""
-    return _perf_trace_run("sketch", invocations=2_500, seed=seed)
+    return _perf_trace_run(invocations=2_500, seed=seed)
 
 
 def _drop_timing(result):
@@ -56,30 +58,33 @@ def _drop_timing(result):
 
 
 class TestForecastVerdictParity:
-    def test_sketch_mode_reproduces_the_predictive_prewarm_verdict(self):
-        # The PR 5 experiment, once per metrics mode, same seed and trace.
+    def test_sketch_mode_reproduces_the_predictive_prewarm_verdict(self, monkeypatch):
+        # The forecast experiment, once on the collector and once with the
+        # per-sample oracle in its place; same seed and trace.
         spec = find_benchmark("md2html", "p")
-        runs = {
-            mode: run_slo_control(
-                spec,
-                parts=("forecast",),
-                forecast_duration_seconds=9.0,
-                metrics_mode=mode,
-            ).forecast
-            for mode in ("exact", "sketch")
-        }
-        for forecast in runs.values():
-            assert set(forecast) == {"reactive", "predictive"}
 
-        # The verdict: predictive wins the rising edges in both modes.
-        for mode, forecast in runs.items():
+        def forecast():
+            return run_slo_control(
+                spec, parts=("forecast",), forecast_duration_seconds=9.0
+            ).forecast
+
+        runs = {"sketch": forecast()}
+        monkeypatch.setattr(
+            repro.faas.cluster, "MetricsCollector", lambda **_: ReferenceMetrics()
+        )
+        runs["exact"] = forecast()
+        for outcome in runs.values():
+            assert set(outcome) == {"reactive", "predictive"}
+
+        # The verdict: predictive wins the rising edges under both.
+        for kind, outcome in runs.items():
             assert (
-                forecast["predictive"].rising_cold_starts
-                < forecast["reactive"].rising_cold_starts
-            ), mode
+                outcome["predictive"].rising_cold_starts
+                < outcome["reactive"].rising_cold_starts
+            ), kind
 
         # Metrics are observe-only here (no tenant SLOs declared), so the
-        # two modes run bit-identical simulations: every behavioural
+        # two runs are bit-identical simulations: every behavioural
         # counter matches exactly, not approximately.
         for regime in ("reactive", "predictive"):
             exact = runs["exact"][regime]
@@ -163,9 +168,7 @@ class TestAzureTraceReplay:
             ("fn-heavy", [5, 8, 20, 40, 60, 60, 40, 20, 8, 5]),
             ("fn-light", [1, 1, 2, 4, 6, 6, 4, 2, 1, 1]),
         ])
-        result = _perf_trace_run(
-            "sketch", invocations=2_000, seed=7, trace_file=str(csv_path)
-        )
+        result = _perf_trace_run(invocations=2_000, seed=7, trace_file=str(csv_path))
         assert result["trace_file"] == str(csv_path)
         assert result["arrivals"] > 0
         assert result["completed"] > 0
@@ -177,12 +180,8 @@ class TestAzureTraceReplay:
             ("fn-a", [10, 30, 50, 30, 10]),
             ("fn-b", [2, 6, 10, 6, 2]),
         ])
-        first = _perf_trace_run(
-            "sketch", invocations=1_500, seed=11, trace_file=str(csv_path)
-        )
-        second = _perf_trace_run(
-            "sketch", invocations=1_500, seed=11, trace_file=str(csv_path)
-        )
+        first = _perf_trace_run(invocations=1_500, seed=11, trace_file=str(csv_path))
+        second = _perf_trace_run(invocations=1_500, seed=11, trace_file=str(csv_path))
         assert _drop_timing(first) == _drop_timing(second)
 
     def test_trace_file_changes_the_arrival_pattern(self, tmp_path):
@@ -190,10 +189,8 @@ class TestAzureTraceReplay:
         # measurement path.
         csv_path = tmp_path / "trace.csv"
         _write_azure_csv(csv_path, [("fn-a", [0, 0, 100, 0, 0])])
-        synthetic = _perf_trace_run("sketch", invocations=1_500, seed=11)
-        replayed = _perf_trace_run(
-            "sketch", invocations=1_500, seed=11, trace_file=str(csv_path)
-        )
+        synthetic = _perf_trace_run(invocations=1_500, seed=11)
+        replayed = _perf_trace_run(invocations=1_500, seed=11, trace_file=str(csv_path))
         assert synthetic["trace_file"] is None
         assert replayed["trace_file"] == str(csv_path)
         assert replayed["e2e_sketch"] != synthetic["e2e_sketch"]

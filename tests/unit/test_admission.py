@@ -340,7 +340,8 @@ class TestMetricsThrottledAccounting:
         assert collector.num_recorded == 2
         assert collector.rejection_rate == pytest.approx(0.5)
         assert collector.throttle_rate == pytest.approx(0.5)
-        assert collector.throttled[0] is throttled
+        assert throttled.status is InvocationStatus.THROTTLED
+        assert collector.window(1.0, 1.0).num_throttled == 1
 
     def test_platform_metrics_track_throttled(self, small_python_profile):
         platform = FaaSPlatform(

@@ -221,22 +221,22 @@ class TestPerfTraceCli:
         path = tmp_path / "BENCH_perf.json"
         path.write_text(json.dumps({
             "benchmark": "perf-trace",
-            "modes": {"exact": {"invocations_per_second": 1.0}},
+            "run": {"invocations_per_second": 1.0},
             "cluster_scale": {"benchmark": "cluster-scale", "points": {}},
             "warmth_spectrum": {"benchmark": "warmth-spectrum", "regimes": {}},
         }))
         # Regenerating only the metrics shape keeps the other sections.
         merged = _merge_perf_sections(str(path), {
-            "metrics": {"benchmark": "perf-trace", "modes": {}},
+            "metrics": {"benchmark": "perf-trace", "run": {}},
         })
-        assert merged["modes"] == {}
+        assert merged["run"] == {}
         assert merged["cluster_scale"]["benchmark"] == "cluster-scale"
         assert merged["warmth_spectrum"]["benchmark"] == "warmth-spectrum"
         # Regenerating only the cluster shape keeps the metrics section.
         merged = _merge_perf_sections(str(path), {
             "cluster-scale": {"benchmark": "cluster-scale", "points": {"a": 1}},
         })
-        assert merged["modes"] == {"exact": {"invocations_per_second": 1.0}}
+        assert merged["run"] == {"invocations_per_second": 1.0}
         assert merged["cluster_scale"]["points"] == {"a": 1}
         assert merged["warmth_spectrum"]["benchmark"] == "warmth-spectrum"
         # Regenerating only the warmth shape keeps everything else.
@@ -245,16 +245,16 @@ class TestPerfTraceCli:
                 "benchmark": "warmth-spectrum", "regimes": {"on": {}},
             },
         })
-        assert merged["modes"] == {"exact": {"invocations_per_second": 1.0}}
+        assert merged["run"] == {"invocations_per_second": 1.0}
         assert merged["cluster_scale"]["benchmark"] == "cluster-scale"
         assert merged["warmth_spectrum"]["regimes"] == {"on": {}}
         # All regenerated: nothing survives from the file.
         merged = _merge_perf_sections(str(path), {
-            "metrics": {"benchmark": "perf-trace", "modes": {"m": {}}},
+            "metrics": {"benchmark": "perf-trace", "run": {"arrivals": 1}},
             "cluster-scale": {"benchmark": "cluster-scale", "points": {}},
             "warmth-spectrum": {"benchmark": "warmth-spectrum", "regimes": {}},
         })
-        assert merged["modes"] == {"m": {}}
+        assert merged["run"] == {"arrivals": 1}
         assert merged["cluster_scale"]["points"] == {}
         assert merged["warmth_spectrum"]["regimes"] == {}
 
@@ -269,9 +269,9 @@ class TestPerfTraceCli:
         corrupt = tmp_path / "bad.json"
         corrupt.write_text("{not json")
         merged = _merge_perf_sections(str(corrupt), {
-            "metrics": {"benchmark": "perf-trace", "modes": {}},
+            "metrics": {"benchmark": "perf-trace", "run": {}},
         })
-        assert merged == {"benchmark": "perf-trace", "modes": {}}
+        assert merged == {"benchmark": "perf-trace", "run": {}}
 
     def test_merge_preserves_tracing_overhead_section(self, tmp_path):
         import json
@@ -281,14 +281,14 @@ class TestPerfTraceCli:
         path = tmp_path / "BENCH_perf.json"
         path.write_text(json.dumps({
             "benchmark": "perf-trace",
-            "modes": {"exact": {"invocations_per_second": 1.0}},
+            "run": {"invocations_per_second": 1.0},
             "tracing_overhead": {
                 "benchmark": "tracing-overhead", "modes": {"off": {}},
             },
         }))
         # Regenerating only the metrics shape keeps tracing_overhead.
         merged = _merge_perf_sections(str(path), {
-            "metrics": {"benchmark": "perf-trace", "modes": {}},
+            "metrics": {"benchmark": "perf-trace", "run": {}},
         })
         assert merged["tracing_overhead"]["benchmark"] == "tracing-overhead"
         # Regenerating only tracing-overhead keeps the metrics section.
@@ -297,7 +297,7 @@ class TestPerfTraceCli:
                 "benchmark": "tracing-overhead", "modes": {"sampled": {}},
             },
         })
-        assert merged["modes"] == {"exact": {"invocations_per_second": 1.0}}
+        assert merged["run"] == {"invocations_per_second": 1.0}
         assert merged["tracing_overhead"]["modes"] == {"sampled": {}}
 
     def test_tracing_overhead_shape_parses(self):

@@ -8,7 +8,6 @@ from repro.config import CLUSTER_CONFIG, SimulationConfig
 from repro.errors import ActionNotFoundError, PlatformError
 from repro.faas.action import ActionSpec
 from repro.faas.cluster import FaaSCluster
-from repro.faas.container import ContainerState
 from repro.faas.index import ClusterIndex
 from repro.faas.invoker import Invoker
 from repro.faas.loadgen import MultiActionSaturatingClient
@@ -446,18 +445,18 @@ class TestBackpressure:
             SimulationConfig(cores=1, containers_per_action=1, max_queue_per_action=1)
         )
         platform.deploy(_action(small_python_profile, "shed"))
-        for _ in range(6):
-            platform.invoke_async("shed")
+        invocations = [platform.invoke_async("shed") for _ in range(6)]
         platform.run()
         metrics = platform.metrics
         assert metrics.num_rejected > 0
         assert metrics.num_completed + metrics.num_rejected == 6
         assert metrics.num_recorded == 6  # nothing silently dropped
         assert 0.0 < metrics.rejection_rate < 1.0
-        per_action = platform.action_metrics("shed")
-        assert per_action.num_rejected == metrics.num_rejected
-        for invocation in metrics.rejected:
-            assert invocation.status is InvocationStatus.REJECTED
+        # The invocations themselves carry the outcome the counts report.
+        assert sum(
+            invocation.status is InvocationStatus.REJECTED
+            for invocation in invocations
+        ) == metrics.num_rejected
 
     def test_saturating_rejections_terminate_with_zero_overhead(self, small_python_profile):
         # With no platform overhead a rejection completes at the same virtual

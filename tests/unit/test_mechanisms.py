@@ -7,9 +7,7 @@ import random
 import pytest
 
 from repro.baselines.registry import MECHANISMS, create_mechanism, mechanism_class, supported_mechanisms
-from repro.core.policy import GroundhogMechanism, GroundhogNopMechanism
 from repro.errors import IsolationError
-from repro.runtime.profiles import Language
 from repro.workloads import find_benchmark, microbenchmark_profile
 
 

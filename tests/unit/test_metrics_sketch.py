@@ -1,23 +1,25 @@
-"""Sketch-mode ``MetricsCollector``: bounded memory, exact-parity windows.
+"""``MetricsCollector``: bounded memory, parity with the per-sample oracle.
 
-The bounded mode must be a drop-in replacement for the control plane's
-whole signal surface — ``window``/``by_caller``/``e2e_stats``/counters —
-while holding O(buckets) state instead of O(run).  These tests pin:
+The collector serves the control plane's whole signal surface —
+``window``/``by_caller``/``e2e_stats``/counters — while holding
+O(buckets) state instead of O(run).  Each parity test feeds one stream to
+the collector and to the exact per-sample oracle in
+``tests/property/reference_metrics.py``.  These tests pin:
 
-* window/by_caller parity with exact mode when window edges sit on
-  bucket boundaries (the control-loop case — ticks are multiples of the
-  bucket width);
+* window/by_caller parity with the oracle when the window starts on a
+  bucket boundary and nothing finished after its end (the regime the
+  collector documents as exact);
 * counters staying exact (they are scalars, not sketched);
 * the retention archive absorbing evicted buckets losslessly for
   whole-run queries;
 * sample-level accessors failing loudly instead of silently returning
-  nothing;
-* lossless ``merge_from`` (the multi-seed fan-out reduction).
+  nothing.
 """
 
 from __future__ import annotations
 
 import pytest
+from reference_metrics import ReferenceMetrics
 
 from repro.errors import PlatformError
 from repro.faas.metrics import MetricsCollector
@@ -39,10 +41,8 @@ def _finished(caller: str, at: float, *, status=InvocationStatus.COMPLETED,
 
 
 def _pair(**kwargs):
-    """An exact and a sketch collector fed identically."""
-    exact = MetricsCollector()
-    sketch = MetricsCollector("sketch", **kwargs)
-    return exact, sketch
+    """The exact per-sample oracle and a collector, to be fed identically."""
+    return ReferenceMetrics(), MetricsCollector(**kwargs)
 
 
 def _feed(collectors, invocations):
@@ -52,37 +52,21 @@ def _feed(collectors, invocations):
 
 
 class TestModeValidation:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(PlatformError):
-            MetricsCollector("approximate")
-
     def test_bad_bucket_shape_rejected(self):
         with pytest.raises(PlatformError):
-            MetricsCollector("sketch", bucket_seconds=0.0)
+            MetricsCollector(bucket_seconds=0.0)
         with pytest.raises(PlatformError):
-            MetricsCollector("sketch", max_buckets=0)
+            MetricsCollector(max_buckets=0)
 
     def test_sample_accessors_raise_in_sketch_mode(self):
-        collector = MetricsCollector("sketch")
+        # The collector keeps no invocation, so it has no per-sample
+        # surface that could silently return an empty list.
+        collector = MetricsCollector()
         collector.record(_finished("t", 1.0))
-        for surface in ("completed", "failed", "rejected", "throttled"):
-            with pytest.raises(PlatformError):
+        for surface in ("completed", "failed", "rejected", "throttled",
+                        "e2e_latencies", "invoker_latencies"):
+            with pytest.raises(AttributeError):
                 getattr(collector, surface)
-
-    def test_skip_warmup_requires_samples(self):
-        collector = MetricsCollector("sketch")
-        collector.record(_finished("t", 1.0))
-        with pytest.raises(PlatformError):
-            collector.e2e_stats(skip_warmup=1)
-        # skip_warmup=0 is the control plane's call shape and works.
-        assert collector.e2e_stats().count == 1
-
-    def test_merge_from_requires_matching_shape(self):
-        sketch = MetricsCollector("sketch", bucket_seconds=0.25)
-        with pytest.raises(PlatformError):
-            sketch.merge_from(MetricsCollector())
-        with pytest.raises(PlatformError):
-            sketch.merge_from(MetricsCollector("sketch", bucket_seconds=0.5))
 
 
 class TestExactParity:
@@ -106,7 +90,7 @@ class TestExactParity:
         # The control-loop shape: window edges at multiples of the bucket
         # width and ``end`` = now (nothing recorded later).  That is the
         # regime where the quantised sketch window covers exactly the
-        # exact-mode closed interval.
+        # oracle's closed interval.
         exact, sketch = _pair(bucket_seconds=0.25)
         stream = [_finished("t", round(0.05 * i, 2)) for i in range(1, 80)]
         _feed((exact, sketch), stream)
@@ -180,13 +164,6 @@ class TestExactParity:
             t: c.num_completed for t, c in want.items()
         }
 
-    def test_throughput_matches_exact(self):
-        exact, sketch = _pair(bucket_seconds=0.5)
-        stream = [_finished("t", 0.5 * i) for i in range(1, 21)]
-        _feed((exact, sketch), stream)
-        assert sketch.throughput(2.0, 8.0) == exact.throughput(2.0, 8.0)
-        assert sketch.throughput(0.0, 10.0) == exact.throughput(0.0, 10.0)
-
     def test_invoker_stats_parity(self):
         exact, sketch = _pair()
         stream = [_finished("t", 0.3 * i) for i in range(1, 25)]
@@ -198,7 +175,7 @@ class TestExactParity:
 
 class TestBoundedMemory:
     def test_live_buckets_never_exceed_cap(self):
-        collector = MetricsCollector("sketch", bucket_seconds=1.0, max_buckets=8)
+        collector = MetricsCollector(bucket_seconds=1.0, max_buckets=8)
         for i in range(100):
             collector.record(_finished("t", float(i) + 0.5))
         assert len(collector._buckets) <= 8
@@ -207,7 +184,7 @@ class TestBoundedMemory:
         assert collector.e2e_stats().count == 100
 
     def test_windows_see_only_live_buckets(self):
-        collector = MetricsCollector("sketch", bucket_seconds=1.0, max_buckets=4)
+        collector = MetricsCollector(bucket_seconds=1.0, max_buckets=4)
         for i in range(20):
             collector.record(_finished("t", float(i) + 0.5))
         # The last 4 seconds are live; a window over them is exact.
@@ -217,7 +194,7 @@ class TestBoundedMemory:
         assert collector.window(0.0, 20.0).num_completed == 4
 
     def test_late_stragglers_fold_into_the_archive(self):
-        collector = MetricsCollector("sketch", bucket_seconds=1.0, max_buckets=4)
+        collector = MetricsCollector(bucket_seconds=1.0, max_buckets=4)
         for i in range(10):
             collector.record(_finished("t", float(i) + 0.5))
         # Bucket 0 has been archived; a record landing there must not
@@ -228,32 +205,11 @@ class TestBoundedMemory:
         assert collector.e2e_stats().count == 11
 
     def test_state_is_independent_of_sample_count(self):
-        small = MetricsCollector("sketch", bucket_seconds=1.0, max_buckets=16)
-        big = MetricsCollector("sketch", bucket_seconds=1.0, max_buckets=16)
+        small = MetricsCollector(bucket_seconds=1.0, max_buckets=16)
+        big = MetricsCollector(bucket_seconds=1.0, max_buckets=16)
         for i in range(100):
             small.record(_finished("t", (i % 10) + 0.5))
         for i in range(10_000):
             big.record(_finished("t", (i % 10) + 0.5))
         assert len(big._buckets) == len(small._buckets)
         assert big.num_completed == 10_000
-
-
-class TestMergeFrom:
-    def test_sketch_merge_is_lossless(self):
-        left = MetricsCollector("sketch", bucket_seconds=0.5)
-        right = MetricsCollector("sketch", bucket_seconds=0.5)
-        both = MetricsCollector("sketch", bucket_seconds=0.5)
-        for i in range(1, 40):
-            inv = _finished(f"t{i % 2}", 0.2 * i)
-            (left if i % 2 else right).record(inv)
-            both.record(inv)
-        left.merge_from(right)
-        assert left.num_recorded == both.num_recorded
-        assert left.e2e_stats().count == both.e2e_stats().count
-        assert left.e2e_stats().p99 == both.e2e_stats().p99
-        assert left.window(2.0, 6.0).num_completed == both.window(2.0, 6.0).num_completed
-        got = left.by_caller()
-        want = both.by_caller()
-        assert {t: c.num_completed for t, c in got.items()} == {
-            t: c.num_completed for t, c in want.items()
-        }

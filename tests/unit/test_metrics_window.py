@@ -3,7 +3,10 @@
 The control plane's whole signal surface flows through
 :meth:`MetricsCollector.window` and :meth:`MetricsCollector.by_caller`:
 a boundary off-by-one here silently mis-scores every tenant every tick.
-These tests pin the exact membership rules:
+Windows are quantised to the collector's time buckets, so every case
+here finishes its samples and puts its window edges on bucket edges (the
+control-loop regime, where membership is exact).  These tests pin the
+membership rules:
 
 * the window is the **closed** interval ``[start, end]`` — both
   boundaries are members (a control tick at ``now`` must see completions
@@ -11,16 +14,21 @@ These tests pin the exact membership rules:
 * adjacent windows sharing a boundary therefore both count the boundary
   sample (deliberate — pinned so a "fix" cannot slip in silently);
 * an inverted window is empty, empty buckets are fine;
-* out-of-order recordings (a caller replaying history) keep the buckets
-  sorted, so binary-searched windows stay correct.
+* out-of-order recordings (a caller replaying history) land in their own
+  time buckets, so windows stay correct.
+
+Samples whose membership matters get a latency that names their finish
+time (:func:`_tagged`), so a window's exact ``e2e_stats()`` minimum and
+maximum say which samples it holds.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.faas.metrics import MetricsCollector
+from repro.faas.metrics import DEFAULT_BUCKET_SECONDS, MetricsCollector
 from repro.faas.request import Invocation, InvocationStatus
+
+#: One time bucket of the default collector: the window-edge resolution.
+BUCKET = DEFAULT_BUCKET_SECONDS
 
 
 def _finished(caller: str, at: float, *, status=InvocationStatus.COMPLETED,
@@ -37,6 +45,17 @@ def _finished(caller: str, at: float, *, status=InvocationStatus.COMPLETED,
     return inv
 
 
+def _tagged(at: float) -> Invocation:
+    """A completion whose e2e latency (``at`` milliseconds) names its finish time."""
+    return _finished("t", at, latency=at / 1000.0)
+
+
+def _finish_range(collector: MetricsCollector):
+    """The (first, last) finish times of a window of :func:`_tagged` samples."""
+    stats = collector.e2e_stats()
+    return round(stats.minimum * 1000.0, 9), round(stats.maximum * 1000.0, 9)
+
+
 class TestWindowBoundaries:
     def test_both_boundaries_are_inclusive(self):
         metrics = MetricsCollector()
@@ -46,15 +65,19 @@ class TestWindowBoundaries:
         assert window.num_completed == 3  # == start and == end both count
         assert metrics.window(1.0, 2.0).num_completed == 2
         assert metrics.window(2.0, 2.0).num_completed == 1  # degenerate point
-        assert metrics.window(1.0 + 1e-9, 3.0 - 1e-9).num_completed == 1
+        # One bucket inside both boundaries excludes both boundary samples.
+        assert metrics.window(1.0 + BUCKET, 3.0 - BUCKET).num_completed == 1
 
     def test_exact_membership_is_pinned(self):
         metrics = MetricsCollector()
         stamps = (0.5, 1.0, 1.25, 2.0, 2.75)
         for at in stamps:
-            metrics.record(_finished("t", at))
+            metrics.record(_tagged(at))
         clipped = metrics.window(1.0, 2.0)
-        assert [inv.completed_at for inv in clipped.completed] == [1.0, 1.25, 2.0]
+        # Three members, the first finishing at 1.0 and the last at 2.0:
+        # exactly 1.0, 1.25 and 2.0.
+        assert clipped.num_completed == 3
+        assert _finish_range(clipped) == (1.0, 2.0)
 
     def test_adjacent_windows_share_the_boundary_sample(self):
         # The closed-interval corollary, pinned deliberately: adjacent
@@ -97,7 +120,7 @@ class TestWindowBoundaries:
         assert clipped.num_recorded == 4
         assert clipped.num_rejected == 1
         assert clipped.num_throttled == 1
-        assert len(clipped.failed) == 1
+        assert clipped.num_failed == 1
 
 
 class TestOutOfOrderRecording:
@@ -107,25 +130,37 @@ class TestOutOfOrderRecording:
         stamps = (5.0, 1.0, 3.0, 2.0, 4.0)
         replayed = MetricsCollector()
         for at in stamps:
-            replayed.record(_finished("t", at))
+            replayed.record(_tagged(at))
         ordered = MetricsCollector()
         for at in sorted(stamps):
-            ordered.record(_finished("t", at))
+            ordered.record(_tagged(at))
         for window in ((1.0, 3.0), (2.0, 2.0), (3.5, 5.0), (0.0, 10.0)):
             assert (
                 replayed.window(*window).num_completed
                 == ordered.window(*window).num_completed
             )
-        assert [inv.completed_at for inv in replayed.window(2.0, 4.0).completed] == [
-            2.0, 3.0, 4.0,
-        ]
+        clipped = replayed.window(2.0, 4.0)
+        assert clipped.num_completed == 3
+        assert _finish_range(clipped) == (2.0, 4.0)
 
     def test_buckets_stay_sorted_after_interleaved_inserts(self):
+        stamps = (2.0, 1.0, 2.0, 1.5, 3.0, 0.5)
         metrics = MetricsCollector()
-        for at in (2.0, 1.0, 2.0, 1.5, 3.0, 0.5):
-            metrics.record(_finished("t", at))
-        finished = [inv.completed_at for inv in metrics.completed]
-        assert finished == sorted(finished)
+        for at in stamps:
+            metrics.record(_tagged(at))
+        ordered = MetricsCollector()
+        for at in sorted(stamps):
+            ordered.record(_tagged(at))
+        # Every bucket-aligned window of the interleaved history holds
+        # what the same history recorded in order holds.
+        edges = [BUCKET * k for k in range(14)]
+        for start in edges:
+            for end in edges:
+                got = metrics.window(start, end)
+                want = ordered.window(start, end)
+                assert got.num_completed == want.num_completed, (start, end)
+                if want.num_completed:
+                    assert _finish_range(got) == _finish_range(want)
 
     def test_out_of_order_across_outcome_buckets(self):
         metrics = MetricsCollector()
@@ -196,20 +231,27 @@ class TestWindowedByCaller:
     def test_split_preserves_outcome_ordering_per_tenant(self):
         metrics = MetricsCollector()
         for at in (1.0, 3.0, 2.0):  # deliberately out of order
-            metrics.record(_finished("t", at))
+            metrics.record(_tagged(at))
+        ordered = MetricsCollector()
+        for at in (1.0, 2.0, 3.0):
+            ordered.record(_tagged(at))
         split = metrics.by_caller(since=0.0, until=10.0)
-        finished = [inv.completed_at for inv in split["t"].completed]
-        assert finished == sorted(finished)
+        assert split["t"].num_completed == 3
+        assert _finish_range(split["t"]) == (1.0, 3.0)
+        assert (
+            split["t"].e2e_stats()
+            == ordered.by_caller(since=0.0, until=10.0)["t"].e2e_stats()
+        )
 
 
 class TestByCallerBulkAdoption:
-    """Regression: the bulk-slice ``by_caller`` equals per-sample recording.
+    """Regression: the bucket-merging ``by_caller`` equals per-sample recording.
 
-    ``by_caller`` adopts sorted window slices wholesale instead of
+    ``by_caller`` merges the tenant slices of whole time buckets instead of
     re-``record()``-ing every sample into fresh collectors.  This pins the
     optimisation to the semantics of the naive implementation: recording
     each windowed invocation one by one must produce identical per-tenant
-    collectors.
+    counts and statistics.
     """
 
     def test_windowed_by_caller_equals_per_sample_recording(self):
@@ -242,11 +284,11 @@ class TestByCallerBulkAdoption:
         assert set(fast) == set(naive)
         for tenant, want in naive.items():
             got = fast[tenant]
-            # Same sample objects, same order, in every outcome bucket.
-            assert got.completed == want.completed
-            assert got.failed == want.failed
-            assert got.rejected == want.rejected
-            assert got.throttled == want.throttled
+            # Same counts in every outcome, same statistics.
+            assert got.num_completed == want.num_completed
+            assert got.num_failed == want.num_failed
+            assert got.num_rejected == want.num_rejected
+            assert got.num_throttled == want.num_throttled
             if want.num_completed:
                 assert got.e2e_stats() == want.e2e_stats()
 
@@ -263,4 +305,5 @@ class TestByCallerBulkAdoption:
             naive.setdefault(inv.caller, MetricsCollector()).record(inv)
         assert set(fast) == set(naive)
         for tenant, want in naive.items():
-            assert fast[tenant].completed == want.completed
+            assert fast[tenant].num_completed == want.num_completed
+            assert fast[tenant].e2e_stats() == want.e2e_stats()

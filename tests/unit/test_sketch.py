@@ -1,6 +1,6 @@
 """Unit tests for the streaming sketch primitives (``repro.faas.sketch``).
 
-The sketch is the foundation of the bounded metrics mode: percentile
+The sketch is the foundation of the metrics collector: percentile
 queries must stay inside the documented relative value-error bound,
 moments must be *exact* (Welford/Chan, not approximations), and merging
 two sketches must be lossless — identical to sketching the concatenated
@@ -10,7 +10,6 @@ exploration lives in ``tests/property/test_prop_sketch.py``.
 
 from __future__ import annotations
 
-import math
 import pickle
 import random
 import statistics
@@ -19,7 +18,6 @@ import pytest
 
 from repro.faas.metrics import LatencyStats, percentile, summarize
 from repro.faas.sketch import (
-    DEFAULT_MAX_BINS,
     DEFAULT_RELATIVE_ACCURACY,
     LatencySketch,
     QuantileSketch,
