@@ -2435,6 +2435,9 @@ def run_tracing_overhead(
     tens of seconds per run) a single pair is stable; at CI's quick
     scale a run is ~2 s of wall clock and a single pair can swing the
     apparent cost fraction by ±15 %, so the quick path repeats.  The
+    repeats interleave the modes (off, sampled, off, sampled, ...), so a
+    host that speeds up or slows down during the run moves both modes
+    alike instead of landing on whichever mode ran last.  The
     simulation is deterministic, so repeats differ only in timing —
     every behavioural field is identical across them.
     """
@@ -2446,8 +2449,8 @@ def run_tracing_overhead(
             int(seed),
             export_trace and mode != "off" and repeat == 0,
         )
-        for mode in modes
         for repeat in range(repeats)
+        for mode in modes
     ]
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:

@@ -143,6 +143,9 @@ class FaaSCluster:
             max_buckets=self.config.metrics_max_buckets,
         )
         self._specs: Dict[str, ActionSpec] = {}
+        #: Each action's default request payload, built once at deploy
+        #: (bytes are immutable, so every request may share it).
+        self._default_payloads: Dict[str, bytes] = {}
         #: The SLO-driven control loop (None unless ``config.control_plane``).
         self.control_plane: Optional[ControlPlane] = (
             ControlPlane(
@@ -192,6 +195,7 @@ class FaaSCluster:
             raise PlatformError("max_containers must be >= the pre-warmed count")
         deployed = self.scheduler.deploy(spec, containers=count, max_containers=ceiling)
         self._specs[spec.name] = spec
+        self._default_payloads[spec.name] = b"x" * spec.profile.input_bytes
         # The home invoker just booted the pre-warmed containers, so the
         # measured init time is available; the service-time denominator
         # is the same estimate the load-sizing heuristics use.
@@ -263,9 +267,9 @@ class FaaSCluster:
         on_complete: Optional[Callable[[Invocation], None]] = None,
     ) -> Invocation:
         """Submit one request without waiting for it to finish."""
-        spec = self._require_spec(action)
+        self._require_spec(action)
         if payload is None:
-            payload = b"x" * spec.profile.input_bytes
+            payload = self._default_payloads[action]
         invocation = Invocation(
             action=action,
             payload=payload,

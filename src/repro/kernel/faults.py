@@ -38,7 +38,15 @@ class FaultRecord:
 
     @classmethod
     def from_meter(cls, delta: MeterSnapshot) -> "FaultRecord":
-        """Build a record from a meter delta."""
+        """Build a record from a meter delta (a delta without faults shares one)."""
+        if not (
+            delta.minor_faults
+            or delta.soft_dirty_faults
+            or delta.cow_faults
+            or delta.uffd_faults
+            or delta.first_touch_faults
+        ):
+            return NO_FAULTS
         return cls(
             minor=delta.minor_faults,
             soft_dirty=delta.soft_dirty_faults,
@@ -71,3 +79,8 @@ class FaultRecord:
             FaultKind.UFFD.value: self.uffd,
             FaultKind.FIRST_TOUCH.value: self.first_touch,
         }
+
+
+#: The record of a request that took no fault; records are immutable, so
+#: every such request shares it.
+NO_FAULTS = FaultRecord()

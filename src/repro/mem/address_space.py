@@ -327,6 +327,10 @@ class AddressSpace:
         self._brk = brk_base
         self._stack_next = stack_top
         self._wp_handler: Optional[Callable[[int], None]] = None
+        #: Bumped whenever the mapping list or a mapping's bounds change
+        #: (``mmap``, ``munmap``, ``mprotect``, ``brk``).  A handle from
+        #: :meth:`mapping_at` stays valid while this number is unchanged.
+        self.layout_generation = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -418,6 +422,15 @@ class AddressSpace:
         """Return the VMA containing ``page_number``, if any."""
         area = self._area_at(page_number)
         return area.vma if area is not None else None
+
+    def mapping_at(self, page_number: int) -> Optional[_Area]:
+        """The mapping holding ``page_number`` (``None`` if unmapped), as a handle.
+
+        The handle is what :meth:`write_mapped`, :meth:`read_mapped` and
+        :meth:`touch_read_mapped` take in place of a lookup.  It is valid
+        until :attr:`layout_generation` changes.
+        """
+        return self._area_at(page_number)
 
     def is_resident(self, page_number: int) -> bool:
         """True if ``page_number`` has an allocated frame."""
@@ -654,18 +667,32 @@ class AddressSpace:
         ``pages_written``.  A negative ``count`` raises
         :class:`MappingError`.
         """
+        self.write_mapped(self._area_at(start_page), start_page, count, data)
+
+    def write_mapped(
+        self, mapping: Optional[_Area], start_page: int, count: int, data: bytes
+    ) -> None:
+        """:meth:`write_range` with the lookup of ``start_page`` already done.
+
+        ``mapping`` is :meth:`mapping_at` of ``start_page`` under the current
+        layout generation.  The pages are written exactly as by
+        :meth:`write_range`; a range that runs past ``mapping`` looks the
+        following mappings up as it reaches them.
+        """
         if count < 0:
             raise MappingError(f"cannot write a negative number of pages ({count})")
         end_page = start_page + count
         page = start_page
+        area = mapping
         while page < end_page:
-            area = self._area_at(page)
             if area is None or not area.writable:
                 raise SegmentationFault(page * PAGE_SIZE, access="write")
             stop = area.end if area.end < end_page else end_page
             self._write_faults(area, page, stop)
             put_content(area.runs, page, stop, data)
             page = stop
+            if page < end_page:
+                area = self._area_at(page)
         self.meter.pages_written += count
 
     def read(self, address: int) -> bytes:
@@ -674,7 +701,11 @@ class AddressSpace:
 
     def read_page(self, page_number: int) -> bytes:
         """Read the payload of ``page_number`` (zeroes if not resident)."""
-        area = self._area_at(page_number)
+        return self.read_mapped(self._area_at(page_number), page_number)
+
+    def read_mapped(self, mapping: Optional[_Area], page_number: int) -> bytes:
+        """:meth:`read_page` with ``mapping`` = :meth:`mapping_at` of the page."""
+        area = mapping
         if area is None or not area.readable:
             raise SegmentationFault(page_number * PAGE_SIZE, access="read")
         bit = 1 << (page_number - area.first)
@@ -693,33 +724,28 @@ class AddressSpace:
         This is how the §5.2 microbenchmark's "read one word from every
         mapped page" step is modelled.  For warm pages it is free; pages that
         are TLB-cold (freshly forked child) pay their first-access cost.
+        Unmapped pages are counted as read and charge nothing.
+        """
+        self.touch_read_mapped(self._area_at(start_page), start_page, count)
+
+    def touch_read_mapped(
+        self, mapping: Optional[_Area], start_page: int, count: int
+    ) -> None:
+        """:meth:`touch_read_range` with ``mapping`` = :meth:`mapping_at` of ``start_page``.
+
+        A range inside ``mapping`` whose TLB is warm costs one mask test.
         """
         if count <= 0:
             return
         end_page = start_page + count
-        meter = self.meter
-        areas = self._areas
-        index = max(bisect.bisect_right(self._starts, start_page * PAGE_SIZE) - 1, 0)
-        # Inline rather than through ``_spans``: this runs on every request,
-        # and only a forked child has TLB-cold pages to charge.
-        while index < len(areas) and areas[index].first < end_page:
-            area = areas[index]
-            index += 1
-            if not area.tlb_cold:
-                continue
-            a = start_page if start_page > area.first else area.first
-            b = end_page if end_page < area.end else area.end
-            if a >= b:
-                continue
-            span = ((1 << (b - a)) - 1) << (a - area.first)
-            cold = (area.tlb_cold & span).bit_count()
-            if cold:
-                meter.cost_seconds = _repeat_add(
-                    meter.cost_seconds, (self.cost_model.fork_first_touch_seconds,), cold
-                )
-                meter.first_touch_faults += cold
-                area.tlb_cold &= ~span
-        meter.pages_read += count
+        if mapping is not None and end_page <= mapping.end:
+            if mapping.tlb_cold:
+                self._touch_cold(mapping, ((1 << count) - 1) << (start_page - mapping.first))
+        else:
+            for area, span in self._spans(start_page, end_page):
+                if area.tlb_cold:
+                    self._touch_cold(area, span)
+        self.meter.pages_read += count
 
     # ------------------------------------------------------------------
     # Tracking control (used by Groundhog via procfs)
@@ -961,6 +987,17 @@ class AddressSpace:
         area.tlb_cold &= ~span
         area.wp &= ~span
 
+    def _touch_cold(self, area: _Area, span: int) -> None:
+        """Charge the first-touch faults of ``area``'s TLB-cold pages in the mask ``span``."""
+        cold = (area.tlb_cold & span).bit_count()
+        if cold:
+            meter = self.meter
+            meter.cost_seconds = _repeat_add(
+                meter.cost_seconds, (self.cost_model.fork_first_touch_seconds,), cold
+            )
+            meter.first_touch_faults += cold
+            area.tlb_cold &= ~span
+
     def _kernel_write_bits(self, area: _Area, first: int, stop: int) -> None:
         """Materialise pages ``[first, stop)``, break their CoW sharing, mark them dirty."""
         span = ((1 << (stop - first)) - 1) << (first - area.first)
@@ -1025,11 +1062,13 @@ class AddressSpace:
         index = bisect.bisect_left(self._starts, area.vma.start)
         self._areas.insert(index, area)
         self._starts.insert(index, area.vma.start)
+        self.layout_generation += 1
 
     def _resize_area(self, area: _Area, new_end: int) -> None:
         """Move ``area``'s end to ``new_end`` (its pages past the end are already dropped)."""
         area.vma = area.vma.with_bounds(area.vma.start, new_end)
         area.end = new_end // PAGE_SIZE
+        self.layout_generation += 1
 
     def _range_fully_mapped(self, start: int, end: int) -> bool:
         cursor = start
@@ -1063,6 +1102,7 @@ class AddressSpace:
                 new_areas.append(area.piece(vma.with_bounds(end, vma.end)))
         self._areas = new_areas
         self._starts = [area.vma.start for area in new_areas]
+        self.layout_generation += 1
 
 
 def _runs_of_mask(mask: int, base: int) -> List[Run]:

@@ -122,13 +122,28 @@ def put_content(runs: List[ContentRun], first: int, end: int, payload: bytes) ->
 
     The list holds non-zero payloads only: writing ``ZERO_CONTENT`` removes
     the range.  Neighbouring runs with the payload being written are merged
-    into the new run, so the list stays canonical.
+    into the new run, so the list stays canonical.  A write that covers
+    exactly one run, with no touching neighbour holding ``payload``,
+    replaces that run in place (a request rewriting its buffer).  An empty
+    range changes nothing.
     """
+    if first >= end:
+        return
     lo = bisect.bisect_left(runs, (first,))
+    count = len(runs)
+    if (
+        payload
+        and lo < count
+        and runs[lo][0] == first
+        and runs[lo][1] == end
+        and (lo == 0 or runs[lo - 1][1] < first or runs[lo - 1][2] != payload)
+        and (lo + 1 == count or runs[lo + 1][0] > end or runs[lo + 1][2] != payload)
+    ):
+        runs[lo] = (first, end, payload)
+        return
     if lo and runs[lo - 1][1] >= first:
         lo -= 1
     hi = lo
-    count = len(runs)
     while hi < count and runs[hi][0] <= end:
         hi += 1
     pieces: List[ContentRun] = []

@@ -10,13 +10,13 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ProcessStateError
 from repro.mem.address_space import AddressSpace
 from repro.proc.pipes import Pipe
 from repro.proc.registers import RegisterSet
-from repro.proc.thread import SimThread, ThreadState
+from repro.proc.thread import SimThread
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 
 _pid_counter = itertools.count(1000)  # detlint: ignore[D005] unique-pid mint; pids are labels, never ordering inputs
@@ -59,6 +59,9 @@ class SimProcess:
         self.stdout = Pipe(f"{name}.stdout", self.cost_model)
         self.stderr = Pipe(f"{name}.stderr", self.cost_model)
         self._threads: Dict[int, SimThread] = {}
+        #: The live threads in creation order; only ``spawn_thread`` and
+        #: ``exit`` change which threads are live.
+        self._live: Tuple[SimThread, ...] = ()
         self._tid_counter = itertools.count(self.pid)
         self.exit_code: Optional[int] = None
 
@@ -67,14 +70,14 @@ class SimProcess:
     # ------------------------------------------------------------------
 
     @property
-    def threads(self) -> List[SimThread]:
-        """All live (non-exited) threads."""
-        return [t for t in self._threads.values() if t.state is not ThreadState.EXITED]
+    def threads(self) -> Tuple[SimThread, ...]:
+        """All live (non-exited) threads, in creation order."""
+        return self._live
 
     @property
     def num_threads(self) -> int:
         """Number of live threads."""
-        return len(self.threads)
+        return len(self._live)
 
     @property
     def main_thread(self) -> SimThread:
@@ -94,6 +97,7 @@ class SimProcess:
             registers=registers if registers is not None else RegisterSet.initial(),
         )
         self._threads[tid] = thread
+        self._live += (thread,)
         return thread
 
     def thread(self, tid: int) -> SimThread:
@@ -142,6 +146,7 @@ class SimProcess:
         """Terminate the process."""
         for thread in self.threads:
             thread.exit()
+        self._live = ()
         self.exit_code = code
         self.state = ProcessState.EXITED
 

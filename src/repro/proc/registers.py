@@ -37,6 +37,11 @@ GENERAL_REGISTERS: Tuple[str, ...] = (
     "eflags",
 )
 
+#: Registers are 64 bits wide.
+_WORD = 0xFFFFFFFFFFFFFFFF
+#: The registers :meth:`RegisterSet.advanced` moves.
+_ADVANCED = ("rip", "rsp", "rax", "rcx")
+
 
 @dataclass(frozen=True)
 class RegisterSet:
@@ -80,13 +85,46 @@ class RegisterSet:
 
         Used by the runtime models to make register state visibly change
         during an invocation so restoration has something real to undo.
+        ``rip`` and ``rax``/``rcx`` move forward, ``rsp`` down by
+        ``stack_delta``; every register keeps its position.
         """
-        mapping = dict(self.values)
-        mapping["rip"] = mapping["rip"] + instructions
-        mapping["rsp"] = mapping["rsp"] - stack_delta
-        mapping["rax"] = (mapping["rax"] + instructions * 7919) & 0xFFFFFFFFFFFFFFFF
-        mapping["rcx"] = (mapping["rcx"] + instructions * 104729) & 0xFFFFFFFFFFFFFFFF
-        return RegisterSet(values=tuple(mapping.items()))
+        values = self.values
+        if (
+            len(values) >= 6
+            and values[0][0] == "rip"
+            and values[1][0] == "rsp"
+            and values[3][0] == "rax"
+            and values[5][0] == "rcx"
+        ):
+            # The order every constructor here produces (GENERAL_REGISTERS).
+            rip, rsp, rbp, rax, rbx, rcx = values[:6]
+            return RegisterSet(
+                values=(
+                    ("rip", rip[1] + instructions),
+                    ("rsp", rsp[1] - stack_delta),
+                    rbp,
+                    ("rax", (rax[1] + instructions * 7919) & _WORD),
+                    rbx,
+                    ("rcx", (rcx[1] + instructions * 104729) & _WORD),
+                )
+                + values[6:]
+            )
+        names = {name for name, _ in values}
+        for name in _ADVANCED:
+            if name not in names:
+                raise KeyError(name)
+        moved = []
+        for name, value in values:
+            if name == "rip":
+                value += instructions
+            elif name == "rsp":
+                value -= stack_delta
+            elif name == "rax":
+                value = (value + instructions * 7919) & _WORD
+            elif name == "rcx":
+                value = (value + instructions * 104729) & _WORD
+            moved.append((name, value))
+        return RegisterSet(values=tuple(moved))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegisterSet):

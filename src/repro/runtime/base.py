@@ -25,8 +25,8 @@ from __future__ import annotations
 import abc
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import PAGE_SIZE
 from repro.errors import ProcessStateError, RuntimeModelError
@@ -47,9 +47,12 @@ class BootResult:
     threads: int
 
 
-@dataclass(frozen=True)
-class InvocationResult:
-    """Outcome of serving one request (dummy or real)."""
+class InvocationResult(NamedTuple):
+    """Outcome of serving one request (dummy or real).
+
+    Every request builds one, so it is a named tuple: immutable, and
+    several times cheaper to build than a frozen dataclass.
+    """
 
     #: The structured response returned to the platform.
     response: Dict[str, object]
@@ -77,6 +80,58 @@ class InvocationResult:
         return self.compute_seconds + self.fault_seconds
 
 
+class RequestPlan:
+    """Where a warm request's memory work lands, resolved once per layout.
+
+    A warm container serves one function, one request at a time, over a
+    memory layout that does not change between requests (§3.1).  The plan
+    keeps what every request would otherwise work out again: the
+    profile's page counts and the mapping handles
+    (:meth:`AddressSpace.mapping_at`) of the request-buffer page and the
+    working VMA.  The handles belong to one process's address space at one
+    :attr:`AddressSpace.layout_generation` (``process`` and ``generation``);
+    :meth:`resolve` looks them up again.
+    """
+
+    __slots__ = (
+        "buffer_page",
+        "working_first",
+        "working_pages",
+        "dirtied_pages",
+        "read_pages",
+        "growth_pages",
+        "leak_pages",
+        "process",
+        "generation",
+        "buffer",
+        "working",
+    )
+
+    def __init__(self, profile: FunctionProfile, buffer_page: int, working: Vma) -> None:
+        #: The request buffer (the leak channel) and the working VMA's pages.
+        self.buffer_page = buffer_page
+        self.working_first = working.first_page
+        self.working_pages = working.num_pages
+        #: The profile's per-request page counts.
+        self.dirtied_pages = profile.dirtied_pages
+        self.read_pages = min(profile.read_pages, working.num_pages)
+        self.growth_pages = profile.heap_growth_pages
+        self.leak_pages = profile.leak_pages_per_invocation
+        #: The process and layout generation the handles were resolved in.
+        self.process: Optional[SimProcess] = None
+        self.generation = -1
+        self.buffer = None
+        self.working = None
+
+    def resolve(self, process: SimProcess) -> None:
+        """Look the handles up in ``process``'s address space as it is now."""
+        space = process.address_space
+        self.process = process
+        self.generation = space.layout_generation
+        self.buffer = space.mapping_at(self.buffer_page)
+        self.working = space.mapping_at(self.working_first)
+
+
 class FunctionRuntime(abc.ABC):
     """Base class of the per-language runtime models."""
 
@@ -101,11 +156,13 @@ class FunctionRuntime(abc.ABC):
         self._restored_since_last_invoke = False
         self._scratch_vmas: List[Vma] = []
         self._scratch_counter = 0
-        self._working_vma: Optional[Vma] = None
         self._lazy_vma: Optional[Vma] = None
         self._lazy_pages_remaining = 0
-        self._request_buffer_page: Optional[int] = None
         self._clean_state: Optional[Tuple[int, List[Vma]]] = None
+        self._plan: Optional[RequestPlan] = None
+        #: The last payload digested and its digest (payloads are immutable).
+        self._digested: Optional[bytes] = None
+        self._digest = ""
 
     # ------------------------------------------------------------------
     # Layout planning hooks (overridden per language)
@@ -182,7 +239,7 @@ class FunctionRuntime(abc.ABC):
         for index in range(arena_count):
             space.mmap(16 * PAGE_SIZE, Protection.rw(), kind=VmaKind.RUNTIME,
                        name=f"{self.runtime_name}.arena{index}", populate=True)
-        self._working_vma = space.mmap(
+        working_vma = space.mmap(
             init_working * PAGE_SIZE, Protection.rw(), kind=VmaKind.RUNTIME,
             name=f"{self.runtime_name}.working", populate=True,
         )
@@ -195,7 +252,7 @@ class FunctionRuntime(abc.ABC):
 
         # The request buffer lives at the start of the heap: it is where the
         # (buggy) function caches request data between invocations.
-        self._request_buffer_page = space.brk_base // PAGE_SIZE
+        self._plan = RequestPlan(profile, space.brk_base // PAGE_SIZE, working_vma)
 
         footprint_mib = profile.footprint_bytes / (1024 * 1024)
         boot_seconds = (
@@ -283,58 +340,57 @@ class FunctionRuntime(abc.ABC):
 
     def _execute(self, payload: bytes, request_id: str, is_warm: bool) -> InvocationResult:
         profile = self.profile
-        space = self.process.address_space
+        process = self.process
+        space = process.address_space
+        plan = self._plan
+        assert plan is not None
+        if plan.process is not process or plan.generation != space.layout_generation:
+            plan.resolve(process)
         meter_before = space.meter.checkpoint()
-
-        assert self._working_vma is not None and self._request_buffer_page is not None
 
         # (1) A buggy function caches request data in a global buffer: read
         # whatever is there (the leak channel) and overwrite it with this
         # request's payload.
-        residual = space.read_page(self._request_buffer_page)
+        residual = space.read_mapped(plan.buffer, plan.buffer_page)
         secret = b"REQ:" + request_id.encode("utf-8") + b":" + payload[:128]
-        space.write_page(self._request_buffer_page, secret)
+        space.write_mapped(plan.buffer, plan.buffer_page, 1, secret)
 
         # (2) Heap growth from allocations that survive the request.
-        pages_from_growth = 0
-        if profile.heap_growth_pages > 0:
+        pages_from_growth = plan.growth_pages
+        if pages_from_growth > 0:
             old_brk = space.brk
-            space.sbrk(profile.heap_growth_pages * PAGE_SIZE)
-            space.write_range(
-                old_brk // PAGE_SIZE, profile.heap_growth_pages, b"ALLOC:" + secret[:32]
-            )
-            pages_from_growth = profile.heap_growth_pages
+            space.sbrk(pages_from_growth * PAGE_SIZE)
+            space.write_range(old_brk // PAGE_SIZE, pages_from_growth, b"ALLOC:" + secret[:32])
 
         # (3) Runtime-specific layout churn (scratch arenas mapped/unmapped).
         pages_from_scratch = self._layout_churn(secret)
+        if plan.generation != space.layout_generation:
+            plan.resolve(process)
 
         # (4) Bulk dirtying of the function's working set.
         already_dirtied = 1 + pages_from_growth + pages_from_scratch
-        bulk = max(0, profile.dirtied_pages - already_dirtied)
-        bulk = min(bulk, self._working_vma.num_pages)
+        bulk = max(0, plan.dirtied_pages - already_dirtied)
+        bulk = min(bulk, plan.working_pages)
         if bulk > 0:
-            space.write_range(self._working_vma.first_page, bulk, b"WS:" + secret[:24])
+            space.write_mapped(plan.working, plan.working_first, bulk, b"WS:" + secret[:24])
 
         # (5) Read-touch the wider working set (matters for fork's cold TLB).
-        reads = min(profile.read_pages, self._working_vma.num_pages)
-        if reads > 0:
-            space.touch_read_range(self._working_vma.first_page, reads)
+        if plan.read_pages > 0:
+            space.touch_read_mapped(plan.working, plan.working_first, plan.read_pages)
         self._extra_reads()
 
         # (6) Registers advance on every thread.
-        for thread in self.process.threads:
-            thread.run_instructions(instructions=1024 + 64 * self._invocations,
-                                    stack_delta=0)
+        instructions = 1024 + 64 * self._invocations
+        for thread in process.threads:
+            thread.run_instructions(instructions=instructions, stack_delta=0)
 
         # (7) Memory leak accumulation (the ``logging`` benchmark).
         leak_slowdown = 0.0
-        if profile.leak_pages_per_invocation > 0 and not is_warm:
+        if plan.leak_pages > 0 and not is_warm:
             old_brk = space.brk
-            space.sbrk(profile.leak_pages_per_invocation * PAGE_SIZE)
-            space.write_range(
-                old_brk // PAGE_SIZE, profile.leak_pages_per_invocation, b"LEAK"
-            )
-            self._leaked_pages += profile.leak_pages_per_invocation
+            space.sbrk(plan.leak_pages * PAGE_SIZE)
+            space.write_range(old_brk // PAGE_SIZE, plan.leak_pages, b"LEAK")
+            self._leaked_pages += plan.leak_pages
             leak_slowdown = (
                 (self._leaked_pages / 1000.0) * profile.leak_slowdown_seconds_per_kpage
             )
@@ -403,11 +459,13 @@ class FunctionRuntime(abc.ABC):
     def _build_response(
         self, payload: bytes, request_id: str, residual: bytes, is_warm: bool
     ) -> Dict[str, object]:
-        digest = hashlib.sha256(payload).hexdigest()[:16]
+        if payload is not self._digested:
+            self._digested = payload
+            self._digest = hashlib.sha256(payload).hexdigest()[:16]
         return {
             "ok": True,
             "request_id": request_id,
-            "result": digest,
+            "result": self._digest,
             "warm": is_warm,
             "residual": residual,
             "runtime": self.runtime_name,
@@ -426,9 +484,9 @@ class FunctionRuntime(abc.ABC):
     @property
     def request_buffer_page(self) -> int:
         """Page number of the global request buffer (the leak channel)."""
-        if self._request_buffer_page is None:
+        if self._plan is None:
             raise RuntimeModelError("runtime not booted")
-        return self._request_buffer_page
+        return self._plan.buffer_page
 
     def read_request_buffer(self) -> bytes:
         """Return the current content of the request buffer page."""

@@ -12,7 +12,12 @@ bit; ``test_prop_memory.py`` drives twin spaces to check that.
 Besides the per-page core it implements the run-level calls the snapshot
 and restore paths make (``capture``, ``soft_dirty_runs``,
 ``resident_within``, ``kernel_write_range``, ``kernel_write_image``,
-``kernel_drop_runs``, ``page_state``), each as a loop over single pages.
+``kernel_drop_runs``, ``page_state``), each as a loop over single pages,
+and the handle calls a runtime's request plan makes (``mapping_at``,
+``write_mapped``, ``read_mapped``, ``touch_read_mapped``).  A handle here is
+the :class:`Vma` itself, and every handle call first checks that it is the
+very mapping a fresh lookup returns, so a plan that kept a handle past a
+layout change fails loudly instead of writing through it.
 """
 
 from __future__ import annotations
@@ -103,6 +108,7 @@ class ReferenceAddressSpace:
         self._brk = brk_base
         self._stack_next = stack_top
         self._wp_handler: Optional[Callable[[int], None]] = None
+        self.layout_generation = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -156,6 +162,16 @@ class ReferenceAddressSpace:
     def vma_for_page(self, page_number: int) -> Optional[Vma]:
         """Return the VMA containing ``page_number``, if any."""
         return self.find_vma(page_number * PAGE_SIZE)
+
+    def mapping_at(self, page_number: int) -> Optional[Vma]:
+        """The handle of the mapping holding ``page_number``: its VMA."""
+        return self.vma_for_page(page_number)
+
+    def _check_handle(self, mapping: Optional[Vma], page_number: int) -> None:
+        if mapping is not self.vma_for_page(page_number):
+            raise AssertionError(
+                f"stale mapping handle {mapping!r} for page {page_number:#x}"
+            )
 
     def is_resident(self, page_number: int) -> bool:
         """True if ``page_number`` has an allocated frame."""
@@ -417,6 +433,25 @@ class ReferenceAddressSpace:
                 self.meter.charge(cm.soft_dirty_fault_seconds, soft_dirty_faults=1)
             self._soft_dirty.add(page_number)
 
+    def write_mapped(
+        self, mapping: Optional[Vma], start_page: int, count: int, data: bytes
+    ) -> None:
+        """``write_range`` through a handle that must be current."""
+        self._check_handle(mapping, start_page)
+        self.write_range(start_page, count, data)
+
+    def read_mapped(self, mapping: Optional[Vma], page_number: int) -> bytes:
+        """``read_page`` through a handle that must be current."""
+        self._check_handle(mapping, page_number)
+        return self.read_page(page_number)
+
+    def touch_read_mapped(
+        self, mapping: Optional[Vma], start_page: int, count: int
+    ) -> None:
+        """``touch_read_range`` through a handle that must be current."""
+        self._check_handle(mapping, start_page)
+        self.touch_read_range(start_page, count)
+
     def read(self, address: int) -> bytes:
         """Read the payload of the page containing ``address``."""
         page_number = address // PAGE_SIZE
@@ -588,11 +623,13 @@ class ReferenceAddressSpace:
         idx = bisect.bisect_left(self._starts, vma.start)
         self._vmas.insert(idx, vma)
         self._starts.insert(idx, vma.start)
+        self.layout_generation += 1
 
     def _replace_vma(self, old: Vma, new: Vma) -> None:
         idx = self._vmas.index(old)
         self._vmas[idx] = new
         self._starts[idx] = new.start
+        self.layout_generation += 1
 
     def _range_fully_mapped(self, start: int, end: int) -> bool:
         cursor = start
@@ -628,6 +665,7 @@ class ReferenceAddressSpace:
         new_vmas.sort(key=lambda v: v.start)
         self._vmas = new_vmas
         self._starts = [v.start for v in new_vmas]
+        self.layout_generation += 1
 
     def _drop_pages(self, first_page: int, end_page: int) -> int:
         dropped = 0

@@ -20,12 +20,12 @@ from repro.baselines.registry import create_mechanism
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError, SegmentationFault
 from repro.mem.address_space import AddressSpace
-from repro.mem.image import PageImage
+from repro.mem.image import PageImage, put_content
 from repro.mem.layout import diff_layouts
 from repro.mem.pagemap import PagemapView
 from repro.mem.page import Protection
 from repro.proc import process as sim_process
-from repro.workloads import find_benchmark
+from repro.workloads import find_benchmark, microbenchmark_profile
 
 from reference_space import ReferenceAddressSpace
 
@@ -145,6 +145,50 @@ class TestLayoutDiffProperties:
         diff = diff_layouts(before, space.layout())
         assert len(diff.added) == added_count
         assert diff.num_operations == added_count
+
+
+# ---------------------------------------------------------------------------
+# Content runs against a per-page dict
+# ---------------------------------------------------------------------------
+
+#: Few payloads, so writes often meet neighbours holding the same one.
+PAYLOADS = (b"", b"a", b"b", b"c")
+
+content_ops = st.lists(
+    st.tuples(
+        st.booleans(),  # rewrite exactly one existing run (else any range)
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from(PAYLOADS),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestPutContentMatchesPerPageDict:
+    @given(content_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_runs_stay_canonical_and_equal_the_pages(self, ops):
+        runs = []
+        pages = {}
+        for exact, start, length, payload in ops:
+            if exact and runs:
+                first, end, _ = runs[start % len(runs)]
+            else:
+                first, end = start, start + length
+            put_content(runs, first, end, payload)
+            for page in range(first, end):
+                if payload:
+                    pages[page] = payload
+                else:
+                    pages.pop(page, None)
+            assert {page: payload for a, b, payload in runs for page in range(a, b)} == pages
+            for a, b, payload in runs:
+                assert a < b and payload
+            for (_, b, left), (a, _, right) in zip(runs, runs[1:]):
+                assert b <= a
+                assert b < a or left != right
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +414,35 @@ class TestRangePathsMatchPerPageOracle:
 #: The Python functions the ``gh-tenants`` benchmark workload deploys.
 GH_TENANTS_FUNCTIONS = ("md2html", "json", "get-time", "version", "deltablue", "float")
 
+#: The §5.2 microbenchmark as the ``diurnal-base`` and ``wide-routing``
+#: benchmark workloads deploy it.
+BOOKKEEPING_PROFILE = microbenchmark_profile(16, 2)
 
-def _serve(name, mechanism_name="gh", requests=3, **options):
-    """Boot ``name`` under a mechanism; serve a few requests; report everything."""
-    profile = find_benchmark(name, "p").profile
+
+def _reprotect_working(space):
+    """``mprotect`` the runtime's working VMA (same protection, new mapping)."""
+    working = next(vma for vma in space.vmas if vma.name.endswith(".working"))
+    space.mprotect(working.start, working.length, Protection.rw())
+
+
+def _map_late(space):
+    """``mmap`` one more region."""
+    space.mmap(3 * PAGE_SIZE, name="late")
+
+
+def _serve(profile, mechanism_name="gh", requests=3, change_at=None, change=None, **options):
+    """Boot ``profile`` under a mechanism; serve requests; report everything.
+
+    Before request ``change_at``, ``change`` is applied to the process's
+    address space (a layout change between two requests).
+    """
+    if isinstance(profile, str):
+        profile = find_benchmark(profile, "p").profile
     mechanism = create_mechanism(mechanism_name, profile, rng=random.Random(7), **options)
     served = {"init": mechanism.initialize(), "requests": [], "restores": []}
     for index in range(requests):
+        if index == change_at:
+            change(mechanism.process.address_space)
         report = mechanism.invoke(f"payload-{index}".encode() * 4, f"req-{index}")
         result, restore = report.result, report.restore
         served["requests"].append(
@@ -439,3 +505,16 @@ class TestMechanismTwin:
             monkeypatch, "version", mechanism, requests=4, **options
         )
         assert shipped == reference
+
+    @pytest.mark.parametrize("change", [_reprotect_working, _map_late])
+    @pytest.mark.parametrize("mechanism", ["base", "gh-nop", "fork"])
+    def test_bookkeeping_requests_match_per_page_oracle(self, mechanism, change, monkeypatch):
+        # The reference space also rejects any mapping handle that is not
+        # the one a fresh lookup returns, so a request plan that missed the
+        # layout change cannot pass by luck.
+        shipped, reference = _serve_twins(
+            monkeypatch, BOOKKEEPING_PROFILE, mechanism, requests=50,
+            change_at=25, change=change,
+        )
+        assert shipped == reference
+        assert len(shipped["requests"]) == 50

@@ -333,3 +333,72 @@ class TestWriteProtection:
         space.disarm_write_protection()
         space.write_page(vma.first_page, b"a")
         assert space.meter.counters.uffd_faults == 0
+
+
+class TestLayoutGeneration:
+    """``layout_generation`` moves exactly when mappings or their bounds change."""
+
+    def _moves(self, space, operation):
+        before = space.layout_generation
+        operation()
+        return space.layout_generation != before
+
+    def test_mapping_operations_bump_it(self, space):
+        vma = space.mmap(4 * PAGE_SIZE, populate=True)
+        assert self._moves(space, lambda: space.mmap(PAGE_SIZE))
+        assert self._moves(
+            space, lambda: space.mprotect(vma.start, PAGE_SIZE, Protection.r())
+        )
+        assert self._moves(space, lambda: space.munmap(vma.start, PAGE_SIZE))
+
+    def test_brk_bumps_it_whether_it_maps_or_resizes_the_heap(self, space):
+        # Mapping the first heap piece, growing it in place, shrinking it in
+        # place and unmapping it are all layout changes.
+        assert self._moves(space, lambda: space.sbrk(2 * PAGE_SIZE))
+        assert self._moves(space, lambda: space.sbrk(2 * PAGE_SIZE))
+        assert self._moves(space, lambda: space.sbrk(-PAGE_SIZE))
+        assert self._moves(space, lambda: space.set_brk(space.brk_base))
+
+    def test_page_operations_leave_it(self, space):
+        vma = space.mmap(4 * PAGE_SIZE, populate=True)
+        page = vma.first_page
+        assert not self._moves(space, lambda: space.write_range(page, 2, b"w"))
+        assert not self._moves(space, lambda: space.read_page(page))
+        assert not self._moves(space, lambda: space.touch_read_range(page, 4))
+        assert not self._moves(space, lambda: space.madvise_dontneed(vma.start, PAGE_SIZE))
+        assert not self._moves(space, lambda: space.kernel_write_range(page, 1, b"k"))
+        assert not self._moves(space, space.clear_soft_dirty)
+        assert not self._moves(space, lambda: space.sbrk(0))
+
+
+class TestMappingHandles:
+    def test_handle_calls_equal_the_lookup_calls(self, space):
+        vma = space.mmap(4 * PAGE_SIZE, populate=True)
+        child = space.fork()
+        twin = space.fork()
+        page = vma.first_page
+        handle = child.mapping_at(page)
+        child.write_mapped(handle, page, 2, b"w")
+        twin.write_range(page, 2, b"w")
+        assert child.read_mapped(handle, page) == twin.read_page(page) == b"w"
+        child.touch_read_mapped(handle, page, 4)
+        twin.touch_read_range(page, 4)
+        assert child.meter.counters == twin.meter.counters
+        assert [child.page_state(p) for p in vma.pages()] == [
+            twin.page_state(p) for p in vma.pages()
+        ]
+
+    def test_a_write_past_the_handle_continues_into_the_next_mapping(self, space):
+        first = space.mmap(2 * PAGE_SIZE, address=0x100 * PAGE_SIZE)
+        second = space.mmap(2 * PAGE_SIZE, address=0x102 * PAGE_SIZE)
+        space.write_mapped(space.mapping_at(first.first_page), first.first_page, 4, b"w")
+        assert space.page_content(second.last_page) == b"w"
+        assert space.meter.counters.pages_written == 4
+
+    def test_unmapped_handle_faults_like_a_lookup(self, space):
+        with pytest.raises(SegmentationFault):
+            space.write_mapped(space.mapping_at(0x10), 0x10, 1, b"w")
+        with pytest.raises(SegmentationFault):
+            space.read_mapped(space.mapping_at(0x10), 0x10)
+        space.touch_read_mapped(space.mapping_at(0x10), 0x10, 3)
+        assert space.meter.counters.pages_read == 3

@@ -133,6 +133,15 @@ class TestClusterPlatform:
         assert invocation.status is InvocationStatus.COMPLETED
         assert invocation.e2e_seconds > invocation.invoker_seconds
 
+    def test_default_payload_is_built_once_per_action(self, small_python_profile):
+        cluster = FaaSCluster(SimulationConfig(cores=1, invokers=2))
+        cluster.deploy(_action(small_python_profile, "c-default"))
+        first = cluster.invoke_sync("c-default")
+        second = cluster.invoke_sync("c-default")
+        assert first.payload == b"x" * small_python_profile.input_bytes
+        assert second.payload is first.payload
+        assert first.report.result.response["result"] == second.report.result.response["result"]
+
     def test_containers_aggregates_across_invokers(self, small_python_profile):
         cluster = FaaSCluster(
             SimulationConfig(cores=1, invokers=3, scheduler_policy="round-robin")

@@ -70,6 +70,7 @@ class TestThreadsAndProcess:
         t2 = proc.spawn_thread()
         assert t1.tid != t2.tid
         assert proc.thread(t1.tid) is t1
+        assert proc.threads == (t1, t2)
 
     def test_stop_and_resume_all_threads(self):
         proc = SimProcess("fn")
@@ -83,9 +84,12 @@ class TestThreadsAndProcess:
     def test_exit_terminates_all_threads(self):
         proc = SimProcess("fn")
         proc.start()
+        main = proc.main_thread
         proc.exit(3)
         assert not proc.is_alive
         assert proc.exit_code == 3
+        assert proc.threads == () and proc.num_threads == 0
+        assert main.state is ThreadState.EXITED
         with pytest.raises(ProcessStateError):
             proc.start()
 

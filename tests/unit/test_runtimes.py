@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from repro.errors import RuntimeModelError, UnsupportedRuntimeError, WorkloadError
+from repro.baselines.registry import create_mechanism
+from repro.config import PAGE_SIZE
+from repro.errors import (
+    RuntimeModelError,
+    SegmentationFault,
+    UnsupportedRuntimeError,
+    WorkloadError,
+)
+from repro.kernel.faults import NO_FAULTS, FaultRecord
+from repro.mem.page import Protection
 from repro.proc.process import SimProcess
 from repro.runtime import build_runtime
+from repro.runtime.base import FunctionRuntime
 from repro.runtime.native import NativeRuntime
 from repro.runtime.node_rt import NodeRuntime
 from repro.runtime.profiles import FunctionProfile, Language
 from repro.runtime.python_rt import PythonRuntime
 from repro.runtime.wasm import WasmRuntime, wasm_execution_factor
 from repro.sim.costs import CostModel
+from repro.workloads import microbenchmark_profile
 
 
 class TestFunctionProfile:
@@ -126,6 +138,29 @@ class TestRuntimeLifecycle:
         second = runtime.invoke(b"bob-data", "r2")
         assert b"alice-secret" in second.residual
 
+    def test_response_digest_follows_the_payload(self, small_python_profile):
+        runtime = self._runtime(small_python_profile)
+        runtime.boot()
+        runtime.warm()
+        payload = b"same"
+        digests = [
+            runtime.invoke(body, f"r{index}").response["result"]
+            for index, body in enumerate([payload, payload, b"other", bytes(bytearray(payload))])
+        ]
+        assert digests[0] == digests[1] == digests[3] == hashlib.sha256(payload).hexdigest()[:16]
+        assert digests[2] == hashlib.sha256(b"other").hexdigest()[:16]
+
+    def test_fault_free_requests_share_one_zero_record(self, small_c_profile):
+        runtime = self._runtime(small_c_profile)
+        runtime.boot()
+        runtime.warm()
+        runtime.invoke(b"a", "r1")
+        second = runtime.invoke(b"b", "r2")
+        assert second.faults is NO_FAULTS
+        assert second.faults == FaultRecord()
+        runtime.process.address_space.clear_soft_dirty()
+        assert runtime.invoke(b"c", "r3").faults.soft_dirty > 0
+
     def test_compute_time_tracks_profile(self, small_python_profile):
         runtime = self._runtime(small_python_profile)
         runtime.boot()
@@ -216,3 +251,124 @@ class TestWasmRuntime:
     def test_node_profile_has_no_wasm_factor(self, small_node_profile):
         with pytest.raises(UnsupportedRuntimeError):
             wasm_execution_factor(small_node_profile, CostModel())
+
+
+class TestRequestPlan:
+    """The request plan re-resolves whenever its handles could be stale.
+
+    Each scenario is served twice: with the plan as shipped, and with a
+    plan that re-resolves before every request, which is what looking every
+    mapping up per request (the path without a plan) amounts to.  Both must
+    agree on every request's outcome and on the final page state.
+    """
+
+    def _mechanism(self, profile, name="base"):
+        mechanism = create_mechanism(name, profile, rng=random.Random(3))
+        mechanism.initialize()
+        return mechanism
+
+    def _working(self, mechanism):
+        return next(
+            vma for vma in mechanism.process.address_space.vmas
+            if vma.name.endswith(".working")
+        )
+
+    def _serve(self, profile, steps, name="base"):
+        """Run ``steps`` (requests as ``None``, else a callable on the mechanism)."""
+        mechanism = self._mechanism(profile, name)
+        outcomes = []
+        for index, step in enumerate(steps):
+            if step is not None:
+                step(mechanism)
+                continue
+            try:
+                result = mechanism.invoke(f"p{index}".encode(), f"r{index}").result
+            except SegmentationFault as fault:
+                outcomes.append(("segv", fault.address, fault.access))
+                continue
+            outcomes.append(
+                (result.fault_seconds, result.faults, result.pages_written, result.residual)
+            )
+        space = mechanism.process.address_space
+        pages = [space.page_state(page) for vma in space.vmas for page in vma.pages()]
+        return outcomes, pages, space.layout(), space.meter.counters
+
+    def _both(self, monkeypatch, profile, steps, name="base"):
+        planned = self._serve(profile, steps, name)
+        invoke = FunctionRuntime.invoke
+
+        def invoke_unplanned(runtime, payload, request_id=""):
+            runtime._plan.process = None  # forces a fresh resolve
+            return invoke(runtime, payload, request_id)
+
+        monkeypatch.setattr(FunctionRuntime, "invoke", invoke_unplanned)
+        return planned, self._serve(profile, steps, name)
+
+    def test_read_only_working_set_faults_the_next_request(self):
+        profile = microbenchmark_profile(16, 2)
+        mechanism = self._mechanism(profile)
+        mechanism.invoke(b"a", "r1")
+        working = self._working(mechanism)
+        mechanism.process.address_space.mprotect(
+            working.start, working.length, Protection.r()
+        )
+        with pytest.raises(SegmentationFault) as raised:
+            mechanism.invoke(b"b", "r2")
+        assert raised.value.address == working.start
+        # The request buffer was written before the fault, as without a plan.
+        assert b"REQ:r2:b" in mechanism.read_request_buffer()
+
+    def test_unmap_then_remap_of_the_working_set(self, monkeypatch):
+        unmapped = []
+
+        def unmap(mechanism):
+            working = self._working(mechanism)
+            mechanism.process.address_space.munmap(working.start, working.length)
+            unmapped.append(working)
+
+        def remap(mechanism):
+            vma = unmapped[-1]
+            mechanism.process.address_space.mmap(
+                vma.length, vma.prot, kind=vma.kind, name=vma.name, address=vma.start
+            )
+
+        # The request in between faults and leaves the plan resolved to
+        # "no working mapping"; the remap must be noticed.
+        steps = [None, unmap, None, remap, None, None]
+        planned, unplanned = self._both(
+            monkeypatch, microbenchmark_profile(16, 2), steps
+        )
+        assert planned == unplanned
+        assert planned[0][1][0] == "segv" and planned[0][2][0] != "segv"
+
+    @pytest.mark.parametrize("delta_pages", [6, -2])
+    def test_brk_between_requests(self, monkeypatch, small_python_profile, delta_pages):
+        def move_break(mechanism):
+            mechanism.process.address_space.sbrk(delta_pages * PAGE_SIZE)
+
+        steps = [None, None, move_break, None, None]
+        planned, unplanned = self._both(monkeypatch, small_python_profile, steps)
+        assert planned == unplanned
+
+    def test_mmap_and_mprotect_between_requests(self, monkeypatch, small_node_profile):
+        def remap_working(mechanism):
+            working = self._working(mechanism)
+            space = mechanism.process.address_space
+            space.mprotect(working.start, 2 * PAGE_SIZE, Protection.rw())
+            space.mmap(4 * PAGE_SIZE, name="late")
+
+        steps = [None, remap_working, None, None]
+        planned, unplanned = self._both(monkeypatch, small_node_profile, steps)
+        assert planned == unplanned
+
+    def test_fork_children_charge_their_first_touch_faults(self, monkeypatch):
+        profile = microbenchmark_profile(16, 2)
+        planned, unplanned = self._both(monkeypatch, profile, [None] * 4, name="fork")
+        assert planned == unplanned
+        for fault_seconds, faults, pages_written, residual in planned[0]:
+            # Every page the request reads or writes is TLB-cold in a fresh
+            # child; the written ones are also copied.
+            assert faults.first_touch == 1 + profile.read_pages
+            assert faults.cow == profile.dirtied_pages
+            # Each child starts from the warm parent, never a past request.
+            assert residual.startswith(b"REQ:warmup:")
