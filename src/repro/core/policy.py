@@ -16,6 +16,7 @@ configurations; the comparison systems live in :mod:`repro.baselines`.
 from __future__ import annotations
 
 import abc
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -175,7 +176,7 @@ class IsolationMechanism(abc.ABC):
         if not self._initialized or self.runtime is None:
             raise IsolationError(f"{self.name}: container not initialised")
         if payload is None:
-            payload = b"x" * self.profile.input_bytes
+            payload = self.default_payload
 
         pre_seconds = self._pre_invoke(caller=caller)
         result, extra_relay = self._run(payload, request_id)
@@ -200,6 +201,11 @@ class IsolationMechanism(abc.ABC):
             restore=restore,
             post_skipped=post_skipped,
         )
+
+    @functools.cached_property
+    def default_payload(self) -> bytes:
+        """The payload of a request that brings none, built once per mechanism."""
+        return b"x" * self.profile.input_bytes
 
     # ------------------------------------------------------------------
     # Hooks

@@ -21,12 +21,12 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.config import PAGE_SIZE
 from repro.mem.image import Run
-from repro.mem.layout import LayoutDiff, VmaRecord
-from repro.mem.vma import VmaKind
+from repro.mem.layout import LayoutDiff
+from repro.mem.vma import Vma, VmaKind
 from repro.proc.ptrace import InjectedSyscall
 
 
-def _is_heap(record: VmaRecord) -> bool:
+def _is_heap(record: Vma) -> bool:
     return record.kind is VmaKind.HEAP or record.name == "[heap]"
 
 

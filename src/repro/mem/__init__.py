@@ -13,7 +13,7 @@ from repro.mem.vma import Vma, VmaKind
 from repro.mem.image import PageImage
 from repro.mem.address_space import AddressSpace, MemoryMeter, PageState
 from repro.mem.pagemap import PagemapEntry, PagemapView
-from repro.mem.layout import LayoutDiff, MemoryLayout, VmaRecord, diff_layouts
+from repro.mem.layout import LayoutDiff, MemoryLayout, diff_layouts
 
 __all__ = [
     "Protection",
@@ -26,7 +26,6 @@ __all__ = [
     "PagemapEntry",
     "PagemapView",
     "MemoryLayout",
-    "VmaRecord",
     "LayoutDiff",
     "diff_layouts",
 ]

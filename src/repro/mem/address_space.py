@@ -47,7 +47,7 @@ from repro.mem.image import (
 )
 from repro.mem.page import Protection, ZERO_CONTENT
 from repro.mem.vma import Vma, VmaKind
-from repro.mem.layout import MemoryLayout, VmaRecord
+from repro.mem.layout import MemoryLayout
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 
 #: Default base of the mmap allocation area (grows upward).
@@ -329,8 +329,11 @@ class AddressSpace:
         self._wp_handler: Optional[Callable[[int], None]] = None
         #: Bumped whenever the mapping list or a mapping's bounds change
         #: (``mmap``, ``munmap``, ``mprotect``, ``brk``).  A handle from
-        #: :meth:`mapping_at` stays valid while this number is unchanged.
+        #: :meth:`mapping_at` and the layout :meth:`layout` returns stay
+        #: valid while this number is unchanged.
         self.layout_generation = 0
+        self._layout = MemoryLayout((), brk_base)
+        self._layout_built_at = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -339,7 +342,7 @@ class AddressSpace:
     @property
     def vmas(self) -> Tuple[Vma, ...]:
         """The current mappings, sorted by start address."""
-        return tuple(area.vma for area in self._areas)
+        return self.layout().records
 
     @property
     def brk(self) -> int:
@@ -470,12 +473,17 @@ class AddressSpace:
         return ZERO_CONTENT if payload is None else payload
 
     def layout(self) -> MemoryLayout:
-        """Return an immutable record of the current memory layout."""
-        records = tuple(
-            VmaRecord(start=v.start, end=v.end, prot=v.prot, kind=v.kind, name=v.name)
-            for v in self.vmas
-        )
-        return MemoryLayout(records=records, brk=self._brk)
+        """Return an immutable record of the current memory layout.
+
+        Its records are this space's own :class:`Vma` objects, which a
+        mapping change replaces and never mutates.  The layout is built
+        once per :attr:`layout_generation`, which every change to a mapping
+        or to the break moves, and the same object is returned until then.
+        """
+        if self._layout_built_at != self.layout_generation:
+            self._layout = MemoryLayout(tuple([area.vma for area in self._areas]), self._brk)
+            self._layout_built_at = self.layout_generation
+        return self._layout
 
     def describe_maps(self) -> str:
         """Render the layout like ``/proc/<pid>/maps``."""
@@ -861,6 +869,7 @@ class AddressSpace:
         child._mmap_next = self._mmap_next
         child._stack_next = self._stack_next
         child._sd_tracking_armed = self._sd_tracking_armed
+        child._layout = self.layout()
         for area in self._areas:
             if area.resident:
                 private = area.resident
@@ -1071,37 +1080,45 @@ class AddressSpace:
         self.layout_generation += 1
 
     def _range_fully_mapped(self, start: int, end: int) -> bool:
+        # Walk from the last mapping starting at or before ``start``.
+        areas = self._areas
+        index = max(bisect.bisect_right(self._starts, start) - 1, 0)
         cursor = start
-        for area in self._areas:
-            vma = area.vma
+        while cursor < end and index < len(areas):
+            vma = areas[index].vma
+            index += 1
             if vma.end <= cursor:
                 continue
             if vma.start > cursor:
                 return False
-            cursor = min(vma.end, end)
-            if cursor >= end:
-                return True
+            cursor = vma.end
         return cursor >= end
 
     def _carve_range(
         self, start: int, end: int, replacement: Optional[Protection]
     ) -> None:
-        """Remove (``replacement is None``) or re-protect a range, splitting VMAs."""
-        new_areas: List[_Area] = []
-        for area in self._areas:
+        """Remove (``replacement is None``) or re-protect a range, splitting VMAs.
+
+        Only the VMAs overlapping ``[start, end)`` are visited: bisecting
+        ``_starts`` finds them, and their pieces are spliced in their place.
+        """
+        starts = self._starts
+        low = bisect.bisect_right(starts, start) - 1
+        if low < 0 or self._areas[low].vma.end <= start:
+            low += 1
+        high = bisect.bisect_left(starts, end)
+        pieces: List[_Area] = []
+        for area in self._areas[low:high]:
             vma = area.vma
-            if not vma.overlaps(start, end):
-                new_areas.append(area)
-                continue
             if vma.start < start:
-                new_areas.append(area.piece(vma.with_bounds(vma.start, start)))
+                pieces.append(area.piece(vma.with_bounds(vma.start, start)))
             if replacement is not None:
                 overlap = vma.with_bounds(max(vma.start, start), min(vma.end, end))
-                new_areas.append(area.piece(overlap.with_prot(replacement)))
+                pieces.append(area.piece(overlap.with_prot(replacement)))
             if vma.end > end:
-                new_areas.append(area.piece(vma.with_bounds(end, vma.end)))
-        self._areas = new_areas
-        self._starts = [area.vma.start for area in new_areas]
+                pieces.append(area.piece(vma.with_bounds(end, vma.end)))
+        self._areas[low:high] = pieces
+        starts[low:high] = [area.vma.start for area in pieces]
         self.layout_generation += 1
 
 

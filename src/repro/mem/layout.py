@@ -14,54 +14,23 @@ restorer must reverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro.config import PAGE_SIZE
-from repro.mem.page import Protection
-from repro.mem.vma import VmaKind
-
-
-@dataclass(frozen=True)
-class VmaRecord:
-    """An immutable record of one VMA, as read from ``maps``."""
-
-    start: int
-    end: int
-    prot: Protection
-    kind: VmaKind = VmaKind.ANON
-    name: str = ""
-
-    @property
-    def length(self) -> int:
-        """Length in bytes."""
-        return self.end - self.start
-
-    @property
-    def num_pages(self) -> int:
-        """Length in pages."""
-        return self.length // PAGE_SIZE
-
-    def pages(self) -> range:
-        """Absolute page numbers covered by this record."""
-        return range(self.start // PAGE_SIZE, self.end // PAGE_SIZE)
-
-    def key(self) -> Tuple[int, str]:
-        """Identity key used to match regions across layouts.
-
-        Regions are matched by their start address and name; growth, shrink
-        and protection changes are then detected by comparing the matched
-        pair.  This mirrors how Groundhog correlates maps lines between the
-        snapshot and the post-invocation state.
-        """
-        return (self.start, self.name)
+from repro.mem.vma import Vma
 
 
 @dataclass(frozen=True)
 class MemoryLayout:
-    """An immutable snapshot of a process's memory layout."""
+    """An immutable snapshot of a process's memory layout.
 
-    records: Tuple[VmaRecord, ...]
+    ``records`` are ascending by start and disjoint (``maps`` order).  From
+    :meth:`~repro.mem.address_space.AddressSpace.layout` they are the
+    space's own immutable :class:`Vma` objects, which it only ever
+    replaces, so layouts share every mapping that did not change between them.
+    """
+
+    records: Tuple[Vma, ...]
     brk: int
 
     @property
@@ -74,11 +43,7 @@ class MemoryLayout:
         """Total mapped pages across all records."""
         return sum(r.num_pages for r in self.records)
 
-    def by_key(self) -> Dict[Tuple[int, str], VmaRecord]:
-        """Index the records by identity key."""
-        return {r.key(): r for r in self.records}
-
-    def find(self, address: int) -> Optional[VmaRecord]:
+    def find(self, address: int) -> Optional[Vma]:
         """Return the record containing ``address``, if any."""
         for record in self.records:
             if record.start <= address < record.end:
@@ -90,8 +55,8 @@ class MemoryLayout:
 class RegionChange:
     """A matched region whose bounds or protection differ between layouts."""
 
-    snapshot: VmaRecord
-    current: VmaRecord
+    snapshot: Vma
+    current: Vma
 
     @property
     def grew(self) -> bool:
@@ -125,8 +90,8 @@ class LayoutDiff:
     indicates the program break moved.
     """
 
-    added: Tuple[VmaRecord, ...]
-    removed: Tuple[VmaRecord, ...]
+    added: Tuple[Vma, ...]
+    removed: Tuple[Vma, ...]
     changed: Tuple[RegionChange, ...]
     snapshot_brk: int
     current_brk: int
@@ -165,39 +130,43 @@ def diff_layouts(snapshot: MemoryLayout, current: MemoryLayout) -> LayoutDiff:
     """Compute the differences between a snapshot layout and the current one.
 
     The result describes what must be *reversed* to take ``current`` back to
-    ``snapshot``.
+    ``snapshot``.  Regions are matched by start and name, as Groundhog
+    correlates maps lines; a matched pair whose end or protection differs
+    is ``changed``.  One merge walk over the two sorted record tuples finds
+    every difference in start order, passing over shared records.
     """
-    snap_index = snapshot.by_key()
-    curr_index = current.by_key()
-
-    added: List[VmaRecord] = []
-    removed: List[VmaRecord] = []
+    old_records, new_records = snapshot.records, current.records
+    added: List[Vma] = []
+    removed: List[Vma] = []
     changed: List[RegionChange] = []
-
-    for key, record in curr_index.items():
-        if key not in snap_index:
-            added.append(record)
-    for key, record in snap_index.items():
-        if key not in curr_index:
-            removed.append(record)
-    for key, snap_record in snap_index.items():
-        curr_record = curr_index.get(key)
-        if curr_record is None:
-            continue
-        if (
-            curr_record.end != snap_record.end
-            or curr_record.prot != snap_record.prot
-        ):
-            changed.append(RegionChange(snapshot=snap_record, current=curr_record))
-
-    added.sort(key=lambda r: r.start)
-    removed.sort(key=lambda r: r.start)
-    changed.sort(key=lambda c: c.snapshot.start)
+    i = j = 0
+    old_count, new_count = len(old_records), len(new_records)
+    while i < old_count and j < new_count:
+        old, new = old_records[i], new_records[j]
+        if old is new:
+            i += 1
+            j += 1
+        elif old.start == new.start:
+            if old.name != new.name:
+                removed.append(old)
+                added.append(new)
+            elif old.end != new.end or old.prot != new.prot:
+                changed.append(RegionChange(snapshot=old, current=new))
+            i += 1
+            j += 1
+        elif old.start < new.start:
+            removed.append(old)
+            i += 1
+        else:
+            added.append(new)
+            j += 1
+    removed.extend(old_records[i:])
+    added.extend(new_records[j:])
     return LayoutDiff(
         added=tuple(added),
         removed=tuple(removed),
         changed=tuple(changed),
         snapshot_brk=snapshot.brk,
         current_brk=current.brk,
-        compared_vmas=len(snap_index) + len(curr_index),
+        compared_vmas=old_count + new_count,
     )

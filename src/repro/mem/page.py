@@ -26,12 +26,12 @@ class Protection(enum.Flag):
     @classmethod
     def rw(cls) -> "Protection":
         """Shorthand for readable + writable anonymous memory."""
-        return cls.READ | cls.WRITE
+        return _RW
 
     @classmethod
     def rx(cls) -> "Protection":
         """Shorthand for read + execute (text segments)."""
-        return cls.READ | cls.EXEC
+        return _RX
 
     @classmethod
     def r(cls) -> "Protection":
@@ -48,6 +48,10 @@ class Protection(enum.Flag):
             ]
         )
 
+
+#: The two protection unions, built once: a ``Flag`` union is a call.
+_RW = Protection.READ | Protection.WRITE
+_RX = Protection.READ | Protection.EXEC
 
 #: Payload representing an untouched, zero-filled page.
 ZERO_CONTENT = b""

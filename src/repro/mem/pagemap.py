@@ -19,7 +19,7 @@ from typing import Tuple
 
 from repro.errors import PagemapError
 from repro.mem.address_space import AddressSpace
-from repro.mem.image import Runs, count_pages, intersect_runs, page_numbers
+from repro.mem.image import Runs, intersect_runs, page_numbers
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class PagemapScanResult:
     """Result of scanning a set of pages: dirty runs plus accounting."""
 
     dirty_runs: Runs
-    present_pages: int
     scanned_pages: int
     cost_seconds: float
 
@@ -86,7 +85,6 @@ class PagemapView:
         cost = mapped_pages * self._space.cost_model.pagemap_scan_seconds
         return PagemapScanResult(
             dirty_runs=self._space.soft_dirty_runs(),
-            present_pages=self._space.resident_pages,
             scanned_pages=mapped_pages,
             cost_seconds=cost,
         )
@@ -99,7 +97,6 @@ class PagemapView:
         cost = num_pages * self._space.cost_model.pagemap_scan_seconds
         return PagemapScanResult(
             dirty_runs=intersect_runs(self._space.soft_dirty_runs(), window),
-            present_pages=count_pages(self._space.resident_within(window)),
             scanned_pages=num_pages,
             cost_seconds=cost,
         )

@@ -6,6 +6,7 @@ space with uniform protection, equivalent to one line of
 :class:`~repro.mem.address_space.AddressSpace` keeps the state of its pages
 beside it (bitmaps indexed from the VMA's first page, payload runs in
 absolute page numbers) and splits that state when it splits the VMA.
+A mapping change replaces the record, so layouts can share it.
 """
 
 from __future__ import annotations

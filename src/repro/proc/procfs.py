@@ -47,7 +47,9 @@ class ProcFs:
         """Read and parse ``/proc/<pid>/maps``.
 
         Returns the layout and the parse cost (proportional to the number of
-        VMAs, one line each).
+        VMAs, one line each).  The layout is the address space's memoised
+        :meth:`~repro.mem.address_space.AddressSpace.layout`, which shares
+        the space's own VMA records, so only the simulated cost is per VMA.
         """
         self._check_alive()
         layout = self._process.address_space.layout()

@@ -36,7 +36,7 @@ from repro.mem.address_space import (
     PageState,
 )
 from repro.mem.image import PageImage, Run, Runs, runs_of_pages
-from repro.mem.layout import MemoryLayout, VmaRecord
+from repro.mem.layout import MemoryLayout
 from repro.mem.page import Protection, ZERO_CONTENT
 from repro.mem.vma import Vma, VmaKind
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
@@ -216,9 +216,13 @@ class ReferenceAddressSpace:
         return page.content if page is not None else ZERO_CONTENT
 
     def layout(self) -> MemoryLayout:
-        """Return an immutable record of the current memory layout."""
+        """The current memory layout, as fresh :class:`Vma` records.
+
+        Every call builds new records, so no two layouts share one and a
+        diff between them compares every pair.
+        """
         records = tuple(
-            VmaRecord(start=v.start, end=v.end, prot=v.prot, kind=v.kind, name=v.name)
+            Vma(start=v.start, end=v.end, prot=v.prot, kind=v.kind, name=v.name)
             for v in self._vmas
         )
         return MemoryLayout(records=records, brk=self._brk)

@@ -343,10 +343,51 @@ SPLIT_HEAP_OPS = [
 ]
 
 
+#: Mapping edits only visit the VMAs their range overlaps, found by
+#: bisection.  Three populated VMAs with a one-page gap before each of the
+#: last two (pages 0-3, 5-8 and 10-13 past ``BASE_PAGE``): an ``mprotect``
+#: starting in a gap and one crossing a gap (both refused), an ``munmap``
+#: of a gap page alone ending at the next VMA's start, one cutting a tail
+#: and ending exactly at a VMA's start, and one from inside the first VMA
+#: to inside the third.
+GAPPED_SCENARIO = {
+    "regions": [(4, 0, False, True), (4, 1, False, False), (4, 1, True, True)],
+    "armed": True,
+    "forked": False,
+    "protect": None,
+}
+GAPPED_OPS = [
+    (0, "mprotect", 4, 3),
+    (0, "mprotect", 2, 4),
+    (0, "munmap", 9, 1),
+    (0, "munmap", 2, 3),
+    (0, "range", 5, 4),
+    (0, "munmap", 1, 12),
+]
+#: The same three VMAs back to back (pages 0-3, 4-7, 8-11): an ``mprotect``
+#: ending exactly at the second VMA's start, one spanning all three, and an
+#: ``munmap`` of exactly the middle one.
+ADJACENT_SCENARIO = {
+    "regions": [(4, 0, False, True), (4, 0, False, False), (4, 0, True, True)],
+    "armed": True,
+    "forked": True,
+    "protect": None,
+}
+ADJACENT_OPS = [
+    (0, "mprotect", 2, 2),
+    (0, "mprotect", 3, 7),
+    (1, "range", 0, 12),
+    (0, "munmap", 4, 4),
+    (0, "range", 0, 12),
+]
+
+
 class TestRangePathsMatchPerPageOracle:
     @given(twin_scenarios(), st.lists(write_ops, min_size=1, max_size=14))
     @example(PINNED_SCENARIO, PINNED_OPS)
     @example(PINNED_SCENARIO, SPLIT_HEAP_OPS)
+    @example(GAPPED_SCENARIO, GAPPED_OPS)
+    @example(ADJACENT_SCENARIO, ADJACENT_OPS)
     @settings(max_examples=150, deadline=None)
     def test_write_range_equals_per_page_faults(self, scenario, ops):
         (shipped, shipped_calls), (reference, reference_calls) = _twins(scenario)

@@ -6,10 +6,13 @@ import pytest
 
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError, SegmentationFault
+from repro.baselines.registry import create_mechanism
 from repro.mem.address_space import AddressSpace, MeterSnapshot
+from repro.mem.layout import MemoryLayout
 from repro.mem.page import Protection
-from repro.mem.vma import VmaKind
+from repro.mem.vma import Vma, VmaKind
 from repro.sim.costs import CostModel
+from repro.workloads import find_benchmark
 
 
 @pytest.fixture
@@ -369,6 +372,97 @@ class TestLayoutGeneration:
         assert not self._moves(space, lambda: space.kernel_write_range(page, 1, b"k"))
         assert not self._moves(space, space.clear_soft_dirty)
         assert not self._moves(space, lambda: space.sbrk(0))
+
+
+def _rebuilt(space):
+    """The space's layout built from scratch out of its mappings."""
+    return MemoryLayout(tuple(area.vma for area in space._areas), space.brk)
+
+
+def _assert_shares_unchanged_records(before, after):
+    """Every record of ``after`` that ``before`` also has is the same object."""
+    for record in after.records:
+        if record in before.records:
+            assert any(record is old for old in before.records)
+
+
+def _copied(layout):
+    """``layout`` with every record a fresh copy."""
+    return MemoryLayout(
+        tuple(Vma(r.start, r.end, r.prot, r.kind, r.name) for r in layout.records), layout.brk
+    )
+
+
+class TestLayoutMemo:
+    """``layout()`` is built once per generation and shares the space's records."""
+
+    def test_same_object_while_the_generation_holds(self, space):
+        vma = space.mmap(4 * PAGE_SIZE, populate=True)
+        space.sbrk(2 * PAGE_SIZE)
+        layout = space.layout()
+        page = vma.first_page
+        space.write_range(page, 2, b"w")
+        space.read_page(page)
+        space.touch_read_range(page, 4)
+        space.madvise_dontneed(vma.start, PAGE_SIZE)
+        space.clear_soft_dirty()
+        space.kernel_write_range(page, 1, b"k")
+        space.sbrk(0)
+        with pytest.raises(MappingError):
+            space.mmap(PAGE_SIZE, address=vma.start)
+        assert space.layout() is layout
+        assert space.vmas is layout.records
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda space, vma: space.mmap(PAGE_SIZE, name="late"),
+            lambda space, vma: space.munmap(vma.start + PAGE_SIZE, PAGE_SIZE),
+            lambda space, vma: space.mprotect(vma.start, 2 * PAGE_SIZE, Protection.r()),
+            lambda space, vma: space.sbrk(3 * PAGE_SIZE),
+            lambda space, vma: space.sbrk(-PAGE_SIZE),
+            lambda space, vma: space.set_brk(space.brk_base),
+        ],
+        ids=["mmap", "munmap", "mprotect", "brk-up", "brk-down", "brk-to-base"],
+    )
+    def test_each_mapping_change_gives_a_fresh_equal_layout(self, space, change):
+        space.map_stack(2 * PAGE_SIZE)
+        vma = space.mmap(4 * PAGE_SIZE, populate=True)
+        space.sbrk(2 * PAGE_SIZE)
+        before = space.layout()
+        change(space, vma)
+        after = space.layout()
+        assert after is not before
+        assert after == _rebuilt(space)
+        assert after != before
+        _assert_shares_unchanged_records(before, after)
+
+    def test_a_fork_child_starts_from_its_parent_layout(self, space):
+        space.mmap(2 * PAGE_SIZE, populate=True)
+        space.sbrk(PAGE_SIZE)
+        parent_layout = space.layout()
+        child = space.fork()
+        assert child.layout() == parent_layout
+        child.mmap(PAGE_SIZE)
+        assert child.layout() == _rebuilt(child) != parent_layout
+        assert space.layout() is parent_layout
+
+    def test_a_request_leaves_the_snapshot_layout_as_it_was(self):
+        # gh-nop takes the snapshot but never restores, so the request's
+        # heap growth and a later mprotect stay in the live layout, which
+        # shares every other record with the snapshot's.
+        mechanism = create_mechanism("gh-nop", find_benchmark("md2html", "p").profile)
+        mechanism.initialize()
+        snapshot = mechanism.manager.snapshot.layout
+        expected = _copied(snapshot)
+        space = mechanism.process.address_space
+        mechanism.invoke(b"payload", "req-0")
+        working = next(vma for vma in space.vmas if vma.name.endswith(".working"))
+        space.mprotect(working.start, working.length, Protection.r())
+        assert snapshot == expected
+        assert space.brk > snapshot.brk
+        assert space.layout() == _rebuilt(space) != snapshot
+        _assert_shares_unchanged_records(snapshot, space.layout())
 
 
 class TestMappingHandles:

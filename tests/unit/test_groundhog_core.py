@@ -14,9 +14,9 @@ from repro.core.snapshot import Snapshotter
 from repro.core.syscalls import build_restore_plan, madvise_calls_for_runs, summarize_plan
 from repro.core.tracking import SoftDirtyTracker, UffdWriteTracker
 from repro.mem.image import runs_of_pages
-from repro.mem.layout import MemoryLayout, VmaRecord, diff_layouts
+from repro.mem.layout import MemoryLayout, diff_layouts
 from repro.mem.page import Protection
-from repro.mem.vma import VmaKind
+from repro.mem.vma import Vma, VmaKind
 from repro.proc.procfs import ProcFs
 from repro.proc.ptrace import Ptrace
 from repro.runtime import build_runtime
@@ -133,7 +133,7 @@ class TestSnapshotter:
 
 
 def _record(start_page, pages, prot=Protection.rw(), kind=VmaKind.ANON, name=""):
-    return VmaRecord(start=start_page * PAGE_SIZE, end=(start_page + pages) * PAGE_SIZE,
+    return Vma(start=start_page * PAGE_SIZE, end=(start_page + pages) * PAGE_SIZE,
                      prot=prot, kind=kind, name=name)
 
 

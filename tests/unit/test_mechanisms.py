@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import repro.runtime.base
 from repro.baselines.registry import MECHANISMS, create_mechanism, mechanism_class, supported_mechanisms
 from repro.errors import IsolationError
 from repro.workloads import find_benchmark, microbenchmark_profile
@@ -250,6 +251,27 @@ class TestCostShape:
             base_report = base.invoke(b"x", f"b{index}", caller=f"c{index}")
             gh_report = gh.invoke(b"x", f"g{index}", caller=f"c{index}")
         assert base_report.result.compute_seconds > gh_report.result.compute_seconds
+
+
+class TestDefaultPayload:
+    def test_payloadless_requests_share_one_payload_and_one_digest(self, monkeypatch):
+        # A request without a payload gets the profile's input-sized
+        # default; it is built once per mechanism, so the runtime's
+        # identity-memoised response digest hashes it once, not per request.
+        mechanism = _mechanism("gh", find_benchmark("json", "p").profile)
+        mechanism.initialize()
+        hashlib = repro.runtime.base.hashlib
+        digested = []
+        sha256 = hashlib.sha256
+
+        def counting_sha256(data=b""):
+            digested.append(len(data))
+            return sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        for index in range(5):
+            mechanism.invoke(request_id=f"req-{index}")
+        assert digested == [mechanism.profile.input_bytes]
 
 
 class TestPageStateStaysFlat:

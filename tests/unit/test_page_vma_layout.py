@@ -7,7 +7,7 @@ import pytest
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError, PagemapError
 from repro.mem.address_space import AddressSpace
-from repro.mem.layout import MemoryLayout, VmaRecord, diff_layouts
+from repro.mem.layout import MemoryLayout, diff_layouts
 from repro.mem.page import Protection
 from repro.mem.pagemap import PagemapView
 from repro.mem.vma import Vma, VmaKind
@@ -102,7 +102,7 @@ class TestPagemapView:
 
 
 def _record(start_page: int, pages: int, prot=Protection.rw(), kind=VmaKind.ANON, name=""):
-    return VmaRecord(
+    return Vma(
         start=start_page * PAGE_SIZE,
         end=(start_page + pages) * PAGE_SIZE,
         prot=prot,
