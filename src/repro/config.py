@@ -18,16 +18,6 @@ from repro.errors import ConfigError
 #: paper's soft-dirty tracking operates on.
 PAGE_SIZE = 4096
 
-#: Number of bytes in one KiB / MiB, used for readability in profiles.
-KIB = 1024
-MIB = 1024 * 1024
-
-#: OpenWhisk's default per-function memory limit used in the paper (§5.1).
-DEFAULT_MEMORY_LIMIT_BYTES = 2 * 1024 * MIB
-
-#: OpenWhisk's default function timeout used in the paper (§5.1): 5 minutes.
-DEFAULT_TIMEOUT_SECONDS = 300.0
-
 #: Default number of invoker cores in the latency experiments (§5.3).
 DEFAULT_LATENCY_CORES = 1
 
@@ -88,10 +78,6 @@ class SimulationConfig:
         container at a time, as in the paper's deployment).
     containers_per_action:
         Number of warm containers kept per deployed action.
-    memory_limit_bytes:
-        Per-container memory limit (OpenWhisk ``--memory``).
-    timeout_seconds:
-        Per-invocation timeout.
     platform_overhead_seconds:
         Fixed FaaS-platform latency added to every end-to-end request
         (controller, load balancer, HTTP hops).  The paper's end-to-end
@@ -105,8 +91,6 @@ class SimulationConfig:
 
     cores: int = DEFAULT_LATENCY_CORES
     containers_per_action: int = 1
-    memory_limit_bytes: int = DEFAULT_MEMORY_LIMIT_BYTES
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
     platform_overhead_seconds: float = 0.026
     platform_jitter_seconds: float = 0.004
     seed: int = 20230501
@@ -240,10 +224,6 @@ class SimulationConfig:
             raise ConfigError("cores must be >= 1")
         if self.containers_per_action < 1:
             raise ConfigError("containers_per_action must be >= 1")
-        if self.memory_limit_bytes < PAGE_SIZE:
-            raise ConfigError("memory_limit_bytes must hold at least one page")
-        if self.timeout_seconds <= 0:
-            raise ConfigError("timeout_seconds must be positive")
         if self.platform_overhead_seconds < 0:
             raise ConfigError("platform_overhead_seconds must be >= 0")
         if self.platform_jitter_seconds < 0:

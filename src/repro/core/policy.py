@@ -19,7 +19,7 @@ import abc
 import functools
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.errors import IsolationError
 from repro.core.manager import GroundhogManager, ManagedInvocation
@@ -60,9 +60,12 @@ class InitReport:
         )
 
 
-@dataclass(frozen=True)
-class InvokeReport:
-    """Outcome of serving one request through an isolation mechanism."""
+class InvokeReport(NamedTuple):
+    """Outcome of serving one request through an isolation mechanism.
+
+    Every request builds one, so it is a named tuple like
+    :class:`~repro.runtime.base.InvocationResult`.
+    """
 
     result: InvocationResult
     #: Time on the request's critical path (what the invoker latency sees).

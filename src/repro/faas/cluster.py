@@ -278,19 +278,11 @@ class FaaSCluster:
         )
         if self.tracer is not None:
             invocation.trace = self.tracer.begin_invocation(invocation)
-
-        def record(finished: Invocation) -> None:
-            if finished.trace is not None:
-                self.tracer.finish_invocation(finished)
-            self.metrics.record(finished)
-            if on_complete is not None:
-                on_complete(finished)
-
         if self.control_plane is not None:
             # Work is flowing: make sure the control timer is armed (it
             # stands down on its own once the cluster goes idle).
             self.control_plane.ensure_running()
-        self.controller.submit(invocation, record)
+        self.controller.submit(invocation, _Reply(self, on_complete).record)
         return invocation
 
     def invoke_sync(
@@ -425,3 +417,24 @@ class FaaSCluster:
         if action not in self._specs:
             raise ActionNotFoundError(action)
         return self._specs[action]
+
+
+class _Reply:
+    """Where a finished invocation goes: the recorder, metrics, the client."""
+
+    __slots__ = ("cluster", "on_complete")
+
+    def __init__(
+        self, cluster: FaaSCluster, on_complete: Optional[Callable[[Invocation], None]]
+    ) -> None:
+        self.cluster = cluster
+        self.on_complete = on_complete
+
+    def record(self, finished: Invocation) -> None:
+        """Close the invocation's trace, record it, then call the client back."""
+        cluster = self.cluster
+        if finished.trace is not None:
+            cluster.tracer.finish_invocation(finished)
+        cluster.metrics.record(finished)
+        if self.on_complete is not None:
+            self.on_complete(finished)

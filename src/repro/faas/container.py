@@ -12,8 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import ContainerError
 from repro.baselines.registry import create_mechanism
@@ -44,9 +43,11 @@ class ContainerState(enum.Enum):
     DEAD = "dead"
 
 
-@dataclass(frozen=True)
-class ContainerExecution:
-    """What executing one invocation in a container produced."""
+class ContainerExecution(NamedTuple):
+    """What executing one invocation in a container produced.
+
+    Every request builds one, so it is a named tuple.
+    """
 
     report: InvokeReport
     #: Critical-path time including the invoker-side proxy overhead: this is

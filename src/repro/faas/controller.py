@@ -67,18 +67,47 @@ class Controller:
         self.requests_routed += 1
         overhead = self._overhead_sample()
         inbound = overhead / 2.0
-        outbound = overhead - inbound
+        hop = _RoutedRequest(self, invocation, callback, overhead - inbound)
+        self.loop.schedule(inbound, hop.route, label=f"route:{invocation.invocation_id}")
 
-        def to_invoker() -> None:
-            self.invoker.submit(invocation, respond)
 
-        def respond(finished: Invocation) -> None:
-            def deliver() -> None:
-                # End-to-end latency is measured when the response reaches
-                # the client, i.e. after the outbound platform hop.
-                finished.completed_at = self.loop.now
-                callback(finished)
+class _RoutedRequest:
+    """One request's trip through the controller: in to the invoker, back out.
 
-            self.loop.schedule(outbound, deliver, label=f"respond:{finished.invocation_id}")
+    Its bound methods are the request's event callbacks, so an arrival
+    builds this one record instead of a closure per hop.
+    """
 
-        self.loop.schedule(inbound, to_invoker, label=f"route:{invocation.invocation_id}")
+    __slots__ = ("controller", "invocation", "callback", "outbound")
+
+    def __init__(
+        self,
+        controller: Controller,
+        invocation: Invocation,
+        callback: CompletionCallback,
+        outbound: float,
+    ) -> None:
+        self.controller = controller
+        self.invocation = invocation
+        self.callback = callback
+        #: The outbound half of the platform overhead sample.
+        self.outbound = outbound
+
+    def route(self) -> None:
+        """The inbound hop is over: hand the request to the backend."""
+        self.controller.invoker.submit(self.invocation, self.respond)
+
+    def respond(self, finished: Invocation) -> None:
+        """The backend is done: send the response back to the client."""
+        self.invocation = finished
+        self.controller.loop.schedule(
+            self.outbound, self.deliver, label=f"respond:{finished.invocation_id}"
+        )
+
+    def deliver(self) -> None:
+        """The response reaches the client."""
+        finished = self.invocation
+        # End-to-end latency is measured when the response reaches the
+        # client, i.e. after the outbound platform hop.
+        finished.completed_at = self.controller.loop.now
+        self.callback(finished)

@@ -80,11 +80,11 @@ from repro.faas.admission import (
     WeightedFairQueue,
     create_admission_queue,
 )
-from repro.faas.container import Container
+from repro.faas.container import Container, ContainerExecution
 from repro.faas.request import Invocation, InvocationStatus
 from repro.faas.restorecost import restore_seconds_for
 from repro.kernel.kernel import SimKernel
-from repro.sim.events import EventLoop, RecurringTimer
+from repro.sim.events import Event, EventLoop, RecurringTimer
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.rng import fallback_stream
 
@@ -230,6 +230,71 @@ class InvokerSnapshot:
     def restorable(self, action: str) -> int:
         """Held snapshots of ``action`` (the restorable warmth tier)."""
         return self.snapshots_held.get(action, 0)
+
+
+class _Dispatched:
+    """One invocation running on one container, from dispatch to release.
+
+    Holds what the two events a dispatch schedules need: ``complete``
+    answers the caller when the critical path ends, ``release`` returns
+    the container and its core once the mechanism's post-request work is
+    done.  Its bound methods are those events' callbacks, so a dispatch
+    builds this one record instead of two closures.  It keeps both event
+    handles, which is what listing or cancelling in-flight work needs; a
+    handle is dropped once its event has fired, so the record and the
+    event do not keep each other alive.
+    """
+
+    __slots__ = (
+        "invoker",
+        "pool",
+        "container",
+        "invocation",
+        "callback",
+        "execution",
+        "complete_event",
+        "release_event",
+    )
+
+    def __init__(
+        self,
+        invoker: "Invoker",
+        pool: _ActionPool,
+        container: Container,
+        invocation: Invocation,
+        callback: CompletionCallback,
+        execution: ContainerExecution,
+    ) -> None:
+        self.invoker = invoker
+        self.pool = pool
+        self.container = container
+        self.invocation = invocation
+        self.callback = callback
+        self.execution = execution
+        self.complete_event: Optional[Event] = None
+        self.release_event: Optional[Event] = None
+
+    def complete(self) -> None:
+        """The critical path is over: record the result and answer."""
+        self.complete_event = None
+        invocation = self.invocation
+        report = self.execution.report
+        invocation.report = report
+        invocation.mark_completed(self.invoker.loop.now, report.result.response)
+        self.invoker.invocations_completed += 1
+        self.callback(invocation)
+
+    def release(self) -> None:
+        """Post-request work is done: the container and its core are free."""
+        self.release_event = None
+        invoker = self.invoker
+        container = self.container
+        pool = self.pool
+        invoker._cores_in_use -= 1
+        container.idle_since = invoker.loop.now
+        pool.idle.append(container)
+        invoker._touch_pool(pool)
+        invoker._drain_queues()
 
 
 class Invoker:
@@ -736,22 +801,13 @@ class Invoker:
             trace.execute_seconds = execution.invoker_seconds
         completion_time = now + execution.invoker_seconds
         available_time = completion_time + execution.unavailable_seconds
-
-        def complete() -> None:
-            invocation.report = execution.report
-            invocation.mark_completed(self.loop.now, execution.report.result.response)
-            self.invocations_completed += 1
-            callback(invocation)
-
-        def release() -> None:
-            self._cores_in_use -= 1
-            container.idle_since = self.loop.now
-            pool.idle.append(container)
-            self._touch_pool(pool)
-            self._drain_queues()
-
-        self.loop.schedule_at(completion_time, complete, label=f"complete:{invocation.invocation_id}")
-        self.loop.schedule_at(available_time, release, label=f"release:{container.container_id}")
+        run = _Dispatched(self, pool, container, invocation, callback, execution)
+        run.complete_event = self.loop.schedule_at(
+            completion_time, run.complete, label=f"complete:{invocation.invocation_id}"
+        )
+        run.release_event = self.loop.schedule_at(
+            available_time, run.release, label=f"release:{container.container_id}"
+        )
         self._touch_pool(pool)
 
     def _drain_queues(self) -> None:

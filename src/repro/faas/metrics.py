@@ -135,13 +135,17 @@ class _SketchSlice:
         self.e2e = LatencySketch(relative_accuracy)
         self.invoker = LatencySketch(relative_accuracy)
 
-    def record(self, invocation: Invocation) -> None:
-        status = invocation.status
-        if status is InvocationStatus.COMPLETED:
-            self.completed += 1
-            self.e2e.add(invocation.e2e_seconds)
-            self.invoker.add(invocation.invoker_seconds)
-        elif status is InvocationStatus.REJECTED:
+    def add_completed(
+        self, e2e: float, e2e_key: Optional[int], invoker: float, invoker_key: Optional[int]
+    ) -> None:
+        """Count one completion whose latencies' sketch keys are known."""
+        self.completed += 1
+        self.e2e.add_keyed(e2e, e2e_key)
+        self.invoker.add_keyed(invoker, invoker_key)
+
+    def count_unserved(self, status: InvocationStatus) -> None:
+        """Count one invocation that finished without completing."""
+        if status is InvocationStatus.REJECTED:
             self.rejected += 1
         elif status is InvocationStatus.THROTTLED:
             self.throttled += 1
@@ -167,11 +171,26 @@ class _TimeBucket:
         self.tenants: Dict[str, _SketchSlice] = {}
 
     def record(self, invocation: Invocation, relative_accuracy: float) -> None:
-        self.total.record(invocation)
+        """Add one finished invocation to the total and to its tenant's slice.
+
+        Every sketch here has the same relative accuracy, so each latency's
+        sketch key is computed once and added to both slices.
+        """
+        status = invocation.status
         tenant = self.tenants.get(invocation.caller)
         if tenant is None:
             tenant = self.tenants[invocation.caller] = _SketchSlice(relative_accuracy)
-        tenant.record(invocation)
+        if status is not InvocationStatus.COMPLETED:
+            self.total.count_unserved(status)
+            tenant.count_unserved(status)
+            return
+        e2e = invocation.completed_at - invocation.submitted_at
+        invoker = invocation.invoker_seconds
+        quantiles = self.total.e2e.quantiles
+        e2e_key = quantiles.key(e2e)
+        invoker_key = quantiles.key(invoker)
+        self.total.add_completed(e2e, e2e_key, invoker, invoker_key)
+        tenant.add_completed(e2e, e2e_key, invoker, invoker_key)
 
     def merge(self, other: "_TimeBucket", relative_accuracy: float) -> None:
         self.total.merge(other.total)

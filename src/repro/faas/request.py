@@ -38,9 +38,12 @@ class InvocationStatus(enum.Enum):
     THROTTLED = "throttled"
 
 
-@dataclass
+@dataclass(slots=True)
 class Invocation:
-    """One request to one action."""
+    """One request to one action.
+
+    Every arrival builds one, so it has slots: no per-instance ``__dict__``.
+    """
 
     action: str
     payload: bytes = b""

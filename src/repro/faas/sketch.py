@@ -156,18 +156,31 @@ class QuantileSketch:
         """Total number of samples folded in."""
         return self._zero + sum(self._bins.values())
 
-    def add(self, value: float) -> None:
-        """Fold one non-negative sample into the sketch."""
+    def key(self, value: float) -> Optional[int]:
+        """The bucket a non-negative sample falls in (``None``: the zero bucket).
+
+        The key depends only on the relative accuracy, so a sample added to
+        several sketches of one accuracy needs its key computed once.
+        """
         if math.isnan(value):
             raise ValueError("cannot sketch a NaN sample")
         if value < 0:
             raise ValueError(f"cannot sketch a negative latency ({value})")
         if value <= MIN_TRACKABLE:
+            return None
+        return math.ceil(math.log(value) / self._log_gamma)
+
+    def add(self, value: float) -> None:
+        """Fold one non-negative sample into the sketch."""
+        self.add_key(self.key(value))
+
+    def add_key(self, key: Optional[int]) -> None:
+        """Count one sample whose :meth:`key` is ``key``."""
+        if key is None:
             self._zero += 1
             return
-        index = math.ceil(math.log(value) / self._log_gamma)
         bins = self._bins
-        bins[index] = bins.get(index, 0) + 1
+        bins[key] = bins.get(key, 0) + 1
         if len(bins) > self.max_bins:
             self._collapse_lowest()
 
@@ -275,6 +288,11 @@ class LatencySketch:
     def add(self, value: float) -> None:
         """Fold one latency sample (seconds) into the sketch."""
         self.quantiles.add(value)
+        self.moments.add(value)
+
+    def add_keyed(self, value: float, key: Optional[int]) -> None:
+        """Fold one sample whose quantile key (:meth:`QuantileSketch.key`) is known."""
+        self.quantiles.add_key(key)
         self.moments.add(value)
 
     def extend(self, values: Iterable[float]) -> None:

@@ -166,8 +166,8 @@ class TestSimulationConfig:
         [
             {"cores": 0},
             {"containers_per_action": 0},
-            {"memory_limit_bytes": 1},
-            {"timeout_seconds": 0},
+            {"invokers": 0},
+            {"keep_alive_seconds": 0},
             {"platform_overhead_seconds": -1},
             {"platform_jitter_seconds": -1},
         ],
