@@ -20,7 +20,9 @@ maintains the structures the policies and the scheduler query:
 * **Per-action warm sets**: the positions whose invokers have at least
   one container (existing, booting, or restoring) for the action —
   exactly the ``snapshot.warmth(action) > 0`` predicate the warm-aware
-  policy scores, without materialising a snapshot.
+  policy scores, without materialising a snapshot.  They also feed the
+  steal search: an instant steal needs an idle warm container on the
+  thief, so only the warm sets of queued actions hold possible thieves.
 * **Per-action snapshot sets**: the positions holding at least one
   demoted restorable snapshot of the action — the middle tier of the
   warmth spectrum, scored between live-warm and cold by the warm-aware
@@ -45,7 +47,16 @@ or schedules events, so attaching it cannot perturb simulated behaviour.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    List,
+    Sequence,
+    Set,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (invoker ← index)
     from repro.faas.invoker import Invoker
@@ -250,6 +261,14 @@ class ClusterIndex:
     def depths_for(self, action: str) -> Dict[int, int]:
         """Sparse ``{position: depth}`` of the action's non-empty queues."""
         return self._depths.get(action, {})
+
+    def warm_positions(self, action: str) -> AbstractSet[int]:
+        """The action's warm set: positions with a container, boot or restore.
+
+        A superset of the invokers holding an idle warm container of the
+        action, which is where an instant steal of it can land.
+        """
+        return self._warm.get(action, frozenset())
 
     # ------------------------------------------------------------------
     # Introspection / verification hooks

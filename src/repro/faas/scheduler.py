@@ -51,8 +51,15 @@ invocations from saturated peers onto it.  Two kinds of steal exist:
   per-action FIFO dispatch order is therefore a guarantee of the
   instant-steal regime (set ``boot_steal_min_queue=None`` for it).
 
-All steals happen inside event callbacks in a fixed search order, so
-runs remain deterministic.
+The search visits only invokers that could steal.  An instant steal's
+thief holds an idle warm container of a queued action, so it sits in
+that action's warm set in the cluster index (which also counts booting
+and restoring containers), and some other invoker holds a queue of the
+action.  While no queue is ``boot_steal_min_queue`` deep, those are the
+only invokers tried; once one is, the pass visits every invoker, since a
+boot steal's thief need not hold the action at all.  Either way thieves
+are tried in index order, and all steals happen inside event callbacks,
+so runs remain deterministic.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from __future__ import annotations
 import zlib
 from collections import Counter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
 from repro.config import SCHEDULER_POLICIES
 from repro.errors import PlatformError
@@ -396,14 +403,21 @@ class Scheduler:
     def _rebalance(self) -> None:
         """Steal queued work onto invokers with spare capacity.
 
-        Runs until no further steal is possible.  The search order
-        (thieves by index, the thief's actions in pool order, victims by
-        deepest queue with ties to the lowest index) is fixed, so two
-        identical runs steal identically — determinism is preserved.
+        Runs passes until one makes no steal.  The search order (thieves
+        by index, the thief's actions in pool order, victims by deepest
+        queue with ties to the lowest index) is fixed, so two identical
+        runs steal identically — determinism is preserved.
 
-        A thief without a free core is skipped before any per-action work.
-        The steal candidates are built once per pass and shared by every
-        thief until a steal moves queued work.
+        Each pass asks the index which invokers could steal at all
+        (:meth:`_possible_thieves`) and visits only those: every invoker
+        while some queue is deep enough to boot-steal from, otherwise
+        only those warm for a queued action that another invoker holds a
+        queue of.  A pass of instant steals only lowers queues and
+        dispatches at once on the thief, so no invoker becomes a possible
+        thief later in it.  A thief without a free core is skipped before
+        any per-action work.  The steal candidates are built for the
+        first visited thief with a free core and rebuilt after every
+        steal.
         """
         if not self.work_stealing or len(self.invokers) < 2 or self._rebalancing:
             return
@@ -420,7 +434,7 @@ class Scheduler:
             while progressed:
                 progressed = False
                 candidates: Optional[List[StealCandidate]] = None
-                for thief in self.invokers:
+                for thief in self._possible_thieves():
                     if thief.cores_in_use >= thief.cores:
                         continue
                     if candidates is None:
@@ -455,6 +469,32 @@ class Scheduler:
             boot = deep is not None and max(depth for _pos, depth in depths) >= deep
             candidates.append((action, depths, boot))
         return candidates
+
+    def _possible_thieves(self) -> Sequence[Invoker]:
+        """The invokers a steal pass visits, by ascending index.
+
+        Every invoker while some queue is ``boot_steal_min_queue`` deep:
+        a boot steal's thief need not hold the action at all.  Otherwise
+        only instant steals are possible, and one needs an idle warm
+        container of a queued action on the thief (so a position in the
+        action's warm set) and a queue of the action at another position.
+        Every invoker left out would find no steal.
+        """
+        index = self.index
+        assert index is not None
+        deep = self.boot_steal_min_queue
+        positions: Set[int] = set()
+        for action in index.queued_actions():
+            depths = index.depths_for(action)
+            if deep is not None and max(depths.values()) >= deep:
+                return self.invokers
+            warm = index.warm_positions(action)
+            if len(depths) > 1:
+                positions |= warm
+            else:
+                # The only queue's holder has no victim elsewhere.
+                positions |= warm - depths.keys()
+        return [self.invokers[position] for position in sorted(positions)]
 
     def _find_steal(
         self,

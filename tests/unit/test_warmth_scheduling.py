@@ -298,6 +298,81 @@ class TestWorkStealing:
         dispatch_times = [inv.dispatched_at for inv in submitted]
         assert dispatch_times == sorted(dispatch_times)
 
+    def test_the_lowest_index_idle_peer_steals_first(self):
+        # Both peers of the home hold an idle warm container and a free
+        # core, so either could serve the queued request: thieves are
+        # tried by ascending index, and invoker 1 takes it.
+        name = _homed_name("order", 3, 0)
+        loop = EventLoop()
+        invokers = [
+            Invoker(loop, cores=1, invoker_id=f"invoker-{i}") for i in range(3)
+        ]
+        spec = _action(_steady_profile(), name)
+        for invoker in invokers:
+            invoker.deploy(spec, containers=1, max_containers=1)
+        scheduler = Scheduler(invokers, HashAffinityPolicy(), work_stealing=True)
+        for _ in range(2):
+            scheduler.submit(Invocation(action=name, payload=b"x"), lambda inv: None)
+        assert [invoker.steals for invoker in invokers] == [0, 1, 0]
+        assert invokers[0].stolen_away == 1
+
+    @staticmethod
+    def _laminar_cluster(monkeypatch):
+        # Eight invokers under hash affinity, each action's one container
+        # on its home only; a probe records every thief the steal search
+        # asks.
+        loop = EventLoop()
+        invokers = [
+            Invoker(loop, cores=2, invoker_id=f"invoker-{i}") for i in range(8)
+        ]
+        scheduler = Scheduler(invokers, HashAffinityPolicy(), work_stealing=True)
+        name = _homed_name("laminar", 8, 3)
+        for action in [name] + [f"laminar-other-{i}" for i in range(4)]:
+            scheduler.deploy(
+                _action(_steady_profile(action), action),
+                containers=1, max_containers=1,
+            )
+        asked = []
+        find_steal = Scheduler._find_steal
+
+        def probe(self, thief, candidates):
+            asked.append(thief.index_position)
+            return find_steal(self, thief, candidates)
+
+        monkeypatch.setattr(Scheduler, "_find_steal", probe)
+        return loop, invokers, scheduler, name, asked
+
+    def test_steal_search_skips_invokers_that_cannot_steal(self, monkeypatch):
+        # The flooded action's home queues it with a core to spare, and
+        # every peer has free cores, but only the home holds the action:
+        # nobody can take the queue, so the search asks nobody.
+        loop, invokers, scheduler, name, asked = self._laminar_cluster(monkeypatch)
+        finished = []
+        for _ in range(5):
+            scheduler.submit(Invocation(action=name, payload=b"x"), finished.append)
+        assert scheduler.index.any_queued()
+        assert invokers[3].queued_invocations(name) == 4
+        assert invokers[3].cores_in_use < invokers[3].cores
+        loop.run()
+        assert len(finished) == 5
+        assert asked == []
+        assert scheduler.steals == 0
+
+    def test_a_deep_capped_queue_still_gets_a_boot_steal(self, monkeypatch):
+        # Once the capped home's queue reaches boot_steal_min_queue, a peer
+        # that does not hold the action may boot it: the search visits
+        # every invoker, and the lowest-index peer takes the tail.
+        loop, invokers, scheduler, name, asked = self._laminar_cluster(monkeypatch)
+        finished = []
+        for _ in range(1 + scheduler.boot_steal_min_queue):
+            scheduler.submit(Invocation(action=name, payload=b"x"), finished.append)
+        assert scheduler.steals == 1
+        assert invokers[0].steals == 1
+        assert invokers[0].cold_starts == 1
+        assert asked[:8] == list(range(8))
+        loop.run()
+        assert len(finished) == 1 + scheduler.boot_steal_min_queue
+
     def test_boot_steal_takes_the_tail_and_seeds_a_warm_container(
         self, small_python_profile
     ):
