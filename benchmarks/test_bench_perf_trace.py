@@ -1,63 +1,69 @@
-"""The million-request perf trace — the metrics bookkeeping replay.
+"""The perf-trace sections that replay one trace: metrics and cluster scale.
 
-:func:`run_perf_trace` replays a synthetic multi-day diurnal trace on a
-warm 4 × 4-core cluster whose control plane scores a five-minute
-per-tenant SLO window every tick, in its own child process.  The replay
-measures what bookkeeping costs: wall-clock throughput and peak RSS with
-the time-bucket metrics collector, which keeps nothing per invocation.
+:func:`~repro.analysis.perf.run_section` replays a row of the section
+table in its own child process:
+
+* ``metrics`` replays a synthetic multi-day diurnal trace on a warm
+  4 × 4-core cluster whose control plane scores a five-minute per-tenant
+  SLO window every tick.  It measures what bookkeeping costs: wall-clock
+  throughput and peak RSS with the time-bucket metrics collector, which
+  keeps nothing per invocation.
+* ``cluster_scale`` replays a warm-aware + work-stealing diurnal trace
+  routed through the :class:`~repro.faas.index.ClusterIndex`.  That the
+  index makes exactly the decisions of a full scan is checked by the
+  tier-1 twin suites against the oracle in
+  ``tests/property/reference_routing.py``; this benchmark measures the
+  routing path's throughput.
 
 The committed full-scale numbers live in ``BENCH_perf.json`` at the repo
-root (regenerate with ``python -m repro.cli perf-trace``); CI replays
-the quick (10^5-invocation) variant on every push and fails if
-throughput regresses by more than 25 % against that baseline (see
+root (regenerate with ``python -m repro.cli perf-trace --shape all``); CI
+replays the quick variants on every push and fails if throughput
+regresses by more than 25 % against that baseline (see
 ``scripts/check_perf_regression.py``).
 
-By default this benchmark replays the quick trace; set
-``REPRO_BENCH_FULL=1`` to replay the million-request trace here.
+By default this benchmark replays the quick metrics trace (10^5
+arrivals) and the 16 x 128 point at reduced arrivals.  Set
+``REPRO_BENCH_FULL=1`` to replay the million-request trace and the
+32 x 256 point instead.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.analysis.experiments import run_perf_trace
-from repro.analysis.tables import render_table
+import pytest
 
-#: Full-scale replay on request only; see the module docstring.
+from repro.analysis.perf import render_section, run_section
+
+#: Full-scale replays on request only; see the module docstring.
 BENCH_FULL = os.environ.get("REPRO_BENCH_FULL", "").strip().lower() in (
     "1", "true", "yes", "on",
 )
 
-
-def _render(report):
-    run = report["run"]
-    print()
-    print(render_table(
-        ["arrivals", "wall (s)", "inv/s", "RSS (MB)", "goodput",
-         "cold starts", "p99 (ms)"],
-        [[
-            f"{run['arrivals']:,}",
-            f"{run['wall_seconds']:.1f}",
-            f"{run['invocations_per_second']:,.0f}",
-            f"{run['max_rss_mb']:.0f}",
-            f"{run['goodput_fraction'] * 100:.1f}%",
-            str(run["cold_starts"]),
-            f"{run['p99_ms']:.2f}",
-        ]],
-        title=(
-            f"Perf trace — {report['invocations_requested']:,} requested "
-            "invocations"
-        ),
-    ))
+#: Section -> (variant, requested arrivals, arrivals at smoke scale).
+CASES = {
+    "metrics": (
+        ("run", 1_000_000, 1_000_000) if BENCH_FULL
+        else ("run", 100_000, 100_000)
+    ),
+    "cluster_scale": (
+        ("32x256", 30_000, 30_000) if BENCH_FULL
+        else ("16x128", 10_000, 5_000)
+    ),
+}
 
 
-def test_metrics_replay_records_every_arrival(benchmark, bench_once):
-    invocations = 1_000_000 if BENCH_FULL else 100_000
+@pytest.mark.parametrize("key", list(CASES))
+def test_section_replays(benchmark, bench_once, bench_scale, key):
+    variant, full, smoke = CASES[key]
+    invocations = bench_scale(full, smoke)
     report = bench_once(
-        benchmark, lambda: run_perf_trace(invocations=invocations)
+        benchmark,
+        lambda: run_section(key, variants=(variant,), invocations=invocations),
     )
-    _render(report)
-    run = report["run"]
+    print()
+    print(render_section(key, report))
+    run = report["variants"][variant]
 
     # The trace is oversized to absorb burst-realisation variance, so a
     # "million-request" run really replays at least a million.
@@ -65,8 +71,13 @@ def test_metrics_replay_records_every_arrival(benchmark, bench_once):
     # Every arrival reaches the collector exactly once, whatever its
     # outcome.
     assert run["recorded"] == run["arrivals"]
+    if key == "cluster_scale":
+        # The shape genuinely exercises the steal machinery.
+        assert run["steals"] > 0
 
     benchmark.extra_info.update(
+        variant=variant,
         inv_per_s=run["invocations_per_second"],
         max_rss_mb=run["max_rss_mb"],
+        steals=run["steals"],
     )

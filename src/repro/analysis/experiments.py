@@ -3,9 +3,13 @@
 Every driver is deterministic (seeded), parameterised so it can be run at
 reduced scale (the defaults used by the test suite and benchmark harness) or
 at paper scale, and returns plain data structures that the benchmark harness
-renders as the corresponding table/figure rows.
+renders as the corresponding table/figure rows.  The module also holds the
+cluster drivers (cluster scaling, latency under load, tenant fairness, SLO
+control), which drive :class:`~repro.faas.cluster.FaaSCluster` the same way.
+The perf harness that measures the simulator's own host speed for
+``BENCH_perf.json`` is :mod:`repro.analysis.perf`.
 
-Driver map (see DESIGN.md §4):
+Driver map:
 
 ==========================  =====================================================
 Paper artefact              Driver
@@ -30,14 +34,9 @@ Headline numbers (§1, §5)   :func:`headline_summary`
 from __future__ import annotations
 
 import dataclasses
-import gc
-import json
-import multiprocessing
 import random
-import resource
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.series import Series, SweepResult
 from repro.analysis.stats import OverheadSummary, relative_overhead_percent, summarize_overheads
@@ -59,12 +58,7 @@ from repro.faas.loadgen import (
     load_azure_trace_csv,
 )
 from repro.faas.metrics import LatencyStats, summarize
-from repro.faas.obs import (
-    export_chrome_trace,
-    latency_decompose,
-    write_chrome_trace,
-)
-from repro.faas.sketch import LatencySketch
+from repro.faas.obs import write_chrome_trace
 from repro.faas.request import InvocationStatus
 from repro.faas.scheduler import estimated_service_seconds, home_index
 from repro.faas.platform import FaaSPlatform
@@ -2060,931 +2054,6 @@ def run_coldstart_comparison(
                 posts.append(report.post_seconds)
             turnaround[config][spec.qualified_name] = sum(posts) / len(posts)
     return turnaround
-
-
-# ---------------------------------------------------------------------------
-# Multi-seed fan-out and the million-request perf trace
-# ---------------------------------------------------------------------------
-
-#: Tenants cycled by the perf trace: the SLO monitor splits every tick's
-#: window into one collector per tenant.
-PERF_TRACE_TENANTS = 2
-
-
-def _perf_trace_caller(index: int) -> str:
-    """Cycle arrivals through the perf trace's tenant identities."""
-    return f"tenant-{index % PERF_TRACE_TENANTS}"
-
-
-def run_replicated(
-    worker: Optional[Callable[[int], object]] = None,
-    *,
-    seeds: Sequence[int],
-    processes: Optional[int] = None,
-) -> List[object]:
-    """Run a per-seed experiment over every seed, optionally in parallel.
-
-    ``worker`` is a picklable (module-level) callable ``seed -> result``;
-    the default replays a reduced perf trace per seed (see
-    :func:`replicated_trace_worker`).  Results come back **in seed order**
-    and are bit-identical whether computed serially (``processes`` is
-    ``None``/``<= 1``) or fanned out across ``processes`` spawn-started
-    worker processes: each seed's simulation is fully self-contained
-    (its own platform, RNG streams and collectors), so the only thing a
-    process boundary changes is where the arithmetic happens.
-
-    Results that carry sketches (the default worker returns the run's
-    e2e :class:`~repro.faas.sketch.LatencySketch`) can be pooled with
-    :func:`pooled_sketch_stats` — sketch-merge is lossless, so the pooled
-    percentiles equal those of a single sketch fed every seed's samples.
-    """
-    if worker is None:
-        worker = replicated_trace_worker
-    seed_list = [int(seed) for seed in seeds]
-    if not seed_list:
-        raise ValueError("run_replicated needs at least one seed")
-    if processes is None or processes <= 1 or len(seed_list) == 1:
-        return [worker(seed) for seed in seed_list]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(processes, len(seed_list))) as pool:
-        return pool.map(worker, seed_list)
-
-
-def replicated_trace_worker(seed: int) -> Dict[str, object]:
-    """Default :func:`run_replicated` worker: one reduced perf-trace run.
-
-    Replays the perf-trace workload at 1/50 scale and returns a plain
-    picklable summary, including the run's end-to-end
-    :class:`~repro.faas.sketch.LatencySketch` so replicas can be pooled
-    by sketch-merge.
-    """
-    return _perf_trace_run(invocations=20_000, seed=seed)
-
-
-def pooled_sketch_stats(results: Sequence[Dict[str, object]]) -> LatencyStats:
-    """Sketch-merge the ``e2e_sketch`` of replicated runs into one summary."""
-    sketches = [result["e2e_sketch"] for result in results]
-    if not sketches:
-        raise ValueError("nothing to pool")
-    pooled = LatencySketch(relative_accuracy=sketches[0].relative_accuracy)
-    for sketch in sketches:
-        pooled.merge(sketch)
-    return pooled.stats()
-
-
-def perf_trace_config(
-    *,
-    cores: int = 4,
-    invokers: int = 4,
-    seed: int = 20230501,
-    tracing: str = "off",
-) -> SimulationConfig:
-    """The perf trace's cluster configuration.
-
-    The knobs isolate the *harness* hot path — event loop, scheduler,
-    control loop, metrics — rather than any isolation mechanism's
-    restore arithmetic:
-
-    * a five-minute SLO horizon (the window cloud monitors alert on)
-      sampled by the default control tick, so every tick reduces a
-      300 s window split per tenant;
-    * one-second metric buckets (a 300 s window reduces over ~301
-      bucket sketches, not ~1200);
-    * work stealing off and a long keep-alive, so the cluster runs
-      near-steady and warm and the replay measures bookkeeping cost.
-
-    No tenant SLOs are declared, so metrics are observe-only: they never
-    change what the simulation does.
-    """
-    return SimulationConfig(
-        cores=cores,
-        invokers=invokers,
-        containers_per_action=1,
-        scheduler_policy="hash-affinity",
-        work_stealing=False,
-        max_containers_per_action=cores,
-        keep_alive_seconds=600.0,
-        control_plane=True,
-        slo_window_seconds=300.0,
-        metrics_bucket_seconds=1.0,
-        seed=seed,
-        tracing=tracing,
-    )
-
-
-def _perf_trace_client(
-    *,
-    invocations: int,
-    seed: int = 20230501,
-    cores: int = 4,
-    invokers: int = 4,
-    actions: int = 8,
-    load_factor: float = 0.7,
-    cycles: int = 3,
-    trace_file: Optional[str] = None,
-    tracing: str = "off",
-) -> Tuple[OpenLoopClient, float]:
-    """Build the perf trace's cluster and the client that replays it.
-
-    Deploys ``actions`` base-mechanism copies of a small microbenchmark
-    and synthesises a ``cycles``-day diurnal arrival trace sized to at
-    least ``invocations`` arrivals.  The client is lean (it keeps no
-    finished invocation) and lazy (one pending arrival event at a time);
-    ``client.platform`` is the cluster.  Returns the client and the
-    offered rate.
-
-    ``trace_file`` replaces the synthetic diurnal generator with a
-    *published* Azure Functions invocations-per-function CSV (see
-    :func:`~repro.faas.loadgen.load_azure_trace_csv`): the file's
-    heaviest functions map onto the deployed actions, its full timeline
-    is compressed onto the run's duration, and its aggregate rate is
-    rescaled to the cluster's offered load — so the tracked harness
-    replays real-trace shapes at any requested length through the same
-    measurement path as the synthetic baseline.
-    """
-    profile = microbenchmark_profile(16, 2)
-    offered = (
-        estimate_cluster_capacity_rps(profile, invokers=invokers, cores=cores)
-        * load_factor
-    )
-    # ``azure_diurnal_arrivals`` normalises its base rate by the
-    # *expected* burst multiplier, but realised burst coverage over a
-    # few cycles has high variance (burst gaps are of the same order as
-    # the run), so the realised count can undershoot the nominal budget
-    # by several percent.  Oversize the trace so a requested 10^6 run
-    # actually replays >= 10^6 arrivals.
-    duration = 1.1 * invocations / offered
-    platform = FaaSCluster(
-        perf_trace_config(cores=cores, invokers=invokers, seed=seed, tracing=tracing)
-    )
-    deployed = _deploy_action_copies(
-        platform,
-        profile,
-        "base",
-        actions,
-        action_names=balanced_action_names(actions, invokers=invokers, prefix="day"),
-    )
-    if trace_file is not None:
-        offsets, sequence = load_azure_trace_csv(
-            trace_file,
-            deployed,
-            duration_seconds=duration,
-            rng=platform.rng_streams.stream("azure-trace"),
-            mean_rps=offered,
-        )
-    else:
-        offsets, sequence = azure_diurnal_arrivals(
-            deployed,
-            duration_seconds=duration,
-            mean_rps=offered,
-            rng=platform.rng_streams.stream("azure-trace"),
-            period_seconds=duration / cycles,
-            amplitude=0.6,
-            burst_fraction=0.05,
-        )
-    client = OpenLoopClient(
-        platform,
-        deployed,
-        trace=offsets,
-        action_sequence=sequence,
-        duration_seconds=duration,
-        caller_for=_perf_trace_caller,
-        keep_samples=False,
-        lazy_trace=True,
-    )
-    return client, offered
-
-
-def _perf_trace_run(
-    *,
-    invocations: int,
-    seed: int = 20230501,
-    trace_file: Optional[str] = None,
-    tracing: str = "off",
-    export_trace: bool = False,
-) -> Dict[str, object]:
-    """Replay the synthetic multi-day Azure-shaped trace once.
-
-    Builds the cluster and trace (:func:`_perf_trace_client`), replays
-    the trace through the platform with the control plane ticking, and
-    returns a plain summary.  The measured wall-clock covers the replay
-    and the final end-to-end reduction, not trace synthesis.
-    """
-    client, offered = _perf_trace_client(
-        invocations=invocations, seed=seed, trace_file=trace_file, tracing=tracing
-    )
-    platform = client.platform
-    gc.collect()
-    started = time.perf_counter()
-    result = client.run()
-    stats = platform.metrics.e2e_stats()
-    wall = time.perf_counter() - started
-    summary: Dict[str, object] = {
-        "seed": seed,
-        "arrivals": result.issued,
-        "completed": result.completed,
-        "recorded": platform.metrics.num_recorded,
-        "goodput_fraction": result.goodput_fraction,
-        "cold_starts": sum(inv.cold_starts for inv in platform.invokers),
-        "p99_ms": stats.p99 * 1000.0,
-        "mean_ms": stats.mean * 1000.0,
-        "wall_seconds": wall,
-        "invocations_per_second": result.issued / wall if wall > 0 else 0.0,
-        "duration_seconds": client.duration_seconds,
-        "offered_rps": offered,
-        "trace_file": trace_file,
-        "tracing": tracing,
-        # Picklable and mergeable: replicas pool by sketch-merge.
-        "e2e_sketch": platform.metrics._merged_sketch("e2e"),
-    }
-    recorder = platform.trace()
-    if recorder is not None:
-        summary["traces_recorded"] = len(recorder.invocations)
-        summary["trace_digest"] = recorder.trace_digest()
-        if export_trace:
-            summary["trace_export"] = export_chrome_trace(recorder)
-    return summary
-
-
-def _peak_rss_mb() -> float:
-    """This process's peak resident set size, in MiB.
-
-    Prefers ``VmHWM`` from ``/proc/self/status``: it belongs to the
-    post-``exec`` address space, so a spawn-started child reports its
-    *own* peak.  ``ru_maxrss`` survives ``exec`` on Linux, so a child of
-    a fat parent (e.g. a long pytest session) would inherit the parent's
-    peak and hide this run's own footprint.
-    """
-    try:
-        with open("/proc/self/status") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0  # kB
-    except OSError:
-        pass
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    return usage.ru_maxrss / 1024.0  # Linux reports KiB
-
-
-def _perf_trace_worker(job: Tuple[int, int, Optional[str]]) -> Dict[str, object]:
-    """Child-process entry: one perf-trace replay and its own peak RSS."""
-    invocations, seed, trace_file = job
-    summary = _perf_trace_run(invocations=invocations, seed=seed, trace_file=trace_file)
-    summary["max_rss_mb"] = _peak_rss_mb()
-    summary.pop("e2e_sketch", None)
-    return summary
-
-
-def run_perf_trace(
-    *,
-    invocations: int = 1_000_000,
-    seed: int = 20230501,
-    trace_file: Optional[str] = None,
-) -> Dict[str, object]:
-    """The tracked metrics baseline: one replay of the diurnal perf trace.
-
-    Replays the ``invocations``-arrival trace (see :func:`_perf_trace_run`)
-    in a **spawn-started child process**, so the reported peak RSS is
-    this replay's own and not the caller's.  ``trace_file`` swaps the
-    synthetic diurnal trace for a published Azure invocations-per-function
-    CSV replayed at the same offered load.
-    """
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(1, maxtasksperchild=1) as pool:
-        run = pool.apply(_perf_trace_worker, ((int(invocations), int(seed), trace_file),))
-    return {
-        "benchmark": "perf-trace",
-        "invocations_requested": int(invocations),
-        "seed": int(seed),
-        "trace_file": trace_file,
-        "run": run,
-    }
-
-
-def traced_replica_worker(seed: int) -> Dict[str, object]:
-    """A :func:`run_replicated` worker that returns a sampled-trace digest.
-
-    Replays a small perf trace with ``tracing="sampled"`` and
-    returns only plain picklable fields — most importantly the
-    recorder's :meth:`~repro.faas.obs.TraceRecorder.trace_digest`, which
-    must be identical whether the replica ran serially in the parent or
-    inside a spawn-started worker process (the sampling key is the
-    run-local arrival ordinal, never the process-global invocation id).
-    """
-    summary = _perf_trace_run(invocations=3_000, seed=seed, tracing="sampled")
-    return {
-        "seed": seed,
-        "arrivals": summary["arrivals"],
-        "traces_recorded": summary["traces_recorded"],
-        "trace_digest": summary["trace_digest"],
-    }
-
-
-#: The flight-recorder modes the tracing-overhead baseline compares.
-TRACING_OVERHEAD_MODES: Tuple[str, ...] = ("off", "sampled")
-
-
-def _tracing_overhead_worker(
-    job: Tuple[str, int, int, bool]
-) -> Dict[str, object]:
-    """Child-process entry: one tracing mode of the overhead comparison."""
-    tracing, invocations, seed, export_trace = job
-    summary = _perf_trace_run(
-        invocations=invocations,
-        seed=seed,
-        tracing=tracing,
-        export_trace=export_trace,
-    )
-    summary["max_rss_mb"] = _peak_rss_mb()
-    summary.pop("e2e_sketch", None)
-    return summary
-
-
-def run_tracing_overhead(
-    *,
-    invocations: int = 150_000,
-    seed: int = 20230501,
-    processes: int = 1,
-    modes: Sequence[str] = TRACING_OVERHEAD_MODES,
-    export_trace: bool = False,
-    repeats: int = 1,
-) -> Dict[str, object]:
-    """The flight recorder's perf section: tracing off vs sampled.
-
-    Replays the identical diurnal perf trace once per
-    tracing mode, each in its own spawn-started child (fresh interpreter
-    → uncontaminated wall-clock and RSS), then cross-checks that tracing
-    changed *nothing simulated* — equal goodput, cold starts and p99 —
-    and prices the recorder: ``sampled_cost_fraction`` is the throughput
-    lost to sampled tracing relative to the off mode **within this run
-    pair**, the number the regression gate bounds at 10%.  The off mode's
-    absolute throughput is additionally gated against the committed
-    baseline like every other perf section, which is what "the off path
-    is allocation-free" means operationally: no recorder exists, every
-    instrumentation site is one ``is None`` test, and the gate would
-    catch anything slower than noise.
-
-    ``export_trace`` attaches the sampled run's Chrome trace-event
-    export to the report under ``"trace_export"`` (CI uploads it as an
-    artifact); it is stripped before the report lands in a baseline
-    file.
-
-    ``repeats`` runs each mode that many times and reports the *best*
-    (highest-throughput) run per mode — min-of-N wall clock, the usual
-    defence against scheduler noise.  At full scale (10^5+ arrivals,
-    tens of seconds per run) a single pair is stable; at CI's quick
-    scale a run is ~2 s of wall clock and a single pair can swing the
-    apparent cost fraction by ±15 %, so the quick path repeats.  The
-    repeats interleave the modes (off, sampled, off, sampled, ...), so a
-    host that speeds up or slows down during the run moves both modes
-    alike instead of landing on whichever mode ran last.  The
-    simulation is deterministic, so repeats differ only in timing —
-    every behavioural field is identical across them.
-    """
-    repeats = max(1, int(repeats))
-    jobs = [
-        (
-            mode,
-            int(invocations),
-            int(seed),
-            export_trace and mode != "off" and repeat == 0,
-        )
-        for repeat in range(repeats)
-        for mode in modes
-    ]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:
-        if processes > 1:
-            summaries = pool.map(_tracing_overhead_worker, jobs)
-        else:
-            summaries = [
-                pool.apply(_tracing_overhead_worker, (job,)) for job in jobs
-            ]
-    export = None
-    by_mode: Dict[str, Dict[str, object]] = {}
-    for summary in summaries:
-        exported = summary.pop("trace_export", None)
-        if exported is not None:
-            export = exported
-        mode = str(summary["tracing"])
-        best = by_mode.get(mode)
-        if (
-            best is None
-            or summary["invocations_per_second"] > best["invocations_per_second"]
-        ):
-            by_mode[mode] = summary
-    report: Dict[str, object] = {
-        "benchmark": "tracing-overhead",
-        "invocations_requested": int(invocations),
-        "seed": int(seed),
-        "repeats": repeats,
-        "modes": by_mode,
-    }
-    if export is not None:
-        report["trace_export"] = export
-    if "off" in by_mode and "sampled" in by_mode:
-        off, sampled = by_mode["off"], by_mode["sampled"]
-        report["equal_goodput"] = (
-            off["goodput_fraction"] == sampled["goodput_fraction"]
-        )
-        report["equal_cold_starts"] = off["cold_starts"] == sampled["cold_starts"]
-        report["equal_p99"] = off["p99_ms"] == sampled["p99_ms"]
-        report["sampled_cost_fraction"] = (
-            1.0 - sampled["invocations_per_second"] / off["invocations_per_second"]
-            if off["invocations_per_second"] > 0
-            else None
-        )
-        report["traces_recorded"] = sampled.get("traces_recorded", 0)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Cluster-scale routing baseline
-# ---------------------------------------------------------------------------
-
-#: The tracked cluster-scale sweep: (invokers, actions) points.  The
-#: first point doubles as the CI quick shape.
-CLUSTER_SCALE_POINTS: Tuple[Tuple[int, int], ...] = (
-    (16, 128),
-    (32, 256),
-    (64, 256),
-)
-
-
-def cluster_scale_config(
-    *,
-    cores: int = 4,
-    invokers: int = 32,
-    seed: int = 20230501,
-) -> SimulationConfig:
-    """The cluster-scale trace's configuration: warm-aware + stealing.
-
-    Unlike :func:`perf_trace_config` (which isolates metrics bookkeeping
-    under behaviour-free hash routing), this shape exercises the routing
-    hot path itself: the warm-aware policy picks an invoker per request
-    and work stealing rebalances after every submit, both through the
-    :class:`~repro.faas.index.ClusterIndex`.
-    """
-    return SimulationConfig(
-        cores=cores,
-        invokers=invokers,
-        containers_per_action=1,
-        scheduler_policy="warm-aware",
-        work_stealing=True,
-        max_containers_per_action=cores,
-        keep_alive_seconds=600.0,
-        control_plane=False,
-        metrics_bucket_seconds=1.0,
-        seed=seed,
-    )
-
-
-def _cluster_scale_run(
-    *,
-    invokers: int,
-    actions: int,
-    invocations: int,
-    seed: int = 20230501,
-    cores: int = 4,
-    load_factor: float = 0.85,
-    cycles: int = 3,
-) -> Dict[str, object]:
-    """Replay one cluster-scale diurnal trace.
-
-    The trace runs the cluster at ``load_factor`` of estimated capacity
-    with diurnal swings and correlated bursts, so peaks genuinely
-    saturate invokers and the work-stealing paths fire.  Wall-clock
-    covers the replay only, as in :func:`_perf_trace_run`.
-    """
-    profile = microbenchmark_profile(16, 2)
-    offered = (
-        estimate_cluster_capacity_rps(profile, invokers=invokers, cores=cores)
-        * load_factor
-    )
-    duration = 1.1 * invocations / offered
-    platform = FaaSCluster(
-        cluster_scale_config(cores=cores, invokers=invokers, seed=seed)
-    )
-    deployed = _deploy_action_copies(
-        platform,
-        profile,
-        "base",
-        actions,
-        action_names=balanced_action_names(actions, invokers=invokers, prefix="cs"),
-    )
-    offsets, sequence = azure_diurnal_arrivals(
-        deployed,
-        duration_seconds=duration,
-        mean_rps=offered,
-        rng=platform.rng_streams.stream("azure-trace"),
-        period_seconds=duration / cycles,
-        amplitude=0.6,
-        burst_fraction=0.05,
-    )
-    client = OpenLoopClient(
-        platform,
-        deployed,
-        trace=offsets,
-        action_sequence=sequence,
-        duration_seconds=duration,
-        caller_for=_perf_trace_caller,
-        keep_samples=False,
-        lazy_trace=True,
-    )
-    gc.collect()
-    started = time.perf_counter()
-    result = client.run()
-    stats = platform.metrics.e2e_stats()
-    wall = time.perf_counter() - started
-    scheduler = platform.scheduler
-    if scheduler.index is not None:
-        # Self-check: the incrementally maintained indices must equal a
-        # from-scratch recompute at the end of every tracked run.
-        scheduler.index.verify()
-    return {
-        "invokers": invokers,
-        "actions": actions,
-        "seed": seed,
-        "arrivals": result.issued,
-        "completed": result.completed,
-        "goodput_fraction": result.goodput_fraction,
-        "cold_starts": sum(inv.cold_starts for inv in platform.invokers),
-        "steals": scheduler.steals,
-        "routed_per_invoker": list(scheduler.routed_per_invoker),
-        "p99_ms": stats.p99 * 1000.0,
-        "wall_seconds": wall,
-        "invocations_per_second": result.issued / wall if wall > 0 else 0.0,
-        "duration_seconds": duration,
-        "offered_rps": offered,
-    }
-
-
-def _cluster_scale_worker(job: Tuple[int, int, int, int]) -> Dict[str, object]:
-    """Child-process entry: one sweep point."""
-    invokers, actions, invocations, seed = job
-    summary = _cluster_scale_run(
-        invokers=invokers,
-        actions=actions,
-        invocations=invocations,
-        seed=seed,
-    )
-    summary["max_rss_mb"] = _peak_rss_mb()
-    return summary
-
-
-def run_cluster_scale(
-    *,
-    invocations: int = 30_000,
-    seed: int = 20230501,
-    processes: int = 1,
-    points: Sequence[Tuple[int, int]] = CLUSTER_SCALE_POINTS,
-) -> Dict[str, object]:
-    """The tracked cluster-scale routing baseline.
-
-    For each ``(invokers, actions)`` sweep point, replays the same
-    warm-aware + work-stealing diurnal trace in its own spawn-started
-    child process (as in :func:`run_perf_trace`) and reports its
-    throughput, steals, cold starts and goodput, keyed
-    ``"<invokers>x<actions>"``.
-    """
-    jobs = [
-        (int(invokers), int(actions), int(invocations), int(seed))
-        for invokers, actions in points
-    ]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:
-        if processes > 1:
-            summaries = pool.map(_cluster_scale_worker, jobs)
-        else:
-            summaries = [pool.apply(_cluster_scale_worker, (job,)) for job in jobs]
-    return {
-        "benchmark": "cluster-scale",
-        "invocations_requested": int(invocations),
-        "seed": int(seed),
-        "points": {
-            f"{summary['invokers']}x{summary['actions']}": summary
-            for summary in summaries
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# Warmth-spectrum baseline: restore-vs-boot under diurnal arrivals
-# ---------------------------------------------------------------------------
-
-#: The two regimes the warmth-spectrum baseline compares at equal live
-#: budget: keep-alive eviction *destroys* ("off", the PR 7 behaviour) vs
-#: *demotes to a restorable snapshot* ("on", the spectrum).
-WARMTH_SPECTRUM_REGIMES: Tuple[str, ...] = ("off", "on")
-
-
-def warmth_spectrum_config(
-    regime: str,
-    *,
-    cores: int = 4,
-    invokers: int = 4,
-    keep_alive_seconds: float,
-    snapshot_budget: int = 8,
-    isolation_mechanism: str = "gh",
-    seed: int = 20230501,
-    tracing: str = "off",
-) -> SimulationConfig:
-    """The warmth-spectrum trace's configuration, one regime at a time.
-
-    Both regimes share every knob — same cores, same per-action container
-    ceiling (the live budget), same keep-alive, same routing — except the
-    spectrum itself: regime ``"on"`` demotes evicted containers into a
-    bounded per-invoker snapshot budget and restores them on demand,
-    priced by ``isolation_mechanism``; regime ``"off"`` destroys them, so
-    every post-trough warm-up is a full cold boot.
-    """
-    if regime not in WARMTH_SPECTRUM_REGIMES:
-        raise PlatformError(
-            f"unknown regime {regime!r}; choose one of {WARMTH_SPECTRUM_REGIMES}"
-        )
-    return SimulationConfig(
-        cores=cores,
-        invokers=invokers,
-        containers_per_action=1,
-        # Hash affinity concentrates each action's diurnal wave on its
-        # home invoker, so the trough decays exactly the capacity the
-        # next rising edge needs back; work stealing spreads the peaks.
-        scheduler_policy="hash-affinity",
-        work_stealing=True,
-        max_containers_per_action=cores,
-        keep_alive_seconds=keep_alive_seconds,
-        control_plane=False,
-        metrics_bucket_seconds=1.0,
-        restorable_snapshots=(regime == "on"),
-        snapshot_budget=(snapshot_budget if regime == "on" else None),
-        isolation_mechanism=isolation_mechanism,
-        seed=seed,
-        tracing=tracing,
-    )
-
-
-#: Arrivals per diurnal cycle of the warmth-spectrum trace.  Cycles scale
-#: with the requested invocations so the *virtual-time* dynamics of one
-#: cycle (period, keep-alive, edge steepness relative to the fixed boot
-#: time) are identical at every scale — a longer run measures more
-#: rising-edge storms, not slower ones.
-WARMTH_SPECTRUM_INVOCATIONS_PER_CYCLE = 5_000
-
-
-def _warmth_spectrum_run(
-    regime: str,
-    *,
-    invocations: int,
-    seed: int = 20230501,
-    cores: int = 4,
-    invokers: int = 4,
-    actions: int = 8,
-    load_factor: float = 0.75,
-    isolation_mechanism: str = "gh",
-    tracing: str = "off",
-) -> Dict[str, object]:
-    """Replay one diurnal warmth-spectrum trace under one regime.
-
-    The keep-alive is a fraction of the diurnal period, so warm capacity
-    built at each peak decays during the trough; what every rising edge
-    then pays — cold boots ("off") or priced restores ("on") — is the
-    comparison.  The load factor is high enough that the amplitude-0.9
-    peaks transiently outrun the live-warm capacity, so how *fast* the
-    cluster re-warms (a ~0.5 s boot vs a sub-millisecond gh restore)
-    shows up in the backlog behind every edge, not just in the dispatch
-    classification.  Cycle 0 is warm-up: its cold-start transient is
-    excluded from the latency window and the rising-edge counts alike.
-    """
-    profile = microbenchmark_profile(16, 2)
-    offered = (
-        estimate_cluster_capacity_rps(profile, invokers=invokers, cores=cores)
-        * load_factor
-    )
-    duration = 1.1 * invocations / offered
-    cycles = max(2, invocations // WARMTH_SPECTRUM_INVOCATIONS_PER_CYCLE)
-    period = duration / cycles
-    platform = FaaSCluster(
-        warmth_spectrum_config(
-            regime,
-            cores=cores,
-            invokers=invokers,
-            keep_alive_seconds=period / 8,
-            snapshot_budget=2 * cores,
-            isolation_mechanism=isolation_mechanism,
-            seed=seed,
-            tracing=tracing,
-        )
-    )
-    deployed = _deploy_action_copies(
-        platform,
-        profile,
-        "gh",
-        actions,
-        action_names=balanced_action_names(actions, invokers=invokers, prefix="wave"),
-    )
-    offsets, sequence = azure_diurnal_arrivals(
-        deployed,
-        duration_seconds=duration,
-        mean_rps=offered,
-        rng=platform.rng_streams.stream("azure-trace"),
-        period_seconds=period,
-        amplitude=0.9,
-        burst_fraction=0.0,
-    )
-    client = OpenLoopClient(
-        platform,
-        deployed,
-        trace=offsets,
-        action_sequence=sequence,
-        duration_seconds=duration,
-        warmup_seconds=period,
-        caller_for=_perf_trace_caller,
-        lazy_trace=True,
-    )
-    gc.collect()
-    started = time.perf_counter()
-    result = client.run()
-    wall = time.perf_counter() - started
-    scheduler = platform.scheduler
-    if scheduler.index is not None:
-        scheduler.index.verify()
-    rising = diurnal_rising_windows(duration, period, skip_cycles=1)
-    cold_start_times = sorted(
-        at for inv in platform.invokers for at in inv.cold_start_times
-    )
-    cold_dispatch_times = sorted(
-        at for inv in platform.invokers for at in inv.cold_dispatch_times
-    )
-    restore_times = sorted(
-        at for inv in platform.invokers for at in inv.restore_times
-    )
-    restore_dispatch_times = sorted(
-        at for inv in platform.invokers for at in inv.restore_dispatch_times
-    )
-    summary: Dict[str, object] = {
-        "regime": regime,
-        "seed": seed,
-        "isolation_mechanism": isolation_mechanism,
-        "arrivals": result.issued,
-        "completed": result.completed,
-        "goodput_fraction": result.goodput_fraction,
-        "p99_ms": result.e2e.p99 * 1000.0 if result.e2e else None,
-        "mean_ms": result.e2e.mean * 1000.0 if result.e2e else None,
-        "cold_starts": len(cold_start_times),
-        "cold_dispatches": len(cold_dispatch_times),
-        "warm_hits": sum(inv.warm_hits for inv in platform.invokers),
-        "demotes": sum(inv.demotes for inv in platform.invokers),
-        "restores": sum(inv.restores for inv in platform.invokers),
-        "restore_dispatches": sum(
-            inv.restore_dispatches for inv in platform.invokers
-        ),
-        "snapshot_discards": sum(
-            inv.snapshot_discards for inv in platform.invokers
-        ),
-        "snapshots_held": sum(inv.snapshots_held() for inv in platform.invokers),
-        "restore_core_seconds": sum(
-            inv.restore_core_seconds for inv in platform.invokers
-        ),
-        "rising_cold_starts": _count_in_windows(cold_start_times, rising),
-        "rising_cold_dispatches": _count_in_windows(cold_dispatch_times, rising),
-        "rising_restores": _count_in_windows(restore_times, rising),
-        "rising_restore_dispatches": _count_in_windows(
-            restore_dispatch_times, rising
-        ),
-        "steals": scheduler.steals,
-        "wall_seconds": wall,
-        "invocations_per_second": result.issued / wall if wall > 0 else 0.0,
-        "duration_seconds": duration,
-        "offered_rps": offered,
-    }
-    recorder = platform.trace()
-    if recorder is not None:
-        summary["tracing"] = tracing
-        summary["traces_recorded"] = len(recorder.invocations)
-        summary["trace_digest"] = recorder.trace_digest()
-        summary["decomposition"] = latency_decompose(recorder)
-        summary["trace_export"] = export_chrome_trace(recorder)
-    return summary
-
-
-def run_trace_capture(
-    *,
-    regime: str = "on",
-    invocations: int = 20_000,
-    seed: int = 20230501,
-    tracing: str = "sampled",
-    isolation_mechanism: str = "gh",
-    trace_out: Optional[str] = None,
-) -> Dict[str, object]:
-    """Record one traced diurnal run and decompose its latency by phase.
-
-    The scenario is the warmth-spectrum trace (the PR 8 restore-vs-boot
-    story) with the flight recorder on, so the decomposition directly
-    attributes the cold-vs-restore p99 gap: under regime ``"off"`` the
-    cold dispatch class is dominated by the ``boot`` phase; under
-    ``"on"`` the restore class pays only the (far cheaper) ``restore``
-    phase.  ``trace_out`` additionally writes the Chrome trace-event
-    JSON for Perfetto.
-
-    Returns the :func:`_warmth_spectrum_run` summary extended with
-    ``decomposition`` (see :func:`repro.faas.obs.latency_decompose`) and
-    ``trace_export``; when ``trace_out`` is set, the export is written
-    there and replaced in the summary by the path and event count.
-    """
-    if tracing == "off":
-        raise PlatformError("run_trace_capture needs tracing 'sampled' or 'full'")
-    summary = _warmth_spectrum_run(
-        regime,
-        invocations=invocations,
-        seed=seed,
-        isolation_mechanism=isolation_mechanism,
-        tracing=tracing,
-    )
-    if trace_out is not None:
-        export = summary.pop("trace_export")
-        with open(trace_out, "w", encoding="utf-8") as handle:
-            json.dump(export, handle, indent=None, separators=(",", ":"))
-            handle.write("\n")
-        summary["trace_out"] = trace_out
-        summary["trace_events_written"] = len(export["traceEvents"])
-    return summary
-
-
-def _warmth_spectrum_worker(
-    job: Tuple[str, int, int, str]
-) -> Dict[str, object]:
-    """Child-process entry: one warmth-spectrum regime, own peak RSS."""
-    regime, invocations, seed, mechanism = job
-    summary = _warmth_spectrum_run(
-        regime,
-        invocations=invocations,
-        seed=seed,
-        isolation_mechanism=mechanism,
-    )
-    summary["max_rss_mb"] = _peak_rss_mb()
-    return summary
-
-
-def run_warmth_spectrum(
-    *,
-    invocations: int = 150_000,
-    seed: int = 20230501,
-    processes: int = 1,
-    isolation_mechanism: str = "gh",
-) -> Dict[str, object]:
-    """The tracked restore-vs-boot baseline: spectrum on vs off, equal budget.
-
-    Replays the identical diurnal trace once per regime, each in its own
-    spawn-started child process (as in :func:`run_perf_trace`), and
-    reports the headline comparison: how many of the rising-edge cold
-    boots the spectrum converted into priced restores, and what that did
-    to tail latency at equal goodput.
-    """
-    jobs = [
-        (regime, int(invocations), int(seed), isolation_mechanism)
-        for regime in WARMTH_SPECTRUM_REGIMES
-    ]
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(min(max(1, processes), len(jobs)), maxtasksperchild=1) as pool:
-        if processes > 1:
-            summaries = pool.map(_warmth_spectrum_worker, jobs)
-        else:
-            summaries = [pool.apply(_warmth_spectrum_worker, (job,)) for job in jobs]
-    by_regime = {summary["regime"]: summary for summary in summaries}
-    report: Dict[str, object] = {
-        "benchmark": "warmth-spectrum",
-        "invocations_requested": int(invocations),
-        "seed": int(seed),
-        "isolation_mechanism": isolation_mechanism,
-        "regimes": by_regime,
-    }
-    if set(by_regime) >= {"off", "on"}:
-        off, on = by_regime["off"], by_regime["on"]
-        report["equal_goodput"] = (
-            off["goodput_fraction"] == on["goodput_fraction"]
-        )
-        off_rising = off["rising_cold_starts"]
-        report["rising_cold_conversion"] = (
-            1.0 - on["rising_cold_starts"] / off_rising
-            if off_rising > 0
-            else None
-        )
-        report["majority_converted"] = (
-            off_rising > 0 and on["rising_cold_starts"] < off_rising / 2
-        )
-        report["restores_outnumber_boots"] = (
-            on["rising_restores"] > on["rising_cold_starts"]
-        )
-        off_p99, on_p99 = off["p99_ms"], on["p99_ms"]
-        report["p99_reduced"] = (
-            off_p99 is not None and on_p99 is not None and on_p99 < off_p99
-        )
-        report["p99_cut_fraction"] = (
-            1.0 - on_p99 / off_p99
-            if off_p99 and on_p99 is not None
-            else None
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

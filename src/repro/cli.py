@@ -35,21 +35,16 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.experiments import (
-    CLUSTER_SCALE_POINTS,
     LOAD_STRATEGIES,
     estimate_cluster_capacity_rps,
     measure_cluster_throughput,
     measure_latency_under_load,
     measure_restores,
-    run_cluster_scale,
     run_lifecycle,
-    run_perf_trace,
     run_slo_control,
     run_tenant_fairness,
-    run_trace_capture,
-    run_tracing_overhead,
-    run_warmth_spectrum,
 )
+from repro.analysis.perf import SECTIONS, render_section, replay, run_section
 from repro.analysis.tables import render_table
 from repro.baselines.registry import create_mechanism
 from repro.devtools.detlint.frontend import (
@@ -66,7 +61,7 @@ from repro.config import (
     TRACING_MODES,
 )
 from repro.errors import ReproError
-from repro.faas.obs import render_decomposition
+from repro.faas.obs import latency_decompose, render_decomposition, write_chrome_trace
 from repro.workloads import all_benchmarks, benchmarks_by_suite, find_benchmark
 
 
@@ -191,10 +186,6 @@ def cmd_latency_under_load(args: argparse.Namespace) -> int:
               "(it configures the predictive planner's forecaster)",
               file=sys.stderr)
         return 2
-    if args.trace_out is not None and args.tracing == "off":
-        print("error: --trace-out requires --tracing sampled or full",
-              file=sys.stderr)
-        return 2
     spec = _spec_from_args(args)
     capacity = estimate_cluster_capacity_rps(
         spec, invokers=args.invokers, cores=args.cores
@@ -304,10 +295,6 @@ def cmd_tenant_fairness(args: argparse.Namespace) -> int:
 
 def cmd_slo_control(args: argparse.Namespace) -> int:
     """Closed-loop control plane vs static knobs: quotas and capacity."""
-    if args.trace_out is not None and args.tracing == "off":
-        print("error: --trace-out requires --tracing sampled or full",
-              file=sys.stderr)
-        return 2
     spec = _spec_from_args(args)
     result = run_slo_control(
         spec,
@@ -436,265 +423,45 @@ def cmd_slo_control(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``perf-trace --shape`` choices: which tracked traces to (re)measure.
-PERF_TRACE_SHAPES = (
-    "metrics", "cluster-scale", "warmth-spectrum", "tracing-overhead", "all"
-)
-
-#: ``--quick`` arrivals per cluster-scale point: the CI smoke scale.
-CLUSTER_SCALE_QUICK_INVOCATIONS = 8_000
-
-#: ``--quick`` arrivals for the warmth-spectrum trace: the CI smoke scale.
-WARMTH_SPECTRUM_QUICK_INVOCATIONS = 20_000
-
-#: ``--quick`` arrivals for the tracing-overhead pair: the CI smoke scale.
-TRACING_OVERHEAD_QUICK_INVOCATIONS = 20_000
-
-#: ``--quick`` repeats per tracing mode (best-of-N): a single ~2 s run
-#: pair is too noisy to support the 10% sampled-cost ceiling, so the CI
-#: quick shape takes the best of three runs per mode.
-TRACING_OVERHEAD_QUICK_REPEATS = 3
-
-
-def _run_perf_trace_metrics(args: argparse.Namespace) -> dict:
-    """The metrics shape of ``perf-trace``: bookkeeping cost of one replay."""
-    invocations = 100_000 if args.quick else args.invocations
-    report = run_perf_trace(
-        invocations=invocations,
-        seed=args.seed,
-        trace_file=args.trace_file,
-    )
-    report["quick"] = bool(args.quick)
-    run = report["run"]
-    source = (
-        f"replayed from {args.trace_file}"
-        if args.trace_file
-        else "over a 3-cycle diurnal trace"
-    )
-    print(render_table(
-        ["arrivals", "wall (s)", "arrivals/s", "peak RSS (MB)", "goodput",
-         "cold starts", "p99 (ms)"],
-        [[
-            str(run["arrivals"]),
-            f"{run['wall_seconds']:.1f}",
-            f"{run['invocations_per_second']:.0f}",
-            f"{run['max_rss_mb']:.0f}",
-            f"{run['goodput_fraction'] * 100:.2f}%",
-            str(run["cold_starts"]),
-            f"{run['p99_ms']:.1f}",
-        ]],
-        title=(
-            f"perf-trace — {invocations:,} requested arrivals {source} "
-            "(in its own process)"
-        ),
-    ))
-    return report
-
-
-def _run_perf_trace_cluster_scale(args: argparse.Namespace) -> dict:
-    """The cluster-scale shape of ``perf-trace``: one row per sweep point."""
-    invocations = (
-        CLUSTER_SCALE_QUICK_INVOCATIONS if args.quick else args.cluster_invocations
-    )
-    points = CLUSTER_SCALE_POINTS[:1] if args.quick else CLUSTER_SCALE_POINTS
-    report = run_cluster_scale(
-        invocations=invocations,
-        seed=args.seed,
-        processes=args.processes,
-        points=points,
-    )
-    report["quick"] = bool(args.quick)
-    rows = [
-        [
-            key,
-            str(summary["arrivals"]),
-            f"{summary['wall_seconds']:.1f}",
-            f"{summary['invocations_per_second']:.0f}",
-            f"{summary['max_rss_mb']:.0f}",
-            str(summary["steals"]),
-            str(summary["cold_starts"]),
-            f"{summary['goodput_fraction'] * 100:.2f}%",
-        ]
-        for key, summary in report["points"].items()
-    ]
-    print(render_table(
-        ["invokers x actions", "arrivals", "wall (s)", "arrivals/s",
-         "peak RSS (MB)", "steals", "cold starts", "goodput"],
-        rows,
-        title=(
-            f"cluster-scale — {invocations:,} requested arrivals per point, "
-            "warm-aware routing + work stealing (each point in its own process)"
-        ),
-    ))
-    return report
-
-
-def _run_perf_trace_warmth(args: argparse.Namespace) -> dict:
-    """The warmth-spectrum shape of ``perf-trace``: restore vs boot."""
-    invocations = (
-        WARMTH_SPECTRUM_QUICK_INVOCATIONS if args.quick else args.warmth_invocations
-    )
-    report = run_warmth_spectrum(
-        invocations=invocations,
-        seed=args.seed,
-        processes=args.processes,
-        isolation_mechanism=args.isolation_mechanism,
-    )
-    report["quick"] = bool(args.quick)
-    rows = [
-        [
-            summary["regime"],
-            str(summary["arrivals"]),
-            str(summary["cold_dispatches"]),
-            str(summary["restore_dispatches"]),
-            str(summary["warm_hits"]),
-            str(summary["rising_cold_starts"]),
-            str(summary["rising_restores"]),
-            f"{summary['goodput_fraction'] * 100:.2f}%",
-            f"{summary['p99_ms']:.1f}" if summary["p99_ms"] is not None else "-",
-            f"{summary['wall_seconds']:.1f}",
-        ]
-        for summary in report["regimes"].values()
-    ]
-    print(render_table(
-        ["spectrum", "arrivals", "cold disp", "restore disp", "warm hits",
-         "rising cold boots", "rising restores", "goodput", "p99 (ms)",
-         "wall (s)"],
-        rows,
-        title=(
-            f"warmth-spectrum — {invocations:,} requested arrivals, diurnal "
-            f"trace, restores priced as {args.isolation_mechanism} "
-            "(each regime in its own process)"
-        ),
-    ))
-    if "rising_cold_conversion" in report:
-        conversion = report["rising_cold_conversion"]
-        cut = report["p99_cut_fraction"]
-        print(
-            "spectrum on vs off: "
-            f"{conversion * 100:.0f}% of rising-edge cold boots converted "
-            f"to restores, p99 {'-' if cut is None else f'{cut * 100:.0f}%'} "
-            f"lower at equal goodput={report['equal_goodput']}"
-        )
-    return report
-
-
-def _run_perf_trace_tracing(args: argparse.Namespace) -> dict:
-    """The tracing-overhead shape of ``perf-trace``: recorder off vs sampled."""
-    invocations = (
-        TRACING_OVERHEAD_QUICK_INVOCATIONS
-        if args.quick
-        else args.tracing_invocations
-    )
-    report = run_tracing_overhead(
-        invocations=invocations,
-        seed=args.seed,
-        processes=args.processes,
-        export_trace=args.trace_out is not None,
-        repeats=TRACING_OVERHEAD_QUICK_REPEATS if args.quick else 1,
-    )
-    report["quick"] = bool(args.quick)
-    export = report.pop("trace_export", None)
-    if args.trace_out is not None and export is not None:
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(export, handle, separators=(",", ":"))
-            handle.write("\n")
-        print(
-            f"wrote {args.trace_out} "
-            f"({len(export['traceEvents'])} trace events)"
-        )
-    rows = [
-        [
-            summary["tracing"],
-            str(summary["arrivals"]),
-            f"{summary['wall_seconds']:.1f}",
-            f"{summary['invocations_per_second']:.0f}",
-            f"{summary['max_rss_mb']:.0f}",
-            f"{summary['goodput_fraction'] * 100:.2f}%",
-            str(summary["cold_starts"]),
-            str(summary.get("traces_recorded", 0)),
-        ]
-        for summary in report["modes"].values()
-    ]
-    print(render_table(
-        ["tracing", "arrivals", "wall (s)", "arrivals/s", "peak RSS (MB)",
-         "goodput", "cold starts", "traces kept"],
-        rows,
-        title=(
-            f"tracing-overhead — {invocations:,} requested arrivals over "
-            "the diurnal metrics trace (each mode in its own process"
-            + (
-                f", best of {report['repeats']} runs per mode)"
-                if report.get("repeats", 1) > 1
-                else ")"
-            )
-        ),
-    ))
-    if "sampled_cost_fraction" in report:
-        cost = report["sampled_cost_fraction"]
-        identical = all(
-            report[flag]
-            for flag in ("equal_goodput", "equal_cold_starts", "equal_p99")
-        )
-        print(
-            f"sampled tracing cost: "
-            f"{'-' if cost is None else f'{cost * 100:.1f}%'} throughput "
-            f"vs off ({report['traces_recorded']} traces kept, simulated "
-            f"behaviour identical={identical})"
-        )
-    return report
+#: ``perf-trace --shape`` choices: one per tracked section, or all of them.
+PERF_TRACE_SHAPES = tuple(key.replace("_", "-") for key in SECTIONS) + ("all",)
 
 
 def _merge_perf_sections(path: str, sections: dict) -> dict:
     """Merge freshly measured sections into the baseline file's contents.
 
-    The baseline JSON keeps the metrics report at top level (its historic
-    layout) with the cluster-scale, warmth-spectrum and tracing-overhead
-    reports nested under ``cluster_scale`` / ``warmth_spectrum`` /
-    ``tracing_overhead``.  Shapes that did not run this invocation are
-    preserved from the existing file, so ``--shape cluster-scale`` does
-    not clobber the tracked metrics baseline and vice versa.
+    The baseline maps section keys to reports; sections that did not run
+    this invocation are kept from the existing file, so ``--shape
+    cluster-scale`` does not clobber the tracked metrics section and vice
+    versa.
     """
-    existing: dict = {}
     try:
         with open(path) as handle:
             existing = json.load(handle)
     except (OSError, ValueError):
         existing = {}
-    metrics = sections.get("metrics")
-    if metrics is None:
-        merged = dict(existing)
-    else:
-        merged = dict(metrics)
-        for nested in ("cluster_scale", "warmth_spectrum", "tracing_overhead"):
-            if nested in existing:
-                merged[nested] = existing[nested]
-    cluster = sections.get("cluster-scale")
-    if cluster is not None:
-        merged["cluster_scale"] = cluster
-    warmth = sections.get("warmth-spectrum")
-    if warmth is not None:
-        merged["warmth_spectrum"] = warmth
-    tracing = sections.get("tracing-overhead")
-    if tracing is not None:
-        merged["tracing_overhead"] = tracing
-    return merged
+    return {**existing, **sections}
 
 
 def cmd_perf_trace(args: argparse.Namespace) -> int:
-    """Replay the tracked perf traces and persist the baseline."""
-    shapes = PERF_TRACE_SHAPES[:-1] if args.shape == "all" else (args.shape,)
-    sections: dict = {}
-    if "metrics" in shapes:
-        sections["metrics"] = _run_perf_trace_metrics(args)
-    if "cluster-scale" in shapes:
-        sections["cluster-scale"] = _run_perf_trace_cluster_scale(args)
-    if "warmth-spectrum" in shapes:
-        sections["warmth-spectrum"] = _run_perf_trace_warmth(args)
-    if "tracing-overhead" in shapes:
-        sections["tracing-overhead"] = _run_perf_trace_tracing(args)
+    """Replay the tracked perf sections and persist the baseline."""
+    keys = (
+        tuple(SECTIONS) if args.shape == "all" else (args.shape.replace("-", "_"),)
+    )
+    reports: dict = {}
+    for key in keys:
+        reports[key] = run_section(
+            key,
+            quick=args.quick,
+            invocations=args.invocations,
+            seed=args.seed,
+            trace_out=args.trace_out,
+            isolation_mechanism=args.isolation_mechanism,
+            trace_file=args.trace_file,
+        )
+        print(render_section(key, reports[key]))
     if args.output:
-        merged = _merge_perf_sections(args.output, sections)
+        merged = _merge_perf_sections(args.output, reports)
         with open(args.output, "w") as handle:
             json.dump(merged, handle, indent=1, sort_keys=True)
             handle.write("\n")
@@ -704,29 +471,32 @@ def cmd_perf_trace(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Record a traced run and print its phase-level latency decomposition."""
-    try:
-        summary = run_trace_capture(
-            regime=args.regime,
-            invocations=args.invocations,
-            seed=args.seed,
-            tracing=args.tracing,
-            isolation_mechanism=args.isolation_mechanism,
-            trace_out=args.trace_out,
-        )
-    except OSError as exc:
-        print(f"error: cannot write trace output: {exc}", file=sys.stderr)
-        return 2
+    summary = replay(
+        "warmth_spectrum",
+        args.regime,
+        invocations=args.invocations,
+        seed=args.seed,
+        tracing=args.tracing,
+        isolation_mechanism=args.isolation_mechanism,
+    )
+    recorder = summary["recorder"]
+    if args.trace_out is not None:
+        try:
+            events = write_chrome_trace(recorder, args.trace_out)
+        except OSError as exc:
+            print(f"error: cannot write trace output: {exc}", file=sys.stderr)
+            return 2
     print(
         f"trace — warmth spectrum {args.regime}, "
         f"{summary['arrivals']} arrivals, tracing={summary['tracing']}, "
         f"{summary['traces_recorded']} invocation traces kept "
         f"(digest {summary['trace_digest']})"
     )
-    print(render_decomposition(summary["decomposition"]))
+    print(render_decomposition(latency_decompose(recorder)))
     if args.trace_out is not None:
         print(
-            f"wrote Chrome trace to {summary['trace_out']} "
-            f"({summary['trace_events_written']} events; open in "
+            f"wrote Chrome trace to {args.trace_out} "
+            f"({events} events; open in "
             "https://ui.perfetto.dev or chrome://tracing)"
         )
     return 0
@@ -752,6 +522,32 @@ def build_parser() -> argparse.ArgumentParser:
     def add_benchmark_args(p: argparse.ArgumentParser, default: str = "md2html") -> None:
         p.add_argument("--benchmark", default=default)
         p.add_argument("--language", choices=("p", "c", "n"), default=None)
+
+    def add_isolation_mechanism_arg(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--isolation-mechanism",
+                       choices=ISOLATION_MECHANISMS, default="gh",
+                       help="mechanism whose cost model prices snapshot "
+                            "restores (default: gh)")
+
+    def add_spectrum_and_tracing_args(p: argparse.ArgumentParser) -> None:
+        # ``main`` rejects --trace-out while --tracing is off.
+        p.add_argument("--restorable-snapshots", action="store_true",
+                       help="warmth spectrum: keep-alive eviction (and "
+                            "planner drains) demote containers to "
+                            "restorable snapshots instead of destroying "
+                            "them")
+        p.add_argument("--snapshot-budget", type=int, default=None,
+                       help="held snapshots per invoker under "
+                            "--restorable-snapshots (LRU discard beyond it; "
+                            "default: unbounded)")
+        add_isolation_mechanism_arg(p)
+        p.add_argument("--tracing", choices=TRACING_MODES, default="off",
+                       help="arm the flight recorder (default: off)")
+        p.add_argument("--trace-out", default=None,
+                       help="export a Chrome trace-event JSON here: the "
+                            "last load point's, or the controlled "
+                            "scenario's with its decision audits "
+                            "(requires --tracing sampled or full)")
 
     demo_parser = subparsers.add_parser("demo-leak", help="show the leak and its fix")
     add_benchmark_args(demo_parser)
@@ -852,26 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "forecaster — e.g. the diurnal cycle "
                                   "length under --arrivals azure-diurnal "
                                   "(default: level+trend only)")
-    load_parser.add_argument("--restorable-snapshots", action="store_true",
-                             help="warmth spectrum: keep-alive eviction "
-                                  "demotes containers to restorable "
-                                  "snapshots instead of destroying them")
-    load_parser.add_argument("--snapshot-budget", type=int, default=None,
-                             help="held snapshots per invoker under "
-                                  "--restorable-snapshots (LRU discard "
-                                  "beyond it; default: unbounded)")
-    load_parser.add_argument("--isolation-mechanism",
-                             choices=ISOLATION_MECHANISMS, default="gh",
-                             help="mechanism whose cost model prices "
-                                  "snapshot restores (default: gh)")
-    load_parser.add_argument("--tracing", choices=TRACING_MODES,
-                             default="off",
-                             help="arm the flight recorder on every point "
-                                  "(default: off)")
-    load_parser.add_argument("--trace-out", default=None,
-                             help="export the last point's Chrome "
-                                  "trace-event JSON here (requires "
-                                  "--tracing sampled or full)")
+    add_spectrum_and_tracing_args(load_parser)
     load_parser.set_defaults(func=cmd_latency_under_load)
 
     fairness_parser = subparsers.add_parser(
@@ -930,89 +707,42 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="diurnal cycles within the forecast "
                                      "part's duration (cycle 0 builds the "
                                      "forecaster's history)")
-    control_parser.add_argument("--restorable-snapshots", action="store_true",
-                                help="warmth spectrum: keep-alive eviction "
-                                     "(and planner drains) demote containers "
-                                     "to restorable snapshots instead of "
-                                     "destroying them")
-    control_parser.add_argument("--snapshot-budget", type=int, default=None,
-                                help="held snapshots per invoker under "
-                                     "--restorable-snapshots (default: "
-                                     "unbounded)")
-    control_parser.add_argument("--isolation-mechanism",
-                                choices=ISOLATION_MECHANISMS, default="gh",
-                                help="mechanism whose cost model prices "
-                                     "snapshot restores (default: gh)")
-    control_parser.add_argument("--tracing", choices=TRACING_MODES,
-                                default="off",
-                                help="arm the flight recorder on the quota "
-                                     "and capacity scenarios (default: off)")
-    control_parser.add_argument("--trace-out", default=None,
-                                help="export the controlled scenario's "
-                                     "Chrome trace-event JSON — AIMD and "
-                                     "planner decision audits included "
-                                     "(requires --tracing sampled or full)")
+    add_spectrum_and_tracing_args(control_parser)
     control_parser.set_defaults(func=cmd_slo_control)
 
     perf_parser = subparsers.add_parser(
         "perf-trace",
-        help="replay the tracked perf traces (metrics bookkeeping, "
+        help="replay the tracked perf sections (metrics bookkeeping, "
              "cluster-scale routing, warmth spectrum, tracing overhead) "
              "and persist the perf baseline",
     )
     perf_parser.add_argument("--shape", choices=PERF_TRACE_SHAPES,
                              default="metrics",
-                             help="which tracked trace to measure: the "
-                                  "metrics-bookkeeping trace, the "
-                                  "cluster-scale routing sweep, the "
-                                  "warmth-spectrum restore-vs-boot "
-                                  "comparison, or all of them")
-    perf_parser.add_argument("--invocations", type=int, default=1_000_000,
-                             help="arrivals in the synthetic metrics trace "
-                                  "(default: 1,000,000)")
-    perf_parser.add_argument("--cluster-invocations", type=int, default=30_000,
-                             help="arrivals per cluster-scale sweep point "
-                                  "(default: 30,000)")
-    perf_parser.add_argument("--warmth-invocations", type=int, default=150_000,
-                             help="arrivals in the warmth-spectrum trace "
-                                  "(default: 150,000; the spectrum-off "
-                                  "comparator replays them too)")
-    perf_parser.add_argument("--tracing-invocations", type=int,
-                             default=150_000,
-                             help="arrivals in the tracing-overhead pair "
-                                  "(default: 150,000; the off comparator "
-                                  "replays them too)")
-    perf_parser.add_argument("--isolation-mechanism",
-                             choices=ISOLATION_MECHANISMS, default="gh",
-                             help="mechanism whose cost model prices the "
-                                  "warmth-spectrum snapshot restores "
-                                  "(default: gh)")
+                             help="which tracked section to measure, or all "
+                                  "of them (the table is SECTIONS in "
+                                  "repro.analysis.perf)")
+    perf_parser.add_argument("--invocations", type=int, default=None,
+                             help="requested arrivals per run (default: "
+                                  "each section's own full or --quick "
+                                  "size)")
+    add_isolation_mechanism_arg(perf_parser)
     perf_parser.add_argument("--quick", action="store_true",
-                             help="CI smoke scale: 100,000 metrics arrivals "
-                                  f"/ {CLUSTER_SCALE_QUICK_INVOCATIONS:,} "
-                                  "cluster-scale arrivals on the first "
-                                  f"sweep point only / "
-                                  f"{WARMTH_SPECTRUM_QUICK_INVOCATIONS:,} "
-                                  "warmth-spectrum arrivals")
+                             help="CI smoke scale: each section's quick "
+                                  "size, variants and repeats")
     perf_parser.add_argument("--trace-file", default=None,
                              help="replay a published Azure Functions "
-                                  "invocations-per-function CSV through the "
-                                  "metrics trace instead of the synthetic "
-                                  "diurnal generator")
+                                  "invocations-per-function CSV instead of "
+                                  "the synthetic diurnal arrivals, in every "
+                                  "section this command runs")
     perf_parser.add_argument("--seed", type=int, default=20230501)
-    perf_parser.add_argument("--processes", type=int, default=1,
-                             help="how many runs of a comparison shape to "
-                                  "execute concurrently (each always gets "
-                                  "its own process; >1 trades timing "
-                                  "fidelity for wall-clock)")
     perf_parser.add_argument("--output", default="BENCH_perf.json",
                              help="where to write the JSON baseline "
                                   "('' disables; default: BENCH_perf.json)")
     perf_parser.add_argument("--trace-out", default=None,
-                             help="with the tracing-overhead shape: also "
-                                  "export the sampled run's Chrome "
-                                  "trace-event JSON here (CI uploads it "
-                                  "as an artifact)")
+                             help="write the first traced run's Chrome "
+                                  "trace-event JSON here (the "
+                                  "tracing-overhead section's sampled run; "
+                                  "CI uploads it as an artifact)")
     perf_parser.set_defaults(func=cmd_perf_trace)
 
     trace_parser = subparsers.add_parser(
@@ -1036,10 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="record 1-in-16 deterministically "
                                    "sampled invocations or every one "
                                    "(default: sampled)")
-    trace_parser.add_argument("--isolation-mechanism",
-                              choices=ISOLATION_MECHANISMS, default="gh",
-                              help="mechanism whose cost model prices "
-                                   "snapshot restores (default: gh)")
+    add_isolation_mechanism_arg(trace_parser)
     trace_parser.add_argument("--seed", type=int, default=20230501)
     trace_parser.add_argument("--out", "--trace-out", dest="trace_out",
                               default=None,
@@ -1070,6 +797,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The one check of the flags add_spectrum_and_tracing_args declares.
+    if getattr(args, "tracing", None) == "off" and args.trace_out is not None:
+        print("error: --trace-out requires --tracing sampled or full",
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ReproError as exc:

@@ -2,7 +2,7 @@
 
 The determinism rules protect the *sim domain* — code whose behaviour must
 be a pure function of ``(config, seed)``.  The harness around it (the
-experiment drivers that measure real RSS and wall-clock throughput, the
+perf harness that measures real RSS and wall-clock throughput, the
 CLI/config boundary where environment knobs legitimately enter, the
 benchmark and script layers) intentionally touches the outside world, so
 each waiver below names the rule it relaxes, the path glob it applies to,
@@ -52,7 +52,7 @@ DEFAULT_POLICY: Tuple[PolicyEntry, ...] = (
     # cross-checks remain pure functions of (config, seed).
     PolicyEntry(
         "D001",
-        "src/repro/analysis/experiments.py",
+        "src/repro/analysis/perf.py",
         "perf harness: measures real wall-clock throughput and RSS",
     ),
     *_harness_entries(

@@ -13,8 +13,9 @@ such guarantees at runtime:
     ``today()``.  Simulated components must read the
     :class:`~repro.sim.clock.VirtualClock`; a wall-clock read makes two
     runs of the same seed diverge.  Harness modules that *measure* real
-    RSS/throughput (``analysis/experiments.py``, ``scripts/``,
-    ``benchmarks/``) are exempted by the path policy.
+    RSS/throughput (the perf harness ``analysis/perf.py``, ``scripts/``,
+    ``benchmarks/``) are exempted by the path policy; the experiment
+    drivers in ``analysis/experiments.py`` are not.
 
 ``D002`` — **no ambient randomness.**
     Draws from the shared module-level generator (``random.random()``,

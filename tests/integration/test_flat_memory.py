@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
-from repro.analysis.experiments import _perf_trace_client
+from repro.analysis.perf import build_client
 
 #: Arrivals of the short and the long replay (the long is 4× the short).
 SHORT, LONG = 3_000, 12_000
@@ -30,7 +30,7 @@ MAX_BYTES_PER_ARRIVAL = 64
 
 def _live_heap_after_replay(invocations: int):
     """(arrivals issued, live traced bytes) after one replay, cluster alive."""
-    client, _offered = _perf_trace_client(invocations=invocations, seed=20230501)
+    client = build_client("metrics", "run", invocations=invocations)
     gc.collect()
     tracemalloc.start()
     try:
@@ -64,7 +64,7 @@ def test_served_requests_leave_no_cyclic_garbage():
     garbage collector.  A per-request cycle leaves at least one object per
     arrival; what remains here is the fixed few of the replay's set-up.
     """
-    client, _offered = _perf_trace_client(invocations=SHORT, seed=20230501)
+    client = build_client("metrics", "run", invocations=SHORT)
     gc.collect()
     gc.disable()
     try:

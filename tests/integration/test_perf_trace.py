@@ -20,33 +20,42 @@ pinned here:
   harness runs bit-identical simulations under the shipped,
   index-driven scheduler and the scan oracle in ``reference_routing``
   (the acceptance contract of the cluster index).
+* **The comparison sections' verdicts** — the ``warmth_spectrum`` and
+  ``tracing_overhead`` rows of the section table replay both their
+  variants in-process, and every flag the gate requires holds; these
+  tests read nothing of the wall clock.
+* **The section runner** — ``perf-trace`` runs a section end to end:
+  one spawn child per run, the traced run's Chrome export, the verdict
+  and the merge into the baseline file.
 
 All use reduced scales; the full-size numbers live in the
-``benchmarks/`` perf-trace and cluster-scale benchmarks and in
-``BENCH_perf.json``.
+``benchmarks/`` perf-trace benchmark and in ``BENCH_perf.json``.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from reference_metrics import ReferenceMetrics
 from reference_routing import ReferenceScheduler
 
 import repro.faas.cluster
-from repro.analysis.experiments import (
-    _cluster_scale_run,
-    _perf_trace_run,
-    pooled_sketch_stats,
-    run_replicated,
-    run_slo_control,
-)
+from repro.analysis.experiments import run_slo_control
+from repro.analysis.perf import SECTIONS, pooled_sketch_stats, replay, run_replicated
+from repro.cli import main
 from repro.faas.sketch import LatencySketch
 from repro.workloads import find_benchmark
 
 
+def _metrics_replay(**kwargs):
+    """One replay of the metrics section's trace."""
+    return replay("metrics", "run", **kwargs)
+
+
 def _small_trace_worker(seed: int):
     """Module-level (picklable) reduced perf-trace run for fan-out tests."""
-    return _perf_trace_run(invocations=2_500, seed=seed)
+    return _metrics_replay(invocations=2_500, seed=seed)
 
 
 def _drop_timing(result):
@@ -168,7 +177,7 @@ class TestAzureTraceReplay:
             ("fn-heavy", [5, 8, 20, 40, 60, 60, 40, 20, 8, 5]),
             ("fn-light", [1, 1, 2, 4, 6, 6, 4, 2, 1, 1]),
         ])
-        result = _perf_trace_run(invocations=2_000, seed=7, trace_file=str(csv_path))
+        result = _metrics_replay(invocations=2_000, seed=7, trace_file=str(csv_path))
         assert result["trace_file"] == str(csv_path)
         assert result["arrivals"] > 0
         assert result["completed"] > 0
@@ -180,8 +189,8 @@ class TestAzureTraceReplay:
             ("fn-a", [10, 30, 50, 30, 10]),
             ("fn-b", [2, 6, 10, 6, 2]),
         ])
-        first = _perf_trace_run(invocations=1_500, seed=11, trace_file=str(csv_path))
-        second = _perf_trace_run(invocations=1_500, seed=11, trace_file=str(csv_path))
+        first = _metrics_replay(invocations=1_500, seed=11, trace_file=str(csv_path))
+        second = _metrics_replay(invocations=1_500, seed=11, trace_file=str(csv_path))
         assert _drop_timing(first) == _drop_timing(second)
 
     def test_trace_file_changes_the_arrival_pattern(self, tmp_path):
@@ -189,8 +198,8 @@ class TestAzureTraceReplay:
         # measurement path.
         csv_path = tmp_path / "trace.csv"
         _write_azure_csv(csv_path, [("fn-a", [0, 0, 100, 0, 0])])
-        synthetic = _perf_trace_run(invocations=1_500, seed=11)
-        replayed = _perf_trace_run(invocations=1_500, seed=11, trace_file=str(csv_path))
+        synthetic = _metrics_replay(invocations=1_500, seed=11)
+        replayed = _metrics_replay(invocations=1_500, seed=11, trace_file=str(csv_path))
         assert synthetic["trace_file"] is None
         assert replayed["trace_file"] == str(csv_path)
         assert replayed["e2e_sketch"] != synthetic["e2e_sketch"]
@@ -201,13 +210,71 @@ class TestClusterScaleParity:
         # The acceptance contract at integration scale: the full harness
         # (diurnal trace, warm-aware routing, work stealing) behaves
         # identically under the shipped scheduler and the scan oracle.
+        # An 8 x 32 point: the 16 x 128 row's shape at a size the scan
+        # oracle replays in seconds.
         kwargs = dict(invokers=8, actions=32, invocations=2_500, seed=13)
-        indexed = _cluster_scale_run(**kwargs)
+        indexed = replay("cluster_scale", "16x128", **kwargs)
         monkeypatch.setattr(repro.faas.cluster, "Scheduler", ReferenceScheduler)
-        scan = _cluster_scale_run(**kwargs)
+        scan = replay("cluster_scale", "16x128", **kwargs)
         assert indexed["arrivals"] == scan["arrivals"] > 0
         assert indexed["goodput_fraction"] == scan["goodput_fraction"]
         assert indexed["cold_starts"] == scan["cold_starts"]
         assert indexed["steals"] == scan["steals"] > 0
         assert indexed["routed_per_invoker"] == scan["routed_per_invoker"]
         assert indexed["p99_ms"] == scan["p99_ms"]
+
+
+def _verdict(key: str, invocations: int):
+    """Both variants of a comparison section replayed here, and its verdict."""
+    section = SECTIONS[key]
+    variants = {
+        label: replay(key, label, invocations=invocations)
+        for label in section.labels
+    }
+    return variants, section.verdict(variants)
+
+
+class TestComparisonSections:
+    def test_warmth_spectrum_flags_hold_at_the_quick_size(self):
+        # Do not shrink the quick size for speed: at 10,000 arrivals the
+        # restores only tie the rising-edge boots left, and at 12,000 most
+        # of those boots stay boots.
+        section = SECTIONS["warmth_spectrum"]
+        variants, verdict = _verdict("warmth_spectrum", section.quick_invocations)
+        assert {flag: verdict[flag] for flag in section.flags} == {
+            flag: True for flag in section.flags
+        }
+        assert variants["on"]["rising_restores"] > 0
+        assert variants["off"]["rising_restores"] == 0
+
+    def test_tracing_changes_nothing_simulated(self):
+        section = SECTIONS["tracing_overhead"]
+        variants, verdict = _verdict("tracing_overhead", 3_000)
+        assert {flag: verdict[flag] for flag in section.flags} == {
+            flag: True for flag in section.flags
+        }
+        assert variants["sampled"]["traces_recorded"] > 0
+        assert "traces_recorded" not in variants["off"]
+
+
+class TestSectionRunner:
+    def test_perf_trace_runs_a_section_in_children_and_merges_it(
+        self, tmp_path, capsys
+    ):
+        output = tmp_path / "perf.json"
+        output.write_text(json.dumps({"metrics": {"variants": {"run": {}}}}))
+        trace = tmp_path / "trace.json"
+        assert main([
+            "perf-trace", "--shape", "tracing-overhead", "--invocations",
+            "1500", "--output", str(output), "--trace-out", str(trace),
+        ]) == 0
+        assert "tracing_overhead — 1,500 requested arrivals" in capsys.readouterr().out
+        merged = json.loads(output.read_text())
+        assert merged["metrics"] == {"variants": {"run": {}}}
+        report = merged["tracing_overhead"]
+        assert set(report["variants"]) == {"off", "sampled"}
+        assert all(report[flag] is True for flag in SECTIONS["tracing_overhead"].flags)
+        assert all(run["max_rss_mb"] > 0 for run in report["variants"].values())
+        # Only the traced run exports, and nothing live reaches the file.
+        assert json.loads(trace.read_text())["traceEvents"]
+        assert "recorder" not in report["variants"]["sampled"]

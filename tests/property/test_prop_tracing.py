@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.experiments import run_replicated, traced_replica_worker
+from repro.analysis.perf import replay, run_replicated
 from repro.faas.obs import TraceRecorder
 from repro.faas.obs.trace import _sampled
 
@@ -95,6 +95,23 @@ def test_seed_changes_the_sample(seed):
     # the whole subset would need ~2^-250 luck; any overlap short of
     # total is fine, identity is the bug.
     assert mine != other
+
+
+def traced_replica_worker(seed: int):
+    """A :func:`run_replicated` worker that returns a sampled-trace digest.
+
+    Replays a small metrics trace with the recorder sampling and returns
+    only plain picklable fields — most importantly the recorder's
+    :meth:`~repro.faas.obs.TraceRecorder.trace_digest`, which must be
+    identical whether the replica ran serially in the parent or inside a
+    spawn-started worker process (the sampling key is the run-local
+    arrival ordinal, never the process-global invocation id).
+    """
+    summary = replay("tracing_overhead", "sampled", invocations=3_000, seed=seed)
+    return {
+        key: summary[key]
+        for key in ("seed", "arrivals", "traces_recorded", "trace_digest")
+    }
 
 
 class TestReplicatedTraceDeterminism:

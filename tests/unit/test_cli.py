@@ -201,17 +201,22 @@ class TestPerfTraceCli:
         args = parser.parse_args(["perf-trace"])
         assert args.shape == "metrics"
         assert args.trace_file is None
-        assert args.cluster_invocations == 30_000
+        # Each section runs at its own size unless one is given.
+        assert args.invocations is None
         args = parser.parse_args(["perf-trace", "--shape", "cluster-scale"])
         assert args.shape == "cluster-scale"
         args = parser.parse_args(["perf-trace", "--shape", "warmth-spectrum"])
         assert args.shape == "warmth-spectrum"
-        assert args.warmth_invocations == 150_000
         assert args.isolation_mechanism == "gh"
         with pytest.raises(SystemExit):
             parser.parse_args(["perf-trace", "--shape", "bogus"])
         with pytest.raises(SystemExit):
             parser.parse_args(["perf-trace", "--isolation-mechanism", "bogus"])
+        # The per-section sizes and the concurrent runs are gone.
+        for retired in ("--cluster-invocations", "--warmth-invocations",
+                        "--tracing-invocations", "--processes"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["perf-trace", retired, "2"])
 
     def test_merge_preserves_sections_not_regenerated(self, tmp_path):
         import json
@@ -220,58 +225,48 @@ class TestPerfTraceCli:
 
         path = tmp_path / "BENCH_perf.json"
         path.write_text(json.dumps({
-            "benchmark": "perf-trace",
-            "run": {"invocations_per_second": 1.0},
-            "cluster_scale": {"benchmark": "cluster-scale", "points": {}},
-            "warmth_spectrum": {"benchmark": "warmth-spectrum", "regimes": {}},
+            "metrics": {"variants": {"run": {"invocations_per_second": 1.0}}},
+            "cluster_scale": {"variants": {}},
+            "warmth_spectrum": {"variants": {}},
         }))
         # Regenerating only the metrics shape keeps the other sections.
         merged = _merge_perf_sections(str(path), {
-            "metrics": {"benchmark": "perf-trace", "run": {}},
+            "metrics": {"variants": {"run": {}}},
         })
-        assert merged["run"] == {}
-        assert merged["cluster_scale"]["benchmark"] == "cluster-scale"
-        assert merged["warmth_spectrum"]["benchmark"] == "warmth-spectrum"
+        assert merged["metrics"] == {"variants": {"run": {}}}
+        assert merged["cluster_scale"] == {"variants": {}}
+        assert merged["warmth_spectrum"] == {"variants": {}}
         # Regenerating only the cluster shape keeps the metrics section.
         merged = _merge_perf_sections(str(path), {
-            "cluster-scale": {"benchmark": "cluster-scale", "points": {"a": 1}},
+            "cluster_scale": {"variants": {"a": 1}},
         })
-        assert merged["run"] == {"invocations_per_second": 1.0}
-        assert merged["cluster_scale"]["points"] == {"a": 1}
-        assert merged["warmth_spectrum"]["benchmark"] == "warmth-spectrum"
-        # Regenerating only the warmth shape keeps everything else.
-        merged = _merge_perf_sections(str(path), {
-            "warmth-spectrum": {
-                "benchmark": "warmth-spectrum", "regimes": {"on": {}},
-            },
-        })
-        assert merged["run"] == {"invocations_per_second": 1.0}
-        assert merged["cluster_scale"]["benchmark"] == "cluster-scale"
-        assert merged["warmth_spectrum"]["regimes"] == {"on": {}}
+        assert merged["metrics"]["variants"]["run"] == {"invocations_per_second": 1.0}
+        assert merged["cluster_scale"]["variants"] == {"a": 1}
+        assert merged["warmth_spectrum"] == {"variants": {}}
         # All regenerated: nothing survives from the file.
         merged = _merge_perf_sections(str(path), {
-            "metrics": {"benchmark": "perf-trace", "run": {"arrivals": 1}},
-            "cluster-scale": {"benchmark": "cluster-scale", "points": {}},
-            "warmth-spectrum": {"benchmark": "warmth-spectrum", "regimes": {}},
+            "metrics": {"variants": {"run": {"arrivals": 1}}},
+            "cluster_scale": {"variants": {}},
+            "warmth_spectrum": {"variants": {"on": {}}},
         })
-        assert merged["run"] == {"arrivals": 1}
-        assert merged["cluster_scale"]["points"] == {}
-        assert merged["warmth_spectrum"]["regimes"] == {}
+        assert merged["metrics"]["variants"]["run"] == {"arrivals": 1}
+        assert merged["cluster_scale"]["variants"] == {}
+        assert merged["warmth_spectrum"]["variants"] == {"on": {}}
 
     def test_merge_tolerates_missing_or_corrupt_baseline(self, tmp_path):
         from repro.cli import _merge_perf_sections
 
         missing = tmp_path / "nope.json"
         merged = _merge_perf_sections(str(missing), {
-            "cluster-scale": {"benchmark": "cluster-scale", "points": {}},
+            "cluster_scale": {"variants": {}},
         })
         assert set(merged) == {"cluster_scale"}
         corrupt = tmp_path / "bad.json"
         corrupt.write_text("{not json")
         merged = _merge_perf_sections(str(corrupt), {
-            "metrics": {"benchmark": "perf-trace", "run": {}},
+            "metrics": {"variants": {}},
         })
-        assert merged == {"benchmark": "perf-trace", "run": {}}
+        assert merged == {"metrics": {"variants": {}}}
 
     def test_merge_preserves_tracing_overhead_section(self, tmp_path):
         import json
@@ -280,31 +275,26 @@ class TestPerfTraceCli:
 
         path = tmp_path / "BENCH_perf.json"
         path.write_text(json.dumps({
-            "benchmark": "perf-trace",
-            "run": {"invocations_per_second": 1.0},
-            "tracing_overhead": {
-                "benchmark": "tracing-overhead", "modes": {"off": {}},
-            },
+            "metrics": {"variants": {"run": {"invocations_per_second": 1.0}}},
+            "tracing_overhead": {"variants": {"off": {}}},
         }))
         # Regenerating only the metrics shape keeps tracing_overhead.
         merged = _merge_perf_sections(str(path), {
-            "metrics": {"benchmark": "perf-trace", "run": {}},
+            "metrics": {"variants": {"run": {}}},
         })
-        assert merged["tracing_overhead"]["benchmark"] == "tracing-overhead"
+        assert merged["tracing_overhead"] == {"variants": {"off": {}}}
         # Regenerating only tracing-overhead keeps the metrics section.
         merged = _merge_perf_sections(str(path), {
-            "tracing-overhead": {
-                "benchmark": "tracing-overhead", "modes": {"sampled": {}},
-            },
+            "tracing_overhead": {"variants": {"sampled": {}}},
         })
-        assert merged["run"] == {"invocations_per_second": 1.0}
-        assert merged["tracing_overhead"]["modes"] == {"sampled": {}}
+        assert merged["metrics"]["variants"]["run"] == {"invocations_per_second": 1.0}
+        assert merged["tracing_overhead"]["variants"] == {"sampled": {}}
 
     def test_tracing_overhead_shape_parses(self):
         parser = build_parser()
         args = parser.parse_args(["perf-trace", "--shape", "tracing-overhead"])
         assert args.shape == "tracing-overhead"
-        assert args.tracing_invocations == 150_000
+        assert args.invocations is None
         assert args.trace_out is None
         args = parser.parse_args([
             "perf-trace", "--shape", "all", "--trace-out", "t.json",

@@ -372,11 +372,14 @@ class TestPathPolicy:
         policy = PathPolicy()
         assert policy.waivers_for("src/repro/sim/events.py") == {}
 
-    def test_experiments_waiver_is_d001_only(self):
+    def test_perf_harness_waiver_is_d001_only(self):
         policy = PathPolicy()
-        waivers = policy.waivers_for("src/repro/analysis/experiments.py")
-        assert "D001" in waivers
-        assert "D002" not in waivers and "D003" not in waivers
+        waivers = policy.waivers_for("src/repro/analysis/perf.py")
+        assert set(waivers) == {"D001"}
+
+    def test_experiment_drivers_get_no_waiver(self):
+        policy = PathPolicy()
+        assert policy.waivers_for("src/repro/analysis/experiments.py") == {}
 
     def test_config_boundary_gets_d006_only(self):
         policy = PathPolicy()
