@@ -31,7 +31,9 @@ maintains the structures the policies and the scheduler query:
 * **Per-action queue-depth maps** (sparse: only positions with a
   non-empty queue appear): the victim index for work stealing, and —
   via plain emptiness — the O(1) "is any steal possible at all?" guard
-  that makes the post-submit rebalance event-driven.
+  that makes the post-submit rebalance event-driven.  Alongside them, a
+  count of the queues at least ``boot_steal_min_queue`` deep answers the
+  steal search's "is a boot steal possible anywhere?" in O(1).
 
 Every query returns exactly what a full scan over the invokers would,
 including tie-break order (load ties go to the lowest invoker index;
@@ -52,6 +54,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Optional,
     Sequence,
     Set,
     Tuple,
@@ -73,10 +76,19 @@ class ClusterIndex:
     Construction attaches the index to every invoker (see
     :meth:`Invoker.attach_index`), which backfills the current state, so
     an index may be created before or after actions are deployed.
+    ``boot_steal_min_queue`` is the scheduler's boot-steal depth (``None``:
+    no boot steals, and :attr:`deep_queues` stays 0).
     """
 
-    def __init__(self, invokers: Sequence["Invoker"]) -> None:
+    def __init__(
+        self,
+        invokers: Sequence["Invoker"],
+        boot_steal_min_queue: Optional[int] = None,
+    ) -> None:
         self.invokers = list(invokers)
+        self.boot_steal_min_queue = boot_steal_min_queue
+        #: Queues (action, position) at least ``boot_steal_min_queue`` deep.
+        self.deep_queues = 0
         n = len(self.invokers)
         #: Authoritative per-position load (heap entries not matching
         #: this array are stale).
@@ -107,6 +119,11 @@ class ClusterIndex:
     def depth_changed(self, position: int, action: str, depth: int) -> None:
         """Record ``action``'s queue depth at ``position`` (sparse, dedup'd)."""
         per_action = self._depths.get(action)
+        deep = self.boot_steal_min_queue
+        if deep is not None:
+            was = 0 if per_action is None else per_action.get(position, 0)
+            if (was >= deep) is not (depth >= deep):
+                self.deep_queues += 1 if depth >= deep else -1
         if depth > 0:
             if per_action is None:
                 per_action = {}
@@ -317,4 +334,14 @@ class ClusterIndex:
         )
         assert depths == self._depths, (
             f"depth maps diverged: {depths} != {self._depths}"
+        )
+        deep = self.boot_steal_min_queue
+        deep_queues = 0 if deep is None else sum(
+            1
+            for per_action in depths.values()
+            for depth in per_action.values()
+            if depth >= deep
+        )
+        assert deep_queues == self.deep_queues, (
+            f"deep-queue count diverged: {deep_queues} != {self.deep_queues}"
         )

@@ -11,12 +11,28 @@ figures need, and keeps the platform's run-time metrics.
 *time-bucket sketches* (per status, per tenant) built on
 :mod:`repro.faas.sketch`: memory O(buckets), counts/mean/std/min/max
 exact, percentiles within the sketch's documented relative value-error
-bound.  ``window()``/``by_caller()``/``e2e_stats()`` reduce over bucket
-sketches in O(buckets), so the control plane
+bound.  ``window()`` and ``e2e_stats()`` reduce over bucket sketches in
+O(buckets), so the control plane
 (:class:`~repro.faas.controlplane.slo.SLOMonitor` and everything above it)
 runs on million-invocation traces in bounded memory.  Callers that need
 raw per-invocation samples (the paper's closed-loop latency figures) take
 them from the invocations their own client holds.
+
+The control plane asks ``by_caller(since=now - w, until=now)`` at every
+tick, over windows that mostly share their buckets.  The collector keeps
+one running per-tenant fold of the *closed* buckets of the last bounded
+window it answered (every bucket but the one holding ``until``, which may
+still receive records), so a tick costs O(buckets entering or leaving the
+window) bin updates, not O(buckets in it): buckets entering are merged
+on, in the order a fresh walk merges them; buckets leaving have their
+integer state (status counts, sketch bucket counts) subtracted, and only
+the moment floats, which cannot be subtracted, are refolded over what
+stays.  The fold is rebuilt from the buckets when it cannot be updated:
+when there is none yet, when the window's start or end moves back, when a
+record lands below its end, when an eviction takes a bucket at or above
+its start, or when a sketch in it reaches its bucket cap.  Every answer
+equals a fresh walk over the buckets field for field, and the fold costs
+O(tenants × sketch buckets) of memory.
 
 Windows are quantised to bucket boundaries: ``window(start, end)`` covers
 every bucket intersecting the closed interval, which is *identical* to the
@@ -36,7 +52,11 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import PlatformError
 from repro.faas.request import Invocation, InvocationStatus
-from repro.faas.sketch import DEFAULT_RELATIVE_ACCURACY, LatencySketch
+from repro.faas.sketch import (
+    DEFAULT_RELATIVE_ACCURACY,
+    LatencySketch,
+    StreamingMoments,
+)
 
 #: Default time-bucket width.  Matches the control plane's default tick
 #: interval, so a monitor window spans a whole number of buckets.
@@ -160,6 +180,36 @@ class _SketchSlice:
         self.e2e.merge(other.e2e)
         self.invoker.merge(other.invoker)
 
+    def subtract(self, other: "_SketchSlice") -> None:
+        """Take a merged-in slice's integer state back out.
+
+        The counts and both sketches' bucket counts are exact; the
+        moments are left alone, for the caller to refold (floats cannot
+        be subtracted).
+        """
+        self.completed -= other.completed
+        self.failed -= other.failed
+        self.rejected -= other.rejected
+        self.throttled -= other.throttled
+        self.e2e.quantiles.subtract(other.e2e.quantiles)
+        self.invoker.quantiles.subtract(other.invoker.quantiles)
+
+    def copy(self) -> "_SketchSlice":
+        """An independent copy, equal field for field."""
+        twin = _SketchSlice.__new__(_SketchSlice)
+        twin.completed = self.completed
+        twin.failed = self.failed
+        twin.rejected = self.rejected
+        twin.throttled = self.throttled
+        twin.e2e = self.e2e.copy()
+        twin.invoker = self.invoker.copy()
+        return twin
+
+    @property
+    def at_capacity(self) -> bool:
+        """True when either sketch holds its maximum number of buckets."""
+        return self.e2e.quantiles.at_capacity or self.invoker.quantiles.at_capacity
+
 
 class _TimeBucket:
     """One time bucket: a total slice plus per-tenant slices."""
@@ -201,6 +251,23 @@ class _TimeBucket:
             mine.merge(slice_)
 
 
+class _WindowFold:
+    """Per-tenant fold of the live buckets ``start .. end - 1``.
+
+    Each tenant's slice equals the merge, in bucket order and starting
+    from an empty slice, of that tenant's slices of those buckets, and
+    ``tenants`` lists the tenants in order of first appearance: exactly
+    what a fresh walk over the buckets builds.
+    """
+
+    __slots__ = ("start", "end", "tenants")
+
+    def __init__(self, start: int) -> None:
+        self.start = start
+        self.end = start
+        self.tenants: Dict[str, _SketchSlice] = {}
+
+
 class MetricsCollector:
     """Folds finished invocations into time-bucket sketches.
 
@@ -240,6 +307,9 @@ class MetricsCollector:
         self._n_failed = 0
         self._n_rejected = 0
         self._n_throttled = 0
+        # The closed part of the last bounded by_caller() window (None
+        # until one is asked for, and after anything it folded changed).
+        self._fold: Optional[_WindowFold] = None
 
     def _sibling(self) -> "MetricsCollector":
         """A fresh empty collector with this one's shape."""
@@ -252,6 +322,9 @@ class MetricsCollector:
     def record(self, invocation: Invocation) -> None:
         """Record a finished invocation."""
         index = math.floor(invocation.completed_at / self.bucket_seconds)
+        fold = self._fold
+        if fold is not None and index < fold.end:
+            self._fold = None  # a late record changes a folded bucket
         if self._archived_through is not None and index <= self._archived_through:
             # The sample's bucket was already folded away: archive it
             # directly so run-lifetime aggregates stay exact.
@@ -263,6 +336,10 @@ class MetricsCollector:
                 heapq.heappush(self._bucket_heap, index)
                 while len(self._buckets) > self.max_buckets:
                     oldest = heapq.heappop(self._bucket_heap)
+                    if self._fold is not None and oldest >= self._fold.start:
+                        # The window loses a live bucket; evictions below
+                        # it leave the fold alone.
+                        self._fold = None
                     self._archive.merge(
                         self._buckets.pop(oldest), self.relative_accuracy
                     )
@@ -302,6 +379,12 @@ class MetricsCollector:
         """
         lo = None if math.isinf(start) else math.floor(start / self.bucket_seconds)
         hi = None if end is None else math.floor(end / self.bucket_seconds)
+        return self._live_buckets(lo, hi)
+
+    def _live_buckets(
+        self, lo: Optional[int], hi: Optional[int]
+    ) -> Iterator[_TimeBucket]:
+        """Live buckets with index in ``lo .. hi`` (``None``: unbounded), in order."""
         if lo is not None and hi is not None and hi - lo < len(self._buckets):
             # Control-loop fast path: a short window probes its own few
             # bucket indices directly instead of scanning every live key.
@@ -326,22 +409,73 @@ class MetricsCollector:
         self._n_rejected += total.rejected
         self._n_throttled += total.throttled
 
-    def _absorb_tenant_slice(self, caller: str, slice_: _SketchSlice) -> None:
-        """Fold one tenant's slice into this collector (as that tenant).
+    def _merge_tenants(
+        self, buckets: Iterable[_TimeBucket], into: Dict[str, _SketchSlice]
+    ) -> Dict[str, _SketchSlice]:
+        """Merge each bucket's tenant slices into ``into``, in bucket order.
 
-        The collector's ``total`` is **not** updated here: callers absorb
-        many slices in a loop and close by merging the accumulated tenant
-        slices into ``total`` once (see :meth:`by_caller`) — O(tenants)
-        closing merges instead of one per absorbed slice.
+        A tenant new to ``into`` gets an empty slice first, so ``into``
+        keeps the tenants in order of first appearance.
         """
-        mine = self._archive.tenants.get(caller)
-        if mine is None:
-            mine = self._archive.tenants[caller] = _SketchSlice(self.relative_accuracy)
-        mine.merge(slice_)
-        self._n_completed += slice_.completed
-        self._n_failed += slice_.failed
-        self._n_rejected += slice_.rejected
-        self._n_throttled += slice_.throttled
+        for bucket in buckets:
+            for caller, slice_ in bucket.tenants.items():
+                mine = into.get(caller)
+                if mine is None:
+                    mine = into[caller] = _SketchSlice(self.relative_accuracy)
+                mine.merge(slice_)
+        return into
+
+    def _folded_window(self, lo: int, hi: int) -> Dict[str, _SketchSlice]:
+        """The per-tenant fold of the live buckets ``lo .. hi - 1``.
+
+        Updates the fold of the previous call in O(buckets entering or
+        leaving it): buckets entering at the end are merged on, and
+        buckets leaving at the start have their integer state subtracted;
+        the moments and the tenant order are then refolded over the
+        buckets that stay.  A fold that cannot be updated (none yet,
+        either edge moved back, every folded bucket left) is rebuilt
+        from the buckets.  One that reaches a sketch's bucket cap is
+        answered but not kept, because a collapse cannot be subtracted.
+        The caller must not change the returned slices.
+        """
+        fold = self._fold
+        if fold is None or lo < fold.start or lo >= fold.end or hi < fold.end:
+            fold = _WindowFold(lo)
+        elif lo > fold.start:
+            tenants = fold.tenants
+            for bucket in self._live_buckets(fold.start, lo - 1):
+                for caller, slice_ in bucket.tenants.items():
+                    tenants[caller].subtract(slice_)
+            kept: Dict[str, _SketchSlice] = {}
+            for bucket in self._live_buckets(lo, fold.end - 1):
+                for caller, slice_ in bucket.tenants.items():
+                    mine = kept.get(caller)
+                    if mine is None:
+                        mine = kept[caller] = tenants[caller]
+                        mine.e2e.moments = StreamingMoments()
+                        mine.invoker.moments = StreamingMoments()
+                    mine.e2e.moments.merge(slice_.e2e.moments)
+                    mine.invoker.moments.merge(slice_.invoker.moments)
+            fold.tenants = kept  # a tenant with no slice left drops out
+            fold.start = lo
+        if hi > fold.end:
+            self._merge_tenants(self._live_buckets(fold.end, hi - 1), fold.tenants)
+            fold.end = hi
+        full = any(slice_.at_capacity for slice_ in fold.tenants.values())
+        self._fold = None if full else fold
+        return fold.tenants
+
+    def _tenant_collector(self, caller: str, slice_: _SketchSlice) -> "MetricsCollector":
+        """A collector holding one tenant's slice (it takes ``slice_`` over)."""
+        collector = self._sibling()
+        archive = collector._archive
+        archive.tenants[caller] = slice_
+        archive.total = slice_.copy()
+        collector._n_completed = slice_.completed
+        collector._n_failed = slice_.failed
+        collector._n_rejected = slice_.rejected
+        collector._n_throttled = slice_.throttled
+        return collector
 
     def _merged_sketch(self, which: str) -> LatencySketch:
         merged = LatencySketch(self.relative_accuracy)
@@ -420,11 +554,13 @@ class MetricsCollector:
 
         The result merges every live time bucket intersecting
         ``[start, end]`` — O(buckets in window) regardless of sample
-        count, quantised to ``bucket_seconds`` (exact membership when
-        ``start`` sits on a bucket edge and no sample finished after
-        ``end``).  History already folded into the retention archive is
-        out of reach of windows; control loops only ask about the recent
-        past, which is always live.
+        count, quantised to ``bucket_seconds``: it covers the buckets
+        ``floor(start / bucket_seconds)`` through ``floor(end /
+        bucket_seconds)`` (exact membership when ``start`` sits on a
+        bucket edge and no sample finished after ``end``).  History
+        already folded into the retention archive is out of reach of
+        windows; control loops only ask about the recent past, which is
+        always live.  :meth:`by_caller` quantises the same way.
         """
         clipped = self._sibling()
         if end is not None and end < start:
@@ -442,37 +578,55 @@ class MetricsCollector:
         """Split the recorded invocations into per-tenant collectors.
 
         ``since``/``until`` restrict the split to invocations that finished
-        inside the window (see :meth:`window`), so windowed per-tenant
-        percentiles come from recent samples rather than the whole run.
-        The split merges the per-tenant slices of the covered time
-        buckets: O(buckets × tenants), never O(samples).
+        inside the window (see :meth:`window`, whose bucket quantisation
+        it shares), so windowed per-tenant percentiles come from recent
+        samples rather than the whole run.  Each tenant's collector holds
+        the merge, in bucket order, of its slices of the covered buckets;
+        tenants come in order of first appearance.
+
+        With both bounds given, the closed buckets come from the running
+        fold (see the module docstring): a call costs O(buckets entering
+        or leaving the window since the last call) bin updates, plus
+        O(buckets in it) moment merges when the start moves, plus merging
+        the bucket holding ``until`` into the returned copies.  The fold
+        is rebuilt, O(buckets × tenants), when there is none, when either
+        edge moves back, after a record below its end or an eviction at
+        or above its start, and while a sketch in it is at its bucket
+        cap.  With ``since`` or ``until`` left out the split walks the
+        covered buckets, and with neither it also takes in the archive.
+        Never O(samples).
         """
-        per_tenant: Dict[str, MetricsCollector] = {}
-        buckets: Iterable[_TimeBucket]
-        if since is not None or until is not None:
-            # Single pass over the covered buckets, merging tenant slices
-            # straight into the result — no intermediate whole-window
-            # collector (whose total-slice merges the per-tenant split
-            # would just throw away).
+        tenants: Dict[str, _SketchSlice]
+        if since is None and until is None:
+            tenants = self._merge_tenants(self._iter_buckets(), {})
+        else:
             start = since if since is not None else float("-inf")
             if until is not None and until < start:
-                return per_tenant
-            buckets = self._iter_buckets_in(start, until)
-        else:
-            buckets = self._iter_buckets()
-        for bucket in buckets:
-            for caller, slice_ in bucket.tenants.items():
-                collector = per_tenant.get(caller)
-                if collector is None:
-                    collector = per_tenant[caller] = self._sibling()
-                collector._absorb_tenant_slice(caller, slice_)
-        # Each collector's total is built once from its merged tenant
-        # slices — O(tenants) closing merges instead of one extra merge
-        # per covered bucket.
-        for collector in per_tenant.values():
-            for slice_ in collector._archive.tenants.values():
-                collector._archive.total.merge(slice_)
-        return per_tenant
+                return {}
+            if until is None or math.isinf(start):
+                tenants = self._merge_tenants(self._iter_buckets_in(start, until), {})
+            else:
+                # The closed buckets come from the running fold; the open
+                # one, holding ``until``, is merged into the copies only.
+                hi = math.floor(until / self.bucket_seconds)
+                folded = self._folded_window(
+                    math.floor(start / self.bucket_seconds), hi
+                )
+                tenants = {caller: slice_.copy() for caller, slice_ in folded.items()}
+                open_bucket = self._buckets.get(hi)
+                if open_bucket is not None:
+                    self._merge_tenants((open_bucket,), tenants)
+        return {
+            caller: self._tenant_collector(caller, slice_)
+            for caller, slice_ in tenants.items()
+        }
+
+    def _run_sketch(self, which: str) -> LatencySketch:
+        """The run's ``which`` sketch: the archive's own when nothing is live."""
+        if not self._buckets:
+            # Every window()/by_caller() result: no copy needed to reduce it.
+            return getattr(self._archive.total, which)
+        return self._merged_sketch(which)
 
     def e2e_stats(self) -> LatencyStats:
         """Summary of end-to-end latencies.
@@ -480,8 +634,8 @@ class MetricsCollector:
         Count/mean/std/min/max are exact; percentiles carry the sketch's
         relative value-error bound.
         """
-        return self._merged_sketch("e2e").stats()
+        return self._run_sketch("e2e").stats()
 
     def invoker_stats(self) -> LatencyStats:
         """Summary of invoker latencies (see :meth:`e2e_stats`)."""
-        return self._merged_sketch("invoker").stats()
+        return self._run_sketch("invoker").stats()

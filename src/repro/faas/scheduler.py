@@ -55,11 +55,12 @@ The search visits only invokers that could steal.  An instant steal's
 thief holds an idle warm container of a queued action, so it sits in
 that action's warm set in the cluster index (which also counts booting
 and restoring containers), and some other invoker holds a queue of the
-action.  While no queue is ``boot_steal_min_queue`` deep, those are the
-only invokers tried; once one is, the pass visits every invoker, since a
-boot steal's thief need not hold the action at all.  Either way thieves
-are tried in index order, and all steals happen inside event callbacks,
-so runs remain deterministic.
+action.  While no queue is ``boot_steal_min_queue`` deep (the index
+counts the queues that are), those are the only invokers tried; once one
+is, the pass visits every invoker, since a boot steal's thief need not
+hold the action at all.  Either way thieves are tried in index order,
+and all steals happen inside event callbacks, so runs remain
+deterministic.
 """
 
 from __future__ import annotations
@@ -337,7 +338,10 @@ class Scheduler:
         #: ``uses_index`` or work stealing).
         self.index: Optional[ClusterIndex] = None
         if len(self.invokers) > 1 and (work_stealing or policy.uses_index):
-            self.index = ClusterIndex(self.invokers)
+            # Only the steal search reads the index's deep-queue count.
+            self.index = ClusterIndex(
+                self.invokers, boot_steal_min_queue if work_stealing else None
+            )
             policy.bind_index(self.index)
         if self.work_stealing and len(self.invokers) > 1:
             for invoker in self.invokers:
@@ -482,12 +486,11 @@ class Scheduler:
         """
         index = self.index
         assert index is not None
-        deep = self.boot_steal_min_queue
+        if index.deep_queues:
+            return self.invokers
         positions: Set[int] = set()
         for action in index.queued_actions():
             depths = index.depths_for(action)
-            if deep is not None and max(depths.values()) >= deep:
-                return self.invokers
             warm = index.warm_positions(action)
             if len(depths) > 1:
                 positions |= warm

@@ -23,6 +23,11 @@ control tick.  This module provides the bounded-memory summaries the
   :class:`~repro.faas.metrics.LatencyStats` surface raw samples reduce
   to (exact count/mean/std/min/max, alpha-bounded percentiles).
 
+Bucket counts are integers, so :meth:`QuantileSketch.subtract` undoes a
+merge exactly as long as neither sketch collapsed; the moments are
+floats and cannot be subtracted, only refolded.  The metrics collector's
+sliding window fold relies on both facts.
+
 Everything here is deterministic (pure integer/float arithmetic over
 sorted bucket indices — no sampling, no randomised compression) and
 picklable, so multi-seed fan-out workers can ship sketches back to the
@@ -32,7 +37,7 @@ parent process and merge them bit-identically to a serial run.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (metrics imports us)
     from repro.faas.metrics import LatencyStats
@@ -53,6 +58,9 @@ MIN_TRACKABLE = 1e-12
 #: overflow the lowest buckets collapse together, preserving counts and
 #: the accuracy of every upper quantile.
 DEFAULT_MAX_BINS = 4096
+
+#: The percentiles :meth:`LatencySketch.stats` reports, in field order.
+_STATS_PERCENTILES = (10, 25, 50, 75, 90, 95, 99)
 
 
 class StreamingMoments:
@@ -77,6 +85,16 @@ class StreamingMoments:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
+
+    def copy(self) -> "StreamingMoments":
+        """An independent copy holding the same five values."""
+        twin = StreamingMoments.__new__(StreamingMoments)
+        twin.count = self.count
+        twin.mean = self.mean
+        twin._m2 = self._m2
+        twin.minimum = self.minimum
+        twin.maximum = self.maximum
+        return twin
 
     def merge(self, other: "StreamingMoments") -> None:
         """Fold ``other``'s moments into this one (Chan's formula)."""
@@ -209,6 +227,43 @@ class QuantileSketch:
         while len(bins) > self.max_bins:
             self._collapse_lowest()
 
+    def subtract(self, other: "QuantileSketch") -> None:
+        """Take ``other``'s counts back out: the exact inverse of :meth:`merge`.
+
+        ``other`` must have been merged into this sketch and neither may
+        have collapsed since (a collapse moves counts between buckets).
+        A bucket whose count reaches zero is deleted, so the result
+        compares equal to a sketch that never held ``other``.
+        """
+        self._zero -= other._zero
+        bins = self._bins
+        for index, count in other._bins.items():
+            left = bins[index] - count
+            if left:
+                bins[index] = left
+            else:
+                del bins[index]
+
+    @property
+    def at_capacity(self) -> bool:
+        """True once the sketch holds ``max_bins`` buckets.
+
+        A sketch that collapsed is at capacity right after the collapse,
+        so one never seen at capacity has never collapsed.
+        """
+        return len(self._bins) >= self.max_bins
+
+    def copy(self) -> "QuantileSketch":
+        """An independent copy with the same accuracy, cap and counts."""
+        twin = QuantileSketch.__new__(QuantileSketch)
+        twin.relative_accuracy = self.relative_accuracy
+        twin._gamma = self._gamma
+        twin._log_gamma = self._log_gamma
+        twin._zero = self._zero
+        twin._bins = dict(self._bins)
+        twin.max_bins = self.max_bins
+        return twin
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantileSketch):
             return NotImplemented
@@ -235,24 +290,42 @@ class QuantileSketch:
         :func:`repro.faas.metrics.percentile` (``rank = pct/100 * (n-1)``)
         rounded to the nearest order statistic.
         """
+        return self.quantiles_at((pct,))[0]
+
+    def quantiles_at(self, pcts: Sequence[float]) -> List[float]:
+        """:meth:`quantile` for each of ``pcts``, in one sorted walk.
+
+        The count is summed and the buckets sorted once; each rank then
+        resumes the walk where the previous, lower rank stopped.
+        """
         total = self.count
         if total == 0:
             raise ValueError("cannot take a quantile of an empty sketch")
-        if pct <= 0:
-            rank = 0
-        elif pct >= 100:
-            rank = total - 1
-        else:
-            rank = min(total - 1, int((pct / 100.0) * (total - 1) + 0.5))
-        if rank < self._zero:
-            return 0.0
+        ranks = []
+        for pct in pcts:
+            if pct <= 0:
+                rank = 0
+            elif pct >= 100:
+                rank = total - 1
+            else:
+                rank = min(total - 1, int((pct / 100.0) * (total - 1) + 0.5))
+            ranks.append(rank)
+        values = [0.0] * len(ranks)
+        bins = self._bins
+        walk = iter(sorted(bins))
         cumulative = self._zero
-        for index in sorted(self._bins):
-            cumulative += self._bins[index]
-            if cumulative > rank:
-                return self._bucket_value(index)
-        # Unreachable: cumulative == total > rank by the guard above.
-        raise AssertionError("quantile rank walked past the sketch")  # pragma: no cover
+        index = 0
+        for position in sorted(range(len(ranks)), key=ranks.__getitem__):
+            rank = ranks[position]
+            if rank < self._zero:
+                continue  # the zero bucket reports 0.0
+            # The first bucket whose cumulative count passes the rank; it
+            # exists because the last bucket's cumulative count is total.
+            while cumulative <= rank:
+                index = next(walk)
+                cumulative += bins[index]
+            values[position] = self._bucket_value(index)
+        return values
 
 
 class LatencySketch:
@@ -305,14 +378,17 @@ class LatencySketch:
         self.quantiles.merge(other.quantiles)
         self.moments.merge(other.moments)
 
+    def copy(self) -> "LatencySketch":
+        """An independent copy that compares equal to this sketch."""
+        twin = LatencySketch.__new__(LatencySketch)
+        twin.moments = self.moments.copy()
+        twin.quantiles = self.quantiles.copy()
+        return twin
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatencySketch):
             return NotImplemented
         return self.moments == other.moments and self.quantiles == other.quantiles
-
-    def _clamped_quantile(self, pct: float) -> float:
-        value = self.quantiles.quantile(pct)
-        return min(max(value, self.moments.minimum), self.moments.maximum)
 
     def stats(self) -> "LatencyStats":
         """Reduce to a :class:`~repro.faas.metrics.LatencyStats`."""
@@ -321,19 +397,24 @@ class LatencySketch:
         moments = self.moments
         if moments.count == 0:
             raise ValueError("cannot summarise an empty sample set")
+        low, high = moments.minimum, moments.maximum
+        p10, p25, median, p75, p90, p95, p99 = (
+            min(max(value, low), high)
+            for value in self.quantiles.quantiles_at(_STATS_PERCENTILES)
+        )
         return LatencyStats(
             count=moments.count,
             mean=moments.mean,
             std=moments.std,
-            minimum=moments.minimum,
-            p10=self._clamped_quantile(10),
-            p25=self._clamped_quantile(25),
-            median=self._clamped_quantile(50),
-            p75=self._clamped_quantile(75),
-            p90=self._clamped_quantile(90),
-            p95=self._clamped_quantile(95),
-            p99=self._clamped_quantile(99),
-            maximum=moments.maximum,
+            minimum=low,
+            p10=p10,
+            p25=p25,
+            median=median,
+            p75=p75,
+            p90=p90,
+            p95=p95,
+            p99=p99,
+            maximum=high,
         )
 
 

@@ -15,6 +15,8 @@ implementation in :mod:`repro.faas.metrics`:
   not an approximation.
 * **Determinism**: the same stream always yields the same sketch,
   regardless of when queries interleave with inserts.
+* **One walk**: ``quantiles_at`` resolves several ranks in one sorted
+  walk, in any order, exactly as a fresh walk per rank does.
 * **LatencyStats parity**: count/mean/std/min/max reduce exactly to the
   values :func:`repro.faas.metrics.summarize` computes.
 """
@@ -56,6 +58,17 @@ def test_quantile_within_rank_error_of_exact(samples, pct):
     hi = ordered[min(n - 1, rank + 1)]
     alpha = sketch.relative_accuracy * 1.0001  # float-dust headroom
     assert (1.0 - alpha) * lo <= estimate <= (1.0 + alpha) * hi
+
+
+@given(samples=streams, pcts=st.lists(percentiles, min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_one_walk_answers_every_rank_like_its_own_walk(samples, pcts):
+    sketch = QuantileSketch()
+    for sample in samples:
+        sketch.add(sample)
+    assert sketch.quantiles_at(pcts) == [
+        sketch.quantiles_at((pct,))[0] for pct in pcts
+    ]
 
 
 @given(left=streams, right=streams)

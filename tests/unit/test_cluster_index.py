@@ -276,6 +276,28 @@ class TestSchedulerIndexWiring:
             # Each input reaches the steal kinds it was built for.
             assert seen == kinds
 
+    def test_the_index_counts_queues_deep_enough_to_boot_steal(self):
+        # The steal filter's boot check reads one count: the queues at
+        # least boot_steal_min_queue deep.  verify() recounts it at every
+        # step while both of the victim's queues pass the depth and drain.
+        loop, invokers, scheduler, submissions, _kinds = self._boot_steal_input()
+        index = scheduler.index
+        assert index is not None and index.boot_steal_min_queue == 3
+        counts = []
+        for position, action in submissions:
+            invokers[position].submit(
+                Invocation(action=action, payload=b"x"), lambda inv: None
+            )
+            index.verify()
+            counts.append(index.deep_queues)
+        while loop.step():
+            index.verify()
+        assert max(counts) == 2  # act-b, then act-a, on invoker 2
+        assert index.deep_queues == 0
+        # Without stealing nothing reads the count, so nothing keeps it.
+        _loop, solo = _cluster(2)
+        assert Scheduler(solo, WarmAwarePolicy()).index.boot_steal_min_queue is None
+
 
 class TestInvokerSurfaces:
     def test_snapshot_cached_until_state_changes(self):

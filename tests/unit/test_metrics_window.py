@@ -15,7 +15,9 @@ membership rules:
   sample (deliberate — pinned so a "fix" cannot slip in silently);
 * an inverted window is empty, empty buckets are fine;
 * out-of-order recordings (a caller replaying history) land in their own
-  time buckets, so windows stay correct.
+  time buckets, so windows stay correct;
+* a control loop's windowed ``by_caller`` does work that does not grow
+  with the number of buckets in its window.
 
 Samples whose membership matters get a latency that names their finish
 time (:func:`_tagged`), so a window's exact ``e2e_stats()`` minimum and
@@ -24,6 +26,7 @@ maximum say which samples it holds.
 
 from __future__ import annotations
 
+from repro.faas import metrics as metrics_module
 from repro.faas.metrics import DEFAULT_BUCKET_SECONDS, MetricsCollector
 from repro.faas.request import Invocation, InvocationStatus
 
@@ -307,3 +310,32 @@ class TestByCallerBulkAdoption:
         for tenant, want in naive.items():
             assert fast[tenant].num_completed == want.num_completed
             assert fast[tenant].e2e_stats() == want.e2e_stats()
+
+
+class TestWindowFoldCost:
+    """The control loop's windowed read costs what enters and leaves the window."""
+
+    def test_slice_merges_per_tick_do_not_grow_with_the_window(self, monkeypatch):
+        # A 300 s window over 1 s buckets, two tenants, a tick every
+        # 0.25 s: the read at tick 300 s must merge no more tenant slices
+        # than the read at tick 10 s, although its window holds 30 times
+        # as many buckets.
+        merges = []
+        merge = metrics_module._SketchSlice.merge
+
+        def counting_merge(self, other):
+            merges.append(1)
+            merge(self, other)
+
+        monkeypatch.setattr(metrics_module._SketchSlice, "merge", counting_merge)
+        metrics = MetricsCollector(bucket_seconds=1.0)
+        per_tick = {}
+        for quarter in range(1, 4 * 300 + 1):
+            now = quarter / 4
+            metrics.record(_finished("alice", now, latency=0.010 + now / 1e4))
+            metrics.record(_finished("bob", now, latency=0.020 + now / 1e4))
+            del merges[:]
+            split = metrics.by_caller(since=max(0.0, now - 300.0), until=now)
+            per_tick[now] = len(merges)
+            assert split["alice"].num_completed == quarter
+        assert per_tick[300.0] == per_tick[10.0] <= 4
