@@ -23,8 +23,7 @@ skip-rollback decision for mutually trusting callers).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import IsolationError, RestoreError, SnapshotError
 from repro.core.restore import RestoreResult, Restorer
@@ -50,9 +49,11 @@ class ManagerState(enum.Enum):
     TAINTED = "tainted"
 
 
-@dataclass(frozen=True)
-class ManagedInvocation:
-    """What the manager reports back to the container for one request."""
+class ManagedInvocation(NamedTuple):
+    """What the manager reports back to the container for one request.
+
+    One per request, so a named tuple.
+    """
 
     result: InvocationResult
     #: Extra critical-path time added by the manager's interposition.

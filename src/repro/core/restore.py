@@ -21,14 +21,14 @@ components of the restoration-time breakdown in Fig. 8 — are:
 The restorer works exclusively through the ptrace/procfs interfaces, so all
 reported durations are derived from the work it actually performed.  Write
 sets, stray pages and write-back sets are page run lists, intersected with
-the snapshot's run image (:mod:`repro.mem.image`), so the bookkeeping costs
-O(runs) rather than one step per page.
+the snapshot's run image (:mod:`repro.mem.image`) by bisection, so the
+bookkeeping costs O(write-set runs x log snapshot runs) rather than one step
+per page or per snapshot run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.config import PAGE_SIZE
 from repro.errors import RestoreError
@@ -41,9 +41,15 @@ from repro.proc.procfs import ProcFs
 from repro.proc.ptrace import InjectedSyscall, Ptrace
 
 
-@dataclass(frozen=True)
-class RestoreBreakdown:
-    """Per-step durations of one restoration (the Fig. 8 components)."""
+class RestoreBreakdown(NamedTuple):
+    """Per-step durations of one restoration (the Fig. 8 components).
+
+    Every restore builds one, so it is a named tuple, like the other
+    records built once per request and read rarely (:class:`RestoreResult`,
+    :class:`~repro.core.policy.InvokeReport`): immutable, and several times
+    cheaper to build than a frozen dataclass.  Its fields are the steps in
+    display order, so :attr:`total_seconds` is ``sum(self)``.
+    """
 
     interrupting: float = 0.0
     reading_maps: float = 0.0
@@ -78,24 +84,23 @@ class RestoreBreakdown:
 
     @property
     def total_seconds(self) -> float:
-        """End-to-end restoration duration."""
-        return sum(getattr(self, step) for step in self.STEP_ORDER)
+        """End-to-end restoration duration: the steps summed in display order."""
+        return sum(self)
 
     def as_dict(self) -> Dict[str, float]:
         """Return the per-step durations in display order."""
-        return {step: getattr(self, step) for step in self.STEP_ORDER}
+        return dict(zip(self.STEP_ORDER, self))
 
     def fractions(self) -> Dict[str, float]:
         """Return each step as a fraction of the total (Fig. 8's bars)."""
         total = self.total_seconds
         if total <= 0:
             return {step: 0.0 for step in self.STEP_ORDER}
-        return {step: getattr(self, step) / total for step in self.STEP_ORDER}
+        return {step: seconds / total for step, seconds in zip(self.STEP_ORDER, self)}
 
 
-@dataclass(frozen=True)
-class RestoreResult:
-    """Outcome of one restoration."""
+class RestoreResult(NamedTuple):
+    """Outcome of one restoration (a named tuple: one per restore)."""
 
     breakdown: RestoreBreakdown
     #: Pages whose metadata was scanned (the whole mapped address space).
@@ -187,8 +192,9 @@ class Restorer:
 
         # (7) Write back the snapshot contents of the write set and of any
         # pages living in regions the plan had to re-create.
+        recreated = self._recreated_runs(plan, brk_before_restore)
         restore_runs = snapshot.image.covered(
-            union_runs(dirty_runs, self._recreated_runs(plan, brk_before_restore))
+            union_runs(dirty_runs, recreated) if recreated else dirty_runs
         )
         space.kernel_write_image(snapshot.image, restore_runs)
         pages_restored = count_pages(restore_runs)
@@ -196,8 +202,9 @@ class Restorer:
             cm, pages_restored, snapshot.num_pages
         )
 
-        # (8) Registers of every thread.
-        restoring_registers = self._ptrace.set_registers(dict(snapshot.registers))
+        # (8) Registers of every thread (the snapshot's own mapping: the
+        # ptrace write only reads it).
+        restoring_registers = self._ptrace.set_registers(snapshot.registers)
 
         # (9) Re-arm tracking for the next request.
         clearing = self._tracker.arm()

@@ -15,17 +15,15 @@ ablation benchmark can reproduce that comparison.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.kernel.uffd import UffdTracker
 from repro.mem.image import Runs, page_numbers
 from repro.proc.procfs import ProcFs
 
 
-@dataclass(frozen=True)
-class TrackingCollection:
-    """Result of collecting a write set."""
+class TrackingCollection(NamedTuple):
+    """Result of collecting a write set (a named tuple: one per restore)."""
 
     #: The written pages, as a page run list.
     dirty_runs: Runs

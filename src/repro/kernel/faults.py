@@ -10,7 +10,7 @@ of soft-dirty vs copy-on-write fault costs).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.mem.address_space import MeterSnapshot
 from repro.sim.costs import CostModel
@@ -26,9 +26,12 @@ class FaultKind(enum.Enum):
     FIRST_TOUCH = "fork-first-touch"
 
 
-@dataclass(frozen=True)
-class FaultRecord:
-    """Aggregate fault counts attributable to one invocation."""
+class FaultRecord(NamedTuple):
+    """Aggregate fault counts attributable to one invocation.
+
+    Every request that faults builds one, so it is a named tuple, like the
+    :class:`~repro.runtime.base.InvocationResult` that carries it.
+    """
 
     minor: int = 0
     soft_dirty: int = 0

@@ -211,12 +211,52 @@ class PageImage:
         return ZERO_CONTENT if payload is None else payload
 
     def covered(self, runs: Sequence[Run]) -> Runs:
-        """The pages of ``runs`` the image holds."""
-        return intersect_runs(runs, self.coverage)
+        """The pages of the page run list ``runs`` the image holds.
+
+        Equal to ``intersect_runs(runs, self.coverage)``, but each run
+        bisects into :attr:`coverage` and visits only the coverage runs it
+        overlaps, so a small write set against a large snapshot costs
+        O(runs x log coverage).
+        """
+        coverage = self.coverage
+        count = len(coverage)
+        out: List[Run] = []
+        for first, end in runs:
+            index = bisect.bisect_left(coverage, (first + 1,))
+            if index and coverage[index - 1][1] > first:
+                index -= 1
+            while index < count:
+                a, b = coverage[index]
+                if a >= end:
+                    break
+                out.append((a if a > first else first, b if b < end else end))
+                index += 1
+        return tuple(out)
 
     def missing(self, runs: Sequence[Run]) -> Runs:
-        """The pages of ``runs`` the image lacks."""
-        return subtract_runs(runs, self.coverage)
+        """The pages of the page run list ``runs`` the image lacks.
+
+        Equal to ``subtract_runs(runs, self.coverage)``, visiting only the
+        coverage runs each run overlaps, found by bisection.
+        """
+        coverage = self.coverage
+        count = len(coverage)
+        out: List[Run] = []
+        for first, end in runs:
+            index = bisect.bisect_left(coverage, (first + 1,))
+            if index and coverage[index - 1][1] > first:
+                index -= 1
+            while first < end and index < count:
+                a, b = coverage[index]
+                if a >= end:
+                    break
+                if a > first:
+                    out.append((first, a))
+                first = b
+                index += 1
+            if first < end:
+                out.append((first, end))
+        return tuple(out)
 
     def pieces(self, first: int, end: int) -> List[ContentRun]:
         """Content runs covering ``[first, end)`` exactly; pages the image lacks read as zero."""

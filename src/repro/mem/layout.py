@@ -15,7 +15,7 @@ restorer must reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.mem.vma import Vma
 
@@ -51,8 +51,7 @@ class MemoryLayout:
         return None
 
 
-@dataclass(frozen=True)
-class RegionChange:
+class RegionChange(NamedTuple):
     """A matched region whose bounds or protection differ between layouts."""
 
     snapshot: Vma
@@ -79,15 +78,15 @@ class RegionChange:
         return self.current.num_pages - self.snapshot.num_pages
 
 
-@dataclass(frozen=True)
-class LayoutDiff:
+class LayoutDiff(NamedTuple):
     """All differences between a snapshot layout and the current layout.
 
     ``added`` are regions present now but not in the snapshot (must be
     unmapped); ``removed`` are regions present in the snapshot but gone now
     (must be mapped back and their contents restored); ``changed`` are
     matched regions that grew, shrank, or changed protection; ``brk_changed``
-    indicates the program break moved.
+    indicates the program break moved.  Every restore diffs once, so this
+    and :class:`RegionChange` are named tuples.
     """
 
     added: Tuple[Vma, ...]

@@ -15,7 +15,7 @@ space's soft-dirty bitmaps as a page run list, so the result is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.errors import PagemapError
 from repro.mem.address_space import AddressSpace
@@ -43,9 +43,11 @@ class PagemapEntry:
         return raw
 
 
-@dataclass(frozen=True)
-class PagemapScanResult:
-    """Result of scanning a set of pages: dirty runs plus accounting."""
+class PagemapScanResult(NamedTuple):
+    """Result of scanning a set of pages: dirty runs plus accounting.
+
+    A named tuple: every soft-dirty restore scans once.
+    """
 
     dirty_runs: Runs
     scanned_pages: int

@@ -16,8 +16,7 @@ actually did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 from repro.errors import PtraceError, SyscallInjectionError
 from repro.mem.page import Protection
@@ -26,12 +25,12 @@ from repro.proc.process import ProcessState, SimProcess
 from repro.proc.registers import RegisterSet
 
 
-@dataclass(frozen=True)
-class InjectedSyscall:
+class InjectedSyscall(NamedTuple):
     """A syscall to execute inside the tracee.
 
-    ``number`` is the syscall name (kept symbolic for readability); ``args``
-    are interpreted per syscall by :meth:`Ptrace.inject_syscall`.
+    ``name`` is the syscall name (kept symbolic for readability); ``args``
+    are interpreted per syscall by :meth:`Ptrace.inject_syscall`.  A
+    restore plans a few per request, so it is a named tuple.
     """
 
     name: str
@@ -102,7 +101,7 @@ class Ptrace:
         cost = len(registers) * self._process.cost_model.ptrace_getset_regs_seconds
         return registers, cost
 
-    def set_registers(self, registers: Dict[int, RegisterSet]) -> float:
+    def set_registers(self, registers: Mapping[int, RegisterSet]) -> float:
         """Write register files back into the tracee's threads.
 
         Threads present in the snapshot but no longer alive are skipped —

@@ -18,8 +18,6 @@ diff it replaced, compares everything by value.  Both must return the same
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -46,8 +44,8 @@ def assert_same_diff(snapshot: MemoryLayout, current: MemoryLayout) -> None:
     """The shipped diff of the two layouts equals the reference, field by field."""
     got = diff_layouts(snapshot, current)
     want = reference_diff_layouts(snapshot, current)
-    for field in fields(LayoutDiff):
-        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    for field in LayoutDiff._fields:
+        assert getattr(got, field) == getattr(want, field), field
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.baselines.registry import create_mechanism
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError, SegmentationFault
 from repro.mem.address_space import AddressSpace
-from repro.mem.image import PageImage, put_content
+from repro.mem.image import PageImage, intersect_runs, put_content, subtract_runs
 from repro.mem.layout import diff_layouts
 from repro.mem.pagemap import PagemapView
 from repro.mem.page import Protection
@@ -192,6 +192,40 @@ class TestPutContentMatchesPerPageDict:
 
 
 # ---------------------------------------------------------------------------
+# Snapshot run algebra against the merge walks
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def maximal_runs(draw, limit=200):
+    """A maximal page run list: sorted, disjoint, never touching, non-empty runs."""
+    bounds = sorted(draw(st.sets(st.integers(min_value=0, max_value=limit), max_size=24)))
+    return tuple(zip(bounds[0::2], bounds[1::2]))
+
+
+@st.composite
+def page_images(draw):
+    """An image over maximal runs, cut into pieces whose payloads may repeat."""
+    pieces = []
+    for first, end in draw(maximal_runs()):
+        inner = st.integers(min_value=first + 1, max_value=end - 1)
+        cuts = draw(st.sets(inner, max_size=3)) if end - first > 1 else ()
+        edges = [first, *sorted(cuts), end]
+        for a, b in zip(edges, edges[1:]):
+            pieces.append((a, b, draw(st.sampled_from(PAYLOADS[1:]))))
+    return PageImage(pieces)
+
+
+class TestSnapshotRunAlgebraMatchesMergeWalks:
+    @given(page_images(), maximal_runs())
+    @example(PageImage([(3, 5, b"a"), (5, 9, b"b"), (12, 13, b"a")]), ((0, 4), (8, 14)))
+    @settings(max_examples=300, deadline=None)
+    def test_covered_and_missing_equal_the_merge_walks(self, image, runs):
+        assert image.covered(runs) == intersect_runs(runs, image.coverage)
+        assert image.missing(runs) == subtract_runs(runs, image.coverage)
+
+
+# ---------------------------------------------------------------------------
 # Twin address spaces: run-length against the per-page reference
 # ---------------------------------------------------------------------------
 
@@ -201,17 +235,23 @@ BASE_PAGE = 0x100
 BRK_BASE_PAGE = BASE_PAGE + 48
 #: Every page the twin scenarios can touch.
 TWIN_PAGES = range(BASE_PAGE - 2, BASE_PAGE + 80)
+#: Largest mapping of the wide twin scenarios, in pages: one write there
+#: is a run of more faults than the closed-form charge starts at.
+WIDE_PAGES = 96
+#: Every page the wide twin scenarios can touch.
+WIDE_TWIN_PAGES = range(BASE_PAGE - 2, BASE_PAGE + 4 * (WIDE_PAGES + 2) + 2)
 
 
 @st.composite
-def twin_scenarios(draw):
+def twin_scenarios(draw, max_pages=16):
     """Mappings (one read-only, gaps or none between them) and tracking state."""
     count = draw(st.integers(min_value=2, max_value=4))
     read_only = draw(st.integers(min_value=0, max_value=count - 1))
     regions = [
         (
-            # Up to 16 pages, so one write can take a long run of faults.
-            draw(st.integers(min_value=1, max_value=16)),  # pages
+            # Up to 16 pages by default, so one write can take a long run
+            # of faults; the wide scenarios go past the closed-form charge.
+            draw(st.integers(min_value=1, max_value=max_pages)),  # pages
             draw(st.integers(min_value=0, max_value=2)),  # gap before, in pages
             index == read_only,
             draw(st.booleans()),  # populated
@@ -252,11 +292,11 @@ def _twins(scenario):
     return _build_twin(AddressSpace, scenario), _build_twin(ReferenceAddressSpace, scenario)
 
 
-def _state(spaces, calls):
+def _state(spaces, calls, pages=TWIN_PAGES):
     """Everything an operation can change, per space, through public accessors."""
     return [
         {
-            "pages": [space.page_state(number) for number in TWIN_PAGES],
+            "pages": [space.page_state(number) for number in pages],
             "layout": space.layout(),
             "image": space.capture(),
             "soft_dirty": space.soft_dirty_runs(),
@@ -265,6 +305,12 @@ def _state(spaces, calls):
         }
         for space in spaces
     ] + [list(calls)]
+
+
+def _assert_mapped_pages_counted(spaces):
+    """The kept mapped-page count equals a fresh sum over the mappings."""
+    for space in spaces:
+        assert space.total_mapped_pages == sum(vma.num_pages for vma in space.vmas)
 
 
 def _apply(action):
@@ -315,6 +361,18 @@ write_ops = st.tuples(
     ),
     st.integers(min_value=-2, max_value=60),  # start, pages past BASE_PAGE
     st.integers(min_value=-3, max_value=24),  # count
+)
+
+#: The same operations over the wide scenarios' mappings, with writes of up
+#: to 100 pages.
+wide_write_ops = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(
+        ["range", "range", "range", "page", "clear", "touch", "kernel",
+         "munmap", "madvise", "mprotect", "brk", "scan", "fork"]
+    ),
+    st.integers(min_value=-2, max_value=4 * (WIDE_PAGES + 2)),
+    st.integers(min_value=-3, max_value=100),
 )
 
 
@@ -382,6 +440,50 @@ ADJACENT_OPS = [
 ]
 
 
+#: Always-run wide scenario: 90 populated pages with tracking armed, then
+#: 80 unpopulated ones.  The writes take a run of 80 soft-dirty faults and
+#: one of 70 allocating faults; after a fork, the parent's rewrite takes
+#: copy-on-write faults in stretches of 5, 80 and 5 pages and the child's
+#: read-touch 90 first-touch faults.  The runs of 64 or more are charged
+#: in closed form; the child's write takes two faults per page (the loop).
+WIDE_SCENARIO = {
+    "regions": [(90, 0, False, True), (80, 1, False, False), (4, 0, True, True)],
+    "armed": True,
+    "forked": False,
+    "protect": None,
+}
+WIDE_OPS = [
+    (0, "range", 5, 80),
+    (0, "range", 95, 70),
+    (0, "fork", 0, 0),
+    (0, "range", 0, 90),
+    (1, "touch", 0, 90),
+    (1, "range", 95, 70),
+]
+
+
+def _run_twin_ops(scenario, ops, pages):
+    """Drive twin spaces through ``ops``; compare them after every one."""
+    (shipped, shipped_calls), (reference, reference_calls) = _twins(scenario)
+    _assert_mapped_pages_counted(shipped)
+    for index, (side, kind, offset, count) in enumerate(ops):
+        side = min(side, len(shipped) - 1)
+        if kind == "fork":
+            if len(shipped) < 4:
+                shipped.append(shipped[side].fork())
+                reference.append(reference[side].fork())
+        else:
+            first = BASE_PAGE + offset
+            data = f"op{index}".encode() if index % 5 else b""
+            got = _apply(lambda: _operate(shipped[side], kind, first, count, data))
+            want = _apply(lambda: _operate(reference[side], kind, first, count, data))
+            assert got == want
+        _assert_mapped_pages_counted(shipped)
+        assert _state(shipped, shipped_calls, pages) == _state(
+            reference, reference_calls, pages
+        )
+
+
 class TestRangePathsMatchPerPageOracle:
     @given(twin_scenarios(), st.lists(write_ops, min_size=1, max_size=14))
     @example(PINNED_SCENARIO, PINNED_OPS)
@@ -390,20 +492,18 @@ class TestRangePathsMatchPerPageOracle:
     @example(ADJACENT_SCENARIO, ADJACENT_OPS)
     @settings(max_examples=150, deadline=None)
     def test_write_range_equals_per_page_faults(self, scenario, ops):
-        (shipped, shipped_calls), (reference, reference_calls) = _twins(scenario)
-        for index, (side, kind, offset, count) in enumerate(ops):
-            side = min(side, len(shipped) - 1)
-            if kind == "fork":
-                if len(shipped) < 4:
-                    shipped.append(shipped[side].fork())
-                    reference.append(reference[side].fork())
-            else:
-                first = BASE_PAGE + offset
-                data = f"op{index}".encode() if index % 5 else b""
-                got = _apply(lambda: _operate(shipped[side], kind, first, count, data))
-                want = _apply(lambda: _operate(reference[side], kind, first, count, data))
-                assert got == want
-            assert _state(shipped, shipped_calls) == _state(reference, reference_calls)
+        _run_twin_ops(scenario, ops, TWIN_PAGES)
+
+    @given(
+        twin_scenarios(max_pages=WIDE_PAGES),
+        st.lists(wide_write_ops, min_size=1, max_size=10),
+    )
+    @example(WIDE_SCENARIO, WIDE_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_long_writes_equal_per_page_faults(self, scenario, ops):
+        # Writes of more pages than the closed-form charge starts at: the
+        # per-page reference meter adds each fault's cost on its own.
+        _run_twin_ops(scenario, ops, WIDE_TWIN_PAGES)
 
     @given(
         twin_scenarios(),

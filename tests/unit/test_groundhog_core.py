@@ -268,6 +268,15 @@ class TestRestorer:
     def test_zero_breakdown_fractions(self):
         assert sum(RestoreBreakdown().fractions().values()) == 0.0
 
+    def test_breakdown_total_adds_the_steps_in_display_order(self):
+        # total_seconds is sum(self): the fields must be the display order,
+        # so it sums what summing the steps by name in that order sums.
+        assert RestoreBreakdown._fields == RestoreBreakdown.STEP_ORDER
+        steps = RestoreBreakdown(*(0.1 * (index + 1) for index in range(13)))
+        expected = sum(getattr(steps, step) for step in RestoreBreakdown.STEP_ORDER)
+        assert steps.total_seconds == expected
+        assert list(steps.as_dict()) == list(RestoreBreakdown.STEP_ORDER)
+
 
 class TestGroundhogManager:
     def _manager(self, runtime):
