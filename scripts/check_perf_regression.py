@@ -4,6 +4,7 @@
 Usage::
 
     python scripts/check_perf_regression.py CANDIDATE.json [BASELINE.json]
+    python scripts/check_perf_regression.py --help
 
 ``BASELINE.json`` defaults to ``BENCH_perf.json`` at the repo root — the
 tracked full-scale numbers ``python -m repro.cli perf-trace --shape all``
@@ -24,8 +25,10 @@ section table, ``SECTIONS`` in ``repro.analysis.perf``:
   and the two must share at least one gated variant, so a candidate
   cannot pass by leaving out what has a floor.
 
-The check exits 1 on any failure, naming the section on stderr, and 2 on
-a usage error.  CI machines are noisy and heterogeneous; the generous
+The check exits 0 when every section passes (and after ``--help``), 1 on
+any failure, naming the section on stderr, and 2 on a usage error: wrong
+arguments, a file it cannot read, or one that is not a perf-trace report
+(one ``error:`` line on stderr).  CI machines are noisy and heterogeneous; the generous
 tolerance catches real structural regressions (an accidental per-sample
 copy, a heap that stops compacting, a routing decision that visits every
 invoker again) without flaking on scheduler jitter.
@@ -48,10 +51,13 @@ from repro.analysis.perf import SECTIONS  # noqa: E402
 
 
 def load(path: Path) -> dict:
+    """Read one perf-trace report; ``OSError`` or ``ValueError`` if it is none."""
     with path.open() as handle:
         report = json.load(handle)
-    if not any("variants" in report.get(key, {}) for key in SECTIONS):
-        raise SystemExit(f"{path} is not a perf-trace report")
+    if not isinstance(report, dict) or not any(
+        "variants" in report.get(key, {}) for key in SECTIONS
+    ):
+        raise ValueError(f"{path} is not a perf-trace report")
     return report
 
 
@@ -107,15 +113,21 @@ def check_section(
 
 
 def main(argv: list[str]) -> int:
+    if argv[:1] in (["-h"], ["--help"]):
+        print(__doc__)
+        return 0
     if not 1 <= len(argv) <= 2:
         print(__doc__, file=sys.stderr)
         return 2
     candidate_path = Path(argv[0])
     baseline_path = Path(argv[1]) if len(argv) == 2 else DEFAULT_BASELINE
-    tolerance = float(os.environ.get("REPRO_PERF_TOLERANCE", DEFAULT_TOLERANCE))
-
-    candidate = load(candidate_path)
-    baseline = load(baseline_path)
+    try:
+        tolerance = float(os.environ.get("REPRO_PERF_TOLERANCE", DEFAULT_TOLERANCE))
+        candidate = load(candidate_path)
+        baseline = load(baseline_path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     failures: list[str] = []
     for key in SECTIONS:

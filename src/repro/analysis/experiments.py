@@ -5,8 +5,10 @@ reduced scale (the defaults used by the test suite and benchmark harness) or
 at paper scale, and returns plain data structures that the benchmark harness
 renders as the corresponding table/figure rows.  The module also holds the
 cluster drivers (cluster scaling, latency under load, tenant fairness, SLO
-control), which drive :class:`~repro.faas.cluster.FaaSCluster` the same way.
-The perf harness that measures the simulator's own host speed for
+control), which drive :class:`~repro.faas.cluster.FaaSCluster` the same way;
+every open-loop run among them, and every perf replay, is built by
+:func:`open_loop_client`.  Each driver takes only the parameters some
+caller passes; the rest of a setup is fixed in its body.  The perf harness that measures the simulator's own host speed for
 ``BENCH_perf.json`` is :mod:`repro.analysis.perf`.
 
 Driver map:
@@ -36,12 +38,12 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.series import Series, SweepResult
 from repro.analysis.stats import OverheadSummary, relative_overhead_percent, summarize_overheads
 from repro.baselines.registry import create_mechanism, mechanism_class
-from repro.config import SimulationConfig
+from repro.config import LATENCY_CONFIG, SimulationConfig
 from repro.core.restore import RestoreBreakdown
 from repro.errors import PlatformError
 from repro.faas.action import ActionSpec
@@ -159,31 +161,27 @@ class EvaluationResult:
 
     # -- derived views ----------------------------------------------------
 
-    def relative_latency(
-        self, config: str, *, metric: str = "e2e", baseline: str = "base"
-    ) -> Dict[str, float]:
-        """Per-benchmark relative latency overhead (%) of ``config`` vs baseline."""
+    def relative_latency(self, config: str, *, metric: str = "e2e") -> Dict[str, float]:
+        """Per-benchmark relative latency overhead (%) of ``config`` vs ``base``."""
         overheads: Dict[str, float] = {}
         for benchmark in self.benchmarks():
-            if not (self.has(benchmark, config) and self.has(benchmark, baseline)):
+            if not (self.has(benchmark, config) and self.has(benchmark, "base")):
                 continue
             target = getattr(self.record(benchmark, config), metric)
-            base = getattr(self.record(benchmark, baseline), metric)
+            base = getattr(self.record(benchmark, "base"), metric)
             if target is None or base is None:
                 continue
             overheads[benchmark] = relative_overhead_percent(target.median, base.median)
         return overheads
 
-    def relative_throughput(
-        self, config: str, *, baseline: str = "base"
-    ) -> Dict[str, float]:
-        """Per-benchmark throughput of ``config`` relative to baseline (1.0 = equal)."""
+    def relative_throughput(self, config: str) -> Dict[str, float]:
+        """Per-benchmark throughput of ``config`` relative to ``base`` (1.0 = equal)."""
         ratios: Dict[str, float] = {}
         for benchmark in self.benchmarks():
-            if not (self.has(benchmark, config) and self.has(benchmark, baseline)):
+            if not (self.has(benchmark, config) and self.has(benchmark, "base")):
                 continue
             target = self.record(benchmark, config).throughput_rps
-            base = self.record(benchmark, baseline).throughput_rps
+            base = self.record(benchmark, "base").throughput_rps
             if target is None or base is None or base <= 0:
                 continue
             ratios[benchmark] = target / base
@@ -224,15 +222,6 @@ class BreakdownRecord:
 # ---------------------------------------------------------------------------
 
 
-def _spec_for(spec_or_profile, config: str, **mechanism_options) -> ActionSpec:
-    profile = (
-        spec_or_profile.profile
-        if isinstance(spec_or_profile, BenchmarkSpec)
-        else spec_or_profile
-    )
-    return ActionSpec.for_profile(profile, config, **mechanism_options)
-
-
 def _profile_of(spec_or_profile) -> FunctionProfile:
     return (
         spec_or_profile.profile
@@ -246,28 +235,26 @@ def measure_latency(
     config: str,
     *,
     invocations: int = 10,
-    skip_warmup: int = 2,
-    think_time_seconds: float = 0.30,
-    seed: int = 20230501,
-    **mechanism_options,
 ) -> BenchmarkConfigResult:
-    """Closed-loop latency measurement (the paper's §5.3 latency setup)."""
+    """Closed-loop latency measurement (the paper's §5.3 latency setup).
+
+    A 0.3 s think time lets every restore finish before the next request,
+    and the first two completions are warm-up, not measured.
+    """
     profile = _profile_of(spec_or_profile)
-    platform = FaaSPlatform(
-        SimulationConfig(cores=1, containers_per_action=1, seed=seed)
-    )
-    action = _spec_for(spec_or_profile, config, **mechanism_options)
+    platform = FaaSPlatform(LATENCY_CONFIG)
+    action = ActionSpec.for_profile(profile, config)
     platform.deploy(action)
     client = ClosedLoopClient(
         platform,
         action.name,
         num_requests=invocations,
-        think_time_seconds=think_time_seconds,
+        think_time_seconds=0.30,
     )
     completed = [
         inv for inv in client.run() if inv.status is InvocationStatus.COMPLETED
     ]
-    measured = completed[min(skip_warmup, max(0, invocations - 1)):]
+    measured = completed[min(2, max(0, invocations - 1)):]
     restores = [inv.report.restore for inv in measured if inv.report.restore is not None]
     restore_ms = (
         sum(r.total_seconds for r in restores) / len(restores) * 1000 if restores else None
@@ -319,9 +306,6 @@ def measure_throughput(
     cores: int = 4,
     containers: int = 4,
     rounds: int = 10,
-    in_flight: Optional[int] = None,
-    seed: int = 20230501,
-    **mechanism_options,
 ) -> BenchmarkConfigResult:
     """Saturated-throughput measurement (the paper's §5.3 throughput setup).
 
@@ -330,19 +314,19 @@ def measure_throughput(
     """
     profile = _profile_of(spec_or_profile)
     platform = FaaSPlatform(
-        SimulationConfig(cores=cores, containers_per_action=containers, seed=seed)
+        SimulationConfig(cores=cores, containers_per_action=containers)
     )
-    action = _spec_for(spec_or_profile, config, **mechanism_options)
+    action = ActionSpec.for_profile(profile, config)
     platform.deploy(action)
-    per_request_estimate, duration, warmup = _saturation_window(profile, rounds)
-    if in_flight is None:
-        # Keep enough requests in flight that the controller round-trip never
-        # starves the invoker, even for sub-millisecond functions.
-        in_flight = max(containers * 4, min(256, int(0.2 / max(profile.exec_seconds, 0.002))))
+    _, duration, warmup = _saturation_window(profile, rounds)
     client = SaturatingClient(
         platform,
         action.name,
-        in_flight=in_flight,
+        # Enough requests in flight that the controller round-trip never
+        # starves the invoker, even for sub-millisecond functions.
+        in_flight=max(
+            containers * 4, min(256, int(0.2 / max(profile.exec_seconds, 0.002)))
+        ),
         duration_seconds=duration,
         warmup_seconds=warmup,
     )
@@ -362,15 +346,11 @@ def measure_restores(
     config: str = "gh",
     *,
     invocations: int = 5,
-    seed: int = 11,
     verify: bool = False,
-    **mechanism_options,
 ) -> RestoreMeasurement:
     """Direct per-invocation restore measurement (no platform in the way)."""
     profile = _profile_of(spec_or_profile)
-    mechanism = create_mechanism(
-        config, profile, rng=random.Random(seed), **mechanism_options
-    )
+    mechanism = create_mechanism(config, profile, rng=random.Random(11))
     init = mechanism.initialize()
     restores = []
     breakdowns: List[RestoreBreakdown] = []
@@ -468,9 +448,7 @@ def run_fig3_dirty_sweep(
     *,
     mapped_pages: int = 20_000,
     dirty_fractions: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
-    configs: Sequence[str] = MICROBENCH_CONFIGS,
     invocations: int = 3,
-    seed: int = 17,
 ) -> Tuple[SweepResult, SweepResult]:
     """Fig. 3 (left): latency vs the percentage of dirtied pages.
 
@@ -479,11 +457,11 @@ def run_fig3_dirty_sweep(
     """
     low_sweep = SweepResult(x_label="dirtied pages (%)", y_label="latency (s)")
     high_sweep = SweepResult(x_label="dirtied pages (%)", y_label="latency (s)")
-    for config in configs:
+    for config in MICROBENCH_CONFIGS:
         low_points, high_points = [], []
         for fraction in dirty_fractions:
             dirtied = int(mapped_pages * fraction)
-            low, high = _microbench_point(mapped_pages, dirtied, config, invocations, seed)
+            low, high = _microbench_point(mapped_pages, dirtied, config, invocations, 17)
             low_points.append((fraction * 100.0, low))
             high_points.append((fraction * 100.0, high))
         low_sweep.add(Series.from_points(config, low_points))
@@ -495,18 +473,16 @@ def run_fig3_size_sweep(
     *,
     sizes: Sequence[int] = (1_000, 5_000, 10_000, 20_000, 40_000),
     dirtied_pages: int = 1_000,
-    configs: Sequence[str] = MICROBENCH_CONFIGS,
     invocations: int = 3,
-    seed: int = 19,
 ) -> Tuple[SweepResult, SweepResult]:
     """Fig. 3 (right): latency vs address-space size with a fixed write set."""
     low_sweep = SweepResult(x_label="address space (pages)", y_label="latency (s)")
     high_sweep = SweepResult(x_label="address space (pages)", y_label="latency (s)")
-    for config in configs:
+    for config in MICROBENCH_CONFIGS:
         low_points, high_points = [], []
         for size in sizes:
             low, high = _microbench_point(size, min(dirtied_pages, size), config,
-                                          invocations, seed)
+                                          invocations, 19)
             low_points.append((float(size), low))
             high_points.append((float(size), high))
         low_sweep.add(Series.from_points(config, low_points))
@@ -528,7 +504,6 @@ def run_latency_suite(
     *,
     configs: Sequence[str] = MAIN_CONFIGS,
     invocations: int = 10,
-    seed: int = 20230501,
 ) -> EvaluationResult:
     """Closed-loop latency for every (benchmark, config) pair (Fig. 4)."""
     if benchmarks is None:
@@ -538,9 +513,7 @@ def run_latency_suite(
         for config in configs:
             if not _applicable(config, spec):
                 continue
-            result.add(
-                measure_latency(spec, config, invocations=invocations, seed=seed)
-            )
+            result.add(measure_latency(spec, config, invocations=invocations))
     return result
 
 
@@ -548,10 +521,7 @@ def run_throughput_suite(
     benchmarks: Optional[Sequence[BenchmarkSpec]] = None,
     *,
     configs: Sequence[str] = ("base", "gh-nop", "gh", "fork"),
-    cores: int = 4,
-    containers: int = 4,
     rounds: int = 10,
-    seed: int = 20230501,
 ) -> EvaluationResult:
     """Saturated throughput for every (benchmark, config) pair (Fig. 5)."""
     if benchmarks is None:
@@ -561,12 +531,7 @@ def run_throughput_suite(
         for config in configs:
             if not _applicable(config, spec):
                 continue
-            result.add(
-                measure_throughput(
-                    spec, config, cores=cores, containers=containers,
-                    rounds=rounds, seed=seed,
-                )
-            )
+            result.add(measure_throughput(spec, config, rounds=rounds))
     return result
 
 
@@ -578,12 +543,12 @@ def run_throughput_suite(
 def run_restoration_comparison(
     benchmarks: Optional[Sequence[BenchmarkSpec]] = None,
     *,
-    configs: Sequence[str] = ("gh", "faasm"),
     invocations: int = 5,
 ) -> Dict[str, Dict[str, float]]:
     """Mean restoration duration (ms) per benchmark for GH and FAASM."""
     if benchmarks is None:
         benchmarks = wasm_benchmarks()
+    configs = ("gh", "faasm")
     durations: Dict[str, Dict[str, float]] = {config: {} for config in configs}
     for spec in benchmarks:
         for config in configs:
@@ -605,7 +570,6 @@ def run_scaling(
     configs: Sequence[str] = ("base", "gh-nop", "gh"),
     cores: Sequence[int] = (1, 2, 3, 4),
     rounds: int = 5,
-    seed: int = 20230501,
 ) -> Dict[str, SweepResult]:
     """Absolute throughput as a function of the number of cores."""
     if benchmarks is None:
@@ -620,7 +584,7 @@ def run_scaling(
             for core_count in cores:
                 record = measure_throughput(
                     spec, config, cores=core_count, containers=core_count,
-                    rounds=rounds, seed=seed,
+                    rounds=rounds,
                 )
                 points.append((float(core_count), record.throughput_rps or 0.0))
             sweep.add(Series.from_points(config, points))
@@ -658,7 +622,6 @@ def _deploy_action_copies(
     config: str,
     actions: int,
     action_names: Optional[Sequence[str]] = None,
-    **mechanism_options,
 ) -> List[str]:
     """Deploy ``actions`` distinctly named copies of a benchmark action.
 
@@ -669,7 +632,7 @@ def _deploy_action_copies(
         raise ValueError("action_names must match the number of actions")
     names = []
     for index in range(actions):
-        action = _spec_for(spec_or_profile, config, **mechanism_options)
+        action = ActionSpec.for_profile(_profile_of(spec_or_profile), config)
         name = action_names[index] if action_names else f"{action.name}@{index}"
         action = dataclasses.replace(action, name=name)
         platform.deploy(action)
@@ -685,46 +648,38 @@ def measure_cluster_throughput(
     policy: str = "hash-affinity",
     work_stealing: bool = False,
     cores: int = 4,
-    containers: int = 1,
     actions: int = 8,
     rounds: int = 10,
     in_flight_per_action: Optional[int] = None,
     max_queue_per_action: Optional[int] = None,
     admission_policy: str = "fifo",
     autoscale: bool = False,
-    seed: int = 20230501,
-    **mechanism_options,
 ) -> ClusterMeasurement:
     """Aggregate saturated throughput of a cluster deployment.
 
     Deploys ``actions`` copies of the benchmark (distinct action names, so
-    hash affinity spreads their homes across invokers) and saturates all of
-    them at once.  ``rounds`` approximates how many requests each core
-    should complete inside the measurement window.
+    hash affinity spreads their homes across invokers), one pre-warmed
+    container each, and saturates all of them at once.  ``rounds``
+    approximates how many requests each core should complete inside the
+    measurement window.
     """
     profile = _profile_of(spec_or_profile)
     platform = FaaSCluster(
         SimulationConfig(
             cores=cores,
-            containers_per_action=containers,
             invokers=invokers,
             scheduler_policy=policy,
             work_stealing=work_stealing,
             # Under reactive autoscaling the ceiling *starts* at the
             # pre-warmed count and rises with observed pressure; statically
             # configured pools get the full core-bounded ceiling up front.
-            max_containers_per_action=(
-                containers if autoscale else max(containers, cores)
-            ),
+            max_containers_per_action=1 if autoscale else cores,
             max_queue_per_action=max_queue_per_action,
             admission_policy=admission_policy,
             autoscale=autoscale,
-            seed=seed,
         )
     )
-    names = _deploy_action_copies(
-        platform, spec_or_profile, config, actions, **mechanism_options
-    )
+    names = _deploy_action_copies(platform, spec_or_profile, config, actions)
     _, duration, warmup = _saturation_window(profile, rounds)
     if in_flight_per_action is None:
         # Enough outstanding work per action that the whole cluster's cores
@@ -755,18 +710,15 @@ def measure_cluster_throughput(
 def run_cluster_scaling(
     benchmarks: Optional[Sequence[BenchmarkSpec]] = None,
     *,
-    config: str = "gh",
     invoker_counts: Sequence[int] = (1, 2, 4),
     policies: Sequence[str] = ("round-robin", "least-loaded", "hash-affinity"),
-    cores: int = 2,
-    actions: int = 8,
     rounds: int = 5,
-    seed: int = 20230501,
 ) -> Dict[str, Dict[str, SweepResult]]:
     """Fig. 7 cluster variant: aggregate throughput vs invoker count per policy.
 
-    Returns two sweeps per benchmark, keyed ``"throughput"`` and ``"skew"``;
-    each series is a scheduling policy, each x value an invoker count.  The
+    Eight ``gh`` copies of each benchmark on 2-core invokers.  Returns two
+    sweeps per benchmark, keyed ``"throughput"`` and ``"skew"``; each
+    series is a scheduling policy, each x value an invoker count.  The
     skew sweep (max/mean invocations routed per invoker) makes the load
     imbalance behind hash affinity's warm hits visible next to its
     throughput.
@@ -775,7 +727,7 @@ def run_cluster_scaling(
         benchmarks = representative_benchmarks()[:2]
     sweeps: Dict[str, Dict[str, SweepResult]] = {}
     for spec in benchmarks:
-        if not _applicable(config, spec):
+        if not _applicable("gh", spec):
             continue
         throughput_sweep = SweepResult(
             x_label="invokers", y_label="aggregate throughput (req/s)"
@@ -788,9 +740,9 @@ def run_cluster_scaling(
             skew_points = []
             for count in invoker_counts:
                 measurement = measure_cluster_throughput(
-                    spec, config,
-                    invokers=count, policy=policy, cores=cores,
-                    actions=actions, rounds=rounds, seed=seed,
+                    spec, "gh",
+                    invokers=count, policy=policy, cores=2,
+                    actions=8, rounds=rounds,
                 )
                 throughput_points.append((float(count), measurement.throughput_rps))
                 skew_points.append((float(count), measurement.routing_skew))
@@ -801,6 +753,110 @@ def run_cluster_scaling(
             "skew": skew_sweep,
         }
     return sweeps
+
+
+# ---------------------------------------------------------------------------
+# Open-loop cluster runs — one builder for every driver below
+# ---------------------------------------------------------------------------
+
+
+#: Arrival processes an open-loop run can replay (see :func:`open_loop_client`).
+ARRIVAL_PROCESSES = ("poisson", "azure", "azure-diurnal", "azure-file")
+
+
+def open_loop_client(
+    cluster: SimulationConfig,
+    spec_or_profile,
+    config: str,
+    actions: int,
+    *,
+    action_names: Optional[Sequence[str]] = None,
+    offered_rps: float,
+    duration_seconds: float,
+    warmup_seconds: float,
+    arrivals: str = "poisson",
+    trace_file: Optional[str] = None,
+    period_seconds: Optional[float] = None,
+    amplitude: float = 0.6,
+    burst_fraction: float = 0.1,
+    caller_for: Optional[Callable[[int], str]] = None,
+    tenant_slos: Optional[Mapping[str, TenantSLO]] = None,
+    keep_samples: bool = True,
+) -> OpenLoopClient:
+    """Build one open-loop cluster run; ``client.run()`` replays it.
+
+    Builds a :class:`~repro.faas.cluster.FaaSCluster` from ``cluster``
+    (declaring ``tenant_slos`` to its control plane), deploys ``actions``
+    copies of the benchmark under isolation configuration ``config`` (named
+    ``action_names`` when given), draws the arrivals and returns the
+    :class:`~repro.faas.loadgen.OpenLoopClient` that issues them;
+    ``client.platform`` is the cluster.  ``arrivals`` is one of
+    :data:`ARRIVAL_PROCESSES`:
+
+    * ``"poisson"`` — Poisson arrivals at ``offered_rps``, each to an
+      action drawn uniformly;
+    * ``"azure"`` — the heavy-tailed Azure-Functions-shaped per-action mix
+      of :func:`~repro.faas.loadgen.azure_functions_arrivals` at the same
+      mean rate;
+    * ``"azure-diurnal"`` — that mix with the diurnal cycle and correlated
+      bursts of :func:`~repro.faas.loadgen.azure_diurnal_arrivals`
+      (``period_seconds``, ``amplitude`` and ``burst_fraction`` shape it);
+    * ``"azure-file"`` — a published Azure Functions trace CSV
+      (``trace_file``) rescaled to the offered rate by
+      :func:`~repro.faas.loadgen.load_azure_trace_csv`.
+
+    The traces draw from the cluster's ``"azure-trace"`` stream.  The run
+    measures completions after ``warmup_seconds``; ``keep_samples=False``
+    keeps no invocation (see :class:`~repro.faas.loadgen.OpenLoopClient`).
+    """
+    if arrivals not in ARRIVAL_PROCESSES:
+        raise ValueError(f"unknown arrival process {arrivals!r}")
+    if arrivals == "azure-file" and trace_file is None:
+        raise ValueError("arrivals='azure-file' needs a trace_file path")
+    platform = FaaSCluster(cluster, tenant_slos=tenant_slos)
+    names = _deploy_action_copies(
+        platform, spec_or_profile, config, actions, action_names=action_names
+    )
+    trace = sequence = None
+    if arrivals != "poisson":
+        common = dict(
+            duration_seconds=duration_seconds,
+            mean_rps=offered_rps,
+            rng=platform.rng_streams.stream("azure-trace"),
+        )
+        if arrivals == "azure":
+            trace, sequence = azure_functions_arrivals(names, **common)
+        elif arrivals == "azure-diurnal":
+            trace, sequence = azure_diurnal_arrivals(
+                names,
+                period_seconds=period_seconds,
+                amplitude=amplitude,
+                burst_fraction=burst_fraction,
+                **common,
+            )
+        else:
+            trace, sequence = load_azure_trace_csv(trace_file, names, **common)
+    return OpenLoopClient(
+        platform,
+        names,
+        rate_rps=offered_rps if trace is None else None,
+        trace=trace,
+        action_sequence=sequence,
+        duration_seconds=duration_seconds,
+        warmup_seconds=warmup_seconds,
+        caller_for=caller_for,
+        keep_samples=keep_samples,
+    )
+
+
+def _export_trace(platform: FaaSCluster, trace_out: Optional[str]) -> None:
+    """Write the run's flight recorder to ``trace_out`` as a Chrome trace."""
+    if trace_out is None:
+        return
+    recorder = platform.trace()
+    if recorder is None:
+        raise PlatformError("trace_out requires tracing='sampled' or 'full'")
+    write_chrome_trace(recorder, trace_out)
 
 
 # ---------------------------------------------------------------------------
@@ -850,16 +906,10 @@ def measure_latency_under_load(
     work_stealing: bool = False,
     invokers: int = 4,
     cores: int = 2,
-    containers: int = 1,
     actions: int = 8,
     duration_seconds: float = 4.0,
     warmup_seconds: float = 0.5,
-    max_queue_per_action: Optional[int] = None,
     action_names: Optional[Sequence[str]] = None,
-    admission_policy: str = "fifo",
-    tenant_quota_rps: Optional[float] = None,
-    autoscale: bool = False,
-    calibrate_warm_penalty: bool = False,
     arrivals: str = "poisson",
     trace_file: Optional[str] = None,
     control_plane: bool = False,
@@ -868,123 +918,58 @@ def measure_latency_under_load(
     restorable_snapshots: bool = False,
     snapshot_budget: Optional[int] = None,
     isolation_mechanism: str = "gh",
-    caller_for=None,
-    seed: int = 20230501,
     tracing: str = "off",
     trace_out: Optional[str] = None,
-    **mechanism_options,
 ) -> LoadPoint:
-    """One open-loop run: Poisson arrivals at ``offered_rps`` into a cluster.
+    """One open-loop run: arrivals at ``offered_rps`` into a cluster.
 
     Arrivals are independent of completions, so a strategy that burns core
     time on cold starts falls behind visibly: achieved throughput flattens
     below the offered load and queueing inflates the latency percentiles.
     ``action_names`` can force a deliberately skewed deployment (e.g. names
     whose home invokers collide, the hash-affinity worst case).
-    ``arrivals`` selects the arrival process: ``"azure"`` replaces the
-    uniform Poisson action mix with the heavy-tailed
-    Azure-Functions-shaped trace of
-    :func:`~repro.faas.loadgen.azure_functions_arrivals` at the same mean
-    rate; ``"azure-diurnal"`` adds the diurnal cycle and correlated bursts
-    of :func:`~repro.faas.loadgen.azure_diurnal_arrivals`;
-    ``"azure-file"`` replays a published Azure Functions trace CSV
-    (``trace_file``, rescaled to the offered rate) via
-    :func:`~repro.faas.loadgen.load_azure_trace_csv`.  The admission knobs
-    (``admission_policy``, ``tenant_quota_rps``, ``autoscale``,
-    ``calibrate_warm_penalty``) map directly onto the
-    :class:`~repro.config.SimulationConfig` fields of the same names, as
-    do the control-plane knobs (``control_plane``, ``planner``,
-    ``forecast_period_seconds`` — run the SLO control loop with the
-    reactive or the forecast-driven predictive capacity planner) and the
-    warmth-spectrum knobs (``restorable_snapshots``, ``snapshot_budget``,
-    ``isolation_mechanism`` — demote evicted containers to restorable
-    snapshots and price their restores by the chosen mechanism).
+    ``arrivals`` and ``trace_file`` select the arrival process (see
+    :func:`open_loop_client`).  The control-plane knobs
+    (``control_plane``, ``planner``, ``forecast_period_seconds`` — run the
+    SLO control loop with the reactive or the forecast-driven predictive
+    capacity planner) and the warmth-spectrum knobs
+    (``restorable_snapshots``, ``snapshot_budget``, ``isolation_mechanism``
+    — demote evicted containers to restorable snapshots and price their
+    restores by the chosen mechanism) map onto the
+    :class:`~repro.config.SimulationConfig` fields of the same names.
     ``tracing`` arms the flight recorder (see :mod:`repro.faas.obs`);
     with ``trace_out`` set the run's recorder is exported as Chrome
     trace-event JSON to that path after the load finishes.
     """
-    if arrivals not in ("poisson", "azure", "azure-diurnal", "azure-file"):
-        raise ValueError(f"unknown arrival process {arrivals!r}")
-    if arrivals == "azure-file" and trace_file is None:
-        raise ValueError("arrivals='azure-file' needs a trace_file path")
     profile = _profile_of(spec_or_profile)
-    platform = FaaSCluster(
+    client = open_loop_client(
         SimulationConfig(
             cores=cores,
-            containers_per_action=containers,
             invokers=invokers,
             scheduler_policy=policy,
             work_stealing=work_stealing,
-            max_containers_per_action=max(containers, cores),
-            max_queue_per_action=max_queue_per_action,
-            admission_policy=admission_policy,
-            tenant_quota_rps=tenant_quota_rps,
-            autoscale=autoscale,
-            calibrate_warm_penalty=calibrate_warm_penalty,
+            max_containers_per_action=cores,
             control_plane=control_plane,
             planner=planner,
             forecast_period_seconds=forecast_period_seconds,
             restorable_snapshots=restorable_snapshots,
             snapshot_budget=snapshot_budget,
             isolation_mechanism=isolation_mechanism,
-            seed=seed,
             tracing=tracing,
-        )
+        ),
+        spec_or_profile,
+        config,
+        actions,
+        action_names=action_names,
+        offered_rps=offered_rps,
+        duration_seconds=duration_seconds,
+        warmup_seconds=warmup_seconds,
+        arrivals=arrivals,
+        trace_file=trace_file,
     )
-    names = _deploy_action_copies(
-        platform, spec_or_profile, config, actions,
-        action_names=action_names, **mechanism_options,
-    )
-    if arrivals != "poisson":
-        trace_rng = platform.rng_streams.stream("azure-trace")
-        if arrivals == "azure":
-            offsets, sequence = azure_functions_arrivals(
-                names,
-                duration_seconds=duration_seconds,
-                mean_rps=offered_rps,
-                rng=trace_rng,
-            )
-        elif arrivals == "azure-diurnal":
-            offsets, sequence = azure_diurnal_arrivals(
-                names,
-                duration_seconds=duration_seconds,
-                mean_rps=offered_rps,
-                rng=trace_rng,
-            )
-        else:
-            offsets, sequence = load_azure_trace_csv(
-                trace_file,
-                names,
-                duration_seconds=duration_seconds,
-                mean_rps=offered_rps,
-                rng=trace_rng,
-            )
-        client = OpenLoopClient(
-            platform,
-            names,
-            trace=offsets,
-            action_sequence=sequence,
-            duration_seconds=duration_seconds,
-            warmup_seconds=warmup_seconds,
-            caller_for=caller_for,
-        )
-    else:
-        client = OpenLoopClient(
-            platform,
-            names,
-            rate_rps=offered_rps,
-            duration_seconds=duration_seconds,
-            warmup_seconds=warmup_seconds,
-            caller_for=caller_for,
-        )
     result = client.run()
-    if trace_out is not None:
-        recorder = platform.trace()
-        if recorder is None:
-            raise PlatformError(
-                "trace_out requires tracing='sampled' or 'full'"
-            )
-        write_chrome_trace(recorder, trace_out)
+    platform = client.platform
+    _export_trace(platform, trace_out)
     return LoadPoint(
         benchmark=profile.qualified_name,
         config=config,
@@ -1029,7 +1014,7 @@ def balanced_action_names(
 
 
 def colliding_action_names(
-    count: int, *, invokers: int, home: int = 0, prefix: str = "skew"
+    count: int, *, invokers: int, home: int = 0
 ) -> List[str]:
     """Generate action names whose hash homes all collide on one invoker.
 
@@ -1042,7 +1027,7 @@ def colliding_action_names(
     names: List[str] = []
     index = 0
     while len(names) < count:
-        name = f"{prefix}-{index}"
+        name = f"skew-{index}"
         if home_index(name, invokers) == home:
             names.append(name)
         index += 1
@@ -1070,82 +1055,64 @@ def estimate_cluster_capacity_rps(
 def run_latency_under_load(
     spec: Optional[BenchmarkSpec] = None,
     *,
-    config: str = "gh",
     strategies: Sequence[Tuple[str, bool]] = LOAD_STRATEGIES,
     load_factors: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    invokers: int = 4,
-    cores: int = 2,
-    containers: int = 1,
-    actions: int = 8,
     duration_seconds: float = 4.0,
     warmup_seconds: float = 0.5,
-    seed: int = 20230501,
-    tracing: str = "off",
-    trace_out: Optional[str] = None,
 ) -> Dict[str, SweepResult]:
     """Latency-under-load curves: open-loop arrivals swept across strategies.
 
+    Eight ``gh`` copies of the benchmark on 4 invokers of 2 cores.
     ``load_factors`` scale the estimated warm capacity of the cluster; at
     factor 1.0 a strategy only keeps up if it wastes no core time on
     avoidable cold starts.  Returns sweeps keyed ``"throughput"`` (achieved
     vs offered req/s) and ``"p95_ms"`` (p95 end-to-end latency vs offered),
     one series per strategy.
-
-    ``tracing`` arms the flight recorder on every point; ``trace_out``
-    exports the Chrome trace of the *last* point of the sweep — the final
-    strategy at the highest load factor, the run whose queueing the
-    latency decomposer is most interesting on.
     """
-    if trace_out is not None and tracing == "off":
-        raise PlatformError("trace_out requires tracing='sampled' or 'full'")
     if spec is None:
         spec = representative_benchmarks()[0]
-    capacity = estimate_cluster_capacity_rps(spec, invokers=invokers, cores=cores)
+    capacity = estimate_cluster_capacity_rps(spec, invokers=4, cores=2)
     throughput_sweep = SweepResult(
         x_label="offered load (req/s)", y_label="achieved throughput (req/s)"
     )
     latency_sweep = SweepResult(
         x_label="offered load (req/s)", y_label="p95 e2e latency (ms)"
     )
-    strategy_list = list(strategies)
-    factor_list = list(load_factors)
-    for strategy_index, (policy, stealing) in enumerate(strategy_list):
+    for policy, stealing in strategies:
         throughput_points = []
         latency_points = []
-        label = strategy_label(policy, stealing)
-        for factor_index, factor in enumerate(factor_list):
-            offered = capacity * factor
-            last_point = (
-                strategy_index == len(strategy_list) - 1
-                and factor_index == len(factor_list) - 1
-            )
+        for factor in load_factors:
             point = measure_latency_under_load(
-                spec, config,
-                offered_rps=offered, policy=policy, work_stealing=stealing,
-                invokers=invokers, cores=cores, containers=containers,
-                actions=actions, duration_seconds=duration_seconds,
-                warmup_seconds=warmup_seconds, seed=seed,
-                tracing=tracing,
-                trace_out=trace_out if last_point else None,
+                spec,
+                offered_rps=capacity * factor, policy=policy, work_stealing=stealing,
+                duration_seconds=duration_seconds, warmup_seconds=warmup_seconds,
             )
             throughput_points.append((point.offered_rps, point.achieved_rps))
             # A strategy that completed nothing inside the window has
             # unbounded latency at this load, not zero.
             p95 = point.p95_ms if point.p95_ms is not None else float("inf")
             latency_points.append((point.offered_rps, p95))
+        label = strategy_label(policy, stealing)
         throughput_sweep.add(Series.from_points(label, throughput_points))
         latency_sweep.add(Series.from_points(label, latency_points))
     return {"throughput": throughput_sweep, "p95_ms": latency_sweep}
 
 
 # ---------------------------------------------------------------------------
-# Tenant fairness — admission policies × quota enforcement under contention
+# Tenant mixes — admission, quotas and SLO control under contention
 # ---------------------------------------------------------------------------
+
+
+#: The tenants of the tenant-mix experiments.  The polite one offers a
+#: quarter of the cluster's estimated warm capacity, the aggressive one
+#: three times what the whole cluster can serve.
+POLITE_TENANT = "polite"
+AGGRESSIVE_TENANT = "aggressive"
 
 
 @dataclass(frozen=True)
 class TenantOutcome:
-    """What one tenant experienced in one fairness scenario."""
+    """What one tenant experienced in one tenant-mix scenario."""
 
     tenant: str
     #: Arrival rate this tenant drove (requests/second of virtual time).
@@ -1167,15 +1134,29 @@ class TenantOutcome:
 
 
 @dataclass(frozen=True)
-class FairnessScenario:
-    """One (admission policy, quota) configuration under the tenant mix."""
+class TenantScenario:
+    """One tenant-mix run under one knob regime."""
 
     label: str
     admission_policy: str
+    #: The per-tenant quota rate (``None``: no hand-set quota).
     tenant_quota_rps: Optional[float]
+    #: True when the SLO control plane was driving the knobs.
+    control: bool
     #: Aggregate in-window completions per second, all tenants together.
     aggregate_rps: float
     tenants: Dict[str, TenantOutcome]
+    #: Control-loop counters (empty without the control plane).
+    control_stats: Dict[str, object]
+
+    @property
+    def admission(self) -> str:
+        """The regime's label: the policy, then ``+quota``/``+control`` when on."""
+        return (
+            self.admission_policy
+            + ("+quota" if self.tenant_quota_rps is not None else "")
+            + ("+control" if self.control else "")
+        )
 
     def outcome(self, tenant: str) -> TenantOutcome:
         """The named tenant's outcome."""
@@ -1230,24 +1211,91 @@ def _tenant_outcomes(
     return outcomes
 
 
+def _tenant_loads(capacity_rps: float) -> Tuple[Tuple[TenantMix, float], ...]:
+    """The polite tenant alone, then both tenants: each mix and its offered rate."""
+    polite_rps = capacity_rps * 0.25
+    aggressive_rps = capacity_rps * 3.0
+    return (
+        (TenantMix({POLITE_TENANT: 1.0}), polite_rps),
+        (
+            TenantMix({AGGRESSIVE_TENANT: aggressive_rps, POLITE_TENANT: polite_rps}),
+            polite_rps + aggressive_rps,
+        ),
+    )
+
+
+def _tenant_cluster(base: SimulationConfig, invokers: int, cores: int) -> SimulationConfig:
+    """``base`` on the tenant-mix topology: warm-aware routing, queues of 16."""
+    return dataclasses.replace(
+        base,
+        cores=cores,
+        invokers=invokers,
+        scheduler_policy="warm-aware",
+        max_containers_per_action=cores,
+        max_queue_per_action=16,
+    )
+
+
+def _tenant_scenario(
+    label: str,
+    cluster: SimulationConfig,
+    load: Tuple[TenantMix, float],
+    spec,
+    config: str,
+    *,
+    actions: int,
+    duration_seconds: float,
+    warmup_seconds: float,
+    tenant_slos: Optional[Mapping[str, TenantSLO]] = None,
+    trace_out: Optional[str] = None,
+) -> TenantScenario:
+    """Run one tenant mix on ``cluster`` and split its outcome per tenant.
+
+    Homes are balanced: pre-warmed capacity spreads evenly, so scenarios
+    differ only in admission, quotas and control, not in an accident of
+    which invoker the action names hash to.
+    """
+    mix, offered_rps = load
+    client = open_loop_client(
+        cluster,
+        spec,
+        config,
+        actions,
+        action_names=balanced_action_names(
+            actions, invokers=cluster.invokers, prefix="tenant"
+        ),
+        offered_rps=offered_rps,
+        duration_seconds=duration_seconds,
+        warmup_seconds=warmup_seconds,
+        caller_for=mix,
+        tenant_slos=tenant_slos,
+    )
+    result = client.run()
+    _export_trace(client.platform, trace_out)
+    return TenantScenario(
+        label=label,
+        admission_policy=cluster.admission_policy,
+        tenant_quota_rps=cluster.tenant_quota_rps,
+        control=cluster.control_plane,
+        aggregate_rps=result.achieved_rps,
+        tenants=_tenant_outcomes(
+            client, mix, offered_rps, warmup_seconds, duration_seconds
+        ),
+        control_stats=client.platform.control_plane_stats(),
+    )
+
+
 def run_tenant_fairness(
     spec: Optional[BenchmarkSpec] = None,
     *,
     config: str = "gh",
     invokers: int = 2,
     cores: int = 2,
-    containers: int = 1,
     actions: int = 4,
-    polite_tenant: str = "polite",
-    aggressive_tenant: str = "aggressive",
-    polite_load_factor: float = 0.25,
-    aggressive_load_factor: float = 3.0,
     quota_factor: float = 1.2,
-    max_queue_per_action: int = 16,
     duration_seconds: float = 10.0,
     warmup_seconds: float = 4.0,
-    seed: int = 20230501,
-) -> Dict[str, FairnessScenario]:
+) -> Dict[str, TenantScenario]:
     """The tenant-fairness experiment: can a burst collapse a polite tenant?
 
     Two tenants share a cluster: a *polite* tenant offering a modest
@@ -1281,103 +1329,31 @@ def run_tenant_fairness(
     if spec is None:
         spec = representative_benchmarks()[0]
     capacity = estimate_cluster_capacity_rps(spec, invokers=invokers, cores=cores)
-    polite_rps = capacity * polite_load_factor
-    aggressive_rps = capacity * aggressive_load_factor
-    quota_rps = capacity * quota_factor
-
-    def run_scenario(
-        label: str,
-        mix: TenantMix,
-        offered_rps: float,
-        *,
-        admission_policy: str,
-        tenant_quota_rps: Optional[float],
-    ) -> FairnessScenario:
-        platform = FaaSCluster(
-            SimulationConfig(
-                cores=cores,
-                containers_per_action=containers,
-                invokers=invokers,
-                scheduler_policy="warm-aware",
-                max_containers_per_action=max(containers, cores),
-                max_queue_per_action=max_queue_per_action,
-                admission_policy=admission_policy,
-                tenant_quota_rps=tenant_quota_rps,
-                seed=seed,
-            )
-        )
-        # Balanced homes: pre-warmed capacity spreads evenly, so the
-        # scenarios differ only in admission policy and quotas — not in
-        # an accident of which invoker the action names hash to.
-        names = _deploy_action_copies(
-            platform, spec, config, actions,
-            action_names=balanced_action_names(
-                actions, invokers=invokers, prefix="tenant"
+    solo, contended = _tenant_loads(capacity)
+    cluster = _tenant_cluster(SimulationConfig(), invokers, cores)
+    scenarios = (
+        ("solo", cluster, solo),
+        ("fifo", cluster, contended),
+        (
+            "wfq+quota",
+            dataclasses.replace(
+                cluster, admission_policy="wfq", tenant_quota_rps=capacity * quota_factor
             ),
-        )
-        client = OpenLoopClient(
-            platform,
-            names,
-            rate_rps=offered_rps,
-            duration_seconds=duration_seconds,
-            warmup_seconds=warmup_seconds,
-            caller_for=mix,
-        )
-        result = client.run()
-        return FairnessScenario(
-            label=label,
-            admission_policy=admission_policy,
-            tenant_quota_rps=tenant_quota_rps,
-            aggregate_rps=result.achieved_rps,
-            tenants=_tenant_outcomes(
-                client, mix, offered_rps,
-                warmup_seconds, duration_seconds,
-            ),
-        )
-
-    solo_mix = TenantMix({polite_tenant: 1.0})
-    contended_mix = TenantMix({
-        aggressive_tenant: aggressive_rps,
-        polite_tenant: polite_rps,
-    })
-    combined_rps = polite_rps + aggressive_rps
+            contended,
+        ),
+    )
     return {
-        "solo": run_scenario(
-            "solo", solo_mix, polite_rps,
-            admission_policy="fifo", tenant_quota_rps=None,
-        ),
-        "fifo": run_scenario(
-            "fifo", contended_mix, combined_rps,
-            admission_policy="fifo", tenant_quota_rps=None,
-        ),
-        "wfq+quota": run_scenario(
-            "wfq+quota", contended_mix, combined_rps,
-            admission_policy="wfq", tenant_quota_rps=quota_rps,
-        ),
+        label: _tenant_scenario(
+            label, knobs, load, spec, config, actions=actions,
+            duration_seconds=duration_seconds, warmup_seconds=warmup_seconds,
+        )
+        for label, knobs, load in scenarios
     }
 
 
 # ---------------------------------------------------------------------------
 # SLO control — closed-loop quota tuning and cross-invoker capacity shifting
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ControlScenario:
-    """One tenant-mix run under one knob regime (static or control-plane)."""
-
-    label: str
-    admission_policy: str
-    #: True when the SLO control plane was driving the knobs.
-    control: bool
-    aggregate_rps: float
-    tenants: Dict[str, TenantOutcome]
-    #: Control-loop counters (empty for static runs).
-    control_stats: Dict[str, object]
-
-    def outcome(self, tenant: str) -> TenantOutcome:
-        """The named tenant's outcome."""
-        return self.tenants[tenant]
 
 
 @dataclass(frozen=True)
@@ -1447,7 +1423,7 @@ class SLOControlResult:
     #: solo entitlement run; ``None`` when the quota part was skipped.
     polite_slo_p99_ms: Optional[float]
     #: ``solo`` / ``static`` / ``controlled`` tenant-mix scenarios.
-    quota: Dict[str, ControlScenario]
+    quota: Dict[str, TenantScenario]
     #: ``reactive`` / ``planned`` skewed-deployment runs.
     capacity: Dict[str, CapacityPlanOutcome]
     #: ``reactive`` / ``predictive`` diurnal-arrival runs (the
@@ -1461,54 +1437,33 @@ def run_slo_control(
     *,
     config: str = "gh",
     parts: Sequence[str] = ("quota", "capacity"),
-    # -- quota-tuning scenario (mirrors run_tenant_fairness's topology) --
-    invokers: int = 2,
-    cores: int = 2,
-    actions: int = 4,
-    polite_tenant: str = "polite",
-    aggressive_tenant: str = "aggressive",
-    polite_load_factor: float = 0.25,
-    aggressive_load_factor: float = 3.0,
-    max_queue_per_action: int = 16,
     duration_seconds: float = 12.0,
     warmup_seconds: float = 5.0,
-    slo_p99_factor: float = 1.5,
-    slo_min_goodput: float = 0.7,
-    # -- capacity-planning scenario (hash-affinity worst case) --
-    capacity_invokers: int = 4,
-    capacity_actions: int = 8,
-    capacity_load_factor: float = 0.5,
     capacity_duration_seconds: float = 8.0,
     capacity_warmup_seconds: float = 2.5,
-    # -- forecast scenario (diurnal arrivals, reactive vs predictive) --
-    forecast_invokers: int = 4,
-    forecast_actions: int = 4,
-    forecast_load_factor: float = 0.55,
     forecast_duration_seconds: float = 15.0,
     forecast_cycles: int = 3,
-    forecast_amplitude: float = 0.9,
-    forecast_burst_fraction: float = 0.0,
     restorable_snapshots: bool = False,
     snapshot_budget: Optional[int] = None,
     isolation_mechanism: str = "gh",
-    seed: int = 20230501,
     tracing: str = "off",
     trace_out: Optional[str] = None,
 ) -> SLOControlResult:
     """The control-plane experiment: closed loops vs hand-set (or no) knobs.
 
-    Two independent parts (select with ``parts``):
+    Three independent parts (select with ``parts``):
 
-    **Quota tuning** — the tenant-fairness contention scenario, but with
-    *no hand-set quotas anywhere*:
+    **Quota tuning** — the tenant-fairness contention scenario on its
+    topology (2 invokers of 2 cores, 4 actions), but with *no hand-set
+    quotas anywhere*:
 
     * ``"solo"`` — the polite tenant alone (its entitlement).  The
-      declared SLO is derived from this run: p99 target =
-      ``slo_p99_factor`` × the solo p99 (an operator promising a modest
-      multiple of uncontended latency), plus a ``slo_min_goodput`` floor.
+      declared SLO is derived from this run: p99 target = 1.5 × the solo
+      p99 (an operator promising a modest multiple of uncontended
+      latency), plus a goodput floor of 0.7.
     * ``"static"`` — both tenants under the static defaults (caller-blind
       FIFO, no quotas).  The aggressive burst collapses the polite
-      tenant — the degradation the ROADMAP item calls out.
+      tenant.
     * ``"controlled"`` — both tenants under WFQ with the control plane
       on: the SLO monitor scores the polite tenant's windowed p99/goodput,
       and the AIMD tuner cuts the aggressive tenant's admission rate and
@@ -1516,9 +1471,9 @@ def run_slo_control(
       then probes back up.  No quota number appears anywhere in the
       configuration.
 
-    **Capacity planning** — the hash-affinity worst case (every action's
-    home collides on invoker 0) under moderate open-loop load, with work
-    stealing on:
+    **Capacity planning** — the hash-affinity worst case (all 8 actions'
+    homes collide on invoker 0 of 4) at half the estimated capacity, with
+    work stealing on:
 
     * ``"reactive"`` — the per-invoker reactive autoscaler alone: peers
       only gain capacity once deep backlogs trigger tail boot-steals.
@@ -1539,12 +1494,14 @@ def run_slo_control(
       forecast arrival rate one boot-time ahead, cutting rising-edge
       cold dispatches and tail latency (see :class:`ForecastOutcome`).
 
+    The warmth-spectrum knobs (``restorable_snapshots``,
+    ``snapshot_budget``, ``isolation_mechanism``) apply to every part.
     ``tracing`` arms the flight recorder on the quota and capacity
     scenarios; ``trace_out`` exports the Chrome trace of the
     ``"controlled"`` quota run (the decision-audit-richest run: every
     AIMD cut/raise lands on the timeline next to the invocations it
-    throttled), falling back to the ``"planned"`` capacity run when the
-    quota part is not selected.
+    throttled), or of the ``"planned"`` capacity run when the quota part
+    is not selected.
     """
     if spec is None:
         spec = representative_benchmarks()[0]
@@ -1553,151 +1510,87 @@ def run_slo_control(
         raise ValueError(f"unknown run_slo_control parts: {sorted(unknown_parts)}")
     if trace_out is not None and tracing == "off":
         raise PlatformError("trace_out requires tracing='sampled' or 'full'")
-    recorders: Dict[str, object] = {}
+    if trace_out is not None and not {"quota", "capacity"} & set(parts):
+        raise PlatformError("trace_out needs the 'quota' or 'capacity' part selected")
+    spectrum = SimulationConfig(
+        restorable_snapshots=restorable_snapshots,
+        snapshot_budget=snapshot_budget,
+        isolation_mechanism=isolation_mechanism,
+    )
 
     polite_slo_p99_ms: Optional[float] = None
-    quota_scenarios: Dict[str, ControlScenario] = {}
+    quota_scenarios: Dict[str, TenantScenario] = {}
     if "quota" in parts:
-        capacity_rps = estimate_cluster_capacity_rps(
-            spec, invokers=invokers, cores=cores
+        solo_load, contended = _tenant_loads(
+            estimate_cluster_capacity_rps(spec, invokers=2, cores=2)
         )
-        polite_rps = capacity_rps * polite_load_factor
-        aggressive_rps = capacity_rps * aggressive_load_factor
+        static = _tenant_cluster(dataclasses.replace(spectrum, tracing=tracing), 2, 2)
 
         def run_scenario(
             label: str,
-            mix: TenantMix,
-            offered_rps: float,
-            *,
-            admission_policy: str,
-            control: bool,
-            tenant_slos: Optional[Dict[str, TenantSLO]] = None,
-        ) -> ControlScenario:
-            platform = FaaSCluster(
-                SimulationConfig(
-                    cores=cores,
-                    containers_per_action=1,
-                    invokers=invokers,
-                    scheduler_policy="warm-aware",
-                    max_containers_per_action=cores,
-                    max_queue_per_action=max_queue_per_action,
-                    admission_policy=admission_policy,
-                    control_plane=control,
-                    restorable_snapshots=restorable_snapshots,
-                    snapshot_budget=snapshot_budget,
-                    isolation_mechanism=isolation_mechanism,
-                    seed=seed,
-                    tracing=tracing,
-                ),
-                tenant_slos=tenant_slos,
-            )
-            names = _deploy_action_copies(
-                platform, spec, config, actions,
-                action_names=balanced_action_names(
-                    actions, invokers=invokers, prefix="tenant"
-                ),
-            )
-            client = OpenLoopClient(
-                platform,
-                names,
-                rate_rps=offered_rps,
-                duration_seconds=duration_seconds,
-                warmup_seconds=warmup_seconds,
-                caller_for=mix,
-            )
-            result = client.run()
-            if platform.trace() is not None:
-                recorders[label] = platform.trace()
-            return ControlScenario(
-                label=label,
-                admission_policy=admission_policy,
-                control=control,
-                aggregate_rps=result.achieved_rps,
-                tenants=_tenant_outcomes(
-                    client, mix, offered_rps, warmup_seconds, duration_seconds
-                ),
-                control_stats=platform.control_plane_stats(),
+            cluster: SimulationConfig,
+            load: Tuple[TenantMix, float],
+            tenant_slos: Optional[Mapping[str, TenantSLO]] = None,
+            trace: Optional[str] = None,
+        ) -> TenantScenario:
+            return _tenant_scenario(
+                label, cluster, load, spec, config, actions=4,
+                duration_seconds=duration_seconds, warmup_seconds=warmup_seconds,
+                tenant_slos=tenant_slos, trace_out=trace,
             )
 
-        solo_mix = TenantMix({polite_tenant: 1.0})
-        contended_mix = TenantMix({
-            aggressive_tenant: aggressive_rps,
-            polite_tenant: polite_rps,
-        })
-        combined_rps = polite_rps + aggressive_rps
-        solo = run_scenario(
-            "solo", solo_mix, polite_rps,
-            admission_policy="fifo", control=False,
-        )
-        solo_p99 = solo.outcome(polite_tenant).p99_ms
+        solo = run_scenario("solo", static, solo_load)
+        solo_p99 = solo.outcome(POLITE_TENANT).p99_ms
         if solo_p99 is None:
             raise PlatformError(
                 "the solo entitlement run completed nothing in the window; "
                 "raise duration_seconds"
             )
-        polite_slo_p99_ms = solo_p99 * slo_p99_factor
+        polite_slo_p99_ms = solo_p99 * 1.5
         quota_scenarios = {
             "solo": solo,
-            "static": run_scenario(
-                "static", contended_mix, combined_rps,
-                admission_policy="fifo", control=False,
-            ),
+            "static": run_scenario("static", static, contended),
             "controlled": run_scenario(
-                "controlled", contended_mix, combined_rps,
-                admission_policy="wfq", control=True,
+                "controlled",
+                dataclasses.replace(static, admission_policy="wfq", control_plane=True),
+                contended,
                 tenant_slos={
-                    polite_tenant: TenantSLO(
-                        p99_ms=polite_slo_p99_ms,
-                        min_goodput=slo_min_goodput,
+                    POLITE_TENANT: TenantSLO(
+                        p99_ms=polite_slo_p99_ms, min_goodput=0.7
                     )
                 },
+                trace=trace_out,
             ),
         }
 
     capacity_runs: Dict[str, CapacityPlanOutcome] = {}
     if "capacity" in parts:
-        offered = (
-            estimate_cluster_capacity_rps(
-                spec, invokers=capacity_invokers, cores=cores
-            )
-            * capacity_load_factor
-        )
-        skewed_names = colliding_action_names(
-            capacity_actions, invokers=capacity_invokers
+        offered = estimate_cluster_capacity_rps(spec, invokers=4, cores=2) * 0.5
+        skewed_names = colliding_action_names(8, invokers=4)
+        reactive = dataclasses.replace(
+            spectrum,
+            cores=2,
+            invokers=4,
+            scheduler_policy="hash-affinity",
+            work_stealing=True,
+            max_containers_per_action=1,
+            autoscale=True,
+            tracing=tracing,
         )
 
-        def run_capacity(label: str, control: bool) -> CapacityPlanOutcome:
-            platform = FaaSCluster(
-                SimulationConfig(
-                    cores=cores,
-                    containers_per_action=1,
-                    invokers=capacity_invokers,
-                    scheduler_policy="hash-affinity",
-                    work_stealing=True,
-                    max_containers_per_action=1,
-                    autoscale=True,
-                    control_plane=control,
-                    restorable_snapshots=restorable_snapshots,
-                    snapshot_budget=snapshot_budget,
-                    isolation_mechanism=isolation_mechanism,
-                    seed=seed,
-                    tracing=tracing,
-                )
-            )
-            names = _deploy_action_copies(
-                platform, spec, config, capacity_actions,
+        def run_capacity(
+            label: str, cluster: SimulationConfig, trace: Optional[str] = None
+        ) -> CapacityPlanOutcome:
+            client = open_loop_client(
+                cluster, spec, config, 8,
                 action_names=skewed_names,
-            )
-            client = OpenLoopClient(
-                platform,
-                names,
-                rate_rps=offered,
+                offered_rps=offered,
                 duration_seconds=capacity_duration_seconds,
                 warmup_seconds=capacity_warmup_seconds,
             )
             result = client.run()
-            if platform.trace() is not None:
-                recorders[label] = platform.trace()
+            platform = client.platform
+            _export_trace(platform, trace)
             return CapacityPlanOutcome(
                 label=label,
                 offered_rps=result.offered_rps,
@@ -1714,8 +1607,12 @@ def run_slo_control(
             )
 
         capacity_runs = {
-            "reactive": run_capacity("reactive", False),
-            "planned": run_capacity("planned", True),
+            "reactive": run_capacity("reactive", reactive),
+            "planned": run_capacity(
+                "planned",
+                dataclasses.replace(reactive, control_plane=True),
+                None if "quota" in parts else trace_out,
+            ),
         }
 
     forecast_runs: Dict[str, ForecastOutcome] = {}
@@ -1723,33 +1620,10 @@ def run_slo_control(
         forecast_runs = _run_forecast_comparison(
             spec,
             config,
-            invokers=forecast_invokers,
-            cores=cores,
-            actions=forecast_actions,
-            load_factor=forecast_load_factor,
+            spectrum,
             duration_seconds=forecast_duration_seconds,
             cycles=forecast_cycles,
-            amplitude=forecast_amplitude,
-            burst_fraction=forecast_burst_fraction,
-            restorable_snapshots=restorable_snapshots,
-            snapshot_budget=snapshot_budget,
-            isolation_mechanism=isolation_mechanism,
-            seed=seed,
         )
-
-    if trace_out is not None:
-        chosen = None
-        for label in ("controlled", "planned"):
-            if label in recorders:
-                chosen = recorders[label]
-                break
-        if chosen is None and recorders:
-            chosen = list(recorders.values())[-1]
-        if chosen is None:
-            raise PlatformError(
-                "trace_out needs the 'quota' or 'capacity' part selected"
-            )
-        write_chrome_trace(chosen, trace_out)
 
     return SLOControlResult(
         polite_slo_p99_ms=polite_slo_p99_ms,
@@ -1800,54 +1674,43 @@ def _count_in_windows(
 def _run_forecast_comparison(
     spec,
     config: str,
+    spectrum: SimulationConfig,
     *,
-    invokers: int,
-    cores: int,
-    actions: int,
-    load_factor: float,
     duration_seconds: float,
     cycles: int,
-    amplitude: float,
-    burst_fraction: float,
-    restorable_snapshots: bool = False,
-    snapshot_budget: Optional[int] = None,
-    isolation_mechanism: str = "gh",
-    seed: int,
 ) -> Dict[str, ForecastOutcome]:
     """Reactive vs predictive planner under diurnal arrivals, equal budget.
 
-    Both regimes run the full control plane over an identical
-    ``azure_diurnal_arrivals`` trace (same seed, same global container
-    budget); only the planner kind differs.  The keep-alive is deliberately
-    shorter than a trough, so warm capacity built at one peak is evicted
-    before the next rising edge — the regime every edge then pays (cold
-    starts behind the measured backlog, or pre-warms ahead of the
-    forecast) is exactly what the comparison isolates.
+    Both regimes run the full control plane on 4 invokers of 2 cores over
+    an identical ``azure_diurnal_arrivals`` trace for 4 actions (same
+    seed, same global container budget, 0.55 of the estimated capacity,
+    amplitude 0.9, no bursts); only the planner kind differs.  The
+    keep-alive is deliberately shorter than a trough, so warm capacity
+    built at one peak is evicted before the next rising edge — the regime
+    every edge then pays (cold starts behind the measured backlog, or
+    pre-warms ahead of the forecast) is exactly what the comparison
+    isolates.
     """
     if cycles < 2:
         raise ValueError("the forecast comparison needs >= 2 diurnal cycles")
-    offered = (
-        estimate_cluster_capacity_rps(spec, invokers=invokers, cores=cores)
-        * load_factor
-    )
+    offered = estimate_cluster_capacity_rps(spec, invokers=4, cores=2) * 0.55
     period = duration_seconds / cycles
-    warmup = period  # cycle 0 is history-building, not measurement
-    names = balanced_action_names(actions, invokers=invokers, prefix="wave")
+    names = balanced_action_names(4, invokers=4, prefix="wave")
     rising = diurnal_rising_windows(duration_seconds, period, skip_cycles=1)
 
-    def run_regime(label: str, planner: str) -> ForecastOutcome:
-        platform = FaaSCluster(
-            SimulationConfig(
-                cores=cores,
-                containers_per_action=1,
-                invokers=invokers,
+    def run_regime(planner: str) -> ForecastOutcome:
+        client = open_loop_client(
+            dataclasses.replace(
+                spectrum,
+                cores=2,
+                invokers=4,
                 # Hash affinity concentrates each action's wave on its
                 # home invoker; work stealing then pulls the overflow into
                 # whatever warm capacity exists elsewhere — which is
                 # exactly the capacity the planner's seeds create.
                 scheduler_policy="hash-affinity",
                 work_stealing=True,
-                max_containers_per_action=cores,
+                max_containers_per_action=2,
                 # A keep-alive much shorter than the trough: capacity
                 # built at one peak decays before the next rising edge,
                 # so *when* the planner re-warms is the lever under test.
@@ -1860,46 +1723,31 @@ def _run_forecast_comparison(
                 forecast_period_seconds=(
                     period if planner == "predictive" else None
                 ),
-                restorable_snapshots=restorable_snapshots,
-                snapshot_budget=snapshot_budget,
-                isolation_mechanism=isolation_mechanism,
-                seed=seed,
-            )
-        )
-        deployed = _deploy_action_copies(
-            platform, spec, config, actions, action_names=names
-        )
-        offsets, sequence = azure_diurnal_arrivals(
-            deployed,
+            ),
+            spec,
+            config,
+            4,
+            action_names=names,
+            offered_rps=offered,
             duration_seconds=duration_seconds,
-            mean_rps=offered,
-            rng=platform.rng_streams.stream("azure-trace"),
+            # Cycle 0 is history-building, not measurement.
+            warmup_seconds=period,
+            arrivals="azure-diurnal",
             period_seconds=period,
-            amplitude=amplitude,
-            burst_fraction=burst_fraction,
-        )
-        client = OpenLoopClient(
-            platform,
-            deployed,
-            trace=offsets,
-            action_sequence=sequence,
-            duration_seconds=duration_seconds,
-            warmup_seconds=warmup,
+            amplitude=0.9,
+            burst_fraction=0.0,
         )
         result = client.run()
+        invokers = client.platform.invokers
         cold_dispatch_times = sorted(
-            at
-            for invoker in platform.invokers
-            for at in invoker.cold_dispatch_times
+            at for invoker in invokers for at in invoker.cold_dispatch_times
         )
         cold_start_times = sorted(
-            at
-            for invoker in platform.invokers
-            for at in invoker.cold_start_times
+            at for invoker in invokers for at in invoker.cold_start_times
         )
-        stats = platform.control_plane_stats()
+        stats = client.platform.control_plane_stats()
         return ForecastOutcome(
-            label=label,
+            label=planner,
             planner=planner,
             offered_rps=result.offered_rps,
             achieved_rps=result.achieved_rps,
@@ -1910,16 +1758,13 @@ def _run_forecast_comparison(
             cold_dispatches=len(cold_dispatch_times),
             rising_cold_dispatches=_count_in_windows(cold_dispatch_times, rising),
             rising_windows=tuple(rising),
-            prewarms=sum(inv.prewarms for inv in platform.invokers),
-            drains=sum(inv.drains for inv in platform.invokers),
+            prewarms=sum(inv.prewarms for inv in invokers),
+            drains=sum(inv.drains for inv in invokers),
             budget=int(stats["budget"]),
             control_stats=stats,
         )
 
-    return {
-        "reactive": run_regime("reactive", "reactive"),
-        "predictive": run_regime("predictive", "predictive"),
-    }
+    return {planner: run_regime(planner) for planner in ("reactive", "predictive")}
 
 
 # ---------------------------------------------------------------------------
@@ -2064,26 +1909,23 @@ def run_coldstart_comparison(
 def headline_summary(
     latency: EvaluationResult,
     throughput: Optional[EvaluationResult] = None,
-    *,
-    config: str = "gh",
-    baseline: str = "base",
 ) -> Dict[str, OverheadSummary]:
-    """Compute the paper's headline distributions for one configuration.
+    """Compute the paper's headline distributions for Groundhog.
 
-    Returns summaries for end-to-end latency overhead, invoker latency
-    overhead and (when a throughput evaluation is supplied) throughput
-    reduction, each across all benchmarks measured under both ``config`` and
-    ``baseline``.
+    Returns summaries for ``gh``'s end-to-end latency overhead, invoker
+    latency overhead and (when a throughput evaluation is supplied)
+    throughput reduction, each across all benchmarks measured under both
+    ``gh`` and ``base``.
     """
     summary: Dict[str, OverheadSummary] = {}
-    e2e = latency.relative_latency(config, metric="e2e", baseline=baseline)
+    e2e = latency.relative_latency("gh", metric="e2e")
     if e2e:
         summary["e2e_latency_overhead"] = summarize_overheads(list(e2e.values()))
-    invoker = latency.relative_latency(config, metric="invoker", baseline=baseline)
+    invoker = latency.relative_latency("gh", metric="invoker")
     if invoker:
         summary["invoker_latency_overhead"] = summarize_overheads(list(invoker.values()))
     if throughput is not None:
-        ratios = throughput.relative_throughput(config, baseline=baseline)
+        ratios = throughput.relative_throughput("gh")
         if ratios:
             reductions = [(1.0 - ratio) * 100.0 for ratio in ratios.values()]
             summary["throughput_reduction"] = summarize_overheads(reductions)

@@ -44,20 +44,15 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
     _count_in_windows,
-    _deploy_action_copies,
     balanced_action_names,
     diurnal_rising_windows,
     estimate_cluster_capacity_rps,
+    open_loop_client,
 )
 from repro.analysis.tables import render_table
 from repro.config import SimulationConfig
 from repro.errors import PlatformError
-from repro.faas.cluster import FaaSCluster
-from repro.faas.loadgen import (
-    OpenLoopClient,
-    azure_diurnal_arrivals,
-    load_azure_trace_csv,
-)
+from repro.faas.loadgen import OpenLoopClient
 from repro.faas.metrics import LatencyStats
 from repro.faas.obs import write_chrome_trace
 from repro.faas.sketch import LatencySketch
@@ -338,11 +333,10 @@ def _build(
     waves = shape.arrivals_per_cycle > 0
     cycles = max(2, invocations // shape.arrivals_per_cycle) if waves else 3
     period = duration / cycles
-    platform = FaaSCluster(
+    client = open_loop_client(
         SimulationConfig(
             cores=CORES,
             invokers=shape.invokers,
-            containers_per_action=1,
             scheduler_policy=shape.scheduler_policy,
             work_stealing=shape.work_stealing,
             max_containers_per_action=CORES,
@@ -355,46 +349,23 @@ def _build(
             isolation_mechanism=shape.isolation_mechanism,
             seed=seed,
             tracing=shape.tracing,
-        )
-    )
-    deployed = _deploy_action_copies(
-        platform,
+        ),
         profile,
         shape.mechanism,
         shape.actions,
         action_names=balanced_action_names(
             shape.actions, invokers=shape.invokers, prefix=shape.prefix
         ),
-    )
-    rng = platform.rng_streams.stream("azure-trace")
-    if shape.trace_file is not None:
-        offsets, sequence = load_azure_trace_csv(
-            shape.trace_file,
-            deployed,
-            duration_seconds=duration,
-            rng=rng,
-            mean_rps=offered,
-        )
-    else:
-        offsets, sequence = azure_diurnal_arrivals(
-            deployed,
-            duration_seconds=duration,
-            mean_rps=offered,
-            rng=rng,
-            period_seconds=period,
-            amplitude=shape.amplitude,
-            burst_fraction=shape.burst_fraction,
-        )
-    client = OpenLoopClient(
-        platform,
-        deployed,
-        trace=offsets,
-        action_sequence=sequence,
+        offered_rps=offered,
         duration_seconds=duration,
         warmup_seconds=period if waves else 0.0,
+        arrivals="azure-diurnal" if shape.trace_file is None else "azure-file",
+        trace_file=shape.trace_file,
+        period_seconds=period,
+        amplitude=shape.amplitude,
+        burst_fraction=shape.burst_fraction,
         caller_for=_caller,
         keep_samples=waves,
-        lazy_trace=True,
     )
     return client, offered, period
 
@@ -410,7 +381,6 @@ def build_client(
     """Build one variant's cluster and the client that replays its trace.
 
     ``overrides`` replace :class:`Shape` fields of the table's variant.
-    The client is lazy (one pending arrival event at a time);
     ``client.platform`` is the cluster and ``client.run()`` replays.
     """
     return _build(_shape(key, variant, overrides), invocations, seed)[0]

@@ -35,6 +35,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.experiments import (
+    ARRIVAL_PROCESSES,
     LOAD_STRATEGIES,
     estimate_cluster_capacity_rps,
     measure_cluster_throughput,
@@ -247,26 +248,14 @@ def cmd_latency_under_load(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tenant_fairness(args: argparse.Namespace) -> int:
-    """Tenant-fairness scenarios: FIFO collapse vs WFQ + quota protection."""
-    spec = _spec_from_args(args)
-    scenarios = run_tenant_fairness(
-        spec,
-        config=args.config,
-        invokers=args.invokers,
-        cores=args.cores,
-        actions=args.actions,
-        quota_factor=args.quota_factor,
-        duration_seconds=args.duration,
-        warmup_seconds=min(args.warmup, args.duration / 2),
-    )
+def _render_tenant_scenarios(scenarios: dict, title: str) -> str:
+    """Tenant-mix scenarios as one table: a row per tenant, then the aggregate."""
     rows = []
     for label, scenario in scenarios.items():
         for tenant, outcome in scenario.tenants.items():
             rows.append([
                 label,
-                scenario.admission_policy
-                + ("+quota" if scenario.tenant_quota_rps is not None else ""),
+                scenario.admission,
                 tenant,
                 f"{outcome.offered_rps:.1f}",
                 f"{outcome.achieved_rps:.1f}",
@@ -280,15 +269,32 @@ def cmd_tenant_fairness(args: argparse.Namespace) -> int:
             label, "", "(aggregate)", "", f"{scenario.aggregate_rps:.1f}",
             "", "", "", "", "",
         ])
-    print(render_table(
+    return render_table(
         ["scenario", "admission", "tenant", "offered (req/s)", "achieved (req/s)",
          "goodput", "p50 (ms)", "p99 (ms)", "rejected", "throttled"],
         rows,
-        title=(
-            f"Tenant fairness — {spec.qualified_name} under {args.config} "
-            f"({args.invokers} invokers x {args.cores} cores, "
-            f"{args.actions} actions, quota factor {args.quota_factor})"
-        ),
+        title=title,
+    )
+
+
+def cmd_tenant_fairness(args: argparse.Namespace) -> int:
+    """Tenant-fairness scenarios: FIFO collapse vs WFQ + quota protection."""
+    spec = _spec_from_args(args)
+    scenarios = run_tenant_fairness(
+        spec,
+        config=args.config,
+        invokers=args.invokers,
+        cores=args.cores,
+        actions=args.actions,
+        quota_factor=args.quota_factor,
+        duration_seconds=args.duration,
+        warmup_seconds=min(args.warmup, args.duration / 2),
+    )
+    print(_render_tenant_scenarios(
+        scenarios,
+        f"Tenant fairness — {spec.qualified_name} under {args.config} "
+        f"({args.invokers} invokers x {args.cores} cores, "
+        f"{args.actions} actions, quota factor {args.quota_factor})",
     ))
     return 0
 
@@ -313,32 +319,11 @@ def cmd_slo_control(args: argparse.Namespace) -> int:
         trace_out=args.trace_out,
     )
     if result.quota:
-        rows = []
-        for label, scenario in result.quota.items():
-            for tenant, outcome in scenario.tenants.items():
-                rows.append([
-                    label,
-                    scenario.admission_policy
-                    + ("+control" if scenario.control else ""),
-                    tenant,
-                    f"{outcome.offered_rps:.1f}",
-                    f"{outcome.achieved_rps:.1f}",
-                    f"{outcome.goodput_fraction * 100:.0f}%",
-                    f"{outcome.p50_ms:.1f}" if outcome.p50_ms is not None else "-",
-                    f"{outcome.p99_ms:.1f}" if outcome.p99_ms is not None else "-",
-                    str(outcome.rejected),
-                    str(outcome.throttled),
-                ])
-        print(render_table(
-            ["scenario", "admission", "tenant", "offered (req/s)",
-             "achieved (req/s)", "goodput", "p50 (ms)", "p99 (ms)",
-             "rejected", "throttled"],
-            rows,
-            title=(
-                f"SLO quota control — {spec.qualified_name} under "
-                f"{args.config} (declared polite p99 target "
-                f"{result.polite_slo_p99_ms:.1f} ms, no hand-set quotas)"
-            ),
+        print(_render_tenant_scenarios(
+            result.quota,
+            f"SLO quota control — {spec.qualified_name} under "
+            f"{args.config} (declared polite p99 target "
+            f"{result.polite_slo_p99_ms:.1f} ms, no hand-set quotas)",
         ))
         controlled = result.quota["controlled"]
         stats = controlled.control_stats
@@ -621,8 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "measurement window (default: duration/8, "
                                   "capped at 0.5s)")
     load_parser.add_argument("--arrivals",
-                             choices=("poisson", "azure", "azure-diurnal",
-                                      "azure-file"),
+                             choices=ARRIVAL_PROCESSES,
                              default="poisson",
                              help="arrival process: uniform Poisson over the "
                                   "actions; the heavy-tailed Azure-Functions-"

@@ -9,7 +9,7 @@ platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -61,9 +61,9 @@ ISOLATION_MECHANISMS = ("base", "gh", "gh-nop", "fork", "faasm", "cold", "criu")
 #: recorder at all — the instrumentation sites reduce to one ``is None``
 #: check and the simulation is bit-identical to a build without tracing.
 #: ``sampled`` records a seed-deterministic hash-sampled subset of
-#: invocations (1 in ``trace_sample_period``); ``full`` records every
-#: invocation.  Both record every control-plane audit event and
-#: container boot/restore span, all in bounded ring buffers.
+#: invocations (1 in the recorder's ``sample_period``, 16); ``full``
+#: records every invocation.  Both record every control-plane audit event
+#: and container boot/restore span, all in bounded ring buffers.
 TRACING_MODES = ("off", "sampled", "full")
 
 
@@ -132,11 +132,6 @@ class SimulationConfig:
     #: ``max_containers_per_action`` is the *starting* ceiling, not a
     #: static one.
     autoscale: bool = False
-    #: Queue depth at which the autoscaler treats an action as
-    #: container-bound and raises its ceiling.
-    autoscale_queue_high: int = 4
-    #: Minimum virtual time between two scaling steps of one action.
-    autoscale_cooldown_seconds: float = 0.25
     #: Restoration-aware warmth spectrum: keep-alive eviction (and planner
     #: drains) *demote* a dynamic container to a held restorable snapshot
     #: instead of destroying it; a dispatch that misses live-warm but hits
@@ -168,15 +163,9 @@ class SimulationConfig:
     #: budget.  Declared SLOs are passed to :class:`~repro.faas.cluster.
     #: FaaSCluster` via its ``tenant_slos`` argument.
     control_plane: bool = False
-    #: Virtual seconds between control-plane ticks.
-    control_interval_seconds: float = 0.25
     #: Sliding window (virtual seconds) the SLO monitor scores tenants
     #: over — recent behaviour, not run-lifetime averages.
     slo_window_seconds: float = 2.0
-    #: Cluster-wide ceiling on containers (warm + boots in flight) the
-    #: capacity planner may maintain.  ``None`` defaults to twice the
-    #: cluster's total core count.
-    global_container_budget: Optional[int] = None
     #: Which capacity planner the control plane runs: ``"reactive"``
     #: (seed toward observed backlog, the PR 4 behaviour) or
     #: ``"predictive"`` (additionally pre-warm toward forecast per-action
@@ -188,36 +177,17 @@ class SimulationConfig:
     #: seasonal factors from bucketed history; ``None`` disables the
     #: seasonal component (pure level + trend).
     forecast_period_seconds: Optional[float] = None
-    #: Minimum observed history (virtual seconds) before an action's
-    #: forecast is trusted; with less, the predictive planner falls back
-    #: to purely reactive planning for that action.
-    forecast_min_history_seconds: float = 2.0
-    #: Extra forecast lead (virtual seconds) added on top of each
-    #: action's calibrated boot time — a safety margin for workloads
-    #: whose ramps outrun one boot time.
-    forecast_horizon_margin_seconds: float = 0.0
     #: Width (virtual seconds) of one metrics time bucket (see
     #: :mod:`repro.faas.metrics`): windows are quantised to it.  Keep it
-    #: equal to (or an integer divisor of) ``control_interval_seconds`` so
-    #: an SLO-monitor window spans whole buckets.
+    #: equal to (or an integer divisor of) the control plane's 0.25 s tick
+    #: so an SLO-monitor window spans whole buckets.
     metrics_bucket_seconds: float = 0.25
-    #: Live metrics buckets retained at full time resolution before
-    #: the oldest fold into the run-lifetime archive.
-    metrics_max_buckets: int = 4096
     #: Flight recorder (see :mod:`repro.faas.obs`): ``"off"`` (no
     #: recorder, the seed behaviour, bit-identical timing), ``"sampled"``
     #: (hash-sampled per-invocation lifecycle spans keyed on
     #: ``(seed, arrival ordinal)`` — deterministic across serial and
     #: parallel replication), or ``"full"`` (every invocation).
     tracing: str = "off"
-    #: Sampling period in ``"sampled"`` mode: one invocation in this many
-    #: is traced.  1 traces everything (equivalent to ``"full"`` for
-    #: invocation spans).
-    trace_sample_period: int = 16
-    #: Capacity of each flight-recorder ring buffer (invocation traces,
-    #: container spans, audit events) — memory stays bounded on
-    #: million-invocation runs; the oldest records are evicted first.
-    trace_buffer_size: int = 65536
 
     def __post_init__(self) -> None:
         if self.cores < 1:
@@ -267,19 +237,8 @@ class SimulationConfig:
                 f"unknown isolation_mechanism {self.isolation_mechanism!r}; "
                 f"choose one of {ISOLATION_MECHANISMS}"
             )
-        if self.autoscale_queue_high < 1:
-            raise ConfigError("autoscale_queue_high must be >= 1")
-        if self.autoscale_cooldown_seconds <= 0:
-            raise ConfigError("autoscale_cooldown_seconds must be positive")
-        if self.control_interval_seconds <= 0:
-            raise ConfigError("control_interval_seconds must be positive")
         if self.slo_window_seconds <= 0:
             raise ConfigError("slo_window_seconds must be positive")
-        if self.global_container_budget is not None:
-            if not self.control_plane:
-                raise ConfigError("global_container_budget requires control_plane")
-            if self.global_container_budget < 1:
-                raise ConfigError("global_container_budget must be >= 1")
         if self.planner not in PLANNER_KINDS:
             raise ConfigError(
                 f"unknown planner {self.planner!r}; choose one of {PLANNER_KINDS}"
@@ -297,41 +256,11 @@ class SimulationConfig:
                 raise ConfigError("forecast_period_seconds must be positive (or None)")
         if self.metrics_bucket_seconds <= 0:
             raise ConfigError("metrics_bucket_seconds must be positive")
-        if self.metrics_max_buckets < 1:
-            raise ConfigError("metrics_max_buckets must be >= 1")
-        if self.forecast_min_history_seconds < 0:
-            raise ConfigError("forecast_min_history_seconds must be >= 0")
-        if self.forecast_horizon_margin_seconds < 0:
-            raise ConfigError("forecast_horizon_margin_seconds must be >= 0")
         if self.tracing not in TRACING_MODES:
             raise ConfigError(
                 f"unknown tracing mode {self.tracing!r}; "
                 f"choose one of {TRACING_MODES}"
             )
-        if self.trace_sample_period < 1:
-            raise ConfigError("trace_sample_period must be >= 1")
-        if self.trace_buffer_size < 1:
-            raise ConfigError("trace_buffer_size must be >= 1")
-
-    def with_cores(self, cores: int) -> "SimulationConfig":
-        """Return a copy of this config with a different core count."""
-        return replace(self, cores=cores)
-
-    def with_containers(self, containers_per_action: int) -> "SimulationConfig":
-        """Return a copy with a different warm-container count per action."""
-        return replace(self, containers_per_action=containers_per_action)
-
-    def with_seed(self, seed: int) -> "SimulationConfig":
-        """Return a copy with a different RNG seed."""
-        return replace(self, seed=seed)
-
-    def with_invokers(self, invokers: int) -> "SimulationConfig":
-        """Return a copy with a different invoker count."""
-        return replace(self, invokers=invokers)
-
-    def with_policy(self, scheduler_policy: str) -> "SimulationConfig":
-        """Return a copy with a different scheduling policy."""
-        return replace(self, scheduler_policy=scheduler_policy)
 
 
 #: Configuration matching the paper's latency experiments: a 4-core VM with a
@@ -341,18 +270,6 @@ LATENCY_CONFIG = SimulationConfig(cores=1, containers_per_action=1)
 #: Configuration matching the paper's throughput experiments: a 4-core VM with
 #: 4 function containers and a saturating client (§5.3 "Measuring Throughput").
 THROUGHPUT_CONFIG = SimulationConfig(cores=4, containers_per_action=4)
-
-#: A small production-style cluster: 4 invokers of 4 cores each behind a
-#: hash-affinity scheduler, with on-demand container growth and bounded
-#: per-action queues (overload sheds instead of queueing without limit).
-CLUSTER_CONFIG = SimulationConfig(
-    cores=4,
-    containers_per_action=1,
-    invokers=4,
-    scheduler_policy="hash-affinity",
-    max_containers_per_action=4,
-    max_queue_per_action=64,
-)
 
 
 def pages_for_bytes(num_bytes: int) -> int:

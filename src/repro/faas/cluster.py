@@ -85,12 +85,7 @@ class FaaSCluster:
         #: the off path carries no recorder object at all, so every
         #: instrumentation site is a single ``is None`` check).
         self.tracer: Optional[TraceRecorder] = (
-            TraceRecorder(
-                self.config.tracing,
-                seed=self.config.seed,
-                sample_period=self.config.trace_sample_period,
-                capacity=self.config.trace_buffer_size,
-            )
+            TraceRecorder(self.config.tracing, seed=self.config.seed)
             if self.config.tracing != "off"
             else None
         )
@@ -116,13 +111,7 @@ class FaaSCluster:
             for index in range(self.config.invokers)
         ]
         self.autoscalers: List[ReactiveAutoscaler] = (
-            [
-                ReactiveAutoscaler(
-                    queue_high=self.config.autoscale_queue_high,
-                    cooldown_seconds=self.config.autoscale_cooldown_seconds,
-                ).attach(invoker)
-                for invoker in self.invokers
-            ]
+            [ReactiveAutoscaler().attach(invoker) for invoker in self.invokers]
             if self.config.autoscale
             else []
         )
@@ -138,10 +127,7 @@ class FaaSCluster:
             platform_jitter_seconds=self.config.platform_jitter_seconds,
             rng=self.rng_streams.stream("controller"),
         )
-        self.metrics = MetricsCollector(
-            bucket_seconds=self.config.metrics_bucket_seconds,
-            max_buckets=self.config.metrics_max_buckets,
-        )
+        self.metrics = MetricsCollector(bucket_seconds=self.config.metrics_bucket_seconds)
         self._specs: Dict[str, ActionSpec] = {}
         #: Each action's default request payload, built once at deploy
         #: (bytes are immutable, so every request may share it).
@@ -151,15 +137,9 @@ class FaaSCluster:
             ControlPlane(
                 self,
                 slos=tenant_slos,
-                interval_seconds=self.config.control_interval_seconds,
                 window_seconds=self.config.slo_window_seconds,
-                budget=self.config.global_container_budget,
                 planner_kind=self.config.planner,
                 forecast_period_seconds=self.config.forecast_period_seconds,
-                forecast_min_history_seconds=self.config.forecast_min_history_seconds,
-                forecast_horizon_margin_seconds=(
-                    self.config.forecast_horizon_margin_seconds
-                ),
                 tracer=self.tracer,
             )
             if self.config.control_plane
@@ -244,10 +224,6 @@ class FaaSCluster:
             if invoker.hosts(action):
                 found.extend(invoker.pool(action))
         return found
-
-    def action_spec(self, action: str) -> ActionSpec:
-        """The deployment descriptor of ``action``."""
-        return self._require_spec(action)
 
     # ------------------------------------------------------------------
     # Invocation

@@ -56,8 +56,6 @@ class ControlPlane:
         planner: Optional[CapacityPlanner] = None,
         planner_kind: str = "reactive",
         forecast_period_seconds: Optional[float] = None,
-        forecast_min_history_seconds: float = 2.0,
-        forecast_horizon_margin_seconds: float = 0.0,
         tracer=None,
     ) -> None:
         if interval_seconds <= 0:
@@ -94,10 +92,8 @@ class ControlPlane:
                 planner = PredictivePlanner(
                     budget,
                     forecaster=DemandForecaster(
-                        season_period_seconds=forecast_period_seconds,
-                        min_history_seconds=forecast_min_history_seconds,
+                        season_period_seconds=forecast_period_seconds
                     ),
-                    horizon_margin_seconds=forecast_horizon_margin_seconds,
                 )
             else:
                 planner = CapacityPlanner(budget)

@@ -630,10 +630,6 @@ class Invoker:
         """The containers deployed for ``action``."""
         return list(self._require_pool(action).containers)
 
-    def action_spec(self, action: str) -> ActionSpec:
-        """The deployment descriptor of ``action``."""
-        return self._require_pool(action).spec
-
     def hosts(self, action: str) -> bool:
         """True if the action is deployed or registered on this invoker."""
         return action in self._pools

@@ -682,23 +682,19 @@ class OpenLoopClient:
     measured inside the post-``warmup_seconds`` window.  After the last
     arrival the simulation drains so in-flight requests finish, but
     completions past the deadline do not count toward ``achieved_rps``.
+    Poisson or trace-driven, one arrival event is pending at a time:
+    each arrival schedules the next, so the event heap holds O(in-flight)
+    events, not the whole trace.
 
-    Two opt-in knobs keep million-arrival traces affordable:
-
-    * ``keep_samples=False`` stops the client retaining finished
-      :class:`~repro.faas.request.Invocation` objects (``completed``/
-      ``rejected``/``throttled`` stay empty) — outcomes are counted and
-      in-window latencies folded into a bounded
-      :class:`~repro.faas.sketch.LatencySketch`, so the returned
-      :class:`OpenLoopResult` is unchanged except that its ``e2e``
-      percentiles carry the sketch's documented relative error
-      (count/mean/std/min/max stay exact).
-    * ``lazy_trace=True`` schedules trace arrivals one-ahead (each firing
-      chains the next) instead of pushing the entire trace into the event
-      heap up front, keeping the heap O(in-flight) rather than O(trace).
-      Arrival *times* are identical; only tie-breaking order against
-      same-instant events differs from the eager default, which is why it
-      is opt-in.
+    ``keep_samples=False`` keeps million-arrival traces affordable: the
+    client stops retaining finished
+    :class:`~repro.faas.request.Invocation` objects (``completed``/
+    ``rejected``/``throttled`` stay empty) — outcomes are counted and
+    in-window latencies folded into a bounded
+    :class:`~repro.faas.sketch.LatencySketch`, so the returned
+    :class:`OpenLoopResult` is unchanged except that its ``e2e``
+    percentiles carry the sketch's documented relative error
+    (count/mean/std/min/max stay exact).
     """
 
     def __init__(
@@ -715,7 +711,6 @@ class OpenLoopClient:
         caller_for: Optional[Callable[[int], str]] = None,
         rng: Optional[random.Random] = None,
         keep_samples: bool = True,
-        lazy_trace: bool = False,
     ) -> None:
         self.actions = [actions] if isinstance(actions, str) else list(actions)
         if not self.actions:
@@ -771,9 +766,6 @@ class OpenLoopClient:
             self._streams = platform.rng_streams
             self.rng = self._streams.stream("open-loop")
         self.keep_samples = keep_samples
-        self.lazy_trace = lazy_trace
-        if lazy_trace and trace is None:
-            raise PlatformError("lazy_trace requires an arrival trace")
         self.completed: List[Invocation] = []
         self.rejected: List[Invocation] = []
         self.throttled: List[Invocation] = []
@@ -841,42 +833,28 @@ class OpenLoopClient:
 
         if self.trace is not None:
             cutoff = bisect.bisect_right(self.trace, self.duration_seconds)
-            if self.lazy_trace:
-                # Chain arrivals one-ahead: the heap holds a single
-                # arrival event at a time instead of the whole trace.
-                def issue_from(position: int) -> None:
-                    action = (
-                        self.action_sequence[position]
-                        if self.action_sequence is not None
-                        else None
-                    )
-                    issue_one(action)
-                    nxt = position + 1
-                    if nxt < cutoff:
-                        self.platform.loop.schedule_at(
-                            start + self.trace[nxt],
-                            lambda: issue_from(nxt),
-                            label="open-loop arrival",
-                        )
 
-                if cutoff > 0:
+            def issue_from(position: int) -> None:
+                action = (
+                    self.action_sequence[position]
+                    if self.action_sequence is not None
+                    else None
+                )
+                issue_one(action)
+                nxt = position + 1
+                if nxt < cutoff:
                     self.platform.loop.schedule_at(
-                        start + self.trace[0],
-                        lambda: issue_from(0),
+                        start + self.trace[nxt],
+                        lambda: issue_from(nxt),
                         label="open-loop arrival",
                     )
-            else:
-                for position in range(cutoff):
-                    action = (
-                        self.action_sequence[position]
-                        if self.action_sequence is not None
-                        else None
-                    )
-                    self.platform.loop.schedule_at(
-                        start + self.trace[position],
-                        lambda action=action: issue_one(action),
-                        label="open-loop arrival",
-                    )
+
+            if cutoff > 0:
+                self.platform.loop.schedule_at(
+                    start + self.trace[0],
+                    lambda: issue_from(0),
+                    label="open-loop arrival",
+                )
         else:
 
             def arrive() -> None:

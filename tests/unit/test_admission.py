@@ -789,10 +789,6 @@ class TestConfigValidation:
             SimulationConfig(tenant_quota_burst=4.0)  # burst without a rate
         with pytest.raises(ValueError):
             SimulationConfig(tenant_quota_rps=10.0, tenant_quota_burst=0.5)
-        with pytest.raises(ValueError):
-            SimulationConfig(autoscale_queue_high=0)
-        with pytest.raises(ValueError):
-            SimulationConfig(autoscale_cooldown_seconds=0.0)
         config = SimulationConfig(
             admission_policy="wfq", tenant_quota_rps=10.0, autoscale=True
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import CLUSTER_CONFIG, SimulationConfig
+from repro.config import SimulationConfig
 from repro.errors import ActionNotFoundError, PlatformError
 from repro.faas.action import ActionSpec
 from repro.faas.cluster import FaaSCluster
@@ -201,18 +201,6 @@ class TestClusterPlatform:
         )
         with pytest.raises(PlatformError):
             client.per_action_throughput()
-
-    def test_cluster_config_preset_builds_a_cluster(self, small_python_profile):
-        cluster = FaaSCluster(CLUSTER_CONFIG)
-        assert len(cluster.invokers) == 4
-        cluster.deploy(_action(small_python_profile, "preset"))
-        result = cluster.invoke_sync("preset", b"x")
-        assert result.status is InvocationStatus.COMPLETED
-
-    def test_config_with_helpers(self):
-        config = SimulationConfig().with_invokers(3).with_policy("least-loaded")
-        assert config.invokers == 3
-        assert config.scheduler_policy == "least-loaded"
 
     def test_config_validates_cluster_knobs(self):
         with pytest.raises(ValueError):

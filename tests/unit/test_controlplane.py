@@ -648,13 +648,9 @@ class TestControlPlaneWiring:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SimulationConfig(control_interval_seconds=0.0)
-        with pytest.raises(ValueError):
             SimulationConfig(slo_window_seconds=0.0)
-        with pytest.raises(ValueError):
-            SimulationConfig(global_container_budget=4)  # needs control_plane
-        with pytest.raises(ValueError):
-            SimulationConfig(control_plane=True, global_container_budget=0)
+        with pytest.raises(PlatformError):
+            ControlPlane(FaaSCluster(SimulationConfig()), interval_seconds=0.0)
 
     def test_stats_and_migrations_are_observable(self, small_python_profile):
         cluster = FaaSCluster(

@@ -176,17 +176,6 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(**kwargs)
 
-    def test_with_cores_returns_modified_copy(self):
-        config = SimulationConfig()
-        modified = config.with_cores(4)
-        assert modified.cores == 4
-        assert config.cores == 1
-
-    def test_with_containers_and_seed(self):
-        config = SimulationConfig().with_containers(3).with_seed(99)
-        assert config.containers_per_action == 3
-        assert config.seed == 99
-
     def test_page_conversions_roundtrip(self):
         assert pages_for_bytes(0) == 0
         assert pages_for_bytes(1) == 1

@@ -422,11 +422,3 @@ class TestControlPlaneForecastWiring:
                 control_plane=True, planner="predictive",
                 forecast_period_seconds=0.0,
             )
-        with pytest.raises(ValueError):
-            SimulationConfig(
-                control_plane=True, forecast_min_history_seconds=-1.0
-            )
-        with pytest.raises(ValueError):
-            SimulationConfig(
-                control_plane=True, forecast_horizon_margin_seconds=-0.5
-            )

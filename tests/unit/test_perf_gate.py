@@ -20,9 +20,9 @@ GATE = REPO_ROOT / "scripts" / "check_perf_regression.py"
 BASELINE = REPO_ROOT / "BENCH_perf.json"
 
 
-def _gate(candidate: Path, baseline: Path) -> subprocess.CompletedProcess:
+def _gate(*args: object) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(GATE), str(candidate), str(baseline)],
+        [sys.executable, str(GATE), *map(str, args)],
         capture_output=True,
         text=True,
         timeout=60,
@@ -102,3 +102,31 @@ def test_broken_candidate_fails_and_names_its_section(case, tmp_path):
     outcome = _gate(candidate, BASELINE)
     assert outcome.returncode == 1, outcome.stdout + outcome.stderr
     assert f"FAIL: {section}" in outcome.stderr
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_and_exits_0(flag):
+    outcome = _gate(flag)
+    assert outcome.returncode == 0, outcome.stderr
+    assert "Usage::" in outcome.stdout
+    assert outcome.stderr == ""
+
+
+def test_a_missing_file_is_a_usage_error(tmp_path):
+    outcome = _gate(tmp_path / "absent.json", BASELINE)
+    assert outcome.returncode == 2
+    assert outcome.stderr.startswith("error: ")
+    assert len(outcome.stderr.splitlines()) == 1
+    assert "absent.json" in outcome.stderr
+
+
+@pytest.mark.parametrize(
+    "content", ["{not json", "[1, 2]", '{"metrics": {}}'], ids=["broken", "list", "no-report"]
+)
+def test_an_unparsable_file_is_a_usage_error(content, tmp_path):
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(content)
+    outcome = _gate(candidate, BASELINE)
+    assert outcome.returncode == 2
+    assert outcome.stderr.startswith("error: ")
+    assert len(outcome.stderr.splitlines()) == 1
