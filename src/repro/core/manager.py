@@ -168,7 +168,7 @@ class GroundhogManager:
         self.requests_forwarded += 1
         self.state = ManagerState.TAINTED
         interposition = in_cost + out_cost + cm.manager_interposition_seconds
-        return ManagedInvocation(result=result, interposition_seconds=interposition)
+        return ManagedInvocation(result, interposition)
 
     # ------------------------------------------------------------------
     # Rollback

@@ -196,13 +196,13 @@ class IsolationMechanism(abc.ABC):
             )
         self._previous_caller = caller
         return InvokeReport(
-            result=result,
-            critical_seconds=critical_seconds,
-            post_seconds=post_seconds,
-            pre_seconds=pre_seconds,
-            relay_seconds=relay_seconds,
-            restore=restore,
-            post_skipped=post_skipped,
+            result,
+            critical_seconds,
+            post_seconds,
+            pre_seconds,
+            relay_seconds,
+            restore,
+            post_skipped,
         )
 
     @functools.cached_property

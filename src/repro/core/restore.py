@@ -151,44 +151,54 @@ class Restorer:
         process = self._procfs.process
         space = process.address_space
         cm = process.cost_model
+        ptrace = self._ptrace
 
         # (1) Interrupt every thread.
-        if not self._ptrace.attached:
-            self._ptrace.seize()
-        interrupting = self._ptrace.interrupt_all()
+        if not ptrace.attached:
+            ptrace.seize()
+        interrupting = ptrace.interrupt_all()
 
         # (2) Current memory layout.
         current_layout, reading_maps = self._procfs.read_maps()
 
         # (3) Write set of the finished invocation.
         collection = self._tracker.collect()
-        scanning = collection.collect_seconds
         dirty_runs = collection.dirty_runs
 
         # (4) Layout differences to reverse.
         diff = diff_layouts(snapshot.layout, current_layout)
-        diffing = diff.compared_vmas * cm.layout_diff_per_vma_seconds
         brk_before_restore = current_layout.brk
 
         # (5) Inject syscalls reversing the layout changes.
         plan = build_restore_plan(diff)
+        syscalls = summarize_plan(plan)
         syscall_costs: Dict[str, float] = {"brk": 0.0, "mmap": 0.0, "munmap": 0.0,
                                            "mprotect": 0.0, "madvise_dontneed": 0.0}
         for call in plan:
-            cost = self._ptrace.inject_syscall(call)
-            syscall_costs[call.name] = syscall_costs.get(call.name, 0.0) + cost
+            name = call.name
+            syscall_costs[name] = syscall_costs.get(name, 0.0) + ptrace.inject_syscall(call)
 
         # (6) Drop stray resident pages (newly paged during the invocation)
         # so the resident set matches the snapshot.  Any page that gained a
         # frame during the invocation was written to (reads of unmapped
         # pages serve the shared zero page), so strays are the written pages
-        # the snapshot lacks that are still resident after the plan.
-        stray_runs = space.resident_within(snapshot.image.missing(dirty_runs))
-        madvise_plan = madvise_calls_for_runs(stray_runs)
-        for call in madvise_plan:
-            cost = self._ptrace.inject_syscall(call)
-            syscall_costs["madvise_dontneed"] += cost
-        pages_dropped = count_pages(stray_runs)
+        # the snapshot lacks that are still resident after the plan.  A
+        # ``brk`` back down unmapped every page between the two breaks, the
+        # request's heap growth among them, so those need no look.
+        missing = snapshot.image.missing(dirty_runs)
+        if missing and brk_before_restore > snapshot.brk:
+            missing = subtract_runs(
+                missing, ((snapshot.brk // PAGE_SIZE, brk_before_restore // PAGE_SIZE),)
+            )
+        stray_runs = space.resident_within(missing) if missing else ()
+        pages_dropped = 0
+        if stray_runs:
+            # The plan never drops pages itself, so these are all its madvises.
+            madvise_plan = madvise_calls_for_runs(stray_runs)
+            for call in madvise_plan:
+                syscall_costs["madvise_dontneed"] += ptrace.inject_syscall(call)
+            syscalls["madvise_dontneed"] = len(madvise_plan)
+            pages_dropped = count_pages(stray_runs)
 
         # (7) Write back the snapshot contents of the write set and of any
         # pages living in regions the plan had to re-create.
@@ -204,28 +214,29 @@ class Restorer:
 
         # (8) Registers of every thread (the snapshot's own mapping: the
         # ptrace write only reads it).
-        restoring_registers = self._ptrace.set_registers(snapshot.registers)
+        restoring_registers = ptrace.set_registers(snapshot.registers)
 
         # (9) Re-arm tracking for the next request.
         clearing = self._tracker.arm()
 
         # (10) Resume and detach.
-        detaching = self._ptrace.resume_all() + self._ptrace.detach()
+        detaching = ptrace.resume_all() + ptrace.detach()
 
+        # Both records are built positionally, in field order.
         breakdown = RestoreBreakdown(
-            interrupting=interrupting,
-            reading_maps=reading_maps,
-            scanning_page_metadata=scanning,
-            diffing_memory_layouts=diffing,
-            brk=syscall_costs.get("brk", 0.0),
-            mmap=syscall_costs.get("mmap", 0.0),
-            munmap=syscall_costs.get("munmap", 0.0),
-            madvise=syscall_costs.get("madvise_dontneed", 0.0),
-            mprotect=syscall_costs.get("mprotect", 0.0),
-            restoring_memory=restoring_memory,
-            clearing_soft_dirty=clearing,
-            restoring_registers=restoring_registers,
-            detaching=detaching,
+            interrupting,
+            reading_maps,
+            collection.collect_seconds,
+            diff.compared_vmas * cm.layout_diff_per_vma_seconds,
+            syscall_costs["brk"],
+            syscall_costs["mmap"],
+            syscall_costs["munmap"],
+            syscall_costs["madvise_dontneed"],
+            syscall_costs["mprotect"],
+            restoring_memory,
+            clearing,
+            restoring_registers,
+            detaching,
         )
 
         verified = False
@@ -234,13 +245,13 @@ class Restorer:
             verified = True
 
         return RestoreResult(
-            breakdown=breakdown,
-            pages_scanned=collection.scanned_pages,
-            dirty_pages=count_pages(dirty_runs),
-            pages_restored=pages_restored,
-            pages_dropped=pages_dropped,
-            syscalls=summarize_plan(plan + madvise_plan),
-            verified=verified,
+            breakdown,
+            collection.scanned_pages,
+            count_pages(dirty_runs),
+            pages_restored,
+            pages_dropped,
+            syscalls,
+            verified,
         )
 
     # ------------------------------------------------------------------
@@ -319,4 +330,4 @@ class Restorer:
                     recreated.append(
                         (brk_before_restore // PAGE_SIZE, new_brk // PAGE_SIZE)
                     )
-        return union_runs(recreated, ())
+        return union_runs(recreated, ()) if recreated else ()

@@ -64,11 +64,7 @@ class SoftDirtyTracker(WriteSetTracker):
 
     def collect(self) -> TrackingCollection:
         scan = self.procfs.scan_pagemap()
-        return TrackingCollection(
-            dirty_runs=scan.dirty_runs,
-            scanned_pages=scan.scanned_pages,
-            collect_seconds=scan.cost_seconds,
-        )
+        return TrackingCollection(scan.dirty_runs, scan.scanned_pages, scan.cost_seconds)
 
 
 class UffdWriteTracker(WriteSetTracker):

@@ -50,10 +50,6 @@ class ControlPlane:
         slos: Optional[Mapping[str, TenantSLO]] = None,
         interval_seconds: float = 0.25,
         window_seconds: float = 2.0,
-        budget: Optional[int] = None,
-        monitor: Optional[SLOMonitor] = None,
-        tuner: Optional[QuotaTuner] = None,
-        planner: Optional[CapacityPlanner] = None,
         planner_kind: str = "reactive",
         forecast_period_seconds: Optional[float] = None,
         tracer=None,
@@ -67,37 +63,26 @@ class ControlPlane:
             )
         self.cluster = cluster
         self.interval_seconds = interval_seconds
-        if budget is None:
-            # Default budget: twice the cluster's core count.  Cores bound
-            # how many containers can *run*; the factor leaves room for
-            # warm-but-idle capacity on peers without unbounded growth.
-            budget = 2 * sum(invoker.cores for invoker in cluster.invokers)
-        self.monitor = (
-            monitor
-            if monitor is not None
-            else SLOMonitor(slos, window_seconds=window_seconds)
+        # The container budget: twice the cluster's core count.  Cores bound
+        # how many containers can *run*; the factor leaves room for
+        # warm-but-idle capacity on peers without unbounded growth.
+        budget = 2 * sum(invoker.cores for invoker in cluster.invokers)
+        self.monitor = SLOMonitor(slos, window_seconds=window_seconds)
+        # Hold cuts for one full monitor window (the time a spike takes to
+        # age out of the assessment) and raises for half of one, in ticks of
+        # this loop's interval.
+        self.tuner = QuotaTuner(
+            cut_hold_ticks=max(1, round(window_seconds / interval_seconds)),
+            raise_hold_ticks=max(1, round(window_seconds / (2 * interval_seconds))),
         )
-        if tuner is None:
-            # Hold cuts for one full monitor window (the time a spike takes
-            # to age out of the assessment) and raises for half of one, in
-            # ticks of this loop's interval.
-            window = self.monitor.window_seconds
-            tuner = QuotaTuner(
-                cut_hold_ticks=max(1, round(window / interval_seconds)),
-                raise_hold_ticks=max(1, round(window / (2 * interval_seconds))),
+        self.planner: CapacityPlanner
+        if planner_kind == "predictive":
+            self.planner = PredictivePlanner(
+                budget,
+                forecaster=DemandForecaster(season_period_seconds=forecast_period_seconds),
             )
-        self.tuner = tuner
-        if planner is None:
-            if planner_kind == "predictive":
-                planner = PredictivePlanner(
-                    budget,
-                    forecaster=DemandForecaster(
-                        season_period_seconds=forecast_period_seconds
-                    ),
-                )
-            else:
-                planner = CapacityPlanner(budget)
-        self.planner = planner
+        else:
+            self.planner = CapacityPlanner(budget)
         self._timer: Optional[RecurringTimer] = None
         self._idle_ticks = 0
         self.ticks = 0

@@ -125,11 +125,7 @@ class SLOMonitor:
             rejected = collector.num_rejected if collector else 0
             throttled = collector.num_throttled if collector else 0
             recorded = collector.num_recorded if collector else 0
-            p99_ms = (
-                collector.e2e_stats().p99 * 1000.0
-                if collector and completed
-                else None
-            )
+            p99_ms = collector.e2e_p99() * 1000.0 if collector and completed else None
             goodput = completed / recorded if recorded else 1.0
             starved = bool(
                 slo is not None

@@ -666,7 +666,8 @@ class OpenLoopClient:
     """Issues arrivals at externally determined instants (open loop).
 
     Arrivals come either from a Poisson process of mean rate ``rate_rps``
-    (exponential inter-arrival gaps drawn from ``rng``) or from an explicit
+    (exponential inter-arrival gaps drawn from the platform's
+    ``"open-loop"`` RNG stream) or from an explicit
     ``trace`` of arrival offsets, and are issued *regardless of what the
     platform does with them* — completions do not gate the next arrival,
     and shed (rejected) or quota-refused (throttled) invocations are lost,
@@ -707,9 +708,7 @@ class OpenLoopClient:
         action_sequence: Optional[Sequence[str]] = None,
         duration_seconds: Optional[float] = None,
         warmup_seconds: float = 0.0,
-        payload: Optional[bytes] = None,
         caller_for: Optional[Callable[[int], str]] = None,
-        rng: Optional[random.Random] = None,
         keep_samples: bool = True,
     ) -> None:
         self.actions = [actions] if isinstance(actions, str) else list(actions)
@@ -755,16 +754,12 @@ class OpenLoopClient:
         )
         self.duration_seconds = float(duration_seconds)
         self.warmup_seconds = warmup_seconds
-        self.payload = payload
         self.caller_for = caller_for if caller_for is not None else _default_callers()
-        if rng is not None:
-            self._streams = None
-            self.rng = rng
-        else:
-            # Default: the platform's named RNG stream, so open-loop
-            # arrivals never perturb any other subsystem's sequence.
-            self._streams = platform.rng_streams
-            self.rng = self._streams.stream("open-loop")
+        # The platform's named RNG stream, so open-loop arrivals never
+        # perturb any other subsystem's sequence.  Gaps are drawn through
+        # the streams; ``rng`` is the same stream, for the action choice.
+        self._streams = platform.rng_streams
+        self.rng = self._streams.stream("open-loop")
         self.keep_samples = keep_samples
         self.completed: List[Invocation] = []
         self.rejected: List[Invocation] = []
@@ -780,9 +775,7 @@ class OpenLoopClient:
 
     def _arrival_gap(self) -> float:
         """One exponential inter-arrival gap of the Poisson process."""
-        if self._streams is not None:
-            return self._streams.expovariate("open-loop", self.rate_rps)
-        return self.rng.expovariate(self.rate_rps)
+        return self._streams.expovariate("open-loop", self.rate_rps)
 
     def run(self) -> OpenLoopResult:
         """Drive the arrivals, drain the platform, return the measurements."""
@@ -826,7 +819,6 @@ class OpenLoopClient:
                     action = self.actions[self.rng.randrange(len(self.actions))]
             self.platform.invoke_async(
                 action,
-                self.payload,
                 caller=self.caller_for(index),
                 on_complete=handler,
             )

@@ -636,6 +636,10 @@ class MetricsCollector:
         """
         return self._run_sketch("e2e").stats()
 
+    def e2e_p99(self) -> float:
+        """``e2e_stats().p99`` alone, bit for bit (see :meth:`LatencySketch.p99`)."""
+        return self._run_sketch("e2e").p99()
+
     def invoker_stats(self) -> LatencyStats:
         """Summary of invoker latencies (see :meth:`e2e_stats`)."""
         return self._run_sketch("invoker").stats()

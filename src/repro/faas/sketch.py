@@ -417,6 +417,18 @@ class LatencySketch:
             maximum=high,
         )
 
+    def p99(self) -> float:
+        """:meth:`stats`' ``p99`` alone, bit for bit, clamped to the exact [min, max].
+
+        What an SLO check reads: one rank instead of seven, and no
+        :class:`LatencyStats` record.
+        """
+        moments = self.moments
+        if moments.count == 0:
+            raise ValueError("cannot summarise an empty sample set")
+        value = self.quantiles.quantile(99)
+        return min(max(value, moments.minimum), moments.maximum)
+
 
 def merged(sketches: Iterable[LatencySketch]) -> Optional[LatencySketch]:
     """Merge an iterable of sketches into a fresh one (``None`` if empty)."""

@@ -337,6 +337,10 @@ class _ShareGroup:
         self.counts = counts
 
 
+#: Read-write protection, the heap's (a module constant: ``Protection.rw()``
+#: is a call).
+_RW = Protection.rw()
+
 #: ``(readable, writable)`` of each of the eight :class:`Protection` values,
 #: indexed by its bits: a table read instead of two ``Flag`` membership tests.
 _ACCESS: Tuple[Tuple[bool, bool], ...] = tuple(
@@ -354,10 +358,18 @@ class _Area:
     VMA's copy-on-write pages map with the mask of those pages; the masks
     are disjoint and together equal ``cow``, and every other resident page
     has a private frame.
+
+    An area is also the handle :meth:`AddressSpace.mapping_at` hands out.
+    ``live`` turns false when an ``munmap`` or ``mprotect`` replaces the
+    area; until then ``first`` never changes and only a ``brk`` resize moves
+    ``end``.  ``previous`` is the record the area had before its last
+    resize.
     """
 
     __slots__ = (
         "vma",
+        "previous",
+        "live",
         "first",
         "end",
         "readable",
@@ -373,6 +385,8 @@ class _Area:
 
     def __init__(self, vma: Vma) -> None:
         self.vma = vma
+        self.previous: Optional[Vma] = None
+        self.live = True
         self.first = vma.start // PAGE_SIZE
         self.end = vma.end // PAGE_SIZE
         self.readable, self.writable = _ACCESS[vma.prot._value_]
@@ -383,6 +397,10 @@ class _Area:
         self.tlb_cold = 0
         self.runs: List[ContentRun] = []
         self.shared: List[Tuple[_ShareGroup, int]] = []
+
+    def holds(self, page: int) -> bool:
+        """True while this area is a valid handle for ``page``: live, and holding it."""
+        return self.live and self.first <= page < self.end
 
     def piece(self, vma: Vma) -> "_Area":
         """The state of the pages ``vma`` covers (it lies inside this area)."""
@@ -430,9 +448,10 @@ class AddressSpace:
         #: Pages the mappings cover, kept where ``layout_generation`` moves.
         self._mapped_pages = 0
         #: Bumped whenever the mapping list or a mapping's bounds change
-        #: (``mmap``, ``munmap``, ``mprotect``, ``brk``).  A handle from
-        #: :meth:`mapping_at` and the layout :meth:`layout` returns stay
-        #: valid while this number is unchanged.
+        #: (``mmap``, ``munmap``, ``mprotect``, ``brk``).  The layout
+        #: :meth:`layout` returns stays valid while this number is
+        #: unchanged.  A handle from :meth:`mapping_at` lives longer: it
+        #: outlives every edit that leaves its own mapping in place.
         self.layout_generation = 0
         self._layout = MemoryLayout((), brk_base)
         self._layout_built_at = 0
@@ -536,8 +555,15 @@ class AddressSpace:
         """The mapping holding ``page_number`` (``None`` if unmapped), as a handle.
 
         The handle is what :meth:`write_mapped`, :meth:`read_mapped` and
-        :meth:`touch_read_mapped` take in place of a lookup.  It is valid
-        until :attr:`layout_generation` changes.
+        :meth:`touch_read_mapped` take in place of a lookup.  It stays valid
+        for ``page_number`` while ``handle.holds(page_number)``: while its
+        mapping lives and still holds the page.  Only an ``munmap`` or
+        ``mprotect`` over the mapping (and a ``brk`` that unmaps a whole
+        heap piece) replaces it, which marks the handle dead
+        (``handle.live`` false).  Every other edit leaves it valid:
+        mappings elsewhere appearing or going, and a ``brk`` that moves the
+        end of the heap piece the handle is, which keeps the mapping and
+        drops only the pages the new break leaves above it.
         """
         return self._area_at(page_number)
 
@@ -629,15 +655,19 @@ class AddressSpace:
                 raise MappingError(f"mmap address {address:#x} is not page aligned")
             start = address
         end = start + size
-        if self._overlaps_existing(start, end):
+        # Mappings are disjoint and sorted, so only the last one starting
+        # before ``end`` can reach past ``start``; without an overlap the new
+        # mapping goes right after it.
+        index = bisect.bisect_left(self._starts, end)
+        if index and self._areas[index - 1].vma.end > start:
             raise MappingError(
                 f"mmap range [{start:#x}, {end:#x}) overlaps an existing mapping"
             )
-        vma = Vma(start=start, end=end, prot=prot, kind=kind, name=name)
+        vma = Vma(start, end, prot, kind, name)
         area = _Area(vma)
         if populate:
             area.resident = area.soft_dirty = (1 << num_pages) - 1
-        self._insert_area(area)
+        self._insert_area(area, index)
         return vma
 
     def map_stack(self, length: int, name: str = "stack") -> Vma:
@@ -654,15 +684,20 @@ class AddressSpace:
         )
 
     def munmap(self, start: int, length: int) -> int:
-        """Unmap ``[start, start+length)``; returns the number of pages dropped."""
+        """Unmap ``[start, start+length)``; returns the number of pages dropped.
+
+        The mappings the range overlaps are replaced by their pieces outside
+        it, which take over only the state of pages outside it, and are
+        marked dead (see :meth:`mapping_at`).  So the pages inside are
+        discarded with their mappings, not cleared first: the unmap counts
+        the resident ones and releases their copy-on-write shares.
+        """
         if start % PAGE_SIZE:
             raise MappingError(f"munmap address {start:#x} is not page aligned")
         if length <= 0:
             raise MappingError("munmap length must be positive")
         end = start + ((length + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
-        dropped = self._drop(start // PAGE_SIZE, end // PAGE_SIZE)
-        self._carve_range(start, end, replacement=None)
-        return dropped
+        return self._carve_range(start, end, replacement=None)
 
     def mprotect(self, start: int, length: int, prot: Protection) -> None:
         """Change protection of ``[start, start+length)``."""
@@ -707,29 +742,31 @@ class AddressSpace:
         old_brk = self._brk
         if new_brk == old_brk:
             return self._brk
-        top = self._heap_top()
         if new_brk > old_brk:
-            if self._overlaps_existing(old_brk, new_brk):
+            # One bisection: the last mapping starting below the new break
+            # overlaps the growth unless it ends by the old break, and is
+            # then the heap piece ending at the break, if there is one.
+            index = bisect.bisect_left(self._starts, new_brk) - 1
+            below = self._areas[index] if index >= 0 else None
+            if below is not None and below.vma.end > old_brk:
                 raise MappingError(
                     f"brk {new_brk:#x} would grow the heap into an existing mapping"
                 )
-            if top is not None and top.vma.prot == Protection.rw():
-                self._resize_area(top, new_brk)
+            if (
+                below is not None
+                and below.vma.end == old_brk
+                and below.vma.kind is VmaKind.HEAP
+                and below.vma.prot == _RW
+            ):
+                self._resize_area(below, new_brk)
             else:
                 self._insert_area(
-                    _Area(
-                        Vma(
-                            start=old_brk,
-                            end=new_brk,
-                            prot=Protection.rw(),
-                            kind=VmaKind.HEAP,
-                            name="[heap]",
-                        )
-                    )
+                    _Area(Vma(old_brk, new_brk, _RW, VmaKind.HEAP, "[heap]")), index + 1
                 )
         else:
-            self._drop(new_brk // PAGE_SIZE, old_brk // PAGE_SIZE)
+            top = self._heap_top()
             if top is not None and top.vma.start < new_brk:
+                self._truncate(top, new_brk // PAGE_SIZE)
                 self._resize_area(top, new_brk)
             else:
                 self._carve_range(new_brk, old_brk, replacement=None)
@@ -1034,21 +1071,36 @@ class AddressSpace:
         meter = self.meter
         cm = self.cost_model
         if not (area.cow | area.tlb_cold | area.wp) & span:
+            # Every page takes the same fault (or none).  A run too short
+            # for the closed form is charged here, one add per fault.
             if resident == span:
                 if self._sd_tracking_armed:
                     faults = stop - first - (area.soft_dirty & span).bit_count()
                     if faults:
-                        meter.cost_seconds = _repeat_add(
-                            meter.cost_seconds, (cm.soft_dirty_fault_seconds,), faults
-                        )
+                        step = cm.soft_dirty_fault_seconds
+                        if faults < CLOSED_FORM_MIN_ADDS:
+                            cost = meter.cost_seconds
+                            for _ in range(faults):
+                                cost += step
+                            meter.cost_seconds = cost
+                        else:
+                            meter.cost_seconds = _repeat_add(
+                                meter.cost_seconds, (step,), faults
+                            )
                         meter.soft_dirty_faults += faults
                 area.soft_dirty |= span
                 return
             if not resident:
-                meter.cost_seconds = _repeat_add(
-                    meter.cost_seconds, (cm.minor_fault_seconds,), stop - first
-                )
-                meter.minor_faults += stop - first
+                faults = stop - first
+                step = cm.minor_fault_seconds
+                if faults < CLOSED_FORM_MIN_ADDS:
+                    cost = meter.cost_seconds
+                    for _ in range(faults):
+                        cost += step
+                    meter.cost_seconds = cost
+                else:
+                    meter.cost_seconds = _repeat_add(meter.cost_seconds, (step,), faults)
+                meter.minor_faults += faults
                 area.resident |= span
                 area.soft_dirty |= span
                 return
@@ -1169,6 +1221,24 @@ class AddressSpace:
             put_content(area.runs, first_page, end_page, ZERO_CONTENT)
         return dropped
 
+    def _truncate(self, area: _Area, end: int) -> None:
+        """Forget ``area``'s pages from page ``end`` on, ahead of a resize that ends it there."""
+        keep = (1 << (end - area.first)) - 1
+        if area.cow & ~keep:
+            self._release(area, ~keep)
+        area.resident &= keep
+        area.soft_dirty &= keep
+        area.wp &= keep
+        area.tlb_cold &= keep
+        runs = area.runs
+        # The content runs from ``end`` on are the list's tail; a run
+        # across ``end`` keeps its part below.
+        index = bisect.bisect_left(runs, (end,))
+        if index and runs[index - 1][1] > end:
+            first, _, payload = runs[index - 1]
+            runs[index - 1] = (first, end, payload)
+        del runs[index:]
+
     # ------------------------------------------------------------------
     # VMA bookkeeping internals
     # ------------------------------------------------------------------
@@ -1182,22 +1252,27 @@ class AddressSpace:
                 return area
         return None
 
-    def _overlaps_existing(self, start: int, end: int) -> bool:
-        # Mappings are disjoint and sorted, so only the last one starting
-        # before ``end`` can reach past ``start``.
-        index = bisect.bisect_left(self._starts, end)
-        return index > 0 and self._areas[index - 1].vma.end > start
-
-    def _insert_area(self, area: _Area) -> None:
-        index = bisect.bisect_left(self._starts, area.vma.start)
+    def _insert_area(self, area: _Area, index: int) -> None:
+        """Insert ``area`` at position ``index`` of the start-sorted mappings."""
         self._areas.insert(index, area)
         self._starts.insert(index, area.vma.start)
         self._mapped_pages += area.end - area.first
         self.layout_generation += 1
 
     def _resize_area(self, area: _Area, new_end: int) -> None:
-        """Move ``area``'s end to ``new_end`` (its pages past the end are already dropped)."""
-        area.vma = area.vma.with_bounds(area.vma.start, new_end)
+        """Move ``area``'s end to ``new_end`` (its pages past the end are already dropped).
+
+        The area lives on, and with it every handle to it.  Its record is
+        replaced: by the one it had before its last resize when that one
+        ends at ``new_end``, else by a new one.  A heap that each request
+        grows and each restore shrinks back so alternates between two
+        records, and after the restore its record is the snapshot's own.
+        """
+        vma = area.previous
+        if vma is None or vma.end != new_end:
+            vma = area.vma.with_bounds(area.vma.start, new_end)
+        area.previous = area.vma
+        area.vma = vma
         end = new_end // PAGE_SIZE
         self._mapped_pages += end - area.end
         area.end = end
@@ -1220,20 +1295,32 @@ class AddressSpace:
 
     def _carve_range(
         self, start: int, end: int, replacement: Optional[Protection]
-    ) -> None:
+    ) -> int:
         """Remove (``replacement is None``) or re-protect a range, splitting VMAs.
 
-        Only the VMAs overlapping ``[start, end)`` are visited: bisecting
-        ``_starts`` finds them, and their pieces are spliced in their place.
+        Only the VMAs overlapping ``[start, end)`` are visited: one
+        bisection of ``_starts`` finds the first, and their pieces are
+        spliced in their place.  Every area visited is replaced, so it is
+        marked dead.  A removal returns how many resident pages the range
+        held, releasing their copy-on-write shares; nothing else of them
+        needs clearing, as the pieces outside the range copy only their own
+        pages' state.
         """
-        starts = self._starts
-        low = bisect.bisect_right(starts, start) - 1
-        if low < 0 or self._areas[low].vma.end <= start:
+        areas = self._areas
+        low = bisect.bisect_right(self._starts, start) - 1
+        if low < 0 or areas[low].vma.end <= start:
             low += 1
-        high = bisect.bisect_left(starts, end)
+        first_page = start // PAGE_SIZE
+        end_page = end // PAGE_SIZE
+        high = low
+        count = len(areas)
         pieces: List[_Area] = []
         mapped = self._mapped_pages
-        for area in self._areas[low:high]:
+        dropped = 0
+        while high < count and areas[high].first < end_page:
+            area = areas[high]
+            high += 1
+            area.live = False
             vma = area.vma
             mapped -= area.end - area.first
             if vma.start < start:
@@ -1241,14 +1328,24 @@ class AddressSpace:
             if replacement is not None:
                 overlap = vma.with_bounds(max(vma.start, start), min(vma.end, end))
                 pieces.append(area.piece(overlap.with_prot(replacement)))
+            elif area.resident:
+                a = first_page if first_page > area.first else area.first
+                b = end_page if end_page < area.end else area.end
+                span = ((1 << (b - a)) - 1) << (a - area.first)
+                resident = area.resident & span
+                if resident:
+                    dropped += resident.bit_count()
+                    if area.cow & span:
+                        self._release(area, span)
             if vma.end > end:
                 pieces.append(area.piece(vma.with_bounds(end, vma.end)))
         for area in pieces:
             mapped += area.end - area.first
-        self._areas[low:high] = pieces
-        starts[low:high] = [area.vma.start for area in pieces]
+        areas[low:high] = pieces
+        self._starts[low:high] = [area.vma.start for area in pieces]
         self._mapped_pages = mapped
         self.layout_generation += 1
+        return dropped
 
 
 def _runs_of_mask(mask: int, base: int) -> List[Run]:

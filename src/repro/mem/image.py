@@ -32,7 +32,10 @@ ContentRun = Tuple[int, int, bytes]
 
 def count_pages(runs: Iterable[Run]) -> int:
     """Number of pages the runs cover."""
-    return sum(end - first for first, end in runs)
+    pages = 0
+    for first, end in runs:
+        pages += end - first
+    return pages
 
 
 def page_numbers(runs: Iterable[Run]) -> Tuple[int, ...]:
@@ -131,6 +134,11 @@ def put_content(runs: List[ContentRun], first: int, end: int, payload: bytes) ->
         return
     lo = bisect.bisect_left(runs, (first,))
     count = len(runs)
+    if lo == count and (not count or runs[-1][1] < first):
+        # Past every run, touching none (a fresh mapping, a grown heap).
+        if payload:
+            runs.append((first, end, payload))
+        return
     if (
         payload
         and lo < count

@@ -14,20 +14,19 @@ restorer must reverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.mem.vma import Vma
 
 
-@dataclass(frozen=True)
-class MemoryLayout:
+class MemoryLayout(NamedTuple):
     """An immutable snapshot of a process's memory layout.
 
     ``records`` are ascending by start and disjoint (``maps`` order).  From
     :meth:`~repro.mem.address_space.AddressSpace.layout` they are the
     space's own immutable :class:`Vma` objects, which it only ever
     replaces, so layouts share every mapping that did not change between them.
+    Every restore reads one, so it is a named tuple like :class:`LayoutDiff`.
     """
 
     records: Tuple[Vma, ...]
@@ -132,7 +131,10 @@ def diff_layouts(snapshot: MemoryLayout, current: MemoryLayout) -> LayoutDiff:
     ``snapshot``.  Regions are matched by start and name, as Groundhog
     correlates maps lines; a matched pair whose end or protection differs
     is ``changed``.  One merge walk over the two sorted record tuples finds
-    every difference in start order, passing over shared records.
+    every difference in start order, passing over shared records.  After
+    each difference, what is left of the two is compared at once: a request
+    changes a few mappings, and past them the two layouts share the same
+    records, pair for pair, so the walk stops there.
     """
     old_records, new_records = snapshot.records, current.records
     added: List[Vma] = []
@@ -145,12 +147,13 @@ def diff_layouts(snapshot: MemoryLayout, current: MemoryLayout) -> LayoutDiff:
         if old is new:
             i += 1
             j += 1
-        elif old.start == new.start:
+            continue
+        if old.start == new.start:
             if old.name != new.name:
                 removed.append(old)
                 added.append(new)
             elif old.end != new.end or old.prot != new.prot:
-                changed.append(RegionChange(snapshot=old, current=new))
+                changed.append(RegionChange(old, new))
             i += 1
             j += 1
         elif old.start < new.start:
@@ -159,13 +162,17 @@ def diff_layouts(snapshot: MemoryLayout, current: MemoryLayout) -> LayoutDiff:
         else:
             added.append(new)
             j += 1
+        # Both sides are sorted by start, so equal tails pair up record for
+        # record and hold no difference.
+        if old_count - i == new_count - j and old_records[i:] == new_records[j:]:
+            i, j = old_count, new_count
     removed.extend(old_records[i:])
     added.extend(new_records[j:])
     return LayoutDiff(
-        added=tuple(added),
-        removed=tuple(removed),
-        changed=tuple(changed),
-        snapshot_brk=snapshot.brk,
-        current_brk=current.brk,
-        compared_vmas=old_count + new_count,
+        tuple(added),
+        tuple(removed),
+        tuple(changed),
+        snapshot.brk,
+        current.brk,
+        old_count + new_count,
     )

@@ -85,11 +85,7 @@ class PagemapView:
         """
         mapped_pages = self._space.total_mapped_pages
         cost = mapped_pages * self._space.cost_model.pagemap_scan_seconds
-        return PagemapScanResult(
-            dirty_runs=self._space.soft_dirty_runs(),
-            scanned_pages=mapped_pages,
-            cost_seconds=cost,
-        )
+        return PagemapScanResult(self._space.soft_dirty_runs(), mapped_pages, cost)
 
     def scan_range(self, start_page: int, num_pages: int) -> PagemapScanResult:
         """Scan a specific page range (cost proportional to the range size)."""

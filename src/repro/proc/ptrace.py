@@ -151,7 +151,10 @@ class Ptrace:
         self._require_stopped()
         space = self._process.address_space
         try:
-            if call.name == "mmap":
+            if call.name == "brk":
+                (new_brk,) = call.args
+                space.set_brk(new_brk)
+            elif call.name == "mmap":
                 address, length, prot, kind, name = call.args
                 space.mmap(
                     length,
@@ -169,9 +172,6 @@ class Ptrace:
             elif call.name == "madvise_dontneed":
                 address, length = call.args
                 space.madvise_dontneed(address, length)
-            elif call.name == "brk":
-                (new_brk,) = call.args
-                space.set_brk(new_brk)
             else:
                 raise SyscallInjectionError(f"unsupported injected syscall {call.name!r}")
         except SyscallInjectionError:
@@ -187,7 +187,7 @@ class Ptrace:
     def _require_attached(self) -> None:
         if not self._attached:
             raise PtraceError("not attached to the tracee")
-        if not self._process.is_alive:
+        if self._process.state is ProcessState.EXITED:
             raise PtraceError("tracee has exited")
 
     def _require_stopped(self) -> None:

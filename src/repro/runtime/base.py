@@ -81,16 +81,20 @@ class InvocationResult(NamedTuple):
 
 
 class RequestPlan:
-    """Where a warm request's memory work lands, resolved once per layout.
+    """Where a warm request's memory work lands, resolved once and kept.
 
     A warm container serves one function, one request at a time, over a
     memory layout that does not change between requests (§3.1).  The plan
     keeps what every request would otherwise work out again: the
     profile's page counts and the mapping handles
     (:meth:`AddressSpace.mapping_at`) of the request-buffer page and the
-    working VMA.  The handles belong to one process's address space at one
-    :attr:`AddressSpace.layout_generation` (``process`` and ``generation``);
-    :meth:`resolve` looks them up again.
+    working VMA, in one process's address space (``process``).  A handle
+    outlives every edit that leaves its own mapping in place: the heap
+    growth, scratch churn and restores of every request.  A request checks
+    that both are still live and hold their pages (a live mapping's first
+    page never moves, so ``page < handle.end`` suffices) and calls
+    :meth:`resolve` when not; a handle of an unmapped page (``None``) is
+    looked up again on every request.
     """
 
     __slots__ = (
@@ -102,7 +106,6 @@ class RequestPlan:
         "growth_pages",
         "leak_pages",
         "process",
-        "generation",
         "buffer",
         "working",
     )
@@ -117,9 +120,8 @@ class RequestPlan:
         self.read_pages = min(profile.read_pages, working.num_pages)
         self.growth_pages = profile.heap_growth_pages
         self.leak_pages = profile.leak_pages_per_invocation
-        #: The process and layout generation the handles were resolved in.
+        #: The process the handles were resolved in.
         self.process: Optional[SimProcess] = None
-        self.generation = -1
         self.buffer = None
         self.working = None
 
@@ -127,7 +129,6 @@ class RequestPlan:
         """Look the handles up in ``process``'s address space as it is now."""
         space = process.address_space
         self.process = process
-        self.generation = space.layout_generation
         self.buffer = space.mapping_at(self.buffer_page)
         self.working = space.mapping_at(self.working_first)
 
@@ -344,7 +345,16 @@ class FunctionRuntime(abc.ABC):
         space = process.address_space
         plan = self._plan
         assert plan is not None
-        if plan.process is not process or plan.generation != space.layout_generation:
+        buffer, working = plan.buffer, plan.working
+        if not (
+            plan.process is process
+            and buffer is not None
+            and buffer.live
+            and plan.buffer_page < buffer.end
+            and working is not None
+            and working.live
+            and plan.working_first < working.end
+        ):
             plan.resolve(process)
         meter_before = space.meter.checkpoint()
 
@@ -355,16 +365,25 @@ class FunctionRuntime(abc.ABC):
         secret = b"REQ:" + request_id.encode("utf-8") + b":" + payload[:128]
         space.write_mapped(plan.buffer, plan.buffer_page, 1, secret)
 
-        # (2) Heap growth from allocations that survive the request.
+        # (2) Heap growth from allocations that survive the request.  The
+        # buffer's handle is the heap piece at the heap's base; when the
+        # heap is one piece, the growth extends it and the new pages are
+        # written through it.
         pages_from_growth = plan.growth_pages
         if pages_from_growth > 0:
-            old_brk = space.brk
+            page = space.brk // PAGE_SIZE
             space.sbrk(pages_from_growth * PAGE_SIZE)
-            space.write_range(old_brk // PAGE_SIZE, pages_from_growth, b"ALLOC:" + secret[:32])
+            heap = plan.buffer
+            if page < heap.end:
+                space.write_mapped(heap, page, pages_from_growth, b"ALLOC:" + secret[:32])
+            else:
+                space.write_range(page, pages_from_growth, b"ALLOC:" + secret[:32])
 
         # (3) Runtime-specific layout churn (scratch arenas mapped/unmapped).
+        # An unmap that took the working VMA with it leaves its handle dead.
         pages_from_scratch = self._layout_churn(secret)
-        if plan.generation != space.layout_generation:
+        working = plan.working
+        if working is None or not working.live or plan.working_first >= working.end:
             plan.resolve(process)
 
         # (4) Bulk dirtying of the function's working set.
@@ -406,14 +425,14 @@ class FunctionRuntime(abc.ABC):
         response = self._build_response(payload, request_id, residual, is_warm)
         self._restored_since_last_invoke = False
         return InvocationResult(
-            response=response,
-            response_bytes=profile.output_bytes,
-            compute_seconds=compute_seconds,
-            fault_seconds=meter_delta.cost_seconds,
-            faults=faults,
-            pages_written=meter_delta.pages_written,
-            residual=residual,
-            gc_pause_seconds=gc_pause,
+            response,
+            profile.output_bytes,
+            compute_seconds,
+            meter_delta.cost_seconds,
+            faults,
+            meter_delta.pages_written,
+            residual,
+            gc_pause,
         )
 
     # ------------------------------------------------------------------
@@ -430,7 +449,9 @@ class FunctionRuntime(abc.ABC):
         space = self.process.address_space
         pages_written = 0
         scratch_pages = 12
-        for _ in range(profile.regions_mapped_per_invocation):
+        mapped = profile.regions_mapped_per_invocation
+        data = b"SCRATCH:" + secret[:16] if mapped else b""
+        for _ in range(mapped):
             self._scratch_counter += 1
             vma = space.mmap(
                 scratch_pages * PAGE_SIZE,
@@ -438,7 +459,7 @@ class FunctionRuntime(abc.ABC):
                 kind=VmaKind.ANON,
                 name=f"{self.runtime_name}.scratch{self._scratch_counter}",
             )
-            space.write_range(vma.first_page, scratch_pages, b"SCRATCH:" + secret[:16])
+            space.write_range(vma.start // PAGE_SIZE, scratch_pages, data)
             self._scratch_vmas.append(vma)
             pages_written += scratch_pages
         for _ in range(profile.regions_unmapped_per_invocation):
@@ -446,7 +467,7 @@ class FunctionRuntime(abc.ABC):
                 break
             vma = self._scratch_vmas.pop(0)
             if space.find_vma(vma.start) is not None:
-                space.munmap(vma.start, vma.length)
+                space.munmap(vma.start, vma.end - vma.start)
         return pages_written
 
     def _extra_reads(self) -> None:

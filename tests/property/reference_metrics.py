@@ -109,6 +109,10 @@ class ReferenceMetrics:
         """Exact statistics of the completed invocations' e2e latencies."""
         return summarize(inv.e2e_seconds for inv in self.completed)
 
+    def e2e_p99(self) -> float:
+        """The exact e2e p99 (what the SLO monitor reads)."""
+        return self.e2e_stats().p99
+
     def invoker_stats(self) -> LatencyStats:
         """Exact statistics of the completed invocations' invoker latencies."""
         return summarize(inv.invoker_seconds for inv in self.completed)

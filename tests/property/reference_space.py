@@ -15,9 +15,11 @@ and restore paths make (``capture``, ``soft_dirty_runs``,
 ``kernel_drop_runs``, ``page_state``), each as a loop over single pages,
 and the handle calls a runtime's request plan makes (``mapping_at``,
 ``write_mapped``, ``read_mapped``, ``touch_read_mapped``).  A handle here is
-the :class:`Vma` itself, and every handle call first checks that it is the
-very mapping a fresh lookup returns, so a plan that kept a handle past a
-layout change fails loudly instead of writing through it.
+a :class:`Handle` with the shipped lifetime: one per mapping, which an
+``munmap`` or ``mprotect`` over the mapping kills and a ``brk`` resize of the
+heap keeps.  Every handle call first checks that it is the very handle a
+fresh lookup returns, so a plan that kept a dead handle, or one that no
+longer holds its page, fails loudly instead of writing through it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,25 @@ from repro.mem.layout import MemoryLayout
 from repro.mem.page import Protection, ZERO_CONTENT
 from repro.mem.vma import Vma, VmaKind
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
+
+
+class Handle:
+    """A mapping handle: live until its mapping is replaced, holding ``[first, end)``."""
+
+    __slots__ = ("vma", "first", "end", "live")
+
+    def __init__(self, vma: Vma) -> None:
+        self.vma = vma
+        self.first = vma.first_page
+        self.end = vma.end // PAGE_SIZE
+        self.live = True
+
+    def holds(self, page: int) -> bool:
+        """True while this is a valid handle for ``page``: live, and holding it."""
+        return self.live and self.first <= page < self.end
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Handle({self.vma!r}, live={self.live})"
 
 
 class Frame:
@@ -109,6 +130,8 @@ class ReferenceAddressSpace:
         self._stack_next = stack_top
         self._wp_handler: Optional[Callable[[int], None]] = None
         self.layout_generation = 0
+        #: The handle of each mapping a lookup has handed one out for, by start.
+        self._handles: Dict[int, Handle] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -163,12 +186,18 @@ class ReferenceAddressSpace:
         """Return the VMA containing ``page_number``, if any."""
         return self.find_vma(page_number * PAGE_SIZE)
 
-    def mapping_at(self, page_number: int) -> Optional[Vma]:
-        """The handle of the mapping holding ``page_number``: its VMA."""
-        return self.vma_for_page(page_number)
+    def mapping_at(self, page_number: int) -> Optional[Handle]:
+        """The handle of the mapping holding ``page_number`` (one per mapping)."""
+        vma = self.vma_for_page(page_number)
+        if vma is None:
+            return None
+        handle = self._handles.get(vma.start)
+        if handle is None:
+            handle = self._handles[vma.start] = Handle(vma)
+        return handle
 
-    def _check_handle(self, mapping: Optional[Vma], page_number: int) -> None:
-        if mapping is not self.vma_for_page(page_number):
+    def _check_handle(self, mapping: Optional[Handle], page_number: int) -> None:
+        if mapping is not self.mapping_at(page_number):
             raise AssertionError(
                 f"stale mapping handle {mapping!r} for page {page_number:#x}"
             )
@@ -367,7 +396,17 @@ class ReferenceAddressSpace:
                 )
         else:
             self._drop_pages(new_brk // PAGE_SIZE, old_brk // PAGE_SIZE)
-            self._carve_range(new_brk, old_brk, replacement=None)
+            top = self.find_vma(old_brk - 1)
+            if (
+                top is not None
+                and top.kind is VmaKind.HEAP
+                and top.end == old_brk
+                and top.start < new_brk
+            ):
+                # The heap piece ending at the break shrinks and lives on.
+                self._replace_vma(top, top.with_bounds(top.start, new_brk))
+            else:
+                self._carve_range(new_brk, old_brk, replacement=None)
         self._brk = new_brk
         return self._brk
 
@@ -630,9 +669,14 @@ class ReferenceAddressSpace:
         self.layout_generation += 1
 
     def _replace_vma(self, old: Vma, new: Vma) -> None:
+        """Resize ``old`` (same start) to ``new``; its handle lives on."""
         idx = self._vmas.index(old)
         self._vmas[idx] = new
         self._starts[idx] = new.start
+        handle = self._handles.get(old.start)
+        if handle is not None:
+            handle.vma = new
+            handle.end = new.end // PAGE_SIZE
         self.layout_generation += 1
 
     def _range_fully_mapped(self, start: int, end: int) -> bool:
@@ -656,6 +700,9 @@ class ReferenceAddressSpace:
             if not vma.overlaps(start, end):
                 new_vmas.append(vma)
                 continue
+            handle = self._handles.pop(vma.start, None)
+            if handle is not None:
+                handle.live = False
             if vma.start < start:
                 new_vmas.append(vma.with_bounds(vma.start, start))
             overlap_start = max(vma.start, start)

@@ -5,8 +5,11 @@ runs.  :class:`reference_space.ReferenceAddressSpace`, the per-page model it
 replaced, is the reference it must equal: twin address spaces driven through
 the same writes, kernel write-backs, ``clear_refs``, forks, unmaps, ``brk``
 moves and scans must agree on every page's contents, tracking bits and share
-count, every handler call and every meter counter, bit for bit.  The same
-holds one level up, for whole isolation mechanisms serving requests.
+count, every handler call and every meter counter, bit for bit.  Both hand
+out mapping handles with one lifetime (``mapping_at``): the twins agree on
+which handles are still valid, and a valid one is the mapping a fresh
+lookup returns.  The same holds one level up, for whole isolation
+mechanisms serving requests.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.mem.image import PageImage, intersect_runs, put_content, subtract_run
 from repro.mem.layout import diff_layouts
 from repro.mem.pagemap import PagemapView
 from repro.mem.page import Protection
+from repro.mem.vma import Vma
 from repro.proc import process as sim_process
 from repro.workloads import find_benchmark, microbenchmark_profile
 
@@ -313,6 +317,40 @@ def _assert_mapped_pages_counted(spaces):
         assert space.total_mapped_pages == sum(vma.num_pages for vma in space.vmas)
 
 
+def _assert_records_fresh(spaces):
+    """Each layout record, reused by a resize or not, equals one built afresh.
+
+    The record is built from its mapping's own page bounds, so a resize
+    that swapped back to a record of other bounds fails here.
+    """
+    for space in spaces:
+        for vma in space.vmas:
+            handle = space.mapping_at(vma.first_page)
+            fresh = Vma(
+                handle.first * PAGE_SIZE, handle.end * PAGE_SIZE, vma.prot, vma.kind, vma.name
+            )
+            assert handle.vma is vma
+            assert vma == fresh
+
+
+def _hold_handles(held, spaces, indices, pages):
+    """Take a handle for each of ``pages`` in the spaces at ``indices``, to check later."""
+    for index in indices:
+        for page in pages:
+            held.append((index, page, spaces[index].mapping_at(page)))
+
+
+def _valid_handles(held, spaces):
+    """Which held handles are valid; asserts each valid one is the current mapping."""
+    valid = []
+    for index, page, handle in held:
+        ok = handle is not None and handle.holds(page)
+        if ok:
+            assert spaces[index].mapping_at(page) is handle, (index, page)
+        valid.append(ok)
+    return valid
+
+
 def _apply(action):
     """Run ``action``; return its result or the error it raised, as comparable data."""
     try:
@@ -401,6 +439,23 @@ SPLIT_HEAP_OPS = [
 ]
 
 
+#: A heap resized in place, up and down, to bounds it had before and to new
+#: ones: a resize reuses the record of the bounds it had just before and
+#: builds a fresh one otherwise.  Handles taken along the way must stay valid
+#: across every resize, for the pages the break keeps.
+HEAP_RESIZE_OPS = [
+    (0, "brk", 0, 3),
+    (0, "brk", 0, 6),
+    (0, "range", 48, 6),
+    (0, "brk", 0, 9),
+    (0, "brk", 0, 6),
+    (0, "range", 50, 4),
+    (0, "brk", 0, 9),
+    (0, "brk", 0, 2),
+    (0, "range", 48, 2),
+]
+
+
 #: Mapping edits only visit the VMAs their range overlaps, found by
 #: bisection.  Three populated VMAs with a one-page gap before each of the
 #: last two (pages 0-3, 5-8 and 10-13 past ``BASE_PAGE``): an ``mprotect``
@@ -463,22 +518,40 @@ WIDE_OPS = [
 
 
 def _run_twin_ops(scenario, ops, pages):
-    """Drive twin spaces through ``ops``; compare them after every one."""
+    """Drive twin spaces through ``ops``; compare them after every one.
+
+    Each side also holds mapping handles: one per mapping and the heap's
+    base at the start, and one for each operation's page after it.  After
+    every operation a handle is either dead (or no longer holds its page)
+    on both sides alike, or is the very mapping a fresh lookup returns.
+    """
     (shipped, shipped_calls), (reference, reference_calls) = _twins(scenario)
     _assert_mapped_pages_counted(shipped)
+    starts = [BRK_BASE_PAGE] + [vma.first_page for vma in shipped[0].vmas]
+    shipped_held, reference_held = [], []
+    _hold_handles(shipped_held, shipped, range(len(shipped)), starts)
+    _hold_handles(reference_held, reference, range(len(reference)), starts)
     for index, (side, kind, offset, count) in enumerate(ops):
         side = min(side, len(shipped) - 1)
+        first = BASE_PAGE + offset
         if kind == "fork":
             if len(shipped) < 4:
                 shipped.append(shipped[side].fork())
                 reference.append(reference[side].fork())
+                _hold_handles(shipped_held, shipped, [len(shipped) - 1], starts)
+                _hold_handles(reference_held, reference, [len(reference) - 1], starts)
         else:
-            first = BASE_PAGE + offset
             data = f"op{index}".encode() if index % 5 else b""
             got = _apply(lambda: _operate(shipped[side], kind, first, count, data))
             want = _apply(lambda: _operate(reference[side], kind, first, count, data))
             assert got == want
         _assert_mapped_pages_counted(shipped)
+        _assert_records_fresh(shipped)
+        assert _valid_handles(shipped_held, shipped) == _valid_handles(
+            reference_held, reference
+        )
+        _hold_handles(shipped_held, shipped, [side], [first])
+        _hold_handles(reference_held, reference, [side], [first])
         assert _state(shipped, shipped_calls, pages) == _state(
             reference, reference_calls, pages
         )
@@ -488,6 +561,7 @@ class TestRangePathsMatchPerPageOracle:
     @given(twin_scenarios(), st.lists(write_ops, min_size=1, max_size=14))
     @example(PINNED_SCENARIO, PINNED_OPS)
     @example(PINNED_SCENARIO, SPLIT_HEAP_OPS)
+    @example(PINNED_SCENARIO, HEAP_RESIZE_OPS)
     @example(GAPPED_SCENARIO, GAPPED_OPS)
     @example(ADJACENT_SCENARIO, ADJACENT_OPS)
     @settings(max_examples=150, deadline=None)

@@ -19,13 +19,17 @@ implementation in :mod:`repro.faas.metrics`:
   walk, in any order, exactly as a fresh walk per rank does.
 * **LatencyStats parity**: count/mean/std/min/max reduce exactly to the
   values :func:`repro.faas.metrics.summarize` computes.
+* **The p99 read**: ``LatencySketch.p99`` (and ``MetricsCollector.e2e_p99``,
+  what the SLO monitor reads) equals ``stats().p99`` bit for bit, zero
+  bucket and collapsed bins included.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.faas.metrics import percentile, summarize
+from repro.faas.metrics import MetricsCollector, percentile, summarize
+from repro.faas.request import Invocation
 from repro.faas.sketch import LatencySketch, QuantileSketch
 
 #: Latency-shaped positive samples: microseconds to minutes, plus the
@@ -157,3 +161,37 @@ def test_single_bucket_streams_reproduce_percentile_exactly(samples):
     sketch = LatencySketch()
     sketch.extend(stream)
     assert sketch.stats().p99 == percentile(stream, 99)
+
+
+@given(samples=streams, max_bins=st.sampled_from([2, 3, 8, 2048]))
+@example(samples=[0.0, 0.0], max_bins=2048)  # the zero bucket alone
+@example(samples=[0.0] * 99 + [5.0], max_bins=2048)  # p99 in the zero bucket
+@example(samples=[1e-6 * 3 ** k for k in range(30)], max_bins=2)  # collapsed bins
+@settings(max_examples=300, deadline=None)
+def test_p99_read_equals_the_stats_p99_bit_for_bit(samples, max_bins):
+    sketch = LatencySketch(max_bins=max_bins)
+    sketch.extend(samples)
+    # Bit for bit: compare the floats' exact values, signs of zero included.
+    assert sketch.p99().hex() == sketch.stats().p99.hex()
+
+
+@given(
+    st.lists(
+        st.tuples(latencies, st.sampled_from(["tenant-a", "tenant-b"])),
+        min_size=1,
+        max_size=200,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_collector_p99_read_equals_its_stats_p99(samples):
+    # The per-tenant windowed collectors the SLO monitor reads.
+    collector = MetricsCollector(bucket_seconds=0.25)
+    for index, (latency, caller) in enumerate(samples):
+        at = 1.0 + index * 0.01
+        invocation = Invocation(action="act", caller=caller, submitted_at=at - latency)
+        invocation.mark_completed(at, {})
+        collector.record(invocation)
+    tenants = collector.by_caller(since=0.5, until=1.0 + len(samples) * 0.01)
+    assert tenants
+    for tenant in tenants.values():
+        assert tenant.e2e_p99().hex() == tenant.e2e_stats().p99.hex()

@@ -19,7 +19,7 @@ from repro.kernel.faults import NO_FAULTS, FaultRecord
 from repro.mem.page import Protection
 from repro.proc.process import SimProcess
 from repro.runtime import build_runtime
-from repro.runtime.base import FunctionRuntime
+from repro.runtime.base import FunctionRuntime, RequestPlan
 from repro.runtime.native import NativeRuntime
 from repro.runtime.node_rt import NodeRuntime
 from repro.runtime.profiles import FunctionProfile, Language
@@ -360,6 +360,33 @@ class TestRequestPlan:
         steps = [None, remap_working, None, None]
         planned, unplanned = self._both(monkeypatch, small_node_profile, steps)
         assert planned == unplanned
+
+    @pytest.mark.parametrize("profile_name", ["python", "node"])
+    def test_heap_growth_and_scratch_churn_across_restores(
+        self, monkeypatch, small_python_profile, small_node_profile, profile_name
+    ):
+        # Under gh every request grows the heap, maps, writes and unmaps
+        # scratch regions, and every restore shrinks the heap back with an
+        # injected brk (and unmaps or re-maps what the request left).  The
+        # plan's handles outlive all of it: resolved for the warm-up request,
+        # it is never resolved again, yet agrees with a plan resolved before
+        # every request.
+        profile = small_python_profile if profile_name == "python" else small_node_profile
+        assert profile.heap_growth_pages and profile.regions_mapped_per_invocation
+        resolves = []
+        resolve = RequestPlan.resolve
+
+        def counted(plan, process):
+            resolves.append(process)
+            resolve(plan, process)
+
+        monkeypatch.setattr(RequestPlan, "resolve", counted)
+        planned, unplanned = self._both(monkeypatch, profile, [None] * 8, name="gh")
+        assert planned == unplanned
+        # Each run resolves for its warm-up request; only the second one
+        # again before each of its eight requests.
+        assert len(resolves) == 2 + 8
+        assert all(outcome[2] > 1 for outcome in planned[0])
 
     def test_fork_children_charge_their_first_touch_faults(self, monkeypatch):
         profile = microbenchmark_profile(16, 2)
