@@ -825,8 +825,8 @@ class AddressSpace:
     ) -> None:
         """:meth:`write_range` with the lookup of ``start_page`` already done.
 
-        ``mapping`` is :meth:`mapping_at` of ``start_page`` under the current
-        layout generation.  The pages are written exactly as by
+        ``mapping`` is a :meth:`mapping_at` handle that holds ``start_page``
+        (``mapping.holds(start_page)``).  The pages are written exactly as by
         :meth:`write_range`; a range that runs past ``mapping`` looks the
         following mappings up as it reaches them.
         """
@@ -1070,40 +1070,32 @@ class AddressSpace:
         resident = area.resident & span
         meter = self.meter
         cm = self.cost_model
-        if not (area.cow | area.tlb_cold | area.wp) & span:
+        if not (area.cow | area.tlb_cold | area.wp) & span and (
+            resident == span or not resident
+        ):
             # Every page takes the same fault (or none).  A run too short
             # for the closed form is charged here, one add per fault.
-            if resident == span:
-                if self._sd_tracking_armed:
-                    faults = stop - first - (area.soft_dirty & span).bit_count()
-                    if faults:
-                        step = cm.soft_dirty_fault_seconds
-                        if faults < CLOSED_FORM_MIN_ADDS:
-                            cost = meter.cost_seconds
-                            for _ in range(faults):
-                                cost += step
-                            meter.cost_seconds = cost
-                        else:
-                            meter.cost_seconds = _repeat_add(
-                                meter.cost_seconds, (step,), faults
-                            )
-                        meter.soft_dirty_faults += faults
-                area.soft_dirty |= span
-                return
             if not resident:
                 faults = stop - first
                 step = cm.minor_fault_seconds
-                if faults < CLOSED_FORM_MIN_ADDS:
-                    cost = meter.cost_seconds
-                    for _ in range(faults):
-                        cost += step
-                    meter.cost_seconds = cost
-                else:
-                    meter.cost_seconds = _repeat_add(meter.cost_seconds, (step,), faults)
                 meter.minor_faults += faults
                 area.resident |= span
+            elif self._sd_tracking_armed:
+                faults = stop - first - (area.soft_dirty & span).bit_count()
+                step = cm.soft_dirty_fault_seconds
+                meter.soft_dirty_faults += faults
+            else:
                 area.soft_dirty |= span
                 return
+            if faults < CLOSED_FORM_MIN_ADDS:
+                cost = meter.cost_seconds
+                for _ in range(faults):
+                    cost += step
+                meter.cost_seconds = cost
+            else:
+                meter.cost_seconds = _repeat_add(meter.cost_seconds, (step,), faults)
+            area.soft_dirty |= span
+            return
         # Mixed state: split the range where any of the five bits changes
         # and charge each stretch of identical pages in one loop.
         cold = area.tlb_cold & span

@@ -20,7 +20,7 @@ from typing import Tuple
 from repro.errors import NoSuchProcessError
 from repro.mem.layout import MemoryLayout
 from repro.mem.pagemap import PagemapScanResult, PagemapView
-from repro.proc.process import ProcessState, SimProcess
+from repro.proc.process import SimProcess
 
 
 class ProcFs:
@@ -36,7 +36,7 @@ class ProcFs:
         return self._process
 
     def _check_alive(self) -> None:
-        if self._process.state is ProcessState.EXITED:
+        if not self._process.is_alive:
             raise NoSuchProcessError(self._process.pid)
 
     # ------------------------------------------------------------------

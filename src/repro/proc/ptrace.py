@@ -187,7 +187,7 @@ class Ptrace:
     def _require_attached(self) -> None:
         if not self._attached:
             raise PtraceError("not attached to the tracee")
-        if self._process.state is ProcessState.EXITED:
+        if not self._process.is_alive:
             raise PtraceError("tracee has exited")
 
     def _require_stopped(self) -> None:

@@ -91,8 +91,7 @@ class RequestPlan:
     working VMA, in one process's address space (``process``).  A handle
     outlives every edit that leaves its own mapping in place: the heap
     growth, scratch churn and restores of every request.  A request checks
-    that both are still live and hold their pages (a live mapping's first
-    page never moves, so ``page < handle.end`` suffices) and calls
+    that both still hold their pages (``handle.holds(page)``) and calls
     :meth:`resolve` when not; a handle of an unmapped page (``None``) is
     looked up again on every request.
     """
@@ -349,11 +348,9 @@ class FunctionRuntime(abc.ABC):
         if not (
             plan.process is process
             and buffer is not None
-            and buffer.live
-            and plan.buffer_page < buffer.end
+            and buffer.holds(plan.buffer_page)
             and working is not None
-            and working.live
-            and plan.working_first < working.end
+            and working.holds(plan.working_first)
         ):
             plan.resolve(process)
         meter_before = space.meter.checkpoint()
@@ -374,7 +371,7 @@ class FunctionRuntime(abc.ABC):
             page = space.brk // PAGE_SIZE
             space.sbrk(pages_from_growth * PAGE_SIZE)
             heap = plan.buffer
-            if page < heap.end:
+            if heap.holds(page):
                 space.write_mapped(heap, page, pages_from_growth, b"ALLOC:" + secret[:32])
             else:
                 space.write_range(page, pages_from_growth, b"ALLOC:" + secret[:32])
@@ -383,7 +380,7 @@ class FunctionRuntime(abc.ABC):
         # An unmap that took the working VMA with it leaves its handle dead.
         pages_from_scratch = self._layout_churn(secret)
         working = plan.working
-        if working is None or not working.live or plan.working_first >= working.end:
+        if working is None or not working.holds(plan.working_first):
             plan.resolve(process)
 
         # (4) Bulk dirtying of the function's working set.
