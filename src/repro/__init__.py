@@ -24,7 +24,7 @@ Quick start::
 """
 
 from repro.config import LATENCY_CONFIG, PAGE_SIZE, THROUGHPUT_CONFIG, SimulationConfig
-from repro.errors import ReproError, IsolationViolation
+from repro.errors import ReproError
 from repro.core import (
     GroundhogManager,
     GroundhogMechanism,
@@ -69,7 +69,6 @@ __all__ = [
     "LATENCY_CONFIG",
     "THROUGHPUT_CONFIG",
     "ReproError",
-    "IsolationViolation",
     "GroundhogManager",
     "GroundhogMechanism",
     "GroundhogNopMechanism",

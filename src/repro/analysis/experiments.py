@@ -1052,52 +1052,6 @@ def estimate_cluster_capacity_rps(
     return invokers * cores / per_request_estimate
 
 
-def run_latency_under_load(
-    spec: Optional[BenchmarkSpec] = None,
-    *,
-    strategies: Sequence[Tuple[str, bool]] = LOAD_STRATEGIES,
-    load_factors: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    duration_seconds: float = 4.0,
-    warmup_seconds: float = 0.5,
-) -> Dict[str, SweepResult]:
-    """Latency-under-load curves: open-loop arrivals swept across strategies.
-
-    Eight ``gh`` copies of the benchmark on 4 invokers of 2 cores.
-    ``load_factors`` scale the estimated warm capacity of the cluster; at
-    factor 1.0 a strategy only keeps up if it wastes no core time on
-    avoidable cold starts.  Returns sweeps keyed ``"throughput"`` (achieved
-    vs offered req/s) and ``"p95_ms"`` (p95 end-to-end latency vs offered),
-    one series per strategy.
-    """
-    if spec is None:
-        spec = representative_benchmarks()[0]
-    capacity = estimate_cluster_capacity_rps(spec, invokers=4, cores=2)
-    throughput_sweep = SweepResult(
-        x_label="offered load (req/s)", y_label="achieved throughput (req/s)"
-    )
-    latency_sweep = SweepResult(
-        x_label="offered load (req/s)", y_label="p95 e2e latency (ms)"
-    )
-    for policy, stealing in strategies:
-        throughput_points = []
-        latency_points = []
-        for factor in load_factors:
-            point = measure_latency_under_load(
-                spec,
-                offered_rps=capacity * factor, policy=policy, work_stealing=stealing,
-                duration_seconds=duration_seconds, warmup_seconds=warmup_seconds,
-            )
-            throughput_points.append((point.offered_rps, point.achieved_rps))
-            # A strategy that completed nothing inside the window has
-            # unbounded latency at this load, not zero.
-            p95 = point.p95_ms if point.p95_ms is not None else float("inf")
-            latency_points.append((point.offered_rps, p95))
-        label = strategy_label(policy, stealing)
-        throughput_sweep.add(Series.from_points(label, throughput_points))
-        latency_sweep.add(Series.from_points(label, latency_points))
-    return {"throughput": throughput_sweep, "p95_ms": latency_sweep}
-
-
 # ---------------------------------------------------------------------------
 # Tenant mixes — admission, quotas and SLO control under contention
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from repro.errors import PlatformError
 from repro.faas.loadgen import OpenLoopClient
 from repro.faas.metrics import LatencyStats
 from repro.faas.obs import write_chrome_trace
-from repro.faas.sketch import LatencySketch
 from repro.workloads.microbench import microbenchmark_profile
 
 #: One run's summary: plain values, plus the run's e2e sketch and, when it
@@ -370,20 +369,12 @@ def _build(
     return client, offered, period
 
 
-def build_client(
-    key: str,
-    variant: str,
-    *,
-    invocations: int,
-    seed: int = SEED,
-    **overrides: object,
-) -> OpenLoopClient:
+def build_client(key: str, variant: str, *, invocations: int) -> OpenLoopClient:
     """Build one variant's cluster and the client that replays its trace.
 
-    ``overrides`` replace :class:`Shape` fields of the table's variant.
     ``client.platform`` is the cluster and ``client.run()`` replays.
     """
-    return _build(_shape(key, variant, overrides), invocations, seed)[0]
+    return _build(_shape(key, variant, {}), invocations, SEED)[0]
 
 
 def replay(
@@ -461,8 +452,8 @@ def replay(
         "invocations_per_second": result.issued / wall if wall > 0 else 0.0,
         "duration_seconds": client.duration_seconds,
         "offered_rps": offered,
-        # Picklable and mergeable: replicas pool by sketch-merge.
-        "e2e_sketch": platform.metrics._merged_sketch("e2e"),
+        # Picklable, with an exact __eq__: replicas compare bucket for bucket.
+        "e2e_sketch": platform.metrics._merged_sketch(),
     }
     recorder = platform.trace()
     if recorder is not None:
@@ -634,11 +625,6 @@ def run_replicated(
     collectors), so the only thing a process boundary changes is where
     the arithmetic happens.  The fan-out is for determinism checks and
     throughput of many seeds, never for timing.
-
-    Results that carry sketches (a :func:`replay` summary's
-    ``e2e_sketch``) can be pooled with :func:`pooled_sketch_stats` —
-    sketch-merge is lossless, so the pooled percentiles equal those of a
-    single sketch fed every seed's samples.
     """
     seed_list = [int(seed) for seed in seeds]
     if not seed_list:
@@ -648,14 +634,3 @@ def run_replicated(
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(min(processes, len(seed_list))) as pool:
         return pool.map(worker, seed_list)
-
-
-def pooled_sketch_stats(results: Sequence[Summary]) -> LatencyStats:
-    """Sketch-merge the ``e2e_sketch`` of replicated runs into one summary."""
-    sketches = [result["e2e_sketch"] for result in results]
-    if not sketches:
-        raise ValueError("nothing to pool")
-    pooled = LatencySketch(relative_accuracy=sketches[0].relative_accuracy)
-    for sketch in sketches:
-        pooled.merge(sketch)
-    return pooled.stats()

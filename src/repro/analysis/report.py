@@ -7,7 +7,7 @@ and compact paper-vs-measured comparisons for the headline numbers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.experiments import BreakdownRecord, EvaluationResult
 from repro.analysis.stats import OverheadSummary
@@ -15,17 +15,17 @@ from repro.analysis.tables import format_percent, format_rate, format_seconds, r
 from repro.workloads.spec import BenchmarkSpec
 
 
-def latency_table(result: EvaluationResult, *, baseline: str = "base") -> str:
-    """Render a Fig. 4 / Table 2 style relative-latency table."""
-    configs = [c for c in result.configs() if c != baseline]
-    headers = ["benchmark", f"{baseline} e2e (ms)", f"{baseline} inv (ms)"]
+def latency_table(result: EvaluationResult) -> str:
+    """Render a Fig. 4 / Table 2 style relative-latency table against ``base``."""
+    configs = [c for c in result.configs() if c != "base"]
+    headers = ["benchmark", "base e2e (ms)", "base inv (ms)"]
     for config in configs:
         headers.extend([f"{config} e2e", f"{config} inv"])
     rows = []
     for benchmark in result.benchmarks():
-        if not result.has(benchmark, baseline):
+        if not result.has(benchmark, "base"):
             continue
-        base = result.record(benchmark, baseline)
+        base = result.record(benchmark, "base")
         row: List[str] = [
             benchmark,
             format_seconds(base.e2e.median if base.e2e else None),
@@ -50,15 +50,15 @@ def latency_table(result: EvaluationResult, *, baseline: str = "base") -> str:
     return render_table(headers, rows, title="Relative latency vs insecure baseline")
 
 
-def throughput_table(result: EvaluationResult, *, baseline: str = "base") -> str:
-    """Render a Fig. 5 style relative-throughput table."""
-    configs = [c for c in result.configs() if c != baseline]
-    headers = ["benchmark", f"{baseline} (req/s)"] + [f"{c} rel" for c in configs]
+def throughput_table(result: EvaluationResult) -> str:
+    """Render a Fig. 5 style relative-throughput table against ``base``."""
+    configs = [c for c in result.configs() if c != "base"]
+    headers = ["benchmark", "base (req/s)"] + [f"{c} rel" for c in configs]
     rows = []
     for benchmark in result.benchmarks():
-        if not result.has(benchmark, baseline):
+        if not result.has(benchmark, "base"):
             continue
-        base = result.record(benchmark, baseline)
+        base = result.record(benchmark, "base")
         row = [benchmark, format_rate(base.throughput_rps)]
         for config in configs:
             if result.has(benchmark, config):
@@ -99,17 +99,17 @@ def restoration_table(records: Sequence[BreakdownRecord]) -> str:
     return render_table(headers, rows, title="Restoration breakdown (Fig. 8)")
 
 
-def table3_rows(result: EvaluationResult, *, config: str = "gh") -> str:
-    """Render Table 3: restoration time vs pages, sorted by restore time."""
+def table3_rows(result: EvaluationResult) -> str:
+    """Render Table 3: ``gh`` restoration time vs pages, sorted by restore time."""
     headers = [
         "benchmark", "base inv (ms)", "gh inv (ms)", "restore (ms)",
         "#pages (K)", "#restored (K)", "#faults",
     ]
     rows = []
     for benchmark in result.benchmarks():
-        if not (result.has(benchmark, config) and result.has(benchmark, "base")):
+        if not (result.has(benchmark, "gh") and result.has(benchmark, "base")):
             continue
-        rec = result.record(benchmark, config)
+        rec = result.record(benchmark, "gh")
         base = result.record(benchmark, "base")
         rows.append(
             (
@@ -131,12 +131,9 @@ def table3_rows(result: EvaluationResult, *, config: str = "gh") -> str:
 
 
 def paper_comparison_table(
-    result: EvaluationResult,
-    benchmarks: Sequence[BenchmarkSpec],
-    *,
-    config: str = "gh",
+    result: EvaluationResult, benchmarks: Sequence[BenchmarkSpec]
 ) -> str:
-    """Paper-vs-measured restore time and relative invoker latency."""
+    """Paper-vs-measured ``gh`` restore time and relative invoker latency."""
     by_name = {spec.qualified_name: spec for spec in benchmarks}
     headers = [
         "benchmark",
@@ -146,9 +143,9 @@ def paper_comparison_table(
     rows = []
     for benchmark in result.benchmarks():
         spec = by_name.get(benchmark)
-        if spec is None or not result.has(benchmark, config) or not result.has(benchmark, "base"):
+        if spec is None or not result.has(benchmark, "gh") or not result.has(benchmark, "base"):
             continue
-        rec = result.record(benchmark, config)
+        rec = result.record(benchmark, "gh")
         base = result.record(benchmark, "base")
         paper_rel = None
         if spec.paper.gh_invoker_ms and spec.paper.base_invoker_ms:
@@ -165,7 +162,7 @@ def paper_comparison_table(
                 f"{measured_rel:.2f}x" if measured_rel else "-",
             ]
         )
-    return render_table(headers, rows, title=f"Paper vs measured ({config})")
+    return render_table(headers, rows, title="Paper vs measured (gh)")
 
 
 def headline_text(summaries: Dict[str, OverheadSummary]) -> str:

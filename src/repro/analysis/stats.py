@@ -8,7 +8,7 @@ latency overhead").  These helpers compute exactly those reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 from repro.faas.metrics import percentile
 
@@ -57,13 +57,3 @@ def summarize_overheads(overheads_percent: Sequence[float]) -> OverheadSummary:
         minimum_percent=ordered[0],
         mean_percent=sum(ordered) / len(ordered),
     )
-
-
-def reductions_percent(values: Iterable[float], baselines: Iterable[float]) -> List[float]:
-    """Relative *reductions* (positive = lower than baseline), e.g. throughput loss."""
-    result = []
-    for value, baseline in zip(values, baselines):
-        if baseline <= 0:
-            raise ValueError("baseline must be positive")
-        result.append((1.0 - value / baseline) * 100.0)
-    return result

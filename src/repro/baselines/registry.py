@@ -8,7 +8,7 @@ two related-work comparison points ``cold`` and ``criu``.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Mapping, Type
+from typing import Mapping, Type
 
 from repro.baselines.coldstart import ColdStartIsolation
 from repro.baselines.criu import CriuIsolation
@@ -47,10 +47,3 @@ def mechanism_class(name: str) -> Type[IsolationMechanism]:
 def create_mechanism(name: str, profile: FunctionProfile, **kwargs) -> IsolationMechanism:
     """Instantiate the mechanism registered under ``name`` for ``profile``."""
     return mechanism_class(name)(profile, **kwargs)
-
-
-def supported_mechanisms(profile: FunctionProfile) -> Dict[str, Type[IsolationMechanism]]:
-    """Return the mechanisms that can host ``profile``."""
-    return {
-        name: cls for name, cls in MECHANISMS.items() if cls.supports(profile)
-    }

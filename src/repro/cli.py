@@ -508,6 +508,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--benchmark", default=default)
         p.add_argument("--language", choices=("p", "c", "n"), default=None)
 
+    def add_config_arg(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", default="gh",
+                       help="isolation configuration (default: gh)")
+
+    def add_cores_and_actions_args(p: argparse.ArgumentParser, actions: int) -> None:
+        p.add_argument("--cores", type=int, default=2,
+                       help="cores per invoker (default: 2)")
+        p.add_argument("--actions", type=int, default=actions,
+                       help=f"deployed copies of the action (default: {actions})")
+
     def add_isolation_mechanism_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--isolation-mechanism",
                        choices=ISOLATION_MECHANISMS, default="gh",
@@ -551,15 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster-scaling", help="aggregate throughput vs invokers x scheduling policy"
     )
     add_benchmark_args(cluster_parser, default="pyaes")
-    cluster_parser.add_argument("--config", default="gh",
-                                help="isolation configuration (default: gh)")
+    add_config_arg(cluster_parser)
     cluster_parser.add_argument("--invokers", type=int, nargs="+", default=[1, 2, 4])
     cluster_parser.add_argument("--policies", nargs="+", choices=SCHEDULER_POLICIES,
                                 default=list(SCHEDULER_POLICIES))
-    cluster_parser.add_argument("--cores", type=int, default=2,
-                                help="cores per invoker (default: 2)")
-    cluster_parser.add_argument("--actions", type=int, default=8,
-                                help="deployed copies of the action (default: 8)")
+    add_cores_and_actions_args(cluster_parser, actions=8)
     cluster_parser.add_argument("--rounds", type=int, default=5,
                                 help="approximate requests per core in the window")
     cluster_parser.add_argument("--max-queue", type=int, default=None,
@@ -588,13 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop (Poisson) load sweep across scheduling strategies",
     )
     add_benchmark_args(load_parser, default="pyaes")
-    load_parser.add_argument("--config", default="gh",
-                             help="isolation configuration (default: gh)")
+    add_config_arg(load_parser)
     load_parser.add_argument("--invokers", type=int, default=4)
-    load_parser.add_argument("--cores", type=int, default=2,
-                             help="cores per invoker (default: 2)")
-    load_parser.add_argument("--actions", type=int, default=8,
-                             help="deployed copies of the action (default: 8)")
+    add_cores_and_actions_args(load_parser, actions=8)
     load_parser.add_argument("--load-factors", type=float, nargs="+",
                              default=[0.5, 1.0, 1.25],
                              help="offered load as fractions of the estimated "
@@ -641,13 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_benchmark_args(fairness_parser, default="get-time")
     fairness_parser.set_defaults(language="p")
-    fairness_parser.add_argument("--config", default="gh",
-                                 help="isolation configuration (default: gh)")
+    add_config_arg(fairness_parser)
     fairness_parser.add_argument("--invokers", type=int, default=2)
-    fairness_parser.add_argument("--cores", type=int, default=2,
-                                 help="cores per invoker (default: 2)")
-    fairness_parser.add_argument("--actions", type=int, default=4,
-                                 help="deployed copies of the action (default: 4)")
+    add_cores_and_actions_args(fairness_parser, actions=4)
     fairness_parser.add_argument("--quota-factor", type=float, default=1.2,
                                  help="per-tenant quota as a multiple of the "
                                       "estimated cluster capacity (default: 1.2; "
@@ -667,8 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_benchmark_args(control_parser, default="get-time")
     control_parser.set_defaults(language="p")
-    control_parser.add_argument("--config", default="gh",
-                                help="isolation configuration (default: gh)")
+    add_config_arg(control_parser)
     control_parser.add_argument("--parts", nargs="+",
                                 choices=("quota", "capacity", "forecast"),
                                 default=["quota", "capacity"],

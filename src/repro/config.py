@@ -21,9 +21,6 @@ PAGE_SIZE = 4096
 #: Default number of invoker cores in the latency experiments (§5.3).
 DEFAULT_LATENCY_CORES = 1
 
-#: Default number of invoker cores in the throughput experiments (§5.3).
-DEFAULT_THROUGHPUT_CORES = 4
-
 #: Scheduling policies a cluster controller can route invocations with.
 #: ``hash-affinity`` mirrors OpenWhisk's home-invoker assignment (an action
 #: hashes to one invoker so its warm containers are reused); ``warm-aware``
@@ -270,17 +267,3 @@ LATENCY_CONFIG = SimulationConfig(cores=1, containers_per_action=1)
 #: Configuration matching the paper's throughput experiments: a 4-core VM with
 #: 4 function containers and a saturating client (§5.3 "Measuring Throughput").
 THROUGHPUT_CONFIG = SimulationConfig(cores=4, containers_per_action=4)
-
-
-def pages_for_bytes(num_bytes: int) -> int:
-    """Return the number of pages needed to back ``num_bytes`` of memory."""
-    if num_bytes < 0:
-        raise ValueError("num_bytes must be non-negative")
-    return (num_bytes + PAGE_SIZE - 1) // PAGE_SIZE
-
-
-def bytes_for_pages(num_pages: int) -> int:
-    """Return the byte size of ``num_pages`` pages."""
-    if num_pages < 0:
-        raise ValueError("num_pages must be non-negative")
-    return num_pages * PAGE_SIZE

@@ -102,19 +102,9 @@ class GroundhogManager:
         return self._snapshot_stats
 
     @property
-    def has_snapshot(self) -> bool:
-        """True once the clean snapshot exists."""
-        return self._snapshot is not None
-
-    @property
     def is_clean(self) -> bool:
         """True when the next request may safely be forwarded."""
         return self.state is ManagerState.READY
-
-    @property
-    def restorer(self) -> Restorer:
-        """The restorer (exposed for breakdown-oriented experiments)."""
-        return self._restorer
 
     # ------------------------------------------------------------------
     # Snapshot

@@ -27,7 +27,6 @@ from repro.core.restore import RestoreResult
 from repro.core.snapshot import SnapshotStats
 from repro.core.tracking import SoftDirtyTracker, UffdWriteTracker, WriteSetTracker
 from repro.kernel.kernel import SimKernel
-from repro.proc.pipes import Message
 from repro.proc.process import SimProcess
 from repro.proc.procfs import ProcFs
 from repro.runtime import build_runtime
@@ -168,7 +167,6 @@ class IsolationMechanism(abc.ABC):
         *,
         caller: Optional[str] = None,
         verify: bool = False,
-        skip_post: bool = False,
     ) -> InvokeReport:
         """Serve one request and perform the mechanism's post-request work.
 
@@ -187,13 +185,9 @@ class IsolationMechanism(abc.ABC):
         relay_seconds += extra_relay
         critical_seconds = pre_seconds + relay_seconds + result.busy_seconds
 
-        if skip_post:
-            post_seconds, restore = 0.0, None
-            post_skipped = True
-        else:
-            post_seconds, restore, post_skipped = self._post_invoke(
-                result, caller=caller, verify=verify
-            )
+        post_seconds, restore, post_skipped = self._post_invoke(
+            result, caller=caller, verify=verify
+        )
         self._previous_caller = caller
         return InvokeReport(
             result,

@@ -84,11 +84,6 @@ class PathPolicy:
     def __init__(self, entries: Tuple[PolicyEntry, ...] = DEFAULT_POLICY) -> None:
         self._entries = entries
 
-    @property
-    def entries(self) -> Tuple[PolicyEntry, ...]:
-        """The waiver table, in declaration order."""
-        return self._entries
-
     def waivers_for(self, posix_path: str) -> Dict[str, str]:
         """Map rule id -> waiver reason for every rule waived at ``posix_path``."""
         waived: Dict[str, str] = {}

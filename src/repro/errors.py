@@ -155,10 +155,3 @@ class SnapshotError(IsolationError):
 class RestoreError(IsolationError):
     """Raised when restoration fails or verification detects residual state."""
 
-
-class IsolationViolation(IsolationError):
-    """Raised when residual data from a previous request is detected.
-
-    This is the error Groundhog exists to prevent; it is raised by the
-    verification helpers used in tests and by strict-mode restoration.
-    """

@@ -38,7 +38,6 @@ from repro.faas.scheduler import (
     create_policy,
     estimated_service_seconds,
 )
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.events import EventLoop
 from repro.sim.rng import RngStreams
 
@@ -55,7 +54,6 @@ class FaaSCluster:
         self,
         config: Optional[SimulationConfig] = None,
         *,
-        cost_model: Optional[CostModel] = None,
         verify_isolation: bool = False,
         tenant_slos: Optional[Mapping[str, TenantSLO]] = None,
     ) -> None:
@@ -65,7 +63,6 @@ class FaaSCluster:
                 "tenant_slos declare objectives for the control plane; "
                 "enable SimulationConfig.control_plane to enforce them"
             )
-        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.rng_streams = RngStreams(self.config.seed)
         self.loop = EventLoop()
         #: One shared quota ledger: a tenant's token bucket is cluster-wide,
@@ -93,7 +90,6 @@ class FaaSCluster:
             Invoker(
                 self.loop,
                 cores=self.config.cores,
-                cost_model=self.cost_model,
                 # Invoker 0 keeps the seed deployment's stream name so the
                 # N=1 platform reproduces the original runs bit for bit.
                 rng=self.rng_streams.stream("invoker" if index == 0 else f"invoker-{index}"),
@@ -189,9 +185,7 @@ class FaaSCluster:
             # restore is priced by the same per-mechanism arithmetic the
             # invokers will charge when they actually restore.
             restore = (
-                restore_seconds_for(
-                    self.config.isolation_mechanism, init, self.cost_model
-                )
+                restore_seconds_for(self.config.isolation_mechanism, init)
                 if self.config.restorable_snapshots
                 else None
             )
@@ -354,35 +348,6 @@ class FaaSCluster:
     def queued_by_tenant(self) -> Dict[str, int]:
         """Cluster-wide waiting invocations per tenant."""
         return self.scheduler.queued_by_tenant()
-
-    def arrivals_per_action(self) -> Dict[str, int]:
-        """Cluster-wide lifetime submissions per action (demand signal)."""
-        totals: Dict[str, int] = {}
-        for action in self._specs:
-            count = sum(
-                invoker.arrivals_total(action)
-                for invoker in self.invokers
-                if invoker.hosts(action)
-            )
-            if count:
-                totals[action] = count
-        return totals
-
-    def recent_arrival_times(self, action: str, *, since: float = 0.0) -> List[float]:
-        """Recent arrival timestamps of ``action``, merged across invokers.
-
-        Bounded recent history (each invoker keeps a capped per-action
-        buffer), chronologically sorted.  An observability/debugging
-        surface finer-grained than the cumulative ``arrivals_total``
-        counters the forecaster itself consumes.
-        """
-        self._require_spec(action)
-        merged: List[float] = []
-        for invoker in self.invokers:
-            if invoker.hosts(action):
-                merged.extend(invoker.recent_arrival_times(action, since=since))
-        merged.sort()
-        return merged
 
     @property
     def routing_skew(self) -> float:

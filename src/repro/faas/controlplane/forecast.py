@@ -80,26 +80,28 @@ class DemandForecaster:
     * **seasonal** — when ``season_period_seconds`` is declared, the
       timeline is folded into ``season_buckets`` phase buckets and each
       bucket keeps a multiplicative factor (rate over level, smoothed by
-      ``gamma``) fitted online from the bucketed history.
+      :attr:`gamma`) fitted online from the bucketed history.
 
     Everything is plain float arithmetic over the observation stream: no
     randomness, no wall clock — two identical observation histories
     produce bit-identical forecasts.
     """
 
+    #: Smoothing of the seasonal factors.
+    gamma = 0.4
+
     def __init__(
         self,
         *,
         alpha: float = 0.1,
         beta: float = 0.05,
-        gamma: float = 0.4,
         trend_damping: float = 0.8,
         season_period_seconds: Optional[float] = None,
         season_buckets: int = 16,
         min_history_seconds: float = 2.0,
         min_observations: int = 4,
     ) -> None:
-        for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        for name, value in (("alpha", alpha), ("beta", beta)):
             if not 0.0 < value <= 1.0:
                 raise PlatformError(f"forecaster {name} must be in (0, 1]")
         if not 0.0 < trend_damping <= 1.0:
@@ -114,7 +116,6 @@ class DemandForecaster:
             raise PlatformError("min_observations must be >= 1")
         self.alpha = alpha
         self.beta = beta
-        self.gamma = gamma
         self.trend_damping = trend_damping
         self.season_period_seconds = season_period_seconds
         self.season_buckets = season_buckets

@@ -69,25 +69,24 @@ class MigrationDecision:
 class CapacityPlanner:
     """Plans and actuates cross-invoker pre-warm shifts each control tick."""
 
+    #: Seeds (pre-warm shifts) the planner actuates per control tick at most.
+    max_migrations_per_tick = 2
+
     def __init__(
         self,
         budget: int,
         *,
         queue_high: int = 4,
-        max_migrations_per_tick: int = 2,
         min_idle_seconds: float = 1.0,
     ) -> None:
         if budget < 1:
             raise PlatformError("the global container budget must be >= 1")
         if queue_high < 1:
             raise PlatformError("planner queue_high must be >= 1")
-        if max_migrations_per_tick < 1:
-            raise PlatformError("max_migrations_per_tick must be >= 1")
         if min_idle_seconds < 0:
             raise PlatformError("min_idle_seconds must be >= 0")
         self.budget = budget
         self.queue_high = queue_high
-        self.max_migrations_per_tick = max_migrations_per_tick
         #: A container must have sat idle this long before the planner may
         #: drain it: reclaiming a container that served a request
         #: milliseconds ago just forces a cold start when the next one

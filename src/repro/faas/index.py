@@ -291,10 +291,6 @@ class ClusterIndex:
     # Introspection / verification hooks
     # ------------------------------------------------------------------
 
-    def load_of(self, position: int) -> int:
-        """The indexed load of one position (test/verification surface)."""
-        return self._loads[position]
-
     def verify(self) -> None:
         """Assert every index structure against a from-scratch recompute.
 

@@ -85,7 +85,7 @@ from repro.faas.request import Invocation, InvocationStatus
 from repro.faas.restorecost import restore_seconds_for
 from repro.kernel.kernel import SimKernel
 from repro.sim.events import Event, EventLoop, RecurringTimer
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
+from repro.sim.costs import DEFAULT_COST_MODEL
 from repro.sim.rng import fallback_stream
 
 CompletionCallback = Callable[[Invocation], None]
@@ -138,10 +138,6 @@ class _ActionPool:
     #: demand signal a forecaster consumes).  Adopted steals are not
     #: re-counted: the victim already recorded that arrival.
     arrivals: int = 0
-    #: Recent arrival timestamps (bounded; oldest dropped first) — an
-    #: observability surface finer-grained than the cumulative counter
-    #: the forecaster consumes.
-    arrival_times: Deque[float] = field(default_factory=lambda: deque(maxlen=4096))
     #: This pool's current contribution to the invoker's incrementally
     #: maintained uncovered-queue total: ``max(0, len(queue) -
     #: cold_starting - restoring)`` as of the last state transition.
@@ -194,11 +190,6 @@ class InvokerSnapshot:
     #: Waiting invocations per action (only actions with at least one) —
     #: the cluster-level demand signal a capacity planner aggregates.
     queued_per_action: Mapping[str, int] = field(default_factory=dict)
-    #: Deploy-time pre-warmed containers per action (the eviction floor;
-    #: only actions with at least one).  Together with ``warm_total`` this
-    #: makes planner-seeded capacity observable: ``warm_total - prewarmed``
-    #: is the dynamic (migratable) part of each pool.
-    prewarmed: Mapping[str, int] = field(default_factory=dict)
     #: Lifetime invocations submitted per action (only actions with at
     #: least one) — the arrival-demand signal a forecasting control plane
     #: differences tick over tick to estimate per-action arrival rates.
@@ -226,10 +217,6 @@ class InvokerSnapshot:
     def warmth(self, action: str) -> int:
         """Containers (existing, booting, or restoring) for ``action``."""
         return self.warm_total.get(action, 0) + self.boots_in_flight.get(action, 0)
-
-    def restorable(self, action: str) -> int:
-        """Held snapshots of ``action`` (the restorable warmth tier)."""
-        return self.snapshots_held.get(action, 0)
 
 
 class _Dispatched:
@@ -306,7 +293,6 @@ class Invoker:
         *,
         cores: int = 1,
         kernel: Optional[SimKernel] = None,
-        cost_model: Optional[CostModel] = None,
         rng: Optional[random.Random] = None,
         verify_isolation: bool = False,
         invoker_id: str = "invoker-0",
@@ -338,7 +324,7 @@ class Invoker:
             )
         self.loop = loop
         self.cores = cores
-        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
+        self.cost_model = DEFAULT_COST_MODEL
         self.kernel = kernel if kernel is not None else SimKernel(self.cost_model)
         self.rng = rng if rng is not None else fallback_stream("faas.invoker")
         self.verify_isolation = verify_isolation
@@ -644,7 +630,6 @@ class Invoker:
         arrival = self.loop.now
         self.invocations_submitted += 1
         pool.arrivals += 1
-        pool.arrival_times.append(arrival)
         trace = invocation.trace
         if trace is not None:
             trace.arrive(arrival, self.invoker_id)
@@ -932,22 +917,6 @@ class Invoker:
     def max_containers(self, action: str) -> int:
         """The action's current container ceiling on this invoker."""
         return self._require_pool(action).max_containers
-
-    def set_max_containers(self, action: str, value: int) -> None:
-        """Set the action's container ceiling (>= the pre-warmed floor).
-
-        Lowering the ceiling below the current container count only blocks
-        further growth; existing containers drain through normal keep-alive
-        eviction rather than being killed mid-flight.
-        """
-        pool = self._require_pool(action)
-        if value < max(1, pool.prewarmed):
-            raise PlatformError(
-                f"{self.invoker_id}: max_containers for {action!r} cannot drop "
-                f"below the pre-warmed floor ({max(1, pool.prewarmed)})"
-            )
-        pool.max_containers = value
-        self._touch_pool(pool)
 
     def scale_action(self, action: str, delta: int) -> Optional[int]:
         """Nudge the action's container ceiling by ``delta``, clamped.
@@ -1476,10 +1445,6 @@ class Invoker:
             return len(self._require_pool(action).queue)
         return sum(len(pool.queue) for pool in self._queued_pools.values())
 
-    def queued_order(self, action: str) -> List[Invocation]:
-        """The waiting invocations of one action in arrival order."""
-        return self._require_pool(action).queue.invocations()
-
     def queued_by_tenant(self, action: Optional[str] = None) -> Dict[str, int]:
         """Waiting invocations per tenant (for one action or all of them).
 
@@ -1498,16 +1463,6 @@ class Invoker:
         if action is not None:
             return self._require_pool(action).arrivals
         return sum(pool.arrivals for pool in self._pools.values())
-
-    def recent_arrival_times(self, action: str, *, since: float = 0.0) -> List[float]:
-        """Recent arrival timestamps of ``action`` at or after ``since``.
-
-        The per-pool buffer is bounded (oldest entries drop first), so
-        this is a *recent-history* surface for forecasting, not a full
-        arrival log.
-        """
-        pool = self._require_pool(action)
-        return [at for at in pool.arrival_times if at >= since]
 
     def snapshot(self) -> InvokerSnapshot:
         """Export the structured warmth/load view the control plane consumes.
@@ -1529,7 +1484,6 @@ class Invoker:
         boots: Dict[str, int] = {}
         headroom: Dict[str, int] = {}
         queued_per_action: Dict[str, int] = {}
-        prewarmed: Dict[str, int] = {}
         arrivals_total: Dict[str, int] = {}
         snapshots_held: Dict[str, int] = {}
         for name, pool in self._pools.items():
@@ -1543,8 +1497,6 @@ class Invoker:
                 snapshots_held[name] = len(pool.snapshots)
             if pool.queue:
                 queued_per_action[name] = len(pool.queue)
-            if pool.prewarmed:
-                prewarmed[name] = pool.prewarmed
             if pool.arrivals:
                 arrivals_total[name] = pool.arrivals
             room = (
@@ -1566,7 +1518,6 @@ class Invoker:
             boots_in_flight=boots,
             growth_headroom=headroom,
             queued_per_action=queued_per_action,
-            prewarmed=prewarmed,
             arrivals_total=arrivals_total,
             snapshots_held=snapshots_held,
         )

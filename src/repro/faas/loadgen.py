@@ -40,13 +40,9 @@ from repro.faas.request import Invocation, InvocationStatus
 from repro.faas.sketch import LatencySketch
 
 
-def _default_callers(count: int = 8) -> Callable[[int], str]:
-    """Cycle through ``count`` distinct callers (different security domains)."""
-
-    def caller_for(index: int) -> str:
-        return f"user-{index % count:02d}"
-
-    return caller_for
+def _default_caller(index: int) -> str:
+    """Cycle through eight distinct callers (different security domains)."""
+    return f"user-{index % 8:02d}"
 
 
 class TenantMix:
@@ -62,8 +58,8 @@ class TenantMix:
     Poisson arrival process through it yields per-tenant streams at the
     weighted rates without consuming any randomness.
 
-    Instances are callables compatible with every client's ``caller_for``
-    parameter.
+    Instances are callables compatible with :class:`OpenLoopClient`'s
+    ``caller_for`` parameter.
     """
 
     def __init__(self, weights: Mapping[str, float]) -> None:
@@ -426,8 +422,6 @@ class ClosedLoopClient:
         *,
         num_requests: int,
         think_time_seconds: float = 0.050,
-        payload: Optional[bytes] = None,
-        caller_for: Optional[Callable[[int], str]] = None,
     ) -> None:
         if num_requests < 1:
             raise PlatformError("a closed-loop run needs at least one request")
@@ -435,8 +429,6 @@ class ClosedLoopClient:
         self.action = action
         self.num_requests = num_requests
         self.think_time_seconds = think_time_seconds
-        self.payload = payload
-        self.caller_for = caller_for if caller_for is not None else _default_callers()
         self.completed: List[Invocation] = []
 
     def run(self) -> List[Invocation]:
@@ -450,10 +442,7 @@ class ClosedLoopClient:
             index = issued
             issued += 1
             self.platform.invoke_async(
-                self.action,
-                self.payload,
-                caller=self.caller_for(index),
-                on_complete=on_complete,
+                self.action, caller=_default_caller(index), on_complete=on_complete
             )
 
         def on_complete(invocation: Invocation) -> None:
@@ -483,6 +472,9 @@ class MultiActionSaturatingClient:
     the workload the scaling experiments drive.
     """
 
+    #: Virtual seconds a shed or throttled request waits before its retry.
+    RETRY_BACKOFF_SECONDS = 0.001
+
     def __init__(
         self,
         platform: FaaSCluster,
@@ -491,9 +483,6 @@ class MultiActionSaturatingClient:
         in_flight_per_action: int,
         duration_seconds: float,
         warmup_seconds: float = 0.0,
-        retry_backoff_seconds: float = 0.001,
-        payload: Optional[bytes] = None,
-        caller_for: Optional[Callable[[int], str]] = None,
     ) -> None:
         if not actions:
             raise PlatformError("multi-action client needs at least one action")
@@ -501,26 +490,19 @@ class MultiActionSaturatingClient:
             raise PlatformError("saturating client needs at least one in-flight request")
         if duration_seconds <= 0:
             raise PlatformError("duration must be positive")
-        if retry_backoff_seconds <= 0:
-            raise PlatformError("retry backoff must be positive")
         self.platform = platform
         self.actions = list(actions)
         self.in_flight_per_action = in_flight_per_action
         self.duration_seconds = duration_seconds
         self.warmup_seconds = warmup_seconds
-        self.retry_backoff_seconds = retry_backoff_seconds
-        self.payload = payload
-        self.caller_for = caller_for if caller_for is not None else _default_callers()
         self.completed: List[Invocation] = []
         self.rejected: List[Invocation] = []
         self.throttled: List[Invocation] = []
         self._issued = 0
         self._start_time = 0.0
-        self._ran = False
 
     def run(self) -> float:
         """Run the experiment; returns aggregate sustained throughput (req/s)."""
-        self._ran = True
         self._start_time = self.platform.now
         deadline = self._start_time + self.duration_seconds
 
@@ -528,10 +510,7 @@ class MultiActionSaturatingClient:
             index = self._issued
             self._issued += 1
             self.platform.invoke_async(
-                action,
-                self.payload,
-                caller=self.caller_for(index),
-                on_complete=on_complete,
+                action, caller=_default_caller(index), on_complete=on_complete
             )
 
         def on_complete(invocation: Invocation) -> None:
@@ -551,7 +530,7 @@ class MultiActionSaturatingClient:
                     # advancing virtual time, looping the event loop forever
                     # at one instant.
                     self.platform.loop.schedule(
-                        self.retry_backoff_seconds,
+                        self.RETRY_BACKOFF_SECONDS,
                         lambda: issue_one(invocation.action),
                         label="shed-retry",
                     )
@@ -582,16 +561,6 @@ class MultiActionSaturatingClient:
             and window_start <= inv.completed_at <= deadline
         ]
 
-    def per_action_throughput(self) -> Dict[str, float]:
-        """Sustained throughput of each action over the measurement window."""
-        if not self._ran:
-            raise PlatformError("per_action_throughput requires run() first")
-        window = self._window_seconds()
-        counts: Dict[str, int] = {action: 0 for action in self.actions}
-        for inv in self._in_window():
-            counts[inv.action] += 1
-        return {action: count / window for action, count in counts.items()}
-
 
 class SaturatingClient(MultiActionSaturatingClient):
     """Keeps a fixed number of requests in flight against one action.
@@ -609,8 +578,6 @@ class SaturatingClient(MultiActionSaturatingClient):
         in_flight: int,
         duration_seconds: float,
         warmup_seconds: float = 0.0,
-        payload: Optional[bytes] = None,
-        caller_for: Optional[Callable[[int], str]] = None,
     ) -> None:
         super().__init__(
             platform,
@@ -618,8 +585,6 @@ class SaturatingClient(MultiActionSaturatingClient):
             in_flight_per_action=in_flight,
             duration_seconds=duration_seconds,
             warmup_seconds=warmup_seconds,
-            payload=payload,
-            caller_for=caller_for,
         )
         self.action = action
         self.in_flight = in_flight
@@ -754,7 +719,7 @@ class OpenLoopClient:
         )
         self.duration_seconds = float(duration_seconds)
         self.warmup_seconds = warmup_seconds
-        self.caller_for = caller_for if caller_for is not None else _default_callers()
+        self.caller_for = caller_for if caller_for is not None else _default_caller
         # The platform's named RNG stream, so open-loop arrivals never
         # perturb any other subsystem's sequence.  Gaps are drawn through
         # the streams; ``rng`` is the same stream, for the action choice.

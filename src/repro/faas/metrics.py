@@ -109,11 +109,6 @@ class LatencyStats:
             maximum=ordered[-1],
         )
 
-    @property
-    def cov(self) -> float:
-        """Coefficient of variation (std / mean)."""
-        return self.std / self.mean if self.mean else 0.0
-
 
 def percentile(sorted_samples: Sequence[float], pct: float) -> float:
     """Linear-interpolation percentile over already sorted samples."""
@@ -143,9 +138,9 @@ def summarize(samples: Iterable[float]) -> LatencyStats:
 
 
 class _SketchSlice:
-    """Status counts plus latency sketches for one (bucket, tenant) cell."""
+    """Status counts plus the e2e latency sketch of one (bucket, tenant) cell."""
 
-    __slots__ = ("completed", "failed", "rejected", "throttled", "e2e", "invoker")
+    __slots__ = ("completed", "failed", "rejected", "throttled", "e2e")
 
     def __init__(self, relative_accuracy: float) -> None:
         self.completed = 0
@@ -153,15 +148,11 @@ class _SketchSlice:
         self.rejected = 0
         self.throttled = 0
         self.e2e = LatencySketch(relative_accuracy)
-        self.invoker = LatencySketch(relative_accuracy)
 
-    def add_completed(
-        self, e2e: float, e2e_key: Optional[int], invoker: float, invoker_key: Optional[int]
-    ) -> None:
-        """Count one completion whose latencies' sketch keys are known."""
+    def add_completed(self, e2e: float, e2e_key: Optional[int]) -> None:
+        """Count one completion whose latency's sketch key is known."""
         self.completed += 1
         self.e2e.add_keyed(e2e, e2e_key)
-        self.invoker.add_keyed(invoker, invoker_key)
 
     def count_unserved(self, status: InvocationStatus) -> None:
         """Count one invocation that finished without completing."""
@@ -178,21 +169,19 @@ class _SketchSlice:
         self.rejected += other.rejected
         self.throttled += other.throttled
         self.e2e.merge(other.e2e)
-        self.invoker.merge(other.invoker)
 
     def subtract(self, other: "_SketchSlice") -> None:
         """Take a merged-in slice's integer state back out.
 
-        The counts and both sketches' bucket counts are exact; the
-        moments are left alone, for the caller to refold (floats cannot
-        be subtracted).
+        The counts and the sketch's bucket counts are exact; the moments
+        are left alone, for the caller to refold (floats cannot be
+        subtracted).
         """
         self.completed -= other.completed
         self.failed -= other.failed
         self.rejected -= other.rejected
         self.throttled -= other.throttled
         self.e2e.quantiles.subtract(other.e2e.quantiles)
-        self.invoker.quantiles.subtract(other.invoker.quantiles)
 
     def copy(self) -> "_SketchSlice":
         """An independent copy, equal field for field."""
@@ -202,13 +191,12 @@ class _SketchSlice:
         twin.rejected = self.rejected
         twin.throttled = self.throttled
         twin.e2e = self.e2e.copy()
-        twin.invoker = self.invoker.copy()
         return twin
 
     @property
     def at_capacity(self) -> bool:
-        """True when either sketch holds its maximum number of buckets."""
-        return self.e2e.quantiles.at_capacity or self.invoker.quantiles.at_capacity
+        """True when the sketch holds its maximum number of buckets."""
+        return self.e2e.quantiles.at_capacity
 
 
 class _TimeBucket:
@@ -223,8 +211,8 @@ class _TimeBucket:
     def record(self, invocation: Invocation, relative_accuracy: float) -> None:
         """Add one finished invocation to the total and to its tenant's slice.
 
-        Every sketch here has the same relative accuracy, so each latency's
-        sketch key is computed once and added to both slices.
+        The two slices' sketches have the same relative accuracy, so the
+        latency's sketch key is computed once and added to both.
         """
         status = invocation.status
         tenant = self.tenants.get(invocation.caller)
@@ -235,12 +223,9 @@ class _TimeBucket:
             tenant.count_unserved(status)
             return
         e2e = invocation.completed_at - invocation.submitted_at
-        invoker = invocation.invoker_seconds
-        quantiles = self.total.e2e.quantiles
-        e2e_key = quantiles.key(e2e)
-        invoker_key = quantiles.key(invoker)
-        self.total.add_completed(e2e, e2e_key, invoker, invoker_key)
-        tenant.add_completed(e2e, e2e_key, invoker, invoker_key)
+        e2e_key = self.total.e2e.quantiles.key(e2e)
+        self.total.add_completed(e2e, e2e_key)
+        tenant.add_completed(e2e, e2e_key)
 
     def merge(self, other: "_TimeBucket", relative_accuracy: float) -> None:
         self.total.merge(other.total)
@@ -453,9 +438,7 @@ class MetricsCollector:
                     if mine is None:
                         mine = kept[caller] = tenants[caller]
                         mine.e2e.moments = StreamingMoments()
-                        mine.invoker.moments = StreamingMoments()
                     mine.e2e.moments.merge(slice_.e2e.moments)
-                    mine.invoker.moments.merge(slice_.invoker.moments)
             fold.tenants = kept  # a tenant with no slice left drops out
             fold.start = lo
         if hi > fold.end:
@@ -477,10 +460,10 @@ class MetricsCollector:
         collector._n_throttled = slice_.throttled
         return collector
 
-    def _merged_sketch(self, which: str) -> LatencySketch:
+    def _merged_sketch(self) -> LatencySketch:
         merged = LatencySketch(self.relative_accuracy)
         for bucket in self._iter_buckets():
-            merged.merge(getattr(bucket.total, which))
+            merged.merge(bucket.total.e2e)
         return merged
 
     # ------------------------------------------------------------------
@@ -516,18 +499,6 @@ class MetricsCollector:
             + self._n_rejected
             + self._n_throttled
         )
-
-    @property
-    def rejection_rate(self) -> float:
-        """Fraction of recorded invocations that were shed."""
-        total = self.num_recorded
-        return self.num_rejected / total if total else 0.0
-
-    @property
-    def throttle_rate(self) -> float:
-        """Fraction of recorded invocations refused by quotas."""
-        total = self.num_recorded
-        return self.num_throttled / total if total else 0.0
 
     def window(
         self, start: float, end: Optional[float] = None
@@ -621,12 +592,12 @@ class MetricsCollector:
             for caller, slice_ in tenants.items()
         }
 
-    def _run_sketch(self, which: str) -> LatencySketch:
-        """The run's ``which`` sketch: the archive's own when nothing is live."""
+    def _run_sketch(self) -> LatencySketch:
+        """The run's e2e sketch: the archive's own when nothing is live."""
         if not self._buckets:
             # Every window()/by_caller() result: no copy needed to reduce it.
-            return getattr(self._archive.total, which)
-        return self._merged_sketch(which)
+            return self._archive.total.e2e
+        return self._merged_sketch()
 
     def e2e_stats(self) -> LatencyStats:
         """Summary of end-to-end latencies.
@@ -634,12 +605,8 @@ class MetricsCollector:
         Count/mean/std/min/max are exact; percentiles carry the sketch's
         relative value-error bound.
         """
-        return self._run_sketch("e2e").stats()
+        return self._run_sketch().stats()
 
     def e2e_p99(self) -> float:
         """``e2e_stats().p99`` alone, bit for bit (see :meth:`LatencySketch.p99`)."""
-        return self._run_sketch("e2e").p99()
-
-    def invoker_stats(self) -> LatencyStats:
-        """Summary of invoker latencies (see :meth:`e2e_stats`)."""
-        return self._run_sketch("invoker").stats()
+        return self._run_sketch().p99()

@@ -15,20 +15,22 @@ from repro.faas.obs.trace import PHASES, InvocationTrace, TraceRecorder
 
 __all__ = ["latency_decompose", "render_decomposition"]
 
+#: The slowest share of each group the tail attribution averages: the top
+#: 1%, the p99 neighbourhood.
+TAIL_FRACTION = 0.01
+
 
 def _nearest_rank(sorted_values: List[float], quantile: float) -> float:
     rank = max(1, math.ceil(quantile * len(sorted_values)))
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
-def _group_report(
-    rows: List[Tuple[float, Dict[str, float]]], tail_fraction: float
-) -> Dict[str, object]:
+def _group_report(rows: List[Tuple[float, Dict[str, float]]]) -> Dict[str, object]:
     rows = sorted(rows, key=lambda row: row[0])
     e2e = [row[0] for row in rows]
     count = len(rows)
     mean = sum(e2e) / count
-    tail_count = max(1, math.ceil(tail_fraction * count))
+    tail_count = max(1, math.ceil(TAIL_FRACTION * count))
     tail_rows = rows[-tail_count:]
     tail_mean = sum(row[0] for row in tail_rows) / tail_count
 
@@ -59,22 +61,17 @@ def _group_report(
     }
 
 
-def latency_decompose(
-    recorder: TraceRecorder, *, tail_fraction: float = 0.01
-) -> Dict[str, object]:
+def latency_decompose(recorder: TraceRecorder) -> Dict[str, object]:
     """Attribute each phase's share of mean and tail latency.
 
     Groups completed traces by ``(tenant, dispatch_class)`` and also
     aggregates per dispatch class across tenants (tenant ``"*"``) and
-    over everything (``"*"``/``"*"``).  ``tail_fraction`` selects the
-    slowest share of each group (default: the top 1%, i.e. the p99
-    neighbourhood) for the tail attribution.
+    over everything (``"*"``/``"*"``).  The tail attribution averages the
+    slowest :data:`TAIL_FRACTION` of each group.
 
     Returns ``{"invocations", "phases", "groups": {"tenant/class":
     {...}}}`` — see :func:`_group_report` for the per-group fields.
     """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must be in (0, 1]")
     grouped: Dict[Tuple[str, str], List[Tuple[float, Dict[str, float]]]] = {}
 
     def add(key: Tuple[str, str], trace: InvocationTrace, phases) -> None:
@@ -94,13 +91,13 @@ def latency_decompose(
         add(("*", "*"), trace, phases)
 
     groups = {
-        f"{tenant}/{dispatch_class}": _group_report(rows, tail_fraction)
+        f"{tenant}/{dispatch_class}": _group_report(rows)
         for (tenant, dispatch_class), rows in sorted(grouped.items())
     }
     return {
         "invocations": total,
         "phases": list(PHASES),
-        "tail_fraction": tail_fraction,
+        "tail_fraction": TAIL_FRACTION,
         "groups": groups,
     }
 

@@ -22,7 +22,6 @@ from repro.errors import PlatformError
 from repro.faas.cluster import FaaSCluster
 from repro.faas.invoker import Invoker
 from repro.kernel.kernel import SimKernel
-from repro.sim.costs import CostModel
 
 
 class FaaSPlatform(FaaSCluster):
@@ -32,7 +31,6 @@ class FaaSPlatform(FaaSCluster):
         self,
         config: Optional[SimulationConfig] = None,
         *,
-        cost_model: Optional[CostModel] = None,
         verify_isolation: bool = False,
     ) -> None:
         if config is not None and config.invokers != 1:
@@ -40,9 +38,7 @@ class FaaSPlatform(FaaSCluster):
                 "FaaSPlatform is the single-invoker deployment; "
                 "use FaaSCluster for invokers > 1"
             )
-        super().__init__(
-            config, cost_model=cost_model, verify_isolation=verify_isolation
-        )
+        super().__init__(config, verify_isolation=verify_isolation)
 
     @property
     def invoker(self) -> Invoker:

@@ -196,9 +196,9 @@ class WarmAwarePolicy(SchedulingPolicy):
 
     With the warmth spectrum on, a third tier sits between warm and
     cold: an invoker that holds only a demoted *restorable snapshot* of
-    the action carries the (much smaller) ``snapshot_restore_penalty`` —
-    or, when calibrated with ``restore_seconds``, the restore/service
-    ratio — so traffic prefers live-warm invokers, then snapshot
+    the action carries the (much smaller) ``snapshot_restore_penalty`` of
+    2 load units — or, when calibrated with ``restore_seconds``, the
+    restore/service ratio — so traffic prefers live-warm invokers, then snapshot
     holders, then cold boots, each priced by what serving there would
     actually cost.  With the spectrum off no snapshots exist, the middle
     tier never fires, and the scoring is byte-identical to before.
@@ -206,19 +206,14 @@ class WarmAwarePolicy(SchedulingPolicy):
 
     name = "warm-aware"
     uses_index = True
+    #: Load units an uncalibrated action's snapshot restore costs.
+    snapshot_restore_penalty = 2.0
 
-    def __init__(
-        self,
-        cold_start_penalty: float = 32.0,
-        snapshot_restore_penalty: float = 2.0,
-    ) -> None:
+    def __init__(self, cold_start_penalty: float = 32.0) -> None:
         super().__init__()
         if cold_start_penalty < 0:
             raise PlatformError("cold_start_penalty must be >= 0")
-        if snapshot_restore_penalty < 0:
-            raise PlatformError("snapshot_restore_penalty must be >= 0")
         self.cold_start_penalty = cold_start_penalty
-        self.snapshot_restore_penalty = snapshot_restore_penalty
         #: Per-action calibrated penalties (boot/service-time ratios).
         self._calibrated: Dict[str, float] = {}
         #: Per-action calibrated restore penalties (restore/service ratios).
@@ -373,10 +368,6 @@ class Scheduler:
             else:
                 invoker.register(spec, max_containers=max_containers)
         return deployed
-
-    def home_invoker(self, action: str) -> Invoker:
-        """The invoker that hosts an action's pre-warmed containers."""
-        return self.invokers[home_index(action, len(self.invokers))]
 
     # ------------------------------------------------------------------
     # Routing

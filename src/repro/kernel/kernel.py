@@ -2,18 +2,16 @@
 
 The :class:`SimKernel` owns the processes of one invoker host.  It hands out
 pids, tracks which processes exist (so ``/proc`` accesses to dead processes
-fail the way they should), and exposes aggregate statistics that tests and
-experiments use to sanity-check the simulation (e.g. that the BASE
-configuration never pays a soft-dirty fault).
+fail the way they should), and counts the processes it created, forked and
+reaped (:class:`KernelStats`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.errors import NoSuchProcessError
-from repro.kernel.faults import FaultRecord
 from repro.proc.forkexec import ForkResult, fork_process
 from repro.proc.process import SimProcess
 from repro.proc.procfs import ProcFs
@@ -57,12 +55,6 @@ class SimKernel:
         self.stats.processes_created += 1
         return process
 
-    def adopt(self, process: SimProcess) -> SimProcess:
-        """Register an externally created process (e.g. a forked child)."""
-        self._processes[process.pid] = process
-        self.stats.processes_created += 1
-        return process
-
     def fork(self, parent: SimProcess, *, require_single_threaded: bool = True) -> ForkResult:
         """Fork ``parent`` and register the child."""
         result = fork_process(parent, require_single_threaded=require_single_threaded)
@@ -71,12 +63,12 @@ class SimKernel:
         self.stats.processes_created += 1
         return result
 
-    def reap(self, process: SimProcess, exit_code: int = 0) -> None:
+    def reap(self, process: SimProcess) -> None:
         """Terminate and remove a process."""
         if process.pid not in self._processes:
             raise NoSuchProcessError(process.pid)
         if process.is_alive:
-            process.exit(exit_code)
+            process.exit()
         del self._processes[process.pid]
         self.stats.processes_exited += 1
 
@@ -85,16 +77,6 @@ class SimKernel:
         if pid not in self._processes:
             raise NoSuchProcessError(pid)
         return self._processes[pid]
-
-    @property
-    def processes(self) -> List[SimProcess]:
-        """All registered processes."""
-        return list(self._processes.values())
-
-    @property
-    def num_processes(self) -> int:
-        """Number of registered processes."""
-        return len(self._processes)
 
     # ------------------------------------------------------------------
     # Views
@@ -111,7 +93,3 @@ class SimKernel:
         if process.pid not in self._processes:
             raise NoSuchProcessError(process.pid)
         return Ptrace(process)
-
-    def fault_record(self, process: SimProcess) -> FaultRecord:
-        """Return the cumulative faults charged to ``process`` so far."""
-        return FaultRecord.from_meter(process.address_space.meter.counters)

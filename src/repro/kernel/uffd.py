@@ -24,12 +24,6 @@ class UffdTracker:
     def __init__(self, address_space: AddressSpace) -> None:
         self._space = address_space
         self._written: List[int] = []
-        self._armed = False
-
-    @property
-    def armed(self) -> bool:
-        """True while write-protection is registered."""
-        return self._armed
 
     def arm(self) -> int:
         """Write-protect every resident page; returns how many were protected.
@@ -39,9 +33,7 @@ class UffdTracker:
         model folds it into the arm step's return value only.
         """
         self._written.clear()
-        protected = self._space.arm_write_protection(self._on_write_fault)
-        self._armed = True
-        return protected
+        return self._space.arm_write_protection(self._on_write_fault)
 
     def collect(self) -> Runs:
         """Return the pages written since :meth:`arm` was called, as a run list.

@@ -85,19 +85,6 @@ class MeterSnapshot:
     pages_written: int = 0
     pages_read: int = 0
 
-    def minus(self, earlier: "MeterSnapshot") -> "MeterSnapshot":
-        """Return the difference ``self - earlier`` field by field."""
-        return MeterSnapshot(
-            cost_seconds=self.cost_seconds - earlier.cost_seconds,
-            minor_faults=self.minor_faults - earlier.minor_faults,
-            soft_dirty_faults=self.soft_dirty_faults - earlier.soft_dirty_faults,
-            cow_faults=self.cow_faults - earlier.cow_faults,
-            uffd_faults=self.uffd_faults - earlier.uffd_faults,
-            first_touch_faults=self.first_touch_faults - earlier.first_touch_faults,
-            pages_written=self.pages_written - earlier.pages_written,
-            pages_read=self.pages_read - earlier.pages_read,
-        )
-
 
 class MemoryMeter:
     """Accumulates fault counts and critical-path memory costs.
@@ -170,11 +157,7 @@ class MemoryMeter:
         return self.counters
 
     def since(self, checkpoint: MeterSnapshot) -> MeterSnapshot:
-        """Return counters accumulated since ``checkpoint``.
-
-        Equal to ``self.counters.minus(checkpoint)``, without building the
-        intermediate snapshot (every request takes one delta).
-        """
+        """Return counters accumulated since ``checkpoint``, field by field."""
         return MeterSnapshot(
             self.cost_seconds - checkpoint.cost_seconds,
             self.minor_faults - checkpoint.minor_faults,
@@ -427,23 +410,15 @@ class _Area:
 class AddressSpace:
     """A simulated process address space."""
 
-    def __init__(
-        self,
-        cost_model: Optional[CostModel] = None,
-        *,
-        mmap_base: int = DEFAULT_MMAP_BASE,
-        brk_base: int = DEFAULT_BRK_BASE,
-        stack_top: int = DEFAULT_STACK_TOP,
-    ) -> None:
+    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.meter = MemoryMeter()
         self._areas: List[_Area] = []
         self._starts: List[int] = []
         self._sd_tracking_armed = False
-        self._mmap_next = mmap_base
-        self._brk_base = brk_base
-        self._brk = brk_base
-        self._stack_next = stack_top
+        self._mmap_next = DEFAULT_MMAP_BASE
+        self._brk = DEFAULT_BRK_BASE
+        self._stack_next = DEFAULT_STACK_TOP
         self._wp_handler: Optional[Callable[[int], None]] = None
         #: Pages the mappings cover, kept where ``layout_generation`` moves.
         self._mapped_pages = 0
@@ -453,7 +428,7 @@ class AddressSpace:
         #: unchanged.  A handle from :meth:`mapping_at` lives longer: it
         #: outlives every edit that leaves its own mapping in place.
         self.layout_generation = 0
-        self._layout = MemoryLayout((), brk_base)
+        self._layout = MemoryLayout((), DEFAULT_BRK_BASE)
         self._layout_built_at = 0
 
     # ------------------------------------------------------------------
@@ -473,7 +448,7 @@ class AddressSpace:
     @property
     def brk_base(self) -> int:
         """Program-break base (bottom of the heap)."""
-        return self._brk_base
+        return DEFAULT_BRK_BASE
 
     @property
     def total_mapped_pages(self) -> int:
@@ -483,16 +458,6 @@ class AddressSpace:
         :attr:`layout_generation`, so reading it does not walk the VMAs.
         """
         return self._mapped_pages
-
-    @property
-    def resident_pages(self) -> int:
-        """Number of pages with an allocated frame."""
-        return sum(area.resident.bit_count() for area in self._areas)
-
-    @property
-    def soft_dirty_tracking_armed(self) -> bool:
-        """True once ``clear_soft_dirty`` has been called at least once."""
-        return self._sd_tracking_armed
 
     def soft_dirty_page_numbers(self) -> Set[int]:
         """The set of pages whose soft-dirty bit is currently set."""
@@ -544,11 +509,6 @@ class AddressSpace:
     def find_vma(self, address: int) -> Optional[Vma]:
         """Return the VMA containing ``address``, if any."""
         area = self._area_at(address // PAGE_SIZE)
-        return area.vma if area is not None else None
-
-    def vma_for_page(self, page_number: int) -> Optional[Vma]:
-        """Return the VMA containing ``page_number``, if any."""
-        area = self._area_at(page_number)
         return area.vma if area is not None else None
 
     def mapping_at(self, page_number: int) -> Optional[_Area]:
@@ -616,10 +576,6 @@ class AddressSpace:
             self._layout = MemoryLayout(tuple([area.vma for area in self._areas]), self._brk)
             self._layout_built_at = self.layout_generation
         return self._layout
-
-    def describe_maps(self) -> str:
-        """Render the layout like ``/proc/<pid>/maps``."""
-        return "\n".join(v.describe() for v in self.vmas)
 
     # ------------------------------------------------------------------
     # Mapping operations
@@ -734,9 +690,9 @@ class AddressSpace:
         growing into another mapping raises :class:`MappingError`.
         Shrinking unmaps everything between the new and the old break.
         """
-        if new_brk < self._brk_base:
+        if new_brk < DEFAULT_BRK_BASE:
             raise MappingError(
-                f"brk {new_brk:#x} below heap base {self._brk_base:#x}"
+                f"brk {new_brk:#x} below heap base {DEFAULT_BRK_BASE:#x}"
             )
         new_brk = ((new_brk + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
         old_brk = self._brk
@@ -932,12 +888,6 @@ class AddressSpace:
         self._wp_handler = handler
         return protected
 
-    def disarm_write_protection(self) -> None:
-        """Remove all userfaultfd-style write protection."""
-        for area in self._areas:
-            area.wp = 0
-        self._wp_handler = None
-
     # ------------------------------------------------------------------
     # Kernel-side access (no function-visible faults): used by ptrace /
     # /proc/<pid>/mem during snapshot and restore.
@@ -946,10 +896,6 @@ class AddressSpace:
     def kernel_read_page(self, page_number: int) -> bytes:
         """Read a page the way the manager does via ``/proc/<pid>/mem``."""
         return self.page_content(page_number)
-
-    def kernel_write_page(self, page_number: int, data: bytes) -> None:
-        """Write one page from the manager; see :meth:`kernel_write_range`."""
-        self.kernel_write_range(page_number, 1, data)
 
     def kernel_write_range(self, start_page: int, count: int, data: bytes) -> None:
         """Write ``data`` into ``count`` pages without charging function faults.
@@ -1007,7 +953,6 @@ class AddressSpace:
         """
         child = AddressSpace(self.cost_model)
         child._starts = list(self._starts)
-        child._brk_base = self._brk_base
         child._brk = self._brk
         child._mmap_next = self._mmap_next
         child._stack_next = self._stack_next

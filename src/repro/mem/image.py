@@ -84,24 +84,6 @@ def union_runs(a: Sequence[Run], b: Sequence[Run]) -> Runs:
     return tuple(out)
 
 
-def intersect_runs(a: Sequence[Run], b: Sequence[Run]) -> Runs:
-    """Pages in both ``a`` and ``b``."""
-    out: List[Run] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        a_first, a_end = a[i]
-        b_first, b_end = b[j]
-        first = a_first if a_first > b_first else b_first
-        end = a_end if a_end < b_end else b_end
-        if first < end:
-            out.append((first, end))
-        if a_end < b_end:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
-
-
 def subtract_runs(a: Sequence[Run], b: Sequence[Run]) -> Runs:
     """Pages in ``a`` but not in ``b``."""
     out: List[Run] = []
@@ -221,7 +203,7 @@ class PageImage:
     def covered(self, runs: Sequence[Run]) -> Runs:
         """The pages of the page run list ``runs`` the image holds.
 
-        Equal to ``intersect_runs(runs, self.coverage)``, but each run
+        Equal to a merge walk of ``runs`` against :attr:`coverage`, but each run
         bisects into :attr:`coverage` and visits only the coverage runs it
         overlaps, so a small write set against a large snapshot costs
         O(runs x log coverage).

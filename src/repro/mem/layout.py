@@ -14,7 +14,7 @@ restorer must reverse.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.mem.vma import Vma
 
@@ -42,13 +42,6 @@ class MemoryLayout(NamedTuple):
         """Total mapped pages across all records."""
         return sum(r.num_pages for r in self.records)
 
-    def find(self, address: int) -> Optional[Vma]:
-        """Return the record containing ``address``, if any."""
-        for record in self.records:
-            if record.start <= address < record.end:
-                return record
-        return None
-
 
 class RegionChange(NamedTuple):
     """A matched region whose bounds or protection differ between layouts."""
@@ -70,11 +63,6 @@ class RegionChange(NamedTuple):
     def prot_changed(self) -> bool:
         """True if the protection differs."""
         return self.current.prot != self.snapshot.prot
-
-    @property
-    def page_delta(self) -> int:
-        """Pages gained (positive) or lost (negative) relative to the snapshot."""
-        return self.current.num_pages - self.snapshot.num_pages
 
 
 class LayoutDiff(NamedTuple):
@@ -99,29 +87,6 @@ class LayoutDiff(NamedTuple):
     def brk_changed(self) -> bool:
         """True if the program break differs from the snapshot."""
         return self.snapshot_brk != self.current_brk
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the layouts are identical (nothing to reverse)."""
-        return (
-            not self.added
-            and not self.removed
-            and not self.changed
-            and not self.brk_changed
-        )
-
-    @property
-    def num_operations(self) -> int:
-        """Rough count of syscalls needed to reverse the differences."""
-        ops = len(self.added) + len(self.removed)
-        for change in self.changed:
-            if change.grew or change.shrank:
-                ops += 1
-            if change.prot_changed:
-                ops += 1
-        if self.brk_changed:
-            ops += 1
-        return ops
 
 
 def diff_layouts(snapshot: MemoryLayout, current: MemoryLayout) -> LayoutDiff:

@@ -19,7 +19,7 @@ from typing import NamedTuple, Tuple
 
 from repro.errors import PagemapError
 from repro.mem.address_space import AddressSpace
-from repro.mem.image import Runs, intersect_runs, page_numbers
+from repro.mem.image import Runs, page_numbers
 
 
 @dataclass(frozen=True)
@@ -29,18 +29,6 @@ class PagemapEntry:
     page_number: int
     present: bool
     soft_dirty: bool
-    exclusively_mapped: bool = True
-
-    def to_raw(self) -> int:
-        """Encode roughly like a real pagemap entry (bits 55, 56, 63)."""
-        raw = 0
-        if self.soft_dirty:
-            raw |= 1 << 55
-        if self.exclusively_mapped:
-            raw |= 1 << 56
-        if self.present:
-            raw |= 1 << 63
-        return raw
 
 
 class PagemapScanResult(NamedTuple):
@@ -86,15 +74,3 @@ class PagemapView:
         mapped_pages = self._space.total_mapped_pages
         cost = mapped_pages * self._space.cost_model.pagemap_scan_seconds
         return PagemapScanResult(self._space.soft_dirty_runs(), mapped_pages, cost)
-
-    def scan_range(self, start_page: int, num_pages: int) -> PagemapScanResult:
-        """Scan a specific page range (cost proportional to the range size)."""
-        if num_pages < 0:
-            raise PagemapError("num_pages must be non-negative")
-        window = ((start_page, start_page + num_pages),) if num_pages else ()
-        cost = num_pages * self._space.cost_model.pagemap_scan_seconds
-        return PagemapScanResult(
-            dirty_runs=intersect_runs(self._space.soft_dirty_runs(), window),
-            scanned_pages=num_pages,
-            cost_seconds=cost,
-        )

@@ -86,15 +86,6 @@ class Vma(_VmaFields):
         """Absolute page number of the first page."""
         return self.start // PAGE_SIZE
 
-    @property
-    def last_page(self) -> int:
-        """Absolute page number of the last page (inclusive)."""
-        return (self.end // PAGE_SIZE) - 1
-
-    def pages(self) -> range:
-        """Iterate absolute page numbers covered by this VMA."""
-        return range(self.first_page, self.last_page + 1)
-
     def contains(self, address: int) -> bool:
         """True if ``address`` falls inside this mapping."""
         return self.start <= address < self.end

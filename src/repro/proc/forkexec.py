@@ -13,7 +13,6 @@ Used in two places:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.errors import ProcessStateError, UnsupportedRuntimeError
 from repro.proc.process import SimProcess
@@ -28,12 +27,7 @@ class ForkResult:
     cost_seconds: float
 
 
-def fork_process(
-    parent: SimProcess,
-    *,
-    require_single_threaded: bool = True,
-    name_suffix: str = "-child",
-) -> ForkResult:
+def fork_process(parent: SimProcess, *, require_single_threaded: bool = True) -> ForkResult:
     """Fork ``parent``, returning a copy-on-write child.
 
     With ``require_single_threaded`` (the default, matching real ``fork``
@@ -53,7 +47,7 @@ def fork_process(
 
     child_space = parent.address_space.fork()
     child = SimProcess(
-        name=parent.name + name_suffix,
+        name=parent.name + "-child",
         cost_model=parent.cost_model,
         address_space=child_space,
         uid=parent.uid,

@@ -1,16 +1,15 @@
 """The ``/proc`` interface Groundhog reads and writes.
 
-Groundhog's manager uses four files per function process:
+Groundhog's manager reads and writes these files per function process:
 
 * ``/proc/<pid>/maps`` — the memory layout (one line per VMA),
 * ``/proc/<pid>/pagemap`` — per-page present and soft-dirty bits,
-* ``/proc/<pid>/clear_refs`` — writing ``4`` clears every soft-dirty bit,
-* ``/proc/<pid>/mem`` — direct reads/writes of the tracee's memory.
+* ``/proc/<pid>/clear_refs`` — writing ``4`` clears every soft-dirty bit.
 
 :class:`ProcFs` exposes those operations over a :class:`SimProcess` and
-reports the time each one takes, using the calibrated cost model.  All
-restoration-time accounting in the reproduction flows through these methods
-(plus ptrace), exactly like the real system.
+reports the time each one takes, using the calibrated cost model.  The
+restore's memory copy (``/proc/<pid>/mem``) writes the snapshot's image
+runs through the address space's kernel-side path in one call.
 """
 
 from __future__ import annotations
@@ -75,38 +74,3 @@ class ProcFs:
         cleared = self._process.address_space.clear_soft_dirty()
         cost = cleared * self._process.cost_model.soft_dirty_clear_seconds
         return cleared, cost
-
-    # ------------------------------------------------------------------
-    # mem
-    # ------------------------------------------------------------------
-
-    def read_mem_page(self, page_number: int) -> Tuple[bytes, float]:
-        """Read one page of the tracee via ``/proc/<pid>/mem``."""
-        self._check_alive()
-        content = self._process.address_space.kernel_read_page(page_number)
-        return content, self._process.cost_model.page_copy_seconds
-
-    def write_mem_page(self, page_number: int, data: bytes) -> float:
-        """Write one page of the tracee via ``/proc/<pid>/mem``."""
-        self._check_alive()
-        self._process.address_space.kernel_write_page(page_number, data)
-        return self._process.cost_model.page_copy_seconds
-
-    # ------------------------------------------------------------------
-    # status
-    # ------------------------------------------------------------------
-
-    def read_status(self) -> Tuple[dict, float]:
-        """Return a small ``/proc/<pid>/status``-like summary."""
-        self._check_alive()
-        space = self._process.address_space
-        status = {
-            "pid": self._process.pid,
-            "name": self._process.name,
-            "state": self._process.state.value,
-            "threads": self._process.num_threads,
-            "vm_size_pages": space.total_mapped_pages,
-            "vm_rss_pages": space.resident_pages,
-            "uid": self._process.uid,
-        }
-        return status, 2e-6

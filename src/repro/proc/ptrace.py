@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, Mapping, NamedTuple, Tuple
 
 from repro.errors import PtraceError, SyscallInjectionError
-from repro.mem.page import Protection
 from repro.mem.vma import VmaKind
 from repro.proc.process import ProcessState, SimProcess
 from repro.proc.registers import RegisterSet
@@ -115,22 +114,6 @@ class Ptrace:
                 thread.set_registers(registers[thread.tid])
                 written += 1
         return written * self._process.cost_model.ptrace_getset_regs_seconds
-
-    # ------------------------------------------------------------------
-    # Memory access (PTRACE_PEEKDATA / /proc/<pid>/mem)
-    # ------------------------------------------------------------------
-
-    def peek_page(self, page_number: int) -> Tuple[bytes, float]:
-        """Read one page of tracee memory."""
-        self._require_stopped()
-        content = self._process.address_space.kernel_read_page(page_number)
-        return content, self._process.cost_model.page_copy_seconds
-
-    def poke_page(self, page_number: int, data: bytes) -> float:
-        """Write one page of tracee memory."""
-        self._require_stopped()
-        self._process.address_space.kernel_write_page(page_number, data)
-        return self._process.cost_model.page_copy_seconds
 
     # ------------------------------------------------------------------
     # Syscall injection

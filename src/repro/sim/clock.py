@@ -28,13 +28,6 @@ class VirtualClock:
         """Current simulated time in seconds."""
         return self._now
 
-    def advance(self, delta: float) -> float:
-        """Advance the clock by ``delta`` seconds and return the new time."""
-        if delta < 0:
-            raise ClockError(f"cannot advance clock by negative delta {delta}")
-        self._now += delta
-        return self._now
-
     def advance_to(self, timestamp: float) -> float:
         """Advance the clock to an absolute ``timestamp``.
 

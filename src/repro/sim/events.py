@@ -167,8 +167,8 @@ class RecurringTimer:
 class EventLoop:
     """A minimal deterministic discrete-event loop."""
 
-    def __init__(self, clock: Optional[VirtualClock] = None) -> None:
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self) -> None:
+        self.clock = VirtualClock()
         self._queue: List[_Entry] = []
         self._sequence = itertools.count()
         self._running = False

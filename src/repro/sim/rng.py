@@ -71,11 +71,6 @@ class RngStreams:
         self._master_seed = int(master_seed)
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def master_seed(self) -> int:
-        """The master seed all streams derive from."""
-        return self._master_seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use."""
         if name not in self._streams:
@@ -85,30 +80,6 @@ class RngStreams:
     def reset(self) -> None:
         """Drop all derived streams; subsequent calls re-seed from scratch."""
         self._streams.clear()
-
-    def gauss_positive(self, name: str, mean: float, stddev: float) -> float:
-        """Draw a Gaussian sample clamped to be non-negative.
-
-        Used for latency jitter, where negative durations are meaningless.
-        """
-        if stddev <= 0:
-            return max(0.0, mean)
-        return max(0.0, self.stream(name).gauss(mean, stddev))
-
-    def fallback(self, component: str) -> random.Random:
-        """The named fallback stream, derived under this factory's master seed.
-
-        Components normally receive :data:`FALLBACK_SEEDS`-seeded streams via
-        :func:`fallback_stream` when constructed bare; callers holding an
-        ``RngStreams`` should prefer this method so the component's draws
-        derive from the master seed like every other subsystem's.
-        """
-        if component not in FALLBACK_SEEDS:
-            raise ValueError(
-                f"unknown fallback stream {component!r}; "
-                f"known: {', '.join(sorted(FALLBACK_SEEDS))}"
-            )
-        return self.stream(f"fallback:{component}")
 
     def expovariate(self, name: str, rate: float) -> float:
         """Draw an exponential inter-arrival gap (seconds) at ``rate`` per second.

@@ -7,7 +7,6 @@ from repro.workloads.registry import (
     find_benchmark,
     representative_benchmarks,
     wasm_benchmarks,
-    fork_compatible_benchmarks,
 )
 from repro.workloads.microbench import microbenchmark_profile
 
@@ -19,6 +18,5 @@ __all__ = [
     "find_benchmark",
     "representative_benchmarks",
     "wasm_benchmarks",
-    "fork_compatible_benchmarks",
     "microbenchmark_profile",
 ]

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import WorkloadError
-from repro.runtime.profiles import Language
 from repro.workloads.faasprofiler import faasprofiler_benchmarks
 from repro.workloads.polybench import polybench_benchmarks
 from repro.workloads.pyperformance import pyperformance_benchmarks
@@ -63,8 +62,3 @@ def representative_benchmarks() -> List[BenchmarkSpec]:
 def wasm_benchmarks() -> List[BenchmarkSpec]:
     """Benchmarks included in the FAASM comparison (WebAssembly-compatible)."""
     return [spec for spec in _load_all() if spec.profile.wasm_compatible]
-
-
-def fork_compatible_benchmarks() -> List[BenchmarkSpec]:
-    """Benchmarks the fork baseline can host (single-threaded runtimes)."""
-    return [spec for spec in _load_all() if spec.profile.language is not Language.NODE]

@@ -11,8 +11,10 @@ import pytest
 
 from repro.analysis.experiments import (
     colliding_action_names,
+    estimate_cluster_capacity_rps,
     headline_summary,
     measure_latency,
+    measure_latency_under_load,
     measure_restores,
     measure_throughput,
     run_breakdown,
@@ -21,7 +23,6 @@ from repro.analysis.experiments import (
     run_fig3_dirty_sweep,
     run_fig3_size_sweep,
     run_latency_suite,
-    run_latency_under_load,
     run_lifecycle,
     run_restoration_comparison,
     run_scaling,
@@ -30,7 +31,7 @@ from repro.analysis.experiments import (
     run_throughput_suite,
     run_tracking_ablation,
 )
-from repro.workloads import find_benchmark, microbenchmark_profile
+from repro.workloads import find_benchmark
 
 SMALL_SET = [
     find_benchmark("fannkuch"),
@@ -152,25 +153,20 @@ class TestSuiteDrivers:
 
     def test_latency_under_load_sweeps_strategies(self):
         spec = find_benchmark("md2html", "p")
-        sweeps = run_latency_under_load(
-            spec,
-            strategies=(("least-loaded", False), ("warm-aware", True)),
-            load_factors=(0.4, 0.8),
-            duration_seconds=2.0, warmup_seconds=0.25,
-        )
-        throughput = sweeps["throughput"]
-        latency = sweeps["p95_ms"]
-        for label in ("least-loaded", "warm-aware+steal"):
-            series = throughput.get(label)
-            assert len(series.y) == 2
-            assert all(value > 0 for value in series.y)
-            assert all(value > 0 for value in latency.get(label).y)
+        capacity = estimate_cluster_capacity_rps(spec, invokers=4, cores=2)
+        achieved = {}
+        for policy, stealing in (("least-loaded", False), ("warm-aware", True)):
+            for factor in (0.4, 0.8):
+                point = measure_latency_under_load(
+                    spec, offered_rps=capacity * factor, policy=policy,
+                    work_stealing=stealing, duration_seconds=2.0, warmup_seconds=0.25,
+                )
+                assert point.achieved_rps > 0
+                assert point.p95_ms > 0
+                achieved[policy, factor] = point.achieved_rps
         # The headline shape at the higher offered load: pricing cold
         # starts into routing sustains more of the offered arrivals.
-        assert (
-            throughput.get("warm-aware+steal").y[-1]
-            > throughput.get("least-loaded").y[-1]
-        )
+        assert achieved["warm-aware", 0.8] > achieved["least-loaded", 0.8]
 
     def test_colliding_action_names_share_one_home(self):
         names = colliding_action_names(5, invokers=4, home=2)

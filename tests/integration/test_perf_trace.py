@@ -42,9 +42,8 @@ from reference_routing import ReferenceScheduler
 
 import repro.faas.cluster
 from repro.analysis.experiments import run_slo_control
-from repro.analysis.perf import SECTIONS, pooled_sketch_stats, replay, run_replicated
+from repro.analysis.perf import SECTIONS, replay, run_replicated
 from repro.cli import main
-from repro.faas.sketch import LatencySketch
 from repro.workloads import find_benchmark
 
 
@@ -131,24 +130,6 @@ class TestReplicatedFanOut:
         a, b = run_replicated(_small_trace_worker, seeds=(101, 202))
         assert a["seed"] != b["seed"]
         assert a["e2e_sketch"] != b["e2e_sketch"]
-
-    def test_pooled_sketch_stats_is_a_lossless_reduction(self):
-        results = run_replicated(_small_trace_worker, seeds=(101, 202))
-        pooled = pooled_sketch_stats(results)
-        assert pooled.count == sum(r["recorded"] for r in results)
-        # Pooling by merge equals one sketch fed both runs' streams.
-        manual = LatencySketch(
-            relative_accuracy=results[0]["e2e_sketch"].relative_accuracy
-        )
-        for result in results:
-            manual.merge(result["e2e_sketch"])
-        assert pooled == manual.stats()
-        assert pooled.minimum == min(r["e2e_sketch"].moments.minimum for r in results)
-        assert pooled.maximum == max(r["e2e_sketch"].moments.maximum for r in results)
-
-    def test_empty_pool_raises(self):
-        with pytest.raises(ValueError):
-            pooled_sketch_stats([])
 
     def test_empty_seed_list_raises(self):
         with pytest.raises(ValueError):

@@ -75,14 +75,6 @@ class ReferenceMetrics:
     def num_recorded(self) -> int:
         return len(self.invocations)
 
-    @property
-    def rejection_rate(self) -> float:
-        return self.num_rejected / self.num_recorded if self.invocations else 0.0
-
-    @property
-    def throttle_rate(self) -> float:
-        return self.num_throttled / self.num_recorded if self.invocations else 0.0
-
     def window(self, start: float, end: Optional[float] = None) -> "ReferenceMetrics":
         """The invocations that finished in the closed interval ``[start, end]``."""
         if end is not None and end < start:
@@ -112,7 +104,3 @@ class ReferenceMetrics:
     def e2e_p99(self) -> float:
         """The exact e2e p99 (what the SLO monitor reads)."""
         return self.e2e_stats().p99
-
-    def invoker_stats(self) -> LatencyStats:
-        """Exact statistics of the completed invocations' invoker latencies."""
-        return summarize(inv.invoker_seconds for inv in self.completed)

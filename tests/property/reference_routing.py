@@ -54,7 +54,7 @@ def warm_aware_choose(
         snap = snapshots[index]
         if snap.warmth(action) > 0:
             penalty = 0.0
-        elif snap.restorable(action) > 0:
+        elif snap.snapshots_held.get(action, 0) > 0:
             penalty = restore_penalty
         else:
             penalty = cold_penalty

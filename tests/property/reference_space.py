@@ -106,14 +106,7 @@ class Page:
 class ReferenceAddressSpace:
     """A simulated process address space with per-page state."""
 
-    def __init__(
-        self,
-        cost_model: Optional[CostModel] = None,
-        *,
-        mmap_base: int = DEFAULT_MMAP_BASE,
-        brk_base: int = DEFAULT_BRK_BASE,
-        stack_top: int = DEFAULT_STACK_TOP,
-    ) -> None:
+    def __init__(self, cost_model: Optional[CostModel] = None) -> None:
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.meter = MemoryMeter()
         self._vmas: List[Vma] = []
@@ -124,10 +117,9 @@ class ReferenceAddressSpace:
         self._wp: Set[int] = set()
         self._tlb_cold: Set[int] = set()
         self._sd_tracking_armed = False
-        self._mmap_next = mmap_base
-        self._brk_base = brk_base
-        self._brk = brk_base
-        self._stack_next = stack_top
+        self._mmap_next = DEFAULT_MMAP_BASE
+        self._brk = DEFAULT_BRK_BASE
+        self._stack_next = DEFAULT_STACK_TOP
         self._wp_handler: Optional[Callable[[int], None]] = None
         self.layout_generation = 0
         #: The handle of each mapping a lookup has handed one out for, by start.
@@ -150,22 +142,12 @@ class ReferenceAddressSpace:
     @property
     def brk_base(self) -> int:
         """Program-break base (bottom of the heap)."""
-        return self._brk_base
+        return DEFAULT_BRK_BASE
 
     @property
     def total_mapped_pages(self) -> int:
         """Number of pages covered by all VMAs (mapped, not necessarily resident)."""
         return sum(v.num_pages for v in self._vmas)
-
-    @property
-    def resident_pages(self) -> int:
-        """Number of pages with an allocated frame."""
-        return len(self._pages)
-
-    @property
-    def soft_dirty_tracking_armed(self) -> bool:
-        """True once ``clear_soft_dirty`` has been called at least once."""
-        return self._sd_tracking_armed
 
     def soft_dirty_page_numbers(self) -> Set[int]:
         """The set of pages whose soft-dirty bit is currently set."""
@@ -256,10 +238,6 @@ class ReferenceAddressSpace:
         )
         return MemoryLayout(records=records, brk=self._brk)
 
-    def describe_maps(self) -> str:
-        """Render the layout like ``/proc/<pid>/maps``."""
-        return "\n".join(v.describe() for v in self._vmas)
-
     # ------------------------------------------------------------------
     # Mapping operations
     # ------------------------------------------------------------------
@@ -301,7 +279,7 @@ class ReferenceAddressSpace:
         vma = Vma(start=start, end=end, prot=prot, kind=kind, name=name)
         self._insert_vma(vma)
         if populate:
-            for page_number in vma.pages():
+            for page_number in range(vma.first_page, vma.first_page + vma.num_pages):
                 self._pages[page_number] = Page(Frame(ZERO_CONTENT))
                 self._soft_dirty.add(page_number)
         return vma
@@ -363,9 +341,9 @@ class ReferenceAddressSpace:
         maps a new one there; shrinking unmaps everything above the new
         break.
         """
-        if new_brk < self._brk_base:
+        if new_brk < DEFAULT_BRK_BASE:
             raise MappingError(
-                f"brk {new_brk:#x} below heap base {self._brk_base:#x}"
+                f"brk {new_brk:#x} below heap base {DEFAULT_BRK_BASE:#x}"
             )
         new_brk = ((new_brk + PAGE_SIZE - 1) // PAGE_SIZE) * PAGE_SIZE
         old_brk = self._brk
@@ -554,11 +532,6 @@ class ReferenceAddressSpace:
         self._wp_handler = handler
         return len(self._wp)
 
-    def disarm_write_protection(self) -> None:
-        """Remove all userfaultfd-style write protection."""
-        self._wp.clear()
-        self._wp_handler = None
-
     # ------------------------------------------------------------------
     # Kernel-side access (no function-visible faults): used by ptrace /
     # /proc/<pid>/mem during snapshot and restore.
@@ -627,7 +600,6 @@ class ReferenceAddressSpace:
         child = ReferenceAddressSpace(self.cost_model)
         child._vmas = list(self._vmas)
         child._starts = list(self._starts)
-        child._brk_base = self._brk_base
         child._brk = self._brk
         child._mmap_next = self._mmap_next
         child._stack_next = self._stack_next

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError
-from repro.mem.address_space import AddressSpace
+from repro.mem.address_space import DEFAULT_BRK_BASE, AddressSpace
 from repro.mem.layout import LayoutDiff, MemoryLayout, diff_layouts
 from repro.mem.page import Protection
 from repro.mem.vma import Vma
@@ -31,10 +31,11 @@ from repro.mem.vma import Vma
 from reference_layout import reference_diff_layouts
 from reference_space import ReferenceAddressSpace
 
-#: First page of the first mapping the operation sequences lay out.
-BASE_PAGE = 0x100
-#: The heap starts among the mappings, so ``brk`` can run into one.
-BRK_BASE_PAGE = BASE_PAGE + 40
+#: Page of the heap base both spaces start their break at.
+BRK_BASE_PAGE = DEFAULT_BRK_BASE // PAGE_SIZE
+#: First page of the first mapping the operation sequences lay out: the
+#: heap starts among the mappings, so ``brk`` can run into one.
+BASE_PAGE = BRK_BASE_PAGE - 40
 #: Few names, so a region re-mapped at a start often gets another name.
 NAMES = ("", "lib", "arena")
 PROTECTIONS = (Protection.rw(), Protection.r(), Protection.rx())
@@ -113,7 +114,7 @@ class TestMergeWalkMatchesDictDiff:
     @example([(2, 0, "lib"), (3, 1, "")], PINNED_OPS)
     @settings(max_examples=120, deadline=None)
     def test_space_layouts(self, space_class, initial, ops):
-        space = space_class(brk_base=BRK_BASE_PAGE * PAGE_SIZE)
+        space = space_class()
         page = BASE_PAGE
         for pages, gap, name in initial:
             page += gap

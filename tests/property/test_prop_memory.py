@@ -22,8 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.baselines.registry import create_mechanism
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError, SegmentationFault
-from repro.mem.address_space import AddressSpace
-from repro.mem.image import PageImage, intersect_runs, put_content, subtract_runs
+from repro.mem.address_space import DEFAULT_BRK_BASE, AddressSpace
+from repro.mem.image import PageImage, put_content, subtract_runs
 from repro.mem.layout import diff_layouts
 from repro.mem.pagemap import PagemapView
 from repro.mem.page import Protection
@@ -62,7 +62,7 @@ class TestAddressSpaceInvariants:
         for vma in order:
             space.munmap(vma.start, vma.length)
         assert space.total_mapped_pages == 0
-        assert space.resident_pages == 0
+        assert space.capture().num_pages == 0
         assert space.soft_dirty_page_numbers() == set()
 
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=64))
@@ -109,11 +109,11 @@ class TestAddressSpaceInvariants:
         for index in range(writes):
             vma = vmas[index % len(vmas)]
             child.write_page(vma.first_page, f"child-{index}".encode())
-            space.write_page(vma.last_page, f"parent-{index}".encode())
+            space.write_page(vma.first_page + vma.num_pages - 1, f"parent-{index}".encode())
         for index in range(writes):
             vma = vmas[index % len(vmas)]
             assert b"child" not in space.page_content(vma.first_page)
-            assert b"parent" not in child.page_content(vma.last_page)
+            assert b"parent" not in child.page_content(vma.first_page + vma.num_pages - 1)
 
 
 class TestLayoutDiffProperties:
@@ -122,7 +122,9 @@ class TestLayoutDiffProperties:
     def test_diff_with_self_is_empty(self, region_sizes):
         space, _ = _space_with_regions(region_sizes)
         layout = space.layout()
-        assert diff_layouts(layout, layout).is_empty
+        diff = diff_layouts(layout, layout)
+        assert diff.added == diff.removed == diff.changed == ()
+        assert not diff.brk_changed
 
     @given(st.lists(sizes, min_size=2, max_size=8), st.data())
     @settings(max_examples=40, deadline=None)
@@ -148,7 +150,8 @@ class TestLayoutDiffProperties:
             space.mmap(PAGE_SIZE, name=f"added-{index}")
         diff = diff_layouts(before, space.layout())
         assert len(diff.added) == added_count
-        assert diff.num_operations == added_count
+        assert diff.removed == diff.changed == ()
+        assert not diff.brk_changed
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +223,24 @@ def page_images(draw):
     return PageImage(pieces)
 
 
+def intersect_runs(a, b):
+    """Pages in both run lists ``a`` and ``b``, by one merge walk."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        a_first, a_end = a[i]
+        b_first, b_end = b[j]
+        first = a_first if a_first > b_first else b_first
+        end = a_end if a_end < b_end else b_end
+        if first < end:
+            out.append((first, end))
+        if a_end < b_end:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
+
+
 class TestSnapshotRunAlgebraMatchesMergeWalks:
     @given(page_images(), maximal_runs())
     @example(PageImage([(3, 5, b"a"), (5, 9, b"b"), (12, 13, b"a")]), ((0, 4), (8, 14)))
@@ -233,10 +254,11 @@ class TestSnapshotRunAlgebraMatchesMergeWalks:
 # Twin address spaces: run-length against the per-page reference
 # ---------------------------------------------------------------------------
 
-#: First page of the first mapping the twin scenarios lay out.
-BASE_PAGE = 0x100
-#: The heap starts inside the mapping area, so ``brk`` can run into a mapping.
-BRK_BASE_PAGE = BASE_PAGE + 48
+#: Page of the heap base both spaces start their break at.
+BRK_BASE_PAGE = DEFAULT_BRK_BASE // PAGE_SIZE
+#: First page of the first mapping the twin scenarios lay out: the heap
+#: starts inside the mapping area, so ``brk`` can run into a mapping.
+BASE_PAGE = BRK_BASE_PAGE - 48
 #: Every page the twin scenarios can touch.
 TWIN_PAGES = range(BASE_PAGE - 2, BASE_PAGE + 80)
 #: Largest mapping of the wide twin scenarios, in pages: one write there
@@ -273,7 +295,7 @@ def twin_scenarios(draw, max_pages=16):
 
 def _build_twin(space_class, scenario):
     """Build one side of a twin: the spaces and the handler-call log."""
-    space = space_class(brk_base=BRK_BASE_PAGE * PAGE_SIZE)
+    space = space_class()
     page = BASE_PAGE
     for pages, gap, read_only, populate in scenario["regions"]:
         page += gap
@@ -304,7 +326,6 @@ def _state(spaces, calls, pages=TWIN_PAGES):
             "layout": space.layout(),
             "image": space.capture(),
             "soft_dirty": space.soft_dirty_runs(),
-            "resident": space.resident_pages,
             "meter": space.meter.counters,
         }
         for space in spaces
@@ -685,7 +706,11 @@ def _serve(profile, mechanism_name="gh", requests=3, change_at=None, change=None
                 )
             )
     space = mechanism.process.address_space
-    served["pages"] = [space.page_state(page) for vma in space.vmas for page in vma.pages()]
+    served["pages"] = [
+        space.page_state(page)
+        for vma in space.vmas
+        for page in range(vma.first_page, vma.first_page + vma.num_pages)
+    ]
     served["meter"] = space.meter.counters
     return served
 

@@ -62,11 +62,9 @@ samples = st.tuples(
 )
 
 
-def _finished(tick: int, status: InvocationStatus, tenant: int, latency: float,
-              invoker: float = 0.0) -> Invocation:
+def _finished(tick: int, status: InvocationStatus, tenant: int, latency: float) -> Invocation:
     at = tick / TICKS_PER_SECOND
     inv = Invocation(action="act", caller=f"tenant-{tenant}", submitted_at=at - latency)
-    inv.invoker_seconds = invoker
     if status is InvocationStatus.COMPLETED:
         inv.mark_completed(at, {})
     elif status is InvocationStatus.REJECTED:
@@ -146,8 +144,8 @@ def test_collector_is_the_oracle_in_its_parity_regime(stream, max_buckets, data)
 # The running window fold against a cold start
 # ----------------------------------------------------------------------
 
-#: A record ``("record", tick, status, tenant, e2e latency, invoker
-#: latency)`` or a query ``("query", since, until)``, in seconds.
+#: A record ``("record", tick, status, tenant, e2e latency)`` or a query
+#: ``("query", since, until)``, in seconds.
 Op = Tuple
 
 
@@ -161,8 +159,8 @@ def _slice_state(slice_) -> tuple:
     """Everything a slice holds: counts, zero counts, bins, moment bits."""
     return (
         slice_.completed, slice_.failed, slice_.rejected, slice_.throttled,
-        [(sketch.quantiles._zero, sketch.quantiles._bins, _moment_bits(sketch))
-         for sketch in (slice_.e2e, slice_.invoker)],
+        slice_.e2e.quantiles._zero, slice_.e2e.quantiles._bins,
+        _moment_bits(slice_.e2e),
     )
 
 
@@ -237,8 +235,7 @@ def _absolute(drawn: Sequence[tuple]) -> List[Op]:
         if step[0] == "record":
             _, advance, late, status, tenant, latency = step
             clock += advance
-            ops.append(("record", max(clock - late, 0), status, tenant,
-                        latency, latency / 3.0))
+            ops.append(("record", max(clock - late, 0), status, tenant, latency))
             continue
         _, move, ticks = step
         if since is None or move == "forward":
@@ -264,9 +261,8 @@ def test_window_fold_answers_like_a_cold_start(drawn, max_buckets):
     _replay_windows(_absolute(drawn), max_buckets)
 
 
-def _record(tick: int, tenant: int = 0, latency: float = 0.01,
-            invoker: float = 0.005) -> Op:
-    return ("record", tick, InvocationStatus.COMPLETED, tenant, latency, invoker)
+def _record(tick: int, tenant: int = 0, latency: float = 0.01) -> Op:
+    return ("record", tick, InvocationStatus.COMPLETED, tenant, latency)
 
 
 def _query(since_tick: int, until_tick: int) -> Op:
@@ -317,7 +313,7 @@ class TestWindowFoldExamples:
         ]
 
     def test_a_fold_pushed_past_the_bucket_cap(self):
-        # Three buckets of 1,500 distinct invoker-latency sketch buckets
+        # Three buckets of 1,500 distinct e2e-latency sketch buckets
         # each: alone each bucket fits, but their fold spans 4,500 sketch
         # buckets, more than DEFAULT_MAX_BINS, and collapses.  A collapse
         # cannot be subtracted, so the slide that follows must not start
@@ -330,7 +326,7 @@ class TestWindowFoldExamples:
             for k in range(per_bucket):
                 key = bucket * per_bucket + k - 2250
                 ops.append(_record(bucket * TICKS_PER_BUCKET, tenant=0,
-                                   invoker=gamma ** (key - 0.5)))
+                                   latency=gamma ** (key - 0.5)))
         ops.append(_record(3 * TICKS_PER_BUCKET))
         ops += [
             _query(0, 3 * TICKS_PER_BUCKET),  # folds buckets 0-2: collapses

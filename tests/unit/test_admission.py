@@ -338,8 +338,6 @@ class TestMetricsThrottledAccounting:
         assert collector.num_rejected == 1
         assert collector.num_throttled == 1
         assert collector.num_recorded == 2
-        assert collector.rejection_rate == pytest.approx(0.5)
-        assert collector.throttle_rate == pytest.approx(0.5)
         assert throttled.status is InvocationStatus.THROTTLED
         assert collector.window(1.0, 1.0).num_throttled == 1
 
@@ -460,8 +458,6 @@ class TestReactiveAutoscaler:
         assert invoker.scale_action("clamp", +1) is None  # capped at cores
         assert invoker.scale_action("clamp", -1) == 1
         assert invoker.scale_action("clamp", -1) is None  # at the floor
-        with pytest.raises(PlatformError):
-            invoker.set_max_containers("clamp", 0)
 
     def test_cluster_config_attaches_autoscalers(self, small_python_profile):
         cluster = FaaSCluster(

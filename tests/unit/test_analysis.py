@@ -16,7 +16,6 @@ from repro.analysis.report import (
 from repro.analysis.series import Series, SweepResult
 from repro.analysis.stats import (
     OverheadSummary,
-    reductions_percent,
     relative_overhead_percent,
     summarize_overheads,
 )
@@ -45,11 +44,6 @@ class TestStats:
     def test_summarize_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize_overheads([])
-
-    def test_reductions_percent(self):
-        assert reductions_percent([90.0], [100.0]) == [pytest.approx(10.0)]
-        with pytest.raises(ValueError):
-            reductions_percent([1.0], [0.0])
 
 
 class TestTables:

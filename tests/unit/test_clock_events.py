@@ -20,16 +20,6 @@ class TestVirtualClock:
         with pytest.raises(ClockError):
             VirtualClock(-1.0)
 
-    def test_advance_moves_forward(self):
-        clock = VirtualClock()
-        assert clock.advance(1.5) == 1.5
-        assert clock.now == 1.5
-
-    def test_advance_negative_rejected(self):
-        clock = VirtualClock()
-        with pytest.raises(ClockError):
-            clock.advance(-0.1)
-
     def test_advance_to_absolute(self):
         clock = VirtualClock()
         clock.advance_to(3.0)
@@ -73,7 +63,7 @@ class TestEventLoop:
 
     def test_schedule_at_past_rejected(self):
         loop = EventLoop()
-        loop.clock.advance(5.0)
+        loop.clock.advance_to(5.0)
         with pytest.raises(EventLoopError):
             loop.schedule_at(1.0, lambda: None)
 

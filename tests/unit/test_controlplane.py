@@ -568,7 +568,7 @@ class TestPlannerBudgetBoundary:
         # Lower the hot ceiling below the grown pool, then occupy both hot
         # containers: no idle warm, a free core — placement will pick the
         # peer — but containers (2) >= min(ceiling 1 + raise 1, cores) = 2.
-        peer.set_max_containers("hot", 1)
+        assert peer.scale_action("hot", -1) == 1
         for _ in range(2):
             peer.submit(
                 Invocation(action="hot", caller="t", submitted_at=loop.now),

@@ -36,9 +36,6 @@ class TestErrorHierarchy:
     def test_action_not_found_carries_action(self):
         assert errors.ActionNotFoundError("foo").action == "foo"
 
-    def test_isolation_violation_is_isolation_error(self):
-        assert issubclass(errors.IsolationViolation, errors.IsolationError)
-
     def test_config_error_is_also_a_value_error(self):
         from repro.config import SimulationConfig
 

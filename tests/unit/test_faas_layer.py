@@ -69,7 +69,6 @@ class TestMetrics:
         assert stats.mean == pytest.approx(2.5)
         assert stats.median == pytest.approx(2.5)
         assert stats.minimum == 1.0 and stats.maximum == 4.0
-        assert stats.cov > 0
 
     def test_latency_stats_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -303,18 +303,6 @@ class TestArrivalSurfaces:
         assert invoker.arrivals_total("seen") == 3
         assert invoker.arrivals_total() == 3
 
-    def test_recent_arrival_times_window(self, small_python_profile):
-        loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
-        invoker.register(_action(small_python_profile, "timed"), max_containers=1)
-        for at in (0.5, 1.5, 2.5):
-            loop.run(until=at)
-            invoker.submit(
-                Invocation(action="timed", submitted_at=loop.now), lambda inv: None
-            )
-        assert invoker.recent_arrival_times("timed") == [0.5, 1.5, 2.5]
-        assert invoker.recent_arrival_times("timed", since=1.5) == [1.5, 2.5]
-
     def test_cluster_aggregates_arrivals(self, small_python_profile):
         cluster = FaaSCluster(SimulationConfig(cores=1, invokers=2, seed=5))
         cluster.deploy(_action(small_python_profile, "agg"))
@@ -322,9 +310,8 @@ class TestArrivalSurfaces:
             cluster.invoke_async("agg")
         # Arrivals register when the controller delivers them to invokers.
         cluster.run()
-        assert cluster.arrivals_per_action() == {"agg": 4}
-        times = cluster.recent_arrival_times("agg")
-        assert len(times) == 4 and times == sorted(times)
+        counts = [inv.snapshot().arrivals_total.get("agg", 0) for inv in cluster.invokers]
+        assert sum(counts) == 4
 
     def test_cold_start_and_dispatch_times_recorded(self, small_python_profile):
         loop = EventLoop()

@@ -98,7 +98,7 @@ class TestSnapshotter:
         snapshot, stats, _, _ = _snapshot(warm_runtime)
         space = warm_runtime.process.address_space
         assert snapshot.num_threads == warm_runtime.process.num_threads
-        assert snapshot.num_pages == space.resident_pages
+        assert snapshot.num_pages == space.capture().num_pages
         assert snapshot.layout == space.layout()
         assert snapshot.brk == space.brk
         assert stats.total_seconds > 0

@@ -290,7 +290,11 @@ class TestRequestPlan:
                 (result.fault_seconds, result.faults, result.pages_written, result.residual)
             )
         space = mechanism.process.address_space
-        pages = [space.page_state(page) for vma in space.vmas for page in vma.pages()]
+        pages = [
+            space.page_state(page)
+            for vma in space.vmas
+            for page in range(vma.first_page, vma.first_page + vma.num_pages)
+        ]
         return outcomes, pages, space.layout(), space.meter.counters
 
     def _both(self, monkeypatch, profile, steps, name="base"):

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.registry import mechanism_class
 from repro.errors import WorkloadError
 from repro.runtime.profiles import Language
 from repro.workloads import (
     all_benchmarks,
     benchmarks_by_suite,
     find_benchmark,
-    fork_compatible_benchmarks,
     microbenchmark_profile,
     representative_benchmarks,
     wasm_benchmarks,
@@ -98,7 +98,8 @@ class TestLookups:
         assert all(spec.profile.language is not Language.NODE for spec in subset)
 
     def test_fork_subset_excludes_node(self):
-        subset = fork_compatible_benchmarks()
+        fork = mechanism_class("fork")
+        subset = [spec for spec in all_benchmarks() if fork.supports(spec.profile)]
         assert len(subset) == 51
         assert all(spec.profile.language is not Language.NODE for spec in subset)
 
