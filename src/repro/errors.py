@@ -68,10 +68,6 @@ class SegmentationFault(MemoryError_):
         self.access = access
 
 
-class PagemapError(MemoryError_):
-    """Raised when a pagemap/soft-dirty query is malformed."""
-
-
 # ---------------------------------------------------------------------------
 # Process substrate
 # ---------------------------------------------------------------------------

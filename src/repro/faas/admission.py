@@ -189,15 +189,10 @@ class WeightedFairQueue(AdmissionQueue):
     """
 
     name = "wfq"
+    #: Deficit credit a unit-weight tenant earns per round-robin visit.
+    quantum = 1.0
 
-    def __init__(
-        self,
-        weights: Optional[Mapping[str, float]] = None,
-        *,
-        quantum: float = 1.0,
-    ) -> None:
-        if quantum <= 0:
-            raise PlatformError("WFQ quantum must be positive")
+    def __init__(self, weights: Optional[Mapping[str, float]] = None) -> None:
         self._weights: Dict[str, float] = {}
         for tenant, weight in (weights or {}).items():
             if weight <= 0:
@@ -205,7 +200,6 @@ class WeightedFairQueue(AdmissionQueue):
                     f"WFQ weight for tenant {tenant!r} must be positive"
                 )
             self._weights[tenant] = float(weight)
-        self._quantum = quantum
         #: Per-tenant FIFO sub-queues of ``(push sequence, entry)``.
         self._subqueues: Dict[str, Deque[Tuple[int, QueueEntry]]] = {}
         #: Backlogged tenants in round-robin order (head is served next).
@@ -248,7 +242,7 @@ class WeightedFairQueue(AdmissionQueue):
         while True:
             tenant = self._round[0]
             if self._deficit[tenant] < 1.0:
-                self._deficit[tenant] += self._quantum * self.weight(tenant)
+                self._deficit[tenant] += self.quantum * self.weight(tenant)
             if self._deficit[tenant] < 1.0:
                 # A fractional-weight tenant accumulates credit over
                 # multiple rounds before being served.
@@ -431,12 +425,6 @@ class TenantQuotas:
         self._buckets[tenant] = (tokens, now)
         self.throttled += 1
         return False
-
-    def tokens(self, tenant: str, now: float) -> float:
-        """The tenant's current bank (after refill), without spending."""
-        burst = self.burst_for(tenant)
-        tokens, last = self._buckets.get(tenant, (burst, now))
-        return min(burst, tokens + (now - last) * self.rate(tenant))
 
 
 class ReactiveAutoscaler:

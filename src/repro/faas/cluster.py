@@ -13,6 +13,7 @@ experiments use is the N=1 special case of this class.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.config import SimulationConfig
@@ -124,6 +125,9 @@ class FaaSCluster:
             rng=self.rng_streams.stream("controller"),
         )
         self.metrics = MetricsCollector(bucket_seconds=self.config.metrics_bucket_seconds)
+        #: Numbers the invocations this cluster accepts (1, 2, ...), so a
+        #: run's ids depend on its own arrivals only.
+        self._invocations_accepted = itertools.count(1)
         self._specs: Dict[str, ActionSpec] = {}
         #: Each action's default request payload, built once at deploy
         #: (bytes are immutable, so every request may share it).
@@ -244,6 +248,7 @@ class FaaSCluster:
             action=action,
             payload=payload,
             caller=caller,
+            invocation_id=f"inv-{next(self._invocations_accepted):08d}",
             submitted_at=self.loop.now,
         )
         if self.tracer is not None:

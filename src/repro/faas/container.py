@@ -10,7 +10,6 @@ performs whatever post-request work its isolation mechanism requires
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from typing import NamedTuple, Optional
 
@@ -23,8 +22,6 @@ from repro.faas.request import Invocation
 from repro.kernel.kernel import SimKernel
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 from repro.sim.rng import fallback_stream
-
-_container_counter = itertools.count(1)  # detlint: ignore[D005] unique-id mint; ids are labels, never ordering inputs
 
 
 class ContainerState(enum.Enum):
@@ -64,6 +61,7 @@ class Container:
         self,
         spec: ActionSpec,
         *,
+        container_id: str,
         kernel: Optional[SimKernel] = None,
         cost_model: Optional[CostModel] = None,
         rng: Optional[random.Random] = None,
@@ -82,7 +80,8 @@ class Container:
         #: *before* this instant waited on the boot (a cold start on its
         #: path); one submitted after finds the container already warm.
         self.ready_at = 0.0
-        self.container_id = f"{spec.name}-c{next(_container_counter):04d}"
+        #: Named by the invoker that built it (see ``Invoker._build_container``).
+        self.container_id = container_id
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.kernel = kernel if kernel is not None else SimKernel(self.cost_model)
         self.rng = rng if rng is not None else fallback_stream("faas.container")

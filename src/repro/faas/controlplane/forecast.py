@@ -87,38 +87,30 @@ class DemandForecaster:
     produce bit-identical forecasts.
     """
 
+    #: Smoothing of the level and of the trend.
+    alpha = 0.1
+    beta = 0.05
+    #: Weight of the trend whenever it is extrapolated (a damped trend).
+    trend_damping = 0.8
     #: Smoothing of the seasonal factors.
     gamma = 0.4
+    #: Phase buckets a declared season is folded into.
+    season_buckets = 16
 
     def __init__(
         self,
         *,
-        alpha: float = 0.1,
-        beta: float = 0.05,
-        trend_damping: float = 0.8,
         season_period_seconds: Optional[float] = None,
-        season_buckets: int = 16,
         min_history_seconds: float = 2.0,
         min_observations: int = 4,
     ) -> None:
-        for name, value in (("alpha", alpha), ("beta", beta)):
-            if not 0.0 < value <= 1.0:
-                raise PlatformError(f"forecaster {name} must be in (0, 1]")
-        if not 0.0 < trend_damping <= 1.0:
-            raise PlatformError("forecaster trend_damping must be in (0, 1]")
         if season_period_seconds is not None and season_period_seconds <= 0:
             raise PlatformError("season_period_seconds must be positive (or None)")
-        if season_buckets < 2:
-            raise PlatformError("season_buckets must be >= 2")
         if min_history_seconds < 0:
             raise PlatformError("min_history_seconds must be >= 0")
         if min_observations < 1:
             raise PlatformError("min_observations must be >= 1")
-        self.alpha = alpha
-        self.beta = beta
-        self.trend_damping = trend_damping
         self.season_period_seconds = season_period_seconds
-        self.season_buckets = season_buckets
         self.min_history_seconds = min_history_seconds
         self.min_observations = min_observations
         self._actions: Dict[str, _ActionForecast] = {}
@@ -258,6 +250,13 @@ class PredictivePlanner(CapacityPlanner):
     planner degrades to the reactive behaviour it extends.
     """
 
+    #: Containers are sized so the predicted load would run them at this
+    #: utilisation, not at 100%: ``desired = rate × service / ρ``.  Bare
+    #: Little's-law concurrency leaves no headroom — any jitter above the
+    #: mean immediately queues (and, at a rising edge, the mean itself is
+    #: already above the forecast by the time the seeds land).
+    target_utilization = 0.7
+
     def __init__(
         self,
         budget: int,
@@ -266,7 +265,6 @@ class PredictivePlanner(CapacityPlanner):
         horizon_margin_seconds: float = 0.0,
         default_boot_seconds: float = 0.5,
         default_service_seconds: float = 0.05,
-        target_utilization: float = 0.7,
         **kwargs: object,
     ) -> None:
         super().__init__(budget, **kwargs)
@@ -276,19 +274,10 @@ class PredictivePlanner(CapacityPlanner):
             raise PlatformError("default_boot_seconds must be >= 0")
         if default_service_seconds <= 0:
             raise PlatformError("default_service_seconds must be positive")
-        if not 0.0 < target_utilization <= 1.0:
-            raise PlatformError("target_utilization must be in (0, 1]")
         self.forecaster = forecaster if forecaster is not None else DemandForecaster()
         self.horizon_margin_seconds = horizon_margin_seconds
         self.default_boot_seconds = default_boot_seconds
         self.default_service_seconds = default_service_seconds
-        #: Containers are sized so the predicted load would run them at
-        #: this utilisation, not at 100%: ``desired = rate × service / ρ``.
-        #: Bare Little's-law concurrency leaves no headroom — any jitter
-        #: above the mean immediately queues (and, at a rising edge, the
-        #: mean itself is already above the forecast by the time the
-        #: seeds land).
-        self.target_utilization = target_utilization
         self._boot_seconds: Dict[str, float] = {}
         self._service_seconds: Dict[str, float] = {}
         self._last_counts: Dict[str, int] = {}

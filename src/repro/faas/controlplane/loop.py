@@ -43,26 +43,25 @@ IDLE_TICKS_TO_STOP = 2
 class ControlPlane:
     """SLO-driven auto-tuning and capacity planning for one cluster."""
 
+    #: Simulated seconds between two control ticks.
+    interval_seconds = 0.25
+
     def __init__(
         self,
         cluster: "FaaSCluster",
         *,
         slos: Optional[Mapping[str, TenantSLO]] = None,
-        interval_seconds: float = 0.25,
         window_seconds: float = 2.0,
         planner_kind: str = "reactive",
         forecast_period_seconds: Optional[float] = None,
         tracer=None,
     ) -> None:
-        if interval_seconds <= 0:
-            raise PlatformError("control interval must be positive")
         if planner_kind not in PLANNER_KINDS:
             raise PlatformError(
                 f"unknown planner kind {planner_kind!r}; "
                 f"choose one of {PLANNER_KINDS}"
             )
         self.cluster = cluster
-        self.interval_seconds = interval_seconds
         # The container budget: twice the cluster's core count.  Cores bound
         # how many containers can *run*; the factor leaves room for
         # warm-but-idle capacity on peers without unbounded growth.
@@ -72,8 +71,10 @@ class ControlPlane:
         # age out of the assessment) and raises for half of one, in ticks of
         # this loop's interval.
         self.tuner = QuotaTuner(
-            cut_hold_ticks=max(1, round(window_seconds / interval_seconds)),
-            raise_hold_ticks=max(1, round(window_seconds / (2 * interval_seconds))),
+            cut_hold_ticks=max(1, round(window_seconds / self.interval_seconds)),
+            raise_hold_ticks=max(
+                1, round(window_seconds / (2 * self.interval_seconds))
+            ),
         )
         self.planner: CapacityPlanner
         if planner_kind == "predictive":

@@ -41,38 +41,28 @@ class QuotaTuner:
     """Drives :class:`~repro.faas.admission.TenantQuotas` rates and WFQ
     weights from windowed SLO verdicts via AIMD."""
 
+    #: A cut multiplies the offender's rate (or its demand) by this.
+    decrease_factor = 0.5
+    #: Floor of every tuned rate, and of every additive raise step.
+    min_rps = 1.0
+    #: Tenants cut per violated tick, worst offender first.
+    max_cuts_per_tick = 1
+    #: A violated tenant's weight is multiplied by this, up to ``max_weight``.
+    weight_boost = 2.0
+    max_weight = 8.0
+
     def __init__(
         self,
         *,
-        decrease_factor: float = 0.5,
         increase_fraction: float = 0.05,
-        min_rps: float = 1.0,
-        max_cuts_per_tick: int = 1,
-        weight_boost: float = 2.0,
-        max_weight: float = 8.0,
         cut_hold_ticks: int = 8,
         raise_hold_ticks: int = 4,
     ) -> None:
-        if not 0.0 < decrease_factor < 1.0:
-            raise PlatformError("decrease_factor must be in (0, 1)")
         if increase_fraction <= 0:
             raise PlatformError("increase_fraction must be positive")
-        if min_rps <= 0:
-            raise PlatformError("min_rps must be positive")
-        if max_cuts_per_tick < 1:
-            raise PlatformError("max_cuts_per_tick must be >= 1")
-        if weight_boost <= 1.0:
-            raise PlatformError("weight_boost must be > 1")
-        if max_weight < weight_boost:
-            raise PlatformError("max_weight must be >= weight_boost")
         if cut_hold_ticks < 1 or raise_hold_ticks < 1:
             raise PlatformError("hold tick counts must be >= 1")
-        self.decrease_factor = decrease_factor
         self.increase_fraction = increase_fraction
-        self.min_rps = min_rps
-        self.max_cuts_per_tick = max_cuts_per_tick
-        self.weight_boost = weight_boost
-        self.max_weight = max_weight
         #: Minimum ticks between two multiplicative cuts.  The monitor's
         #: window keeps remembering a spike for a while after a cut bit,
         #: so reacting to every violated tick would cascade one episode's
@@ -83,7 +73,7 @@ class QuotaTuner:
         #: a weight decay) — a single clean window right after a cut is
         #: not yet evidence the pressure is gone.
         self.raise_hold_ticks = raise_hold_ticks
-        self._tick = 0
+        self._ticks = 0
         self._last_cut_tick = -cut_hold_ticks
         self._clean_streak = 0
         #: Per-tenant tuned admission rates (absent = untouched/unlimited).
@@ -115,15 +105,15 @@ class QuotaTuner:
         weights: Optional[WeightActuator] = None,
     ) -> List[str]:
         """React to one assessment; returns human-readable actions taken."""
-        self._tick += 1
+        self._ticks += 1
         actions: List[str] = []
         violated = [s for s in statuses.values() if s.violated]
         if violated:
             self._clean_streak = 0
-            if self._tick - self._last_cut_tick >= self.cut_hold_ticks:
+            if self._ticks - self._last_cut_tick >= self.cut_hold_ticks:
                 cut_actions = self._decrease(statuses, violated, quotas)
                 if cut_actions:
-                    self._last_cut_tick = self._tick
+                    self._last_cut_tick = self._ticks
                 actions.extend(cut_actions)
             actions.extend(self._boost_weights(violated, weights))
         else:

@@ -65,6 +65,7 @@ substrate built on top of it:
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -292,7 +293,6 @@ class Invoker:
         loop: EventLoop,
         *,
         cores: int = 1,
-        kernel: Optional[SimKernel] = None,
         rng: Optional[random.Random] = None,
         verify_isolation: bool = False,
         invoker_id: str = "invoker-0",
@@ -325,7 +325,8 @@ class Invoker:
         self.loop = loop
         self.cores = cores
         self.cost_model = DEFAULT_COST_MODEL
-        self.kernel = kernel if kernel is not None else SimKernel(self.cost_model)
+        #: This host's kernel: its processes and its pids are its own.
+        self.kernel = SimKernel(self.cost_model)
         self.rng = rng if rng is not None else fallback_stream("faas.invoker")
         self.verify_isolation = verify_isolation
         self.invoker_id = invoker_id
@@ -361,6 +362,8 @@ class Invoker:
         #: per-action container ceilings.
         self.autoscaler: Optional[ReactiveAutoscaler] = None
         self._pools: Dict[str, _ActionPool] = {}
+        #: Numbers the containers this invoker builds (1, 2, ...).
+        self._containers_built = itertools.count(1)
         #: The pools with queued work, keyed by ``_ActionPool.seq`` and kept
         #: exact by :meth:`_touch_pool` (every queue push and pop passes
         #: through it).  Dispatch and the all-action queue totals visit these
@@ -381,11 +384,6 @@ class Invoker:
         #: over all pools — the queue term of :attr:`load`, kept O(1) by
         #: per-pool deltas at every state transition (see ``_touch_pool``).
         self._queued_uncovered = 0
-        #: Monotone counter bumped at every cluster-visible state change;
-        #: :meth:`snapshot` reuses its cached result while it is unchanged.
-        self._state_version = 0
-        self._snapshot_cache: Optional[InvokerSnapshot] = None
-        self._snapshot_version = -1
         #: Cluster index attachment (see :class:`~repro.faas.index.
         #: ClusterIndex`): a listener fed O(1) load/queue-depth/warmth
         #: deltas at state-transition points, and this invoker's position
@@ -468,7 +466,7 @@ class Invoker:
         self.restore_core_seconds = 0.0
 
     # ------------------------------------------------------------------
-    # Incremental state tracking (snapshot cache + cluster index feed)
+    # Incremental state tracking (cluster index feed)
     # ------------------------------------------------------------------
 
     def attach_index(self, listener, position: int) -> None:
@@ -496,8 +494,7 @@ class Invoker:
         listener.load_changed(position, self.load)
 
     def _touch(self) -> None:
-        """Mark cluster-visible state dirty; push the new load to the index."""
-        self._state_version += 1
+        """Push the load to the index after a cluster-visible state change."""
         listener = self.index_listener
         if listener is not None:
             listener.load_changed(
@@ -512,7 +509,7 @@ class Invoker:
         depth, cold-starts in flight, container set, or counters.  Keeps
         ``_queued_uncovered`` and the queued-pool record exact, then feeds
         the per-action queue depth and warmth to the attached index and
-        bumps the snapshot version via :meth:`_touch`.
+        the load via :meth:`_touch`.
         """
         depth = len(pool.queue)
         if depth:
@@ -604,8 +601,12 @@ class Invoker:
         return create_admission_queue(self._admission)
 
     def _build_container(self, spec: ActionSpec, *, dynamic: bool) -> Container:
+        # Named like OpenWhisk's containers: the invoker and its own count,
+        # so ids are unique cluster-wide without a shared counter.
+        number = next(self._containers_built)
         return Container(
             spec,
+            container_id=f"{self.invoker_id}/{spec.name}-c{number:04d}",
             kernel=self.kernel,
             cost_model=self.cost_model,
             rng=random.Random(self.rng.getrandbits(32)),
@@ -1197,18 +1198,9 @@ class Invoker:
                 if old_pool is not pool:
                     self._touch_pool(old_pool)
 
-    def snapshots_held(self, action: Optional[str] = None) -> int:
-        """Held restorable snapshots (for one action or all of them).
-
-        O(1) for the all-actions total (the budget LRU's length).  Returns
-        0 for actions not hosted here.
-        """
-        if action is None:
-            return len(self._snapshot_lru)
-        pool = self._pools.get(action)
-        if pool is None:
-            return 0
-        return len(pool.snapshots)
+    def snapshots_held(self) -> int:
+        """Held restorable snapshots across all actions (the budget LRU's length)."""
+        return len(self._snapshot_lru)
 
     def _cold_start(self, pool: _ActionPool, *, on_demand: bool = True) -> None:
         """Request one more container; the boot runs on a core when one frees.
@@ -1445,40 +1437,24 @@ class Invoker:
             return len(self._require_pool(action).queue)
         return sum(len(pool.queue) for pool in self._queued_pools.values())
 
-    def queued_by_tenant(self, action: Optional[str] = None) -> Dict[str, int]:
-        """Waiting invocations per tenant (for one action or all of them).
+    def queued_by_tenant(self) -> Dict[str, int]:
+        """Waiting invocations per tenant across all actions.
 
-        The all-action totals visit only the pools with queued work, in
-        creation order, so tenants keep their first-seen key order.
+        The totals visit only the pools with queued work, in creation
+        order, so tenants keep their first-seen key order.
         """
-        if action is not None:
-            return self._require_pool(action).queue.tenants()
         totals: Counter = Counter()
         for _seq, pool in sorted(self._queued_pools.items()):
             totals.update(pool.queue.tenants())
         return dict(totals)
 
-    def arrivals_total(self, action: Optional[str] = None) -> int:
-        """Lifetime invocations submitted (for one action or all of them)."""
-        if action is not None:
-            return self._require_pool(action).arrivals
-        return sum(pool.arrivals for pool in self._pools.values())
-
     def snapshot(self) -> InvokerSnapshot:
         """Export the structured warmth/load view the control plane consumes.
 
-        Dirty-flag cached: every state mutation bumps ``_state_version``,
-        and while it is unchanged the previously built snapshot is
-        returned as-is — control-plane ticks over a mostly-quiet cluster
-        reuse unchanged snapshots instead of rebuilding the per-action
-        dicts.  Snapshots are frozen and treated as read-only by all
-        consumers; callers must not mutate the mapping fields.
+        Built afresh on every call.  Snapshots are frozen and treated as
+        read-only by all consumers; callers must not mutate the mapping
+        fields.
         """
-        if (
-            self._snapshot_cache is not None
-            and self._snapshot_version == self._state_version
-        ):
-            return self._snapshot_cache
         idle_warm: Dict[str, int] = {}
         warm_total: Dict[str, int] = {}
         boots: Dict[str, int] = {}
@@ -1504,7 +1480,7 @@ class Invoker:
             )
             if room > 0:
                 headroom[name] = room
-        snap = InvokerSnapshot(
+        return InvokerSnapshot(
             invoker_id=self.invoker_id,
             cores=self.cores,
             cores_in_use=self._cores_in_use,
@@ -1521,9 +1497,6 @@ class Invoker:
             arrivals_total=arrivals_total,
             snapshots_held=snapshots_held,
         )
-        self._snapshot_cache = snap
-        self._snapshot_version = self._state_version
-        return snap
 
     def stats(self) -> Dict[str, object]:
         """A snapshot of the invoker's counters (for tables and debugging)."""

@@ -14,10 +14,8 @@ Trace record schema
 Identity (stamped at submit by :meth:`TraceRecorder.begin_invocation`):
 
 ``invocation_id``
-    The platform-wide invocation id (``Invocation.invocation_id``).
-    **Not** stable across serial-vs-parallel replication (the id counter
-    is process-global); determinism keys use the recorder's run-local
-    ordinal instead.
+    The invocation's id (``Invocation.invocation_id``), numbered by the
+    cluster that accepted it, so identical runs repeat it exactly.
 ``action`` / ``tenant``
     Deployed action name and calling tenant (``Invocation.caller``).
 ``submitted_at``
@@ -118,12 +116,11 @@ In ``"sampled"`` mode an invocation is recorded iff::
     zlib.crc32(f"{seed}:{ordinal}".encode()) % sample_period == 0
 
 where ``ordinal`` is a run-local counter (0, 1, …) incremented once per
-submitted invocation.  Keying on the run-local ordinal rather than the
-process-global ``invocation_id`` makes the sampled set a pure function
-of ``(seed, arrival order)``: ``run_replicated`` fan-out reproduces the
-identical trace whether replicas run serially in one process or in
-spawned workers.  CRC-32 is used (as for hash-affinity routing) because
-it is stable across processes regardless of ``PYTHONHASHSEED``.
+submitted invocation, so the sampled set is a pure function of ``(seed,
+arrival order)``: ``run_replicated`` fan-out reproduces the identical
+trace whether replicas run serially in one process or in spawned
+workers.  CRC-32 is used (as for hash-affinity routing) because it is
+stable across processes regardless of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -188,7 +185,7 @@ class InvocationTrace:
     )
 
     def __init__(
-        self, invocation_id: int, action: str, tenant: str, submitted_at: float
+        self, invocation_id: str, action: str, tenant: str, submitted_at: float
     ) -> None:
         self.invocation_id = invocation_id
         self.action = action
@@ -341,8 +338,7 @@ class TraceRecorder:
         self.seed = seed
         self.sample_period = sample_period
         self.capacity = capacity
-        self._ordinal = 0
-        self.seen = 0       # invocations observed (ordinals issued)
+        self.seen = 0       # invocations observed: the next one's ordinal
         self.started = 0    # traces begun (sampled in)
         self.finished = 0   # traces that reached finish_invocation
         self.invocations: Deque[InvocationTrace] = deque(maxlen=capacity)
@@ -355,10 +351,9 @@ class TraceRecorder:
         """Issue an ordinal and, if sampled in, a fresh trace context.
 
         Returns ``None`` (no trace, no allocation beyond the counter
-        bumps) when the invocation is sampled out.
+        bump) when the invocation is sampled out.
         """
-        ordinal = self._ordinal
-        self._ordinal += 1
+        ordinal = self.seen
         self.seen += 1
         if self.mode == "off":
             return None
@@ -434,13 +429,12 @@ class TraceRecorder:
     def trace_digest(self) -> str:
         """Process-stable CRC-32 digest of the retained sampled traces.
 
-        Deliberately excludes ``invocation_id`` (the id counter is
-        process-global, so serial vs spawned ``run_replicated`` replicas
-        disagree on it); everything else — who, when, how dispatched —
-        must be identical for identical ``(seed, workload)``.
+        Which invocation, who, when and how dispatched: identical for
+        identical ``(seed, workload)``, in one process or across several.
         """
         parts = sorted(
             (
+                trace.invocation_id,
                 trace.action,
                 trace.tenant,
                 trace.status,

@@ -10,14 +10,11 @@ next caller's.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.policy import InvokeReport
-
-_invocation_counter = itertools.count(1)  # detlint: ignore[D005] unique-id mint; ids are labels, never ordering inputs
 
 
 class InvocationStatus(enum.Enum):
@@ -48,6 +45,8 @@ class Invocation:
     action: str
     payload: bytes = b""
     caller: str = "anonymous"
+    #: Named by the cluster that accepted it (``inv-00000001``, …, counted
+    #: per cluster); empty for an invocation built outside a cluster.
     invocation_id: str = ""
     submitted_at: float = 0.0
     dispatched_at: float = 0.0
@@ -74,10 +73,6 @@ class Invocation:
     report: Optional["InvokeReport"] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self) -> None:
-        if not self.invocation_id:
-            self.invocation_id = f"inv-{next(_invocation_counter):08d}"
 
     @property
     def e2e_seconds(self) -> float:

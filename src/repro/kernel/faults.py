@@ -1,4 +1,4 @@
-"""Fault taxonomy used in accounting and reports.
+"""Per-request fault counts used in accounting and reports.
 
 The address space charges faults directly to its
 :class:`~repro.mem.address_space.MemoryMeter`; this module provides the
@@ -9,21 +9,10 @@ of soft-dirty vs copy-on-write fault costs).
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 from repro.mem.address_space import MeterSnapshot
 from repro.sim.costs import CostModel
-
-
-class FaultKind(enum.Enum):
-    """Kinds of page faults charged to the function's critical path."""
-
-    MINOR = "minor"
-    SOFT_DIRTY = "soft-dirty"
-    COW = "copy-on-write"
-    UFFD = "userfaultfd"
-    FIRST_TOUCH = "fork-first-touch"
 
 
 class FaultRecord(NamedTuple):
@@ -72,16 +61,6 @@ class FaultRecord(NamedTuple):
             + self.uffd * cost_model.uffd_fault_seconds
             + self.first_touch * cost_model.fork_first_touch_seconds
         )
-
-    def breakdown(self) -> dict:
-        """Return counts keyed by :class:`FaultKind` value."""
-        return {
-            FaultKind.MINOR.value: self.minor,
-            FaultKind.SOFT_DIRTY.value: self.soft_dirty,
-            FaultKind.COW.value: self.cow,
-            FaultKind.UFFD.value: self.uffd,
-            FaultKind.FIRST_TOUCH.value: self.first_touch,
-        }
 
 
 #: The record of a request that took no fault; records are immutable, so

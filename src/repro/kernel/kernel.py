@@ -1,21 +1,20 @@
 """Simulated kernel facade: process table and global accounting.
 
 The :class:`SimKernel` owns the processes of one invoker host.  It hands out
-pids, tracks which processes exist (so ``/proc`` accesses to dead processes
-fail the way they should), and counts the processes it created, forked and
+the host's pids, tracks which processes exist (so looking up a reaped pid
+fails the way it should), and counts the processes it created, forked and
 reaped (:class:`KernelStats`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import NoSuchProcessError
 from repro.proc.forkexec import ForkResult, fork_process
-from repro.proc.process import SimProcess
-from repro.proc.procfs import ProcFs
-from repro.proc.ptrace import Ptrace
+from repro.proc.process import FIRST_PID, SimProcess
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 
 
@@ -42,6 +41,9 @@ class SimKernel:
     def __init__(self, cost_model: Optional[CostModel] = None) -> None:
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self._processes: Dict[int, SimProcess] = {}
+        #: This host's pids, from ``FIRST_PID`` on: each kernel numbers its
+        #: own processes, as each Linux host does.
+        self._pids = itertools.count(FIRST_PID)
         self.stats = KernelStats()
 
     # ------------------------------------------------------------------
@@ -50,14 +52,20 @@ class SimKernel:
 
     def create_process(self, name: str, uid: int = 0) -> SimProcess:
         """Create a new process in the CREATED state."""
-        process = SimProcess(name=name, cost_model=self.cost_model, uid=uid)
+        process = SimProcess(
+            name=name, cost_model=self.cost_model, pid=next(self._pids), uid=uid
+        )
         self._processes[process.pid] = process
         self.stats.processes_created += 1
         return process
 
     def fork(self, parent: SimProcess, *, require_single_threaded: bool = True) -> ForkResult:
         """Fork ``parent`` and register the child."""
-        result = fork_process(parent, require_single_threaded=require_single_threaded)
+        result = fork_process(
+            parent,
+            child_pid=next(self._pids),
+            require_single_threaded=require_single_threaded,
+        )
         self._processes[result.child.pid] = result.child
         self.stats.forks += 1
         self.stats.processes_created += 1
@@ -77,19 +85,3 @@ class SimKernel:
         if pid not in self._processes:
             raise NoSuchProcessError(pid)
         return self._processes[pid]
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-
-    def procfs(self, process: SimProcess) -> ProcFs:
-        """Return a ``/proc`` view of ``process``."""
-        if process.pid not in self._processes:
-            raise NoSuchProcessError(process.pid)
-        return ProcFs(process)
-
-    def ptrace(self, process: SimProcess) -> Ptrace:
-        """Return a ptrace session for ``process``."""
-        if process.pid not in self._processes:
-            raise NoSuchProcessError(process.pid)
-        return Ptrace(process)

@@ -12,7 +12,7 @@ from repro.mem.page import Protection
 from repro.mem.vma import Vma, VmaKind
 from repro.mem.image import PageImage
 from repro.mem.address_space import AddressSpace, MemoryMeter, PageState
-from repro.mem.pagemap import PagemapEntry, PagemapView
+from repro.mem.pagemap import PagemapView
 from repro.mem.layout import LayoutDiff, MemoryLayout, diff_layouts
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "AddressSpace",
     "MemoryMeter",
     "PageState",
-    "PagemapEntry",
     "PagemapView",
     "MemoryLayout",
     "LayoutDiff",

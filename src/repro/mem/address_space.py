@@ -527,16 +527,6 @@ class AddressSpace:
         """
         return self._area_at(page_number)
 
-    def is_resident(self, page_number: int) -> bool:
-        """True if ``page_number`` has an allocated frame."""
-        area = self._area_at(page_number)
-        return area is not None and bool(area.resident >> (page_number - area.first) & 1)
-
-    def is_soft_dirty(self, page_number: int) -> bool:
-        """True if ``page_number``'s soft-dirty bit is set."""
-        area = self._area_at(page_number)
-        return area is not None and bool(area.soft_dirty >> (page_number - area.first) & 1)
-
     def page_state(self, page_number: int) -> PageState:
         """Contents, tracking bits and sharing of one page."""
         area = self._area_at(page_number)

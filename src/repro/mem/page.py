@@ -38,16 +38,6 @@ class Protection(enum.Flag):
         """Shorthand for read-only mappings."""
         return cls.READ
 
-    def describe(self) -> str:
-        """Render like the perms column of ``/proc/<pid>/maps``."""
-        return "".join(
-            [
-                "r" if Protection.READ in self else "-",
-                "w" if Protection.WRITE in self else "-",
-                "x" if Protection.EXEC in self else "-",
-            ]
-        )
-
 
 #: The two protection unions, built once: a ``Flag`` union is a call.
 _RW = Protection.READ | Protection.WRITE

@@ -14,21 +14,10 @@ space's soft-dirty bitmaps as a page run list, so the result is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
-from repro.errors import PagemapError
 from repro.mem.address_space import AddressSpace
 from repro.mem.image import Runs, page_numbers
-
-
-@dataclass(frozen=True)
-class PagemapEntry:
-    """Decoded pagemap information for one page."""
-
-    page_number: int
-    present: bool
-    soft_dirty: bool
 
 
 class PagemapScanResult(NamedTuple):
@@ -52,16 +41,6 @@ class PagemapView:
 
     def __init__(self, address_space: AddressSpace) -> None:
         self._space = address_space
-
-    def entry(self, page_number: int) -> PagemapEntry:
-        """Return the pagemap entry for a single page."""
-        if page_number < 0:
-            raise PagemapError(f"invalid page number {page_number}")
-        return PagemapEntry(
-            page_number=page_number,
-            present=self._space.is_resident(page_number),
-            soft_dirty=self._space.is_soft_dirty(page_number),
-        )
 
     def scan_mapped(self) -> PagemapScanResult:
         """Scan the pagemap entries of every mapped page.

@@ -101,8 +101,3 @@ class Vma(_VmaFields):
     def with_prot(self, prot: Protection) -> "Vma":
         """Return a copy of this VMA with different protection."""
         return Vma(self.start, self.end, prot, self.kind, self.name)
-
-    def describe(self) -> str:
-        """Render roughly like a ``/proc/<pid>/maps`` line."""
-        label = self.name or f"[{self.kind.value}]"
-        return f"{self.start:012x}-{self.end:012x} {self.prot.describe()}p {label}"

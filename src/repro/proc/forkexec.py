@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ProcessStateError, UnsupportedRuntimeError
-from repro.proc.process import SimProcess
+from repro.proc.process import FIRST_PID, SimProcess
 from repro.proc.registers import RegisterSet
 
 
@@ -27,8 +27,16 @@ class ForkResult:
     cost_seconds: float
 
 
-def fork_process(parent: SimProcess, *, require_single_threaded: bool = True) -> ForkResult:
-    """Fork ``parent``, returning a copy-on-write child.
+def fork_process(
+    parent: SimProcess,
+    *,
+    child_pid: int = FIRST_PID,
+    require_single_threaded: bool = True,
+) -> ForkResult:
+    """Fork ``parent``, returning a copy-on-write child with pid ``child_pid``.
+
+    The kernel passes the next pid of its own; a fork outside a kernel
+    takes the fixed default.
 
     With ``require_single_threaded`` (the default, matching real ``fork``
     semantics for this use case) a multi-threaded parent raises
@@ -50,6 +58,7 @@ def fork_process(parent: SimProcess, *, require_single_threaded: bool = True) ->
         name=parent.name + "-child",
         cost_model=parent.cost_model,
         address_space=child_space,
+        pid=child_pid,
         uid=parent.uid,
     )
     # The child starts with a single thread whose registers mirror the

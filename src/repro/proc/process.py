@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ProcessStateError
 from repro.mem.address_space import AddressSpace
@@ -19,11 +18,9 @@ from repro.proc.registers import RegisterSet
 from repro.proc.thread import SimThread
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 
-_pid_counter = itertools.count(1000)  # detlint: ignore[D005] unique-pid mint; pids are labels, never ordering inputs
-
-
-def _next_pid() -> int:
-    return next(_pid_counter)
+#: The first pid a kernel hands out, and the pid of a process built
+#: outside a kernel.
+FIRST_PID = 1000
 
 
 class ProcessState(enum.Enum):
@@ -44,11 +41,11 @@ class SimProcess:
         *,
         cost_model: Optional[CostModel] = None,
         address_space: Optional[AddressSpace] = None,
-        pid: Optional[int] = None,
+        pid: int = FIRST_PID,
         uid: int = 0,
     ) -> None:
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        self.pid = pid if pid is not None else _next_pid()
+        self.pid = pid
         self.name = name
         self.uid = uid
         self.address_space = (
@@ -58,7 +55,8 @@ class SimProcess:
         self.stdin = Pipe(f"{name}.stdin", self.cost_model)
         self.stdout = Pipe(f"{name}.stdout", self.cost_model)
         self.stderr = Pipe(f"{name}.stderr", self.cost_model)
-        self._threads: Dict[int, SimThread] = {}
+        #: The first thread spawned, live or not.
+        self._main: Optional[SimThread] = None
         #: The live threads in creation order; only ``spawn_thread`` and
         #: ``exit`` change which threads are live.
         self._live: Tuple[SimThread, ...] = ()
@@ -82,9 +80,9 @@ class SimProcess:
     @property
     def main_thread(self) -> SimThread:
         """The first (main) thread."""
-        if not self._threads:
+        if self._main is None:
             raise ProcessStateError(f"process {self.pid} has no threads")
-        return self._threads[min(self._threads)]
+        return self._main
 
     def spawn_thread(self, name: str = "", registers: Optional[RegisterSet] = None) -> SimThread:
         """Create a new thread in this process."""
@@ -96,15 +94,10 @@ class SimProcess:
             name=name or f"{self.name}-t{tid}",
             registers=registers if registers is not None else RegisterSet.initial(),
         )
-        self._threads[tid] = thread
+        if self._main is None:
+            self._main = thread
         self._live += (thread,)
         return thread
-
-    def thread(self, tid: int) -> SimThread:
-        """Return the thread with id ``tid``."""
-        if tid not in self._threads:
-            raise ProcessStateError(f"process {self.pid} has no thread {tid}")
-        return self._threads[tid]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -114,7 +107,7 @@ class SimProcess:
         """Move the process into the RUNNING state (after exec)."""
         if self.state is ProcessState.EXITED:
             raise ProcessStateError("cannot start an exited process")
-        if not self._threads:
+        if self._main is None:
             self.spawn_thread(name=f"{self.name}-main")
         self.state = ProcessState.RUNNING
         for thread in self.threads:

@@ -77,10 +77,6 @@ class RngStreams:
             self._streams[name] = random.Random(_derive_seed(self._master_seed, name))
         return self._streams[name]
 
-    def reset(self) -> None:
-        """Drop all derived streams; subsequent calls re-seed from scratch."""
-        self._streams.clear()
-
     def expovariate(self, name: str, rate: float) -> float:
         """Draw an exponential inter-arrival gap (seconds) at ``rate`` per second.
 

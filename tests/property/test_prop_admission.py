@@ -31,7 +31,9 @@ from repro.sim.events import EventLoop
 
 
 def _entry(tenant: str, stamp: int):
-    invocation = Invocation(action="act", payload=b"x", caller=tenant)
+    invocation = Invocation(
+        action="act", payload=b"x", caller=tenant, invocation_id=f"inv-{stamp}"
+    )
     return (invocation, lambda inv: None, float(stamp))
 
 

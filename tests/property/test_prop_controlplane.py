@@ -104,7 +104,12 @@ def _run_history(ops, num_invokers: int, budget: int):
         home = invokers[action_index % num_invokers]
         for _ in range(burst):
             home.submit(
-                Invocation(action=action, caller="t", submitted_at=loop.now),
+                Invocation(
+                    action=action,
+                    caller="t",
+                    invocation_id=f"inv-{submitted}",
+                    submitted_at=loop.now,
+                ),
                 completed.append,
             )
             submitted += 1

@@ -408,20 +408,7 @@ def _serve_cluster(loop_class, arrivals) -> tuple:
         (inv.status, inv.completed_at, inv.invoker_seconds, inv.queue_seconds)
         for inv in invocations
     ]
-    return _canonical_labels(fired), outcomes, cluster.steals
-
-
-def _canonical_labels(fired: List[Tuple[float, str]]) -> List[Tuple[float, str]]:
-    """Replace invocation and container ids (process-wide counters) by the
-    order in which the run first named them, so two runs compare."""
-    seen: dict = {}
-    canonical = []
-    for time, label in fired:
-        prefix, colon, name = label.partition(":")
-        if colon:
-            name = str(seen.setdefault(name, len(seen)))
-        canonical.append((time, prefix + colon + name))
-    return canonical
+    return fired, outcomes, cluster.steals
 
 
 _ARRIVAL = st.tuples(

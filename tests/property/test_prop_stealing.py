@@ -97,9 +97,9 @@ def _run_pattern(
     )
     submitted: dict = {name: [] for name in actions}
     completed: dict = {name: [] for name in actions}
-    for action_index in pattern:
+    for index, action_index in enumerate(pattern):
         name = actions[action_index]
-        invocation = Invocation(action=name, payload=b"x")
+        invocation = Invocation(action=name, payload=b"x", invocation_id=f"inv-{index}")
         submitted[name].append(invocation)
         scheduler.submit(
             invocation, lambda inv: completed[inv.action].append(inv)

@@ -104,8 +104,8 @@ def traced_replica_worker(seed: int):
     only plain picklable fields — most importantly the recorder's
     :meth:`~repro.faas.obs.TraceRecorder.trace_digest`, which must be
     identical whether the replica ran serially in the parent or inside a
-    spawn-started worker process (the sampling key is the run-local
-    arrival ordinal, never the process-global invocation id).
+    spawn-started worker process: the sampling key is the run-local
+    arrival ordinal, and the ids the digest covers are the cluster's own.
     """
     summary = replay("tracing_overhead", "sampled", invocations=3_000, seed=seed)
     return {

@@ -48,7 +48,7 @@ class TestMapping:
         vma = space.mmap(4 * PAGE_SIZE, populate=True)
         assert space.capture().num_pages == 4
         pages = range(vma.first_page, vma.first_page + vma.num_pages)
-        assert all(space.is_resident(p) for p in pages)
+        assert all(space.page_state(p).resident for p in pages)
 
     def test_munmap_removes_pages_and_mapping(self, space):
         vma = space.mmap(4 * PAGE_SIZE, populate=True)
@@ -99,7 +99,7 @@ class TestBrk:
         space.set_brk(space.brk_base + 4 * PAGE_SIZE)
         space.write_page(space.brk_base // PAGE_SIZE + 3, b"top")
         space.set_brk(space.brk_base + PAGE_SIZE)
-        assert not space.is_resident(space.brk_base // PAGE_SIZE + 3)
+        assert not space.page_state(space.brk_base // PAGE_SIZE + 3).resident
 
     def test_brk_below_base_rejected(self, space):
         with pytest.raises(MappingError):
@@ -144,7 +144,7 @@ class TestBrk:
         space.kernel_write_range(space.brk_base // PAGE_SIZE + 3, 1, b"top")
         space.set_brk(space.brk_base + PAGE_SIZE)
         assert self._heap_pieces(space) == [(0, 1, Protection.rw())]
-        assert not space.is_resident(space.brk_base // PAGE_SIZE + 3)
+        assert not space.page_state(space.brk_base // PAGE_SIZE + 3).resident
 
     def test_brk_into_a_mapping_rejected(self, space):
         anon = space.mmap(4 * PAGE_SIZE, address=space.brk_base + 8 * PAGE_SIZE)
@@ -260,7 +260,7 @@ class TestKernelSideAccess:
     def test_kernel_drop_page_removes_residency(self, space):
         vma = space.mmap(PAGE_SIZE, populate=True)
         assert space.kernel_drop_runs(((vma.first_page, vma.first_page + 1),)) == 1
-        assert not space.is_resident(vma.first_page)
+        assert not space.page_state(vma.first_page).resident
 
 
 class TestFork:

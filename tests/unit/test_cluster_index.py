@@ -2,7 +2,7 @@
 
 Covers the index structures directly (lazy heap, warm sets, queue-depth
 maps, compaction), the invoker surfaces that feed them (O(1) load,
-dirty-flag snapshot caching, Counter-based tenant aggregation), and the
+Counter-based tenant aggregation), and the
 scheduler's index-driven decisions against the scan oracle in
 ``reference_routing`` (least-loaded argmin, warm-aware scoring,
 steal search).
@@ -299,20 +299,6 @@ class TestSchedulerIndexWiring:
 
 
 class TestInvokerSurfaces:
-    def test_snapshot_cached_until_state_changes(self):
-        loop, invokers = _cluster(1)
-        invoker = invokers[0]
-        invoker.deploy(_spec("act-a"), containers=1, max_containers=2)
-        first = invoker.snapshot()
-        assert invoker.snapshot() is first  # no mutation: same object
-        invoker.submit(Invocation(action="act-a", payload=b"x"), lambda inv: None)
-        second = invoker.snapshot()
-        assert second is not first
-        assert second.load != first.load
-        assert invoker.snapshot() is second
-        loop.run(until=10.0)
-        assert invoker.snapshot() is not second  # completion invalidated it
-
     def test_load_matches_snapshot_load(self):
         loop, invokers = _cluster(2, cores=2)
         invoker = invokers[0]

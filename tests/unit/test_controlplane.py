@@ -13,7 +13,6 @@ from repro.faas.cluster import FaaSCluster
 from repro.faas.container import ContainerState
 from repro.faas.controlplane import (
     CapacityPlanner,
-    ControlPlane,
     QuotaTuner,
     SLOMonitor,
     TenantSLO,
@@ -281,13 +280,7 @@ class TestQuotaTunerAIMD:
 
     def test_validation(self):
         with pytest.raises(PlatformError):
-            QuotaTuner(decrease_factor=1.0)
-        with pytest.raises(PlatformError):
             QuotaTuner(increase_fraction=0.0)
-        with pytest.raises(PlatformError):
-            QuotaTuner(min_rps=0.0)
-        with pytest.raises(PlatformError):
-            QuotaTuner(weight_boost=1.0)
         with pytest.raises(PlatformError):
             QuotaTuner(cut_hold_ticks=0)
 
@@ -649,8 +642,6 @@ class TestControlPlaneWiring:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimulationConfig(slo_window_seconds=0.0)
-        with pytest.raises(PlatformError):
-            ControlPlane(FaaSCluster(SimulationConfig()), interval_seconds=0.0)
 
     def test_stats_and_migrations_are_observable(self, small_python_profile):
         cluster = FaaSCluster(

@@ -70,12 +70,6 @@ class TestRngStreams:
         streams = RngStreams(1)
         assert streams.stream("x") is streams.stream("x")
 
-    def test_reset_restarts_streams(self):
-        streams = RngStreams(7)
-        first = streams.stream("s").random()
-        streams.reset()
-        assert streams.stream("s").random() == pytest.approx(first)
-
     def test_expovariate_draws_poisson_gaps(self):
         streams = RngStreams(9)
         gaps = [streams.expovariate("arrivals", 100.0) for _ in range(500)]

@@ -523,6 +523,18 @@ class TestRepositoryIsClean:
             "suppression:\n" + "\n".join(offenders)
         )
 
+    def test_src_suppresses_no_module_level_state(self):
+        # Every id a run uses is minted by the object that owns the run
+        # (the cluster, an invoker, a kernel), so nothing in src/ needs a
+        # D005 suppression: a process-global mint cannot come back quietly.
+        report = lint_paths([str(REPO_ROOT / "src/repro")], PathPolicy())
+        hidden = [
+            f"{f.path}:{f.line}: {f.suppression_reason}"
+            for f in report.suppressed
+            if f.rule == "D005"
+        ]
+        assert not hidden, "suppressed D005 findings in src/:\n" + "\n".join(hidden)
+
     def test_every_suppression_in_tree_carries_a_reason(self):
         paths = [str(REPO_ROOT / p) for p in DEFAULT_LINT_PATHS]
         report = lint_paths(paths, PathPolicy())

@@ -19,9 +19,15 @@ from repro.sim.events import EventLoop
 
 
 class TestInvocation:
-    def test_ids_are_unique(self):
-        a, b = Invocation(action="f"), Invocation(action="f")
-        assert a.invocation_id != b.invocation_id
+    def test_ids_are_unique(self, small_python_profile):
+        # The cluster numbers what it accepts; a second platform starts over.
+        spec = ActionSpec.for_profile(small_python_profile, "base")
+        ids = []
+        for _ in range(2):
+            platform = FaaSPlatform()
+            platform.deploy(spec)
+            ids.append([platform.invoke_async(spec.name).invocation_id for _ in range(3)])
+        assert ids[0] == ids[1] == ["inv-00000001", "inv-00000002", "inv-00000003"]
 
     def test_e2e_latency_requires_completion(self):
         inv = Invocation(action="f", submitted_at=1.0)
@@ -88,7 +94,9 @@ class TestMetrics:
 
 class TestContainer:
     def test_initialize_then_execute(self, small_python_profile):
-        container = Container(ActionSpec.for_profile(small_python_profile, "gh"))
+        container = Container(
+            ActionSpec.for_profile(small_python_profile, "gh"), container_id="c1"
+        )
         container.initialize()
         assert container.state is ContainerState.IDLE
         execution = container.execute(Invocation(action="f", payload=b"x", caller="a"))
@@ -97,24 +105,32 @@ class TestContainer:
         assert container.requests_served == 1
 
     def test_execute_requires_initialization(self, small_python_profile):
-        container = Container(ActionSpec.for_profile(small_python_profile, "base"))
+        container = Container(
+            ActionSpec.for_profile(small_python_profile, "base"), container_id="c1"
+        )
         with pytest.raises(ContainerError):
             container.execute(Invocation(action="f"))
 
     def test_double_initialize_rejected(self, small_python_profile):
-        container = Container(ActionSpec.for_profile(small_python_profile, "base"))
+        container = Container(
+            ActionSpec.for_profile(small_python_profile, "base"), container_id="c1"
+        )
         container.initialize()
         with pytest.raises(ContainerError):
             container.initialize()
 
     def test_invoker_latency_includes_proxy_overhead(self, small_python_profile):
-        container = Container(ActionSpec.for_profile(small_python_profile, "base"))
+        container = Container(
+            ActionSpec.for_profile(small_python_profile, "base"), container_id="c1"
+        )
         container.initialize()
         execution = container.execute(Invocation(action="f", payload=b"x", caller="a"))
         assert execution.invoker_seconds > execution.report.critical_seconds
 
     def test_leak_probe(self, small_python_profile):
-        container = Container(ActionSpec.for_profile(small_python_profile, "base"))
+        container = Container(
+            ActionSpec.for_profile(small_python_profile, "base"), container_id="c1"
+        )
         container.initialize()
         container.execute(Invocation(action="f", payload=b"topsecret", caller="a"))
         assert b"topsecret" in container.read_request_buffer()

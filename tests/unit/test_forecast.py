@@ -28,15 +28,7 @@ def _action(profile, name: str) -> ActionSpec:
 class TestDemandForecaster:
     def test_validation(self):
         with pytest.raises(PlatformError):
-            DemandForecaster(alpha=0.0)
-        with pytest.raises(PlatformError):
-            DemandForecaster(beta=1.5)
-        with pytest.raises(PlatformError):
-            DemandForecaster(trend_damping=0.0)
-        with pytest.raises(PlatformError):
             DemandForecaster(season_period_seconds=0.0)
-        with pytest.raises(PlatformError):
-            DemandForecaster(season_buckets=1)
         with pytest.raises(PlatformError):
             DemandForecaster(min_history_seconds=-1.0)
 
@@ -198,8 +190,6 @@ class TestPredictivePlanner:
             PredictivePlanner(4, horizon_margin_seconds=-1.0)
         with pytest.raises(PlatformError):
             PredictivePlanner(4, default_service_seconds=0.0)
-        with pytest.raises(PlatformError):
-            PredictivePlanner(4, target_utilization=0.0)
         planner = PredictivePlanner(4)
         with pytest.raises(PlatformError):
             planner.calibrate("a", boot_seconds=-1.0, service_seconds=0.1)
@@ -300,8 +290,6 @@ class TestArrivalSurfaces:
                 Invocation(action="seen", submitted_at=loop.now), lambda inv: None
             )
         assert invoker.snapshot().arrivals_total == {"seen": 3}
-        assert invoker.arrivals_total("seen") == 3
-        assert invoker.arrivals_total() == 3
 
     def test_cluster_aggregates_arrivals(self, small_python_profile):
         cluster = FaaSCluster(SimulationConfig(cores=1, invokers=2, seed=5))

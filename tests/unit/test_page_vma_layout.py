@@ -5,20 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.config import PAGE_SIZE
-from repro.errors import MappingError, PagemapError
+from repro.errors import MappingError
 from repro.mem.address_space import AddressSpace
 from repro.mem.layout import MemoryLayout, diff_layouts
 from repro.mem.page import Protection
 from repro.mem.pagemap import PagemapView
 from repro.mem.vma import Vma, VmaKind
-
-
-class TestProtection:
-    def test_describe_matches_maps_format(self):
-        assert Protection.rw().describe() == "rw-"
-        assert Protection.rx().describe() == "r-x"
-        assert Protection.r().describe() == "r--"
-        assert Protection.NONE.describe() == "---"
 
 
 class TestVma:
@@ -42,11 +34,6 @@ class TestVma:
         assert vma.overlaps(PAGE_SIZE, 3 * PAGE_SIZE)
         assert not vma.overlaps(2 * PAGE_SIZE, 3 * PAGE_SIZE)
 
-    def test_describe_renders_like_maps(self):
-        vma = Vma(start=0, end=PAGE_SIZE, prot=Protection.rx(), name="libc.so")
-        assert "r-x" in vma.describe()
-        assert "libc.so" in vma.describe()
-
 
 class TestPagemapView:
     def test_scan_finds_only_dirty_pages(self):
@@ -65,21 +52,6 @@ class TestPagemapView:
         space.mmap(900 * PAGE_SIZE)
         large = PagemapView(space).scan_mapped().cost_seconds
         assert large == pytest.approx(small * 10, rel=0.01)
-
-    def test_entry_reports_present_and_dirty(self):
-        space = AddressSpace()
-        vma = space.mmap(2 * PAGE_SIZE)
-        space.write_page(vma.first_page, b"x")
-        view = PagemapView(space)
-        entry = view.entry(vma.first_page)
-        assert entry.present and entry.soft_dirty
-        other = view.entry(vma.first_page + 1)
-        assert not other.present
-
-    def test_negative_page_number_rejected(self):
-        space = AddressSpace()
-        with pytest.raises(PagemapError):
-            PagemapView(space).entry(-1)
 
 def _record(start_page: int, pages: int, prot=Protection.rw(), kind=VmaKind.ANON, name=""):
     return Vma(

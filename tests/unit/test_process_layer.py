@@ -13,11 +13,12 @@ from repro.errors import (
     UnsupportedRuntimeError,
 )
 from repro.kernel.faults import FaultRecord
+from repro.kernel.kernel import SimKernel
 from repro.mem.page import Protection
 from repro.mem.vma import VmaKind
 from repro.proc.forkexec import fork_process
 from repro.proc.pipes import Message, Pipe
-from repro.proc.process import ProcessState, SimProcess
+from repro.proc.process import FIRST_PID, ProcessState, SimProcess
 from repro.proc.procfs import ProcFs
 from repro.proc.ptrace import InjectedSyscall, Ptrace
 from repro.proc.registers import RegisterSet
@@ -70,7 +71,6 @@ class TestThreadsAndProcess:
         t1 = proc.spawn_thread()
         t2 = proc.spawn_thread()
         assert t1.tid != t2.tid
-        assert proc.thread(t1.tid) is t1
         assert proc.threads == (t1, t2)
 
     def test_stop_and_resume_all_threads(self):
@@ -107,11 +107,6 @@ class TestThreadsAndProcess:
         assert proc.uid == 1001
         with pytest.raises(ValueError):
             proc.drop_privileges(0)
-
-    def test_unknown_thread_lookup_fails(self):
-        proc = SimProcess("fn")
-        with pytest.raises(ProcessStateError):
-            proc.thread(999999)
 
 
 class TestPipes:
@@ -298,12 +293,13 @@ class TestKernel:
         assert kernel.process(result.child.pid) is result.child
         assert kernel.stats.forks == 1
 
-    def test_views_require_registered_process(self, kernel):
-        foreign = SimProcess("foreign")
-        with pytest.raises(NoSuchProcessError):
-            kernel.procfs(foreign)
-        with pytest.raises(NoSuchProcessError):
-            kernel.ptrace(foreign)
+    def test_each_kernel_numbers_its_own_pids(self):
+        first, second = SimKernel(), SimKernel()
+        parent = first.create_process("fn")
+        parent.start()
+        child = first.fork(parent).child
+        assert (parent.pid, child.pid) == (FIRST_PID, FIRST_PID + 1)
+        assert second.create_process("fn").pid == FIRST_PID
 
     def test_fault_record_reflects_meter(self, kernel):
         proc = kernel.create_process("fn")

@@ -1,17 +1,23 @@
 """Every definition in ``src/repro`` has a caller outside the tests.
 
 A function, method or class earns its place when the program, the
-benchmark harness, a script or an example names it.  A name counts as
-named when it appears somewhere else as a ``Name``, an ``Attribute``, a
-call keyword, or an identifier inside a string constant that is not a
-docstring (perfbench's tracer patches methods by name).  Inside ``src/``
-import lines and ``__all__`` do not count: re-exporting a name is not
-using it.  Dunders and ``visit_*`` methods (called by ``ast.NodeVisitor``
-by name) are exempt.
+benchmark harness, a script or an example names it.  A function, class
+or property counts as named when its name appears somewhere else as a
+``Name``, an ``Attribute``, a call keyword, or an identifier inside a
+string constant that is not a docstring (perfbench's tracer patches
+methods by name).  A method counts only when it is reached through an
+attribute (``obj.name``) or named by such a string.  Where some class
+also keeps data under the method's name (a class-level field, a
+``__slots__`` entry or a ``self.name = ...`` assignment), reading
+``obj.name`` may be that data, so the attribute counts only when it is
+called; a ``__slots__`` entry names data, never a method.  Inside
+``src/`` import lines and ``__all__`` do not count: re-exporting a name
+is not using it.  Dunders and ``visit_*`` methods (called by
+``ast.NodeVisitor`` by name) are exempt.
 
-The scan matches by bare name, so a definition that shares its name with
-one that is called (two ``submit`` methods, say) passes unseen; that is
-a miss, never a false alarm.
+The scan matches by name, not by type, so a method that shares its name
+with one that is called (two ``submit`` methods, say) passes unseen;
+that is a miss, never a false alarm.
 
 A definition only a test reaches is either dead code, to be deleted with
 the tests that check only it, or a test's hook: an oracle's entry point
@@ -24,7 +30,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_ROOT = REPO_ROOT / "src"
@@ -51,8 +57,10 @@ TEST_HOOKS: Dict[str, str] = {
     "repro.sim.events.EventLoop.executed_events": "tests/property/test_prop_events.py",
     # Observers of private state and oracles.
     "repro.proc.pipes.Pipe.empty": "tests/unit/test_process_layer.py",
+    "repro.kernel.kernel.SimKernel.process": "tests/unit/test_process_layer.py",
     "repro.proc.registers.RegisterSet.with_updates": "tests/property/test_prop_registers.py",
     "repro.faas.controlplane.tuner.QuotaTuner.rate_for": "tests/unit/test_controlplane.py",
+    "repro.faas.invoker.Invoker.max_containers": "tests/unit/test_admission.py",
     # FAILED stays a terminal status until an invoker can be lost.
     "repro.faas.request.Invocation.mark_failed": "tests/unit/test_faas_layer.py",
     "repro.faas.metrics.MetricsCollector.num_failed": "tests/unit/test_faas_layer.py",
@@ -85,14 +93,33 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _definitions(tree: ast.Module, module: str) -> Iterator[Tuple[str, str]]:
-    """``(qualified name, bare name)`` of every def and class in a module."""
+class Definition(NamedTuple):
+    name: str
+    #: A plain method: a def in a class body that is not a property.
+    method: bool
 
-    def walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, str]]:
+
+def _is_property(node: ast.AST) -> bool:
+    return any(
+        getattr(decorator, "id", None) == "property"
+        or getattr(decorator, "attr", None) in ("setter", "deleter")
+        for decorator in getattr(node, "decorator_list", ())
+    )
+
+
+def _definitions(tree: ast.Module, module: str) -> Iterator[Tuple[str, Definition]]:
+    """``(qualified name, definition)`` of every def and class in a module."""
+
+    def walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, Definition]]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qualified = f"{prefix}.{child.name}"
-                yield qualified, child.name
+                method = (
+                    isinstance(node, ast.ClassDef)
+                    and not isinstance(child, ast.ClassDef)
+                    and not _is_property(child)
+                )
+                yield qualified, Definition(child.name, method)
                 yield from walk(child, qualified)
             else:
                 yield from walk(child, prefix)
@@ -120,6 +147,17 @@ def _docstrings(tree: ast.Module) -> Set[int]:
     return found
 
 
+def _slot_names(tree: ast.Module) -> Set[int]:
+    """``id`` of every node in a ``__slots__`` declaration: data names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__slots__" for target in node.targets
+        ):
+            found.update(id(inner) for inner in ast.walk(node.value))
+    return found
+
+
 def _skipped_in_src(tree: ast.Module) -> Set[int]:
     """``id`` of every node under an import or an ``__all__`` assignment."""
     skipped = set()
@@ -136,46 +174,90 @@ def _skipped_in_src(tree: ast.Module) -> Set[int]:
     return skipped
 
 
-def _references(tree: ast.Module, skipped: Set[int]) -> Set[str]:
-    docstrings = _docstrings(tree)
-    names = set()
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.keyword) and node.arg:
-            names.add(node.arg)
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
-        ):
-            if _NAME_STRING.fullmatch(node.value):
-                names.update(node.value.split("."))
-    return names
+class References:
+    """How the scanned code uses names."""
+
+    def __init__(self) -> None:
+        #: ``Name`` nodes and call keywords.
+        self.bare: Set[str] = set()
+        #: Identifiers in whole-name strings.
+        self.strings: Set[str] = set()
+        #: Every ``obj.name``, and those that are called.
+        self.attributes: Set[str] = set()
+        self.called: Set[str] = set()
+        #: Names some class keeps data under.
+        self.fields: Set[str] = set()
+
+    def add(self, tree: ast.Module, skipped: Set[int]) -> None:
+        docstrings = _docstrings(tree)
+        slots = _slot_names(tree)
+        for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
+            if isinstance(node, ast.Name):
+                self.bare.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                self.attributes.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                self.bare.add(node.arg)
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docstrings
+            ):
+                if id(node) in slots:
+                    self.fields.add(node.value)
+                elif _NAME_STRING.fullmatch(node.value):
+                    self.strings.update(node.value.split("."))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                self.called.add(node.func.attr)
+            elif isinstance(node, ast.ClassDef):
+                for statement in node.body:
+                    targets = (
+                        statement.targets if isinstance(statement, ast.Assign)
+                        else [statement.target] if isinstance(statement, ast.AnnAssign)
+                        else []
+                    )
+                    self.fields.update(
+                        target.id for target in targets if isinstance(target, ast.Name)
+                    )
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                self.fields.update(
+                    target.attr for target in targets
+                    if isinstance(target, ast.Attribute)
+                    and getattr(target.value, "id", None) == "self"
+                )
+
+    def uses(self, definition: Definition) -> bool:
+        name = definition.name
+        if name in self.strings:
+            return True
+        if definition.method:
+            return name in self.called or (
+                name in self.attributes and name not in self.fields
+            )
+        return name in self.bare or name in self.attributes
 
 
-def _scan() -> Tuple[Dict[str, str], Set[str]]:
-    """Every definition in ``src/repro`` and every name used outside tests."""
-    definitions: Dict[str, str] = {}
-    referenced: Set[str] = set()
+def _scan() -> Tuple[Dict[str, Definition], References]:
+    """Every definition in ``src/repro`` and how the code outside tests uses names."""
+    definitions: Dict[str, Definition] = {}
+    references = References()
     for path in _source_files():
         tree = _parse(path)
         definitions.update(_definitions(tree, _module_name(path)))
-        referenced |= _references(tree, _skipped_in_src(tree))
+        references.add(tree, _skipped_in_src(tree))
     for path in _caller_files():
-        referenced |= _references(_parse(path), set())
-    return definitions, referenced
+        references.add(_parse(path), set())
+    return definitions, references
 
 
-def _unreferenced(definitions: Dict[str, str], referenced: Set[str]) -> Set[str]:
-    """Qualified names of the definitions nothing outside the tests names."""
+def _unreferenced(definitions: Dict[str, Definition], references: References) -> Set[str]:
+    """Qualified names of the definitions nothing outside the tests uses."""
     return {
-        qualified for qualified, name in definitions.items()
-        if not _is_exempt(name) and name not in referenced
+        qualified for qualified, definition in definitions.items()
+        if not _is_exempt(definition.name) and not references.uses(definition)
     }
 
 
@@ -188,8 +270,8 @@ def test_every_definition_has_a_caller_outside_the_tests():
 
 
 def test_every_hook_is_defined_unreferenced_and_used_by_its_test():
-    definitions, referenced = _scan()
-    unused = _unreferenced(definitions, referenced)
+    definitions, references = _scan()
+    unused = _unreferenced(definitions, references)
     for qualified, test_path in TEST_HOOKS.items():
         assert qualified in definitions, f"{qualified} is gone: drop it here"
         assert qualified in unused, f"{qualified} has a caller now: drop it here"

@@ -60,7 +60,7 @@ def _make_demoted_snapshot(loop: EventLoop, invoker: Invoker, action: str) -> No
     loop.run(until=loop.now + 3.0)
     assert [inv.status for inv in done] == [InvocationStatus.COMPLETED]
     assert invoker.demotes >= 1
-    assert invoker.snapshots_held(action) == 1
+    assert invoker.snapshot().snapshots_held.get(action, 0) == 1
 
 
 class TestDemoteOnEvict:
@@ -102,14 +102,14 @@ class TestDemoteOnEvict:
         done = []
         invoker.submit(Invocation(action="a", payload=b"x"), done.append)
         loop.run(until=3.0)
-        assert invoker.snapshots_held("a") == 1
+        assert invoker.snapshot().snapshots_held.get("a", 0) == 1
         invoker.submit(Invocation(action="b", payload=b"x"), done.append)
         loop.run(until=6.0)
         # b's demotion breached the budget of 1: a's older snapshot went.
         assert invoker.demotes == 2
         assert invoker.snapshot_discards == 1
-        assert invoker.snapshots_held("a") == 0
-        assert invoker.snapshots_held("b") == 1
+        assert invoker.snapshot().snapshots_held.get("a", 0) == 0
+        assert invoker.snapshot().snapshots_held.get("b", 0) == 1
         assert invoker.snapshots_held() == 1
 
 
@@ -220,7 +220,7 @@ class TestDrainDemotes:
         # frees) and nothing runs, restores, or boots as a side effect.
         assert invoker.drain("act", 2) == 2
         assert invoker.demotes == 2
-        assert invoker.snapshots_held("act") == 2
+        assert invoker.snapshot().snapshots_held.get("act", 0) == 2
         assert invoker.pool("act") == []
         assert invoker.restores == 0
         assert invoker.pending_boots == 0
@@ -229,7 +229,7 @@ class TestDrainDemotes:
         # A drain of the now-empty (snapshot-holding) pool reclaims
         # nothing further — snapshots are not drainable capacity.
         assert invoker.drain("act", 2) == 0
-        assert invoker.snapshots_held("act") == 2
+        assert invoker.snapshot().snapshots_held.get("act", 0) == 2
         assert invoker.restores == 0
 
     def test_prewarm_prefers_held_snapshot_over_boot(self):
