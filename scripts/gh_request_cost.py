@@ -14,6 +14,10 @@ under the chosen mechanism, ``gh`` by default.  It prints:
 * ``calls_per_request``: Python calls per request over one block under
   ``cProfile`` (its ``total_calls``), which is exact and repeatable where
   wall time is not;
+* ``survivors_per_request``: the median over one block of the GC-tracked
+  objects in the collector's youngest generation right after one request
+  that follows ``gc.collect()``: what a warm request leaves alive in its
+  container until the next one.  Exact and repeatable like the calls;
 * for ``gh`` also ``churn_ratio``: the median over block pairs of a
   block's time against its no-churn twin's block.  The twin is the same
   six profiles with no scratch region mapped or unmapped and no heap
@@ -31,6 +35,7 @@ needs no install.
 import argparse
 import cProfile
 import dataclasses
+import gc
 import json
 import pathlib
 import pstats
@@ -87,6 +92,14 @@ class Fleet:
         profiler.runcall(self.serve, requests)
         return pstats.Stats(profiler).total_calls / requests
 
+    def survivors_per_request(self, requests):
+        survivors = []
+        for _ in range(requests):
+            gc.collect()
+            self.serve(1)
+            survivors.append(len(gc.get_objects(generation=0)))
+        return statistics.median(survivors)
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -115,6 +128,7 @@ def main(argv=None):
     for prefix, fleet in fleets.items():
         print(f"{prefix}us_per_request {statistics.median(times[prefix]):.1f}")
         print(f"{prefix}calls_per_request {fleet.calls_per_request(size):.1f}")
+        print(f"{prefix}survivors_per_request {fleet.survivors_per_request(size):g}")
     if len(fleets) > 1:
         ratios = [a / b for a, b in zip(times[""], times["no_churn_"])]
         print(f"churn_ratio {statistics.median(ratios):.3f}")

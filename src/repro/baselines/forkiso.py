@@ -51,7 +51,7 @@ class ForkIsolation(IsolationMechanism):
     def _pre_invoke(self, caller=None) -> float:
         """Fork the warm process; the fork cost is on the critical path."""
         assert self.process is not None
-        result = self.kernel.fork(self.process, require_single_threaded=True)
+        result = self.kernel.fork(self.process)
         self._child = result.child
         return result.cost_seconds
 

@@ -20,8 +20,7 @@ from repro.faas.action import ActionSpec
 from repro.faas.proxy import ActionLoopProxy
 from repro.faas.request import Invocation
 from repro.kernel.kernel import SimKernel
-from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
-from repro.sim.rng import fallback_stream
+from repro.sim.costs import CostModel
 
 
 class ContainerState(enum.Enum):
@@ -62,9 +61,9 @@ class Container:
         spec: ActionSpec,
         *,
         container_id: str,
-        kernel: Optional[SimKernel] = None,
-        cost_model: Optional[CostModel] = None,
-        rng: Optional[random.Random] = None,
+        kernel: SimKernel,
+        cost_model: CostModel,
+        rng: random.Random,
         dynamic: bool = False,
     ) -> None:
         self.spec = spec
@@ -82,9 +81,9 @@ class Container:
         self.ready_at = 0.0
         #: Named by the invoker that built it (see ``Invoker._build_container``).
         self.container_id = container_id
-        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        self.kernel = kernel if kernel is not None else SimKernel(self.cost_model)
-        self.rng = rng if rng is not None else fallback_stream("faas.container")
+        self.cost_model = cost_model
+        self.kernel = kernel
+        self.rng = rng
         self.proxy = ActionLoopProxy(self.cost_model)
         self.mechanism: IsolationMechanism = create_mechanism(
             spec.mechanism,

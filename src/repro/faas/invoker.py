@@ -148,6 +148,13 @@ class _ActionPool:
     #: actions by this, and the invoker's queued-pool record is keyed by
     #: it, so both visit pools in creation order.
     seq: int = 0
+    #: What :meth:`Invoker._touch_pool` last pushed to the attached index
+    #: for this pool: queue depth, warmth and whether a snapshot is held.
+    #: A new pool starts where the index starts for an action it never
+    #: heard of.
+    pushed_depth: int = 0
+    pushed_warm: bool = False
+    pushed_snapshot: bool = False
 
 
 @dataclass(frozen=True)
@@ -390,6 +397,8 @@ class Invoker:
         #: in the cluster's invoker list.  ``None``/-1 when unattached.
         self.index_listener = None
         self.index_position = -1
+        #: The load :meth:`_touch` last pushed to the attached index.
+        self._pushed_load = 0
         self._eviction_timer: Optional[RecurringTimer] = None
         #: Hook a cluster scheduler installs to learn when this invoker has
         #: a free core it cannot use (nothing dispatchable, no boot to
@@ -476,31 +485,32 @@ class Invoker:
         ``load_changed(position, load)``, ``depth_changed(position, action,
         depth)``, ``warmth_changed(position, action, warm)`` and
         ``snapshot_changed(position, action, has_snapshot)``.  The
-        listener is expected to deduplicate (notifications re-stating the
-        current value are legal and common).
+        listener may see a value it already holds; after the backfill,
+        each is pushed only when it differs from what this invoker last
+        pushed.
         """
         self.index_listener = listener
         self.index_position = position
         for pool in self._pools.values():
-            listener.depth_changed(position, pool.spec.name, len(pool.queue))
-            listener.warmth_changed(
-                position,
-                pool.spec.name,
-                len(pool.containers) + pool.cold_starting + pool.restoring > 0,
+            pool.pushed_depth = len(pool.queue)
+            pool.pushed_warm = (
+                len(pool.containers) + pool.cold_starting + pool.restoring > 0
             )
-            listener.snapshot_changed(
-                position, pool.spec.name, len(pool.snapshots) > 0
-            )
-        listener.load_changed(position, self.load)
+            pool.pushed_snapshot = len(pool.snapshots) > 0
+            listener.depth_changed(position, pool.spec.name, pool.pushed_depth)
+            listener.warmth_changed(position, pool.spec.name, pool.pushed_warm)
+            listener.snapshot_changed(position, pool.spec.name, pool.pushed_snapshot)
+        self._pushed_load = self.load
+        listener.load_changed(position, self._pushed_load)
 
     def _touch(self) -> None:
-        """Push the load to the index after a cluster-visible state change."""
+        """Push the load to the index if it changed since the last push."""
         listener = self.index_listener
         if listener is not None:
-            listener.load_changed(
-                self.index_position,
-                self._cores_in_use + len(self._boot_backlog) + self._queued_uncovered,
-            )
+            load = self._cores_in_use + len(self._boot_backlog) + self._queued_uncovered
+            if load != self._pushed_load:
+                self._pushed_load = load
+                listener.load_changed(self.index_position, load)
 
     def _touch_pool(self, pool: _ActionPool) -> None:
         """Re-derive one pool's demand contribution and notify the index.
@@ -508,8 +518,9 @@ class Invoker:
         Called after any mutation that may have changed the pool's queue
         depth, cold-starts in flight, container set, or counters.  Keeps
         ``_queued_uncovered`` and the queued-pool record exact, then feeds
-        the per-action queue depth and warmth to the attached index and
-        the load via :meth:`_touch`.
+        the per-action queue depth, warmth and snapshot presence that
+        changed since the pool's last push to the attached index, and the
+        load via :meth:`_touch`.
         """
         depth = len(pool.queue)
         if depth:
@@ -524,15 +535,17 @@ class Invoker:
             pool.uncovered = uncovered
         listener = self.index_listener
         if listener is not None:
-            listener.depth_changed(self.index_position, pool.spec.name, depth)
-            listener.warmth_changed(
-                self.index_position,
-                pool.spec.name,
-                len(pool.containers) + pool.cold_starting + pool.restoring > 0,
-            )
-            listener.snapshot_changed(
-                self.index_position, pool.spec.name, len(pool.snapshots) > 0
-            )
+            if depth != pool.pushed_depth:
+                pool.pushed_depth = depth
+                listener.depth_changed(self.index_position, pool.spec.name, depth)
+            warm = len(pool.containers) + pool.cold_starting + pool.restoring > 0
+            if warm is not pool.pushed_warm:
+                pool.pushed_warm = warm
+                listener.warmth_changed(self.index_position, pool.spec.name, warm)
+            held = len(pool.snapshots) > 0
+            if held is not pool.pushed_snapshot:
+                pool.pushed_snapshot = held
+                listener.snapshot_changed(self.index_position, pool.spec.name, held)
         self._touch()
 
     # ------------------------------------------------------------------

@@ -59,13 +59,9 @@ class SimKernel:
         self.stats.processes_created += 1
         return process
 
-    def fork(self, parent: SimProcess, *, require_single_threaded: bool = True) -> ForkResult:
-        """Fork ``parent`` and register the child."""
-        result = fork_process(
-            parent,
-            child_pid=next(self._pids),
-            require_single_threaded=require_single_threaded,
-        )
+    def fork(self, parent: SimProcess) -> ForkResult:
+        """Fork ``parent`` and register the child (single-threaded only)."""
+        result = fork_process(parent, child_pid=next(self._pids))
         self._processes[result.child.pid] = result.child
         self.stats.forks += 1
         self.stats.processes_created += 1

@@ -27,19 +27,13 @@ class ForkResult:
     cost_seconds: float
 
 
-def fork_process(
-    parent: SimProcess,
-    *,
-    child_pid: int = FIRST_PID,
-    require_single_threaded: bool = True,
-) -> ForkResult:
+def fork_process(parent: SimProcess, *, child_pid: int = FIRST_PID) -> ForkResult:
     """Fork ``parent``, returning a copy-on-write child with pid ``child_pid``.
 
     The kernel passes the next pid of its own; a fork outside a kernel
     takes the fixed default.
 
-    With ``require_single_threaded`` (the default, matching real ``fork``
-    semantics for this use case) a multi-threaded parent raises
+    A multi-threaded parent raises
     :class:`~repro.errors.UnsupportedRuntimeError`: only the calling thread
     survives in the child, so the forked copy of a multi-threaded runtime
     would be broken — precisely why the paper's FORK baseline cannot cover
@@ -47,7 +41,7 @@ def fork_process(
     """
     if not parent.is_alive:
         raise ProcessStateError("cannot fork an exited process")
-    if require_single_threaded and parent.num_threads > 1:
+    if parent.num_threads > 1:
         raise UnsupportedRuntimeError(
             f"fork-based isolation cannot capture the {parent.num_threads} threads "
             f"of process {parent.name!r}"

@@ -12,23 +12,33 @@ overhead under Groundhog (§5.3.1).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, NamedTuple, Optional
 
 from repro.sim.costs import CostModel, DEFAULT_COST_MODEL
 
 
-@dataclass(frozen=True)
-class Message:
-    """A framed message on a pipe (one request or one response)."""
+class _MessageFields(NamedTuple):
+    """The fields of a :class:`Message`, which checks them when it is built."""
 
     payload_bytes: int
     body: object = None
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
+
+class Message(_MessageFields):
+    """A framed message on a pipe (one request or one response).
+
+    A named tuple, because every gh request relays two and a named tuple
+    is cheaper to build than a frozen dataclass.  A negative
+    ``payload_bytes`` raises :class:`ValueError`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, payload_bytes: int, body: object = None, label: str = "") -> "Message":
+        if payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
+        return tuple.__new__(cls, (payload_bytes, body, label))
 
 
 class Pipe:

@@ -15,7 +15,9 @@ class VirtualClock:
     """A monotonically non-decreasing simulated clock.
 
     The clock counts seconds as floats.  It can only move forward; attempts
-    to rewind raise :class:`~repro.errors.ClockError`.
+    to rewind raise :class:`~repro.errors.ClockError`.  Only
+    :meth:`advance_to` writes ``_now``; the event loop, which reads the
+    time on every schedule, reads ``_now`` directly.
     """
 
     def __init__(self, start: float = 0.0) -> None:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.faas import ActionSpec, ClosedLoopClient, FaaSPlatform, summarize
+from repro.proc.registers import RegisterSet
 from repro.workloads import find_benchmark
 
 
@@ -83,6 +84,50 @@ class TestSequentialRequestIsolation:
         platform.invoke_sync(spec.profile.name, b"# alice's private notes", caller="alice")
         bob = platform.invoke_sync(spec.profile.name, b"# bob", caller="bob")
         assert b"private notes" not in bob.response["residual"]
+
+
+class TestRegisterFiles:
+    """A thread's register file advances by count and is built only when read."""
+
+    @pytest.mark.parametrize("profile_fixture", ["small_python_profile", "small_node_profile"])
+    def test_a_gh_request_moves_registers_and_its_restore_undoes_that(
+        self, profile_fixture, request
+    ):
+        profile = request.getfixturevalue(profile_fixture)
+        platform = _platform(profile, "gh")
+        platform.invoke_sync(profile.name, b"warm-up", caller="alice")
+        manager = platform.containers(profile.name)[0].mechanism.manager
+        threads = manager.process.threads
+        clean = manager.snapshot.registers
+        assert len(threads) == profile.threads
+        manager.handle_request(b"bob-query", "req-bob")
+        # Every thread ran code, so a restore has registers to write back:
+        # a lazy advance that dropped its count would read as clean here.
+        for thread in threads:
+            assert thread.get_registers() != clean[thread.tid]
+        manager.restore(verify=True)
+        for thread in threads:
+            assert thread.get_registers() == clean[thread.tid]
+
+    @pytest.mark.parametrize("mechanism", ["base", "gh", "gh-nop"])
+    def test_warm_requests_build_no_register_file(
+        self, mechanism, small_python_profile, small_node_profile, monkeypatch
+    ):
+        built = []
+        advanced = RegisterSet.advanced
+
+        def counted(registers, instructions, stack_delta=0):
+            built.append(instructions)
+            return advanced(registers, instructions, stack_delta)
+
+        for profile in (small_python_profile, small_node_profile):
+            platform = _platform(profile, mechanism)
+            platform.invoke_sync(profile.name, b"warm-up", caller="c0")
+            monkeypatch.setattr(RegisterSet, "advanced", counted)
+            for index in range(20):
+                platform.invoke_sync(profile.name, b"x", caller=f"c{index}")
+            monkeypatch.undo()
+            assert built == [], f"{mechanism}: {len(built)} register files built"
 
 
 class TestPlatformBehaviour:

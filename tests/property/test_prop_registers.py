@@ -7,6 +7,12 @@ reference, and the two must return the same pairs in the same order for
 every register file the package can build: the canonical order of
 ``RegisterSet.initial``, any order a caller constructs, and whatever
 ``with_updates`` and ``advanced`` chains make of them.
+
+A thread advances its register file by count: ``run_instructions`` adds
+to the instructions and stack delta run since the last read, and a read
+applies them at once.  The eager chain of ``advanced`` calls, one per
+``run_instructions``, is the oracle for any interleaving of runs, reads,
+writes and ptrace stops.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ProcessStateError
 from repro.proc.registers import GENERAL_REGISTERS, RegisterSet
+from repro.proc.thread import SimThread
 
 WORD = 0xFFFFFFFFFFFFFFFF
 
@@ -79,3 +87,46 @@ class TestAdvancedMatchesDictRoundTrip:
             reference_advanced(registers, 8)
         with pytest.raises(KeyError):
             registers.advanced(8)
+
+
+thread_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("run"), steps),
+        st.tuples(st.just("read"), st.none()),
+        st.tuples(st.just("set"), register_sets()),
+        st.tuples(st.just("stop"), st.none()),
+        st.tuples(st.just("resume"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+class TestThreadAdvancesByCount:
+    @given(register_sets(), thread_operations)
+    @settings(max_examples=200, deadline=None)
+    def test_reads_match_the_eager_chain(self, initial, operations):
+        thread = SimThread(tid=1, registers=initial)
+        expected = initial
+        running = True
+        for operation, argument in operations:
+            if operation == "run":
+                instructions, stack_delta = argument
+                if running:
+                    thread.run_instructions(instructions, stack_delta)
+                    expected = expected.advanced(instructions, stack_delta)
+                else:
+                    with pytest.raises(ProcessStateError):
+                        thread.run_instructions(instructions, stack_delta)
+            elif operation == "read":
+                assert thread.get_registers().values == expected.values
+            elif operation == "set":
+                thread.set_registers(argument)
+                expected = argument
+            elif operation == "stop":
+                thread.stop()
+                running = False
+            else:
+                thread.resume()
+                running = True
+        assert thread.registers.values == expected.values
+        assert thread.get_registers().values == expected.values

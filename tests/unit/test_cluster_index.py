@@ -14,6 +14,7 @@ from typing import List
 
 import reference_routing
 
+from repro.config import DEFAULT_KEEP_ALIVE_SECONDS
 from repro.faas.action import ActionSpec
 from repro.faas.index import ClusterIndex, _HEAP_SLACK_FACTOR
 from repro.faas.invoker import Invoker
@@ -164,6 +165,69 @@ class TestClusterIndexStructures:
         index = ClusterIndex(invokers)
         # "act-x" deployed nowhere: everyone pays the same penalty.
         assert index.warm_aware_choose("act-x", 32.0) == index.least_loaded()
+
+    def test_a_fresh_index_attached_to_busy_invokers_stays_exact(self):
+        # Invokers push a value only when it differs from what they last
+        # pushed.  A fresh index starts from the backfill, so attaching it
+        # must reset that memory, or the walk back to idle (empty queues,
+        # zero load, evicted and demoted containers) would never reach it.
+        loop = EventLoop()
+        invokers = [
+            Invoker(loop, invoker_id="invoker-0"),
+            Invoker(loop, invoker_id="invoker-1", restorable_snapshots=True),
+        ]
+        first = ClusterIndex(invokers)
+        invokers[0].deploy(_spec("act-a"), containers=1, max_containers=2)
+        for invoker in invokers:
+            invoker.register(_spec("act-b"), max_containers=1)
+        for _ in range(3):
+            invokers[0].submit(Invocation(action="act-a", payload=b"x"), lambda inv: None)
+            invokers[1].submit(Invocation(action="act-b", payload=b"x"), lambda inv: None)
+        first.verify()
+        second = ClusterIndex(invokers)
+        second.verify()
+        assert second.depths_for("act-b") == {1: 3}
+        loop.run(until=5 * DEFAULT_KEEP_ALIVE_SECONDS)
+        second.verify()
+        assert not second.any_queued()
+        assert second.warm_positions("act-b") == set()
+        assert second._snapshots == {"act-b": {1}}
+
+    def test_a_warm_hit_pushes_only_the_load(self):
+        # A warm hit moves no queue depth, warmth or snapshot: only the
+        # load goes up at dispatch and back down at release.
+        class Recorder:
+            def __init__(self):
+                self.pushes = []
+
+            def load_changed(self, position, load):
+                self.pushes.append(("load", load))
+
+            def depth_changed(self, position, action, depth):
+                self.pushes.append(("depth", action, depth))
+
+            def warmth_changed(self, position, action, warm):
+                self.pushes.append(("warmth", action, warm))
+
+            def snapshot_changed(self, position, action, held):
+                self.pushes.append(("snapshot", action, held))
+
+        loop, (invoker,) = _cluster(1)
+        invoker.deploy(_spec("act-a"), containers=1, max_containers=1)
+        recorder = Recorder()
+        invoker.attach_index(recorder, 0)
+        assert recorder.pushes == [
+            ("depth", "act-a", 0),
+            ("warmth", "act-a", True),
+            ("snapshot", "act-a", False),
+            ("load", 0),
+        ]
+        recorder.pushes.clear()
+        for _ in range(3):
+            invoker.submit(Invocation(action="act-a", payload=b"x"), lambda inv: None)
+            loop.run(until=loop.now + 1.0)
+        assert invoker.warm_hits == 3
+        assert recorder.pushes == [("load", 1), ("load", 0)] * 3
 
 
 class TestSchedulerIndexWiring:

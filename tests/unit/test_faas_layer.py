@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.faas.loadgen import ClosedLoopClient, SaturatingClient
 from repro.faas.metrics import LatencyStats, MetricsCollector, percentile, summarize
 from repro.faas.platform import FaaSPlatform
 from repro.faas.request import Invocation, InvocationStatus
+from repro.kernel.kernel import SimKernel
+from repro.sim.costs import DEFAULT_COST_MODEL
 from repro.sim.events import EventLoop
 
 
@@ -92,11 +95,21 @@ class TestMetrics:
         assert collector.num_failed == 1
 
 
+def _bare_container(profile, mechanism):
+    """A container outside an invoker, given what an invoker gives each
+    container it builds: a kernel, the cost model and a seeded RNG."""
+    return Container(
+        ActionSpec.for_profile(profile, mechanism),
+        container_id="c1",
+        kernel=SimKernel(DEFAULT_COST_MODEL),
+        cost_model=DEFAULT_COST_MODEL,
+        rng=random.Random(7),
+    )
+
+
 class TestContainer:
     def test_initialize_then_execute(self, small_python_profile):
-        container = Container(
-            ActionSpec.for_profile(small_python_profile, "gh"), container_id="c1"
-        )
+        container = _bare_container(small_python_profile, "gh")
         container.initialize()
         assert container.state is ContainerState.IDLE
         execution = container.execute(Invocation(action="f", payload=b"x", caller="a"))
@@ -105,32 +118,24 @@ class TestContainer:
         assert container.requests_served == 1
 
     def test_execute_requires_initialization(self, small_python_profile):
-        container = Container(
-            ActionSpec.for_profile(small_python_profile, "base"), container_id="c1"
-        )
+        container = _bare_container(small_python_profile, "base")
         with pytest.raises(ContainerError):
             container.execute(Invocation(action="f"))
 
     def test_double_initialize_rejected(self, small_python_profile):
-        container = Container(
-            ActionSpec.for_profile(small_python_profile, "base"), container_id="c1"
-        )
+        container = _bare_container(small_python_profile, "base")
         container.initialize()
         with pytest.raises(ContainerError):
             container.initialize()
 
     def test_invoker_latency_includes_proxy_overhead(self, small_python_profile):
-        container = Container(
-            ActionSpec.for_profile(small_python_profile, "base"), container_id="c1"
-        )
+        container = _bare_container(small_python_profile, "base")
         container.initialize()
         execution = container.execute(Invocation(action="f", payload=b"x", caller="a"))
         assert execution.invoker_seconds > execution.report.critical_seconds
 
     def test_leak_probe(self, small_python_profile):
-        container = Container(
-            ActionSpec.for_profile(small_python_profile, "base"), container_id="c1"
-        )
+        container = _bare_container(small_python_profile, "base")
         container.initialize()
         container.execute(Invocation(action="f", payload=b"topsecret", caller="a"))
         assert b"topsecret" in container.read_request_buffer()

@@ -249,11 +249,6 @@ class TestForkExec:
         with pytest.raises(UnsupportedRuntimeError):
             fork_process(process)
 
-    def test_fork_allows_override_for_experiments(self, process):
-        process.spawn_thread()
-        result = fork_process(process, require_single_threaded=False)
-        assert result.child.is_alive
-
     def test_fork_cost_grows_with_vma_count(self, process):
         result_small = fork_process(process)
         for _ in range(50):
