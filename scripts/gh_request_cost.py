@@ -12,7 +12,9 @@ under the chosen mechanism, ``gh`` by default.  It prints:
 * ``us_per_request``: the median over blocks of a block's wall time per
   request (``time.perf_counter``);
 * ``calls_per_request``: Python calls per request over one block under
-  ``cProfile`` (its ``total_calls``), which is exact and repeatable where
+  ``cProfile`` (the sum of ``callcount`` over ``Profile.getstats()``, so
+  functions that share a file, line and name, such as dataclass-generated
+  ``__init__`` methods, each count), which is exact and repeatable where
   wall time is not;
 * ``survivors_per_request``: the median over one block of the GC-tracked
   objects in the collector's youngest generation right after one request
@@ -38,7 +40,6 @@ import dataclasses
 import gc
 import json
 import pathlib
-import pstats
 import random
 import statistics
 import sys
@@ -90,7 +91,7 @@ class Fleet:
     def calls_per_request(self, requests):
         profiler = cProfile.Profile()
         profiler.runcall(self.serve, requests)
-        return pstats.Stats(profiler).total_calls / requests
+        return sum(entry.callcount for entry in profiler.getstats()) / requests
 
     def survivors_per_request(self, requests):
         survivors = []

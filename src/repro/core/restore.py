@@ -48,7 +48,7 @@ class RestoreBreakdown(NamedTuple):
     records built once per request and read rarely (:class:`RestoreResult`,
     :class:`~repro.core.policy.InvokeReport`): immutable, and several times
     cheaper to build than a frozen dataclass.  Its fields are the steps in
-    display order, so :attr:`total_seconds` is ``sum(self)``.
+    display order, and :attr:`total_seconds` adds them in that order.
     """
 
     interrupting: float = 0.0
@@ -84,8 +84,15 @@ class RestoreBreakdown(NamedTuple):
 
     @property
     def total_seconds(self) -> float:
-        """End-to-end restoration duration: the steps summed in display order."""
-        return sum(self)
+        """End-to-end restoration duration: the steps summed in display order.
+
+        A plain left fold, one float add per step: builtin ``sum`` rounds
+        a float sum differently from Python 3.12 on.
+        """
+        total = 0.0
+        for seconds in self:
+            total += seconds
+        return total
 
     def as_dict(self) -> Dict[str, float]:
         """Return the per-step durations in display order."""

@@ -130,19 +130,6 @@ class Container:
             )
         self.state = ContainerState.SNAPSHOTTED
 
-    def promote(self) -> None:
-        """Un-demote a snapshot whose restore is free (zero-cost model).
-
-        A pure inverse of :meth:`demote`: no timestamps move and no
-        restore is recorded, so a zero-cost spectrum is observationally
-        identical to never having demoted at all.
-        """
-        if self.state is not ContainerState.SNAPSHOTTED:
-            raise ContainerError(
-                f"{self.container_id}: cannot promote while {self.state.value}"
-            )
-        self.state = ContainerState.IDLE
-
     def begin_restore(self) -> None:
         """Start restoring a held snapshot back to a live instance."""
         if self.state is not ContainerState.SNAPSHOTTED:

@@ -310,7 +310,6 @@ class Invoker:
         restorable_snapshots: bool = False,
         snapshot_budget: Optional[int] = None,
         isolation_mechanism: str = "gh",
-        restore_pricer: Optional[Callable[[Container], float]] = None,
         tracer=None,
     ) -> None:
         if cores < 1:
@@ -354,9 +353,6 @@ class Invoker:
         self.snapshot_budget = snapshot_budget
         #: Which mechanism's restore model prices snapshot restores.
         self.isolation_mechanism = isolation_mechanism
-        #: Test/experiment override: a ``Container -> seconds`` pricer
-        #: used instead of the mechanism model when provided.
-        self.restore_pricer = restore_pricer
         #: Flight recorder (a ``repro.faas.obs.TraceRecorder``) shared
         #: cluster-wide, or ``None`` with tracing off — every
         #: instrumentation site below guards on that, so the untraced
@@ -456,7 +452,7 @@ class Invoker:
         self.demotes = 0
         #: Held snapshots discarded to stay within ``snapshot_budget``.
         self.snapshot_discards = 0
-        #: Snapshot restores begun (including zero-cost promotions).
+        #: Snapshot restores begun.
         self.restores = 0
         #: When each restore was begun — the restore-side twin of
         #: ``cold_start_times``, same bound.
@@ -665,12 +661,6 @@ class Invoker:
             callback(invocation)
             return
         invocation.status = InvocationStatus.QUEUED
-        if self.restorable_snapshots:
-            # A held snapshot whose restore is free is warm capacity in
-            # all but name: promote it before the idle check so dispatch
-            # sees it exactly as live-warm (the zero-cost spectrum is
-            # observationally identical to never having demoted).
-            self._promote_free_snapshot(pool)
         if pool.idle and self._cores_in_use < self.cores:
             self._dispatch(pool, invocation, callback, arrival)
             return
@@ -822,8 +812,6 @@ class Invoker:
         while progressed and self._cores_in_use < self.cores and self._queued_pools:
             progressed = False
             for _seq, pool in sorted(self._queued_pools.items()):
-                if self.restorable_snapshots and pool.queue and not pool.idle:
-                    self._promote_free_snapshot(pool)
                 if pool.queue and pool.idle and self._cores_in_use < self.cores:
                     invocation, callback, arrival = pool.queue.pop_next()
                     self._dispatch(pool, invocation, callback, arrival)
@@ -896,8 +884,6 @@ class Invoker:
                 f"adopted {invocation.invocation_id} ({invocation.action})",
                 actor=self.invoker_id,
             )
-        if self.restorable_snapshots:
-            self._promote_free_snapshot(pool)
         if pool.idle and self._cores_in_use < self.cores:
             self._dispatch(pool, invocation, callback, arrival)
             return
@@ -1092,38 +1078,14 @@ class Invoker:
     # ------------------------------------------------------------------
 
     def _restore_seconds(self, container: Container) -> float:
-        """Core-seconds reviving this container's snapshot would take."""
-        if self.restore_pricer is not None:
-            return self.restore_pricer(container)
-        init = container.init_report
-        if init is None:
-            return 0.0
-        return restore_seconds_for(
-            self.isolation_mechanism, init, self.cost_model
-        )
+        """Core-seconds reviving this container's snapshot would take.
 
-    def _promote_free_snapshot(self, pool: _ActionPool) -> None:
-        """Revive the newest held snapshot inline when its restore is free.
-
-        A zero-cost restore needs no core and no time, so the snapshot is
-        functionally an idle warm container; promoting it *before* the
-        dispatch/idle checks keeps a zero-cost spectrum observationally
-        identical to never having demoted (no timestamps move, no restore
-        event is scheduled).  Priced restores never take this path — they
-        go through the core-charged :meth:`_begin_restore`.
+        Only an initialised container is ever demoted, so it has an init
+        report.
         """
-        if pool.idle or not pool.snapshots:
-            return
-        container = pool.snapshots[-1]
-        if self._restore_seconds(container) > 0.0:
-            return
-        pool.snapshots.pop()
-        self._lru_remove(container)
-        container.promote()
-        self.restores += 1
-        pool.containers.append(container)
-        pool.idle.append(container)
-        self._touch_pool(pool)
+        init = container.init_report
+        assert init is not None
+        return restore_seconds_for(self.isolation_mechanism, init, self.cost_model)
 
     def _lru_remove(self, container: Container) -> None:
         """Drop one container's entry from the demotion-order LRU."""
@@ -1146,13 +1108,6 @@ class Invoker:
         price = self._restore_seconds(container)
         self.restores += 1
         self.restore_times.append(self.loop.now)
-        if price <= 0.0:
-            # Degenerate pricing (test override): an instant promotion.
-            container.promote()
-            pool.containers.append(container)
-            pool.idle.append(container)
-            self._touch_pool(pool)
-            return
         container.begin_restore()
         pool.restoring += 1
         self._boot_backlog.append((pool, container, price))

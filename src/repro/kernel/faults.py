@@ -1,10 +1,13 @@
-"""Per-request fault counts used in accounting and reports.
+"""Per-request fault counts and the one place they are priced.
 
-The address space charges faults directly to its
-:class:`~repro.mem.address_space.MemoryMeter`; this module provides the
-descriptive layer used when reporting *why* a configuration is slower on the
-critical path (e.g. Table 3's ``#faults`` column and the Fig. 3 discussion
-of soft-dirty vs copy-on-write fault costs).
+The address space counts faults by kind on its
+:class:`~repro.mem.address_space.MemoryMeter`; a :class:`FaultRecord` holds
+one request's counts and prices them under a cost model.  Requests
+(:class:`~repro.runtime.base.InvocationResult`'s ``fault_seconds``) and
+cluster restores (:mod:`repro.faas.restorecost`) both take their fault time
+from it, and it also says *why* a configuration is slower on the critical
+path (e.g. Table 3's ``#faults`` column and the Fig. 3 discussion of
+soft-dirty vs copy-on-write fault costs).
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from repro.sim.costs import CostModel
 
 
 class FaultRecord(NamedTuple):
-    """Aggregate fault counts attributable to one invocation.
+    """Aggregate fault counts attributable to one invocation, and their price.
 
-    Every request that faults builds one, so it is a named tuple, like the
-    :class:`~repro.runtime.base.InvocationResult` that carries it.
+    :meth:`cost_seconds` is the only pricing of faults: a request's fault
+    time is its record's cost, so identical requests report identical
+    times.  Every request that faults builds one, so it is a named tuple,
+    like the :class:`~repro.runtime.base.InvocationResult` that carries it.
     """
 
     minor: int = 0
@@ -53,7 +58,11 @@ class FaultRecord(NamedTuple):
         return self.minor + self.soft_dirty + self.cow + self.uffd + self.first_touch
 
     def cost_seconds(self, cost_model: CostModel) -> float:
-        """Total critical-path cost these faults imply under ``cost_model``."""
+        """Total critical-path cost these faults imply under ``cost_model``.
+
+        Five products added in a fixed order: the same counts give the same
+        bits on every Python version.
+        """
         return (
             self.minor * cost_model.minor_fault_seconds
             + self.soft_dirty * cost_model.soft_dirty_fault_seconds

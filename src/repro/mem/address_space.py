@@ -12,20 +12,19 @@ behaviours the paper's mechanism relies on:
 * copy-on-write sharing after ``fork`` with data-copying faults — the cost
   model of the FORK baseline,
 * userfaultfd-style write protection for the tracking ablation,
-* a :class:`MemoryMeter` that accounts every fault and its cost so the
+* a :class:`MemoryMeter` that counts every fault by kind, so the
   critical-path overhead of each isolation mechanism is *derived from what
-  the function actually did to memory*, not assumed.
+  the function actually did to memory*, not assumed: a request's fault
+  time is its :class:`~repro.kernel.faults.FaultRecord` priced by the cost
+  model.
 
 Page state is kept per VMA and run-length: each page's resident,
 soft-dirty, copy-on-write, write-protect and TLB-cold bits live in five
 Python-int bitmaps (bit ``i`` is the VMA's page ``i``), and its payload in
 sorted ``(first, end, payload)`` content runs (see :mod:`repro.mem.image`).
 Writes, write-back, ``clear_refs``, ``fork``, unmapping and the pagemap scan
-therefore cost O(runs) plus mask algebra rather than one step per page.  A
-run of identical faults is charged to the meter exactly as that sequence of
-per-fault float adds would charge it, bit for bit, but a long run of one
-fault kind costs O(binades crossed) rather than one add per page
-(:func:`_repeat_add`).
+therefore cost O(runs) plus mask algebra rather than one step per page; the
+faults of a write are one popcount per kind over the range's masks.
 
 Durations come from :class:`repro.sim.costs.CostModel`; semantics (which
 bytes are where) are always real so tests can check isolation on content.
@@ -34,7 +33,6 @@ bytes are where) are always real so tests can check isolation on content.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -76,7 +74,6 @@ class MeterSnapshot:
     field read costs more than an instance attribute read.
     """
 
-    cost_seconds: float = 0.0
     minor_faults: int = 0
     soft_dirty_faults: int = 0
     cow_faults: int = 0
@@ -87,16 +84,17 @@ class MeterSnapshot:
 
 
 class MemoryMeter:
-    """Accumulates fault counts and critical-path memory costs.
+    """Counts faults by kind and the pages written and read.
 
-    The counters are mutable slots the fault paths add to in place; a run
-    of faults is charged exactly as its sequence of per-fault adds would
-    charge it (:func:`_repeat_add`).  :attr:`counters`, :meth:`checkpoint`
-    and :meth:`since` hand out :class:`MeterSnapshot` copies.
+    It holds counts only: what the faults cost is priced from them
+    (:meth:`repro.kernel.faults.FaultRecord.cost_seconds`), so a request's
+    fault time depends on what it did and not on what ran before it.  The
+    counters are mutable slots the fault paths add to in place;
+    :attr:`counters`, :meth:`checkpoint` and :meth:`since` hand out
+    :class:`MeterSnapshot` copies.
     """
 
     __slots__ = (
-        "cost_seconds",
         "minor_faults",
         "soft_dirty_faults",
         "cow_faults",
@@ -107,7 +105,6 @@ class MemoryMeter:
     )
 
     def __init__(self) -> None:
-        self.cost_seconds = 0.0
         self.minor_faults = 0
         self.soft_dirty_faults = 0
         self.cow_faults = 0
@@ -120,7 +117,6 @@ class MemoryMeter:
     def counters(self) -> MeterSnapshot:
         """Current cumulative counters."""
         return MeterSnapshot(
-            self.cost_seconds,
             self.minor_faults,
             self.soft_dirty_faults,
             self.cow_faults,
@@ -132,7 +128,6 @@ class MemoryMeter:
 
     def charge(
         self,
-        cost_seconds: float = 0.0,
         *,
         minor_faults: int = 0,
         soft_dirty_faults: int = 0,
@@ -142,8 +137,7 @@ class MemoryMeter:
         pages_written: int = 0,
         pages_read: int = 0,
     ) -> None:
-        """Add cost and counters to the meter."""
-        self.cost_seconds += cost_seconds
+        """Add counts to the meter."""
         self.minor_faults += minor_faults
         self.soft_dirty_faults += soft_dirty_faults
         self.cow_faults += cow_faults
@@ -159,7 +153,6 @@ class MemoryMeter:
     def since(self, checkpoint: MeterSnapshot) -> MeterSnapshot:
         """Return counters accumulated since ``checkpoint``, field by field."""
         return MeterSnapshot(
-            self.cost_seconds - checkpoint.cost_seconds,
             self.minor_faults - checkpoint.minor_faults,
             self.soft_dirty_faults - checkpoint.soft_dirty_faults,
             self.cow_faults - checkpoint.cow_faults,
@@ -181,103 +174,6 @@ class PageState(NamedTuple):
     tlb_cold: bool
     #: Address spaces mapping the page's frame, itself included (0 if absent).
     shares: int
-
-
-#: Runs of fewer adds than this take the plain loop: the closed form costs
-#: about as much as 50 to 80 loop adds (timed on Python 3.11), and one add
-#: per page of 600 about eight times as much as the closed form.
-CLOSED_FORM_MIN_ADDS = 64
-
-#: The smallest positive normal float: below it the ulp no longer follows
-#: the binade, so the closed form takes single adds there.
-_MIN_NORMAL = 2.0 ** -1022
-
-
-def _repeat_add(total: float, steps: Sequence[float], times: int) -> float:
-    """The float ``total`` after adding ``steps`` in order, ``times`` over.
-
-    Float addition is not associative, so a run of identical faults is
-    charged as exactly the sequence of adds a page-by-page loop makes:
-    the result is bit for bit that loop's.  A run of at least
-    :data:`CLOSED_FORM_MIN_ADDS` adds of one step is computed in closed
-    form (:func:`_repeat_step`) when the step is positive and the total
-    non-negative, both finite (every fault cost and meter total).  Shorter
-    runs, and stretches whose pages each take several faults (a forked
-    child's first touch plus its copy fault, a userfaultfd fault plus a
-    soft-dirty one), take the loop.
-    """
-    if len(steps) == 1:
-        step = steps[0]
-        if (
-            times >= CLOSED_FORM_MIN_ADDS
-            and 0.0 < step < math.inf
-            and 0.0 <= total < math.inf
-        ):
-            return _repeat_step(total, step, times)
-        for _ in range(times):
-            total += step
-    elif steps:
-        for _ in range(times):
-            for step in steps:
-                total += step
-    return total
-
-
-def _repeat_step(total: float, step: float, times: int) -> float:
-    """``total`` after ``times`` rounded adds of ``step``, in closed form.
-
-    ``step`` is positive and ``total`` non-negative, both finite.
-
-    While ``total`` stays in one binade ``[2**(e-1), 2**e)`` it is a whole
-    number ``k`` of ulps ``u = 2**(e-53)``, and the exact sum ``k*u + step``
-    rounds to ``(k + round(step / u)) * u``: every add moves the total by
-    the same whole number of ulps.  ``math.frexp`` gives the binade and
-    ``float.as_integer_ratio`` gives ``step`` exactly, so the adds that fit
-    below the binade's top are one integer multiply.  Two cases take one
-    real float add instead and then look again: a step whose remainder is
-    exactly half an ulp (a tie, rounded to the even neighbour, so its
-    direction depends on the total's last bit) and the add that crosses
-    into the next binade.  A step below half an ulp changes nothing.  A
-    zero or subnormal total, and one in the top binade (whose crossing
-    overflows), take single adds too.
-    """
-    numerator, denominator = step.as_integer_ratio()
-    while times:
-        mantissa, exponent = math.frexp(total)
-        if total < _MIN_NORMAL or exponent > 1023:
-            # Below the normal range, or in the top binade, whose crossing
-            # overflows: one add.
-            total += step
-            times -= 1
-            continue
-        # total == ulps * 2**(exponent - 53); step / ulp == whole + rest / den.
-        ulps = int(math.ldexp(mantissa, 53))
-        shift = 53 - exponent
-        if shift >= 0:
-            num, den = numerator << shift, denominator
-        else:
-            num, den = numerator, denominator << -shift
-        whole, rest = divmod(num, den)
-        if rest << 1 == den:
-            # A tie: rounds to the even neighbour.
-            total += step
-            times -= 1
-            continue
-        move = whole + (rest << 1 > den)
-        if not move:
-            return total
-        # Adds that keep the exact sum below the binade's top, 2**53 ulps.
-        room = ((1 << 53) - ulps) * den - num
-        fit = (room - 1) // (move * den) + 1 if room > 0 else 0
-        if fit >= times:
-            return math.ldexp(ulps + times * move, exponent - 53)
-        if fit:
-            total = math.ldexp(ulps + fit * move, exponent - 53)
-            times -= fit
-        # The add that crosses into the next binade.
-        total += step
-        times -= 1
-    return total
 
 
 class _ShareGroup:
@@ -744,22 +640,21 @@ class AddressSpace:
         """Write ``data`` as the payload of ``count`` pages from ``start_page``.
 
         This is the write-fault path.  The VMA and its ``WRITE`` permission
-        are resolved once per VMA the range touches; then each page, in
-        order, takes the faults of a write:
+        are resolved once per VMA the range touches; then each page takes
+        the faults of a write:
 
         * an allocating minor fault if it is not resident; otherwise a
           first-touch fault if its TLB is cold (a freshly forked child) and
           a data-copying fault if it is shared copy-on-write;
         * a userfaultfd fault if it is write-protected, which calls the
-          armed handler;
+          armed handler, once per page in ascending page order;
         * a soft-dirty fault on the first write after ``clear_refs``, unless
           the write already took an allocating fault.
 
-        Pages whose five state bits agree take the same faults, so each
-        stretch of them is charged at once, exactly as the sequence of
-        per-fault adds in page order would charge it (:func:`_repeat_add`),
-        so the float total does not depend on how writes are batched.  A
-        page outside any writable mapping raises :class:`SegmentationFault`;
+        The meter only counts, so each kind is one popcount over the
+        range's masks, and the counts do not depend on how writes are
+        batched.  A page outside any writable mapping raises
+        :class:`SegmentationFault`;
         the pages before it keep their writes, and none of the range counts
         towards ``pages_written``.  A negative ``count`` raises
         :class:`MappingError`.
@@ -808,7 +703,6 @@ class AddressSpace:
         bit = 1 << (page_number - area.first)
         meter = self.meter
         if area.tlb_cold & bit:
-            meter.cost_seconds += self.cost_model.fork_first_touch_seconds
             meter.first_touch_faults += 1
             area.tlb_cold &= ~bit
         meter.pages_read += 1
@@ -999,99 +893,44 @@ class AddressSpace:
         return area
 
     def _write_faults(self, area: _Area, first: int, stop: int) -> None:
-        """Charge the write faults of pages ``[first, stop)`` of ``area`` and set their bits."""
-        rel = first - area.first
-        span = ((1 << (stop - first)) - 1) << rel
+        """Count the write faults of pages ``[first, stop)`` of ``area`` and set their bits.
+
+        Every page with a state bit is resident, so the TLB-cold, shared
+        and write-protected pages of the range are resident ones.
+        """
+        span = ((1 << (stop - first)) - 1) << (first - area.first)
         resident = area.resident & span
         meter = self.meter
-        cm = self.cost_model
-        if not (area.cow | area.tlb_cold | area.wp) & span and (
-            resident == span or not resident
-        ):
-            # Every page takes the same fault (or none).  A run too short
-            # for the closed form is charged here, one add per fault.
-            if not resident:
-                faults = stop - first
-                step = cm.minor_fault_seconds
-                meter.minor_faults += faults
-                area.resident |= span
-            elif self._sd_tracking_armed:
-                faults = stop - first - (area.soft_dirty & span).bit_count()
-                step = cm.soft_dirty_fault_seconds
-                meter.soft_dirty_faults += faults
-            else:
-                area.soft_dirty |= span
-                return
-            if faults < CLOSED_FORM_MIN_ADDS:
-                cost = meter.cost_seconds
-                for _ in range(faults):
-                    cost += step
-                meter.cost_seconds = cost
-            else:
-                meter.cost_seconds = _repeat_add(meter.cost_seconds, (step,), faults)
-            area.soft_dirty |= span
-            return
-        # Mixed state: split the range where any of the five bits changes
-        # and charge each stretch of identical pages in one loop.
-        cold = area.tlb_cold & span
+        if resident != span:
+            meter.minor_faults += (span ^ resident).bit_count()
         cow = area.cow & span
-        protected = area.wp & span
-        dirty = area.soft_dirty & span
-        edges = 1 << rel
-        for mask in (resident, cold, cow, protected, dirty):
-            edges |= (mask ^ (mask << 1)) & span
-        armed = self._sd_tracking_armed
-        handler = self._wp_handler
-        end = stop - area.first
-        cost = meter.cost_seconds
-        while edges:
-            bit = edges & -edges
-            edges ^= bit
-            pos = bit.bit_length() - 1
-            nxt = (edges & -edges).bit_length() - 1 if edges else end
-            times = nxt - pos
-            steps = []
-            if not resident & bit:
-                steps.append(cm.minor_fault_seconds)
-                meter.minor_faults += times
-                allocating = True
-            else:
-                allocating = False
-                if cold & bit:
-                    steps.append(cm.fork_first_touch_seconds)
-                    meter.first_touch_faults += times
-                if cow & bit:
-                    steps.append(cm.cow_fault_seconds)
-                    meter.cow_faults += times
-                    allocating = True
-            if protected & bit:
-                steps.append(cm.uffd_fault_seconds)
-                meter.uffd_faults += times
-            if armed and not allocating and not dirty & bit:
-                steps.append(cm.soft_dirty_fault_seconds)
-                meter.soft_dirty_faults += times
-            cost = _repeat_add(cost, steps, times)
-            if protected & bit and handler is not None:
-                for page in range(area.first + pos, area.first + nxt):
-                    handler(page)
-        meter.cost_seconds = cost
+        if self._sd_tracking_armed:
+            meter.soft_dirty_faults += (resident & ~(cow | area.soft_dirty)).bit_count()
+        cold = area.tlb_cold & span
+        if cold:
+            meter.first_touch_faults += cold.bit_count()
+            area.tlb_cold ^= cold
         if cow:
+            meter.cow_faults += cow.bit_count()
             self._release(area, cow)
+        protected = area.wp & span
+        if protected:
+            meter.uffd_faults += protected.bit_count()
+            area.wp ^= protected
+            handler = self._wp_handler
+            if handler is not None:
+                for a, b in _runs_of_mask(protected, area.first):
+                    for page in range(a, b):
+                        handler(page)
         area.resident |= span
         area.soft_dirty |= span
-        area.tlb_cold &= ~span
-        area.wp &= ~span
 
     def _touch_cold(self, area: _Area, span: int) -> None:
-        """Charge the first-touch faults of ``area``'s TLB-cold pages in the mask ``span``."""
-        cold = (area.tlb_cold & span).bit_count()
+        """Count the first-touch faults of ``area``'s TLB-cold pages in the mask ``span``."""
+        cold = area.tlb_cold & span
         if cold:
-            meter = self.meter
-            meter.cost_seconds = _repeat_add(
-                meter.cost_seconds, (self.cost_model.fork_first_touch_seconds,), cold
-            )
-            meter.first_touch_faults += cold
-            area.tlb_cold &= ~span
+            self.meter.first_touch_faults += cold.bit_count()
+            area.tlb_cold ^= cold
 
     def _kernel_write_bits(self, area: _Area, first: int, stop: int) -> None:
         """Materialise pages ``[first, stop)``, break their CoW sharing, mark them dirty."""

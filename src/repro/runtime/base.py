@@ -16,8 +16,8 @@ The runtime performs *real* memory operations against the simulated address
 space — writes that carry the request payload, heap growth, scratch
 mappings, read touches — so every isolation mechanism's overhead and every
 restoration's work is derived from actual memory state rather than assumed.
-Execution time is the profile's calibrated compute cost plus whatever the
-memory system charged for faults.
+Execution time is the profile's calibrated compute cost plus the price of
+the faults the request took.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import PAGE_SIZE
 from repro.errors import ProcessStateError, RuntimeModelError
-from repro.kernel.faults import FaultRecord
+from repro.kernel.faults import NO_FAULTS, FaultRecord
 from repro.mem.page import Protection
 from repro.mem.vma import Vma, VmaKind
 from repro.proc.process import ProcessState, SimProcess
@@ -60,7 +60,7 @@ class InvocationResult(NamedTuple):
     response_bytes: int
     #: Pure compute time (including GC pauses and leak-induced slowdown).
     compute_seconds: float
-    #: Critical-path time charged by the memory system (faults).
+    #: Critical-path fault time: ``faults`` priced by the cost model.
     fault_seconds: float
     #: Fault counts behind ``fault_seconds``.
     faults: FaultRecord
@@ -425,7 +425,7 @@ class FunctionRuntime(abc.ABC):
             response,
             profile.output_bytes,
             compute_seconds,
-            meter_delta.cost_seconds,
+            faults.cost_seconds(process.cost_model) if faults is not NO_FAULTS else 0.0,
             faults,
             meter_delta.pages_written,
             residual,

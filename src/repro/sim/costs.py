@@ -21,8 +21,7 @@ absolute values are in the right order of magnitude but are not the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -157,20 +156,6 @@ class CostModel:
     #: Probability that a restored Node.js runtime triggers such a GC on the
     #: next request (per dirtied MiB of heap, capped at 1.0 by the runtime).
     node_gc_probability_per_mib: float = 0.015
-
-    def scaled(self, factor: float) -> "CostModel":
-        """Return a copy with every time constant multiplied by ``factor``.
-
-        Useful for sensitivity analyses ("what if the machine were 2x
-        faster?") without touching the calibration in place.
-        """
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        updates: Dict[str, float] = {}
-        for name, value in self.__dict__.items():
-            if name.endswith("_seconds"):
-                updates[name] = value * factor
-        return replace(self, **updates)
 
 
 #: The default, paper-calibrated cost model.

@@ -425,33 +425,32 @@ class ReferenceAddressSpace:
             raise SegmentationFault(page_number * PAGE_SIZE, access="write")
         if Protection.WRITE not in vma.prot:
             raise SegmentationFault(page_number * PAGE_SIZE, access="write")
-        cm = self.cost_model
         page = self._pages.get(page_number)
         took_allocating_fault = False
         if page is None:
             page = Page(Frame(ZERO_CONTENT))
             self._pages[page_number] = page
-            self.meter.charge(cm.minor_fault_seconds, minor_faults=1)
+            self.meter.charge(minor_faults=1)
             took_allocating_fault = True
         else:
             if page_number in self._tlb_cold:
-                self.meter.charge(cm.fork_first_touch_seconds, first_touch_faults=1)
+                self.meter.charge(first_touch_faults=1)
                 self._tlb_cold.discard(page_number)
             if page_number in self._cow:
                 old_frame = page.frame
                 old_frame.release()
                 page.frame = old_frame.copy()
                 self._cow.discard(page_number)
-                self.meter.charge(cm.cow_fault_seconds, cow_faults=1)
+                self.meter.charge(cow_faults=1)
                 took_allocating_fault = True
         if page_number in self._wp:
-            self.meter.charge(cm.uffd_fault_seconds, uffd_faults=1)
+            self.meter.charge(uffd_faults=1)
             self._wp.discard(page_number)
             if self._wp_handler is not None:
                 self._wp_handler(page_number)
         if page_number not in self._soft_dirty:
             if self._sd_tracking_armed and not took_allocating_fault:
-                self.meter.charge(cm.soft_dirty_fault_seconds, soft_dirty_faults=1)
+                self.meter.charge(soft_dirty_faults=1)
             self._soft_dirty.add(page_number)
 
     def write_mapped(
@@ -618,9 +617,7 @@ class ReferenceAddressSpace:
 
     def _fault_on_read(self, page_number: int) -> None:
         if page_number in self._tlb_cold:
-            self.meter.charge(
-                self.cost_model.fork_first_touch_seconds, first_touch_faults=1
-            )
+            self.meter.charge(first_touch_faults=1)
             self._tlb_cold.discard(page_number)
 
     # ------------------------------------------------------------------

@@ -262,7 +262,8 @@ BASE_PAGE = BRK_BASE_PAGE - 48
 #: Every page the twin scenarios can touch.
 TWIN_PAGES = range(BASE_PAGE - 2, BASE_PAGE + 80)
 #: Largest mapping of the wide twin scenarios, in pages: one write there
-#: is a run of more faults than the closed-form charge starts at.
+#: counts each fault kind with one popcount over up to 96 pages of mixed
+#: state.
 WIDE_PAGES = 96
 #: Every page the wide twin scenarios can touch.
 WIDE_TWIN_PAGES = range(BASE_PAGE - 2, BASE_PAGE + 4 * (WIDE_PAGES + 2) + 2)
@@ -276,7 +277,7 @@ def twin_scenarios(draw, max_pages=16):
     regions = [
         (
             # Up to 16 pages by default, so one write can take a long run
-            # of faults; the wide scenarios go past the closed-form charge.
+            # of faults; the wide scenarios' writes reach 100 pages.
             draw(st.integers(min_value=1, max_value=max_pages)),  # pages
             draw(st.integers(min_value=0, max_value=2)),  # gap before, in pages
             index == read_only,
@@ -435,9 +436,9 @@ wide_write_ops = st.tuples(
 )
 
 
-#: Always-run twin scenarios: a 12-page run of allocating faults (long
-#: enough for repeated float adds to differ from one multiplication), an
-#: unmap that splits a populated VMA, and a forked child breaking CoW.
+#: Always-run twin scenarios: a 12-page run of allocating faults counted
+#: by one popcount, an unmap that splits a populated VMA, and a forked
+#: child breaking CoW.
 PINNED_SCENARIO = {
     "regions": [(12, 0, False, True), (12, 1, False, False)],
     "armed": True,
@@ -450,6 +451,10 @@ PINNED_OPS = [
     (1, "range", 0, 8),
     (0, "range", 2, 6),
 ]
+#: The same with the parent write-protected (userfaultfd): its writes
+#: call the handler once per protected page, in ascending page order, and
+#: the handler log must match the per-page reference's call for call.
+PROTECTED_SCENARIO = {**PINNED_SCENARIO, "protect": 0}
 #: A heap split by ``mprotect`` (read-only top), grown past it and shrunk
 #: back below the split.
 SPLIT_HEAP_OPS = [
@@ -520,8 +525,9 @@ ADJACENT_OPS = [
 #: 80 unpopulated ones.  The writes take a run of 80 soft-dirty faults and
 #: one of 70 allocating faults; after a fork, the parent's rewrite takes
 #: copy-on-write faults in stretches of 5, 80 and 5 pages and the child's
-#: read-touch 90 first-touch faults.  The runs of 64 or more are charged
-#: in closed form; the child's write takes two faults per page (the loop).
+#: read-touch 90 first-touch faults.  These are the popcount's
+#: mixed-state cases: a range whose pages differ in residency, sharing and
+#: dirtiness, and the child's write, which takes two faults per page.
 WIDE_SCENARIO = {
     "regions": [(90, 0, False, True), (80, 1, False, False), (4, 0, True, True)],
     "armed": True,
@@ -536,6 +542,10 @@ WIDE_OPS = [
     (1, "touch", 0, 90),
     (1, "range", 95, 70),
 ]
+#: The wide scenario with the parent write-protected: the first write
+#: calls the handler for 80 pages, and after the fork the parent's
+#: rewrite for the 10 pages still protected, on both sides of the 80.
+WIDE_PROTECTED_SCENARIO = {**WIDE_SCENARIO, "protect": 0}
 
 
 def _run_twin_ops(scenario, ops, pages):
@@ -581,6 +591,7 @@ def _run_twin_ops(scenario, ops, pages):
 class TestRangePathsMatchPerPageOracle:
     @given(twin_scenarios(), st.lists(write_ops, min_size=1, max_size=14))
     @example(PINNED_SCENARIO, PINNED_OPS)
+    @example(PROTECTED_SCENARIO, PINNED_OPS)
     @example(PINNED_SCENARIO, SPLIT_HEAP_OPS)
     @example(PINNED_SCENARIO, HEAP_RESIZE_OPS)
     @example(GAPPED_SCENARIO, GAPPED_OPS)
@@ -594,10 +605,11 @@ class TestRangePathsMatchPerPageOracle:
         st.lists(wide_write_ops, min_size=1, max_size=10),
     )
     @example(WIDE_SCENARIO, WIDE_OPS)
+    @example(WIDE_PROTECTED_SCENARIO, WIDE_OPS)
     @settings(max_examples=60, deadline=None)
     def test_long_writes_equal_per_page_faults(self, scenario, ops):
-        # Writes of more pages than the closed-form charge starts at: the
-        # per-page reference meter adds each fault's cost on its own.
+        # Wide writes over pages of mixed state, each fault kind counted by
+        # one popcount; the per-page reference counts each fault on its own.
         _run_twin_ops(scenario, ops, WIDE_TWIN_PAGES)
 
     @given(

@@ -5,11 +5,6 @@ dynamic containers to held snapshots and demand revives them with an
 on-core restore priced by the isolation mechanism.  These properties pin
 the spectrum's contracts over arbitrary submission patterns:
 
-* **zero-cost collapse** — a spectrum whose restores are free (pricer
-  returns 0) and whose snapshot budget is unbounded is observationally
-  identical, dispatch for dispatch, to never evicting at all (an
-  infinite keep-alive): demote+promote at zero cost must be a pure
-  no-op in the timing domain;
 * **budget safety** — the invoker-wide snapshot budget is never
   exceeded at any observation point, and every demotion is accounted
   for (held + restored + discarded);
@@ -68,7 +63,6 @@ def _run_cluster(
     keep_alive_seconds: float,
     spectrum: bool,
     snapshot_budget: Optional[int] = None,
-    zero_cost: bool = False,
     reference: bool = False,
     gap_seconds: float = 0.5,
     verify: bool = False,
@@ -95,7 +89,6 @@ def _run_cluster(
             keep_alive_seconds=keep_alive_seconds,
             restorable_snapshots=spectrum,
             snapshot_budget=snapshot_budget,
-            restore_pricer=(lambda container: 0.0) if zero_cost else None,
         )
         for i in range(num_invokers)
     ]
@@ -129,38 +122,6 @@ def _run_cluster(
         (inv.action, inv.dispatched_at, inv.completed_at) for inv in done
     ]
     return invokers, scheduler, trace
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    num_invokers=st.integers(min_value=2, max_value=4),
-    pattern=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=30),
-    policy_name=st.sampled_from(["least-loaded", "hash-affinity"]),
-)
-def test_zero_cost_spectrum_is_infinite_keep_alive(
-    num_invokers, pattern, policy_name
-):
-    # Free restores + unbounded budget means demotion loses nothing and
-    # revival costs nothing: the spectrum must collapse to "never evict".
-    # Keep-alive 0.2s with 0.5s gaps guarantees demotions actually fire
-    # between requests in the spectrum cluster.
-    spectrum_invokers, spectrum_sched, spectrum_trace = _run_cluster(
-        num_invokers, pattern,
-        policy_name=policy_name,
-        keep_alive_seconds=0.2, spectrum=True, zero_cost=True,
-    )
-    eternal_invokers, eternal_sched, eternal_trace = _run_cluster(
-        num_invokers, pattern,
-        policy_name=policy_name,
-        keep_alive_seconds=1e9, spectrum=False,
-    )
-    assert spectrum_trace == eternal_trace
-    assert list(spectrum_sched.routed_per_invoker) == list(
-        eternal_sched.routed_per_invoker
-    )
-    assert sum(i.cold_starts for i in spectrum_invokers) == sum(
-        i.cold_starts for i in eternal_invokers
-    )
 
 
 @settings(max_examples=25, deadline=None)

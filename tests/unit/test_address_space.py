@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import PAGE_SIZE
 from repro.errors import MappingError, SegmentationFault
+from repro.kernel.faults import FaultRecord
 from repro.baselines.registry import create_mechanism
 from repro.mem.address_space import AddressSpace, MeterSnapshot
 from repro.mem.layout import MemoryLayout
@@ -18,6 +19,17 @@ from repro.workloads import find_benchmark
 @pytest.fixture
 def space() -> AddressSpace:
     return AddressSpace(CostModel())
+
+
+#: Each fault kind: its :class:`FaultRecord` field, its meter field and its
+#: cost-model constant.
+FAULT_KINDS = (
+    ("minor", "minor_faults", "minor_fault_seconds"),
+    ("soft_dirty", "soft_dirty_faults", "soft_dirty_fault_seconds"),
+    ("cow", "cow_faults", "cow_fault_seconds"),
+    ("uffd", "uffd_faults", "uffd_fault_seconds"),
+    ("first_touch", "first_touch_faults", "fork_first_touch_seconds"),
+)
 
 
 class TestMapping:
@@ -224,13 +236,33 @@ class TestAccessAndFaults:
         space.touch_read_range(vma.first_page, 8)
         assert space.meter.counters.pages_read == 8
 
-    def test_fault_costs_are_added_one_fault_at_a_time(self, space):
-        vma = space.mmap(64 * PAGE_SIZE)
-        space.write_range(vma.first_page, 64, b"x")
-        expected = 0.0
-        for _ in range(64):
-            expected += space.cost_model.minor_fault_seconds
-        assert space.meter.counters.cost_seconds == expected
+    def test_n_faults_cost_n_times_their_kind(self):
+        # A write or read-touch of n pages that takes only faults of one
+        # kind: the meter counts n, and the record prices n times that
+        # kind's cost.
+        for kind, field, constant in FAULT_KINDS:
+            for count in (1, 37, 600):
+                space = AddressSpace(CostModel())
+                vma = space.mmap(count * PAGE_SIZE, populate=kind != "minor")
+                if kind == "soft_dirty":
+                    space.clear_soft_dirty()
+                if kind == "uffd":
+                    space.arm_write_protection()
+                if kind in ("cow", "first_touch"):
+                    child = space.fork()
+                    if kind == "first_touch":
+                        space = child
+                checkpoint = space.meter.checkpoint()
+                if kind == "first_touch":
+                    space.touch_read_range(vma.first_page, count)
+                else:
+                    space.write_range(vma.first_page, count, b"x")
+                delta = space.meter.since(checkpoint)
+                record = FaultRecord.from_meter(delta)
+                assert record == FaultRecord(**{kind: count}), (kind, count)
+                assert getattr(delta, field) == count, (kind, count)
+                cost = count * getattr(space.cost_model, constant)
+                assert record.cost_seconds(space.cost_model) == cost, (kind, count)
 
     def test_meter_checkpoint_delta(self, space):
         vma = space.mmap(4 * PAGE_SIZE)
@@ -239,7 +271,8 @@ class TestAccessAndFaults:
         delta = space.meter.since(checkpoint)
         assert delta.pages_written == 4
         assert delta.minor_faults == 4
-        assert delta.cost_seconds > 0
+        record = FaultRecord.from_meter(delta)
+        assert record.cost_seconds(space.cost_model) == 4 * space.cost_model.minor_fault_seconds
 
 
 class TestKernelSideAccess:

@@ -34,20 +34,6 @@ class TestCostModel:
         cm = CostModel()
         assert cm.criu_restore_base_seconds > 1000 * cm.page_copy_seconds
 
-    def test_scaled_multiplies_time_constants(self):
-        cm = CostModel()
-        faster = cm.scaled(0.5)
-        assert faster.page_copy_seconds == pytest.approx(cm.page_copy_seconds * 0.5)
-        assert faster.ptrace_interrupt_seconds == pytest.approx(
-            cm.ptrace_interrupt_seconds * 0.5
-        )
-        # Non-time fields are untouched.
-        assert faster.coalesce_threshold == cm.coalesce_threshold
-
-    def test_scaled_rejects_nonpositive_factor(self):
-        with pytest.raises(ValueError):
-            CostModel().scaled(0.0)
-
 
 class TestRngStreams:
     def test_same_seed_same_sequence(self):

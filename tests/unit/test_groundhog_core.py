@@ -86,9 +86,8 @@ class TestTrackers:
             procfs = ProcFs(runtime.process)
             tracker = tracker_cls(procfs)
             tracker.arm()
-            checkpoint = runtime.process.address_space.meter.checkpoint()
-            runtime.invoke(b"x", "r1")
-            return runtime.process.address_space.meter.since(checkpoint).cost_seconds
+            result = runtime.invoke(b"x", "r1")
+            return result.faults.cost_seconds(runtime.process.cost_model)
 
         assert in_function_cost(UffdWriteTracker) > in_function_cost(SoftDirtyTracker)
 

@@ -9,6 +9,7 @@ import pytest
 import repro.runtime.base
 from repro.baselines.registry import MECHANISMS, create_mechanism, mechanism_class
 from repro.errors import IsolationError
+from repro.kernel.faults import FaultRecord
 from repro.workloads import find_benchmark, microbenchmark_profile
 
 
@@ -177,6 +178,19 @@ class TestCostShape:
         # Groundhog adds interposition + soft-dirty faults but stays within a
         # modest factor of the baseline for a 10 ms function.
         assert gh_crit < base_crit * 1.6
+
+    def test_identical_requests_report_one_fault_seconds(self):
+        # A request's fault time is its fault record's price, whatever ran
+        # before it: 400 identical md2html requests, each taking 20 minor
+        # and 600 soft-dirty faults, report one value.
+        mechanism = _mechanism("gh", find_benchmark("md2html", "p").profile)
+        mechanism.initialize()
+        results = [mechanism.invoke(b"same", f"req-{i}").result for i in range(400)]
+        assert {result.faults for result in results} == {FaultRecord(minor=20, soft_dirty=600)}
+        cost_model = mechanism.process.cost_model
+        assert {result.fault_seconds for result in results} == {
+            20 * cost_model.minor_fault_seconds + 600 * cost_model.soft_dirty_fault_seconds
+        }
 
     def test_gh_restoration_off_critical_path(self, small_python_profile):
         gh = _mechanism("gh", small_python_profile)
