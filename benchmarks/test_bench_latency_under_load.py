@@ -31,6 +31,7 @@ from repro.analysis.experiments import (
     strategy_label,
 )
 from repro.analysis.tables import render_table
+from repro.config import SimulationConfig
 from repro.workloads import find_benchmark
 
 INVOKERS = 4
@@ -43,12 +44,16 @@ def _sweep(spec, factors, duration, action_names=None):
     points = {}
     for policy, stealing in LOAD_STRATEGIES:
         label = strategy_label(policy, stealing)
+        cluster = SimulationConfig(
+            cores=CORES, invokers=INVOKERS,
+            scheduler_policy=policy, work_stealing=stealing,
+        )
         points[label] = [
             measure_latency_under_load(
                 spec, "gh",
+                cluster=cluster,
                 offered_rps=capacity * factor,
-                policy=policy, work_stealing=stealing,
-                invokers=INVOKERS, cores=CORES, actions=ACTIONS,
+                actions=ACTIONS,
                 duration_seconds=duration,
                 action_names=action_names,
             )

@@ -34,6 +34,7 @@ Like ``run_detlint.py`` it puts ``src/`` on ``sys.path``, so it needs no
 install.  It runs in about six seconds.
 """
 
+import dataclasses
 import pathlib
 import sys
 
@@ -41,6 +42,7 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.analysis.experiments import (  # noqa: E402
+    LOAD_CLUSTER,
     MAIN_CONFIGS,
     measure_cluster_throughput,
     measure_latency,
@@ -53,6 +55,7 @@ from repro.analysis.experiments import (  # noqa: E402
     run_tracking_ablation,
 )
 from repro.baselines.registry import mechanism_class  # noqa: E402
+from repro.config import SimulationConfig  # noqa: E402
 from repro.workloads import find_benchmark  # noqa: E402
 
 #: The Python functions the ``gh-tenants`` benchmark workload deploys.
@@ -78,13 +81,16 @@ def cluster_lines():
         yield f"latency-under-load {arrivals}: {point!r}"
     point = measure_latency_under_load(
         md2html, offered_rps=100.0, duration_seconds=1.0,
-        arrivals="azure-diurnal", control_plane=True, planner="predictive",
-        restorable_snapshots=True,
+        arrivals="azure-diurnal",
+        cluster=dataclasses.replace(
+            LOAD_CLUSTER, control_plane=True, planner="predictive",
+            restorable_snapshots=True,
+        ),
     )
     yield f"latency-under-load azure-diurnal predictive+snapshots: {point!r}"
     measurement = measure_cluster_throughput(
         find_benchmark("pyaes", "p"), "gh",
-        invokers=2, cores=2, actions=4, rounds=3,
+        cluster=SimulationConfig(cores=2, invokers=2), actions=4, rounds=3,
     )
     yield f"cluster throughput: {measurement!r}"
     fairness = run_tenant_fairness(
@@ -113,7 +119,7 @@ def cluster_lines():
     forecast = run_slo_control(
         get_time, parts=("forecast",),
         forecast_duration_seconds=4.0, forecast_cycles=2,
-        restorable_snapshots=True,
+        cluster=SimulationConfig(restorable_snapshots=True),
     )
     yield f"slo forecast snapshots: {forecast.forecast!r}"
 

@@ -8,7 +8,12 @@ cluster drivers (cluster scaling, latency under load, tenant fairness, SLO
 control), which drive :class:`~repro.faas.cluster.FaaSCluster` the same way;
 every open-loop run among them, and every perf replay, is built by
 :func:`open_loop_client`.  Each driver takes only the parameters some
-caller passes; the rest of a setup is fixed in its body.  The perf harness that measures the simulator's own host speed for
+caller passes; the rest of a setup is fixed in its body.  A cluster
+driver takes its deployment whole, as one ``cluster``
+:class:`~repro.config.SimulationConfig` (defaulting to a module constant
+such as :data:`LOAD_CLUSTER`), and replaces only the fields it derives or
+its scenario fixes; no driver parameter sets a config field.  The perf
+harness that measures the simulator's own host speed for
 ``BENCH_perf.json`` is :mod:`repro.analysis.perf`.
 
 Driver map:
@@ -640,43 +645,42 @@ def _deploy_action_copies(
     return names
 
 
+#: Each cluster driver's default deployment (its docstring says which
+#: fields it replaces): :func:`measure_cluster_throughput`'s, then
+#: :func:`measure_latency_under_load`'s, :func:`run_tenant_fairness`'s and
+#: :func:`run_slo_control`'s.
+THROUGHPUT_CLUSTER = SimulationConfig(cores=4, invokers=4)
+LOAD_CLUSTER = SimulationConfig(cores=2, invokers=4, scheduler_policy="warm-aware")
+TENANT_CLUSTER = SimulationConfig(cores=2, invokers=2)
+SLO_CLUSTER = SimulationConfig()
+
+
 def measure_cluster_throughput(
     spec_or_profile,
     config: str,
     *,
-    invokers: int = 4,
-    policy: str = "hash-affinity",
-    work_stealing: bool = False,
-    cores: int = 4,
+    cluster: SimulationConfig = THROUGHPUT_CLUSTER,
     actions: int = 8,
     rounds: int = 10,
     in_flight_per_action: Optional[int] = None,
-    max_queue_per_action: Optional[int] = None,
-    admission_policy: str = "fifo",
-    autoscale: bool = False,
 ) -> ClusterMeasurement:
     """Aggregate saturated throughput of a cluster deployment.
 
     Deploys ``actions`` copies of the benchmark (distinct action names, so
     hash affinity spreads their homes across invokers), one pre-warmed
-    container each, and saturates all of them at once.  ``rounds``
-    approximates how many requests each core should complete inside the
-    measurement window.
+    container each, on ``cluster``, and saturates all of them at once.
+    ``rounds`` approximates how many requests each core should complete
+    inside the measurement window.  The driver replaces one field of
+    ``cluster``: ``max_containers_per_action``, which it derives.
     """
     profile = _profile_of(spec_or_profile)
     platform = FaaSCluster(
-        SimulationConfig(
-            cores=cores,
-            invokers=invokers,
-            scheduler_policy=policy,
-            work_stealing=work_stealing,
+        dataclasses.replace(
+            cluster,
             # Under reactive autoscaling the ceiling *starts* at the
             # pre-warmed count and rises with observed pressure; statically
             # configured pools get the full core-bounded ceiling up front.
-            max_containers_per_action=1 if autoscale else cores,
-            max_queue_per_action=max_queue_per_action,
-            admission_policy=admission_policy,
-            autoscale=autoscale,
+            max_containers_per_action=1 if cluster.autoscale else cluster.cores,
         )
     )
     names = _deploy_action_copies(platform, spec_or_profile, config, actions)
@@ -684,7 +688,7 @@ def measure_cluster_throughput(
     if in_flight_per_action is None:
         # Enough outstanding work per action that the whole cluster's cores
         # stay busy even when one invoker is every action's home.
-        in_flight_per_action = max(2, (invokers * cores * 2) // actions + 1)
+        in_flight_per_action = max(2, (cluster.invokers * cluster.cores * 2) // actions + 1)
     client = MultiActionSaturatingClient(
         platform,
         names,
@@ -696,8 +700,8 @@ def measure_cluster_throughput(
     return ClusterMeasurement(
         benchmark=profile.qualified_name,
         config=config,
-        policy=policy,
-        invokers=invokers,
+        policy=cluster.scheduler_policy,
+        invokers=cluster.invokers,
         throughput_rps=throughput,
         warm_hit_rate=platform.warm_hit_rate,
         cold_starts=sum(inv.cold_starts for inv in platform.invokers),
@@ -725,6 +729,7 @@ def run_cluster_scaling(
     """
     if benchmarks is None:
         benchmarks = representative_benchmarks()[:2]
+    base = SimulationConfig(cores=2)
     sweeps: Dict[str, Dict[str, SweepResult]] = {}
     for spec in benchmarks:
         if not _applicable("gh", spec):
@@ -741,7 +746,9 @@ def run_cluster_scaling(
             for count in invoker_counts:
                 measurement = measure_cluster_throughput(
                     spec, "gh",
-                    invokers=count, policy=policy, cores=2,
+                    cluster=dataclasses.replace(
+                        base, invokers=count, scheduler_policy=policy
+                    ),
                     actions=8, rounds=rounds,
                 )
                 throughput_points.append((float(count), measurement.throughput_rps))
@@ -901,62 +908,34 @@ def measure_latency_under_load(
     spec_or_profile,
     config: str = "gh",
     *,
+    cluster: SimulationConfig = LOAD_CLUSTER,
     offered_rps: float,
-    policy: str = "warm-aware",
-    work_stealing: bool = False,
-    invokers: int = 4,
-    cores: int = 2,
     actions: int = 8,
     duration_seconds: float = 4.0,
     warmup_seconds: float = 0.5,
     action_names: Optional[Sequence[str]] = None,
     arrivals: str = "poisson",
     trace_file: Optional[str] = None,
-    control_plane: bool = False,
-    planner: str = "reactive",
-    forecast_period_seconds: Optional[float] = None,
-    restorable_snapshots: bool = False,
-    snapshot_budget: Optional[int] = None,
-    isolation_mechanism: str = "gh",
-    tracing: str = "off",
     trace_out: Optional[str] = None,
 ) -> LoadPoint:
-    """One open-loop run: arrivals at ``offered_rps`` into a cluster.
+    """One open-loop run: arrivals at ``offered_rps`` into ``cluster``.
 
     Arrivals are independent of completions, so a strategy that burns core
     time on cold starts falls behind visibly: achieved throughput flattens
     below the offered load and queueing inflates the latency percentiles.
+    The routing strategy, the control plane, the warmth spectrum and the
+    flight recorder are ``cluster``'s; the driver replaces one field,
+    ``max_containers_per_action``, which it derives from ``cores``.
     ``action_names`` can force a deliberately skewed deployment (e.g. names
     whose home invokers collide, the hash-affinity worst case).
     ``arrivals`` and ``trace_file`` select the arrival process (see
-    :func:`open_loop_client`).  The control-plane knobs
-    (``control_plane``, ``planner``, ``forecast_period_seconds`` — run the
-    SLO control loop with the reactive or the forecast-driven predictive
-    capacity planner) and the warmth-spectrum knobs
-    (``restorable_snapshots``, ``snapshot_budget``, ``isolation_mechanism``
-    — demote evicted containers to restorable snapshots and price their
-    restores by the chosen mechanism) map onto the
-    :class:`~repro.config.SimulationConfig` fields of the same names.
-    ``tracing`` arms the flight recorder (see :mod:`repro.faas.obs`);
-    with ``trace_out`` set the run's recorder is exported as Chrome
-    trace-event JSON to that path after the load finishes.
+    :func:`open_loop_client`).  With ``trace_out`` set the run's recorder
+    is exported as Chrome trace-event JSON to that path after the load
+    finishes.
     """
     profile = _profile_of(spec_or_profile)
     client = open_loop_client(
-        SimulationConfig(
-            cores=cores,
-            invokers=invokers,
-            scheduler_policy=policy,
-            work_stealing=work_stealing,
-            max_containers_per_action=cores,
-            control_plane=control_plane,
-            planner=planner,
-            forecast_period_seconds=forecast_period_seconds,
-            restorable_snapshots=restorable_snapshots,
-            snapshot_budget=snapshot_budget,
-            isolation_mechanism=isolation_mechanism,
-            tracing=tracing,
-        ),
+        dataclasses.replace(cluster, max_containers_per_action=cluster.cores),
         spec_or_profile,
         config,
         actions,
@@ -973,9 +952,9 @@ def measure_latency_under_load(
     return LoadPoint(
         benchmark=profile.qualified_name,
         config=config,
-        policy=policy,
-        work_stealing=work_stealing,
-        invokers=invokers,
+        policy=cluster.scheduler_policy,
+        work_stealing=cluster.work_stealing,
+        invokers=cluster.invokers,
         offered_rps=result.offered_rps,
         achieved_rps=result.achieved_rps,
         goodput_fraction=result.goodput_fraction,
@@ -1178,14 +1157,12 @@ def _tenant_loads(capacity_rps: float) -> Tuple[Tuple[TenantMix, float], ...]:
     )
 
 
-def _tenant_cluster(base: SimulationConfig, invokers: int, cores: int) -> SimulationConfig:
+def _tenant_cluster(base: SimulationConfig) -> SimulationConfig:
     """``base`` on the tenant-mix topology: warm-aware routing, queues of 16."""
     return dataclasses.replace(
         base,
-        cores=cores,
-        invokers=invokers,
         scheduler_policy="warm-aware",
-        max_containers_per_action=cores,
+        max_containers_per_action=base.cores,
         max_queue_per_action=16,
     )
 
@@ -1243,8 +1220,7 @@ def run_tenant_fairness(
     spec: Optional[BenchmarkSpec] = None,
     *,
     config: str = "gh",
-    invokers: int = 2,
-    cores: int = 2,
+    cluster: SimulationConfig = TENANT_CLUSTER,
     actions: int = 4,
     quota_factor: float = 1.2,
     duration_seconds: float = 10.0,
@@ -1278,20 +1254,23 @@ def run_tenant_fairness(
     the bounded queues and fair displacement absorb the remainder.
     ``warmup_seconds`` must cover the initial cold-start transient
     (container boots run hundreds of milliseconds) so the measured window
-    is steady state.  Returns the three scenarios keyed by label.
+    is steady state.  Every scenario replaces ``cluster``'s routing
+    (warm-aware), ``max_containers_per_action`` (``cores``) and queue
+    bound (16); ``"wfq+quota"`` also ``admission_policy`` and
+    ``tenant_quota_rps``.  Returns the three scenarios keyed by label.
     """
     if spec is None:
         spec = representative_benchmarks()[0]
-    capacity = estimate_cluster_capacity_rps(spec, invokers=invokers, cores=cores)
+    capacity = estimate_cluster_capacity_rps(spec, invokers=cluster.invokers, cores=cluster.cores)
     solo, contended = _tenant_loads(capacity)
-    cluster = _tenant_cluster(SimulationConfig(), invokers, cores)
+    shared = _tenant_cluster(cluster)
     scenarios = (
-        ("solo", cluster, solo),
-        ("fifo", cluster, contended),
+        ("solo", shared, solo),
+        ("fifo", shared, contended),
         (
             "wfq+quota",
             dataclasses.replace(
-                cluster, admission_policy="wfq", tenant_quota_rps=capacity * quota_factor
+                shared, admission_policy="wfq", tenant_quota_rps=capacity * quota_factor
             ),
             contended,
         ),
@@ -1390,6 +1369,7 @@ def run_slo_control(
     spec: Optional[BenchmarkSpec] = None,
     *,
     config: str = "gh",
+    cluster: SimulationConfig = SLO_CLUSTER,
     parts: Sequence[str] = ("quota", "capacity"),
     duration_seconds: float = 12.0,
     warmup_seconds: float = 5.0,
@@ -1397,10 +1377,6 @@ def run_slo_control(
     capacity_warmup_seconds: float = 2.5,
     forecast_duration_seconds: float = 15.0,
     forecast_cycles: int = 3,
-    restorable_snapshots: bool = False,
-    snapshot_budget: Optional[int] = None,
-    isolation_mechanism: str = "gh",
-    tracing: str = "off",
     trace_out: Optional[str] = None,
 ) -> SLOControlResult:
     """The control-plane experiment: closed loops vs hand-set (or no) knobs.
@@ -1448,29 +1424,26 @@ def run_slo_control(
       forecast arrival rate one boot-time ahead, cutting rising-edge
       cold dispatches and tail latency (see :class:`ForecastOutcome`).
 
-    The warmth-spectrum knobs (``restorable_snapshots``,
-    ``snapshot_budget``, ``isolation_mechanism``) apply to every part.
-    ``tracing`` arms the flight recorder on the quota and capacity
-    scenarios; ``trace_out`` exports the Chrome trace of the
-    ``"controlled"`` quota run (the decision-audit-richest run: every
-    AIMD cut/raise lands on the timeline next to the invocations it
-    throttled), or of the ``"planned"`` capacity run when the quota part
-    is not selected.
+    Every part runs ``cluster`` (its warmth spectrum included) with the
+    part's topology replaced in: ``cores``, ``invokers``, the routing and
+    container-ceiling fields and the control plane described above (and,
+    in the forecast part, ``keep_alive_seconds``, ``planner`` and
+    ``forecast_period_seconds``).  The forecast part also replaces
+    ``tracing`` with ``"off"``: it exports no trace.  ``trace_out``
+    exports the Chrome trace of the ``"controlled"`` quota run (the
+    decision-audit-richest run: every AIMD cut/raise lands on the
+    timeline next to the invocations it throttled), or of the
+    ``"planned"`` capacity run when the quota part is not selected.
     """
     if spec is None:
         spec = representative_benchmarks()[0]
     unknown_parts = set(parts) - {"quota", "capacity", "forecast"}
     if unknown_parts:
         raise ValueError(f"unknown run_slo_control parts: {sorted(unknown_parts)}")
-    if trace_out is not None and tracing == "off":
+    if trace_out is not None and cluster.tracing == "off":
         raise PlatformError("trace_out requires tracing='sampled' or 'full'")
     if trace_out is not None and not {"quota", "capacity"} & set(parts):
         raise PlatformError("trace_out needs the 'quota' or 'capacity' part selected")
-    spectrum = SimulationConfig(
-        restorable_snapshots=restorable_snapshots,
-        snapshot_budget=snapshot_budget,
-        isolation_mechanism=isolation_mechanism,
-    )
 
     polite_slo_p99_ms: Optional[float] = None
     quota_scenarios: Dict[str, TenantScenario] = {}
@@ -1478,17 +1451,17 @@ def run_slo_control(
         solo_load, contended = _tenant_loads(
             estimate_cluster_capacity_rps(spec, invokers=2, cores=2)
         )
-        static = _tenant_cluster(dataclasses.replace(spectrum, tracing=tracing), 2, 2)
+        static = _tenant_cluster(dataclasses.replace(cluster, cores=2, invokers=2))
 
         def run_scenario(
             label: str,
-            cluster: SimulationConfig,
+            knobs: SimulationConfig,
             load: Tuple[TenantMix, float],
             tenant_slos: Optional[Mapping[str, TenantSLO]] = None,
             trace: Optional[str] = None,
         ) -> TenantScenario:
             return _tenant_scenario(
-                label, cluster, load, spec, config, actions=4,
+                label, knobs, load, spec, config, actions=4,
                 duration_seconds=duration_seconds, warmup_seconds=warmup_seconds,
                 tenant_slos=tenant_slos, trace_out=trace,
             )
@@ -1522,21 +1495,20 @@ def run_slo_control(
         offered = estimate_cluster_capacity_rps(spec, invokers=4, cores=2) * 0.5
         skewed_names = colliding_action_names(8, invokers=4)
         reactive = dataclasses.replace(
-            spectrum,
+            cluster,
             cores=2,
             invokers=4,
             scheduler_policy="hash-affinity",
             work_stealing=True,
             max_containers_per_action=1,
             autoscale=True,
-            tracing=tracing,
         )
 
         def run_capacity(
-            label: str, cluster: SimulationConfig, trace: Optional[str] = None
+            label: str, knobs: SimulationConfig, trace: Optional[str] = None
         ) -> CapacityPlanOutcome:
             client = open_loop_client(
-                cluster, spec, config, 8,
+                knobs, spec, config, 8,
                 action_names=skewed_names,
                 offered_rps=offered,
                 duration_seconds=capacity_duration_seconds,
@@ -1574,7 +1546,7 @@ def run_slo_control(
         forecast_runs = _run_forecast_comparison(
             spec,
             config,
-            spectrum,
+            dataclasses.replace(cluster, tracing="off"),
             duration_seconds=forecast_duration_seconds,
             cycles=forecast_cycles,
         )
@@ -1628,7 +1600,7 @@ def _count_in_windows(
 def _run_forecast_comparison(
     spec,
     config: str,
-    spectrum: SimulationConfig,
+    cluster: SimulationConfig,
     *,
     duration_seconds: float,
     cycles: int,
@@ -1652,32 +1624,27 @@ def _run_forecast_comparison(
     names = balanced_action_names(4, invokers=4, prefix="wave")
     rising = diurnal_rising_windows(duration_seconds, period, skip_cycles=1)
 
-    def run_regime(planner: str) -> ForecastOutcome:
+    planned = dataclasses.replace(
+        cluster,
+        cores=2,
+        invokers=4,
+        # Hash affinity concentrates each action's wave on its home
+        # invoker; work stealing then pulls the overflow into whatever
+        # warm capacity exists elsewhere — which is exactly the capacity
+        # the planner's seeds create.
+        scheduler_policy="hash-affinity",
+        work_stealing=True,
+        max_containers_per_action=2,
+        # A keep-alive much shorter than the trough: capacity built at one
+        # peak decays before the next rising edge, so *when* the planner
+        # re-warms is the lever under test.
+        keep_alive_seconds=period / 8,
+        control_plane=True,
+    )
+
+    def run_regime(regime: SimulationConfig) -> ForecastOutcome:
         client = open_loop_client(
-            dataclasses.replace(
-                spectrum,
-                cores=2,
-                invokers=4,
-                # Hash affinity concentrates each action's wave on its
-                # home invoker; work stealing then pulls the overflow into
-                # whatever warm capacity exists elsewhere — which is
-                # exactly the capacity the planner's seeds create.
-                scheduler_policy="hash-affinity",
-                work_stealing=True,
-                max_containers_per_action=2,
-                # A keep-alive much shorter than the trough: capacity
-                # built at one peak decays before the next rising edge,
-                # so *when* the planner re-warms is the lever under test.
-                keep_alive_seconds=period / 8,
-                control_plane=True,
-                planner=planner,
-                # The declared cycle period only configures the predictive
-                # planner's forecaster; the reactive regime has no
-                # forecaster to declare it to.
-                forecast_period_seconds=(
-                    period if planner == "predictive" else None
-                ),
-            ),
+            regime,
             spec,
             config,
             4,
@@ -1701,8 +1668,8 @@ def _run_forecast_comparison(
         )
         stats = client.platform.control_plane_stats()
         return ForecastOutcome(
-            label=planner,
-            planner=planner,
+            label=regime.planner,
+            planner=regime.planner,
             offered_rps=result.offered_rps,
             achieved_rps=result.achieved_rps,
             goodput_fraction=result.goodput_fraction,
@@ -1718,7 +1685,14 @@ def _run_forecast_comparison(
             control_stats=stats,
         )
 
-    return {planner: run_regime(planner) for planner in ("reactive", "predictive")}
+    return {
+        planner: run_regime(dataclasses.replace(
+            planned, planner=planner,
+            # Only the predictive planner has a forecaster to declare the period to.
+            forecast_period_seconds=period if planner == "predictive" else None,
+        ))
+        for planner in ("reactive", "predictive")
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,23 @@ Usage (after installing the package)::
 The heavier experiment drivers (full latency/throughput suites, sweeps,
 ablations) are exposed through the benchmark harness under ``benchmarks/``;
 this CLI covers the quick, interactive entry points.
+
+A flag that sets a :class:`~repro.config.SimulationConfig` field is
+declared once, in :data:`CONFIG_FLAGS`.  A cluster command builds its
+config from those flags before it runs anything and hands it whole to its
+driver; ``perf-trace`` and ``trace`` pass them on as ``Shape`` overrides.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
+import os
 import sys
-from typing import List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NoReturn, Optional, Tuple
 
 from repro.analysis.experiments import (
     ARRIVAL_PROCESSES,
@@ -60,10 +69,128 @@ from repro.config import (
     PLANNER_KINDS,
     SCHEDULER_POLICIES,
     TRACING_MODES,
+    SimulationConfig,
 )
 from repro.errors import ReproError
 from repro.faas.obs import latency_decompose, render_decomposition, write_chrome_trace
 from repro.workloads import all_benchmarks, benchmarks_by_suite, find_benchmark
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error:`` line."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
+def _checked(convert: Callable, accept: Callable, refusal: str) -> Callable:
+    """A ``type=`` check: ``convert(text)``, refused unless ``accept`` holds."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(refusal.format(text))
+        return value
+
+    return check
+
+
+def _in_writable_directory(path: str) -> bool:
+    directory = os.path.dirname(os.path.abspath(path))
+    return bool(path) and not os.path.isdir(path) and os.access(directory, os.W_OK)
+
+
+#: The shared ``type=`` checks: counts and sizes, durations and factors,
+#: input files and output files (which they do not create).
+positive_int = _checked(int, lambda n: n >= 1, "must be a positive integer (got {!r})")
+positive_float = _checked(
+    float, lambda x: 0 < x < math.inf, "must be a positive number (got {!r})"
+)
+non_negative_float = _checked(
+    float, lambda x: 0 <= x < math.inf, "must be a non-negative number (got {!r})"
+)
+readable_file = _checked(
+    str, lambda path: os.path.isfile(path) and os.access(path, os.R_OK),
+    "cannot read {!r}: no such readable file",
+)
+trace_output = _checked(
+    str, _in_writable_directory, "cannot write trace output to {!r}: no writable directory"
+)
+baseline_output = _checked(  # ``--output ''`` writes no baseline
+    str, lambda path: not path or _in_writable_directory(path),
+    "cannot write the perf baseline to {!r}: no writable directory",
+)
+
+#: The flags that set :class:`~repro.config.SimulationConfig` fields, each
+#: declared once: flag -> (field, argparse keywords).  A command exposes
+#: one with :func:`add_config_flags`; its default is the field's unless the
+#: row or the command gives another.  ``--planner`` also turns
+#: ``control_plane`` on; its default, ``None``, leaves the control plane off.
+CONFIG_FLAGS: Mapping[str, Tuple[str, Mapping[str, object]]] = MappingProxyType({
+    "--cores": ("cores", {"type": int, "help": "cores per invoker (default: %(default)s)"}),
+    "--invokers": ("invokers", {
+        "type": int, "help": "invokers in the cluster (default: %(default)s)"}),
+    "--max-queue": ("max_queue_per_action", {
+        "type": int, "metavar": "MAX_QUEUE", "help": "bound each per-action queue; overload "
+        "is shed and shows up in the rejected column (default: unbounded, never rejects)"}),
+    "--work-stealing": ("work_stealing", {"action": "store_true", "help": "let invokers "
+        "with spare capacity pull queued invocations from saturated peers"}),
+    "--admission": ("admission_policy", {"choices": ADMISSION_POLICIES,
+        "help": "per-action admission queue policy (default: %(default)s)"}),
+    "--autoscale": ("autoscale", {"action": "store_true", "help": "reactively raise/lower "
+        "each action's container ceiling from queue depth and rejections instead of the "
+        "static maximum"}),
+    "--planner": ("planner", {"choices": PLANNER_KINDS, "default": None, "help": "run the "
+        "SLO control plane with this capacity planner: 'reactive' shifts pre-warmed "
+        "capacity toward observed backlog, 'predictive' pre-warms toward forecast "
+        "per-action arrival rates one boot-time ahead (default: no control plane)"}),
+    "--forecast-period": ("forecast_period_seconds", {
+        "type": float, "metavar": "FORECAST_PERIOD", "help": "declared seasonal period "
+        "(virtual seconds) for the predictive planner's forecaster, e.g. the diurnal cycle "
+        "length under --arrivals azure-diurnal; requires --planner predictive (default: "
+        "level+trend only)"}),
+    "--restorable-snapshots": ("restorable_snapshots", {"action": "store_true",
+        "help": "warmth spectrum: keep-alive eviction (and planner drains) demote "
+        "containers to restorable snapshots instead of destroying them"}),
+    "--snapshot-budget": ("snapshot_budget", {"type": int, "help": "held snapshots per "
+        "invoker; requires --restorable-snapshots (LRU discard beyond it; default: "
+        "unbounded)"}),
+    "--isolation-mechanism": ("isolation_mechanism", {"choices": ISOLATION_MECHANISMS,
+        "help": "mechanism whose cost model prices snapshot restores (default: %(default)s)"}),
+    "--tracing": ("tracing", {"choices": TRACING_MODES, "help": "arm the flight recorder: "
+        "'sampled' records 1 in 16 invocations, chosen deterministically, 'full' every one "
+        "(default: %(default)s)"}),
+    "--seed": ("seed", {"type": int, "help": "seed of every random stream (default: "
+        "%(default)s)"}),
+})
+
+
+def add_config_flags(
+    parser: argparse.ArgumentParser, *flags: str, **keywords: object
+) -> None:
+    """Declare ``flags`` from :data:`CONFIG_FLAGS`; ``keywords`` override a row's."""
+    defaults = {field.name: field.default for field in dataclasses.fields(SimulationConfig)}
+    for flag in flags:
+        field, options = CONFIG_FLAGS[flag]
+        parser.add_argument(
+            flag, dest=field, **{"default": defaults[field], **options, **keywords}
+        )
+
+
+def config_fields(args: argparse.Namespace) -> Dict[str, object]:
+    """The config fields the command's :data:`CONFIG_FLAGS` set, by name."""
+    fields = {
+        field: getattr(args, field)
+        for field, _ in CONFIG_FLAGS.values()
+        if hasattr(args, field)
+    }
+    planner = fields.pop("planner", None)
+    if planner is not None:
+        fields.update(control_plane=True, planner=planner)
+    return fields
 
 
 def _spec_from_args(args: argparse.Namespace):
@@ -144,37 +271,38 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
 
 def cmd_cluster_scaling(args: argparse.Namespace) -> int:
     """Sweep invoker count × scheduling policy and print aggregate throughput."""
+    base = SimulationConfig(**config_fields(args))
+    sweep = [
+        dataclasses.replace(base, scheduler_policy=policy, invokers=invokers)
+        for policy in args.policies
+        for invokers in args.invoker_counts
+    ]
     spec = _spec_from_args(args)
     rows = []
-    for policy in args.policies:
-        for invokers in args.invokers:
-            m = measure_cluster_throughput(
-                spec, args.config,
-                invokers=invokers, policy=policy, cores=args.cores,
-                work_stealing=args.work_stealing,
-                actions=args.actions, rounds=args.rounds,
-                max_queue_per_action=args.max_queue,
-                in_flight_per_action=args.in_flight,
-                admission_policy=args.admission,
-                autoscale=args.autoscale,
-            )
-            rows.append([
-                policy,
-                str(invokers),
-                f"{m.throughput_rps:.1f}",
-                f"{m.warm_hit_rate * 100:.0f}%",
-                str(m.cold_starts),
-                str(m.rejected),
-                f"{m.routing_skew:.2f}",
-                str(m.steals),
-            ])
+    for cluster in sweep:
+        m = measure_cluster_throughput(
+            spec, args.config,
+            cluster=cluster,
+            actions=args.actions, rounds=args.rounds,
+            in_flight_per_action=args.in_flight,
+        )
+        rows.append([
+            cluster.scheduler_policy,
+            str(cluster.invokers),
+            f"{m.throughput_rps:.1f}",
+            f"{m.warm_hit_rate * 100:.0f}%",
+            str(m.cold_starts),
+            str(m.rejected),
+            f"{m.routing_skew:.2f}",
+            str(m.steals),
+        ])
     print(render_table(
         ["policy", "invokers", "throughput (req/s)", "warm hits", "cold starts",
          "rejected", "skew (max/mean)", "steals"],
         rows,
         title=(
             f"Cluster scaling — {spec.qualified_name} under {args.config} "
-            f"({args.actions} actions, {args.cores} cores/invoker)"
+            f"({args.actions} actions, {base.cores} cores/invoker)"
         ),
     ))
     return 0
@@ -182,15 +310,9 @@ def cmd_cluster_scaling(args: argparse.Namespace) -> int:
 
 def cmd_latency_under_load(args: argparse.Namespace) -> int:
     """Open-loop load sweep: achieved throughput and latency per strategy."""
-    if args.forecast_period is not None and args.planner != "predictive":
-        print("error: --forecast-period requires --planner predictive "
-              "(it configures the predictive planner's forecaster)",
-              file=sys.stderr)
-        return 2
+    cluster = SimulationConfig(**config_fields(args))
     spec = _spec_from_args(args)
-    capacity = estimate_cluster_capacity_rps(
-        spec, invokers=args.invokers, cores=args.cores
-    )
+    capacity = estimate_cluster_capacity_rps(spec, invokers=cluster.invokers, cores=cluster.cores)
     # Warmup must fall inside the run whatever --duration was given.
     warmup = args.warmup if args.warmup is not None else min(0.5, args.duration / 8)
     rows = []
@@ -202,21 +324,15 @@ def cmd_latency_under_load(args: argparse.Namespace) -> int:
     for index, (policy, stealing, factor) in enumerate(points):
         point = measure_latency_under_load(
             spec, args.config,
+            cluster=dataclasses.replace(
+                cluster, scheduler_policy=policy, work_stealing=stealing
+            ),
             offered_rps=capacity * factor,
-            policy=policy, work_stealing=stealing,
-            invokers=args.invokers, cores=args.cores,
             actions=args.actions,
             duration_seconds=args.duration,
             warmup_seconds=warmup,
             arrivals=args.arrivals,
             trace_file=args.trace_file,
-            control_plane=args.planner is not None,
-            planner=args.planner or "reactive",
-            forecast_period_seconds=args.forecast_period,
-            restorable_snapshots=args.restorable_snapshots,
-            snapshot_budget=args.snapshot_budget,
-            isolation_mechanism=args.isolation_mechanism,
-            tracing=args.tracing,
             # Export the last point: the final strategy at the highest
             # load, where queueing makes the decomposition interesting.
             trace_out=(
@@ -239,7 +355,7 @@ def cmd_latency_under_load(args: argparse.Namespace) -> int:
         rows,
         title=(
             f"Latency under open-loop load — {spec.qualified_name} under "
-            f"{args.config} ({args.invokers} invokers x {args.cores} cores, "
+            f"{args.config} ({cluster.invokers} invokers x {cluster.cores} cores, "
             f"{args.actions} actions, {args.arrivals} arrivals)"
         ),
     ))
@@ -279,12 +395,12 @@ def _render_tenant_scenarios(scenarios: dict, title: str) -> str:
 
 def cmd_tenant_fairness(args: argparse.Namespace) -> int:
     """Tenant-fairness scenarios: FIFO collapse vs WFQ + quota protection."""
+    cluster = SimulationConfig(**config_fields(args))
     spec = _spec_from_args(args)
     scenarios = run_tenant_fairness(
         spec,
         config=args.config,
-        invokers=args.invokers,
-        cores=args.cores,
+        cluster=cluster,
         actions=args.actions,
         quota_factor=args.quota_factor,
         duration_seconds=args.duration,
@@ -293,7 +409,7 @@ def cmd_tenant_fairness(args: argparse.Namespace) -> int:
     print(_render_tenant_scenarios(
         scenarios,
         f"Tenant fairness — {spec.qualified_name} under {args.config} "
-        f"({args.invokers} invokers x {args.cores} cores, "
+        f"({cluster.invokers} invokers x {cluster.cores} cores, "
         f"{args.actions} actions, quota factor {args.quota_factor})",
     ))
     return 0
@@ -301,10 +417,12 @@ def cmd_tenant_fairness(args: argparse.Namespace) -> int:
 
 def cmd_slo_control(args: argparse.Namespace) -> int:
     """Closed-loop control plane vs static knobs: quotas and capacity."""
+    cluster = SimulationConfig(**config_fields(args))
     spec = _spec_from_args(args)
     result = run_slo_control(
         spec,
         config=args.config,
+        cluster=cluster,
         parts=tuple(args.parts),
         duration_seconds=args.duration,
         warmup_seconds=min(args.warmup, args.duration / 2),
@@ -312,10 +430,6 @@ def cmd_slo_control(args: argparse.Namespace) -> int:
         capacity_warmup_seconds=min(args.warmup, args.duration / 2),
         forecast_duration_seconds=args.forecast_duration,
         forecast_cycles=args.forecast_cycles,
-        restorable_snapshots=args.restorable_snapshots,
-        snapshot_budget=args.snapshot_budget,
-        isolation_mechanism=args.isolation_mechanism,
-        tracing=args.tracing,
         trace_out=args.trace_out,
     )
     if result.quota:
@@ -439,10 +553,9 @@ def cmd_perf_trace(args: argparse.Namespace) -> int:
             key,
             quick=args.quick,
             invocations=args.invocations,
-            seed=args.seed,
             trace_out=args.trace_out,
-            isolation_mechanism=args.isolation_mechanism,
             trace_file=args.trace_file,
+            **config_fields(args),
         )
         print(render_section(key, reports[key]))
     if args.output:
@@ -460,9 +573,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "warmth_spectrum",
         args.regime,
         invocations=args.invocations,
-        seed=args.seed,
-        tracing=args.tracing,
-        isolation_mechanism=args.isolation_mechanism,
+        **config_fields(args),
     )
     recorder = summary["recorder"]
     if args.trace_out is not None:
@@ -494,7 +605,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro", description="Groundhog (EuroSys 2023) reproduction CLI"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -513,36 +624,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="isolation configuration (default: gh)")
 
     def add_cores_and_actions_args(p: argparse.ArgumentParser, actions: int) -> None:
-        p.add_argument("--cores", type=int, default=2,
-                       help="cores per invoker (default: 2)")
-        p.add_argument("--actions", type=int, default=actions,
+        add_config_flags(p, "--cores", default=2)
+        p.add_argument("--actions", type=positive_int, default=actions,
                        help=f"deployed copies of the action (default: {actions})")
 
-    def add_isolation_mechanism_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--isolation-mechanism",
-                       choices=ISOLATION_MECHANISMS, default="gh",
-                       help="mechanism whose cost model prices snapshot "
-                            "restores (default: gh)")
-
-    def add_spectrum_and_tracing_args(p: argparse.ArgumentParser) -> None:
-        # ``main`` rejects --trace-out while --tracing is off.
-        p.add_argument("--restorable-snapshots", action="store_true",
-                       help="warmth spectrum: keep-alive eviction (and "
-                            "planner drains) demote containers to "
-                            "restorable snapshots instead of destroying "
-                            "them")
-        p.add_argument("--snapshot-budget", type=int, default=None,
-                       help="held snapshots per invoker under "
-                            "--restorable-snapshots (LRU discard beyond it; "
-                            "default: unbounded)")
-        add_isolation_mechanism_arg(p)
-        p.add_argument("--tracing", choices=TRACING_MODES, default="off",
-                       help="arm the flight recorder (default: off)")
-        p.add_argument("--trace-out", default=None,
-                       help="export a Chrome trace-event JSON here: the "
-                            "last load point's, or the controlled "
-                            "scenario's with its decision audits "
-                            "(requires --tracing sampled or full)")
+    def add_trace_out_arg(p: argparse.ArgumentParser, *names: str, help: str) -> None:
+        p.add_argument(*names, dest="trace_out", type=trace_output, default=None,
+                       help=help)
 
     demo_parser = subparsers.add_parser("demo-leak", help="show the leak and its fix")
     add_benchmark_args(demo_parser)
@@ -550,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     restore_parser = subparsers.add_parser("restore-stats", help="snapshot/restore statistics")
     add_benchmark_args(restore_parser, default="pyaes")
-    restore_parser.add_argument("--invocations", type=int, default=5)
+    restore_parser.add_argument("--invocations", type=positive_int, default=5)
     restore_parser.set_defaults(func=cmd_restore_stats)
 
     lifecycle_parser = subparsers.add_parser("lifecycle", help="Fig. 1 life-cycle phases")
@@ -562,31 +650,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_benchmark_args(cluster_parser, default="pyaes")
     add_config_arg(cluster_parser)
-    cluster_parser.add_argument("--invokers", type=int, nargs="+", default=[1, 2, 4])
+    cluster_parser.add_argument("--invokers", dest="invoker_counts", type=int,
+                                nargs="+", default=[1, 2, 4], metavar="INVOKERS",
+                                help="invoker counts to sweep")
     cluster_parser.add_argument("--policies", nargs="+", choices=SCHEDULER_POLICIES,
-                                default=list(SCHEDULER_POLICIES))
+                                default=list(SCHEDULER_POLICIES),
+                                help="scheduling policies to sweep")
     add_cores_and_actions_args(cluster_parser, actions=8)
-    cluster_parser.add_argument("--rounds", type=int, default=5,
+    cluster_parser.add_argument("--rounds", type=positive_int, default=5,
                                 help="approximate requests per core in the window")
-    cluster_parser.add_argument("--max-queue", type=int, default=None,
-                                help="bound each per-action queue; overload is shed "
-                                     "and shows up in the rejected column "
-                                     "(default: unbounded, never rejects)")
-    cluster_parser.add_argument("--in-flight", type=int, default=None,
+    add_config_flags(cluster_parser, "--max-queue")
+    cluster_parser.add_argument("--in-flight", type=positive_int, default=None,
                                 help="outstanding requests per action (default: "
                                      "sized to keep the cluster's cores busy); "
                                      "raise above --max-queue to drive shedding")
-    cluster_parser.add_argument("--work-stealing", action="store_true",
-                                help="let invokers with spare capacity pull queued "
-                                     "invocations from saturated peers")
-    cluster_parser.add_argument("--admission", choices=ADMISSION_POLICIES,
-                                default="fifo",
-                                help="per-action admission queue policy "
-                                     "(default: fifo)")
-    cluster_parser.add_argument("--autoscale", action="store_true",
-                                help="reactively raise/lower each action's "
-                                     "container ceiling from queue depth and "
-                                     "rejections instead of the static maximum")
+    add_config_flags(cluster_parser, "--work-stealing", "--admission", "--autoscale")
     cluster_parser.set_defaults(func=cmd_cluster_scaling)
 
     load_parser = subparsers.add_parser(
@@ -595,17 +673,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_benchmark_args(load_parser, default="pyaes")
     add_config_arg(load_parser)
-    load_parser.add_argument("--invokers", type=int, default=4)
+    add_config_flags(load_parser, "--invokers", default=4)
     add_cores_and_actions_args(load_parser, actions=8)
-    load_parser.add_argument("--load-factors", type=float, nargs="+",
+    load_parser.add_argument("--load-factors", type=positive_float, nargs="+",
                              default=[0.5, 1.0, 1.25],
                              help="offered load as fractions of the estimated "
                                   "warm cluster capacity")
-    load_parser.add_argument("--duration", type=float, default=4.0,
+    load_parser.add_argument("--duration", type=positive_float, default=4.0,
                              help="virtual seconds of arrivals per point")
-    load_parser.add_argument("--warmup", type=float, default=None,
+    load_parser.add_argument("--warmup", type=non_negative_float, default=None,
                              help="virtual seconds excluded from the "
-                                  "measurement window (default: duration/8, "
+                                  "measurement window, shorter than "
+                                  "--duration (default: duration/8, "
                                   "capped at 0.5s)")
     load_parser.add_argument("--arrivals",
                              choices=ARRIVAL_PROCESSES,
@@ -616,25 +695,17 @@ def build_parser() -> argparse.ArgumentParser:
                                   "diurnal + correlated-burst temporal "
                                   "modulation; or a published Azure Functions "
                                   "trace CSV replayed via --trace-file")
-    load_parser.add_argument("--trace-file", default=None,
+    load_parser.add_argument("--trace-file", type=readable_file, default=None,
                              help="path to an Azure Functions "
                                   "invocations-per-function CSV "
                                   "(required with --arrivals azure-file)")
-    load_parser.add_argument("--planner", choices=PLANNER_KINDS, default=None,
-                             help="run the SLO control plane with this "
-                                  "capacity planner: 'reactive' shifts "
-                                  "pre-warmed capacity toward observed "
-                                  "backlog, 'predictive' pre-warms toward "
-                                  "forecast per-action arrival rates one "
-                                  "boot-time ahead (default: no control "
-                                  "plane)")
-    load_parser.add_argument("--forecast-period", type=float, default=None,
-                             help="declared seasonal period (virtual "
-                                  "seconds) for the predictive planner's "
-                                  "forecaster — e.g. the diurnal cycle "
-                                  "length under --arrivals azure-diurnal "
-                                  "(default: level+trend only)")
-    add_spectrum_and_tracing_args(load_parser)
+    add_config_flags(
+        load_parser, "--planner", "--forecast-period", "--restorable-snapshots",
+        "--snapshot-budget", "--isolation-mechanism", "--tracing",
+    )
+    add_trace_out_arg(load_parser, "--trace-out",
+                      help="export the last load point's Chrome trace-event "
+                           "JSON here (requires --tracing sampled or full)")
     load_parser.set_defaults(func=cmd_latency_under_load)
 
     fairness_parser = subparsers.add_parser(
@@ -644,16 +715,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_benchmark_args(fairness_parser, default="get-time")
     fairness_parser.set_defaults(language="p")
     add_config_arg(fairness_parser)
-    fairness_parser.add_argument("--invokers", type=int, default=2)
+    add_config_flags(fairness_parser, "--invokers", default=2)
     add_cores_and_actions_args(fairness_parser, actions=4)
-    fairness_parser.add_argument("--quota-factor", type=float, default=1.2,
+    fairness_parser.add_argument("--quota-factor", type=positive_float, default=1.2,
                                  help="per-tenant quota as a multiple of the "
                                       "estimated cluster capacity (default: 1.2; "
                                       "raise toward ~1.8 to trade tail-latency "
                                       "isolation for full utilisation)")
-    fairness_parser.add_argument("--duration", type=float, default=10.0,
+    fairness_parser.add_argument("--duration", type=positive_float, default=10.0,
                                  help="virtual seconds of arrivals per scenario")
-    fairness_parser.add_argument("--warmup", type=float, default=4.0,
+    fairness_parser.add_argument("--warmup", type=non_negative_float, default=4.0,
                                  help="virtual seconds excluded from the window "
                                       "(must cover the cold-start transient)")
     fairness_parser.set_defaults(func=cmd_tenant_fairness)
@@ -673,22 +744,35 @@ def build_parser() -> argparse.ArgumentParser:
                                      "('forecast' compares the reactive vs "
                                      "the predictive capacity planner under "
                                      "diurnal arrivals at equal budget)")
-    control_parser.add_argument("--duration", type=float, default=12.0,
+    control_parser.add_argument("--duration", type=positive_float, default=12.0,
                                 help="virtual seconds of arrivals per scenario")
-    control_parser.add_argument("--warmup", type=float, default=5.0,
+    control_parser.add_argument("--warmup", type=non_negative_float, default=5.0,
                                 help="virtual seconds excluded from the window "
                                      "(must cover cold starts and control-loop "
                                      "convergence)")
-    control_parser.add_argument("--migrations", type=int, default=8,
+    control_parser.add_argument("--migrations", default=8,
+                                type=_checked(int, lambda n: n >= 0,
+                                              "must be a non-negative integer "
+                                              "(got {!r})"),
                                 help="planner migration decisions to print")
-    control_parser.add_argument("--forecast-duration", type=float, default=15.0,
+    control_parser.add_argument("--forecast-duration", type=positive_float,
+                                default=15.0,
                                 help="virtual seconds of diurnal arrivals in "
                                      "the forecast part")
-    control_parser.add_argument("--forecast-cycles", type=int, default=3,
+    control_parser.add_argument("--forecast-cycles", default=3,
+                                type=_checked(int, lambda n: n >= 2,
+                                              "must be an integer >= 2 (got {!r})"),
                                 help="diurnal cycles within the forecast "
                                      "part's duration (cycle 0 builds the "
                                      "forecaster's history)")
-    add_spectrum_and_tracing_args(control_parser)
+    add_config_flags(
+        control_parser, "--restorable-snapshots", "--snapshot-budget",
+        "--isolation-mechanism", "--tracing",
+    )
+    add_trace_out_arg(control_parser, "--trace-out",
+                      help="export the controlled scenario's Chrome "
+                           "trace-event JSON, decision audits included, here "
+                           "(requires --tracing sampled or full)")
     control_parser.set_defaults(func=cmd_slo_control)
 
     perf_parser = subparsers.add_parser(
@@ -702,28 +786,28 @@ def build_parser() -> argparse.ArgumentParser:
                              help="which tracked section to measure, or all "
                                   "of them (the table is SECTIONS in "
                                   "repro.analysis.perf)")
-    perf_parser.add_argument("--invocations", type=int, default=None,
+    perf_parser.add_argument("--invocations", type=positive_int, default=None,
                              help="requested arrivals per run (default: "
                                   "each section's own full or --quick "
                                   "size)")
-    add_isolation_mechanism_arg(perf_parser)
+    add_config_flags(perf_parser, "--isolation-mechanism")
     perf_parser.add_argument("--quick", action="store_true",
                              help="CI smoke scale: each section's quick "
                                   "size, variants and repeats")
-    perf_parser.add_argument("--trace-file", default=None,
+    perf_parser.add_argument("--trace-file", type=readable_file, default=None,
                              help="replay a published Azure Functions "
                                   "invocations-per-function CSV instead of "
                                   "the synthetic diurnal arrivals, in every "
                                   "section this command runs")
-    perf_parser.add_argument("--seed", type=int, default=20230501)
+    add_config_flags(perf_parser, "--seed")
     perf_parser.add_argument("--output", default="BENCH_perf.json",
+                             type=baseline_output,
                              help="where to write the JSON baseline "
                                   "('' disables; default: BENCH_perf.json)")
-    perf_parser.add_argument("--trace-out", default=None,
-                             help="write the first traced run's Chrome "
-                                  "trace-event JSON here (the "
-                                  "tracing-overhead section's sampled run; "
-                                  "CI uploads it as an artifact)")
+    add_trace_out_arg(perf_parser, "--trace-out",
+                      help="write the first traced run's Chrome trace-event "
+                           "JSON here (the tracing-overhead section's sampled "
+                           "run; CI uploads it as an artifact)")
     perf_parser.set_defaults(func=cmd_perf_trace)
 
     trace_parser = subparsers.add_parser(
@@ -739,21 +823,14 @@ def build_parser() -> argparse.ArgumentParser:
                                    "re-warm is a full cold boot); compare "
                                    "the boot vs restore phase shares "
                                    "(default: on)")
-    trace_parser.add_argument("--invocations", type=int, default=20_000,
+    trace_parser.add_argument("--invocations", type=positive_int, default=20_000,
                               help="requested arrivals (default: 20,000)")
-    trace_parser.add_argument("--tracing",
-                              choices=("sampled", "full"),
-                              default="sampled",
-                              help="record 1-in-16 deterministically "
-                                   "sampled invocations or every one "
-                                   "(default: sampled)")
-    add_isolation_mechanism_arg(trace_parser)
-    trace_parser.add_argument("--seed", type=int, default=20230501)
-    trace_parser.add_argument("--out", "--trace-out", dest="trace_out",
-                              default=None,
-                              help="write the Chrome trace-event JSON "
-                                   "here (load in https://ui.perfetto.dev "
-                                   "or chrome://tracing)")
+    add_config_flags(trace_parser, "--tracing",
+                     choices=TRACING_MODES[1:], default="sampled")
+    add_config_flags(trace_parser, "--isolation-mechanism", "--seed")
+    add_trace_out_arg(trace_parser, "--out", "--trace-out",
+                      help="write the Chrome trace-event JSON here (load in "
+                           "https://ui.perfetto.dev or chrome://tracing)")
     trace_parser.set_defaults(func=cmd_trace)
 
     lint_parser = subparsers.add_parser(
@@ -771,18 +848,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point.
 
-    A library error (any :class:`~repro.errors.ReproError`, e.g. an
-    unknown or ambiguous benchmark name) prints one ``error: ...`` line on
-    stderr and returns exit code 2, like the argparse usage errors,
-    instead of a traceback.
+    Malformed flags are refused before anything runs: a usage error, a
+    flag's ``type=`` check or a :class:`~repro.config.SimulationConfig`
+    refusal (each cluster command builds its config first) prints one
+    ``error: ...`` line on stderr and exits 2.  So does a library error
+    (any :class:`~repro.errors.ReproError`, e.g. an unknown or ambiguous
+    benchmark name), instead of a traceback.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # The one check of the flags add_spectrum_and_tracing_args declares.
-    if getattr(args, "tracing", None) == "off" and args.trace_out is not None:
-        print("error: --trace-out requires --tracing sampled or full",
-              file=sys.stderr)
-        return 2
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # A usage error (or ``--help``) is printed already; return its code.
+        return int(exc.code or 0)
+    # The flag pairs no one flag's check can see.
+    pairs = (
+        (getattr(args, "tracing", None) == "off" and args.trace_out is not None,
+         "--trace-out requires --tracing sampled or full"),
+        (getattr(args, "arrivals", None) == "azure-file" and args.trace_file is None,
+         "--arrivals azure-file requires --trace-file"),
+        # latency-under-load does not clamp its warmup, as the others do.
+        (args.command == "latency-under-load" and (args.warmup or 0) >= args.duration,
+         "--warmup must be shorter than --duration"),
+    )
+    for refused, refusal in pairs:
+        if refused:
+            print(f"error: {refusal}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except ReproError as exc:

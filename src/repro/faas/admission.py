@@ -192,14 +192,9 @@ class WeightedFairQueue(AdmissionQueue):
     #: Deficit credit a unit-weight tenant earns per round-robin visit.
     quantum = 1.0
 
-    def __init__(self, weights: Optional[Mapping[str, float]] = None) -> None:
+    def __init__(self) -> None:
+        #: Per-tenant weights set by :meth:`set_weight` (1.0 when unset).
         self._weights: Dict[str, float] = {}
-        for tenant, weight in (weights or {}).items():
-            if weight <= 0:
-                raise PlatformError(
-                    f"WFQ weight for tenant {tenant!r} must be positive"
-                )
-            self._weights[tenant] = float(weight)
         #: Per-tenant FIFO sub-queues of ``(push sequence, entry)``.
         self._subqueues: Dict[str, Deque[Tuple[int, QueueEntry]]] = {}
         #: Backlogged tenants in round-robin order (head is served next).
@@ -320,7 +315,7 @@ if set(_QUEUE_CLASSES) != set(ADMISSION_POLICIES):
     )
 
 
-def create_admission_queue(name: str, **options: object) -> AdmissionQueue:
+def create_admission_queue(name: str) -> AdmissionQueue:
     """Instantiate an admission queue policy by its registry name."""
     try:
         queue_class = _QUEUE_CLASSES[name]
@@ -329,7 +324,7 @@ def create_admission_queue(name: str, **options: object) -> AdmissionQueue:
             f"unknown admission policy {name!r}; "
             f"choose one of {sorted(_QUEUE_CLASSES)}"
         ) from None
-    return queue_class(**options)
+    return queue_class()
 
 
 class TenantQuotas:
@@ -353,7 +348,6 @@ class TenantQuotas:
         rate_rps: float,
         *,
         burst: Optional[float] = None,
-        per_tenant_rates: Optional[Mapping[str, float]] = None,
     ) -> None:
         if rate_rps <= 0:
             raise PlatformError("tenant quota rate must be positive")
@@ -369,8 +363,6 @@ class TenantQuotas:
         #: that tenant may draw down — a cut that left the default burst in
         #: place would take seconds to bite).
         self._bursts: Dict[str, float] = {}
-        for tenant, rate in (per_tenant_rates or {}).items():
-            self.set_rate(tenant, rate)
         #: Per-tenant bucket state: (tokens, last refill time).
         self._buckets: Dict[str, Tuple[float, float]] = {}
         self.admitted = 0

@@ -90,20 +90,14 @@ class FaaSCluster:
         self.invokers: List[Invoker] = [
             Invoker(
                 self.loop,
-                cores=self.config.cores,
+                self.config,
                 # Invoker 0 keeps the seed deployment's stream name so the
                 # N=1 platform reproduces the original runs bit for bit.
                 rng=self.rng_streams.stream("invoker" if index == 0 else f"invoker-{index}"),
-                verify_isolation=verify_isolation,
                 invoker_id=f"invoker-{index}",
-                max_queue_per_action=self.config.max_queue_per_action,
-                keep_alive_seconds=self.config.keep_alive_seconds,
-                admission=self.config.admission_policy,
                 quotas=self.quotas,
-                restorable_snapshots=self.config.restorable_snapshots,
-                snapshot_budget=self.config.snapshot_budget,
-                isolation_mechanism=self.config.isolation_mechanism,
                 tracer=self.tracer,
+                verify_isolation=verify_isolation,
             )
             for index in range(self.config.invokers)
         ]
@@ -134,14 +128,7 @@ class FaaSCluster:
         self._default_payloads: Dict[str, bytes] = {}
         #: The SLO-driven control loop (None unless ``config.control_plane``).
         self.control_plane: Optional[ControlPlane] = (
-            ControlPlane(
-                self,
-                slos=tenant_slos,
-                window_seconds=self.config.slo_window_seconds,
-                planner_kind=self.config.planner,
-                forecast_period_seconds=self.config.forecast_period_seconds,
-                tracer=self.tracer,
-            )
+            ControlPlane(self, slos=tenant_slos, tracer=self.tracer)
             if self.config.control_plane
             else None
         )

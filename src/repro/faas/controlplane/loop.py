@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, TYPE_CHECKING
 
-from repro.config import PLANNER_KINDS
-from repro.errors import PlatformError
 from repro.faas.controlplane.forecast import DemandForecaster, PredictivePlanner
 from repro.faas.controlplane.planner import CapacityPlanner, MigrationDecision
 from repro.faas.controlplane.slo import SLOMonitor, TenantSLO
@@ -41,7 +39,15 @@ IDLE_TICKS_TO_STOP = 2
 
 
 class ControlPlane:
-    """SLO-driven auto-tuning and capacity planning for one cluster."""
+    """SLO-driven auto-tuning and capacity planning for one cluster.
+
+    Reads its three knobs from ``cluster.config``, which has already
+    checked them: ``slo_window_seconds`` (the window the monitor scores
+    tenants over), ``planner`` (``"reactive"`` or ``"predictive"``) and
+    ``forecast_period_seconds`` (the predictive forecaster's seasonal
+    period).  ``slos`` declares each tenant's objective and ``tracer`` is
+    the cluster's flight recorder (``None`` when off).
+    """
 
     #: Simulated seconds between two control ticks.
     interval_seconds = 0.25
@@ -51,17 +57,11 @@ class ControlPlane:
         cluster: "FaaSCluster",
         *,
         slos: Optional[Mapping[str, TenantSLO]] = None,
-        window_seconds: float = 2.0,
-        planner_kind: str = "reactive",
-        forecast_period_seconds: Optional[float] = None,
         tracer=None,
     ) -> None:
-        if planner_kind not in PLANNER_KINDS:
-            raise PlatformError(
-                f"unknown planner kind {planner_kind!r}; "
-                f"choose one of {PLANNER_KINDS}"
-            )
         self.cluster = cluster
+        config = cluster.config
+        window_seconds = config.slo_window_seconds
         # The container budget: twice the cluster's core count.  Cores bound
         # how many containers can *run*; the factor leaves room for
         # warm-but-idle capacity on peers without unbounded growth.
@@ -77,10 +77,10 @@ class ControlPlane:
             ),
         )
         self.planner: CapacityPlanner
-        if planner_kind == "predictive":
+        if config.planner == "predictive":
             self.planner = PredictivePlanner(
                 budget,
-                forecaster=DemandForecaster(season_period_seconds=forecast_period_seconds),
+                forecaster=DemandForecaster(season_period_seconds=config.forecast_period_seconds),
             )
         else:
             self.planner = CapacityPlanner(budget)

@@ -69,9 +69,9 @@ import itertools
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.config import ADMISSION_POLICIES, DEFAULT_KEEP_ALIVE_SECONDS
+from repro.config import SimulationConfig
 from repro.errors import ActionNotFoundError, PlatformError
 from repro.faas.action import ActionSpec
 from repro.faas.admission import (
@@ -97,11 +97,6 @@ CompletionCallback = Callable[[Invocation], None]
 #: newest 64 Ki bounds invoker memory on million-invocation traces while
 #: leaving every experiment in this repo (≪ the cap) byte-identical.
 COLD_EVENT_SAMPLE_CAP = 65536
-
-#: How an invoker builds per-action admission queues: a registry name
-#: (``"fifo"``/``"wfq"``) or a zero-argument factory for custom policies
-#: (e.g. a :class:`~repro.faas.admission.WeightedFairQueue` with weights).
-AdmissionFactory = Union[str, Callable[[], AdmissionQueue]]
 
 
 @dataclass
@@ -293,52 +288,42 @@ class _Dispatched:
 
 
 class Invoker:
-    """Hosts containers and executes invocations on a fixed number of cores."""
+    """Hosts containers and executes invocations on a fixed number of cores.
+
+    ``config`` is the deployment's :class:`~repro.config.SimulationConfig`,
+    which has already checked its values.  The invoker reads seven of its
+    knobs once, into the attributes its per-request path uses: ``cores``,
+    ``max_queue_per_action``, ``keep_alive_seconds``, ``admission_policy``
+    (the registry name each action's queue is built from),
+    ``restorable_snapshots``, ``snapshot_budget`` and
+    ``isolation_mechanism``.  The rest are the invoker's own: its random
+    stream ``rng``, its ``invoker_id``, the cluster-wide ``quotas`` ledger
+    and flight recorder ``tracer`` it shares with its peers (``None``
+    when off), and ``verify_isolation``.
+    """
 
     def __init__(
         self,
         loop: EventLoop,
+        config: SimulationConfig,
         *,
-        cores: int = 1,
         rng: Optional[random.Random] = None,
-        verify_isolation: bool = False,
         invoker_id: str = "invoker-0",
-        max_queue_per_action: Optional[int] = None,
-        keep_alive_seconds: float = DEFAULT_KEEP_ALIVE_SECONDS,
-        admission: AdmissionFactory = "fifo",
         quotas: Optional[TenantQuotas] = None,
-        restorable_snapshots: bool = False,
-        snapshot_budget: Optional[int] = None,
-        isolation_mechanism: str = "gh",
         tracer=None,
+        verify_isolation: bool = False,
     ) -> None:
-        if cores < 1:
-            raise PlatformError("an invoker needs at least one core")
-        if keep_alive_seconds <= 0:
-            raise PlatformError("keep_alive_seconds must be positive")
-        if max_queue_per_action is not None and max_queue_per_action < 1:
-            raise PlatformError("max_queue_per_action must be >= 1 or None")
-        if snapshot_budget is not None:
-            if not restorable_snapshots:
-                raise PlatformError("snapshot_budget requires restorable_snapshots")
-            if snapshot_budget < 0:
-                raise PlatformError("snapshot_budget must be >= 0 or None")
-        if isinstance(admission, str) and admission not in ADMISSION_POLICIES:
-            raise PlatformError(
-                f"unknown admission policy {admission!r}; "
-                f"choose one of {ADMISSION_POLICIES}"
-            )
         self.loop = loop
-        self.cores = cores
+        self.cores = config.cores
         self.cost_model = DEFAULT_COST_MODEL
         #: This host's kernel: its processes and its pids are its own.
         self.kernel = SimKernel(self.cost_model)
         self.rng = rng if rng is not None else fallback_stream("faas.invoker")
         self.verify_isolation = verify_isolation
         self.invoker_id = invoker_id
-        self.max_queue_per_action = max_queue_per_action
-        self.keep_alive_seconds = keep_alive_seconds
-        self._admission = admission
+        self.max_queue_per_action = config.max_queue_per_action
+        self.keep_alive_seconds = config.keep_alive_seconds
+        self._admission_policy = config.admission_policy
         #: Shared (usually cluster-wide) per-tenant admission quotas.
         self.quotas = quotas
         #: The warmth spectrum: when True, keep-alive eviction and drains
@@ -347,12 +332,12 @@ class Invoker:
         #: ``isolation_mechanism`` instead of a full boot.  Off (the
         #: default), evictions destroy containers — the binary
         #: warm-vs-cold behaviour, bit for bit.
-        self.restorable_snapshots = restorable_snapshots
+        self.restorable_snapshots = config.restorable_snapshots
         #: Cap on held snapshots across all pools (None = unbounded);
         #: exceeding demotes discard the least-recently-demoted snapshot.
-        self.snapshot_budget = snapshot_budget
+        self.snapshot_budget = config.snapshot_budget
         #: Which mechanism's restore model prices snapshot restores.
-        self.isolation_mechanism = isolation_mechanism
+        self.isolation_mechanism = config.isolation_mechanism
         #: Flight recorder (a ``repro.faas.obs.TraceRecorder``) shared
         #: cluster-wide, or ``None`` with tracing off — every
         #: instrumentation site below guards on that, so the untraced
@@ -597,17 +582,12 @@ class Invoker:
             raise PlatformError(f"action {spec.name!r} is already deployed")
         pool = _ActionPool(
             spec=spec,
-            queue=self._new_queue(),
+            queue=create_admission_queue(self._admission_policy),
             max_containers=max_containers,
             seq=len(self._pools),
         )
         self._pools[spec.name] = pool
         return pool
-
-    def _new_queue(self) -> AdmissionQueue:
-        if callable(self._admission):
-            return self._admission()
-        return create_admission_queue(self._admission)
 
     def _build_container(self, spec: ActionSpec, *, dynamic: bool) -> Container:
         # Named like OpenWhisk's containers: the invoker and its own count,

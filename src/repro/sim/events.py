@@ -103,13 +103,10 @@ _Entry = Tuple[float, int, Event]
 class RecurringTimer:
     """A cancellable timer that re-arms itself after every firing.
 
-    Each firing schedules a fresh heap entry through the normal
+    Each firing schedules a fresh event through the normal
     ``(time, sequence)`` path, so recurring timers interleave with one-shot
     events deterministically: two runs that create the same timers in the
-    same order produce identical execution traces.  As an allocation
-    fast path, the timer *reuses* its just-fired :class:`Event` object for
-    the next arming (same ordering semantics — a fresh sequence number is
-    drawn) instead of constructing a new one per tick.
+    same order produce identical execution traces.
 
     The timer stays armed until :meth:`cancel` is called (the callback may
     cancel its own timer).  Because an armed timer always has one pending
@@ -141,13 +138,7 @@ class RecurringTimer:
         return not self._cancelled
 
     def _arm(self) -> None:
-        event = self._event
-        if event is not None and event.popped and not event.cancelled:
-            # Fast path: the previous firing's event is out of the heap
-            # and nobody else holds it — recycle it for the next tick.
-            self._event = self.loop.reschedule(event, self.interval)
-        else:
-            self._event = self.loop.schedule(self.interval, self._fire, label=self.label)
+        self._event = self.loop.schedule(self.interval, self._fire, label=self.label)
 
     def _fire(self) -> None:
         if self._cancelled:
@@ -217,25 +208,6 @@ class EventLoop:
         sequence = next(self._sequence)
         event = Event(time, sequence, callback, label, self)
         heapq.heappush(self._queue, (time, sequence, event))
-        return event
-
-    def reschedule(self, event: Event, delay: float) -> Event:
-        """Re-queue an already-popped event ``delay`` seconds from now.
-
-        The allocation fast path for recurring timers: the event object is
-        recycled with a fresh ``(time, sequence)`` pair, so ordering and
-        determinism are identical to scheduling a brand-new event.
-        """
-        if delay < 0:
-            raise EventLoopError(f"cannot schedule event in the past (delay={delay})")
-        if not event.popped:
-            raise EventLoopError("cannot reschedule an event that is still queued")
-        event.time = self.clock._now + delay
-        event.sequence = next(self._sequence)
-        event.cancelled = False
-        event.popped = False
-        event.loop = self
-        heapq.heappush(self._queue, (event.time, event.sequence, event))
         return event
 
     def schedule_recurring(

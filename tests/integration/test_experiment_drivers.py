@@ -7,9 +7,12 @@ smaller scale — and asserts the qualitative findings the paper reports
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.experiments import (
+    LOAD_CLUSTER,
     colliding_action_names,
     estimate_cluster_capacity_rps,
     headline_summary,
@@ -158,8 +161,11 @@ class TestSuiteDrivers:
         for policy, stealing in (("least-loaded", False), ("warm-aware", True)):
             for factor in (0.4, 0.8):
                 point = measure_latency_under_load(
-                    spec, offered_rps=capacity * factor, policy=policy,
-                    work_stealing=stealing, duration_seconds=2.0, warmup_seconds=0.25,
+                    spec, offered_rps=capacity * factor,
+                    cluster=dataclasses.replace(
+                        LOAD_CLUSTER, scheduler_policy=policy, work_stealing=stealing
+                    ),
+                    duration_seconds=2.0, warmup_seconds=0.25,
                 )
                 assert point.achieved_rps > 0
                 assert point.p95_ms > 0

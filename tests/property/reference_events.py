@@ -9,8 +9,8 @@ replaced all three with a heap of ``(time, sequence, event)`` tuples and a
 single-pop run loop; the property suite drives both through the same
 operations and requires the same firings, return values and counters.
 The cancellation accounting, compaction (at the shipped
-``COMPACT_MIN_CANCELLED``) and the recurring timer's event reuse are
-kept as they were.
+``COMPACT_MIN_CANCELLED``) and the recurring timer, which schedules a
+fresh event per firing, are kept as they are.
 """
 
 from __future__ import annotations
@@ -104,13 +104,7 @@ class ReferenceRecurringTimer:
         return not self._cancelled
 
     def _arm(self) -> None:
-        event = self._event
-        if event is not None and event.popped and not event.cancelled:
-            # Fast path: the previous firing's event is out of the heap
-            # and nobody else holds it — recycle it for the next tick.
-            self._event = self.loop.reschedule(event, self.interval)
-        else:
-            self._event = self.loop.schedule(self.interval, self._fire, label=self.label)
+        self._event = self.loop.schedule(self.interval, self._fire, label=self.label)
 
     def _fire(self) -> None:
         if self._cancelled:
@@ -183,25 +177,6 @@ class ReferenceEventLoop:
             label=label,
             loop=self,
         )
-        heapq.heappush(self._queue, event)
-        return event
-
-    def reschedule(self, event: ReferenceEvent, delay: float) -> ReferenceEvent:
-        """Re-queue an already-popped event ``delay`` seconds from now.
-
-        The allocation fast path for recurring timers: the event object is
-        recycled with a fresh ``(time, sequence)`` pair, so ordering and
-        determinism are identical to scheduling a brand-new event.
-        """
-        if delay < 0:
-            raise EventLoopError(f"cannot schedule event in the past (delay={delay})")
-        if not event.popped:
-            raise EventLoopError("cannot reschedule an event that is still queued")
-        event.time = self.clock.now + delay
-        event.sequence = next(self._sequence)
-        event.cancelled = False
-        event.popped = False
-        event.loop = self
         heapq.heappush(self._queue, event)
         return event
 

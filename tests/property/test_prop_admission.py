@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import SimulationConfig
 from repro.faas.action import ActionSpec
 from repro.faas.admission import FifoQueue, WeightedFairQueue
 from repro.faas.invoker import Invoker
@@ -124,7 +125,11 @@ def _run_wfq_steal_pattern(
     actions = [f"act-{i}" for i in range(num_actions)]
     loop = EventLoop()
     invokers = [
-        Invoker(loop, cores=1, invoker_id=f"invoker-{i}", admission="wfq")
+        Invoker(
+            loop,
+            SimulationConfig(cores=1, admission_policy="wfq"),
+            invoker_id=f"invoker-{i}",
+        )
         for i in range(num_invokers)
     ]
     scheduler = Scheduler(

@@ -21,6 +21,7 @@ from typing import List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import SimulationConfig
 from repro.faas.action import ActionSpec
 from repro.faas.container import ContainerState
 from repro.faas.controlplane import CapacityPlanner
@@ -66,7 +67,7 @@ OPS = st.lists(
 def _build(num_invokers: int) -> Tuple[EventLoop, List[Invoker]]:
     loop = EventLoop()
     invokers = [
-        Invoker(loop, cores=2, invoker_id=f"invoker-{i}")
+        Invoker(loop, SimulationConfig(cores=2), invoker_id=f"invoker-{i}")
         for i in range(num_invokers)
     ]
     for index, name in enumerate(ACTIONS):

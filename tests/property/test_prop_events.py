@@ -24,7 +24,6 @@ from hypothesis import example, given, settings, strategies as st
 import repro.faas.cluster
 from reference_events import ReferenceEventLoop
 from repro.config import SimulationConfig
-from repro.errors import EventLoopError
 from repro.faas.action import ActionSpec
 from repro.faas.cluster import FaaSCluster
 from repro.faas.request import InvocationStatus
@@ -145,7 +144,6 @@ _OPERATION = st.one_of(
     st.tuples(st.just("schedule"), st.sampled_from(_DELAYS), _NESTED),
     st.tuples(st.just("schedule_at"), st.sampled_from(_DELAYS), _NESTED),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
-    st.tuples(st.just("reschedule"), st.integers(0, 63), st.sampled_from(_DELAYS)),
     st.tuples(
         st.just("recurring"),
         st.sampled_from((0.25, 0.5, 1.0)),
@@ -229,14 +227,6 @@ class _Driven:
             if self.events:
                 # Before its firing, after it, or a second time.
                 self.events[operation[1] % len(self.events)].cancel()
-        elif kind == "reschedule":
-            if self.events:
-                event = self.events[operation[1] % len(self.events)]
-                try:
-                    loop.reschedule(event, operation[2])
-                    self.returns.append("rescheduled")
-                except EventLoopError:
-                    self.returns.append("refused")
         elif kind == "recurring":
             self._recurring(operation[1], operation[2], operation[3])
         elif kind == "run_until":
@@ -277,7 +267,7 @@ def _assert_twins_agree(operations) -> None:
 @given(operations=st.lists(_OPERATION, max_size=60))
 @example(
     # Ties, ``until`` on an event's own time, cancels twice and after the
-    # firing, reschedules of a fired and of a queued event, ``step``.
+    # firing, ``step``.
     operations=[
         ("schedule", 1.0, ("noop",)),
         ("schedule_at", 1.0, ("cancel", 0)),
@@ -286,8 +276,6 @@ def _assert_twins_agree(operations) -> None:
         ("run_until", 1.0),
         ("cancel", 0),
         ("cancel", 0),
-        ("reschedule", 0, 0.25),
-        ("reschedule", 0, 0.5),
         ("step",),
         ("run_max", 1),
         ("run_until", 0.0),

@@ -26,6 +26,7 @@ from typing import List
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import SimulationConfig
 from repro.faas.action import ActionSpec
 from repro.faas.controlplane import CapacityPlanner, DemandForecaster, PredictivePlanner
 from repro.faas.invoker import Invoker
@@ -132,7 +133,7 @@ OPS = st.lists(
 def _build(num_invokers: int):
     loop = EventLoop()
     invokers = [
-        Invoker(loop, cores=2, invoker_id=f"invoker-{i}")
+        Invoker(loop, SimulationConfig(cores=2), invoker_id=f"invoker-{i}")
         for i in range(num_invokers)
     ]
     for index, name in enumerate(ACTIONS):

@@ -32,6 +32,7 @@ from typing import List, Optional, Tuple
 from hypothesis import example, given, settings, strategies as st
 from reference_routing import ReferenceScheduler
 
+from repro.config import SimulationConfig
 from repro.faas.action import ActionSpec
 from repro.faas.invoker import Invoker
 from repro.faas.request import Invocation
@@ -101,7 +102,7 @@ def _run_cluster(
     actions = [f"act-{i}" for i in range(num_actions)]
     loop = EventLoop()
     invokers = [
-        Invoker(loop, cores=1, invoker_id=f"invoker-{i}")
+        Invoker(loop, SimulationConfig(cores=1), invoker_id=f"invoker-{i}")
         for i in range(num_invokers)
     ]
     scheduler = (ReferenceScheduler if reference else Scheduler)(

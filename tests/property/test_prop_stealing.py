@@ -26,6 +26,7 @@ from typing import List
 
 from hypothesis import given, settings, strategies as st
 
+from repro.config import SimulationConfig
 from repro.faas.action import ActionSpec
 from repro.faas.invoker import Invoker
 from repro.faas.request import Invocation, InvocationStatus
@@ -62,7 +63,11 @@ def _build_cluster(
     registered off-home (the standard deployment geometry)."""
     loop = EventLoop()
     invokers = [
-        Invoker(loop, cores=1, invoker_id=f"invoker-{i}") for i in range(num_invokers)
+        Invoker(
+            loop,
+            SimulationConfig(cores=1),
+            invoker_id=f"invoker-{i}",
+        ) for i in range(num_invokers)
     ]
     scheduler = Scheduler(
         invokers,

@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 from hypothesis import given, settings, strategies as st
 from reference_routing import ReferenceScheduler
 
+from repro.config import SimulationConfig
 from repro.faas.action import ActionSpec
 from repro.faas.invoker import Invoker
 from repro.faas.request import Invocation
@@ -84,11 +85,8 @@ def _run_cluster(
     invokers = [
         Invoker(
             loop,
-            cores=2,
+            SimulationConfig(cores=2, keep_alive_seconds=keep_alive_seconds, restorable_snapshots=spectrum, snapshot_budget=snapshot_budget),
             invoker_id=f"invoker-{i}",
-            keep_alive_seconds=keep_alive_seconds,
-            restorable_snapshots=spectrum,
-            snapshot_budget=snapshot_budget,
         )
         for i in range(num_invokers)
     ]

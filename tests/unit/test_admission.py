@@ -101,7 +101,9 @@ class TestWeightedFairQueue:
         ]
 
     def test_weights_bias_the_service_ratio(self):
-        queue = WeightedFairQueue(weights={"gold": 2.0, "bronze": 1.0})
+        queue = WeightedFairQueue()
+        queue.set_weight("gold", 2.0)
+        queue.set_weight("bronze", 1.0)
         for index in range(12):
             queue.push(_entry("gold", index))
             queue.push(_entry("bronze", index))
@@ -111,7 +113,8 @@ class TestWeightedFairQueue:
         assert served.count("bronze") == 3
 
     def test_fractional_weight_accumulates_credit(self):
-        queue = WeightedFairQueue(weights={"slow": 0.5})
+        queue = WeightedFairQueue()
+        queue.set_weight("slow", 0.5)
         queue.push(_entry("slow", 0))
         queue.push(_entry("fast", 1))
         # The fractional-weight tenant needs two round visits per service,
@@ -160,7 +163,7 @@ class TestWeightedFairQueue:
 
     def test_validation(self):
         with pytest.raises(PlatformError):
-            WeightedFairQueue(weights={"t": 0.0})
+            WeightedFairQueue().set_weight("t", 0.0)
         with pytest.raises(PlatformError):
             WeightedFairQueue().pop_next()
 
@@ -193,7 +196,8 @@ class TestTenantQuotas:
         assert quotas.admit("b", now=0.0)
 
     def test_per_tenant_rate_override(self):
-        quotas = TenantQuotas(1.0, burst=1.0, per_tenant_rates={"vip": 100.0})
+        quotas = TenantQuotas(1.0, burst=1.0)
+        quotas.set_rate("vip", 100.0)
         assert quotas.rate("vip") == 100.0
         assert quotas.rate("anyone-else") == 1.0
         assert quotas.admit("vip", now=0.0)
@@ -214,13 +218,17 @@ class TestTenantQuotas:
         with pytest.raises(PlatformError):
             TenantQuotas(1.0, burst=0.5)
         with pytest.raises(PlatformError):
-            TenantQuotas(1.0, per_tenant_rates={"t": -1.0})
+            TenantQuotas(1.0).set_rate("t", -1.0)
 
 
 class TestInvokerAdmission:
     def test_quota_throttles_with_distinct_status(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1, quotas=TenantQuotas(10.0, burst=1.0))
+        invoker = Invoker(
+            loop,
+            SimulationConfig(cores=1),
+            quotas=TenantQuotas(10.0, burst=1.0),
+        )
         invoker.deploy(_action(small_python_profile, "q"), containers=1)
         done = []
         invoker.submit(Invocation(action="q", payload=b"x", caller="t"), done.append)
@@ -236,7 +244,7 @@ class TestInvokerAdmission:
 
     def test_wfq_interleaves_tenants_on_one_invoker(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1, admission="wfq")
+        invoker = Invoker(loop, SimulationConfig(cores=1, admission_policy="wfq"))
         invoker.deploy(_action(small_python_profile, "fair"), containers=1)
         finished = []
         # The hog floods first; the polite tenant's single request must not
@@ -261,7 +269,8 @@ class TestInvokerAdmission:
     ):
         loop = EventLoop()
         invoker = Invoker(
-            loop, cores=1, admission="wfq", max_queue_per_action=3
+            loop,
+            SimulationConfig(cores=1, admission_policy="wfq", max_queue_per_action=3),
         )
         invoker.deploy(_action(small_python_profile, "full"), containers=1)
         shed = []
@@ -286,7 +295,7 @@ class TestInvokerAdmission:
         # Under FIFO admission the bounded-queue behaviour is unchanged:
         # the incoming invocation is shed, whoever is queued.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1, max_queue_per_action=2)
+        invoker = Invoker(loop, SimulationConfig(cores=1, max_queue_per_action=2))
         invoker.deploy(_action(small_python_profile, "fifo"), containers=1)
         done = []
         for _ in range(4):
@@ -298,24 +307,9 @@ class TestInvokerAdmission:
         assert polite.status is InvocationStatus.REJECTED
         assert invoker.invocations_rejected == 2
 
-    def test_unknown_admission_policy_rejected(self):
-        with pytest.raises(PlatformError):
-            Invoker(EventLoop(), cores=1, admission="lifo")
-
-    def test_custom_admission_factory(self, small_python_profile):
-        loop = EventLoop()
-        invoker = Invoker(
-            loop, cores=1,
-            admission=lambda: WeightedFairQueue(weights={"gold": 4.0}),
-        )
-        invoker.deploy(_action(small_python_profile, "custom"), containers=1)
-        assert isinstance(
-            invoker._pools["custom"].queue, WeightedFairQueue
-        )
-
     def test_snapshot_reports_per_tenant_queue_depth(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.deploy(_action(small_python_profile, "snap"), containers=1)
         for caller in ("a", "a", "b"):
             invoker.submit(
@@ -371,7 +365,7 @@ class TestMetricsThrottledAccounting:
 class TestReactiveAutoscaler:
     def _pressured_invoker(self, profile, *, queue_high=2, cooldown=0.05):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=4, keep_alive_seconds=0.5)
+        invoker = Invoker(loop, SimulationConfig(cores=4, keep_alive_seconds=0.5))
         ReactiveAutoscaler(
             queue_high=queue_high, cooldown_seconds=cooldown
         ).attach(invoker)
@@ -423,7 +417,7 @@ class TestReactiveAutoscaler:
 
     def test_rejection_pressure_raises_the_ceiling(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2, max_queue_per_action=1)
+        invoker = Invoker(loop, SimulationConfig(cores=2, max_queue_per_action=1))
         ReactiveAutoscaler(queue_high=50, cooldown_seconds=0.01).attach(invoker)
         invoker.deploy(
             _action(small_python_profile, "rej"), containers=1, max_containers=1
@@ -440,9 +434,13 @@ class TestReactiveAutoscaler:
     def test_attach_is_exclusive(self, small_python_profile):
         loop = EventLoop()
         autoscaler = ReactiveAutoscaler()
-        autoscaler.attach(Invoker(loop, cores=1))
+        autoscaler.attach(Invoker(loop, SimulationConfig(cores=1)))
         with pytest.raises(PlatformError):
-            autoscaler.attach(Invoker(loop, cores=1, invoker_id="invoker-1"))
+            autoscaler.attach(Invoker(
+                loop,
+                SimulationConfig(cores=1),
+                invoker_id="invoker-1",
+            ))
 
     def test_validation(self):
         with pytest.raises(PlatformError):
@@ -452,7 +450,7 @@ class TestReactiveAutoscaler:
 
     def test_scale_action_clamps_to_cores_and_floor(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.deploy(
             _action(small_python_profile, "clamp"), containers=1, max_containers=1
         )
@@ -498,8 +496,8 @@ class TestCalibratedWarmPenalty:
         # A backlog of 3 on the warm invoker: the constant (32) keeps
         # traffic there, a small calibrated penalty spills to the cold one.
         loop = EventLoop()
-        warm = Invoker(loop, cores=1, invoker_id="invoker-0")
-        cold = Invoker(loop, cores=1, invoker_id="invoker-1")
+        warm = Invoker(loop, SimulationConfig(cores=1), invoker_id="invoker-0")
+        cold = Invoker(loop, SimulationConfig(cores=1), invoker_id="invoker-1")
         spec = _action(small_python_profile, "spill")
         warm.deploy(spec, containers=1, max_containers=1)
         cold.register(spec, max_containers=1)

@@ -96,14 +96,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "azure-file arrivals" in out
 
-    def test_azure_file_arrivals_require_a_trace_file(self):
-        with pytest.raises(ValueError):
-            main([
-                "latency-under-load", "--benchmark", "get-time",
-                "--language", "p", "--invokers", "2", "--actions", "2",
-                "--load-factors", "0.4", "--duration", "1.0",
-                "--arrivals", "azure-file",
-            ])
+    def test_azure_file_arrivals_require_a_trace_file(self, capsys):
+        assert main([
+            "latency-under-load", "--benchmark", "get-time",
+            "--language", "p", "--invokers", "2", "--actions", "2",
+            "--load-factors", "0.4", "--duration", "1.0",
+            "--arrivals", "azure-file",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --arrivals azure-file requires --trace-file"
+        ]
+        assert captured.out == ""
 
     def test_slo_control_quota_part(self, capsys):
         assert main([

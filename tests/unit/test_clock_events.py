@@ -271,51 +271,3 @@ class TestHeapHygiene:
         assert loop.pending < 500  # corpses were reclaimed along the way
         assert loop.compactions >= 1
 
-
-class TestReschedule:
-    def test_reschedule_reuses_the_event_object(self):
-        loop = EventLoop()
-        fired = []
-        event = loop.schedule(1.0, lambda: fired.append(loop.now))
-        loop.run()
-        assert event.popped
-        again = loop.reschedule(event, 2.0)
-        assert again is event
-        assert not event.popped
-        loop.run()
-        assert fired == [1.0, 3.0]
-
-    def test_reschedule_refuses_queued_events(self):
-        loop = EventLoop()
-        event = loop.schedule(1.0, lambda: None)
-        with pytest.raises(EventLoopError):
-            loop.reschedule(event, 1.0)
-
-    def test_reschedule_refuses_negative_delay(self):
-        loop = EventLoop()
-        event = loop.schedule(1.0, lambda: None)
-        loop.run()
-        with pytest.raises(EventLoopError):
-            loop.reschedule(event, -0.5)
-
-    def test_recurring_timer_recycles_its_event(self):
-        loop = EventLoop()
-        timer = loop.schedule_recurring(1.0, lambda: None)
-        first = timer._event
-        loop.run(until=3.5)
-        # The fast path re-armed the same Event object each firing with a
-        # fresh sequence number (ordering semantics preserved).
-        assert timer._event is first
-        assert timer.fires == 3
-        timer.cancel()
-
-    def test_recycling_preserves_interleaving_semantics(self):
-        # Same scenario as test_interleaves_deterministically_with_one_shots:
-        # recycling must not change the (time, sequence) interleaving.
-        loop = EventLoop()
-        seen = []
-        timer = loop.schedule_recurring(1.0, lambda: seen.append(("tick", loop.now)))
-        loop.schedule(1.0, lambda: seen.append(("shot", loop.now)))
-        loop.schedule(2.5, lambda: (seen.append(("stop", loop.now)), timer.cancel()))
-        loop.run()
-        assert seen == [("tick", 1.0), ("shot", 1.0), ("tick", 2.0), ("stop", 2.5)]

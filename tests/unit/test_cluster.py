@@ -30,7 +30,11 @@ def _action(profile: FunctionProfile, name: str, mechanism: str = "base") -> Act
 
 
 def _cluster_invokers(loop: EventLoop, count: int, cores: int = 1) -> list:
-    return [Invoker(loop, cores=cores, invoker_id=f"invoker-{i}") for i in range(count)]
+    return [Invoker(
+        loop,
+        SimulationConfig(cores=cores),
+        invoker_id=f"invoker-{i}",
+    ) for i in range(count)]
 
 
 class TestPolicies:
@@ -229,7 +233,7 @@ class TestClusterPlatform:
 class TestDynamicPools:
     def test_cold_start_on_demand_grows_pool(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         spec = _action(small_python_profile, "grow")
         invoker.deploy(spec, containers=1, max_containers=2)
         done = []
@@ -247,7 +251,7 @@ class TestDynamicPools:
 
     def test_registered_action_serves_entirely_via_cold_start(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         spec = _action(small_python_profile, "cold-only")
         invoker.register(spec, max_containers=1)
         assert invoker.pool("cold-only") == []
@@ -261,7 +265,7 @@ class TestDynamicPools:
 
     def test_pool_never_exceeds_max_containers(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=4)
+        invoker = Invoker(loop, SimulationConfig(cores=4))
         spec = _action(small_python_profile, "capped")
         invoker.deploy(spec, containers=1, max_containers=2)
         done = []
@@ -276,7 +280,7 @@ class TestDynamicPools:
         # Action B has an idle warm container; only the core is busy (with
         # action A).  Another container cannot help, so the pool must not grow.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.deploy(_action(small_python_profile, "hog"), containers=1, max_containers=4)
         invoker.deploy(_action(small_c_profile, "bystander"), containers=1, max_containers=4)
         done = []
@@ -291,7 +295,7 @@ class TestDynamicPools:
         # Boots already in flight cover the queue: a second queued request
         # triggers a second boot, a third does not exceed the demand.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=4)
+        invoker = Invoker(loop, SimulationConfig(cores=4))
         spec = _action(small_python_profile, "demand")
         invoker.register(spec, max_containers=8)
         for _ in range(3):
@@ -305,7 +309,7 @@ class TestDynamicPools:
         # containers beyond the core count can never run concurrently and
         # must not be booted, whatever max_containers allows.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         spec = _action(small_python_profile, "core-capped")
         invoker.deploy(spec, containers=1, max_containers=4)
         done = []
@@ -318,14 +322,14 @@ class TestDynamicPools:
 
     def test_deploy_rejects_ceiling_below_prewarm(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         with pytest.raises(PlatformError):
             invoker.deploy(_action(small_python_profile, "bad"), containers=2,
                            max_containers=1)
 
     def test_keep_alive_evicts_only_dynamic_containers(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2, keep_alive_seconds=1.0)
+        invoker = Invoker(loop, SimulationConfig(cores=2, keep_alive_seconds=1.0))
         spec = _action(small_python_profile, "evict")
         invoker.deploy(spec, containers=1, max_containers=2)
         done = []
@@ -341,7 +345,7 @@ class TestDynamicPools:
 
     def test_evicted_container_is_dead(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1, keep_alive_seconds=0.5)
+        invoker = Invoker(loop, SimulationConfig(cores=1, keep_alive_seconds=0.5))
         spec = _action(small_python_profile, "dead")
         invoker.register(spec, max_containers=1)
         invoker.submit(Invocation(action="dead", payload=b"x"), lambda inv: None)
@@ -356,7 +360,7 @@ class TestDynamicPools:
         # and however many eviction periods pass, they are never reclaimed
         # — only dynamic (on-demand) growth above the floor is.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=4, keep_alive_seconds=1.0)
+        invoker = Invoker(loop, SimulationConfig(cores=4, keep_alive_seconds=1.0))
         spec = _action(small_python_profile, "floor")
         invoker.deploy(spec, containers=2, max_containers=4)
         done = []
@@ -383,7 +387,7 @@ class TestDynamicPools:
 class TestBackpressure:
     def test_saturated_invoker_queues_fifo_per_action(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.deploy(_action(small_python_profile, "fifo"), containers=1)
         submitted = [Invocation(action="fifo", payload=b"x") for _ in range(4)]
         finished = []
@@ -398,7 +402,7 @@ class TestBackpressure:
 
     def test_bounded_queue_rejects_with_distinct_status(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1, max_queue_per_action=2)
+        invoker = Invoker(loop, SimulationConfig(cores=1, max_queue_per_action=2))
         invoker.deploy(_action(small_python_profile, "bounded"), containers=1)
         finished = []
         for _ in range(5):
@@ -417,7 +421,7 @@ class TestBackpressure:
         # A request the bounded queue refuses is not demand: it must not
         # leave a surplus container booting behind it.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=4, max_queue_per_action=1)
+        invoker = Invoker(loop, SimulationConfig(cores=4, max_queue_per_action=1))
         spec = _action(small_python_profile, "shed-no-boot")
         invoker.register(spec, max_containers=4)
         finished = []

@@ -14,7 +14,7 @@ from typing import List
 
 import reference_routing
 
-from repro.config import DEFAULT_KEEP_ALIVE_SECONDS
+from repro.config import DEFAULT_KEEP_ALIVE_SECONDS, SimulationConfig
 from repro.faas.action import ActionSpec
 from repro.faas.index import ClusterIndex, _HEAP_SLACK_FACTOR
 from repro.faas.invoker import Invoker
@@ -53,7 +53,7 @@ def _spec(name: str) -> ActionSpec:
 def _cluster(num_invokers: int, cores: int = 1):
     loop = EventLoop()
     invokers = [
-        Invoker(loop, cores=cores, invoker_id=f"invoker-{i}")
+        Invoker(loop, SimulationConfig(cores=cores), invoker_id=f"invoker-{i}")
         for i in range(num_invokers)
     ]
     return loop, invokers
@@ -173,8 +173,12 @@ class TestClusterIndexStructures:
         # zero load, evicted and demoted containers) would never reach it.
         loop = EventLoop()
         invokers = [
-            Invoker(loop, invoker_id="invoker-0"),
-            Invoker(loop, invoker_id="invoker-1", restorable_snapshots=True),
+            Invoker(loop, SimulationConfig(), invoker_id="invoker-0"),
+            Invoker(
+                loop,
+                SimulationConfig(restorable_snapshots=True),
+                invoker_id="invoker-1",
+            ),
         ]
         first = ClusterIndex(invokers)
         invokers[0].deploy(_spec("act-a"), containers=1, max_containers=2)
@@ -283,7 +287,7 @@ class TestSchedulerIndexWiring:
         # both: a boot-steal thief.
         loop = EventLoop()
         invokers = [
-            Invoker(loop, cores=cores, invoker_id=f"invoker-{i}")
+            Invoker(loop, SimulationConfig(cores=cores), invoker_id=f"invoker-{i}")
             for i, cores in enumerate((2, 1, 1))
         ]
         scheduler = Scheduler(

@@ -288,7 +288,7 @@ class TestQuotaTunerAIMD:
 class TestPrewarmAndDrain:
     def test_prewarm_boots_a_dynamic_container(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.register(_action(small_python_profile, "seed"), max_containers=2)
         assert invoker.prewarm("seed")
         loop.run(until=100.0)
@@ -301,7 +301,7 @@ class TestPrewarmAndDrain:
 
     def test_prewarm_respects_headroom(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.register(_action(small_python_profile, "full"), max_containers=1)
         assert invoker.prewarm("full")
         loop.run(until=100.0)
@@ -310,7 +310,7 @@ class TestPrewarmAndDrain:
 
     def test_prewarmed_first_dispatch_is_a_warm_hit(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.register(_action(small_python_profile, "ahead"), max_containers=1)
         invoker.prewarm("ahead")
         loop.run(until=100.0)  # the seed finishes booting before any request
@@ -322,7 +322,7 @@ class TestPrewarmAndDrain:
 
     def test_demand_boot_first_dispatch_stays_cold(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.register(_action(small_python_profile, "cold"), max_containers=1)
         done = []
         invoker.submit(Invocation(action="cold", submitted_at=loop.now), done.append)
@@ -332,7 +332,7 @@ class TestPrewarmAndDrain:
 
     def test_drain_reclaims_only_idle_dynamic_containers(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         spec = _action(small_python_profile, "drainable")
         invoker.deploy(spec, containers=1, max_containers=2)
         invoker.prewarm("drainable")
@@ -345,7 +345,7 @@ class TestPrewarmAndDrain:
 
     def test_drain_refuses_while_work_is_queued(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         spec = _action(small_python_profile, "busy")
         invoker.deploy(spec, containers=1, max_containers=2)
         invoker.prewarm("busy")
@@ -358,7 +358,7 @@ class TestPrewarmAndDrain:
 
     def test_drain_honours_min_idle_seconds(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.register(_action(small_python_profile, "fresh"), max_containers=1)
         invoker.prewarm("fresh")
         loop.run(until=100.0)
@@ -369,11 +369,11 @@ class TestPrewarmAndDrain:
 
     def test_set_tenant_weight_counts_fair_queues(self, small_python_profile):
         loop = EventLoop()
-        wfq_invoker = Invoker(loop, cores=1, admission="wfq")
+        wfq_invoker = Invoker(loop, SimulationConfig(cores=1, admission_policy="wfq"))
         wfq_invoker.register(_action(small_python_profile, "w1"), max_containers=1)
         wfq_invoker.register(_action(small_python_profile, "w2"), max_containers=1)
         assert wfq_invoker.set_tenant_weight("t", 4.0) == 2
-        fifo_invoker = Invoker(loop, cores=1)
+        fifo_invoker = Invoker(loop, SimulationConfig(cores=1))
         fifo_invoker.register(_action(small_python_profile, "f1"), max_containers=1)
         assert fifo_invoker.set_tenant_weight("t", 4.0) == 0  # no-op, no error
 
@@ -382,7 +382,11 @@ class TestCapacityPlanner:
     def _invokers(self, loop, spec, *, count=3, cores=2, ceiling=2):
         invokers = []
         for index in range(count):
-            invoker = Invoker(loop, cores=cores, invoker_id=f"invoker-{index}")
+            invoker = Invoker(
+                loop,
+                SimulationConfig(cores=cores),
+                invoker_id=f"invoker-{index}",
+            )
             if index == 0:
                 invoker.deploy(spec, containers=1, max_containers=ceiling)
             else:
@@ -462,7 +466,7 @@ class TestCapacityPlanner:
     def test_never_drains_a_busy_container(self, small_python_profile):
         loop = EventLoop()
         spec = _action(small_python_profile, "running")
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.deploy(spec, containers=1, max_containers=2)
         invoker.prewarm("running")
         loop.run(until=100.0)
@@ -495,7 +499,11 @@ class TestPlannerBudgetBoundary:
         cold = _action(small_python_profile, "cold")
         invokers = []
         for index in range(3):
-            invoker = Invoker(loop, cores=2, invoker_id=f"invoker-{index}")
+            invoker = Invoker(
+                loop,
+                SimulationConfig(cores=2),
+                invoker_id=f"invoker-{index}",
+            )
             if index == 0:
                 invoker.deploy(hot, containers=1, max_containers=2)
             else:
@@ -548,10 +556,10 @@ class TestPlannerBudgetBoundary:
         loop = EventLoop()
         hot = _action(small_python_profile, "hot")
         cold = _action(small_python_profile, "cold")
-        home = Invoker(loop, cores=2, invoker_id="invoker-0")
+        home = Invoker(loop, SimulationConfig(cores=2), invoker_id="invoker-0")
         home.deploy(hot, containers=1, max_containers=2)
         home.register(cold, max_containers=2)
-        peer = Invoker(loop, cores=4, invoker_id="invoker-1")
+        peer = Invoker(loop, SimulationConfig(cores=4), invoker_id="invoker-1")
         peer.register(hot, max_containers=2)
         peer.register(cold, max_containers=2)
         peer.prewarm("hot")
@@ -588,7 +596,7 @@ class TestPlannerBudgetBoundary:
         (or above) budget but every container is busy or protected."""
         loop = EventLoop()
         spec = _action(small_python_profile, "busy")
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.deploy(spec, containers=1, max_containers=2)
         self._backlog(invoker, "busy", 3)  # container mid-request + queue
         total = CapacityPlanner.total_containers([invoker.snapshot()])

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro import errors
+from repro.config import SimulationConfig
 from repro.faas.controller import Controller
 from repro.faas.invoker import Invoker
 from repro.faas.action import ActionSpec
@@ -37,8 +38,6 @@ class TestErrorHierarchy:
         assert errors.ActionNotFoundError("foo").action == "foo"
 
     def test_config_error_is_also_a_value_error(self):
-        from repro.config import SimulationConfig
-
         with pytest.raises(errors.ConfigError, match="cores must be >= 1") as info:
             SimulationConfig(cores=0)
         assert isinstance(info.value, ValueError)
@@ -74,7 +73,7 @@ class TestProxy:
 class TestController:
     def _setup(self, small_python_profile, overhead=0.02, jitter=0.0):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.deploy(ActionSpec.for_profile(small_python_profile, "base"))
         controller = Controller(
             loop, invoker,

@@ -143,7 +143,7 @@ class TestContainer:
 
 class TestInvoker:
     def _invoker(self, cores=1):
-        return Invoker(EventLoop(), cores=cores)
+        return Invoker(EventLoop(), SimulationConfig(cores=cores))
 
     def test_deploy_and_submit(self, small_python_profile):
         invoker = self._invoker()

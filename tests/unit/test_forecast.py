@@ -151,7 +151,11 @@ class TestPredictivePlanner:
         built = []
         spec = _action(profile, "hot")
         for index in range(invokers):
-            invoker = Invoker(loop, cores=cores, invoker_id=f"invoker-{index}")
+            invoker = Invoker(
+                loop,
+                SimulationConfig(cores=cores),
+                invoker_id=f"invoker-{index}",
+            )
             if index == 0:
                 invoker.deploy(spec, containers=1, max_containers=cores)
             else:
@@ -282,7 +286,7 @@ class TestPredictivePlanner:
 class TestArrivalSurfaces:
     def test_snapshot_exports_arrival_totals(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.register(_action(small_python_profile, "seen"), max_containers=1)
         assert invoker.snapshot().arrivals_total == {}
         for _ in range(3):
@@ -303,7 +307,7 @@ class TestArrivalSurfaces:
 
     def test_cold_start_and_dispatch_times_recorded(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.register(_action(small_python_profile, "cold"), max_containers=1)
         done = []
         invoker.submit(Invocation(action="cold", submitted_at=loop.now), done.append)
@@ -316,7 +320,7 @@ class TestArrivalSurfaces:
 
     def test_can_prewarm_reflects_ceiling_and_raise(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.register(_action(small_python_profile, "room"), max_containers=1)
         assert invoker.can_prewarm("room")
         invoker.prewarm("room")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import SCHEDULER_POLICIES
+from repro.config import SCHEDULER_POLICIES, SimulationConfig
 from repro.errors import PlatformError
 from repro.faas.action import ActionSpec
 from repro.faas.index import ClusterIndex
@@ -60,7 +60,7 @@ class TestCoreChargedColdStarts:
         # One core, occupied by a warm request; a registered action's boot
         # must wait in the backlog until the core frees.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.deploy(_action(small_python_profile, "warm"), containers=1)
         invoker.register(_action(small_c_profile, "cold"), max_containers=1)
         done = []
@@ -86,7 +86,7 @@ class TestCoreChargedColdStarts:
         # Two cold actions, one core: the boots run back to back, not in
         # parallel — a booting container occupies the core like any other.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.register(_action(small_python_profile, "first"), max_containers=1)
         invoker.register(_action(small_c_profile, "second"), max_containers=1)
         done = []
@@ -110,7 +110,7 @@ class TestCoreChargedColdStarts:
     ):
         # With two cores the same two boots overlap instead of serialising.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.register(_action(small_python_profile, "first"), max_containers=1)
         invoker.register(_action(small_c_profile, "second"), max_containers=1)
         done = []
@@ -129,7 +129,7 @@ class TestCoreChargedColdStarts:
         # queued invocation whose boot is already in flight is the *same*
         # unit of demand as that boot, and must not be counted twice.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.register(_action(small_python_profile, "a"), max_containers=1)
         invoker.register(_action(small_c_profile, "b"), max_containers=1)
         assert invoker.load == 0
@@ -148,7 +148,7 @@ class TestCoreChargedColdStarts:
         # Regression for the double-count fix's other direction: queued
         # work *beyond* what the boots in flight can absorb still counts.
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.register(_action(small_python_profile, "a"), max_containers=1)
         for _ in range(3):
             invoker.submit(Invocation(action="a", payload=b"x"), lambda inv: None)
@@ -168,7 +168,7 @@ class TestInvokerSnapshot:
         self, small_python_profile, small_c_profile
     ):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.deploy(_action(small_python_profile, "hot"), containers=2)
         invoker.register(_action(small_c_profile, "cold"), max_containers=4)
         snap = invoker.snapshot()
@@ -184,7 +184,7 @@ class TestInvokerSnapshot:
 
     def test_snapshot_tracks_dispatch_and_boots(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2)
+        invoker = Invoker(loop, SimulationConfig(cores=2))
         invoker.deploy(
             _action(small_python_profile, "busy"), containers=1, max_containers=2
         )
@@ -202,7 +202,7 @@ class TestInvokerSnapshot:
 
     def test_growth_headroom_accessor(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.deploy(
             _action(small_python_profile, "capped"), containers=1, max_containers=4
         )
@@ -213,8 +213,8 @@ class TestInvokerSnapshot:
 class TestWarmAwarePolicy:
     def test_prefers_warm_invoker_over_idle_cold(self, small_python_profile):
         loop = EventLoop()
-        cold = Invoker(loop, cores=2, invoker_id="invoker-0")
-        warm = Invoker(loop, cores=2, invoker_id="invoker-1")
+        cold = Invoker(loop, SimulationConfig(cores=2), invoker_id="invoker-0")
+        warm = Invoker(loop, SimulationConfig(cores=2), invoker_id="invoker-1")
         spec = _action(small_python_profile, "wa")
         cold.register(spec, max_containers=2)
         warm.deploy(spec, containers=1, max_containers=2)
@@ -224,8 +224,8 @@ class TestWarmAwarePolicy:
 
     def test_spills_once_backlog_outweighs_the_penalty(self, small_python_profile):
         loop = EventLoop()
-        warm = Invoker(loop, cores=1, invoker_id="invoker-0")
-        cold = Invoker(loop, cores=1, invoker_id="invoker-1")
+        warm = Invoker(loop, SimulationConfig(cores=1), invoker_id="invoker-0")
+        cold = Invoker(loop, SimulationConfig(cores=1), invoker_id="invoker-1")
         spec = _action(small_python_profile, "spill")
         warm.deploy(spec, containers=1, max_containers=1)
         cold.register(spec, max_containers=1)
@@ -245,8 +245,8 @@ class TestWarmAwarePolicy:
         # An invoker already booting a container for the action does not
         # pay the cold-start penalty again.
         loop = EventLoop()
-        booting = Invoker(loop, cores=4, invoker_id="invoker-0")
-        cold = Invoker(loop, cores=4, invoker_id="invoker-1")
+        booting = Invoker(loop, SimulationConfig(cores=4), invoker_id="invoker-0")
+        cold = Invoker(loop, SimulationConfig(cores=4), invoker_id="invoker-1")
         spec = _action(small_python_profile, "inflight")
         booting.register(spec, max_containers=4)
         cold.register(spec, max_containers=4)
@@ -268,7 +268,11 @@ class TestWarmAwarePolicy:
 class TestWorkStealing:
     def _affinity_cluster(self, spec_name_prefix: str, loop: EventLoop):
         invokers = [
-            Invoker(loop, cores=1, invoker_id=f"invoker-{i}") for i in range(2)
+            Invoker(
+                loop,
+                SimulationConfig(cores=1),
+                invoker_id=f"invoker-{i}",
+            ) for i in range(2)
         ]
         return invokers
 
@@ -305,7 +309,11 @@ class TestWorkStealing:
         name = _homed_name("order", 3, 0)
         loop = EventLoop()
         invokers = [
-            Invoker(loop, cores=1, invoker_id=f"invoker-{i}") for i in range(3)
+            Invoker(
+                loop,
+                SimulationConfig(cores=1),
+                invoker_id=f"invoker-{i}",
+            ) for i in range(3)
         ]
         spec = _action(_steady_profile(), name)
         for invoker in invokers:
@@ -323,7 +331,11 @@ class TestWorkStealing:
         # asks.
         loop = EventLoop()
         invokers = [
-            Invoker(loop, cores=2, invoker_id=f"invoker-{i}") for i in range(8)
+            Invoker(
+                loop,
+                SimulationConfig(cores=2),
+                invoker_id=f"invoker-{i}",
+            ) for i in range(8)
         ]
         scheduler = Scheduler(invokers, HashAffinityPolicy(), work_stealing=True)
         name = _homed_name("laminar", 8, 3)
@@ -380,8 +392,8 @@ class TestWorkStealing:
         # idle peer boots a container for the *newest* queued invocation.
         name = _homed_name("boot-steal", 2, 0)
         loop = EventLoop()
-        home = Invoker(loop, cores=1, invoker_id="invoker-0")
-        thief = Invoker(loop, cores=1, invoker_id="invoker-1")
+        home = Invoker(loop, SimulationConfig(cores=1), invoker_id="invoker-0")
+        thief = Invoker(loop, SimulationConfig(cores=1), invoker_id="invoker-1")
         spec = _action(small_python_profile, name)
         home.deploy(spec, containers=1, max_containers=1)
         thief.register(spec, max_containers=1)
@@ -415,8 +427,8 @@ class TestWorkStealing:
         # already underway): the peer must not spend a core booting for it.
         name = _homed_name("patient", 2, 0)
         loop = EventLoop()
-        home = Invoker(loop, cores=8, invoker_id="invoker-0")
-        thief = Invoker(loop, cores=8, invoker_id="invoker-1")
+        home = Invoker(loop, SimulationConfig(cores=8), invoker_id="invoker-0")
+        thief = Invoker(loop, SimulationConfig(cores=8), invoker_id="invoker-1")
         spec = _action(small_python_profile, name)
         home.register(spec, max_containers=8)
         thief.register(spec, max_containers=8)
@@ -436,8 +448,8 @@ class TestWorkStealing:
         # before it wastes a core.
         name = _homed_name("cancel", 2, 0)
         loop = EventLoop()
-        home = Invoker(loop, cores=1, invoker_id="invoker-0")
-        thief = Invoker(loop, cores=1, invoker_id="invoker-1")
+        home = Invoker(loop, SimulationConfig(cores=1), invoker_id="invoker-0")
+        thief = Invoker(loop, SimulationConfig(cores=1), invoker_id="invoker-1")
         spec = _action(small_python_profile, name)
         # The home is registered only: its first submission requests a boot
         # that must wait behind... nothing, it boots.  Use two actions so
@@ -465,7 +477,11 @@ class TestWorkStealing:
         name = _homed_name("nosteal", 2, 0)
         loop = EventLoop()
         invokers = [
-            Invoker(loop, cores=1, invoker_id=f"invoker-{i}") for i in range(2)
+            Invoker(
+                loop,
+                SimulationConfig(cores=1),
+                invoker_id=f"invoker-{i}",
+            ) for i in range(2)
         ]
         spec = _action(small_python_profile, name)
         for invoker in invokers:
@@ -479,7 +495,7 @@ class TestWorkStealing:
 
     def test_release_queued_requires_waiting_work(self, small_python_profile):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=1)
+        invoker = Invoker(loop, SimulationConfig(cores=1))
         invoker.deploy(_action(small_python_profile, "empty"), containers=1)
         with pytest.raises(PlatformError):
             invoker.release_queued("empty")
@@ -488,7 +504,11 @@ class TestWorkStealing:
         name = _homed_name("skew", 2, 0)
         loop = EventLoop()
         invokers = [
-            Invoker(loop, cores=1, invoker_id=f"invoker-{i}") for i in range(2)
+            Invoker(
+                loop,
+                SimulationConfig(cores=1),
+                invoker_id=f"invoker-{i}",
+            ) for i in range(2)
         ]
         spec = _action(small_python_profile, name)
         scheduler = Scheduler(invokers, HashAffinityPolicy())

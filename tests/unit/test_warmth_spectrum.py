@@ -45,11 +45,11 @@ def _action(name: str, exec_seconds: float = 0.010) -> ActionSpec:
     return ActionSpec.for_profile(_profile(name, exec_seconds), "base", name=name)
 
 
-def _spectrum_invoker(loop: EventLoop, **kwargs) -> Invoker:
-    kwargs.setdefault("cores", 1)
-    kwargs.setdefault("keep_alive_seconds", 0.05)
-    kwargs.setdefault("restorable_snapshots", True)
-    return Invoker(loop, **kwargs)
+def _spectrum_invoker(loop: EventLoop, **knobs) -> Invoker:
+    knobs.setdefault("cores", 1)
+    knobs.setdefault("keep_alive_seconds", 0.05)
+    knobs.setdefault("restorable_snapshots", True)
+    return Invoker(loop, SimulationConfig(**knobs))
 
 
 def _make_demoted_snapshot(loop: EventLoop, invoker: Invoker, action: str) -> None:
@@ -79,7 +79,8 @@ class TestDemoteOnEvict:
     def test_spectrum_off_eviction_destroys(self):
         loop = EventLoop()
         invoker = Invoker(
-            loop, cores=1, keep_alive_seconds=0.05, restorable_snapshots=False
+            loop,
+            SimulationConfig(cores=1, keep_alive_seconds=0.05, restorable_snapshots=False),
         )
         invoker.register(_action("act"), max_containers=1)
         done = []
@@ -258,7 +259,7 @@ class TestSpectrumOffEscapeHatch:
 
     def test_off_run_never_enters_spectrum_state(self):
         loop = EventLoop()
-        invoker = Invoker(loop, cores=2, keep_alive_seconds=0.05)
+        invoker = Invoker(loop, SimulationConfig(cores=2, keep_alive_seconds=0.05))
         invoker.register(_action("a"), max_containers=2)
         done = []
         for _ in range(4):
@@ -279,7 +280,9 @@ class TestSpectrumOffEscapeHatch:
         # a default cluster reproduces pre-spectrum behaviour bit for bit.
         def run(**kwargs):
             loop = EventLoop()
-            invoker = Invoker(loop, cores=1, keep_alive_seconds=0.05, **kwargs)
+            invoker = Invoker(
+                loop, SimulationConfig(cores=1, keep_alive_seconds=0.05, **kwargs)
+            )
             invoker.register(_action("a"), max_containers=2)
             done = []
             for _ in range(3):
